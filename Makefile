@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard bench-pamx metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -209,26 +209,6 @@ bench-shard:
 		echo '}'; \
 	} > BENCH_shard.json; \
 	echo "wrote BENCH_shard.json"
-
-# Real measurement of columnar field projection: the worker sweep of
-# projected flagstat over PAMX against the row-major BAMX sharded scan,
-# and the paired run whose "speedup" and "bytes_inflated_ratio" metrics
-# are the headline numbers (projection must inflate ≤30% of the bytes
-# the row-major scan reads and beat its records/s by ≥1.5x).
-bench-pamx:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkPAMXAnalysis' -benchtime 3x ./internal/shard && \
-		$(GO) test -run '^$$' -bench 'BenchmarkPAMXSpeedup$$' -benchtime 10x ./internal/shard); \
-	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
-	{ \
-		echo '{'; \
-		echo '  "benchmark": "BenchmarkPAMXAnalysis",'; \
-		echo "  \"cpus\": $$(nproc),"; \
-		echo '  "output": ['; \
-		echo "$$out" | sed 's/\\/\\\\/g; s/"/\\"/g; s/\t/\\t/g; s/^/    "/; s/$$/",/' | sed '$$ s/,$$//'; \
-		echo '  ]'; \
-		echo '}'; \
-	} > BENCH_pamx.json; \
-	echo "wrote BENCH_pamx.json"
 
 # End-to-end telemetry check: a real conversion run must produce a
 # metrics snapshot with the documented schema (MPI wait, codec

@@ -48,15 +48,17 @@ func (f *File) Scan(lo, hi int64) *Scanner {
 	}
 }
 
-// Next decodes the next record into rec, reporting false at the end of
-// the range.
-func (s *Scanner) Next(rec *sam.Record) (bool, error) {
+// NextBody returns the next record's contiguous BAM body (without the
+// block_size prefix) without decoding it, or io.EOF at the end of the
+// range — the zero-decode path container-to-container conversions use.
+// The slice is valid until the next call.
+func (s *Scanner) NextBody() ([]byte, error) {
 	if s.err != nil {
-		return false, s.err
+		return nil, s.err
 	}
 	if s.off == len(s.buf) {
 		if s.next >= s.hi {
-			return false, nil
+			return nil, io.EOF
 		}
 		n := int64(cap(s.buf) / s.stride)
 		if s.next+n > s.hi {
@@ -66,7 +68,7 @@ func (s *Scanner) Next(rec *sam.Record) (bool, error) {
 		offset := s.f.dataStart + s.next*int64(s.stride)
 		if _, err := s.f.r.ReadAt(s.buf, offset); err != nil && err != io.EOF {
 			s.err = fmt.Errorf("bamx: scan read at record %d: %w", s.next, err)
-			return false, s.err
+			return nil, s.err
 		}
 		s.next += n
 		s.off = 0
@@ -77,9 +79,22 @@ func (s *Scanner) Next(rec *sam.Record) (bool, error) {
 	s.body, err = unpadRecord(s.body[:0], raw, s.f.caps)
 	if err != nil {
 		s.err = err
+		return nil, err
+	}
+	return s.body, nil
+}
+
+// Next decodes the next record into rec, reporting false at the end of
+// the range.
+func (s *Scanner) Next(rec *sam.Record) (bool, error) {
+	body, err := s.NextBody()
+	if err == io.EOF {
+		return false, nil
+	}
+	if err != nil {
 		return false, err
 	}
-	if err := bam.DecodeRecord(s.body, rec, s.f.header); err != nil {
+	if err := bam.DecodeRecord(body, rec, s.f.header); err != nil {
 		s.err = err
 		return false, err
 	}

@@ -47,6 +47,18 @@ func newCodecObs(reg *obs.Registry, dir string) *codecObs {
 	}
 }
 
+// observe accounts one deflated block that took d: in payload bytes, out
+// member bytes (0 for a failed block). A nil receiver no-ops.
+func (m *codecObs) observe(d time.Duration, in, out int) {
+	if m == nil {
+		return
+	}
+	m.latency.Observe(d.Nanoseconds())
+	m.blocks.Add(1)
+	m.bytesIn.Add(int64(in))
+	m.bytesOut.Add(int64(out))
+}
+
 // maxAutoWorkers caps the adaptive default. Past ~8 workers a BGZF
 // pool saturates memory bandwidth before CPU, and a process commonly
 // runs several pools at once (reader, writer, record decoder); an
@@ -171,12 +183,7 @@ func (w *ParallelWriter) compress(b *wblock) {
 	b.block, b.err = d.wrap(b.block[:0], b.payload, w.level)
 	w.defPool.Put(d)
 	if w.met != nil {
-		w.met.latency.Observe(time.Since(t0).Nanoseconds())
-		w.met.blocks.Add(1)
-		w.met.bytesIn.Add(int64(len(b.payload)))
-		if b.err == nil {
-			w.met.bytesOut.Add(int64(len(b.block)))
-		}
+		w.met.observe(time.Since(t0), len(b.payload), len(b.block))
 	}
 	if w.sizer != nil {
 		w.sizer.observe(len(b.payload), time.Since(t0))

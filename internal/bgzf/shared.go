@@ -3,13 +3,15 @@
 // sorted chunk — and giving each its own worker pool multiplies
 // goroutines while leaving most of them idle. SharedPool keeps one warm
 // pool the writers attach to (parpipe.NewOnPool), and sizes it from
-// measured throughput: an EWMA of the bytes/s one worker achieves over
-// recent blocks against the windowed demand across all attached
-// streams, rather than CPU count alone.
+// measurement rather than CPU count alone: how many workers the recent
+// blocks of all attached streams kept busy, reported alongside an EWMA
+// of the bytes/s one worker achieves.
 
 package bgzf
 
 import (
+	"compress/flate"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -70,29 +72,34 @@ func ObserveSharedDeflate(n int, d time.Duration) {
 }
 
 const (
-	sizerAlpha  = 0.2 // EWMA smoothing for per-worker throughput
+	sizerAlpha  = 0.2 // EWMA smoothing for per-worker throughput, per window
 	resizeEvery = 32  // blocks between resize decisions
 )
 
 // poolSizer adapts the shared pool's worker count to measured load.
-// Every compressed block contributes its payload size and wall time,
-// maintaining an EWMA of the bytes/s a single worker achieves and a
-// sliding window of demand bytes/s across all attached writers. Every
-// resizeEvery blocks the pool is resized to ceil(demand/perWorker),
-// bumped while the queue is outrunning the workers, and clamped by the
-// pool to [1, GOMAXPROCS].
+// Every compressed block contributes its payload size and worker wall
+// time to the current window. Every resizeEvery blocks the window
+// closes: its bytes over its busy time — what one worker delivered,
+// weighted by bytes, so small or highly compressible blocks do not
+// inflate it — feeds the per-worker throughput EWMA, and the pool is
+// resized to the mean number of workers that were busy while any was,
+// ceil(busy time / active time), so a pause between bursts does not
+// read as low demand. The size is bumped while the queue is outrunning
+// the workers, and clamped by the pool to [1, GOMAXPROCS].
 type poolSizer struct {
 	pool *parpipe.Pool
 
 	mu        sync.Mutex
-	perWorker float64 // EWMA of one worker's bytes/s
-	winBytes  int64   // payload bytes compressed since winStart
-	winStart  time.Time
+	perWorker float64       // EWMA of one worker's bytes/s
+	winBytes  int64         // payload bytes compressed in this window
+	winBusy   time.Duration // worker wall time spent on them, summed
+	winActive time.Duration // wall time covered by at least one of them
+	lastEnd   time.Time     // when the latest block finished
 	blocks    int
 }
 
 func newPoolSizer(p *parpipe.Pool) *poolSizer {
-	return &poolSizer{pool: p, winStart: time.Now()}
+	return &poolSizer{pool: p}
 }
 
 // observe accounts one compressed block of n payload bytes that took d
@@ -101,37 +108,36 @@ func (s *poolSizer) observe(n int, d time.Duration) {
 	if n <= 0 {
 		return
 	}
-	secs := d.Seconds()
-	if secs <= 0 {
-		secs = 1e-9
+	if d <= 0 {
+		d = 1
 	}
-	bps := float64(n) / secs
 	s.mu.Lock()
-	if s.perWorker == 0 {
-		s.perWorker = bps
-	} else {
-		s.perWorker += sizerAlpha * (bps - s.perWorker)
+	now := time.Now()
+	from := now.Add(-d)
+	if from.Before(s.lastEnd) {
+		from = s.lastEnd // that stretch is already counted as active
 	}
+	s.lastEnd = now
+	s.winActive += now.Sub(from)
+	s.winBusy += d
 	s.winBytes += int64(n)
 	s.blocks++
 	if s.blocks < resizeEvery {
 		s.mu.Unlock()
 		return
 	}
-	demand := 0.0
-	if elapsed := time.Since(s.winStart).Seconds(); elapsed > 0 {
-		demand = float64(s.winBytes) / elapsed
+	bps := float64(s.winBytes) / s.winBusy.Seconds()
+	if s.perWorker == 0 {
+		s.perWorker = bps
+	} else {
+		s.perWorker += sizerAlpha * (bps - s.perWorker)
 	}
 	per := s.perWorker
+	need := int(math.Ceil(float64(s.winBusy) / float64(max(s.winActive, 1))))
 	s.blocks = 0
-	s.winBytes = 0
-	s.winStart = time.Now()
+	s.winBytes, s.winBusy, s.winActive = 0, 0, 0
 	s.mu.Unlock()
 
-	need := 1
-	if per > 0 && demand > 0 {
-		need = int(math.Ceil(demand / per))
-	}
 	if s.pool.Backlog() > s.pool.Workers() && need <= s.pool.Workers() {
 		// The queue is outrunning the workers regardless of what the
 		// window average says; grow by at least one.
@@ -147,3 +153,35 @@ func (s *poolSizer) observe(n int, d time.Duration) {
 		reg.Gauge("bgzf.shared_pool.throughput").Set(int64(per))
 	}
 }
+
+// blockDeflators recycles deflators (~650 KiB of flate state each) across
+// every DeflateBlock caller in the process.
+var blockDeflators = sync.Pool{New: func() any { return &deflator{} }}
+
+// DeflateBlock compresses one payload of at most MaxPayload bytes into a
+// complete BGZF member at the default level, reusing dst's backing array
+// when it is large enough. The bytes equal what the sequential Writer
+// emits for the same block. It is the writer-less form of the codec for
+// callers that cut their own blocks out of buffers they already hold
+// (the PAMX column groups) and run the jobs wherever they like —
+// typically SharedPool. Every call feeds the bgzf.deflate.* counters and
+// the shared pool's throughput sizer, like a block of a SharedPool
+// writer. Safe for concurrent use.
+func DeflateBlock(dst, payload []byte) ([]byte, error) {
+	if len(payload) > MaxPayload {
+		return nil, fmt.Errorf("bgzf: %d-byte payload exceeds the %d-byte block limit", len(payload), MaxPayload)
+	}
+	met := newCodecObs(obs.Default(), "deflate")
+	t0 := time.Now()
+	d := blockDeflators.Get().(*deflator)
+	block, err := d.wrap(dst[:0], payload, flate.DefaultCompression)
+	blockDeflators.Put(d)
+	took := time.Since(t0)
+	met.observe(took, len(payload), len(block))
+	ObserveSharedDeflate(len(payload), took)
+	return block, err
+}
+
+// EOFMarker returns the canonical empty member that terminates a BGZF
+// stream. The slice is shared: callers must not modify it.
+func EOFMarker() []byte { return eofMarker }

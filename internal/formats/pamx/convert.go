@@ -9,6 +9,7 @@ import (
 
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
+	"parseq/internal/bgzf"
 	"parseq/internal/sam"
 )
 
@@ -27,37 +28,25 @@ func bamWriterOpts(opts Options) []bam.Option {
 }
 
 // FromBAM converts a BAM file into PAMX at pamxPath, streaming record
-// bodies straight into the column splitter without decoding. Returns the
-// record count.
+// bodies straight into the column splitter without decoding. The inflate
+// side follows CodecWorkers like the write side (0 picks the adaptive
+// bgzf.AutoWorkers, 1 the sequential codec). Returns the record count.
 func FromBAM(bamPath, pamxPath string, opts Options) (int64, error) {
 	in, err := os.Open(bamPath)
 	if err != nil {
 		return 0, err
 	}
 	defer in.Close()
-	var ropts []bam.Option
-	if opts.CodecWorkers > 1 {
-		ropts = append(ropts, bam.WithCodecWorkers(opts.CodecWorkers))
+	inflaters := opts.CodecWorkers
+	if inflaters <= 0 {
+		inflaters = bgzf.AutoWorkers()
 	}
-	br, err := bam.NewReader(bufio.NewReaderSize(in, 1<<20), ropts...)
+	br, err := bam.NewReader(bufio.NewReaderSize(in, 1<<20), bam.WithCodecWorkers(inflaters))
 	if err != nil {
 		return 0, err
 	}
 	defer br.Close()
-	return writePAMX(pamxPath, br.Header(), opts, func(w *Writer) error {
-		for {
-			body, err := br.ReadBody()
-			if err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return err
-			}
-			if err := w.WriteBody(body); err != nil {
-				return err
-			}
-		}
-	})
+	return writePAMX(pamxPath, br.Header(), opts, br.ReadBody)
 }
 
 // FromBAMX converts a fixed-stride BAMX file into PAMX, reassembling
@@ -76,28 +65,14 @@ func FromBAMX(bamxPath, pamxPath string, opts Options) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return writePAMX(pamxPath, xf.Header(), opts, func(w *Writer) error {
-		raw := make([]byte, xf.Stride())
-		var body []byte
-		for i := int64(0); i < xf.NumRecords(); i++ {
-			if err := xf.ReadRaw(i, raw); err != nil {
-				return err
-			}
-			body, err = xf.AppendBody(body[:0], raw)
-			if err != nil {
-				return err
-			}
-			if err := w.WriteBody(body); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return writePAMX(pamxPath, xf.Header(), opts, xf.Scan(0, xf.NumRecords()).NextBody)
 }
 
-// writePAMX runs fill against a Writer on a fresh file at path, closing
-// both in order and unlinking the partial file on error.
-func writePAMX(path string, h *sam.Header, opts Options, fill func(*Writer) error) (int64, error) {
+// writePAMX drains next — record bodies until io.EOF — into a Writer on a
+// fresh file at path. The Writer is closed on every path, which joins
+// its flush stage, before the file is closed; a failed conversion leaves
+// no file behind.
+func writePAMX(path string, h *sam.Header, opts Options, next func() ([]byte, error)) (int64, error) {
 	out, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -105,10 +80,23 @@ func writePAMX(path string, h *sam.Header, opts Options, fill func(*Writer) erro
 	bw := bufio.NewWriterSize(out, 1<<20)
 	w, err := NewWriter(bw, h, opts)
 	if err == nil {
-		err = fill(w)
-	}
-	if err == nil {
-		err = w.Close()
+		err = func() error {
+			for {
+				body, err := next()
+				if err == io.EOF {
+					return nil
+				}
+				if err == nil {
+					err = w.WriteBody(body)
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}()
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err == nil {
 		err = bw.Flush()

@@ -19,11 +19,13 @@
 //	uint64 footer length | trailer magic "PAMXIDX1"
 //
 // Each blob is an independent BGZF stream (empty columns are omitted
-// entirely), compressed through the process-wide bgzf.SharedPool by
-// default, so file bytes are bit-identical at any codec worker count. A
-// group never spans a reference change, which is what lets the shard
-// provider hand whole groups to region-parallel analyses with the
-// exactly-once ownership contract intact.
+// entirely). The Writer deflates a whole group at once — every block of
+// all six columns as one batch of jobs, on the process-wide
+// bgzf.SharedPool by default — while the next group fills, and the file
+// bytes are bit-identical at any codec worker count. A group never spans
+// a reference change, which is what lets the shard provider hand whole
+// groups to region-parallel analyses with the exactly-once ownership
+// contract intact.
 package pamx
 
 import (
@@ -125,9 +127,11 @@ const coordStride = 36
 
 // Options tunes a Writer.
 type Options struct {
-	// CodecWorkers drives the per-column BGZF compression: 0 attaches to
-	// the process-wide bgzf.SharedPool, 1 uses the sequential codec, and
-	// n > 1 a private n-worker pool. All three emit bit-identical bytes.
+	// CodecWorkers drives the BGZF block jobs of a group flush: 0 runs
+	// them on the process-wide bgzf.SharedPool, 1 inline on the caller
+	// with no goroutine at all (the sequential baseline), and n > 1 on up
+	// to n goroutines at a time. All three emit bit-identical bytes. The
+	// converters apply the same count to the BAM inflate side.
 	CodecWorkers int
 	// GroupBytes caps the uncompressed bytes buffered into one column
 	// group before it is cut (summed across columns). ≤ 0 picks
