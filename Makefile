@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon vet staticcheck fmt-check bench-smoke bench-decode bench-convert bench-kern bench-shard metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check bench-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -19,60 +19,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused race run over the parallel decode path (zero-copy block API,
-# prefetcher, record scanner, BAMZ readahead and their consumers) —
-# faster feedback than the full `race` sweep when touching that code.
-race-decode:
-	$(GO) test -race -count=1 ./internal/bgzf ./internal/bam ./internal/bamx ./internal/sorter
-
-# Focused race run over the parallel convert/write path (byte-slice
-# parsing, the batched line pipeline, the shared deflate pool and the
-# parpipe pool plumbing under it).
+# The one fast pre-commit subset of `race`: the converter runtime
+# (sources, sinks, the batch line engine), the SAM analyses that share
+# its scanners, the shared deflate pool and the parpipe plumbing under
+# them, and the daemon that drives them concurrently. `ci` runs the full
+# sweep.
 race-convert:
-	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/formats ./internal/bgzf ./internal/parpipe
-
-# Focused race run over the rank transports: the transport conformance
-# table on both the in-process and TCP worlds, the multi-process
-# loopback acceptance tests (byte-identical distributed conversion,
-# killed-worker abort) and the flag plumbing.
-race-mpinet:
-	$(GO) test -race -count=1 ./internal/mpi ./internal/mpinet ./internal/mpiflag
-
-# Focused race run over the word-wide kernels and the packages whose
-# hot loops they were wired into (BAM record codec, SAM byte parser,
-# format emitters, flagstat tally, BED coordinate parsing). The kernels
-# are pure functions, but their zero-copy aliasing helpers deserve the
-# race detector's eyes wherever records cross goroutines.
-race-kern:
-	$(GO) test -race -count=1 ./internal/kern ./internal/bam ./internal/sam ./internal/formats ./internal/flagstat ./internal/bed
-
-# Focused race run over the observability plane: the registry and its
-# Prometheus/trace renderers, the cross-rank telemetry gather (channel
-# and TCP transports, including the multi-process /metrics acceptance
-# tests) and the CLI flag plumbing around them.
-race-obs:
-	$(GO) test -race -count=1 ./internal/obs ./internal/mpi ./internal/mpinet ./internal/obsflag
-
-# Focused race run over the genomic-range shard layer: the providers
-# and the work-stealing drain, the index machinery they cut shards
-# from, and the three analyses that ride them — all of whose identity
-# tests drive shards across goroutines and both rank transports.
-race-shard:
-	$(GO) test -race -count=1 ./internal/shard ./internal/bam ./internal/bamx ./internal/flagstat ./internal/hist ./internal/peaks
-
-# Focused race run over the columnar PAMX layer: the column writer and
-# projecting reader (whose group decompressors run on the shared codec
-# pool), the per-group shard provider, and the two analyses whose
-# projection-equivalence tests drive PAMX shards across goroutines.
-race-pamx:
-	$(GO) test -race -count=1 ./internal/formats/pamx ./internal/shard ./internal/flagstat ./internal/hist
-
-# Focused race run over the daemon: the bounded queue and admission
-# paths under a concurrent HTTP burst, job cancellation and panic
-# isolation, the fleet lockstep protocol on a loopback worker, and the
-# obsflag shutdown hook the graceful drain rides on.
-race-daemon:
-	$(GO) test -race -count=1 ./internal/daemon ./internal/obsflag
+	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/hist ./internal/flagstat ./internal/bgzf ./internal/parpipe ./internal/daemon
 
 # A short deterministic fuzz pass over the wire-frame decoder: corrupt
 # frames must error, never panic or over-allocate.
@@ -121,9 +74,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# One iteration of the BGZF benchmarks (sequential + parallel sweeps)
-# and the disabled-telemetry overhead guard: catches benchmark bit-rot
-# without paying for a real measurement run.
+# One iteration of the BGZF benchmarks (sequential + parallel sweeps),
+# the disabled-telemetry overhead guard and the per-package sweeps:
+# catches benchmark bit-rot without paying for a measurement run.
+# Measuring is `go run ./bench` (see bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBGZF' -benchtime 1x ./internal/bgzf
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelBAMScan' -benchtime 1x ./internal/bam
@@ -132,83 +86,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernSpeedup' -benchtime 1x ./internal/kern
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedSpeedup' -benchtime 1x ./internal/shard
 	$(GO) test -run '^$$' -bench 'BenchmarkPAMXSpeedup' -benchtime 1x ./internal/shard
-
-# Real measurement of the BAM decode worker sweep (sequential baseline
-# vs bam.ParallelScanner at 1/2/4/8 workers), recorded for comparison
-# across changes. The JSON wraps `go test -bench` text output with the
-# machine's parallelism so runs on different hosts aren't conflated.
-bench-decode:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkParallelBAMScan' -benchtime 2x ./internal/bam); \
-	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
-	{ \
-		echo '{'; \
-		echo '  "benchmark": "BenchmarkParallelBAMScan",'; \
-		echo "  \"cpus\": $$(nproc),"; \
-		echo '  "output": ['; \
-		echo "$$out" | sed 's/\\/\\\\/g; s/"/\\"/g; s/\t/\\t/g; s/^/    "/; s/$$/",/' | sed '$$ s/,$$//'; \
-		echo '  ]'; \
-		echo '}'; \
-	} > BENCH_decode.json; \
-	echo "wrote BENCH_decode.json"
-
-# Real measurement of the pipelined converter: the worker sweep, the
-# pre-PR loop baseline, and the paired before/after run whose "speedup"
-# metric is the headline number (pairing the two passes per iteration
-# and taking per-side minima keeps the ratio meaningful on hosts with
-# CPU steal, where separately-timed runs drift 2-4x between runs).
-bench-convert:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkConvertSAM$$|BenchmarkConvertSAMPrePR$$' -benchtime 3x ./internal/conv && \
-		$(GO) test -run '^$$' -bench 'BenchmarkConvertSAMSpeedup$$' -benchtime 25x ./internal/conv); \
-	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
-	{ \
-		echo '{'; \
-		echo '  "benchmark": "BenchmarkConvertSAM",'; \
-		echo "  \"cpus\": $$(nproc),"; \
-		echo '  "output": ['; \
-		echo "$$out" | sed 's/\\/\\\\/g; s/"/\\"/g; s/\t/\\t/g; s/^/    "/; s/$$/",/' | sed '$$ s/,$$//'; \
-		echo '  ]'; \
-		echo '}'; \
-	} > BENCH_convert.json; \
-	echo "wrote BENCH_convert.json"
-
-# Real measurement of the word-wide transcoding kernels against their
-# scalar twins. The Speedup benchmark interleaves scalar and kernel
-# batches per iteration and reports per-side minima, so its "speedup"
-# metric holds up on noisy shared hosts; the plain benchmarks record
-# absolute MB/s per kernel.
-bench-kern:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkKern' -benchtime 100x ./internal/kern); \
-	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
-	{ \
-		echo '{'; \
-		echo '  "benchmark": "BenchmarkKern",'; \
-		echo "  \"cpus\": $$(nproc),"; \
-		echo '  "output": ['; \
-		echo "$$out" | sed 's/\\/\\\\/g; s/"/\\"/g; s/\t/\\t/g; s/^/    "/; s/$$/",/' | sed '$$ s/,$$//'; \
-		echo '  ]'; \
-		echo '}'; \
-	} > BENCH_kern.json; \
-	echo "wrote BENCH_kern.json"
-
-# Real measurement of region-parallel whole-genome flagstat: the worker
-# sweep over both shard providers against the single-stream baselines,
-# and the paired before/after run whose "speedup" metric is the
-# headline number (per-side minima keep the ratio meaningful on hosts
-# with CPU steal).
-bench-shard:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkShardedAnalysis' -benchtime 3x ./internal/shard && \
-		$(GO) test -run '^$$' -bench 'BenchmarkShardedSpeedup$$' -benchtime 10x ./internal/shard); \
-	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
-	{ \
-		echo '{'; \
-		echo '  "benchmark": "BenchmarkShardedAnalysis",'; \
-		echo "  \"cpus\": $$(nproc),"; \
-		echo '  "output": ['; \
-		echo "$$out" | sed 's/\\/\\\\/g; s/"/\\"/g; s/\t/\\t/g; s/^/    "/; s/$$/",/' | sed '$$ s/,$$//'; \
-		echo '  ]'; \
-		echo '}'; \
-	} > BENCH_shard.json; \
-	echo "wrote BENCH_shard.json"
 
 # End-to-end telemetry check: a real conversion run must produce a
 # metrics snapshot with the documented schema (MPI wait, codec
@@ -251,5 +128,5 @@ daemon-endpoint-smoke:
 	[ "$$rc" -eq 143 ] || { echo "daemon-endpoint-smoke: seqconvd exit $$rc, want 143"; cat "$$tmp/seqconvd.log"; exit 1; }; \
 	echo "daemon-endpoint-smoke: OK"
 
-ci: vet staticcheck fmt-check build race race-decode race-convert race-mpinet race-kern race-obs race-shard race-pamx race-daemon bench-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke
+ci: vet staticcheck fmt-check build race bench-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke
 	@echo "ci: all checks passed"

@@ -84,10 +84,10 @@ func getFixture(b *testing.B) *benchFixture {
 		if fixtureErr = bf.Close(); fixtureErr != nil {
 			return
 		}
-		if _, fixtureErr = conv.PreprocessBAMFile(fixture.bamPath, fixture.bamxPath, fixture.baixPath); fixtureErr != nil {
+		if _, fixtureErr = conv.PreprocessBAMFile(fixture.bamPath, fixture.bamxPath, fixture.baixPath, 0); fixtureErr != nil {
 			return
 		}
-		fixture.shards, fixtureErr = conv.PreprocessSAMParallel(fixture.samPath, dir, "shard", 4)
+		fixture.shards, fixtureErr = conv.PreprocessSAMParallel(fixture.samPath, Options{OutDir: dir, OutPrefix: "shard", Cores: 4})
 		if fixtureErr != nil {
 			return
 		}
@@ -252,8 +252,8 @@ func BenchmarkFig10PreprocessSAM(b *testing.B) {
 	fx := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := conv.PreprocessSAMParallel(fx.samPath, b.TempDir(), "p",
-			runtime.GOMAXPROCS(0)); err != nil {
+		if _, err := conv.PreprocessSAMParallel(fx.samPath,
+			Options{OutDir: b.TempDir(), OutPrefix: "p", Cores: runtime.GOMAXPROCS(0)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, kee
 	// Histogram: partition, accumulate, gather-reduce at rank 0.
 	rname := ds.Header.RefByID(0).Name
 	start = time.Now()
-	hg, err := hist.FromSAMParallelLaunch(samPath, rname, 100, ranks, launch)
+	hg, err := hist.FromSAMParallel(samPath, rname, 100, ranks, launch)
 	if err != nil {
 		return fmt.Errorf("hist: %w", err)
 	}
@@ -84,7 +84,7 @@ func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, kee
 
 	// Flagstat: partition, tally, gather-merge at rank 0.
 	start = time.Now()
-	fs, err := flagstat.SAMFileLaunch(samPath, ranks, launch)
+	fs, err := flagstat.SAMFile(samPath, ranks, launch)
 	if err != nil {
 		return fmt.Errorf("flagstat: %w", err)
 	}

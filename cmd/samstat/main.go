@@ -75,7 +75,7 @@ func main() {
 			die(err)
 		}
 	} else {
-		stats, err = flagstat.SAMFileLaunch(*in, *cores, mpiSession.Launcher())
+		stats, err = flagstat.SAMFile(*in, *cores, mpiSession.Launcher())
 		if err != nil {
 			die(err)
 		}

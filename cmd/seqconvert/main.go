@@ -1,6 +1,7 @@
 // Command seqconvert is the parallel sequence data format converter: it
 // converts SAM, BAM or preprocessed BAMX datasets into SAM, BED,
-// BEDGRAPH, FASTA, FASTQ, JSON or YAML with one output file per rank.
+// BEDGRAPH, FASTA, FASTQ, JSON, YAML or BAM shards with one output file
+// per rank.
 //
 // Usage:
 //
@@ -33,7 +34,7 @@ import (
 func main() {
 	var (
 		in        = flag.String("in", "", "input file (.sam, .bam or .bamx)")
-		format    = flag.String("format", "sam", "target format: "+strings.Join(parseq.Formats(), ", "))
+		format    = flag.String("format", "sam", "target format: "+strings.Join(parseq.Formats(), ", ")+", or bam (one shard per rank)")
 		cores     = flag.Int("p", 1, "parallel ranks")
 		outDir    = flag.String("out", ".", "output directory")
 		prefix    = flag.String("prefix", "out", "output file prefix")
@@ -167,10 +168,6 @@ func main() {
 	var res *parseq.Result
 	switch kind {
 	case "sam":
-		if opts.Format == "bam" {
-			res, err = parseq.ConvertSAMToBAM(*in, opts)
-			break
-		}
 		res, err = parseq.ConvertSAM(*in, opts)
 	case "bam":
 		if *cores > 1 {

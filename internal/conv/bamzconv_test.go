@@ -14,7 +14,7 @@ func prepBAMZ(t *testing.T, n int) (bamxPath, bamzPath, baixPath string) {
 	bamxPath = filepath.Join(dir, "d.bamx")
 	bamzPath = filepath.Join(dir, "d.bamz")
 	baixPath = filepath.Join(dir, "d.baix")
-	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath, 0); err != nil {
 		t.Fatal(err)
 	}
 	count, err := CompressBAMXFile(bamxPath, bamzPath, 64)

@@ -18,10 +18,10 @@ func TestCodecWorkersProduceIdenticalArtifacts(t *testing.T) {
 	seqIx := filepath.Join(dir, "seq.baix")
 	parX := filepath.Join(dir, "par.bamx")
 	parIx := filepath.Join(dir, "par.baix")
-	if _, err := PreprocessBAMFile(bamPath, seqX, seqIx); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, seqX, seqIx, 0); err != nil {
 		t.Fatalf("sequential preprocess: %v", err)
 	}
-	if _, err := PreprocessBAMFileWorkers(bamPath, parX, parIx, 4); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, parX, parIx, 4); err != nil {
 		t.Fatalf("parallel preprocess: %v", err)
 	}
 	mustEqualFiles(t, seqX, parX)
@@ -66,11 +66,11 @@ func TestCodecWorkersProduceIdenticalArtifacts(t *testing.T) {
 
 	mergedSeq := filepath.Join(dir, "merged_seq.bam")
 	mergedPar := filepath.Join(dir, "merged_par.bam")
-	nSeq, err := MergeBAMShards(resSeq.Files, mergedSeq)
+	nSeq, err := MergeBAMShards(resSeq.Files, mergedSeq, 0)
 	if err != nil {
 		t.Fatalf("sequential merge: %v", err)
 	}
-	nPar, err := MergeBAMShardsWorkers(resPar.Files, mergedPar, 4)
+	nPar, err := MergeBAMShards(resPar.Files, mergedPar, 4)
 	if err != nil {
 		t.Fatalf("parallel merge: %v", err)
 	}
@@ -89,13 +89,13 @@ func TestPreprocessBAMWorkerSweepIdentical(t *testing.T) {
 	dir := t.TempDir()
 	refX := filepath.Join(dir, "ref.bamx")
 	refIx := filepath.Join(dir, "ref.baix")
-	if _, err := PreprocessBAMFileWorkers(bamPath, refX, refIx, 1); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, refX, refIx, 1); err != nil {
 		t.Fatalf("workers=1 preprocess: %v", err)
 	}
 	for _, workers := range []int{0, 4, 8} {
 		x := filepath.Join(dir, fmt.Sprintf("w%d.bamx", workers))
 		ix := filepath.Join(dir, fmt.Sprintf("w%d.baix", workers))
-		if _, err := PreprocessBAMFileWorkers(bamPath, x, ix, workers); err != nil {
+		if _, err := PreprocessBAMFile(bamPath, x, ix, workers); err != nil {
 			t.Fatalf("workers=%d preprocess: %v", workers, err)
 		}
 		mustEqualFiles(t, refX, x)

@@ -1,31 +1,44 @@
 // Package conv implements the paper's scalable sequence data format
-// converter: the runtime system (partitioning, read buffers, textual/
-// binary parsing, write buffers, per-processor target files) and the
-// three converter instances of Section III —
+// converter. Section III describes one runtime system — partitioning,
+// read buffers, textual/binary parsing, the user program, write buffers,
+// one target file per processor — and three converter instances that
+// configure it. The code has the same shape: source × sink under one
+// rank driver.
 //
-//   - the SAM format converter (Algorithm 1 byte partitioning),
-//   - the BAM format converter (sequential BAMX/BAIX preprocessing, then
-//     embarrassingly parallel conversion with partial-conversion support),
-//   - the preprocessing-optimized SAM format converter (parallel SAM→BAMX
-//     preprocessing, then BAMX-based conversion).
+//   - A source partitions the input across ranks and yields each rank's
+//     records in order. There are two: SAM text (Algorithm 1 byte
+//     partitioning, then a line engine — the line-at-a-time loop that
+//     ParseWorkers 1 selects and the tests use as reference, or the
+//     order-preserving batch pipeline) and an indexed record file (plain
+//     BAMX or block-compressed BAMZ, split into equal record counts, with
+//     an optional BAIX-resolved region for partial conversion). The
+//     sequential BAM stream is the degenerate one-rank source.
+//   - A sink is one rank's target file: text through a formats.Encoder
+//     (the "user program": converting into a new format means writing one
+//     Encode function), or a standalone BAM shard when Format is "bam".
+//     Sinks do not depend on the source, so every source reaches every
+//     target.
+//   - run is the driver: it launches the ranks, brackets each rank's
+//     partition step and work in phase spans, and folds the tallies.
 //
-// The "user program" side is a formats.Encoder: converting into a new
-// format means writing one Encode function; partitioning, concurrency and
-// file management stay in this runtime.
+// The converter instances of Section III are thin configurations:
+// ConvertSAM (SAM source), ConvertBAM/ConvertBAMX (sequential BAMX/BAIX
+// preprocessing, then the record source), ConvertSAMPreprocessed
+// (the SAM source collecting records into per-rank BAMX files, then the
+// record source).
 package conv
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"time"
 
 	"parseq/internal/bgzf"
 	"parseq/internal/formats"
 	"parseq/internal/mpi"
-	"parseq/internal/sam"
+	"parseq/internal/obs"
 )
 
 // Region selects a chromosome region for partial conversion, 1-based
@@ -116,7 +129,9 @@ func ParseRegion(s string) (Region, error) {
 
 // Options configures one conversion.
 type Options struct {
-	// Format is the target format name (see formats.Names).
+	// Format is the target format name: a text format (see
+	// formats.Names) or "bam", which makes every rank's target a
+	// standalone BAM shard (fuse them with MergeBAMShards).
 	Format string
 	// Cores is the number of parallel ranks; 0 or 1 means sequential.
 	Cores int
@@ -125,7 +140,7 @@ type Options struct {
 	// OutPrefix names the target files: <OutPrefix>_p<rank><ext>.
 	OutPrefix string
 	// Region restricts conversion to one chromosome region (partial
-	// conversion). Only the BAMX-based converters support it.
+	// conversion). Only the BAMX/BAMZ-based converters support it.
 	Region *Region
 	// CodecWorkers is the number of BGZF codec goroutines used wherever
 	// BAM streams are read or written. 0 (the default) selects the
@@ -136,12 +151,12 @@ type Options struct {
 	// ranks, CodecWorkers pipelines block compression/decompression
 	// under each stream.
 	CodecWorkers int
-	// ParseWorkers is the per-rank parse/encode worker count of the
-	// pipelined converter: each rank's partition is scanned into ~64 KiB
-	// batches of whole lines, ParseWorkers goroutines parse and encode
-	// the batches in place (zero per-line allocation), and a single
-	// writer drains them in input order — output bytes and error
-	// behaviour are identical to the sequential loop's. 0 (the default)
+	// ParseWorkers is the per-rank parse/encode worker count of the SAM
+	// source: each rank's partition is cut into ~256 KiB batches of whole
+	// lines, ParseWorkers goroutines parse and encode the batches in
+	// place (zero per-line allocation), and a single writer drains them
+	// in input order — output bytes and error behaviour are identical to
+	// the sequential loop's. 0 (the default)
 	// selects the adaptive count, GOMAXPROCS/Cores clamped to [1, 8];
 	// 1 forces the line-at-a-time sequential loop (the paper-faithful
 	// baseline). With ParseWorkers > 1, user formats registered via
@@ -166,6 +181,13 @@ type Options struct {
 func (o *Options) normalize() error {
 	if o.Format == "" {
 		o.Format = "sam"
+	}
+	if o.Format != "bam" {
+		// Refuse an unknown target before any input is opened or any
+		// target file created.
+		if _, err := formats.New(o.Format); err != nil {
+			return err
+		}
 	}
 	if o.Cores < 1 {
 		o.Cores = 1
@@ -217,98 +239,71 @@ type Result struct {
 	Stats Stats
 }
 
-// counters is the shared atomic tally ranks add into.
-type counters struct {
-	records  atomic.Int64
-	emitted  atomic.Int64
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
+// PreprocessResult reports a preprocessing phase.
+type PreprocessResult struct {
+	BAMXFiles []string      // generated BAMX files (one per preprocessing rank)
+	BAIXFiles []string      // matching BAIX index files
+	Records   int64         // records preprocessed
+	Duration  time.Duration // wall-clock preprocessing time
 }
 
-func (c *counters) into(s *Stats) {
-	s.Records = c.records.Load()
-	s.Emitted = c.emitted.Load()
-	s.BytesIn = c.bytesIn.Load()
-	s.BytesOut = c.bytesOut.Load()
+// rankStats is one rank's tally of its share.
+type rankStats struct {
+	records  int64
+	emitted  int64
+	bytesIn  int64
+	bytesOut int64
 }
 
-// writeBufSize is the per-rank write buffer (the paper's "write buffer"
-// between the user program and the target file). One megabyte keeps
-// the write syscall count low enough that the pipelined converter's
-// drain stage is not syscall-bound when batches arrive back to back.
-const writeBufSize = 1 << 20
-
-// rankWriter is one rank's buffered target file.
-type rankWriter struct {
-	f   *os.File
-	bw  *bufio.Writer
-	n   int64
-	enc formats.Encoder
+// adaptiveParseWorkers sizes a rank's parse/encode pool when the knob
+// is zero: the ranks already occupy Cores CPUs, so each gets its share
+// of the remaining parallelism, clamped like the codec's AutoWorkers.
+func adaptiveParseWorkers(cores int) int {
+	w := runtime.GOMAXPROCS(0) / cores
+	if w < 1 {
+		w = 1
+	}
+	if w > 8 {
+		w = 8
+	}
+	return w
 }
 
-// newRankWriter creates rank r's target file; rank 0 carries the format's
-// prologue (e.g. the SAM header or the BEDGRAPH track line).
-func newRankWriter(opts *Options, enc formats.Encoder, h *sam.Header, rank int) (*rankWriter, error) {
-	f, err := os.Create(opts.outPath(enc.Extension(), rank))
-	if err != nil {
-		return nil, err
-	}
-	w := &rankWriter{f: f, bw: bufio.NewWriterSize(f, writeBufSize), enc: enc}
-	if rank == 0 {
-		if hdr := enc.Header(h); len(hdr) > 0 {
-			if _, err := w.bw.Write(hdr); err != nil {
-				f.Close()
-				return nil, err
-			}
-			w.n += int64(len(hdr))
-		}
-	}
-	return w, nil
-}
-
-// emit converts one record and writes the target object, reusing buf.
-func (w *rankWriter) emit(buf []byte, rec *sam.Record, h *sam.Header) ([]byte, bool, error) {
-	out, err := w.enc.Encode(buf[:0], rec, h)
-	if err != nil {
-		return buf, false, err
-	}
-	if len(out) == 0 {
-		return out, false, nil
-	}
-	if _, err := w.bw.Write(out); err != nil {
-		return out, false, err
-	}
-	w.n += int64(len(out))
-	return out, true, nil
-}
-
-// writeBatch writes one pre-encoded run of target bytes. Batch-sized
-// runs from the pipelined drain go straight to the file — copying a
-// 256 KiB run through the bufio buffer only to flush it moments later
-// would memmove the entire output once for nothing — while small runs
-// keep the buffer's syscall batching.
-func (w *rankWriter) writeBatch(p []byte) error {
-	if len(p) < 64<<10 {
-		if _, err := w.bw.Write(p); err != nil {
+// run is the runtime's one rank driver. plan is a rank's partition step
+// and returns the rank's work; run launches the ranks, brackets plan in
+// the "partition" span and the work in the phase span — ended on every
+// path, so the spans carry the timing decomposition on every rank and
+// land in the trace when enabled — and folds the ranks' tallies.
+// PartitionTime and ConvertTime are the spans' wall-clock windows across
+// ranks.
+func run(opts *Options, phase string, plan func(c *mpi.Comm) (work func() (rankStats, error), err error)) (Stats, error) {
+	var records, emitted, bytesIn, bytesOut atomic.Int64
+	ph := obs.NewPhaseSet(obs.Default())
+	err := opts.launch()(opts.Cores, func(c *mpi.Comm) error {
+		psp := ph.Start(c.Rank(), "partition")
+		work, err := plan(c)
+		psp.End()
+		if err != nil {
 			return err
 		}
-		w.n += int64(len(p))
+		wsp := ph.Start(c.Rank(), phase)
+		defer wsp.End()
+		st, err := work()
+		if err != nil {
+			return err
+		}
+		records.Add(st.records)
+		emitted.Add(st.emitted)
+		bytesIn.Add(st.bytesIn)
+		bytesOut.Add(st.bytesOut)
 		return nil
+	})
+	if err != nil {
+		return Stats{}, err
 	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	if _, err := w.f.Write(p); err != nil {
-		return err
-	}
-	w.n += int64(len(p))
-	return nil
-}
-
-func (w *rankWriter) close() error {
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return Stats{
+		Records: records.Load(), Emitted: emitted.Load(),
+		BytesIn: bytesIn.Load(), BytesOut: bytesOut.Load(),
+		PartitionTime: ph.Wall("partition"), ConvertTime: ph.Wall(phase),
+	}, nil
 }

@@ -196,7 +196,7 @@ func TestPreprocessAndConvertBAMX(t *testing.T) {
 	dir := t.TempDir()
 	bamxPath := filepath.Join(dir, "in.bamx")
 	baixPath := filepath.Join(dir, "in.baix")
-	pre, err := PreprocessBAMFile(bamPath, bamxPath, baixPath)
+	pre, err := PreprocessBAMFile(bamPath, bamxPath, baixPath, 0)
 	if err != nil {
 		t.Fatalf("PreprocessBAMFile: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestConvertBAMXPartial(t *testing.T) {
 	dir := t.TempDir()
 	bamxPath := filepath.Join(dir, "in.bamx")
 	baixPath := filepath.Join(dir, "in.baix")
-	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath, 0); err != nil {
 		t.Fatal(err)
 	}
 	region := Region{RName: "chr1", Beg: 1, End: 100000}
@@ -272,7 +272,7 @@ func TestConvertBAMXPartialWithoutBAIXFallsBack(t *testing.T) {
 	_, bamPath, _ := writeDataset(t, 100)
 	dir := t.TempDir()
 	bamxPath := filepath.Join(dir, "in.bamx")
-	if _, err := PreprocessBAMFile(bamPath, bamxPath, filepath.Join(dir, "in.baix")); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, bamxPath, filepath.Join(dir, "in.baix"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Point at a missing BAIX: index is rebuilt by scanning.
@@ -293,7 +293,7 @@ func TestConvertBAMXUnknownRegionRef(t *testing.T) {
 	dir := t.TempDir()
 	bamxPath := filepath.Join(dir, "in.bamx")
 	baixPath := filepath.Join(dir, "in.baix")
-	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err := ConvertBAMX(bamxPath, baixPath, Options{
@@ -334,7 +334,7 @@ func TestPreprocessedSAMConverterMatchesReference(t *testing.T) {
 func TestPreprocessSAMParallelProducesValidBAMX(t *testing.T) {
 	samPath, _, d := writeDataset(t, 300)
 	outDir := t.TempDir()
-	pre, err := PreprocessSAMParallel(samPath, outDir, "pp", 4)
+	pre, err := PreprocessSAMParallel(samPath, Options{OutDir: outDir, OutPrefix: "pp", Cores: 4})
 	if err != nil {
 		t.Fatalf("PreprocessSAMParallel: %v", err)
 	}
@@ -397,7 +397,7 @@ func TestScanHeaderHeaderless(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	h, off, err := scanHeader(f)
+	h, off, err := sam.ScanHeader(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestConvertBAMXTruncatedInput(t *testing.T) {
 	dir := t.TempDir()
 	bamxPath := filepath.Join(dir, "t.bamx")
 	baixPath := filepath.Join(dir, "t.baix")
-	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath, 0); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(bamxPath)
@@ -122,7 +122,7 @@ func TestConvertBAMXMoreCoresThanRecords(t *testing.T) {
 	dir := t.TempDir()
 	bamxPath := filepath.Join(dir, "s.bamx")
 	baixPath := filepath.Join(dir, "s.baix")
-	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath); err != nil {
+	if _, err := PreprocessBAMFile(bamPath, bamxPath, baixPath, 0); err != nil {
 		t.Fatal(err)
 	}
 	res, err := ConvertBAMX(bamxPath, baixPath, Options{

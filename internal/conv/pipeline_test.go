@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"parseq/internal/formats"
 	"parseq/internal/sam"
@@ -130,9 +128,9 @@ func TestPipelinedPreprocessedConverterIdentity(t *testing.T) {
 		}
 	}
 	// The preprocessing entry point itself, with explicit pipelined parse.
-	pre, err := PreprocessSAMParallelWorkers(samPath, t.TempDir(), "pp", 3, 4)
+	pre, err := PreprocessSAMParallel(samPath, Options{OutDir: t.TempDir(), OutPrefix: "pp", Cores: 3, ParseWorkers: 4})
 	if err != nil {
-		t.Fatalf("PreprocessSAMParallelWorkers: %v", err)
+		t.Fatalf("PreprocessSAMParallel: %v", err)
 	}
 	if pre.Records != 500 {
 		t.Errorf("preprocessed Records = %d, want 500", pre.Records)
@@ -286,21 +284,21 @@ func TestLongLineBeyondOldCap(t *testing.T) {
 // paths to fail with the identical wrapped error: bufio.ErrTooLong
 // under errors.Is, carrying the offending line's absolute file offset.
 func TestLineLimitErrorParity(t *testing.T) {
-	old := maxSAMLineBytes
-	maxSAMLineBytes = 512 << 10
-	defer func() { maxSAMLineBytes = old }()
+	old := sam.MaxLineBytes
+	sam.MaxLineBytes = 512 << 10
+	defer func() { sam.MaxLineBytes = old }()
 
 	hdr := "@SQ\tSN:chr1\tLN:1000\n"
 	good1 := "ok1\t0\tchr1\t1\t30\t4M\t*\t0\t0\tACGT\tIIII\n"
 	good2 := "ok2\t0\tchr1\t5\t30\t4M\t*\t0\t0\tGGGG\tIIII\n"
 	long := "toolong\t0\tchr1\t9\t30\t*\t*\t0\t0\t" +
-		strings.Repeat("C", maxSAMLineBytes+1000) + "\t*\n"
+		strings.Repeat("C", sam.MaxLineBytes+1000) + "\t*\n"
 	path := filepath.Join(t.TempDir(), "cap.sam")
 	if err := os.WriteFile(path, []byte(hdr+good1+good2+long), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wantOff := int64(len(hdr) + len(good1) + len(good2))
-	want := errLineTooLong(wantOff).Error()
+	want := sam.LineTooLongError(wantOff).Error()
 	for _, workers := range []int{1, 4} {
 		_, err := ConvertSAM(path, Options{
 			Format: "bed", Cores: 1, ParseWorkers: workers,
@@ -322,15 +320,15 @@ func TestLineLimitErrorParity(t *testing.T) {
 // limit-1 bytes plus the newline passes on both paths (bufio's rule),
 // so the pipelined per-line check cannot be stricter than the scanner.
 func TestLineJustUnderLimitSucceeds(t *testing.T) {
-	old := maxSAMLineBytes
-	maxSAMLineBytes = 512 << 10
-	defer func() { maxSAMLineBytes = old }()
+	old := sam.MaxLineBytes
+	sam.MaxLineBytes = 512 << 10
+	defer func() { sam.MaxLineBytes = old }()
 
 	hdr := "@SQ\tSN:chr1\tLN:1000\n"
 	stem := "edge\t0\tchr1\t1\t30\t*\t*\t0\t0\t"
-	line := stem + strings.Repeat("C", maxSAMLineBytes-1-len(stem)-2) + "\t*"
-	if len(line) != maxSAMLineBytes-1 {
-		t.Fatalf("test bug: line is %d bytes, want %d", len(line), maxSAMLineBytes-1)
+	line := stem + strings.Repeat("C", sam.MaxLineBytes-1-len(stem)-2) + "\t*"
+	if len(line) != sam.MaxLineBytes-1 {
+		t.Fatalf("test bug: line is %d bytes, want %d", len(line), sam.MaxLineBytes-1)
 	}
 	path := filepath.Join(t.TempDir(), "edge.sam")
 	if err := os.WriteFile(path, []byte(hdr+line+"\n"), 0o644); err != nil {
@@ -377,151 +375,4 @@ func BenchmarkConvertSAM(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkConvertSAMPrePR measures the converter hot loop as it stood
-// before the pipelined path landed — bufio.Scanner with the 4 MiB cap,
-// a fresh string per line (scan.Text), a freshly allocated CIGAR per
-// record and the strings.Builder SAM renderer — so BENCH_convert.json
-// carries the before/after comparison on the same dataset.
-func BenchmarkConvertSAMPrePR(b *testing.B) {
-	samPath, _, _ := writeDataset(b, 20000)
-	fi, err := os.Stat(samPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, format := range []string{"sam", "bed"} {
-		b.Run(fmt.Sprintf("format=%s", format), func(b *testing.B) {
-			outDir := b.TempDir()
-			b.SetBytes(fi.Size())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := legacyConvertSAM(samPath, format, outDir); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkConvertSAMSpeedup is the before/after headline: it
-// interleaves one pre-PR-loop pass and one pipelined (4 workers) pass
-// per iteration on the same dataset and reports the paired throughput
-// ratio as "speedup". Pairing makes the ratio robust against machine
-// weather (CPU steal on shared hosts) that skews two separately-timed
-// benchmarks.
-func BenchmarkConvertSAMSpeedup(b *testing.B) {
-	samPath, _, _ := writeDataset(b, 20000)
-	fi, err := os.Stat(samPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, format := range []string{"sam", "bed"} {
-		b.Run(fmt.Sprintf("format=%s/workers=4", format), func(b *testing.B) {
-			outDir := b.TempDir()
-			b.SetBytes(fi.Size())
-			// One untimed pair first: page-cache and buffer-pool warmup
-			// otherwise lands entirely on whichever side runs first.
-			if err := legacyConvertSAM(samPath, format, outDir); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ConvertSAM(samPath, Options{
-				Format: format, Cores: 1, ParseWorkers: 4,
-				OutDir: outDir, OutPrefix: "b",
-			}); err != nil {
-				b.Fatal(err)
-			}
-			// Per-side minimum over the iterations: external noise (CPU
-			// steal on a shared host) only ever adds time, so the minimum
-			// is the robust estimator of each path's true cost and their
-			// ratio the robust speedup.
-			minLegacy, minPipe := time.Duration(1<<62), time.Duration(1<<62)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if err := legacyConvertSAM(samPath, format, outDir); err != nil {
-					b.Fatal(err)
-				}
-				t1 := time.Now()
-				if _, err := ConvertSAM(samPath, Options{
-					Format: format, Cores: 1, ParseWorkers: 4,
-					OutDir: outDir, OutPrefix: "b",
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if d := t1.Sub(t0); d < minLegacy {
-					minLegacy = d
-				}
-				if d := time.Since(t1); d < minPipe {
-					minPipe = d
-				}
-			}
-			b.ReportMetric(float64(minLegacy)/float64(minPipe), "speedup")
-		})
-	}
-}
-
-// legacyConvertSAM replicates the pre-pipeline sequential rank loop for
-// the baseline benchmark: per-line string, per-record CIGAR allocation,
-// builder-based SAM rendering, 4 MiB scanner cap.
-func legacyConvertSAM(samPath, format, outDir string) error {
-	enc, err := formats.New(format)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(samPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	h, dataStart, err := scanHeader(f)
-	if err != nil {
-		return err
-	}
-	out, err := os.Create(filepath.Join(outDir, "legacy"+enc.Extension()))
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	bw := bufio.NewWriterSize(out, 256<<10) // the pre-PR write buffer size
-	if _, err := bw.Write(enc.Header(h)); err != nil {
-		return err
-	}
-	scan := bufio.NewScanner(io.NewSectionReader(f, dataStart, fi.Size()-dataStart))
-	scan.Buffer(make([]byte, 64<<10), 4<<20)
-	var rec sam.Record
-	var buf []byte
-	for scan.Scan() {
-		line := scan.Text()
-		if line == "" {
-			continue
-		}
-		rec.Cigar = nil // pre-PR ParseCigar allocated per record
-		if err := sam.ParseRecordInto(&rec, line); err != nil {
-			return err
-		}
-		if format == "sam" {
-			var sb strings.Builder
-			rec.AppendText(&sb)
-			buf = append(buf[:0], sb.String()...)
-			buf = append(buf, '\n')
-		} else {
-			buf, err = enc.Encode(buf[:0], &rec, h)
-			if err != nil {
-				return err
-			}
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	if err := scan.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

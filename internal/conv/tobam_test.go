@@ -67,7 +67,7 @@ func TestMergeBAMShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := filepath.Join(outDir, "merged.bam")
-	n, err := MergeBAMShards(res.Files, merged)
+	n, err := MergeBAMShards(res.Files, merged, 0)
 	if err != nil {
 		t.Fatalf("MergeBAMShards: %v", err)
 	}
@@ -98,10 +98,10 @@ func TestMergeBAMShards(t *testing.T) {
 }
 
 func TestMergeBAMShardsErrors(t *testing.T) {
-	if _, err := MergeBAMShards(nil, filepath.Join(t.TempDir(), "o.bam")); err == nil {
+	if _, err := MergeBAMShards(nil, filepath.Join(t.TempDir(), "o.bam"), 0); err == nil {
 		t.Error("empty shard list accepted")
 	}
-	if _, err := MergeBAMShards([]string{"/does/not/exist.bam"}, filepath.Join(t.TempDir(), "o.bam")); err == nil {
+	if _, err := MergeBAMShards([]string{"/does/not/exist.bam"}, filepath.Join(t.TempDir(), "o.bam"), 0); err == nil {
 		t.Error("missing shard accepted")
 	}
 }

@@ -151,7 +151,7 @@ func TestFlagstatJSONSubmit(t *testing.T) {
 	}
 	st = waitDone(t, cl, st.ID)
 
-	want, err := flagstat.SAMFileLaunch(samPath, 2, nil)
+	want, err := flagstat.SAMFile(samPath, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHistJob(t *testing.T) {
 	}
 	st = waitDone(t, cl, st.ID)
 
-	h, err := hist.FromSAMParallel(samPath, rname, 200, 2)
+	h, err := hist.FromSAMParallel(samPath, rname, 200, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestDistributedFleetByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 = waitDone(t, cl, st2.ID)
-	want, err := flagstat.SAMFileLaunch(samPath, 2, nil)
+	want, err := flagstat.SAMFile(samPath, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

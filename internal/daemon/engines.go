@@ -113,10 +113,6 @@ func runConvert(spec *JobSpec, inputPath, dir string, launch mpi.Launcher, ranks
 	var res *conv.Result
 	switch kind {
 	case "sam":
-		if format == "bam" {
-			res, err = conv.ConvertSAMToBAM(inputPath, opts)
-			break
-		}
 		res, err = conv.ConvertSAM(inputPath, opts)
 	case "psam":
 		res, err = conv.ConvertSAMPreprocessed(inputPath, ranks, opts)
@@ -264,7 +260,7 @@ func runFlagstat(spec *JobSpec, inputPath, dir string, launch mpi.Launcher, rank
 		err error
 	)
 	if strings.HasSuffix(inputPath, ".sam") {
-		st, err = flagstat.SAMFileLaunch(inputPath, ranks, launch)
+		st, err = flagstat.SAMFile(inputPath, ranks, launch)
 	} else {
 		p := shard.OpenPathProvider(inputPath)
 		defer p.Close()
@@ -318,7 +314,7 @@ func runHist(spec *JobSpec, inputPath, dir string, launch mpi.Launcher, ranks, r
 
 func buildHist(spec *JobSpec, inputPath string, launch mpi.Launcher, ranks int) (*hist.Histogram, error) {
 	if strings.HasSuffix(inputPath, ".sam") {
-		return hist.FromSAMParallelLaunch(inputPath, spec.RName, spec.BinSize, ranks, launch)
+		return hist.FromSAMParallel(inputPath, spec.RName, spec.BinSize, ranks, launch)
 	}
 	p := shard.OpenPathProvider(inputPath)
 	defer p.Close()

@@ -79,7 +79,7 @@ func Ablations(sc Scale) (*Report, error) {
 	// 2. Partial conversion: BAIX index vs full scan with filter.
 	bamxPath := filepath.Join(sc.TmpDir, "abl.bamx")
 	baixPath := filepath.Join(sc.TmpDir, "abl.baix")
-	if _, err := conv.PreprocessBAMFileWorkers(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
+	if _, err := conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
 		return nil, err
 	}
 	region := &conv.Region{RName: "chr1", Beg: 1, End: 40000}

@@ -149,7 +149,7 @@ func Fig7(sc Scale) (*Report, error) {
 	}
 	bamxPath := filepath.Join(sc.TmpDir, "fig7.bamx")
 	baixPath := filepath.Join(sc.TmpDir, "fig7.baix")
-	if _, err := conv.PreprocessBAMFileWorkers(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
+	if _, err := conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
 		return nil, err
 	}
 	bamxSize := fileSize(bamxPath)
@@ -211,7 +211,7 @@ func Fig8(sc Scale) (*Report, error) {
 	}
 	bamxPath := filepath.Join(sc.TmpDir, "fig8.bamx")
 	baixPath := filepath.Join(sc.TmpDir, "fig8.baix")
-	if _, err := conv.PreprocessBAMFileWorkers(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
+	if _, err := conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
 		return nil, err
 	}
 	bamxSize := fileSize(bamxPath)

@@ -41,7 +41,7 @@ func Fig9(sc Scale) (*Report, error) {
 
 	// --- Preprocessing-optimized converter: anchored to Table I's
 	// preprocessed rate; input is the binary BAMX shards. ---
-	pre, err := conv.PreprocessSAMParallelWorkers(samPath, sc.TmpDir, "fig9_pre", 1, sc.ParseWorkers)
+	pre, err := conv.PreprocessSAMParallel(samPath, conv.Options{OutDir: sc.TmpDir, OutPrefix: "fig9_pre", ParseWorkers: sc.ParseWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func Fig10(sc Scale) (*Report, error) {
 	paperSAMBytes := 15.7 * gb
 	scaleUp := paperSAMBytes / float64(samSize)
 
-	pre, err := conv.PreprocessSAMParallelWorkers(samPath, sc.TmpDir, "fig10", 1, sc.ParseWorkers)
+	pre, err := conv.PreprocessSAMParallel(samPath, conv.Options{OutDir: sc.TmpDir, OutPrefix: "fig10", ParseWorkers: sc.ParseWorkers})
 	if err != nil {
 		return nil, err
 	}

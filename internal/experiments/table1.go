@@ -73,7 +73,7 @@ func Table1(sc Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, err := conv.PreprocessSAMParallelWorkers(samPath, outDir, "t1_pre", 1, 1)
+	pre, err := conv.PreprocessSAMParallel(samPath, conv.Options{OutDir: outDir, OutPrefix: "t1_pre", ParseWorkers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func Table1(sc Scale) (*Report, error) {
 	}
 	bamxPath := filepath.Join(outDir, "t1.bamx")
 	baixPath := filepath.Join(outDir, "t1.baix")
-	if _, err := conv.PreprocessBAMFileWorkers(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
+	if _, err := conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, sc.CodecWorkers); err != nil {
 		return nil, err
 	}
 	withPreBAM, err := bestOf(func() (time.Duration, error) {

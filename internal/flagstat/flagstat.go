@@ -6,7 +6,6 @@
 package flagstat
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -167,15 +166,10 @@ func Of(recs []sam.Record) Stats {
 
 // SAMFile computes flagstat over a SAM file with `cores` ranks: the text
 // is partitioned with Algorithm 1, each rank tallies its partition, and
-// rank 0 gathers and merges the partial counters.
-func SAMFile(samPath string, cores int) (Stats, error) {
-	return SAMFileLaunch(samPath, cores, nil)
-}
-
-// SAMFileLaunch is SAMFile with an explicit launcher; nil selects the
-// in-process mpi.Run. Under a distributed launcher the merged Stats are
-// complete on rank 0's process only.
-func SAMFileLaunch(samPath string, cores int, launch mpi.Launcher) (Stats, error) {
+// rank 0 gathers and merges the partial counters. A nil launch selects
+// the in-process mpi.Run; under a distributed launcher the merged Stats
+// are complete on rank 0's process only.
+func SAMFile(samPath string, cores int, launch mpi.Launcher) (Stats, error) {
 	if launch == nil {
 		launch = mpi.Run
 	}
@@ -191,7 +185,7 @@ func SAMFileLaunch(samPath string, cores int, launch mpi.Launcher) (Stats, error
 	if err != nil {
 		return Stats{}, err
 	}
-	dataStart, err := headerEnd(f)
+	_, dataStart, err := sam.ScanHeader(f)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -202,7 +196,7 @@ func SAMFileLaunch(samPath string, cores int, launch mpi.Launcher) (Stats, error
 		if err != nil {
 			return err
 		}
-		local, err := tallyRange(samPath, br)
+		local, err := tallyRange(f, br)
 		if err != nil {
 			return err
 		}
@@ -224,45 +218,10 @@ func SAMFileLaunch(samPath string, cores int, launch mpi.Launcher) (Stats, error
 	return total, err
 }
 
-// headerEnd returns the offset of the first alignment byte.
-func headerEnd(f *os.File) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	var offset int64
-	for {
-		peek, err := br.Peek(1)
-		if err == io.EOF {
-			return offset, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		if peek[0] != '@' {
-			return offset, nil
-		}
-		line, err := br.ReadString('\n')
-		offset += int64(len(line))
-		if err == io.EOF {
-			return offset, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-}
-
 // tallyRange tallies one text partition.
-func tallyRange(samPath string, br partition.ByteRange) (Stats, error) {
+func tallyRange(f io.ReaderAt, br partition.ByteRange) (Stats, error) {
 	var s Stats
-	in, err := os.Open(samPath)
-	if err != nil {
-		return s, err
-	}
-	defer in.Close()
-	scan := bufio.NewScanner(io.NewSectionReader(in, br.Start, br.Len()))
-	scan.Buffer(make([]byte, 256<<10), 4<<20)
+	scan := sam.NewLineScanner(f, br.Start, br.Len())
 	var rec sam.Record
 	for scan.Scan() {
 		line := scan.Bytes()

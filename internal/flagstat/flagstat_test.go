@@ -96,7 +96,7 @@ func TestSAMFileParallelMatchesSequential(t *testing.T) {
 
 	want := Of(d.Records)
 	for _, cores := range []int{1, 2, 7} {
-		got, err := SAMFile(samPath, cores)
+		got, err := SAMFile(samPath, cores, nil)
 		if err != nil {
 			t.Fatalf("SAMFile(cores=%d): %v", cores, err)
 		}
@@ -107,7 +107,7 @@ func TestSAMFileParallelMatchesSequential(t *testing.T) {
 }
 
 func TestSAMFileMissing(t *testing.T) {
-	if _, err := SAMFile("/does/not/exist.sam", 2); err == nil {
+	if _, err := SAMFile("/does/not/exist.sam", 2, nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package hist
 
 import (
-	"bufio"
 	"io"
 	"math"
 	"os"
@@ -17,16 +16,10 @@ import (
 // format into histogram data … in parallel". The file is partitioned
 // with Algorithm 1, each rank accumulates a partial histogram over its
 // records, and the partials reduce by element-wise addition (coverage is
-// associative).
-func FromSAMParallel(samPath, rname string, binSize, cores int) (*Histogram, error) {
-	return FromSAMParallelLaunch(samPath, rname, binSize, cores, nil)
-}
-
-// FromSAMParallelLaunch is FromSAMParallel with an explicit launcher;
-// nil selects the in-process mpi.Run. Under a distributed launcher the
-// reduced histogram is complete on rank 0's process only — other ranks
-// receive their unreduced local total.
-func FromSAMParallelLaunch(samPath, rname string, binSize, cores int, launch mpi.Launcher) (*Histogram, error) {
+// associative). A nil launch selects the in-process mpi.Run; under a
+// distributed launcher the reduced histogram is complete on rank 0's
+// process only — other ranks receive their unreduced local total.
+func FromSAMParallel(samPath, rname string, binSize, cores int, launch mpi.Launcher) (*Histogram, error) {
 	if launch == nil {
 		launch = mpi.Run
 	}
@@ -42,7 +35,7 @@ func FromSAMParallelLaunch(samPath, rname string, binSize, cores int, launch mpi
 	if err != nil {
 		return nil, err
 	}
-	header, dataStart, err := scanSAMHeader(f)
+	header, dataStart, err := sam.ScanHeader(f)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +54,7 @@ func FromSAMParallelLaunch(samPath, rname string, binSize, cores int, launch mpi
 		if err != nil {
 			return err
 		}
-		local, err := accumulateRange(samPath, br, rname, refLen, binSize)
+		local, err := accumulateRange(f, br, rname, refLen, binSize)
 		if err != nil {
 			return err
 		}
@@ -95,60 +88,13 @@ func (e *UnknownReferenceError) Error() string {
 	return "hist: reference " + e.RName + " not in header"
 }
 
-// scanSAMHeader parses the header section and returns the first
-// alignment offset.
-func scanSAMHeader(f *os.File) (*sam.Header, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, err
-	}
-	h := sam.NewHeader()
-	br := bufio.NewReaderSize(f, 64<<10)
-	var offset int64
-	for {
-		peek, err := br.Peek(1)
-		if err == io.EOF {
-			return h, offset, nil
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		if peek[0] != '@' {
-			return h, offset, nil
-		}
-		line, err := br.ReadString('\n')
-		if err != nil && err != io.EOF {
-			return nil, 0, err
-		}
-		offset += int64(len(line))
-		trimmed := line
-		if n := len(trimmed); n > 0 && trimmed[n-1] == '\n' {
-			trimmed = trimmed[:n-1]
-		}
-		if n := len(trimmed); n > 0 && trimmed[n-1] == '\r' {
-			trimmed = trimmed[:n-1]
-		}
-		if perr := h.ParseHeaderLine(trimmed); perr != nil {
-			return nil, 0, perr
-		}
-		if err == io.EOF {
-			return h, offset, nil
-		}
-	}
-}
-
 // accumulateRange tallies one partition's coverage.
-func accumulateRange(samPath string, br partition.ByteRange, rname string, refLen, binSize int) (*Histogram, error) {
+func accumulateRange(f io.ReaderAt, br partition.ByteRange, rname string, refLen, binSize int) (*Histogram, error) {
 	local, err := New(rname, refLen, binSize)
 	if err != nil {
 		return nil, err
 	}
-	in, err := os.Open(samPath)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	scan := bufio.NewScanner(io.NewSectionReader(in, br.Start, br.Len()))
-	scan.Buffer(make([]byte, 256<<10), 4<<20)
+	scan := sam.NewLineScanner(f, br.Start, br.Len())
 	var rec sam.Record
 	for scan.Scan() {
 		line := scan.Text()

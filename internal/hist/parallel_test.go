@@ -34,7 +34,7 @@ func TestFromSAMParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cores := range []int{1, 2, 5} {
-		got, err := FromSAMParallel(path, "chr1", 25, cores)
+		got, err := FromSAMParallel(path, "chr1", 25, cores, nil)
 		if err != nil {
 			t.Fatalf("FromSAMParallel(cores=%d): %v", cores, err)
 		}
@@ -51,13 +51,13 @@ func TestFromSAMParallelMatchesSequential(t *testing.T) {
 
 func TestFromSAMParallelErrors(t *testing.T) {
 	path, _ := writeSAMFile(t, 20)
-	if _, err := FromSAMParallel(path, "chrNope", 25, 2); err == nil {
+	if _, err := FromSAMParallel(path, "chrNope", 25, 2, nil); err == nil {
 		t.Error("unknown reference accepted")
 	}
-	if _, err := FromSAMParallel("/does/not/exist.sam", "chr1", 25, 2); err == nil {
+	if _, err := FromSAMParallel("/does/not/exist.sam", "chr1", 25, 2, nil); err == nil {
 		t.Error("missing file accepted")
 	}
-	if _, err := FromSAMParallel(path, "chr1", 0, 2); err == nil {
+	if _, err := FromSAMParallel(path, "chr1", 0, 2, nil); err == nil {
 		t.Error("zero bin size accepted")
 	}
 }

@@ -99,7 +99,7 @@ func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
 // BAM in, fixed-stride BAMX plus BAIX index out. The cost is paid once
 // and amortised over any number of parallel conversions.
 func PreprocessBAM(bamPath, bamxPath, baixPath string) (*PreprocessResult, error) {
-	return conv.PreprocessBAMFile(bamPath, bamxPath, baixPath)
+	return conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, 0)
 }
 
 // PreprocessBAMWorkers is PreprocessBAM with BGZF block inflation
@@ -107,7 +107,7 @@ func PreprocessBAM(bamPath, bamxPath, baixPath string) (*PreprocessResult, error
 // sequential — the BAM format forces that — but the codec underneath it
 // parallelises, which is where most of the preprocessing time goes.
 func PreprocessBAMWorkers(bamPath, bamxPath, baixPath string, codecWorkers int) (*PreprocessResult, error) {
-	return conv.PreprocessBAMFileWorkers(bamPath, bamxPath, baixPath, codecWorkers)
+	return conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, codecWorkers)
 }
 
 // ConvertBAM is the complete BAM format converter: sequential
@@ -130,14 +130,14 @@ func ConvertBAMX(bamxPath, baixPath string, opts Options) (*Result, error) {
 // preprocessing: the SAM input becomes `cores` BAMX files with BAIX
 // indices, one per rank.
 func PreprocessSAM(samPath, outDir, prefix string, cores int) (*PreprocessResult, error) {
-	return conv.PreprocessSAMParallel(samPath, outDir, prefix, cores)
+	return PreprocessSAMLaunch(samPath, outDir, prefix, cores, nil)
 }
 
 // PreprocessSAMLaunch is PreprocessSAM with an explicit rank launcher —
 // pass a distributed world's launcher (mpiflag / internal/mpinet) to
 // preprocess across processes; nil selects the in-process runtime.
 func PreprocessSAMLaunch(samPath, outDir, prefix string, cores int, launch mpi.Launcher) (*PreprocessResult, error) {
-	return conv.PreprocessSAMParallelLaunch(samPath, outDir, prefix, cores, 0, launch)
+	return conv.PreprocessSAMParallel(samPath, Options{OutDir: outDir, OutPrefix: prefix, Cores: cores, Launch: launch})
 }
 
 // ConvertPreprocessed converts previously generated BAMX shards.
@@ -160,13 +160,13 @@ func ConvertSAMToBAM(samPath string, opts Options) (*Result, error) {
 
 // MergeBAMShards fuses per-rank BAM shards into one BAM file.
 func MergeBAMShards(shardPaths []string, outPath string) (int64, error) {
-	return conv.MergeBAMShards(shardPaths, outPath)
+	return conv.MergeBAMShards(shardPaths, outPath, 0)
 }
 
 // MergeBAMShardsWorkers is MergeBAMShards with codecWorkers BGZF
 // goroutines on both the shard decode and the fused encode.
 func MergeBAMShardsWorkers(shardPaths []string, outPath string, codecWorkers int) (int64, error) {
-	return conv.MergeBAMShardsWorkers(shardPaths, outPath, codecWorkers)
+	return conv.MergeBAMShards(shardPaths, outPath, codecWorkers)
 }
 
 // CompressBAMX rewrites a plain BAMX file as the block-compressed BAMZ
@@ -317,7 +317,7 @@ func Coverage(recs []sam.Record, header *sam.Header, rname string, binSize int) 
 // with `cores` ranks (Algorithm 1 partitioning plus a gather-reduce) —
 // the paper's parallel histogram-construction step.
 func CoverageParallel(samPath, rname string, binSize, cores int) (*Histogram, error) {
-	return hist.FromSAMParallel(samPath, rname, binSize, cores)
+	return hist.FromSAMParallel(samPath, rname, binSize, cores, nil)
 }
 
 // FlagstatStats are samtools-flagstat-style dataset counters.
@@ -326,7 +326,7 @@ type FlagstatStats = flagstat.Stats
 // Flagstat computes summary statistics over a SAM file with `cores`
 // parallel ranks.
 func Flagstat(samPath string, cores int) (FlagstatStats, error) {
-	return flagstat.SAMFile(samPath, cores)
+	return flagstat.SAMFile(samPath, cores, nil)
 }
 
 // SortOptions tunes the coordinate sorter.
