@@ -22,10 +22,10 @@ race:
 # The one fast pre-commit subset of `race`: the converter runtime
 # (sources, sinks, the batch line engine), the SAM analyses that share
 # its scanners, the shared deflate pool and the parpipe plumbing under
-# them, and the daemon that drives them concurrently. `ci` runs the full
-# sweep.
+# them, and the engine and daemon that drive them concurrently. `ci` runs
+# the full sweep.
 race-convert:
-	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/hist ./internal/flagstat ./internal/bgzf ./internal/parpipe ./internal/daemon
+	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/hist ./internal/flagstat ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
 
 # A short deterministic fuzz pass over the wire-frame decoder: corrupt
 # frames must error, never panic or over-allocate.
@@ -50,7 +50,8 @@ fuzz-index:
 fuzz-pamx:
 	$(GO) test -run '^$$' -fuzz 'FuzzPAMXFooter' -fuzztime 10s ./internal/formats/pamx
 
-# Short fuzz pass over the daemon's job-spec decoder: arbitrary
+# Short fuzz pass over the job-spec decoder (engine.DecodeSpec; the fuzz
+# target sits with the daemon's wire-contract tests): arbitrary
 # submission bodies must yield a structured error or a spec that
 # re-encodes to a fixed point — never a panic.
 fuzz-daemon:
@@ -101,17 +102,20 @@ metrics-endpoint-smoke:
 	$(GO) test -run 'TestSubprocessObs' -count=1 ./internal/mpinet
 
 # End-to-end daemon check with the real binaries: build seqconvd,
-# ngsbench, seqconvert and ngsgen, start the daemon on a loopback port,
-# upload a generated SAM, convert it to BED through the job API, and
-# verify the streamed result byte-identical to the seqconvert CLI's
-# output. SIGTERM then drains the daemon, which must exit 128+15.
+# ngsbench, seqconvert, samstat and ngsgen, start the daemon on a
+# loopback port, upload a generated SAM, and verify two jobs' streamed
+# results byte-identical to the CLIs that share the daemon's engine —
+# a BED conversion against seqconvert's file, a flagstat against
+# samstat's stdout. SIGTERM then drains the daemon, which must exit
+# 128+15.
 daemon-endpoint-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); pid=""; \
 	trap '[ -n "$$pid" ] && kill "$$pid" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp" ./cmd/seqconvd ./cmd/ngsbench ./cmd/seqconvert ./cmd/ngsgen; \
+	$(GO) build -o "$$tmp" ./cmd/seqconvd ./cmd/ngsbench ./cmd/seqconvert ./cmd/samstat ./cmd/ngsgen; \
 	"$$tmp/ngsgen" -reads 2000 -format sam -out "$$tmp/tiny" >/dev/null; \
 	"$$tmp/seqconvert" -in "$$tmp/tiny.sam" -format bed -out "$$tmp" -prefix ref >/dev/null; \
+	"$$tmp/samstat" -in "$$tmp/tiny.sam" > "$$tmp/ref.flagstat"; \
 	"$$tmp/seqconvd" -addr 127.0.0.1:0 -spool "$$tmp/spool" 2> "$$tmp/seqconvd.log" & pid=$$!; \
 	base=""; \
 	for i in $$(seq 1 100); do \
@@ -123,6 +127,10 @@ daemon-endpoint-smoke:
 		-daemon-spec '{"op":"convert","format":"bed"}' \
 		-daemon-in "$$tmp/tiny.sam" -daemon-out "$$tmp/got.bed" \
 		-daemon-verify "$$tmp/ref_p000.bed"; \
+	"$$tmp/ngsbench" -daemon "$$base" \
+		-daemon-spec '{"op":"flagstat"}' \
+		-daemon-in "$$tmp/tiny.sam" -daemon-out "$$tmp/got.flagstat" \
+		-daemon-verify "$$tmp/ref.flagstat"; \
 	kill -TERM "$$pid"; \
 	wait "$$pid" && rc=0 || rc=$$?; pid=""; \
 	[ "$$rc" -eq 143 ] || { echo "daemon-endpoint-smoke: seqconvd exit $$rc, want 143"; cat "$$tmp/seqconvd.log"; exit 1; }; \

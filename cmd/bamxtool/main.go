@@ -21,6 +21,7 @@ import (
 	"parseq"
 	"parseq/internal/bamx"
 	"parseq/internal/bgzf"
+	"parseq/internal/conv"
 	"parseq/internal/obsflag"
 	"parseq/internal/sam"
 )
@@ -37,18 +38,11 @@ func main() {
 	if len(args) < 2 {
 		usage()
 	}
-	obsSession, err := obsFlags.Start()
+	obsSession, err := obsFlags.Open("bamxtool")
 	if err != nil {
 		die(err)
 	}
-	defer func() {
-		if err := obsSession.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "bamxtool:", err)
-		}
-	}()
-	if addr := obsSession.ServerAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "bamxtool: serving metrics on http://%s/metrics\n", addr)
-	}
+	defer obsSession.Finish()
 	cmd, path := args[0], args[1]
 	switch cmd {
 	case "info":
@@ -160,26 +154,16 @@ func runIndex(path string) {
 }
 
 func runCompress(path string) {
-	xf, f := open(path)
-	defer f.Close()
 	bamzPath := strings.TrimSuffix(path, ".bamx") + ".bamz"
-	out, err := os.Create(bamzPath)
-	if err != nil {
-		die(err)
-	}
 	w := *workers
 	if w <= 0 {
 		w = bgzf.AutoWorkers() // adaptive default, like the converter CLIs
 	}
-	n, err := bamx.CompressBAMXWorkers(xf, out, bamx.DefaultRecsPerBlock, w)
+	n, err := conv.CompressBAMXFileWorkers(path, bamzPath, bamx.DefaultRecsPerBlock, w)
 	if err != nil {
-		out.Close()
 		die(err)
 	}
-	if err := out.Close(); err != nil {
-		die(err)
-	}
-	fi, _ := f.Stat()
+	fi, _ := os.Stat(path)
 	zi, _ := os.Stat(bamzPath)
 	fmt.Printf("wrote %s: %d records, %d → %d bytes (%.1f%%)\n",
 		bamzPath, n, fi.Size(), zi.Size(), 100*float64(zi.Size())/float64(fi.Size()))

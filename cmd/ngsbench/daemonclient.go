@@ -17,10 +17,11 @@ import (
 	"time"
 
 	"parseq/internal/daemon"
+	"parseq/internal/engine"
 )
 
 func runDaemonClient(base, specJSON, inPath, outPath, pick, verifyPath string) error {
-	spec, err := daemon.DecodeSpec([]byte(specJSON))
+	spec, err := engine.DecodeSpec([]byte(specJSON))
 	if err != nil {
 		return err
 	}

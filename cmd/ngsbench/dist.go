@@ -7,10 +7,9 @@ import (
 	"time"
 
 	"parseq"
+	"parseq/internal/engine"
 	"parseq/internal/experiments"
 	"parseq/internal/fdr"
-	"parseq/internal/flagstat"
-	"parseq/internal/hist"
 	"parseq/internal/mpi"
 	"parseq/internal/mpiflag"
 )
@@ -61,34 +60,41 @@ func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, kee
 	}
 	report("distributed suite: %d ranks, %d reads, input %s\n", ranks, reads, samPath)
 
+	// The three engine jobs run exactly as a seqconvd fleet runs them:
+	// one spec, every rank calling engine.Run on the shared launcher.
+	env := engine.Env{OutDir: tmp, OutPrefix: "dist", Launch: launch, Rank: rank}
+	job := func(spec engine.Spec) (int64, time.Duration, error) {
+		spec.InputPath, spec.Ranks = samPath, ranks
+		start := time.Now()
+		res, err := engine.Run(spec, env)
+		if err != nil {
+			return 0, 0, fmt.Errorf("%s: %w", spec.Op, err)
+		}
+		return res.Records, time.Since(start), nil
+	}
+
 	// Converter: each rank converts its Algorithm 1 partition into its
 	// own target file.
-	start := time.Now()
-	res, err := parseq.ConvertSAM(samPath, parseq.Options{
-		Format: "sam", Cores: ranks, OutDir: tmp, OutPrefix: "dist",
-		Launch: launch,
-	})
+	n, took, err := job(engine.Spec{Op: engine.OpConvert, Format: "sam"})
 	if err != nil {
-		return fmt.Errorf("convert: %w", err)
+		return err
 	}
-	report("convert     %8d records on rank 0 in %v\n", res.Stats.Records, time.Since(start))
+	report("convert     %8d records on rank 0 in %v\n", n, took)
 
 	// Histogram: partition, accumulate, gather-reduce at rank 0.
 	rname := ds.Header.RefByID(0).Name
-	start = time.Now()
-	hg, err := hist.FromSAMParallel(samPath, rname, 100, ranks, launch)
+	n, took, err = job(engine.Spec{Op: engine.OpHist, RName: rname, BinSize: 100})
 	if err != nil {
-		return fmt.Errorf("hist: %w", err)
+		return err
 	}
-	report("hist        %8d bins for %s in %v\n", len(hg.Bins), rname, time.Since(start))
+	report("hist        %8d bins for %s in %v\n", n, rname, took)
 
 	// Flagstat: partition, tally, gather-merge at rank 0.
-	start = time.Now()
-	fs, err := flagstat.SAMFile(samPath, ranks, launch)
+	n, took, err = job(engine.Spec{Op: engine.OpFlagstat})
 	if err != nil {
-		return fmt.Errorf("flagstat: %w", err)
+		return err
 	}
-	report("flagstat    %8d records in %v\n", fs.Total, time.Since(start))
+	report("flagstat    %8d records in %v\n", n, took)
 
 	// FDR: Algorithm 2's fused single-synchronisation reduction.
 	bins, sims := sc.Bins, sc.Sims
@@ -101,7 +107,7 @@ func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, kee
 	histogram := parseq.GenerateHistogram(bins, 42)
 	simsets := parseq.GenerateSimulations(sims, bins, 43)
 	var rate float64
-	start = time.Now()
+	start := time.Now()
 	err = launchOrRun(launch, ranks, func(c *mpi.Comm) error {
 		v, err := fdr.ParallelFused(c, histogram, simsets, 4.0)
 		if err != nil {

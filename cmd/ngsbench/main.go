@@ -57,15 +57,11 @@ func main() {
 		return
 	}
 
-	obsSession, err := obsFlags.Start()
+	sess, err := mpiFlags.Start("ngsbench", obsFlags)
 	if err != nil {
 		die(err)
 	}
-	defer func() {
-		if err := obsSession.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ngsbench:", err)
-		}
-	}()
+	defer sess.Close()
 
 	sc := experiments.DefaultScale()
 	if *reads > 0 {
@@ -82,19 +78,8 @@ func main() {
 	sc.CodecWorkers = *codec
 	sc.ParseWorkers = *parse
 
-	mpiSession, err := mpiFlags.Connect()
-	if err != nil {
-		die(err)
-	}
-	defer mpiSession.Close()
-	// Distributed runs gather every rank's telemetry behind rank 0's
-	// -metrics-addr endpoint.
-	mpiSession.StartTelemetry(obsSession.View(), obsFlags.Heartbeat)
-	if addr := obsSession.ServerAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "ngsbench: serving metrics on http://%s/metrics\n", addr)
-	}
-	if mpiSession.Distributed() {
-		if err := runDistributed(mpiSession, sc, *tmp, *keep); err != nil {
+	if sess.Distributed() {
+		if err := runDistributed(sess, sc, *tmp, *keep); err != nil {
 			die(err)
 		}
 		return

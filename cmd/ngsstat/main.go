@@ -25,172 +25,124 @@ import (
 	"strings"
 
 	"parseq"
+	"parseq/internal/engine"
 	"parseq/internal/hist"
 	"parseq/internal/mpiflag"
 	"parseq/internal/obsflag"
-	"parseq/internal/peaks"
-	"parseq/internal/shard"
 )
 
+// options is one invocation. hist and peaks are engine jobs, described
+// by spec and env; nlmeans and fdr work on histogram files and have no
+// job-spec twin.
+type options struct {
+	spec engine.Spec
+	env  engine.Env
+
+	in, sims string
+	r, l     int
+	sigma    float64
+	pt       float64
+
+	obsFlags *obsflag.Flags
+	mpiFlags *mpiflag.Flags
+}
+
+// parse maps the command line onto the engine's job description.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{obsFlags: obsflag.Register(fs), mpiFlags: mpiflag.Register(fs)}
+	var cands string
+	fs.StringVar(&o.spec.Op, "op", "", "operation: hist, peaks, nlmeans or fdr")
+	fs.StringVar(&o.in, "in", "", "histogram dataset (one value per line)")
+	fs.StringVar(&o.spec.InputPath, "bam", "", "alignment file, .sam or "+strings.Join(engine.InputExts(engine.OpHist), ", ")+" (hist, peaks)")
+	fs.StringVar(&o.spec.RName, "rname", "", "reference name to histogram (hist, peaks)")
+	fs.IntVar(&o.spec.BinSize, "bin", 200, "histogram bin width in bases (hist, peaks)")
+	fs.IntVar(&o.spec.Shards, "shards", 0, "target shard count across the world (0: auto)")
+	fs.IntVar(&o.spec.Workers, "workers", 0, "shard workers per rank (0: one per CPU, capped)")
+	fs.StringVar(&o.env.OutPath, "out", "", "output path (hist, peaks, nlmeans)")
+	fs.IntVar(&o.r, "r", 20, "NL-means search range radius")
+	fs.IntVar(&o.l, "l", 15, "NL-means half patch size")
+	fs.Float64Var(&o.sigma, "sigma", 10, "NL-means filtering parameter")
+	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel workers/ranks")
+	fs.StringVar(&o.sims, "sims", "", "glob of simulation datasets (fdr, peaks)")
+	fs.Float64Var(&o.pt, "pt", 1, "FDR threshold p_t")
+	fs.StringVar(&cands, "candidates", "1,2,5,10,20", "comma-separated p_t candidates (peaks)")
+	fs.IntVar(&o.env.MaxGap, "maxgap", 1, "merge peak runs separated by at most this many bins (peaks)")
+	fs.IntVar(&o.env.MinWidth, "minwidth", 2, "drop peaks narrower than this many bins (peaks)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch op := o.spec.Op; op {
+	case "":
+		return nil, fmt.Errorf("-op is required")
+	case engine.OpHist, engine.OpPeaks:
+		if o.spec.InputPath == "" || o.spec.RName == "" {
+			return nil, fmt.Errorf("-op %s requires -bam and -rname", op)
+		}
+		if o.env.OutPath == "" {
+			o.env.OutPath = o.spec.InputPath + "." + op + ".tsv"
+		}
+		if op == engine.OpHist {
+			break
+		}
+		if o.sims == "" {
+			return nil, fmt.Errorf("-op peaks requires -sims")
+		}
+		for _, s := range strings.Split(cands, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			if err != nil {
+				return nil, fmt.Errorf("-candidates: %w", err)
+			}
+			o.spec.Candidates = append(o.spec.Candidates, v)
+		}
+	case "nlmeans", "fdr":
+		// -bam, -rname and the shard tuning do not apply.
+	default:
+		return nil, fmt.Errorf("unknown -op %q (want hist, peaks, nlmeans or fdr)", op)
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		op       = flag.String("op", "", "operation: hist, peaks, nlmeans or fdr")
-		in       = flag.String("in", "", "histogram dataset (one value per line)")
-		bam      = flag.String("bam", "", "BAM or BAMX file (hist)")
-		rname    = flag.String("rname", "", "reference name to histogram (hist)")
-		bin      = flag.Int("bin", 200, "histogram bin width in bases (hist)")
-		shards   = flag.Int("shards", 0, "target shard count across the world (0: auto)")
-		workers  = flag.Int("workers", 0, "shard workers per rank (0: one per CPU, capped)")
-		out      = flag.String("out", "", "output path (hist, nlmeans)")
-		r        = flag.Int("r", 20, "NL-means search range radius")
-		l        = flag.Int("l", 15, "NL-means half patch size")
-		sigma    = flag.Float64("sigma", 10, "NL-means filtering parameter")
-		cores    = flag.Int("p", 1, "parallel workers/ranks")
-		sims     = flag.String("sims", "", "glob of simulation datasets (fdr, peaks)")
-		pt       = flag.Float64("pt", 1, "FDR threshold p_t")
-		cands    = flag.String("candidates", "1,2,5,10,20", "comma-separated p_t candidates (peaks)")
-		maxGap   = flag.Int("maxgap", 1, "merge peak runs separated by at most this many bins (peaks)")
-		minWidth = flag.Int("minwidth", 2, "drop peaks narrower than this many bins (peaks)")
-		obsFlags = obsflag.Register(nil)
-		mpiFlags = mpiflag.Register(nil)
-	)
-	flag.Parse()
-	if *op == "" {
-		fmt.Fprintln(os.Stderr, "ngsstat: -op is required")
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ngsstat:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	obsSession, err := obsFlags.Start()
+	sess, err := o.mpiFlags.Start("ngsstat", o.obsFlags)
 	if err != nil {
 		die(err)
 	}
-	defer func() {
-		if err := obsSession.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ngsstat:", err)
-		}
-	}()
-	mpiSession, err := mpiFlags.Connect()
-	if err != nil {
-		die(err)
-	}
-	defer mpiSession.Close()
-	mpiSession.StartTelemetry(obsSession.View(), obsFlags.Heartbeat)
-	if addr := obsSession.ServerAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "ngsstat: serving metrics on http://%s/metrics\n", addr)
-	}
-	*cores = mpiSession.Ranks(*cores)
+	defer sess.Close()
+	cores := sess.Ranks(o.spec.Ranks)
 
-	switch *op {
-	case "hist":
-		if *bam == "" || *rname == "" {
-			die(fmt.Errorf("-op hist requires -bam and -rname"))
+	switch o.spec.Op {
+	case engine.OpHist, engine.OpPeaks:
+		if o.spec.Op == engine.OpPeaks {
+			o.env.SimData = readSims(o.sims)
 		}
-		p := shard.OpenPathProvider(*bam)
-		defer p.Close()
-		h, err := hist.FromProvider(p, *rname, *bin, shard.Config{
-			Ranks:        *cores,
-			Workers:      *workers,
-			TargetShards: *shards,
-			Launch:       mpiSession.Launcher(),
-		})
+		o.spec.Ranks = cores
+		o.env.Launch, o.env.Rank = sess.Launcher(), sess.Rank()
+		res, err := engine.Run(o.spec, o.env)
 		if err != nil {
 			die(err)
 		}
 		// Under a distributed launch only rank 0 holds the reduced
-		// histogram; other ranks exit quietly.
-		if mpiSession.Rank() != 0 {
-			return
+		// histogram; other ranks have nothing to report.
+		if res.Summary != "" {
+			fmt.Println(res.Summary)
 		}
-		dst := *out
-		if dst == "" {
-			dst = *bam + ".hist.tsv"
-		}
-		f, err := os.Create(dst)
-		if err != nil {
-			die(err)
-		}
-		if err := hist.WriteTSV(f, h.Bins); err != nil {
-			f.Close()
-			die(err)
-		}
-		if err := f.Close(); err != nil {
-			die(err)
-		}
-		fmt.Printf("histogrammed %s into %d bins of %d bases → %s\n",
-			*rname, len(h.Bins), *bin, dst)
-
-	case "peaks":
-		if *bam == "" || *rname == "" {
-			die(fmt.Errorf("-op peaks requires -bam and -rname"))
-		}
-		if *sims == "" {
-			die(fmt.Errorf("-op peaks requires -sims"))
-		}
-		paths, err := filepath.Glob(*sims)
-		if err != nil {
-			die(err)
-		}
-		if len(paths) == 0 {
-			die(fmt.Errorf("no simulation datasets match %q", *sims))
-		}
-		sort.Strings(paths)
-		simData := make([][]float64, len(paths))
-		for i, sp := range paths {
-			simData[i] = readTSV(sp)
-		}
-		var candidates []float64
-		for _, s := range strings.Split(*cands, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				die(fmt.Errorf("-candidates: %w", err))
-			}
-			candidates = append(candidates, v)
-		}
-		p := shard.OpenPathProvider(*bam)
-		defer p.Close()
-		called, h, ptSel, fdr, err := peaks.CoveragePeaks(p, *rname, *bin, simData, candidates,
-			peaks.Options{MaxGap: *maxGap, MinWidth: *minWidth},
-			shard.Config{
-				Ranks:        *cores,
-				Workers:      *workers,
-				TargetShards: *shards,
-				Launch:       mpiSession.Launcher(),
-			})
-		if err != nil {
-			die(err)
-		}
-		// Only rank 0 holds the reduced histogram the calls derive from.
-		if mpiSession.Rank() != 0 {
-			return
-		}
-		dst := *out
-		if dst == "" {
-			dst = *bam + ".peaks.tsv"
-		}
-		f, err := os.Create(dst)
-		if err != nil {
-			die(err)
-		}
-		for _, pk := range called {
-			fmt.Fprintf(f, "%s\t%d\t%d\t%g\t%d\n",
-				*rname, pk.Start*h.BinSize, pk.End*h.BinSize, pk.MaxValue, pk.MinSurvive)
-		}
-		if err := f.Close(); err != nil {
-			die(err)
-		}
-		fmt.Printf("called %d peaks on %s (p_t=%g, FDR=%.6g, %d simulations) → %s\n",
-			len(called), *rname, ptSel, fdr, len(simData), dst)
 
 	case "nlmeans":
-		histogram := requireTSV(*in, *op)
-		p := parseq.NLMeansParams{R: *r, L: *l, Sigma: *sigma}
-		denoised, err := parseq.DenoiseParallel(histogram, p, *cores)
+		histogram := requireTSV(o.in, o.spec.Op)
+		p := parseq.NLMeansParams{R: o.r, L: o.l, Sigma: o.sigma}
+		denoised, err := parseq.DenoiseParallel(histogram, p, cores)
 		if err != nil {
 			die(err)
 		}
-		dst := *out
+		dst := o.env.OutPath
 		if dst == "" {
-			dst = *in + ".denoised"
+			dst = o.in + ".denoised"
 		}
 		f, err := os.Create(dst)
 		if err != nil {
@@ -204,35 +156,38 @@ func main() {
 			die(err)
 		}
 		fmt.Printf("denoised %d bins (r=%d l=%d sigma=%g, %d workers) → %s\n",
-			len(denoised), *r, *l, *sigma, *cores, dst)
+			len(denoised), o.r, o.l, o.sigma, cores, dst)
 
 	case "fdr":
-		histogram := requireTSV(*in, *op)
-		if *sims == "" {
+		histogram := requireTSV(o.in, o.spec.Op)
+		if o.sims == "" {
 			die(fmt.Errorf("-op fdr requires -sims"))
 		}
-		paths, err := filepath.Glob(*sims)
-		if err != nil {
-			die(err)
-		}
-		if len(paths) == 0 {
-			die(fmt.Errorf("no simulation datasets match %q", *sims))
-		}
-		sort.Strings(paths)
-		simData := make([][]float64, len(paths))
-		for i, p := range paths {
-			simData[i] = readTSV(p)
-		}
-		v, err := parseq.FDRParallel(histogram, simData, *pt, *cores)
+		simData := readSims(o.sims)
+		v, err := parseq.FDRParallel(histogram, simData, o.pt, cores)
 		if err != nil {
 			die(err)
 		}
 		fmt.Printf("FDR(p_t=%g) = %.6g  (%d bins, %d simulations, %d ranks)\n",
-			*pt, v, len(histogram), len(simData), *cores)
-
-	default:
-		die(fmt.Errorf("unknown -op %q (want hist, peaks, nlmeans or fdr)", *op))
+			o.pt, v, len(histogram), len(simData), cores)
 	}
+}
+
+// readSims loads the simulation datasets a glob names, in name order.
+func readSims(glob string) [][]float64 {
+	paths, err := filepath.Glob(glob)
+	if err != nil {
+		die(err)
+	}
+	if len(paths) == 0 {
+		die(fmt.Errorf("no simulation datasets match %q", glob))
+	}
+	sort.Strings(paths)
+	simData := make([][]float64, len(paths))
+	for i, p := range paths {
+		simData[i] = readTSV(p)
+	}
+	return simData
 }
 
 func requireTSV(path, op string) []float64 {

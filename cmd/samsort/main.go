@@ -7,61 +7,66 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"parseq/internal/engine"
 	"parseq/internal/obsflag"
-	"parseq/internal/sorter"
 )
 
+// options is one invocation: the sort job the flags describe plus the
+// telemetry flags.
+type options struct {
+	spec     engine.Spec
+	env      engine.Env
+	obsFlags *obsflag.Flags
+}
+
+// parse maps the command line onto the engine's job description.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{obsFlags: obsflag.Register(fs)}
+	o.spec.Op = engine.OpSort
+	fs.StringVar(&o.spec.InputPath, "in", "", "input file (.sam or .bam)")
+	fs.StringVar(&o.env.OutPath, "out", "", "output BAM (default: input with .sorted.bam)")
+	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel chunk-sort workers")
+	fs.IntVar(&o.env.ChunkRecords, "chunk", 0, "records per in-memory chunk (default 100000)")
+	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec goroutines per BAM stream (0: auto, one per CPU capped, spills on the shared deflate pool; 1: sequential codec)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	in := o.spec.InputPath
+	if in == "" {
+		return nil, errors.New("-in is required")
+	}
+	if o.env.OutPath == "" {
+		o.env.OutPath = strings.TrimSuffix(strings.TrimSuffix(in, ".sam"), ".bam") + ".sorted.bam"
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		in       = flag.String("in", "", "input file (.sam or .bam)")
-		out      = flag.String("out", "", "output BAM (default: input with .sorted.bam)")
-		cores    = flag.Int("p", 1, "parallel chunk-sort workers")
-		chunk    = flag.Int("chunk", 0, "records per in-memory chunk (default 100000)")
-		codec    = flag.Int("codec-workers", 0, "BGZF codec goroutines per BAM stream (0: auto, one per CPU capped; 1: sequential codec)")
-		shared   = flag.Bool("shared-codec", false, "compress spilled runs on the process-wide shared deflate pool")
-		obsFlags = obsflag.Register(nil)
-	)
-	flag.Parse()
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "samsort: -in is required")
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "samsort:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	dst := *out
-	if dst == "" {
-		dst = strings.TrimSuffix(strings.TrimSuffix(*in, ".sam"), ".bam") + ".sorted.bam"
-	}
-	obsSession, err := obsFlags.Start()
+	sess, err := o.obsFlags.Open("samsort")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "samsort:", err)
-		os.Exit(1)
+		die(err)
 	}
-	defer func() {
-		if err := obsSession.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samsort:", err)
-		}
-	}()
-	if addr := obsSession.ServerAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "samsort: serving metrics on http://%s/metrics\n", addr)
-	}
-	opts := sorter.Options{ChunkRecords: *chunk, Cores: *cores, CodecWorkers: *codec, SharedCodec: *shared}
-	var n int64
-	switch {
-	case strings.HasSuffix(*in, ".sam"):
-		n, err = sorter.SortSAMToBAM(*in, dst, opts)
-	case strings.HasSuffix(*in, ".bam"):
-		n, err = sorter.SortBAM(*in, dst, opts)
-	default:
-		err = fmt.Errorf("cannot infer input format of %q (want .sam or .bam)", *in)
-	}
+	defer sess.Finish()
+	res, err := engine.Run(o.spec, o.env)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "samsort:", err)
-		os.Exit(1)
+		die(err)
 	}
-	fmt.Printf("sorted %d records → %s\n", n, dst)
+	fmt.Println(res.Summary)
+}
+
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "samsort:", err)
+	os.Exit(1)
 }

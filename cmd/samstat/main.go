@@ -1,7 +1,7 @@
 // Command samstat prints samtools-flagstat-style summary statistics,
 // computed in parallel with the framework's Algorithm 1 partitioning
-// for SAM input or region-parallel over genomic shards for BAM/BAMX
-// input.
+// for SAM input or region-parallel over genomic shards for BAM, BAMX
+// or PAMX input.
 //
 // Usage:
 //
@@ -9,83 +9,73 @@
 //	samstat -bam reads.bam -p 2 -workers 4 -shards 32
 //	samstat -bam reads.bamx -metrics-addr :9100
 //
-// With -transport tcp the BAM/BAMX path becomes one rank of a
-// multi-process world: rank 0 scatters shard descriptors and reduces
-// the per-rank partial tallies.
+// With -transport tcp the command becomes one rank of a multi-process
+// world: rank 0 scatters the work and reduces the per-rank partial
+// tallies.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"parseq/internal/flagstat"
+	"parseq/internal/engine"
 	"parseq/internal/mpiflag"
 	"parseq/internal/obsflag"
-	"parseq/internal/shard"
 )
 
+// options is one invocation: the flagstat job the flags describe plus
+// the session flags.
+type options struct {
+	spec     engine.Spec
+	obsFlags *obsflag.Flags
+	mpiFlags *mpiflag.Flags
+}
+
+// parse maps the command line onto the engine's job description.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{obsFlags: obsflag.Register(fs), mpiFlags: mpiflag.Register(fs)}
+	o.spec.Op = engine.OpFlagstat
+	var bam string
+	fs.StringVar(&o.spec.InputPath, "in", "", "SAM file")
+	fs.StringVar(&bam, "bam", "", "region-parallel shard input ("+strings.Join(engine.InputExts(engine.OpFlagstat), ", ")+")")
+	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel ranks")
+	fs.IntVar(&o.spec.Workers, "workers", 0, "shard workers per rank (0: one per CPU, capped)")
+	fs.IntVar(&o.spec.Shards, "shards", 0, "target shard count across the world (0: auto)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if (o.spec.InputPath == "") == (bam == "") {
+		return nil, errors.New("exactly one of -in (SAM) or -bam (BAM/BAMX/PAMX) is required")
+	}
+	if bam != "" {
+		o.spec.InputPath = bam
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		in       = flag.String("in", "", "SAM file")
-		bam      = flag.String("bam", "", "BAM or BAMX file (region-parallel shard path)")
-		cores    = flag.Int("p", 1, "parallel ranks")
-		workers  = flag.Int("workers", 0, "shard workers per rank (0: one per CPU, capped)")
-		shards   = flag.Int("shards", 0, "target shard count across the world (0: auto)")
-		obsFlags = obsflag.Register(nil)
-		mpiFlags = mpiflag.Register(nil)
-	)
-	flag.Parse()
-	if (*in == "") == (*bam == "") {
-		fmt.Fprintln(os.Stderr, "samstat: exactly one of -in (SAM) or -bam (BAM/BAMX) is required")
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "samstat:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	obsSession, err := obsFlags.Start()
+	sess, err := o.mpiFlags.Start("samstat", o.obsFlags)
 	if err != nil {
 		die(err)
 	}
-	defer func() {
-		if err := obsSession.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samstat:", err)
-		}
-	}()
-	mpiSession, err := mpiFlags.Connect()
+	defer sess.Close()
+	o.spec.Ranks = sess.Ranks(o.spec.Ranks)
+	res, err := engine.Run(o.spec, engine.Env{Launch: sess.Launcher(), Rank: sess.Rank()})
 	if err != nil {
 		die(err)
-	}
-	defer mpiSession.Close()
-	mpiSession.StartTelemetry(obsSession.View(), obsFlags.Heartbeat)
-	if addr := obsSession.ServerAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "samstat: serving metrics on http://%s/metrics\n", addr)
-	}
-	*cores = mpiSession.Ranks(*cores)
-
-	var stats flagstat.Stats
-	if *bam != "" {
-		p := shard.OpenPathProvider(*bam)
-		defer p.Close()
-		stats, err = flagstat.Sharded(p, shard.Config{
-			Ranks:        *cores,
-			Workers:      *workers,
-			TargetShards: *shards,
-			Launch:       mpiSession.Launcher(),
-		})
-		if err != nil {
-			die(err)
-		}
-	} else {
-		stats, err = flagstat.SAMFile(*in, *cores, mpiSession.Launcher())
-		if err != nil {
-			die(err)
-		}
 	}
 	// Under a distributed launch the reduced tally is complete on rank 0
-	// only; other ranks exit quietly.
-	if mpiSession.Rank() != 0 {
-		return
-	}
-	fmt.Print(stats.Format())
+	// only; other ranks have nothing to print.
+	fmt.Print(res.Summary)
 }
 
 func die(err error) {

@@ -69,15 +69,11 @@ func main() {
 		return
 	}
 
-	obsSession, err := obsFlags.Start()
+	obsSession, err := obsFlags.Open("seqconvd")
 	if err != nil {
 		die(err)
 	}
-	defer func() {
-		if err := obsSession.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "seqconvd:", err)
-		}
-	}()
+	defer obsSession.Finish()
 	// A resident service always carries a registry: admission control
 	// reads the shared codec pool's throughput EWMA from it, and the
 	// /metrics endpoint serves it. The obs flags merely add outputs.

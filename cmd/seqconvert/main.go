@@ -19,190 +19,115 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"parseq"
+	"parseq/internal/conv"
+	"parseq/internal/engine"
 	"parseq/internal/mpiflag"
 	"parseq/internal/obsflag"
 )
 
+// options is one invocation: the conversion job the flags describe plus
+// the session flags.
+type options struct {
+	spec     engine.Spec
+	env      engine.Env
+	preproc  bool
+	obsFlags *obsflag.Flags
+	mpiFlags *mpiflag.Flags
+}
+
+// parse maps the command line onto the engine's job description.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{obsFlags: obsflag.Register(fs), mpiFlags: mpiflag.Register(fs)}
+	o.spec.Op = engine.OpConvert
+	fs.StringVar(&o.spec.InputPath, "in", "", "input file ("+strings.Join(engine.InputExts(engine.OpConvert), ", ")+")")
+	fs.StringVar(&o.spec.Format, "format", "", "target format: "+strings.Join(parseq.Formats(), ", ")+", or bam (one shard per rank) (default sam)")
+	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel ranks")
+	fs.StringVar(&o.env.OutDir, "out", ".", "output directory")
+	fs.StringVar(&o.env.OutPrefix, "prefix", "out", "output file prefix")
+	fs.StringVar(&o.spec.Region, "region", "", "partial conversion region, e.g. chr1:100-200 (BAMX-backed converters only)")
+	fs.StringVar(&o.spec.Converter, "converter", "auto", "converter instance: "+strings.Join(engine.Converters(), ", "))
+	fs.BoolVar(&o.preproc, "preprocess", false, "only preprocess the input into BAMX/BAIX")
+	fs.IntVar(&o.env.PreRanks, "pre-p", 0, "preprocessing ranks for the psam converter (default: -p)")
+	fs.StringVar(&o.env.BAIX, "baix", "", "BAIX index path (default: input with .baix)")
+	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec goroutines per BAM stream (0: auto, one per CPU capped; 1: sequential codec)")
+	fs.IntVar(&o.spec.ParseWorkers, "parse-workers", 0, "per-rank parse/encode goroutines for SAM text input (0: auto; 1: sequential line loop)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.spec.InputPath == "" {
+		return nil, errors.New("-in is required")
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		in        = flag.String("in", "", "input file (.sam, .bam or .bamx)")
-		format    = flag.String("format", "sam", "target format: "+strings.Join(parseq.Formats(), ", ")+", or bam (one shard per rank)")
-		cores     = flag.Int("p", 1, "parallel ranks")
-		outDir    = flag.String("out", ".", "output directory")
-		prefix    = flag.String("prefix", "out", "output file prefix")
-		region    = flag.String("region", "", "partial conversion region, e.g. chr1:100-200 (BAMX only)")
-		converter = flag.String("converter", "auto", "converter instance: auto, sam, bam, psam, pamx")
-		preproc   = flag.Bool("preprocess", false, "only preprocess the input into BAMX/BAIX")
-		preCores  = flag.Int("pre-p", 0, "preprocessing ranks for the psam converter (default: -p)")
-		baix      = flag.String("baix", "", "BAIX index path (default: input with .baix)")
-		codecWork = flag.Int("codec-workers", 0, "BGZF codec goroutines per BAM stream (0: auto, one per CPU capped; 1: sequential codec)")
-		parseWork = flag.Int("parse-workers", 0, "per-rank parse/encode goroutines for SAM text input (0: auto; 1: sequential line loop)")
-		obsFlags  = obsflag.Register(nil)
-		mpiFlags  = mpiflag.Register(nil)
-	)
-	flag.Parse()
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "seqconvert: -in is required")
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "seqconvert:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	obsSession, err := obsFlags.Start()
+	sess, err := o.mpiFlags.Start("seqconvert", o.obsFlags)
 	if err != nil {
 		die(err)
 	}
-	defer func() {
-		if err := obsSession.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "seqconvert:", err)
+	defer sess.Close()
+	// Under TCP the world size is the rank count.
+	o.spec.Ranks = sess.Ranks(o.spec.Ranks)
+	o.env.Launch, o.env.Rank = sess.Launcher(), sess.Rank()
+
+	if o.preproc {
+		if err := preprocess(o, sess.Distributed()); err != nil {
+			die(err)
 		}
-	}()
-	mpiSession, err := mpiFlags.Connect()
+		return
+	}
+	res, err := engine.Run(o.spec, o.env)
 	if err != nil {
 		die(err)
 	}
-	defer mpiSession.Close()
-	// Distributed runs ship live metric/span deltas to rank 0, whose
-	// -metrics-addr endpoint then serves the whole world's telemetry.
-	mpiSession.StartTelemetry(obsSession.View(), obsFlags.Heartbeat)
-	if addr := obsSession.ServerAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "seqconvert: serving metrics on http://%s/metrics\n", addr)
-	}
-	// Under TCP the world size is the rank count; every phase of a
-	// distributed run shares the one world, so -pre-p must match too.
-	*cores = mpiSession.Ranks(*cores)
-	if *preCores == 0 || mpiSession.Distributed() {
-		*preCores = *cores
-	}
+	fmt.Println(res.Summary)
+}
 
-	kind := *converter
-	if kind == "auto" {
-		switch {
-		case strings.HasSuffix(*in, ".sam"):
-			kind = "sam"
-		case strings.HasSuffix(*in, ".bam"):
-			kind = "bam"
-		case strings.HasSuffix(*in, ".bamx"):
-			kind = "bamx"
-		case strings.HasSuffix(*in, ".bamz"):
-			kind = "bamz"
-		case strings.HasSuffix(*in, ".pamx"):
-			kind = "pamx"
-		default:
-			die(fmt.Errorf("cannot infer converter for %q; pass -converter", *in))
-		}
+// preprocess is -preprocess: only the BAMX/BAIX rewrite, which has no
+// job-spec twin.
+func preprocess(o *options, distributed bool) error {
+	kind, err := o.spec.ConverterKind()
+	if err != nil {
+		return err
 	}
-
-	opts := parseq.Options{
-		Format: *format, Cores: *cores, OutDir: *outDir, OutPrefix: *prefix,
-		CodecWorkers: *codecWork, ParseWorkers: *parseWork,
-		Launch: mpiSession.Launcher(),
-	}
-	if *region != "" {
-		r, err := parseq.ParseRegion(*region)
-		if err != nil {
-			die(err)
-		}
-		opts.Region = &r
-	}
-
-	if *preproc {
-		base := strings.TrimSuffix(*in, ".sam")
-		base = strings.TrimSuffix(base, ".bam")
-		switch kind {
-		case "bam":
-			res, err := parseq.PreprocessBAMWorkers(*in, base+".bamx", base+".baix", *codecWork)
-			if err != nil {
-				die(err)
-			}
-			fmt.Printf("preprocessed %d records into %s in %v\n",
-				res.Records, res.BAMXFiles[0], res.Duration)
-		case "sam", "psam":
-			res, err := parseq.PreprocessSAMLaunch(*in, *outDir, *prefix, *preCores, mpiSession.Launcher())
-			if err != nil {
-				die(err)
-			}
-			fmt.Printf("preprocessed %d records into %d BAMX shards in %v\n",
-				res.Records, len(res.BAMXFiles), res.Duration)
-		default:
-			die(fmt.Errorf("-preprocess needs a SAM or BAM input"))
-		}
-		return
-	}
-
-	// The columnar converter stands apart from the per-rank Result
-	// shape: PAMX conversion is one output file either direction.
-	if kind == "pamx" {
-		popts := parseq.PAMXOptions{CodecWorkers: *codecWork}
-		start := time.Now()
-		var (
-			count int64
-			dst   string
-		)
-		switch {
-		case strings.HasSuffix(*in, ".pamx"):
-			dst = filepath.Join(*outDir, *prefix+".bam")
-			count, err = parseq.ConvertPAMXToBAM(*in, dst, popts)
-		case strings.HasSuffix(*in, ".bamx"):
-			dst = filepath.Join(*outDir, *prefix+".pamx")
-			count, err = parseq.ConvertBAMXToPAMX(*in, dst, popts)
-		case strings.HasSuffix(*in, ".bam"):
-			dst = filepath.Join(*outDir, *prefix+".pamx")
-			count, err = parseq.ConvertBAMToPAMX(*in, dst, popts)
-		default:
-			err = fmt.Errorf("-converter pamx needs a .bam, .bamx or .pamx input")
-		}
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("converted %d records into %s in %v\n", count, dst, time.Since(start))
-		return
-	}
-
-	var res *parseq.Result
+	in := o.spec.InputPath
+	var res *conv.PreprocessResult
 	switch kind {
-	case "sam":
-		res, err = parseq.ConvertSAM(*in, opts)
 	case "bam":
-		if *cores > 1 {
-			// The complete BAM format converter: sequential preprocessing
-			// into a temporary BAMX/BAIX pair, then parallel conversion.
-			res, err = parseq.ConvertBAM(*in, opts)
-			break
+		base := strings.TrimSuffix(in, ".bam")
+		res, err = conv.PreprocessBAMFile(in, base+".bamx", base+".baix", o.spec.CodecWorkers)
+	case "sam", "psam":
+		// Every phase of a distributed run shares the one world, so
+		// -pre-p must match it.
+		pre := o.env.PreRanks
+		if pre == 0 || distributed {
+			pre = o.spec.Ranks
 		}
-		res, err = parseq.ConvertBAMSequential(*in, opts)
-	case "bamx":
-		ix := *baix
-		if ix == "" {
-			ix = strings.TrimSuffix(*in, ".bamx") + ".baix"
-		}
-		res, err = parseq.ConvertBAMX(*in, ix, opts)
-	case "bamz":
-		ix := *baix
-		if ix == "" {
-			ix = strings.TrimSuffix(*in, ".bamz") + ".baix"
-		}
-		res, err = parseq.ConvertBAMZ(*in, ix, opts)
-	case "psam":
-		res, err = parseq.ConvertSAMPreprocessed(*in, *preCores, opts)
+		res, err = conv.PreprocessSAMParallel(in, conv.Options{
+			OutDir: o.env.OutDir, OutPrefix: o.env.OutPrefix, Cores: pre, Launch: o.env.Launch,
+		})
 	default:
-		err = fmt.Errorf("unknown converter %q", kind)
+		err = fmt.Errorf("-preprocess needs a SAM or BAM input")
 	}
 	if err != nil {
-		die(err)
+		return err
 	}
-	fmt.Printf("converted %d records (%d emitted, %d bytes) into %d files in %v\n",
-		res.Stats.Records, res.Stats.Emitted, res.Stats.BytesOut,
-		len(res.Files), res.Stats.PartitionTime+res.Stats.ConvertTime)
-	if res.Stats.PreprocessTime > 0 {
-		fmt.Printf("preprocessing took %v (amortisable)\n", res.Stats.PreprocessTime)
-	}
+	fmt.Printf("preprocessed %d records into %s in %v\n",
+		res.Records, strings.Join(res.BAMXFiles, ", "), res.Duration)
+	return nil
 }
 
 func die(err error) {

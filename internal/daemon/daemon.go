@@ -16,13 +16,14 @@ import (
 	"time"
 
 	"parseq/internal/bgzf"
+	"parseq/internal/engine"
 	"parseq/internal/obs"
 )
 
 // Options configures a Daemon.
 type Options struct {
 	// Registry receives the daemon.* metrics; nil falls back to
-	// obs.Default() (metrics are skipped when that is nil too).
+	// obs.Default() (a nil registry's handles are no-ops).
 	Registry *obs.Registry
 	// Policy is the admission-control policy; zero values pick the
 	// package defaults.
@@ -104,43 +105,13 @@ func New(opts Options) (*Daemon, error) {
 // Spool returns the daemon's spool directory.
 func (d *Daemon) Spool() string { return d.spool }
 
-// counter/gauge/histogram tolerate a nil registry so the daemon runs
-// (tests, embedded uses) without telemetry.
-func (d *Daemon) addCounter(name string, v int64) {
-	if d.reg != nil {
-		d.reg.Counter(name).Add(v)
-	}
-}
-
-func (d *Daemon) addGauge(name string, v int64) {
-	if d.reg != nil {
-		d.reg.Gauge(name).Add(v)
-	}
-}
-
-func (d *Daemon) setGauge(name string, v int64) {
-	if d.reg != nil {
-		d.reg.Gauge(name).Set(v)
-	}
-}
-
-func (d *Daemon) observe(name string, v int64) {
-	if d.reg != nil {
-		d.reg.Histogram(name).Observe(v)
-	}
-}
-
 // load samples the admission inputs: queue depth, in-flight bytes, and
 // the shared deflate pool's measured per-worker throughput.
 func (d *Daemon) load() Load {
-	var tput int64
-	if d.reg != nil {
-		tput = d.reg.Gauge("bgzf.shared_pool.throughput").Value()
-	}
 	return Load{
 		QueueDepth:    len(d.queue),
 		InFlightBytes: d.inflight.Load(),
-		ThroughputBps: tput,
+		ThroughputBps: d.reg.Gauge("bgzf.shared_pool.throughput").Value(),
 		Workers:       bgzf.SharedPool().Workers(),
 	}
 }
@@ -150,7 +121,7 @@ func (d *Daemon) load() Load {
 func (d *Daemon) admit(incoming int64) Decision {
 	dec := d.policy.Decide(d.load(), incoming)
 	if !dec.Admit {
-		d.addCounter("daemon.rejected", 1)
+		d.reg.Counter("daemon.rejected").Add(1)
 	}
 	return dec
 }
@@ -167,7 +138,7 @@ func (d *Daemon) register(spec JobSpec) (*Job, error) {
 	}
 	inputPath := spec.InputPath
 	if inputPath == "" {
-		inputPath = filepath.Join(dir, spec.inputName())
+		inputPath = filepath.Join(dir, spec.InputBase())
 	}
 	return newJob(id, spec, dir, inputPath, 0), nil
 }
@@ -185,14 +156,14 @@ func (d *Daemon) enqueue(job *Job) *Error {
 	select {
 	case d.queue <- job:
 	default:
-		d.addCounter("daemon.rejected", 1)
+		d.reg.Counter("daemon.rejected").Add(1)
 		return &Error{Code: CodeOverloaded, Message: "queue full", RetryAfter: 1}
 	}
 	d.jobs[job.ID] = job
 	d.order = append(d.order, job.ID)
 	d.inflight.Add(job.inputBytes)
-	d.addCounter("daemon.jobs", 1)
-	d.setGauge("daemon.queue_depth", int64(len(d.queue)))
+	d.reg.Counter("daemon.jobs").Add(1)
+	d.reg.Gauge("daemon.queue_depth").Set(int64(len(d.queue)))
 	return nil
 }
 
@@ -225,7 +196,7 @@ func (d *Daemon) statuses() []Status {
 func (d *Daemon) runner() {
 	defer d.runners.Done()
 	for job := range d.queue {
-		d.setGauge("daemon.queue_depth", int64(len(d.queue)))
+		d.reg.Gauge("daemon.queue_depth").Set(int64(len(d.queue)))
 		if !job.toRunning() { // canceled while queued
 			d.settle(job)
 			continue
@@ -233,12 +204,12 @@ func (d *Daemon) runner() {
 		if d.gate != nil {
 			<-d.gate
 		}
-		d.addGauge("daemon.running", 1)
+		d.reg.Gauge("daemon.running").Add(1)
 		start := time.Now()
 		res, err := d.execute(job)
 		job.finish(res, err)
-		d.addGauge("daemon.running", -1)
-		d.observe("daemon.job_ns", time.Since(start).Nanoseconds())
+		d.reg.Gauge("daemon.running").Add(-1)
+		d.reg.Histogram("daemon.job_ns").Observe(time.Since(start).Nanoseconds())
 		d.settle(job)
 	}
 }
@@ -248,10 +219,10 @@ func (d *Daemon) settle(job *Job) {
 	d.inflight.Add(-job.inputBytes)
 }
 
-// execute dispatches one job to the engines, isolating panics. A job
+// execute dispatches one job to the engine, isolating panics. A job
 // whose rank count matches the registered fleet's world size fans out
 // across the worker processes; everything else runs in-process.
-func (d *Daemon) execute(job *Job) (res jobResult, err error) {
+func (d *Daemon) execute(job *Job) (res engine.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("daemon: job %s panicked: %v", job.ID, r)
@@ -263,14 +234,11 @@ func (d *Daemon) execute(job *Job) (res jobResult, err error) {
 	if d.testHook != nil {
 		d.testHook(job)
 	}
-	ranks := job.Spec.Ranks
-	if ranks < 1 {
-		ranks = 1
+	env := engine.Env{Input: job.inputPath, OutDir: job.dir}
+	if d.fleet != nil && job.Spec.Ranks > 1 && job.Spec.Ranks == d.fleet.Size() {
+		return d.fleet.Execute(&job.Spec, env)
 	}
-	if d.fleet != nil && ranks > 1 && ranks == d.fleet.Size() {
-		return d.fleet.Execute(&job.Spec, job.inputPath, job.dir, ranks)
-	}
-	return runEngines(&job.Spec, job.inputPath, job.dir, nil, ranks, 0)
+	return engine.Run(job.Spec, env)
 }
 
 // Draining reports whether the daemon has stopped admitting.

@@ -23,6 +23,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"parseq/internal/engine"
 )
 
 // SpecHeader carries the JSON job spec on upload submissions, whose
@@ -86,7 +88,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		err      error
 	)
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		specJSON, err = io.ReadAll(io.LimitReader(r.Body, maxSpecLen+1))
+		specJSON, err = io.ReadAll(io.LimitReader(r.Body, engine.MaxSpecLen+1))
 		if err != nil {
 			writeError(w, http.StatusBadRequest,
 				&Error{Code: CodeBadSpec, Message: "reading spec body: " + err.Error()})
@@ -101,7 +103,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	spec, err := DecodeSpec(specJSON)
+	spec, err := engine.DecodeSpec(specJSON)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, &Error{Code: CodeBadSpec, Message: err.Error()})
 		return

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"parseq/internal/engine"
 )
 
 // State is one station of the job state machine.
@@ -28,12 +30,6 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// FileInfo describes one job output file.
-type FileInfo struct {
-	Name string `json:"name"`
-	Size int64  `json:"size"`
-}
-
 // Job is one admitted unit of work.
 type Job struct {
 	ID   string
@@ -49,9 +45,7 @@ type Job struct {
 	mu        sync.Mutex
 	state     State
 	errMsg    string
-	files     []FileInfo
-	records   int64
-	bytesOut  int64
+	res       engine.Result
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -81,7 +75,7 @@ func (j *Job) toRunning() bool {
 // finish records the terminal state of a run: done on nil error,
 // canceled when the job's context was canceled mid-run (the engine's
 // result is discarded), failed otherwise.
-func (j *Job) finish(res jobResult, err error) {
+func (j *Job) finish(res engine.Result, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
@@ -97,9 +91,7 @@ func (j *Job) finish(res jobResult, err error) {
 		j.errMsg = err.Error()
 	default:
 		j.state = StateDone
-		j.files = res.files
-		j.records = res.records
-		j.bytesOut = res.bytesOut
+		j.res = res
 	}
 }
 
@@ -140,8 +132,8 @@ func (j *Job) status() Status {
 	defer j.mu.Unlock()
 	st := Status{
 		ID: j.ID, State: j.state, Spec: j.Spec, Error: j.errMsg,
-		Files:   append([]FileInfo(nil), j.files...),
-		Records: j.records, BytesOut: j.bytesOut, InputBytes: j.inputBytes,
+		Files:   append([]FileInfo(nil), j.res.Files...),
+		Records: j.res.Records, BytesOut: j.res.BytesOut, InputBytes: j.inputBytes,
 	}
 	switch {
 	case j.state == StateQueued:
@@ -174,5 +166,5 @@ func (j *Job) resultFiles() ([]FileInfo, error) {
 	if j.state != StateDone {
 		return nil, fmt.Errorf("job %s is %s, not done", j.ID, j.state)
 	}
-	return append([]FileInfo(nil), j.files...), nil
+	return append([]FileInfo(nil), j.res.Files...), nil
 }

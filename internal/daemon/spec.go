@@ -1,238 +1,65 @@
 // Package daemon is the resident conversion/analysis service: an HTTP
-// front door over the conv/sorter/flagstat/hist/peaks engines with a
-// bounded FIFO job queue, per-job isolation, concurrent multi-tenant
-// execution on the shared BGZF deflate pool, and admission control that
-// sheds load before saturation. A job arrives as a validated JSON spec
-// (plus an optional streamed input upload), moves through the
-// queued → running → done/failed/canceled state machine, and its result
-// streams back over the same connection class that submitted it. With a
-// pre-registered worker fleet (seqconvd -worker) a job with Ranks > 1
-// fans out across the mpinet transport unmodified.
+// front door over engine.Run with a bounded FIFO job queue, per-job
+// isolation, concurrent multi-tenant execution on the shared BGZF
+// deflate pool, and admission control that sheds load before
+// saturation. A job arrives as a validated JSON spec (plus an optional
+// streamed input upload), moves through the queued → running →
+// done/failed/canceled state machine, and its result streams back over
+// the same connection class that submitted it. With a pre-registered
+// worker fleet (seqconvd -worker) a job with Ranks > 1 fans out across
+// the mpinet transport unmodified.
 package daemon
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"path"
 	"strings"
 
-	"parseq/internal/conv"
-	"parseq/internal/formats"
+	"parseq/internal/engine"
 )
 
-// Ops the daemon executes. Convert is the format converter; the rest
-// are the analysis engines on the same substrate.
+// JobSpec is the daemon's wire format: the engine's job description,
+// unchanged. The Op names are re-exported for clients that build specs.
+type JobSpec = engine.Spec
+
 const (
-	OpConvert  = "convert"
-	OpSort     = "sort"
-	OpFlagstat = "flagstat"
-	OpHist     = "hist"
-	OpPeaks    = "peaks"
+	OpConvert  = engine.OpConvert
+	OpSort     = engine.OpSort
+	OpFlagstat = engine.OpFlagstat
+	OpHist     = engine.OpHist
+	OpPeaks    = engine.OpPeaks
 )
+
+// FileInfo describes one job output file.
+type FileInfo = engine.File
 
 // opShutdown is the fleet-internal sentinel broadcast to workers when
 // the daemon drains; it is never a valid submitted op.
 const opShutdown = "__shutdown__"
 
-// JobSpec is the client-facing description of one job: the full option
-// surface of the existing CLI converters serialized as JSON. Every
-// field is optional except Op ("" defaults to "convert"); Validate
-// pins the invariants before a spec is admitted.
-type JobSpec struct {
-	// Op selects the engine: convert, sort, flagstat, hist or peaks.
-	Op string `json:"op,omitempty"`
-	// Converter picks the converter instance for Op=convert: auto (by
-	// input extension), sam, bam, psam, bamx, bamz or pamx.
-	Converter string `json:"converter,omitempty"`
-	// Format is the conversion target format (sam, bam, bed, ...).
-	Format string `json:"format,omitempty"`
-	// Ranks is the rank count: in-process goroutine ranks by default,
-	// or — when it matches a registered worker fleet's world size — one
-	// rank per fleet process. 0 means 1.
-	Ranks int `json:"ranks,omitempty"`
-	// CodecWorkers and ParseWorkers mirror the seqconvert flags: BGZF
-	// codec goroutines per stream and per-rank parse/encode goroutines
-	// (0 adaptive, 1 sequential).
-	CodecWorkers int `json:"codec_workers,omitempty"`
-	ParseWorkers int `json:"parse_workers,omitempty"`
-	// Region restricts conversion to one chromosome region
-	// ("chr1:100-200"; BAMX/BAMZ converters only).
-	Region string `json:"region,omitempty"`
-	// InputPath names a daemon-visible input file. Empty means the
-	// job's input was streamed in the submission body; then InputName
-	// supplies the filename whose extension drives auto-detection.
-	InputPath string `json:"input_path,omitempty"`
-	InputName string `json:"input_name,omitempty"`
-	// Shards and Workers tune the region-parallel analyses (flagstat,
-	// hist, peaks over .bam/.bamx/.pamx inputs): shard generation goal
-	// and per-rank worker goroutines. 0 picks the adaptive defaults.
-	Shards  int `json:"shards,omitempty"`
-	Workers int `json:"workers,omitempty"`
-	// RName and BinSize select the reference and bin width for hist and
-	// peaks.
-	RName   string `json:"rname,omitempty"`
-	BinSize int    `json:"bin,omitempty"`
-	// Sims, Seed and Candidates configure peak calling: simulation
-	// dataset count and seed for the synthetic background, and the
-	// candidate thresholds the FDR selection sweeps.
-	Sims       int       `json:"sims,omitempty"`
-	Seed       int64     `json:"seed,omitempty"`
-	Candidates []float64 `json:"candidates,omitempty"`
-}
-
-// specLimits bound the numeric fields so a hostile spec cannot ask the
-// daemon to allocate absurd worlds or shard counts.
-const (
-	maxRanks   = 1024
-	maxWorkers = 1024
-	maxShards  = 1 << 16
-	maxSims    = 1 << 12
-	maxSpecLen = 1 << 16
-)
-
-var validOps = map[string]bool{
-	OpConvert: true, OpSort: true, OpFlagstat: true, OpHist: true, OpPeaks: true,
-}
-
-var validConverters = map[string]bool{
-	"": true, "auto": true, "sam": true, "bam": true, "psam": true,
-	"bamx": true, "bamz": true, "pamx": true,
-}
-
-// DecodeSpec parses and validates a JSON job spec. Unknown fields are
-// rejected — a misspelled option silently ignored is worse than a 400.
-func DecodeSpec(data []byte) (JobSpec, error) {
-	var spec JobSpec
-	if len(data) == 0 {
-		return spec, fmt.Errorf("daemon: empty job spec")
-	}
-	if len(data) > maxSpecLen {
-		return spec, fmt.Errorf("daemon: job spec exceeds %d bytes", maxSpecLen)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("daemon: decoding job spec: %w", err)
-	}
-	if dec.More() {
-		return spec, fmt.Errorf("daemon: trailing data after job spec")
-	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-// Validate normalizes defaults and pins the spec invariants. It does
-// not consult daemon state (fleet size, input existence) — those checks
-// happen at admission, where they can produce precise errors.
-func (s *JobSpec) Validate() error {
-	if s.Op == "" {
-		s.Op = OpConvert
-	}
-	if !validOps[s.Op] {
-		return fmt.Errorf("daemon: unknown op %q", s.Op)
-	}
-	if !validConverters[s.Converter] {
-		return fmt.Errorf("daemon: unknown converter %q", s.Converter)
-	}
-	switch {
-	case s.Ranks < 0 || s.Ranks > maxRanks:
-		return fmt.Errorf("daemon: ranks %d outside [0, %d]", s.Ranks, maxRanks)
-	case s.CodecWorkers < 0 || s.CodecWorkers > maxWorkers:
-		return fmt.Errorf("daemon: codec_workers %d outside [0, %d]", s.CodecWorkers, maxWorkers)
-	case s.ParseWorkers < 0 || s.ParseWorkers > maxWorkers:
-		return fmt.Errorf("daemon: parse_workers %d outside [0, %d]", s.ParseWorkers, maxWorkers)
-	case s.Workers < 0 || s.Workers > maxWorkers:
-		return fmt.Errorf("daemon: workers %d outside [0, %d]", s.Workers, maxWorkers)
-	case s.Shards < 0 || s.Shards > maxShards:
-		return fmt.Errorf("daemon: shards %d outside [0, %d]", s.Shards, maxShards)
-	case s.Sims < 0 || s.Sims > maxSims:
-		return fmt.Errorf("daemon: sims %d outside [0, %d]", s.Sims, maxSims)
-	case s.BinSize < 0:
-		return fmt.Errorf("daemon: negative bin size %d", s.BinSize)
-	}
-	if s.Op == OpConvert && s.Format != "" && s.Format != "bam" {
-		// "bam" is the converter's binary special case; every other
-		// target must be in the format registry. Catching a typo here
-		// turns a doomed job into a 400.
-		if _, err := formats.New(s.Format); err != nil {
-			return fmt.Errorf("daemon: %w", err)
-		}
-	}
-	if s.Region != "" {
-		if _, err := conv.ParseRegion(s.Region); err != nil {
+// distributable reports whether a spec's engine path runs the same
+// launcher call sequence on every fleet process. Only the SAM-input
+// engines qualify: the BAM/psam converters and the shard analyses
+// aggregate per-process file lists that distributed execution leaves
+// partially empty.
+func distributable(spec *JobSpec) error {
+	name := spec.InputBase()
+	switch spec.Op {
+	case OpConvert:
+		kind, err := spec.ConverterKind()
+		if err != nil {
 			return err
 		}
-	}
-	if s.InputPath != "" && s.InputName != "" {
-		return fmt.Errorf("daemon: input_path and input_name are mutually exclusive")
-	}
-	if s.InputName != "" {
-		if s.InputName != path.Base(s.InputName) || s.InputName == "." || s.InputName == ".." {
-			return fmt.Errorf("daemon: input_name %q must be a bare filename", s.InputName)
+		if kind != "sam" {
+			return fmt.Errorf("daemon: converter %q does not support fleet ranks; use converter sam or ranks 1", kind)
 		}
-	}
-	for _, c := range s.Candidates {
-		if c != c { // NaN breaks the FDR sweep's comparisons
-			return fmt.Errorf("daemon: NaN candidate threshold")
+	case OpFlagstat, OpHist:
+		if !strings.HasSuffix(name, ".sam") {
+			return fmt.Errorf("daemon: op %s over %q does not support fleet ranks; use a .sam input or ranks 1", spec.Op, name)
 		}
-	}
-	switch s.Op {
-	case OpHist, OpPeaks:
-		if s.RName == "" {
-			return fmt.Errorf("daemon: op %s requires rname", s.Op)
-		}
-		if s.BinSize == 0 {
-			s.BinSize = 100
-		}
-	}
-	if s.Op == OpPeaks {
-		if s.Sims == 0 {
-			s.Sims = 8
-		}
-		if len(s.Candidates) == 0 {
-			return fmt.Errorf("daemon: op peaks requires candidates")
-		}
+	default:
+		return fmt.Errorf("daemon: op %s does not support fleet ranks", spec.Op)
 	}
 	return nil
-}
-
-// inputName resolves the filename the job's input will carry in its
-// spool directory — the extension drives converter auto-detection.
-func (s *JobSpec) inputName() string {
-	if s.InputPath != "" {
-		return path.Base(s.InputPath)
-	}
-	if s.InputName != "" {
-		return s.InputName
-	}
-	return "input.sam"
-}
-
-// converterKind resolves Converter against the input filename the way
-// seqconvert's auto mode does.
-func (s *JobSpec) converterKind() (string, error) {
-	kind := s.Converter
-	if kind == "" || kind == "auto" {
-		name := s.inputName()
-		switch {
-		case strings.HasSuffix(name, ".sam"):
-			kind = "sam"
-		case strings.HasSuffix(name, ".bam"):
-			kind = "bam"
-		case strings.HasSuffix(name, ".bamx"):
-			kind = "bamx"
-		case strings.HasSuffix(name, ".bamz"):
-			kind = "bamz"
-		case strings.HasSuffix(name, ".pamx"):
-			kind = "pamx"
-		default:
-			return "", fmt.Errorf("daemon: cannot infer converter for %q; set converter", name)
-		}
-	}
-	return kind, nil
 }
 
 // Error is the structured JSON error body every non-2xx response

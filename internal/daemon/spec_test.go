@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"parseq/internal/engine"
 )
 
 func TestDecodeSpecValid(t *testing.T) {
@@ -17,13 +19,13 @@ func TestDecodeSpecValid(t *testing.T) {
 			if s.Op != OpConvert {
 				t.Fatalf("op = %q, want convert", s.Op)
 			}
-			if s.inputName() != "input.sam" {
-				t.Fatalf("inputName = %q", s.inputName())
+			if s.InputBase() != "input.sam" {
+				t.Fatalf("inputName = %q", s.InputBase())
 			}
 		}},
 		{"full convert surface", `{"op":"convert","converter":"sam","format":"bed","ranks":4,"codec_workers":2,"parse_workers":3,"input_name":"x.sam"}`,
 			func(t *testing.T, s JobSpec) {
-				k, err := s.converterKind()
+				k, err := s.ConverterKind()
 				if err != nil || k != "sam" {
 					t.Fatalf("kind = %q, %v", k, err)
 				}
@@ -42,7 +44,7 @@ func TestDecodeSpecValid(t *testing.T) {
 			}},
 		{"auto converter by extension", `{"input_name":"reads.bamx"}`,
 			func(t *testing.T, s JobSpec) {
-				k, err := s.converterKind()
+				k, err := s.ConverterKind()
 				if err != nil || k != "bamx" {
 					t.Fatalf("kind = %q, %v", k, err)
 				}
@@ -50,7 +52,7 @@ func TestDecodeSpecValid(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := DecodeSpec([]byte(tc.in))
+			s, err := engine.DecodeSpec([]byte(tc.in))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,9 +84,9 @@ func TestDecodeSpecInvalid(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeSpec([]byte(tc.in))
+			_, err := engine.DecodeSpec([]byte(tc.in))
 			if err == nil {
-				t.Fatalf("DecodeSpec(%q) accepted", tc.in)
+				t.Fatalf("engine.DecodeSpec(%q) accepted", tc.in)
 			}
 			if !strings.Contains(err.Error(), tc.errSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.errSub)
@@ -103,8 +105,8 @@ func TestValidateNaNCandidate(t *testing.T) {
 }
 
 func TestDecodeSpecLengthCap(t *testing.T) {
-	big := `{"input_name":"` + strings.Repeat("a", maxSpecLen) + `.sam"}`
-	if _, err := DecodeSpec([]byte(big)); err == nil {
+	big := `{"input_name":"` + strings.Repeat("a", engine.MaxSpecLen) + `.sam"}`
+	if _, err := engine.DecodeSpec([]byte(big)); err == nil {
 		t.Fatal("oversized spec accepted")
 	}
 }
@@ -131,7 +133,7 @@ func FuzzJobSpec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := DecodeSpec(data)
+		spec, err := engine.DecodeSpec(data)
 		if err != nil {
 			return
 		}
@@ -139,7 +141,7 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec does not re-encode: %v", err)
 		}
-		again, err := DecodeSpec(out)
+		again, err := engine.DecodeSpec(out)
 		if err != nil {
 			t.Fatalf("re-encoded spec %s rejected: %v", out, err)
 		}

@@ -5,7 +5,7 @@
 // sequence, the protocol is rigidly lockstep per job:
 //
 //	control round:  Bcast(0, JSON fleetJob descriptor)
-//	engine round:   runEngines — the shared routing table, so the
+//	engine round:   engine.Run — the shared routing table, so the
 //	                collective sequence matches by construction
 //	settle round:   Barrier — worker rank output files are durable
 //	                before the daemon marks the job done
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sync"
 
+	"parseq/internal/engine"
 	"parseq/internal/mpi"
 	"parseq/internal/mpinet"
 )
@@ -74,51 +75,53 @@ func DialFleet(coord string, ranks int) (*Fleet, error) {
 // Size returns the fleet's world size (daemon rank included).
 func (f *Fleet) Size() int { return f.world.Size() }
 
-// Execute runs one distributed job across the fleet and returns rank
-// 0's view of the result with the full output file list.
-func (f *Fleet) Execute(spec *JobSpec, inputPath, dir string, ranks int) (jobResult, error) {
+// Execute runs one distributed job across the fleet — env names the
+// job's input and directory — and returns rank 0's view of the result
+// with the full output file list.
+func (f *Fleet) Execute(spec *JobSpec, env engine.Env) (engine.Result, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	var none engine.Result
 	if f.down || f.world.Err() != nil {
 		f.down = true
-		return jobResult{}, fmt.Errorf("daemon: worker fleet is down: %v", f.world.Err())
+		return none, fmt.Errorf("daemon: worker fleet is down: %v", f.world.Err())
 	}
-	if ranks != f.world.Size() {
-		return jobResult{}, fmt.Errorf("daemon: job wants %d ranks, fleet has %d", ranks, f.world.Size())
+	ranks := f.world.Size()
+	if spec.Ranks != ranks {
+		return none, fmt.Errorf("daemon: job wants %d ranks, fleet has %d", spec.Ranks, ranks)
 	}
 	if err := distributable(spec); err != nil {
-		return jobResult{}, err
+		return none, err
 	}
-	desc, err := json.Marshal(fleetJob{Spec: *spec, Input: inputPath, Dir: dir})
+	desc, err := json.Marshal(fleetJob{Spec: *spec, Input: env.Input, Dir: env.OutDir})
 	if err != nil {
-		return jobResult{}, err
+		return none, err
 	}
-	launch := f.world.Launcher()
-	if err := launch(ranks, func(c *mpi.Comm) error {
+	env.Launch = f.world.Launcher()
+	if err := env.Launch(ranks, func(c *mpi.Comm) error {
 		_, err := c.Bcast(0, desc)
 		return err
 	}); err != nil {
 		f.down = true
-		return jobResult{}, fmt.Errorf("daemon: fleet control round: %w", err)
+		return none, fmt.Errorf("daemon: fleet control round: %w", err)
 	}
-	res, err := runEngines(spec, inputPath, dir, launch, ranks, 0)
+	res, err := engine.Run(*spec, env)
 	if err != nil {
 		// The failure may have struck outside a collective (an open, a
 		// stat); abort explicitly so workers drain instead of wedging.
 		f.world.Abort()
 		f.down = true
-		return jobResult{}, err
+		return none, err
 	}
-	if err := launch(ranks, func(c *mpi.Comm) error { return c.Barrier() }); err != nil {
+	if err := env.Launch(ranks, func(c *mpi.Comm) error { return c.Barrier() }); err != nil {
 		f.down = true
-		return jobResult{}, fmt.Errorf("daemon: fleet settle round: %w", err)
+		return none, fmt.Errorf("daemon: fleet settle round: %w", err)
 	}
 	if spec.Op == OpConvert {
-		files, total, err := convertOutputs(spec, dir, ranks)
-		if err != nil {
-			return jobResult{}, err
+		// Worker ranks' files are durable only now.
+		if res.Files, res.BytesOut, err = engine.ConvertOutputs(spec, env); err != nil {
+			return none, err
 		}
-		res.files, res.bytesOut = files, total
 	}
 	return res, nil
 }
@@ -195,7 +198,8 @@ func ServeWorker(w *mpinet.World, logf func(format string, args ...any)) error {
 			return nil
 		}
 		logf("worker %d: op %s input %s", w.Rank(), fj.Spec.Op, fj.Input)
-		if _, err := runEngines(&fj.Spec, fj.Input, fj.Dir, launch, w.Size(), w.Rank()); err != nil {
+		env := engine.Env{Input: fj.Input, OutDir: fj.Dir, Launch: launch, Rank: w.Rank()}
+		if _, err := engine.Run(fj.Spec, env); err != nil {
 			w.Abort() // see Fleet.Execute: unblock peers on non-collective failures
 			return fmt.Errorf("daemon: worker %d: %w", w.Rank(), err)
 		}

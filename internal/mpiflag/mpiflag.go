@@ -20,11 +20,10 @@ package mpiflag
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"parseq/internal/mpi"
 	"parseq/internal/mpinet"
-	"parseq/internal/obs"
+	"parseq/internal/obsflag"
 )
 
 // Flags holds the parsed transport flag values.
@@ -57,6 +56,36 @@ func Register(fs *flag.FlagSet) *Flags {
 type Session struct {
 	world     *mpinet.World
 	telemetry *mpi.Telemetry
+	obs       *obsflag.Session // set by Start; closed after the world
+}
+
+// Start brings up a command's telemetry and its rank world together:
+// the obs session (with its live-endpoint notice), the rendezvous, and
+// — under TCP — the cross-rank gather that puts the whole world's
+// metrics and spans behind rank 0's -metrics-addr endpoint. The
+// returned session's Close tears both down, world first so the final
+// telemetry shipment lands before the outputs are written.
+func (f *Flags) Start(name string, of *obsflag.Flags) (*Session, error) {
+	o, err := of.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	s, err := f.Connect()
+	if err != nil {
+		o.Finish()
+		return nil, err
+	}
+	s.obs = o
+	if s.world != nil {
+		// Ship metric/span deltas and heartbeats to rank 0 every
+		// heartbeat; rank 0 folds every rank's into its world view. A
+		// no-op when telemetry is disabled; in-process one registry
+		// already holds the whole world.
+		s.telemetry = mpi.StartTelemetry(s.world, mpi.TelemetryOptions{
+			View: o.View(), Interval: of.Heartbeat,
+		})
+	}
+	return s, nil
 }
 
 // Connect validates the flags and, for the TCP transport, performs the
@@ -118,29 +147,15 @@ func (s *Session) Launcher() mpi.Launcher {
 	return s.world.Launcher()
 }
 
-// StartTelemetry begins the cross-rank telemetry gather over the TCP
-// world: this rank ships metric/span deltas and heartbeats to rank 0
-// every interval (≤ 0 picks the default), and rank 0 folds every
-// rank's deltas into view — the world picture behind its /metrics and
-// /trace endpoints. A no-op in-process (one process already holds the
-// whole world's registry) or when telemetry is disabled. The returned
-// handle's Stop ships a final delta; Close calls it too.
-func (s *Session) StartTelemetry(view *obs.WorldView, interval time.Duration) *mpi.Telemetry {
-	if s.world == nil {
-		return nil
-	}
-	s.telemetry = mpi.StartTelemetry(s.world, mpi.TelemetryOptions{
-		View:     view,
-		Interval: interval,
-	})
-	return s.telemetry
-}
-
 // Close tears the world down: the telemetry loop's final shipment, a
 // clean goodbye to the peers, then the connections (TCP delivers any
 // in-flight frames before the goodbye, so a peer mid-collective is not
-// disturbed). Safe on the in-process session.
+// disturbed), and last the obs session Start opened. Safe on the
+// in-process session.
 func (s *Session) Close() error {
+	if s.obs != nil {
+		defer s.obs.Finish()
+	}
 	if s.world == nil {
 		return nil
 	}

@@ -7,7 +7,7 @@
 // observability plane: an HTTP endpoint serving /metrics, /progress,
 // /trace and /debug/pprof while the run is in flight, a runtime sampler
 // feeding the go.* gauges, and (for distributed runs, via
-// mpiflag.Session.StartTelemetry) the cross-rank telemetry gather.
+// mpiflag.Flags.Start) the cross-rank telemetry gather.
 package obsflag
 
 import (
@@ -58,6 +58,7 @@ func Register(fs *flag.FlagSet) *Flags {
 // profile or trace requested before an interrupt still reaches disk.
 type Session struct {
 	flags       *Flags
+	name        string // the command, for Open's notice and Finish's report
 	reg         *obs.Registry
 	view        *obs.WorldView
 	server      *obs.Server
@@ -113,6 +114,30 @@ func (f *Flags) Start() (*Session, error) {
 		s.handleSignals()
 	}
 	return s, nil
+}
+
+// Open is Start for a command's main: it also announces the live
+// endpoint on stderr under the command's name. Pair it with a deferred
+// Finish.
+func (f *Flags) Open(name string) (*Session, error) {
+	s, err := f.Start()
+	if err != nil {
+		return nil, err
+	}
+	s.name = name
+	if addr := s.ServerAddr(); addr != "" {
+		fmt.Fprintf(os.Stderr, "%s: serving metrics on http://%s/metrics\n", name, addr)
+	}
+	return s, nil
+}
+
+// Finish closes the session and reports a failed output write on
+// stderr — the deferred tail of a main, which has no one to return the
+// error to.
+func (s *Session) Finish() {
+	if err := s.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", s.name, err)
+	}
 }
 
 // Registry returns the session's registry, or nil when telemetry is

@@ -144,6 +144,12 @@ func (p *Pipe[J]) drainLoop() {
 		p.out <- j
 	}
 	p.wg.Wait()
+	// Every job has signalled done and every worker has returned, so
+	// nothing reads fn again. Drop it: the ticket sync.Pool keeps the
+	// Pipe itself reachable for two more GC cycles, and whatever fn
+	// captured (a conversion's sink and its write buffer, say) must not
+	// ride along.
+	p.fn = nil
 	close(p.out)
 }
 

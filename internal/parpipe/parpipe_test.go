@@ -121,3 +121,48 @@ func TestGoroutinesExitAfterDrain(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after drain", before, g)
 	}
 }
+
+// A drained pipe must let go of its worker func: the ticket sync.Pool
+// keeps the Pipe reachable for two more GC cycles, and whatever fn
+// captured (a conversion's 1 MiB write buffer, once) must not stay
+// resident with it. One GC after Out closes, the capture is gone.
+func TestDrainedPipeReleasesFn(t *testing.T) {
+	pool := NewPool(2, 2, 4)
+	defer pool.Close()
+	builders := map[string]func(fn func(*job)) *Pipe[*job]{
+		"New":       func(fn func(*job)) *Pipe[*job] { return New(2, 4, fn) },
+		"NewOnPool": func(fn func(*job)) *Pipe[*job] { return NewOnPool(pool, 4, fn, nil, "") },
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			freed := make(chan struct{})
+			p := drainWithCapture(build, freed)
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("value captured by fn still reachable one GC after Out closed")
+			}
+			runtime.KeepAlive(p) // the pipe outliving its fn is the point
+		})
+	}
+}
+
+// drainWithCapture runs a pipe whose fn captures a finalizable value to
+// completion; only the pipe survives the call.
+//
+//go:noinline
+func drainWithCapture(build func(func(*job)) *Pipe[*job], freed chan struct{}) *Pipe[*job] {
+	captured := new([1 << 16]byte)
+	runtime.SetFinalizer(captured, func(*[1 << 16]byte) { close(freed) })
+	p := build(func(j *job) { j.out = j.in + int(captured[0]) })
+	go func() {
+		for i := 0; i < 10; i++ {
+			p.Submit(&job{in: i})
+		}
+		p.Close()
+	}()
+	for range p.Out() {
+	}
+	return p
+}

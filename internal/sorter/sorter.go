@@ -36,21 +36,20 @@ type Options struct {
 	// the parallel record decoder (bam.ParallelScanner) — while spilled
 	// runs and merge readers share it, clamped per stream so many runs
 	// do not multiply the goroutine count. 0 selects the adaptive
-	// default (bgzf.AutoWorkers); 1 forces the sequential paths.
-	// Orthogonal to Cores, exactly as in the converter runtime.
+	// default (bgzf.AutoWorkers) and — as in the converter's shard
+	// writers — attaches the short-lived spill and merge writers to the
+	// process-wide bgzf.SharedPool, so many parallel spill workers keep
+	// the codec goroutine count at the pool's throughput-sized level
+	// rather than Cores × per-stream; an explicit count keeps private
+	// per-stream pools, and 1 forces the sequential paths. Orthogonal
+	// to Cores, exactly as in the converter runtime.
 	CodecWorkers int
-	// SharedCodec attaches the spill and merge BGZF writers to the
-	// process-wide bgzf shared deflate pool (bgzf.SharedPool) instead
-	// of giving each short-lived stream its own CodecWorkers
-	// goroutines. With many parallel spill workers this keeps the
-	// codec goroutine count at the pool's throughput-sized level
-	// rather than Cores × per-stream. It defaults on whenever
-	// CodecWorkers is left adaptive, matching the converter's shard
-	// writers; an explicit CodecWorkers keeps private per-stream pools.
-	SharedCodec bool
 }
 
-func (o *Options) normalize() {
+// normalize resolves the defaults and reports whether CodecWorkers was
+// left adaptive, which puts the spill and merge writers on the shared
+// deflate pool.
+func (o *Options) normalize() (sharedCodec bool) {
 	if o.ChunkRecords < 1 {
 		o.ChunkRecords = 100_000
 	}
@@ -59,8 +58,9 @@ func (o *Options) normalize() {
 	}
 	if o.CodecWorkers <= 0 {
 		o.CodecWorkers = bgzf.AutoWorkers()
-		o.SharedCodec = true
+		sharedCodec = true
 	}
+	return sharedCodec
 }
 
 // perStreamWorkers divides one codec worker budget across streams that
@@ -114,7 +114,7 @@ type recordSource interface {
 
 // SortSAMToBAM sorts a SAM file into a coordinate-sorted BAM file.
 func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
-	opts.normalize()
+	shared := opts.normalize()
 	in, err := os.Open(samPath)
 	if err != nil {
 		return 0, err
@@ -124,14 +124,14 @@ func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sortToBAM(src, outPath, opts)
+	return sortToBAM(src, outPath, opts, shared)
 }
 
 // SortBAM sorts a BAM file into a coordinate-sorted BAM file. With more
 // than one codec worker the input decodes through bam.ParallelScanner —
 // record order and output bytes stay identical to the sequential path.
 func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
-	opts.normalize()
+	shared := opts.normalize()
 	in, err := os.Open(bamPath)
 	if err != nil {
 		return 0, err
@@ -145,14 +145,13 @@ func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 	if opts.CodecWorkers > 1 {
 		sc := bam.NewParallelScanner(src, opts.CodecWorkers)
 		defer sc.Close() // runs before src.Close: the scanner owns the stream
-		return sortToBAM(sc, outPath, opts)
+		return sortToBAM(sc, outPath, opts, shared)
 	}
-	return sortToBAM(src, outPath, opts)
+	return sortToBAM(src, outPath, opts, shared)
 }
 
-// sortToBAM drives the external merge sort.
-func sortToBAM(src recordSource, outPath string, opts Options) (int64, error) {
-	opts.normalize()
+// sortToBAM drives the external merge sort over normalized opts.
+func sortToBAM(src recordSource, outPath string, opts Options, sharedCodec bool) (int64, error) {
 	header := src.Header().Clone()
 	header.SortOrder = sam.SortCoordinate
 
@@ -184,7 +183,7 @@ func sortToBAM(src recordSource, outPath string, opts Options) (int64, error) {
 			for j := range jobs {
 				SortRecords(header, j.recs)
 				path := filepath.Join(tmpDir, fmt.Sprintf("run%06d.bam", j.idx))
-				if err := writeRun(path, header, j.recs, spillWorkers, opts.SharedCodec); err != nil {
+				if err := writeRun(path, header, j.recs, spillWorkers, sharedCodec); err != nil {
 					workerErr[worker] = err
 					// Drain remaining jobs so the producer never blocks.
 					continue
@@ -238,7 +237,7 @@ func sortToBAM(src recordSource, outPath string, opts Options) (int64, error) {
 	// Phase 2: k-way merge of the sorted runs.
 	merge := ph.Start(0, "sort.merge")
 	sort.Strings(runPaths)
-	if err := mergeRuns(runPaths, header, outPath, opts.CodecWorkers, opts.SharedCodec); err != nil {
+	if err := mergeRuns(runPaths, header, outPath, opts.CodecWorkers, sharedCodec); err != nil {
 		return 0, err
 	}
 	merge.End()

@@ -258,23 +258,16 @@ func TestSortSharedCodecDefaultIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CodecWorkers 0 selects the adaptive count and the shared pool for
-	// spills and the merge; an explicit SharedCodec with a fixed budget
-	// must agree too.
-	for _, opts := range []Options{
-		{ChunkRecords: 100, Cores: 2},
-		{ChunkRecords: 100, Cores: 2, CodecWorkers: 3, SharedCodec: true},
-	} {
-		out := filepath.Join(dir, fmt.Sprintf("shared%d.bam", opts.CodecWorkers))
-		if _, err := SortSAMToBAM(samPath, out, opts); err != nil {
-			t.Fatalf("shared sort (workers=%d): %v", opts.CodecWorkers, err)
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("shared-codec output (workers=%d) differs from sequential (%d vs %d bytes)",
-				opts.CodecWorkers, len(got), len(want))
-		}
+	// spills and the merge.
+	out := filepath.Join(dir, "shared.bam")
+	if _, err := SortSAMToBAM(samPath, out, Options{ChunkRecords: 100, Cores: 2}); err != nil {
+		t.Fatalf("shared sort: %v", err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("shared-codec output differs from sequential (%d vs %d bytes)", len(got), len(want))
 	}
 }

@@ -102,14 +102,6 @@ func PreprocessBAM(bamPath, bamxPath, baixPath string) (*PreprocessResult, error
 	return conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, 0)
 }
 
-// PreprocessBAMWorkers is PreprocessBAM with BGZF block inflation
-// pipelined over codecWorkers goroutines. The record scan itself stays
-// sequential — the BAM format forces that — but the codec underneath it
-// parallelises, which is where most of the preprocessing time goes.
-func PreprocessBAMWorkers(bamPath, bamxPath, baixPath string, codecWorkers int) (*PreprocessResult, error) {
-	return conv.PreprocessBAMFile(bamPath, bamxPath, baixPath, codecWorkers)
-}
-
 // ConvertBAM is the complete BAM format converter: sequential
 // preprocessing into a temporary BAMX/BAIX pair under opts.OutDir, then
 // parallel conversion. PreprocessTime reports the sequential phase
@@ -130,14 +122,7 @@ func ConvertBAMX(bamxPath, baixPath string, opts Options) (*Result, error) {
 // preprocessing: the SAM input becomes `cores` BAMX files with BAIX
 // indices, one per rank.
 func PreprocessSAM(samPath, outDir, prefix string, cores int) (*PreprocessResult, error) {
-	return PreprocessSAMLaunch(samPath, outDir, prefix, cores, nil)
-}
-
-// PreprocessSAMLaunch is PreprocessSAM with an explicit rank launcher —
-// pass a distributed world's launcher (mpiflag / internal/mpinet) to
-// preprocess across processes; nil selects the in-process runtime.
-func PreprocessSAMLaunch(samPath, outDir, prefix string, cores int, launch mpi.Launcher) (*PreprocessResult, error) {
-	return conv.PreprocessSAMParallel(samPath, Options{OutDir: outDir, OutPrefix: prefix, Cores: cores, Launch: launch})
+	return conv.PreprocessSAMParallel(samPath, Options{OutDir: outDir, OutPrefix: prefix, Cores: cores})
 }
 
 // ConvertPreprocessed converts previously generated BAMX shards.
@@ -163,23 +148,11 @@ func MergeBAMShards(shardPaths []string, outPath string) (int64, error) {
 	return conv.MergeBAMShards(shardPaths, outPath, 0)
 }
 
-// MergeBAMShardsWorkers is MergeBAMShards with codecWorkers BGZF
-// goroutines on both the shard decode and the fused encode.
-func MergeBAMShardsWorkers(shardPaths []string, outPath string, codecWorkers int) (int64, error) {
-	return conv.MergeBAMShards(shardPaths, outPath, codecWorkers)
-}
-
 // CompressBAMX rewrites a plain BAMX file as the block-compressed BAMZ
 // variant (the paper's Section VII compression extension), preserving
 // record indices so existing BAIX indices keep working.
 func CompressBAMX(bamxPath, bamzPath string, recsPerBlock int) (int64, error) {
 	return conv.CompressBAMXFile(bamxPath, bamzPath, recsPerBlock)
-}
-
-// CompressBAMXWorkers is CompressBAMX with block deflation fanned out
-// over `workers` goroutines; the output is byte-identical.
-func CompressBAMXWorkers(bamxPath, bamzPath string, recsPerBlock, workers int) (int64, error) {
-	return conv.CompressBAMXFileWorkers(bamxPath, bamzPath, recsPerBlock, workers)
 }
 
 // ConvertBAMZ is ConvertBAMX for compressed BAMX files: each rank
