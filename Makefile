@@ -39,10 +39,13 @@ fuzz-kern:
 	$(GO) test -run '^$$' -fuzz 'FuzzShiftQual' -fuzztime 10s ./internal/kern
 	$(GO) test -run '^$$' -fuzz 'FuzzParseUint' -fuzztime 10s ./internal/kern
 
-# Short fuzz pass over the BAI reader: corrupt index bytes must error,
-# never panic, and every accepted index must re-serialise byte-for-byte.
+# Short fuzz passes over the BAI and BAIX readers: corrupt index bytes
+# must error, never panic, and every accepted index must re-serialise
+# byte-for-byte; an accepted BAIX must also walk a matching BAMX file or
+# be rejected as out of range.
 fuzz-index:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadIndex' -fuzztime 10s ./internal/bam
+	$(GO) test -run '^$$' -fuzz 'FuzzBAIXParse' -fuzztime 10s ./internal/bamx
 
 # Short fuzz pass over the PAMX footer decoder: corrupt footers must
 # error, never panic, and every accepted footer must re-encode

@@ -178,10 +178,8 @@ func runRegion(path, regionSpec string) {
 	defer f.Close()
 	baixPath := strings.TrimSuffix(path, ".bamx") + ".baix"
 	var idx *bamx.Index
-	if ixf, err := os.Open(baixPath); err == nil {
-		idx, err = bamx.ReadIndex(ixf)
-		ixf.Close()
-		if err != nil {
+	if data, err := os.ReadFile(baixPath); err == nil {
+		if idx, err = bamx.ParseIndex(data); err != nil {
 			die(err)
 		}
 	} else {
@@ -205,9 +203,14 @@ func runRegion(path, regionSpec string) {
 	fmt.Printf("%s: %d records start in %s\n", path, hi-lo, regionSpec)
 	var rec sam.Record
 	w := io.Writer(os.Stdout)
-	for _, e := range idx.Entries()[lo:hi] {
-		if err := xf.ReadRecord(e.Index, &rec); err != nil {
+	scan := xf.ScanEntries(idx.Entries()[lo:hi])
+	for {
+		ok, err := scan.Next(&rec)
+		if err != nil {
 			die(err)
+		}
+		if !ok {
+			break
 		}
 		fmt.Fprintln(w, rec.String())
 	}

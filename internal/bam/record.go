@@ -283,6 +283,20 @@ func decodeTags(aux []byte, rec *sam.Record) error {
 	return nil
 }
 
+// tagWidth is the encoded size of one numeric tag value of the given
+// type, 0 for a type that is not numeric.
+func tagWidth(typ byte) int {
+	switch typ {
+	case 'c', 'C':
+		return 1
+	case 's', 'S':
+		return 2
+	case 'i', 'I', 'f':
+		return 4
+	}
+	return 0
+}
+
 func decodeTagValue(aux []byte, tag sam.Tag, typ byte) ([]byte, sam.Tag, error) {
 	intVal := func(n int, signed bool) (int64, error) {
 		if len(aux) < n {
@@ -314,7 +328,7 @@ func decodeTagValue(aux []byte, tag sam.Tag, typ byte) ([]byte, sam.Tag, error) 
 		tag.Value = string(aux[:1])
 		return aux[1:], tag, nil
 	case 'c', 'C', 's', 'S', 'i', 'I':
-		width := map[byte]int{'c': 1, 'C': 1, 's': 2, 'S': 2, 'i': 4, 'I': 4}[typ]
+		width := tagWidth(typ)
 		signed := typ == 'c' || typ == 's' || typ == 'i'
 		v, err := intVal(width, signed)
 		if err != nil {
@@ -349,7 +363,7 @@ func decodeTagValue(aux []byte, tag sam.Tag, typ byte) ([]byte, sam.Tag, error) 
 		sub := aux[0]
 		count := int(binary.LittleEndian.Uint32(aux[1:]))
 		aux = aux[5:]
-		width := map[byte]int{'c': 1, 'C': 1, 's': 2, 'S': 2, 'i': 4, 'I': 4, 'f': 4}[sub]
+		width := tagWidth(sub)
 		if width == 0 {
 			return nil, tag, fmt.Errorf("%w: B tag subtype %c", ErrInvalidRecord, sub)
 		}

@@ -124,20 +124,31 @@ func padRecord(dst, body []byte, caps Caps) error {
 	return nil
 }
 
-// unpadRecord reassembles a contiguous BAM record body from a
-// fixed-stride BAMX record, appending to dst.
-func unpadRecord(dst, rec []byte, caps Caps) ([]byte, error) {
+// rawLens reads a fixed-stride record's variable-section lengths and
+// checks them against the caps; every view of a raw record goes through
+// it, so a corrupt length is an ErrCorrupt under any projection.
+func rawLens(rec []byte, caps Caps) (nameLen, nCigar, seqLen, auxLen int, err error) {
 	if len(rec) != caps.Stride() {
-		return nil, fmt.Errorf("%w: record of %d bytes, stride %d", ErrCorrupt, len(rec), caps.Stride())
+		return 0, 0, 0, 0, fmt.Errorf("%w: record of %d bytes, stride %d", ErrCorrupt, len(rec), caps.Stride())
 	}
-	nameLen := int(rec[8])
-	nCigar := int(binary.LittleEndian.Uint16(rec[12:]))
-	seqLen := int(int32(binary.LittleEndian.Uint32(rec[16:])))
-	auxLen := int(int32(binary.LittleEndian.Uint32(rec[32:])))
+	nameLen = int(rec[8])
+	nCigar = int(binary.LittleEndian.Uint16(rec[12:]))
+	seqLen = int(int32(binary.LittleEndian.Uint32(rec[16:])))
+	auxLen = int(int32(binary.LittleEndian.Uint32(rec[32:])))
 	if nameLen > caps.QName || nCigar > caps.CigarOps ||
 		seqLen < 0 || seqLen > caps.Seq ||
 		auxLen < 0 || auxLen > caps.Aux {
-		return nil, fmt.Errorf("%w: lengths exceed caps", ErrCorrupt)
+		return 0, 0, 0, 0, fmt.Errorf("%w: lengths exceed caps", ErrCorrupt)
+	}
+	return nameLen, nCigar, seqLen, auxLen, nil
+}
+
+// unpadRecord reassembles a contiguous BAM record body from a
+// fixed-stride BAMX record, appending to dst.
+func unpadRecord(dst, rec []byte, caps Caps) ([]byte, error) {
+	nameLen, nCigar, seqLen, auxLen, err := rawLens(rec, caps)
+	if err != nil {
+		return nil, err
 	}
 	dst = append(dst, rec[:32]...)
 	off := prefixSize
@@ -305,11 +316,8 @@ func (f *File) ReadRecord(i int64, rec *sam.Record) error {
 	if err := f.ReadRaw(i, buf); err != nil {
 		return err
 	}
-	body, err := unpadRecord(nil, buf, f.caps)
-	if err != nil {
-		return err
-	}
-	return bam.DecodeRecord(body, rec, f.header)
+	_, err := f.DecodeInto(buf, nil, rec)
+	return err
 }
 
 // ReadRaw reads the fixed-stride bytes of record i into buf, which must
@@ -325,19 +333,23 @@ func (f *File) ReadRaw(i int64, buf []byte) error {
 	return err
 }
 
-// Decode converts the raw fixed-stride bytes of one record into rec.
-func (f *File) Decode(raw []byte, rec *sam.Record) error {
-	body, err := unpadRecord(nil, raw, f.caps)
-	if err != nil {
-		return err
-	}
-	return bam.DecodeRecord(body, rec, f.header)
-}
-
 // AppendBody reassembles the contiguous BAM record body from one raw
 // fixed-stride record, appending to dst — the zero-decode path for
 // body-level tallies over BAMX shards. Callers reuse dst across records
 // to keep the loop allocation-free.
 func (f *File) AppendBody(dst, raw []byte) ([]byte, error) {
 	return unpadRecord(dst, raw, f.caps)
+}
+
+// RawCigar validates one raw fixed-stride record as AppendBody does and
+// returns its CIGAR operations in place: with the 32-byte fixed prefix
+// at raw[:32] they are everything a coordinate/coverage tally reads, at
+// constant offsets, with no reassembly.
+func (f *File) RawCigar(raw []byte) ([]byte, error) {
+	_, nCigar, _, _, err := rawLens(raw, f.caps)
+	if err != nil {
+		return nil, err
+	}
+	off := prefixSize + f.caps.QName
+	return raw[off : off+4*nCigar], nil
 }

@@ -563,22 +563,18 @@ func CompressBAMXWorkers(src *File, w io.Writer, recsPerBlock, workers int) (int
 	if err != nil {
 		return 0, err
 	}
-	raw := make([]byte, src.Stride())
-	body := make([]byte, 0, src.Stride())
-	for i := int64(0); i < src.NumRecords(); i++ {
-		if err := src.ReadRaw(i, raw); err != nil {
+	sc := src.Scan(0, src.NumRecords())
+	for {
+		body, err := sc.NextBody()
+		if err == io.EOF {
+			return cw.Count(), cw.Close()
+		}
+		if err == nil {
+			err = cw.WriteEncoded(body)
+		}
+		if err != nil {
 			cw.Close() // release deflate workers on the abandoned writer
 			return 0, err
 		}
-		body, err = unpadRecord(body[:0], raw, src.Caps())
-		if err != nil {
-			cw.Close()
-			return 0, err
-		}
-		if err := cw.WriteEncoded(body); err != nil {
-			cw.Close()
-			return 0, err
-		}
 	}
-	return cw.Count(), cw.Close()
 }

@@ -130,12 +130,18 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// ReadIndex parses a BAIX file.
+// ReadIndex parses a BAIX stream. Callers holding a path load it with
+// one sized read (os.ReadFile) and call ParseIndex.
 func ReadIndex(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	return ParseIndex(data)
+}
+
+// ParseIndex parses the bytes of a BAIX file.
+func ParseIndex(data []byte) (*Index, error) {
 	if len(data) < len(baixMagic)+8 || string(data[:len(baixMagic)]) != string(baixMagic) {
 		return nil, errors.New("bamx: bad BAIX magic")
 	}

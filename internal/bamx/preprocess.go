@@ -138,16 +138,19 @@ func BuildFromRecords(w io.Writer, h *sam.Header, recs []sam.Record) (*Index, er
 // for when the sidecar index is missing.
 func BuildIndex(f *File) (*Index, error) {
 	var entries []Entry
-	buf := make([]byte, f.Stride())
-	for i := int64(0); i < f.NumRecords(); i++ {
-		if err := f.ReadRaw(i, buf); err != nil {
+	sc := f.Scan(0, f.NumRecords())
+	for i := int64(0); ; i++ {
+		raw, err := sc.NextRaw()
+		if err == io.EOF {
+			return NewIndex(entries), nil
+		}
+		if err != nil {
 			return nil, err
 		}
-		refID := int32(binary.LittleEndian.Uint32(buf[0:]))
-		pos := int32(binary.LittleEndian.Uint32(buf[4:])) + 1
+		refID := int32(binary.LittleEndian.Uint32(raw[0:]))
+		pos := int32(binary.LittleEndian.Uint32(raw[4:])) + 1
 		if refID >= 0 {
 			entries = append(entries, Entry{RefID: refID, Pos: pos, Index: i})
 		}
 	}
-	return NewIndex(entries), nil
 }

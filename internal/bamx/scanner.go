@@ -8,13 +8,18 @@ import (
 	"parseq/internal/sam"
 )
 
-// Scanner streams a contiguous range of BAMX records with large chunked
-// reads, so the per-record cost is a decode, not a syscall. This is the
-// read path of the parallel conversion phase: each rank scans its
-// partition's record range.
+// Scanner streams BAMX records with large chunked reads, so the
+// per-record cost is a decode, not a syscall. It is the one read path
+// under every BAMX walk: a physical range (Scan: a rank's partition) or
+// the records a BAIX entry slice points at, in entry order (ScanEntries:
+// partial conversion, region shards). Physically adjacent entries
+// coalesce into one read of up to scanChunkBytes; a non-adjacent entry
+// starts a new read, so an unsorted file degrades to one read per
+// record and stays correct.
 type Scanner struct {
 	f        *File
-	next, hi int64
+	entries  []Entry // ScanEntries walk; nil for a physical range
+	next, hi int64   // cursor and end: physical records, or positions in entries
 	stride   int
 	buf      []byte // chunk of whole records
 	off      int    // read position within buf
@@ -28,54 +33,82 @@ const scanChunkBytes = 1 << 20
 
 // Scan returns a Scanner over records [lo, hi).
 func (f *File) Scan(lo, hi int64) *Scanner {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > f.count {
-		hi = f.count
-	}
-	stride := f.caps.Stride()
-	perChunk := scanChunkBytes / stride
-	if perChunk < 1 {
-		perChunk = 1
-	}
-	return &Scanner{
-		f:      f,
-		next:   lo,
-		hi:     hi,
-		stride: stride,
-		buf:    make([]byte, 0, perChunk*stride),
-	}
+	return f.scanner(nil, max(lo, 0), min(hi, f.count))
 }
 
-// NextBody returns the next record's contiguous BAM body (without the
-// block_size prefix) without decoding it, or io.EOF at the end of the
-// range — the zero-decode path container-to-container conversions use.
-// The slice is valid until the next call.
-func (s *Scanner) NextBody() ([]byte, error) {
+// ScanEntries returns a Scanner over the records entries point at, in
+// entry order.
+func (f *File) ScanEntries(entries []Entry) *Scanner {
+	return f.scanner(entries, 0, int64(len(entries)))
+}
+
+// scanner sizes the chunk to the walk, not a flat megabyte: a small
+// shard or region holds only the records it will read.
+func (f *File) scanner(entries []Entry, lo, hi int64) *Scanner {
+	stride := f.caps.Stride()
+	n := min(max(int64(scanChunkBytes/stride), 1), max(hi-lo, 0))
+	return &Scanner{f: f, entries: entries, next: lo, hi: hi, stride: stride,
+		buf: make([]byte, 0, n*int64(stride))}
+}
+
+// fill reads the next run of physically adjacent records into buf.
+func (s *Scanner) fill() error {
+	if s.next >= s.hi {
+		return io.EOF
+	}
+	first, n := s.next, min(s.hi-s.next, int64(cap(s.buf)/s.stride))
+	if s.entries != nil {
+		first = s.entries[s.next].Index
+		run := int64(1)
+		for run < n && s.entries[s.next+run].Index == first+run {
+			run++
+		}
+		n = run
+	}
+	if first < 0 || first >= s.f.count {
+		return fmt.Errorf("bamx: record %d out of range [0, %d)", first, s.f.count)
+	}
+	// A run crossing end-of-data stops at it; the next fill reports the
+	// first record past the end.
+	n = min(n, s.f.count-first)
+	s.buf = s.buf[:n*int64(s.stride)]
+	if got, err := s.f.r.ReadAt(s.buf, s.f.dataStart+first*int64(s.stride)); got < len(s.buf) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("bamx: scan read at record %d: %w", first, err)
+	}
+	s.next += n
+	s.off = 0
+	return nil
+}
+
+// NextRaw returns the next record's fixed-stride bytes, or io.EOF at
+// the end of the walk. The slice aliases the chunk and is valid until
+// the next call.
+func (s *Scanner) NextRaw() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
 	if s.off == len(s.buf) {
-		if s.next >= s.hi {
-			return nil, io.EOF
-		}
-		n := int64(cap(s.buf) / s.stride)
-		if s.next+n > s.hi {
-			n = s.hi - s.next
-		}
-		s.buf = s.buf[:n*int64(s.stride)]
-		offset := s.f.dataStart + s.next*int64(s.stride)
-		if _, err := s.f.r.ReadAt(s.buf, offset); err != nil && err != io.EOF {
-			s.err = fmt.Errorf("bamx: scan read at record %d: %w", s.next, err)
+		if s.err = s.fill(); s.err != nil {
 			return nil, s.err
 		}
-		s.next += n
-		s.off = 0
 	}
 	raw := s.buf[s.off : s.off+s.stride]
 	s.off += s.stride
-	var err error
+	return raw, nil
+}
+
+// NextBody returns the next record's contiguous BAM body (without the
+// block_size prefix) without decoding it, or io.EOF at the end of the
+// walk — the zero-decode path container-to-container conversions use.
+// The slice is valid until the next call.
+func (s *Scanner) NextBody() ([]byte, error) {
+	raw, err := s.NextRaw()
+	if err != nil {
+		return nil, err
+	}
 	s.body, err = unpadRecord(s.body[:0], raw, s.f.caps)
 	if err != nil {
 		s.err = err
@@ -85,7 +118,7 @@ func (s *Scanner) NextBody() ([]byte, error) {
 }
 
 // Next decodes the next record into rec, reporting false at the end of
-// the range.
+// the walk.
 func (s *Scanner) Next(rec *sam.Record) (bool, error) {
 	body, err := s.NextBody()
 	if err == io.EOF {
@@ -103,8 +136,7 @@ func (s *Scanner) Next(rec *sam.Record) (bool, error) {
 
 // DecodeInto converts the raw fixed-stride bytes of one record into rec,
 // reusing body as scratch; it returns the (possibly grown) scratch for
-// the next call. It is the allocation-light path for non-contiguous
-// access (region entries).
+// the next call.
 func (f *File) DecodeInto(raw, body []byte, rec *sam.Record) ([]byte, error) {
 	body, err := unpadRecord(body[:0], raw, f.caps)
 	if err != nil {

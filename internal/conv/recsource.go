@@ -48,24 +48,11 @@ func openPlain(path string, _ *Options) (recordFile, func(), error) {
 
 func (p plainFile) reader(entries []bamx.Entry, lo, hi int) func(*sam.Record) (bool, error) {
 	if entries == nil {
-		// Contiguous partition: chunked scan, one read per megabyte.
 		return p.Scan(int64(lo), int64(hi)).Next
 	}
-	// Region entries may be non-contiguous; random access with
-	// reusable buffers.
-	raw := make([]byte, p.Stride())
-	var body []byte
-	return func(rec *sam.Record) (bool, error) {
-		if lo >= hi {
-			return false, nil
-		}
-		err := p.ReadRaw(entries[lo].Index, raw)
-		if err == nil {
-			body, err = p.DecodeInto(raw, body, rec)
-		}
-		lo++
-		return true, err
-	}
+	// Region entries of a sorted file are physically adjacent, so this
+	// too is about one read per megabyte.
+	return p.ScanEntries(entries[lo:hi]).Next
 }
 
 func (p plainFile) rebuildIndex() (*bamx.Index, error) { return bamx.BuildIndex(p.File) }
@@ -137,11 +124,10 @@ func openSized(path string) (*os.File, int64, error) {
 // missing — rebuilding it.
 func regionEntries(rf recordFile, baixPath string, r *Region) ([]bamx.Entry, error) {
 	var idx *bamx.Index
-	ixf, err := os.Open(baixPath)
+	data, err := os.ReadFile(baixPath)
 	switch {
 	case err == nil:
-		idx, err = bamx.ReadIndex(ixf)
-		ixf.Close()
+		idx, err = bamx.ParseIndex(data)
 	case baixPath == "" || os.IsNotExist(err):
 		idx, err = rf.rebuildIndex()
 	}

@@ -3,13 +3,13 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
 
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
+	"parseq/internal/formats/pamx"
 	"parseq/internal/sam"
 )
 
@@ -18,6 +18,11 @@ import (
 // bytes — so shards split entry ranges evenly instead of estimating
 // from compression. One read-only file handle is shared by every
 // reader: ReadAt is position-less and safe concurrently.
+//
+// The stride also puts every field at a constant offset, so the
+// provider is a Projector: under FieldCoord or FieldCoord|FieldCigar
+// readers lift the fixed prefix (and the CIGAR) out of the chunk instead
+// of reassembling the record; wider projections return full bodies.
 type BAMXProvider struct {
 	path     string
 	baixPath string
@@ -26,6 +31,7 @@ type BAMXProvider struct {
 	osf    *os.File
 	file   *bamx.File
 	index  *bamx.Index
+	fields pamx.Fields
 	loaded bool
 }
 
@@ -36,7 +42,17 @@ func NewBAMXProvider(path string) *BAMXProvider {
 	return &BAMXProvider{
 		path:     path,
 		baixPath: strings.TrimSuffix(path, ".bamx") + ".baix",
+		fields:   pamx.FieldAll,
 	}
+}
+
+// Project narrows the view readers return to fields (the fixed prefix
+// is always present). Shard weights do not change: a fixed-stride read
+// moves every byte of a record whatever the view.
+func (p *BAMXProvider) Project(fields pamx.Fields) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fields = fields | pamx.FieldCoord
 }
 
 func (p *BAMXProvider) load() error {
@@ -60,10 +76,8 @@ func (p *BAMXProvider) load() error {
 		return err
 	}
 	var idx *bamx.Index
-	if inf, err := os.Open(p.baixPath); err == nil {
-		idx, err = bamx.ReadIndex(inf)
-		inf.Close()
-		if err != nil {
+	if data, err := os.ReadFile(p.baixPath); err == nil {
+		if idx, err = bamx.ParseIndex(data); err != nil {
 			f.Close()
 			return fmt.Errorf("shard: reading %s: %w", p.baixPath, err)
 		}
@@ -159,51 +173,50 @@ func (p *BAMXProvider) GenerateShards(opts Options) ([]Shard, error) {
 	return shards, nil
 }
 
-// bamxShardReader iterates one shard's records by random access: BAIX
-// entry positions for region shards, the physical tail range for the
-// unmapped shard (filtered to refID < 0 as defence in depth).
+// bamxShardReader iterates one shard's records through the file's
+// run-coalescing scanner: the BAIX entries of a region shard, or the
+// physical tail range for the unmapped shard (filtered to refID < 0 as
+// defence in depth).
 type bamxShardReader struct {
-	file    *bamx.File
-	entries []bamx.Entry // region shards; nil for the tail
-	pos     int
-	phys    int64 // tail cursor
-	physHi  int64
-	tail    bool
-	raw     []byte
-	body    []byte
+	file   *bamx.File
+	sc     *bamx.Scanner
+	fields pamx.Fields
+	tail   bool
+	body   []byte // reassembled-view scratch
 }
 
+// NextBody returns the next record under the projection. The narrow
+// views follow pamx.GroupReader.NextBody's convention — the fixed
+// prefix with a placeholder name (l_read_name = 1, one NUL), l_seq = 0,
+// and the CIGAR or n_cigar = 0 — after the same lengths-vs-caps check
+// the full reassembly makes.
 func (r *bamxShardReader) NextBody() ([]byte, error) {
-	for {
-		var idx int64
-		if r.tail {
-			if r.phys >= r.physHi {
-				return nil, io.EOF
-			}
-			idx = r.phys
-			r.phys++
-		} else {
-			if r.pos >= len(r.entries) {
-				return nil, io.EOF
-			}
-			idx = r.entries[r.pos].Index
-			r.pos++
-		}
-		if err := r.file.ReadRaw(idx, r.raw); err != nil {
-			return nil, err
-		}
-		var err error
-		r.body, err = r.file.AppendBody(r.body[:0], r.raw)
-		if err != nil {
-			return nil, err
-		}
-		if r.tail {
-			if refID := int32(binary.LittleEndian.Uint32(r.body[0:])); refID >= 0 {
-				continue
-			}
-		}
-		return r.body, nil
+	raw, err := r.sc.NextRaw()
+	for r.tail && err == nil && int32(binary.LittleEndian.Uint32(raw)) >= 0 {
+		raw, err = r.sc.NextRaw()
 	}
+	if err != nil {
+		return nil, err
+	}
+	if r.fields&^(pamx.FieldCoord|pamx.FieldCigar) != 0 {
+		r.body, err = r.file.AppendBody(r.body[:0], raw)
+		return r.body, err
+	}
+	cigar, err := r.file.RawCigar(raw)
+	if err != nil {
+		return nil, err
+	}
+	body := append(r.body[:0], raw[:32]...)
+	body = append(body, 0)
+	body[8] = 1
+	binary.LittleEndian.PutUint32(body[16:], 0)
+	if r.fields.Has(pamx.FieldCigar) {
+		body = append(body, cigar...)
+	} else {
+		binary.LittleEndian.PutUint16(body[12:], 0)
+	}
+	r.body = body
+	return body, nil
 }
 
 func (r *bamxShardReader) ReadInto(rec *sam.Record) error {
@@ -222,20 +235,20 @@ func (p *BAMXProvider) NewReader(sh Shard) (RecordReader, error) {
 	if err := p.load(); err != nil {
 		return nil, err
 	}
-	r := &bamxShardReader{
-		file: p.file,
-		raw:  make([]byte, p.file.Stride()),
+	p.mu.Lock()
+	r := &bamxShardReader{file: p.file, fields: p.fields, tail: sh.Unmapped()}
+	p.mu.Unlock()
+	n := int64(p.index.Len())
+	if r.tail {
+		n = p.file.NumRecords()
 	}
-	if sh.Unmapped() {
-		r.tail = true
-		r.phys, r.physHi = sh.RecLo, sh.RecHi
+	if sh.RecLo < 0 || sh.RecHi < sh.RecLo || sh.RecHi > n {
+		return nil, fmt.Errorf("shard: BAMX record range [%d, %d) out of bounds [0, %d)", sh.RecLo, sh.RecHi, n)
+	}
+	if r.tail {
+		r.sc = p.file.Scan(sh.RecLo, sh.RecHi)
 	} else {
-		lo, hi := int(sh.RecLo), int(sh.RecHi)
-		entries := p.index.Entries()
-		if lo < 0 || hi < lo || hi > len(entries) {
-			return nil, fmt.Errorf("shard: BAIX record range [%d, %d) out of bounds [0, %d)", lo, hi, len(entries))
-		}
-		r.entries = entries[lo:hi]
+		r.sc = p.file.ScanEntries(p.index.Entries()[sh.RecLo:sh.RecHi])
 	}
 	return r, nil
 }
@@ -251,3 +264,5 @@ func (p *BAMXProvider) Close() error {
 	p.osf = nil
 	return err
 }
+
+var _ Projector = (*BAMXProvider)(nil)
