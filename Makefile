@@ -1,12 +1,14 @@
 # parseq build/test entry points. `make ci` is the gate every change
 # must pass: vet, staticcheck (when installed), formatting, build, the
-# full race-enabled test suite, a one-iteration smoke run of the BGZF
-# codec and obs-overhead benchmarks, and the metrics-schema and
-# live-endpoint smoke tests.
+# product-binary dependency check, the full race-enabled test suite, a
+# one-iteration smoke run of the five surviving testing.B benchmarks
+# (obs per-op costs, the kern scalar-vs-SWAR ratio), the paper
+# reproduction smoke, and the metrics-schema and live-endpoint smoke
+# tests. Measuring is `go run ./bench`.
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check bench-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -78,18 +80,29 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# One iteration of the BGZF benchmarks (sequential + parallel sweeps),
-# the disabled-telemetry overhead guard and the per-package sweeps:
-# catches benchmark bit-rot without paying for a measurement run.
-# Measuring is `go run ./bench` (see bench/README.md).
+# No product binary may link code written to be slow or to model the
+# paper's cluster: the Picard-style baseline, the experiment harness and
+# the analytic cluster model belong to ngsbench alone.
+deps-check:
+	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: product binaries depend on:"; echo "$$bad"; exit 1; \
+	fi
+
+# One iteration of every surviving testing.B benchmark: catches bit-rot
+# without paying for a measurement run. Each one is kept because a test
+# reads it or bench/ has no probe for that layer (see the comment on
+# it); measuring everything else is `go run ./bench` (bench/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkBGZF' -benchtime 1x ./internal/bgzf
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelBAMScan' -benchtime 1x ./internal/bam
 	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime 1x ./internal/obs
-	$(GO) test -run '^$$' -bench 'BenchmarkConvertSAM$$' -benchtime 1x ./internal/conv
 	$(GO) test -run '^$$' -bench 'BenchmarkKernSpeedup' -benchtime 1x ./internal/kern
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedSpeedup' -benchtime 1x ./internal/shard
-	$(GO) test -run '^$$' -bench 'BenchmarkPAMXSpeedup' -benchtime 1x ./internal/shard
+
+# The paper reproduction path end to end at smoke scale: every table and
+# figure must still come out of one ngsbench run.
+experiments-smoke:
+	@n=$$($(GO) run ./cmd/ngsbench -reads 1500 -bins 3000 -sims 10 | grep -c '^== '); \
+	[ "$$n" -eq 9 ] || { echo "experiments-smoke: $$n report headers, want 9"; exit 1; }; \
+	echo "experiments-smoke: OK"
 
 # End-to-end telemetry check: a real conversion run must produce a
 # metrics snapshot with the documented schema (MPI wait, codec
@@ -139,5 +152,5 @@ daemon-endpoint-smoke:
 	[ "$$rc" -eq 143 ] || { echo "daemon-endpoint-smoke: seqconvd exit $$rc, want 143"; cat "$$tmp/seqconvd.log"; exit 1; }; \
 	echo "daemon-endpoint-smoke: OK"
 
-ci: vet staticcheck fmt-check build race bench-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke
+ci: vet staticcheck fmt-check build deps-check race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke
 	@echo "ci: all checks passed"

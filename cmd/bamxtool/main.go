@@ -18,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"parseq"
 	"parseq/internal/bamx"
 	"parseq/internal/bgzf"
 	"parseq/internal/conv"
@@ -170,7 +169,7 @@ func runCompress(path string) {
 }
 
 func runRegion(path, regionSpec string) {
-	region, err := parseq.ParseRegion(regionSpec)
+	region, err := conv.ParseRegion(regionSpec)
 	if err != nil {
 		die(err)
 	}

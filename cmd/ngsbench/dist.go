@@ -22,25 +22,22 @@ import (
 // same sequence of worlds, and rank 0 reports. This is the real
 // multi-process counterpart of the calibrated cluster model the
 // figures use.
-func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, keep bool) error {
+func runDistributed(sess *mpiflag.Session, sc experiments.Scale) error {
 	rank, ranks := sess.Rank(), sess.Ranks(0)
 	launch := sess.Launcher()
+	tmp := sc.TmpDir
 	if tmp == "" {
 		dir, err := os.MkdirTemp("", "ngsbench-dist-*")
 		if err != nil {
 			return err
 		}
-		if !keep {
+		if !sc.KeepTmp {
 			defer os.RemoveAll(dir)
 		}
 		tmp = dir
 	}
 
-	reads := sc.Reads
-	if reads <= 0 {
-		reads = 50000
-	}
-	ds := parseq.GenerateDataset(parseq.DefaultDatasetConfig(reads))
+	ds := parseq.GenerateDataset(parseq.DefaultDatasetConfig(sc.Reads))
 	samPath := filepath.Join(tmp, "dist.sam")
 	sf, err := os.Create(samPath)
 	if err != nil {
@@ -58,7 +55,7 @@ func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, kee
 			fmt.Printf(format, args...)
 		}
 	}
-	report("distributed suite: %d ranks, %d reads, input %s\n", ranks, reads, samPath)
+	report("distributed suite: %d ranks, %d reads, input %s\n", ranks, sc.Reads, samPath)
 
 	// The three engine jobs run exactly as a seqconvd fleet runs them:
 	// one spec, every rank calling engine.Run on the shared launcher.
@@ -98,17 +95,11 @@ func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, kee
 
 	// FDR: Algorithm 2's fused single-synchronisation reduction.
 	bins, sims := sc.Bins, sc.Sims
-	if bins <= 0 {
-		bins = 4096
-	}
-	if sims <= 0 {
-		sims = 8
-	}
 	histogram := parseq.GenerateHistogram(bins, 42)
 	simsets := parseq.GenerateSimulations(sims, bins, 43)
 	var rate float64
 	start := time.Now()
-	err = launchOrRun(launch, ranks, func(c *mpi.Comm) error {
+	err = launch(ranks, func(c *mpi.Comm) error {
 		v, err := fdr.ParallelFused(c, histogram, simsets, 4.0)
 		if err != nil {
 			return err
@@ -123,12 +114,4 @@ func runDistributed(sess *mpiflag.Session, sc experiments.Scale, tmp string, kee
 	}
 	report("fdr         FDR(4.0) = %.6f over %d sims in %v\n", rate, sims, time.Since(start))
 	return nil
-}
-
-// launchOrRun resolves a nil launcher to the in-process runtime.
-func launchOrRun(launch mpi.Launcher, ranks int, fn func(*mpi.Comm) error) error {
-	if launch == nil {
-		launch = mpi.Run
-	}
-	return launch(ranks, fn)
 }

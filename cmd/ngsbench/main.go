@@ -30,15 +30,14 @@ import (
 )
 
 func main() {
+	sc := experiments.DefaultScale()
+	flag.IntVar(&sc.Reads, "reads", sc.Reads, "alignment records in the measured dataset")
+	flag.IntVar(&sc.Bins, "bins", sc.Bins, "histogram bins for the statistical experiments")
+	flag.IntVar(&sc.Sims, "sims", sc.Sims, "FDR simulation datasets")
+	flag.StringVar(&sc.TmpDir, "tmpdir", "", "scratch directory (default: a fresh temp dir)")
+	flag.BoolVar(&sc.KeepTmp, "keep", false, "keep scratch files")
 	var (
 		exp        = flag.String("exp", "all", "experiment: all, "+strings.Join(parseq.Experiments(), ", "))
-		reads      = flag.Int("reads", 0, "alignment records in the measured dataset")
-		bins       = flag.Int("bins", 0, "histogram bins for the statistical experiments")
-		sims       = flag.Int("sims", 0, "FDR simulation datasets")
-		tmp        = flag.String("tmpdir", "", "scratch directory (default: a fresh temp dir)")
-		keep       = flag.Bool("keep", false, "keep scratch files")
-		codec      = flag.Int("codec-workers", 0, "BGZF codec goroutines for BAM/BAMZ steps (0: auto, one per CPU capped; 1: sequential codec)")
-		parse      = flag.Int("parse-workers", 0, "per-rank SAM parse/encode goroutines for the measured text conversions (0: auto; 1: sequential)")
 		daemonURL  = flag.String("daemon", "", "submit a job to a seqconvd at this base URL instead of running experiments")
 		daemonSpec = flag.String("daemon-spec", "", "job spec JSON for -daemon")
 		daemonIn   = flag.String("daemon-in", "", "input file streamed with the -daemon submission (otherwise the spec's input_path is used)")
@@ -63,23 +62,8 @@ func main() {
 	}
 	defer sess.Close()
 
-	sc := experiments.DefaultScale()
-	if *reads > 0 {
-		sc.Reads = *reads
-	}
-	if *bins > 0 {
-		sc.Bins = *bins
-	}
-	if *sims > 0 {
-		sc.Sims = *sims
-	}
-	sc.TmpDir = *tmp
-	sc.KeepTmp = *keep
-	sc.CodecWorkers = *codec
-	sc.ParseWorkers = *parse
-
 	if sess.Distributed() {
-		if err := runDistributed(sess, sc, *tmp, *keep); err != nil {
+		if err := runDistributed(sess, sc); err != nil {
 			die(err)
 		}
 		return

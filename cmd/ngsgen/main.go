@@ -14,8 +14,8 @@ import (
 	"io"
 	"os"
 
-	"parseq"
 	"parseq/internal/hist"
+	"parseq/internal/simdata"
 )
 
 func main() {
@@ -38,11 +38,11 @@ func main() {
 	}
 
 	if *reads > 0 {
-		cfg := parseq.DefaultDatasetConfig(*reads)
+		cfg := simdata.DefaultConfig(*reads)
 		cfg.Seed = *seed
 		cfg.ReadLen = *readLen
 		cfg.Sorted = *sorted
-		d := parseq.GenerateDataset(cfg)
+		d := simdata.Generate(cfg)
 		if *format == "sam" || *format == "both" {
 			writeOrDie(*out+".sam", d.WriteSAM)
 			fmt.Printf("wrote %s.sam (%d records)\n", *out, len(d.Records))
@@ -57,13 +57,13 @@ func main() {
 	}
 
 	if *bins > 0 {
-		h := parseq.GenerateHistogram(*bins, *seed)
+		h := simdata.Histogram(*bins, *seed)
 		writeOrDie(*out+".hist.tsv", func(f io.Writer) error {
 			return hist.WriteTSV(f, h)
 		})
 		fmt.Printf("wrote %s.hist.tsv (%d bins)\n", *out, *bins)
 		for s := 0; s < *sims; s++ {
-			sim := parseq.GenerateSimulations(1, *bins, *seed+int64(s)+1)[0]
+			sim := simdata.Simulations(1, *bins, *seed+int64(s)+1)[0]
 			path := fmt.Sprintf("%s.sim%03d.tsv", *out, s)
 			writeOrDie(path, func(f io.Writer) error {
 				return hist.WriteTSV(f, sim)

@@ -24,10 +24,12 @@ import (
 	"strconv"
 	"strings"
 
-	"parseq"
 	"parseq/internal/engine"
+	"parseq/internal/fdr"
 	"parseq/internal/hist"
+	"parseq/internal/mpi"
 	"parseq/internal/mpiflag"
+	"parseq/internal/nlmeans"
 	"parseq/internal/obsflag"
 )
 
@@ -135,8 +137,8 @@ func main() {
 
 	case "nlmeans":
 		histogram := requireTSV(o.in, o.spec.Op)
-		p := parseq.NLMeansParams{R: o.r, L: o.l, Sigma: o.sigma}
-		denoised, err := parseq.DenoiseParallel(histogram, p, cores)
+		p := nlmeans.Params{R: o.r, L: o.l, Sigma: o.sigma}
+		denoised, err := nlmeans.DenoiseParallel(histogram, p, cores)
 		if err != nil {
 			die(err)
 		}
@@ -164,7 +166,15 @@ func main() {
 			die(fmt.Errorf("-op fdr requires -sims"))
 		}
 		simData := readSims(o.sims)
-		v, err := parseq.FDRParallel(histogram, simData, o.pt, cores)
+		// Algorithm 2 on `cores` in-process ranks; rank 0 holds the result.
+		var v float64
+		err := mpi.Run(cores, func(c *mpi.Comm) error {
+			rate, err := fdr.ParallelFused(c, histogram, simData, o.pt)
+			if c.Rank() == 0 {
+				v = rate
+			}
+			return err
+		})
 		if err != nil {
 			die(err)
 		}

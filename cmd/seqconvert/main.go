@@ -25,9 +25,9 @@ import (
 	"os"
 	"strings"
 
-	"parseq"
 	"parseq/internal/conv"
 	"parseq/internal/engine"
+	"parseq/internal/formats"
 	"parseq/internal/mpiflag"
 	"parseq/internal/obsflag"
 )
@@ -47,7 +47,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{obsFlags: obsflag.Register(fs), mpiFlags: mpiflag.Register(fs)}
 	o.spec.Op = engine.OpConvert
 	fs.StringVar(&o.spec.InputPath, "in", "", "input file ("+strings.Join(engine.InputExts(engine.OpConvert), ", ")+")")
-	fs.StringVar(&o.spec.Format, "format", "", "target format: "+strings.Join(parseq.Formats(), ", ")+", or bam (one shard per rank) (default sam)")
+	fs.StringVar(&o.spec.Format, "format", "", "target format: "+strings.Join(formats.Names(), ", ")+", or bam (one shard per rank) (default sam)")
 	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel ranks")
 	fs.StringVar(&o.env.OutDir, "out", ".", "output directory")
 	fs.StringVar(&o.env.OutPrefix, "prefix", "out", "output file prefix")

@@ -2,7 +2,6 @@ package bam
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -453,53 +452,5 @@ func TestCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkEncodeRecord(b *testing.B) {
-	h := testHeader()
-	rec := mustParse(b, testLines[0])
-	var buf []byte
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = EncodeRecord(buf[:0], &rec, h)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeRecord(b *testing.B) {
-	h := testHeader()
-	rec := mustParse(b, testLines[0])
-	body, err := EncodeRecord(nil, &rec, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var got sam.Record
-	for i := 0; i < b.N; i++ {
-		if err := DecodeRecord(body[4:], &got, h); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFileRead(b *testing.B) {
-	raw, _, _ := makeSortedBAM(b, 5000)
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rec sam.Record
-		for {
-			if err := r.ReadInto(&rec); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }

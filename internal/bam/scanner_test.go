@@ -393,59 +393,3 @@ func TestParallelScannerEmptyStream(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkParallelBAMScan sweeps the decode worker pool over a
-// synthetic BAM: workers=1/seq is the sequential ReadInto loop, the rest
-// run the parallel scanner (block inflate + record decode fan-out). On a
-// single-CPU host the workers>1 variants resolve to the sequential
-// bypass, which is exactly the 1-CPU acceptance story: parallel must
-// stay at least as fast as sequential. The */pipe variants pin the
-// apparent CPU count to force the real pipeline so its dispatch
-// overhead stays measurable everywhere.
-func BenchmarkParallelBAMScan(b *testing.B) {
-	h := testHeader()
-	raw := encodeBAM(b, h, genRecords(b, 30000), 0)
-	b.Run("workers=1/seq", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			br := openReader(b, raw, 1)
-			var rec sam.Record
-			for {
-				if err := br.ReadInto(&rec); err == io.EOF {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-			}
-			br.Close()
-		}
-	})
-	scan := func(b *testing.B, workers int) {
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			br := openReader(b, raw, workers)
-			sc := NewParallelScanner(br, workers)
-			var rec sam.Record
-			for {
-				if err := sc.ReadInto(&rec); err == io.EOF {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-			}
-			sc.Close()
-			br.Close()
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			scan(b, workers)
-		})
-	}
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("workers=%d/pipe", workers), func(b *testing.B) {
-			forcePipeline(b)
-			scan(b, workers)
-		})
-	}
-}

@@ -224,23 +224,3 @@ func TestCountRegionAllocs(t *testing.T) {
 			perRecord, allocs, n)
 	}
 }
-
-// BenchmarkCountRegion records the census loop's speed and allocs/op.
-func BenchmarkCountRegion(b *testing.B) {
-	raw, idx, h, _ := makeIndexedDataset(b, 20000)
-	ref := h.Refs[0]
-	rd := bytes.NewReader(raw)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Seek(0, io.SeekStart)
-		br, err := NewReader(rd)
-		if err != nil {
-			b.Fatalf("NewReader: %v", err)
-		}
-		if _, err := CountRegion(br, idx, ref.Name, 0, ref.Length); err != nil {
-			b.Fatalf("CountRegion: %v", err)
-		}
-		br.Close()
-	}
-}

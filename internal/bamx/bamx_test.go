@@ -371,30 +371,3 @@ func TestCapsObserve(t *testing.T) {
 		t.Errorf("Stride = %d", caps.Stride())
 	}
 }
-
-func BenchmarkRandomAccess(b *testing.B) {
-	d := dataset(b, 2000)
-	f, _ := buildBAMX(b, d)
-	var rec sam.Record
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.ReadRecord(int64(i%2000), &rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPreprocessBAM(b *testing.B) {
-	d := dataset(b, 1000)
-	var bamBuf bytes.Buffer
-	if err := d.WriteBAM(&bamBuf); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(bamBuf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PreprocessBAM(bytes.NewReader(bamBuf.Bytes()), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -212,18 +212,6 @@ func encodeBody(h *sam.Header, rec *sam.Record) ([]byte, error) {
 	return body, nil
 }
 
-func BenchmarkCompressedRandomAccess(b *testing.B) {
-	d := simdata.Generate(simdata.DefaultConfig(2000))
-	cf, _ := buildCompressed(b, d, DefaultRecsPerBlock)
-	var rec sam.Record
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cf.ReadRecord(int64(i%2000), &rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // bamEncode wraps bam.EncodeRecord for the test helpers.
 func bamEncode(h *sam.Header, rec *sam.Record) ([]byte, error) {
 	body, err := bam.EncodeRecord(nil, rec, h)

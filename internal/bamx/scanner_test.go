@@ -130,25 +130,6 @@ func TestDecodeIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-func BenchmarkScannerSweep(b *testing.B) {
-	d := dataset(b, 5000)
-	f, _ := buildBAMX(b, d)
-	var rec sam.Record
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scan := f.Scan(0, f.NumRecords())
-		for {
-			ok, err := scan.Next(&rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-		}
-	}
-}
-
 // countingReaderAt counts ReadAt calls and, when limit > 0, pretends
 // the file was truncated to limit bytes after it was opened.
 type countingReaderAt struct {

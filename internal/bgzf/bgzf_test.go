@@ -300,28 +300,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkWrite(b *testing.B) {
-	data := bytes.Repeat([]byte("ACGTNACGT"), 100000)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		w := NewWriter(io.Discard)
-		w.Write(data)
-		w.Close()
-	}
-}
-
-func BenchmarkRead(b *testing.B) {
-	data := bytes.Repeat([]byte("ACGTNACGT"), 100000)
-	raw := compress(b, data, 0)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := io.Copy(io.Discard, NewReader(bytes.NewReader(raw))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Mutated BGZF streams must error out, never panic — the BC size field
 // and deflate payloads are untrusted.
 func TestReaderNeverPanicsOnMutations(t *testing.T) {

@@ -429,74 +429,6 @@ func TestManyConsecutiveEmptyBlocks(t *testing.T) {
 	}
 }
 
-// BenchmarkBGZFParallelWrite sweeps the worker pool: workers=1/seq is
-// the sequential codec baseline, the rest the parallel writer.
-func BenchmarkBGZFParallelWrite(b *testing.B) {
-	data := testData(64<<20, 41)
-	b.Run("workers=1/seq", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			w := NewWriter(io.Discard)
-			if _, err := w.Write(data); err != nil {
-				b.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				w := NewParallelWriter(io.Discard, workers)
-				if _, err := w.Write(data); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBGZFParallelRead sweeps inflate workers over a fixture
-// compressed once up front; workers=1/seq is the sequential reader.
-func BenchmarkBGZFParallelRead(b *testing.B) {
-	data := testData(64<<20, 43)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if _, err := w.Write(data); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	b.Run("workers=1/seq", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := io.Copy(io.Discard, NewReader(bytes.NewReader(raw))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				r := NewParallelReader(bytes.NewReader(raw), workers)
-				if _, err := io.Copy(io.Discard, r); err != nil {
-					b.Fatal(err)
-				}
-				r.Close()
-			}
-		})
-	}
-}
-
 // AutoWorkers must track the apparent CPU count: one worker per CPU,
 // capped at maxAutoWorkers, and exactly 1 on a single-CPU host so every
 // constructor's sequential path engages.

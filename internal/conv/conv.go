@@ -11,8 +11,10 @@
 //     ParseWorkers 1 selects and the tests use as reference, or the
 //     order-preserving batch pipeline) and an indexed record file (plain
 //     BAMX or block-compressed BAMZ, split into equal record counts, with
-//     an optional BAIX-resolved region for partial conversion). The
-//     sequential BAM stream is the degenerate one-rank source.
+//     an optional BAIX-resolved region for partial conversion).
+//     ConvertStream is the degenerate one-rank source — any ordered
+//     record iterator — and ConvertBAMSequential is that over a BAM
+//     reader.
 //   - A sink is one rank's target file: text through a formats.Encoder
 //     (the "user program": converting into a new format means writing one
 //     Encode function), or a standalone BAM shard when Format is "bam".

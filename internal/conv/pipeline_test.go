@@ -347,32 +347,3 @@ func TestLineJustUnderLimitSucceeds(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkConvertSAM sweeps the pipelined converter's worker counts on
-// one rank, for the allocation-heavy text target (sam) and a
-// parse-dominated one (bed). bytes/s is input throughput.
-func BenchmarkConvertSAM(b *testing.B) {
-	samPath, _, _ := writeDataset(b, 20000)
-	fi, err := os.Stat(samPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, format := range []string{"sam", "bed"} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("format=%s/workers=%d", format, workers), func(b *testing.B) {
-				outDir := b.TempDir()
-				b.SetBytes(fi.Size())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ConvertSAM(samPath, Options{
-						Format: format, Cores: 1, ParseWorkers: workers,
-						OutDir: outDir, OutPrefix: "b",
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

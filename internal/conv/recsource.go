@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/mpi"
 	"parseq/internal/sam"
@@ -237,12 +238,31 @@ func ConvertBAM(bamPath string, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// ConvertStream converts one ordered record stream on one rank: the
+// degenerate source, a single share holding the whole stream. next
+// decodes the following record into its argument (false at the end) and
+// consumed reports the input bytes read so far. Region is rejected — a
+// stream has no index to resolve it — and Cores is forced to 1.
+// ConvertBAMSequential is built on it; the paper-baseline harness
+// (internal/experiments) feeds it a deliberately slower iterator.
+func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed func() int64, opts Options) (*Result, error) {
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
+	if opts.Region != nil {
+		return nil, fmt.Errorf("conv: a sequential record stream does not support partial conversion; preprocess to BAMX first")
+	}
+	opts.Cores, opts.Launch = 1, nil
+	return convert(&opts, h, func(*mpi.Comm) (func(*sink) (rankStats, error), error) {
+		return func(sk *sink) (rankStats, error) {
+			return convertRecords(next, func(int64) int64 { return consumed() }, sk)
+		}, nil
+	})
+}
+
 // ConvertBAMSequential converts a BAM file record-at-a-time on one core —
 // the paper's "BAM format converter without preprocessing" Table I
-// configuration: the degenerate source, one rank whose share is the
-// whole stream. It reproduces the BamTools adaptation the paper blames
-// for its 30% deficit: the library-side memory object is copied into the
-// converter's alignment object before the user program runs.
+// configuration: ConvertStream over the file's BAM reader.
 func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -250,27 +270,29 @@ func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
 	if opts.Region != nil {
 		return nil, fmt.Errorf("conv: sequential BAM conversion does not support partial conversion; preprocess to BAMX first")
 	}
-	opts.Cores, opts.Launch = 1, nil
 	f, size, err := openSized(bamPath)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br, err := newBAMToolsReader(f, opts.CodecWorkers)
+	br, err := bam.NewReader(f, bam.WithCodecWorkers(opts.CodecWorkers))
 	if err != nil {
 		return nil, err
 	}
 	defer br.Close()
-	return convert(&opts, br.Header(), func(*mpi.Comm) (func(*sink) (rankStats, error), error) {
-		return func(sk *sink) (rankStats, error) {
-			addBytesTotal(size)
-			// Input consumed is how far the codec has read the file (an
-			// offset query that cannot fail on an open regular file): all
-			// of it once the stream ends.
-			return convertRecords(br.Next, func(int64) int64 {
-				off, _ := f.Seek(0, io.SeekCurrent)
-				return off
-			}, sk)
-		}, nil
-	})
+	addBytesTotal(size)
+	next := func(rec *sam.Record) (bool, error) {
+		err := br.ReadInto(rec)
+		if err == io.EOF {
+			return false, nil
+		}
+		return err == nil, err
+	}
+	// Input consumed is how far the codec has read the file (an offset
+	// query that cannot fail on an open regular file): all of it once the
+	// stream ends.
+	return ConvertStream(br.Header(), next, func() int64 {
+		off, _ := f.Seek(0, io.SeekCurrent)
+		return off
+	}, opts)
 }

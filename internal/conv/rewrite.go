@@ -16,29 +16,39 @@ import (
 // preprocessing, BAMX → BAMZ compression, BAM shards → one BAM.
 
 // writeIndexed creates a BAMX file through build and writes the BAIX
-// index build returns beside it.
-func writeIndexed(bamxPath, baixPath string, build func(io.Writer) (*bamx.Index, error)) (*bamx.Index, error) {
+// index build returns beside it. On any error both files are removed: a
+// failed preprocessing leaves nothing a later run could mistake for a
+// complete pair.
+func writeIndexed(bamxPath, baixPath string, build func(io.Writer) (*bamx.Index, error)) (idx *bamx.Index, err error) {
 	out, err := os.Create(bamxPath)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := build(out)
-	if err != nil {
+	defer func() {
+		if err != nil {
+			os.Remove(bamxPath)
+		}
+	}()
+	if idx, err = build(out); err != nil {
 		out.Close()
 		return nil, err
 	}
-	if err := out.Close(); err != nil {
+	if err = out.Close(); err != nil {
 		return nil, err
 	}
 	ixf, err := os.Create(baixPath)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := idx.WriteTo(ixf); err != nil {
-		ixf.Close()
+	_, err = idx.WriteTo(ixf)
+	if cerr := ixf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(baixPath)
 		return nil, err
 	}
-	return idx, ixf.Close()
+	return idx, nil
 }
 
 // PreprocessBAMFile is the sequential preprocessing phase of the BAM
@@ -95,11 +105,14 @@ func CompressBAMXFileWorkers(bamxPath, bamzPath string, recsPerBlock, workers in
 		return 0, err
 	}
 	n, err := bamx.CompressBAMXWorkers(xf, out, recsPerBlock, workers)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		out.Close()
+		os.Remove(bamzPath)
 		return 0, err
 	}
-	return n, out.Close()
+	return n, nil
 }
 
 // MergeBAMShards fuses per-rank BAM shards (which share one header) into
@@ -127,54 +140,64 @@ func MergeBAMShards(shardPaths []string, outPath string, codecWorkers int) (int6
 	if err != nil {
 		return 0, err
 	}
+	total, err := mergeShards(out, header, shardPaths, codecWorkers)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// A failed merge leaves no truncated BAM behind.
+		os.Remove(outPath)
+	}
+	return total, err
+}
+
+// mergeShards streams every shard's records, in shard order, into one
+// BAM stream on out; the writer is closed on every path.
+func mergeShards(out io.Writer, header *sam.Header, shardPaths []string, codecWorkers int) (total int64, err error) {
 	bw, err := bam.NewWriter(out, header, bam.WithCodecWorkers(codecWorkers))
 	if err != nil {
-		out.Close()
 		return 0, err
 	}
-	var total int64
+	defer func() {
+		if cerr := bw.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	var rec sam.Record
-	fail := func(f *os.File, r *bam.Reader, err error) (int64, error) {
-		if r != nil {
-			r.Close()
-		}
-		if f != nil {
-			f.Close()
-		}
-		bw.Close()
-		out.Close()
-		return total, err
-	}
 	for _, shard := range shardPaths {
-		f, err := os.Open(shard)
+		n, err := appendShard(bw, &rec, shard, len(header.Refs), codecWorkers)
+		total += n
 		if err != nil {
-			return fail(nil, nil, err)
+			return total, err
 		}
-		r, err := bam.NewReader(f, bam.WithCodecWorkers(codecWorkers))
-		if err != nil {
-			return fail(f, nil, err)
-		}
-		if len(r.Header().Refs) != len(header.Refs) {
-			return fail(f, r, fmt.Errorf("conv: shard %s has %d references, expected %d",
-				shard, len(r.Header().Refs), len(header.Refs)))
-		}
-		for {
-			if err := r.ReadInto(&rec); err == io.EOF {
-				break
-			} else if err != nil {
-				return fail(f, r, err)
-			}
-			if err := bw.Write(&rec); err != nil {
-				return fail(f, r, err)
-			}
-			total++
-		}
-		r.Close()
-		f.Close()
 	}
-	if err := bw.Close(); err != nil {
-		out.Close()
-		return total, err
+	return total, nil
+}
+
+// appendShard copies one shard's records into bw.
+func appendShard(bw *bam.Writer, rec *sam.Record, shard string, refs, codecWorkers int) (int64, error) {
+	f, err := os.Open(shard)
+	if err != nil {
+		return 0, err
 	}
-	return total, out.Close()
+	defer f.Close()
+	r, err := bam.NewReader(f, bam.WithCodecWorkers(codecWorkers))
+	if err != nil {
+		return 0, err
+	}
+	defer r.Close()
+	if len(r.Header().Refs) != refs {
+		return 0, fmt.Errorf("conv: shard %s has %d references, expected %d",
+			shard, len(r.Header().Refs), refs)
+	}
+	for n := int64(0); ; n++ {
+		if err := r.ReadInto(rec); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, err
+		}
+		if err := bw.Write(rec); err != nil {
+			return n, err
+		}
+	}
 }

@@ -6,52 +6,54 @@ import (
 	"sort"
 )
 
-// registry maps experiment IDs to their drivers.
-var registry = map[string]func(Scale) (*Report, error){
-	"table1":    Table1,
-	"fig6":      Fig6,
-	"fig7":      Fig7,
-	"fig8":      Fig8,
-	"fig9":      Fig9,
-	"fig10":     Fig10,
-	"fig11":     Fig11,
-	"fig12":     Fig12,
-	"ablations": Ablations,
-}
-
-// order fixes the presentation order of All.
-var order = []string{"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablations"}
-
 // IDs lists the available experiment identifiers.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
+	out := make([]string, len(figures))
+	for i, f := range figures {
+		out[i] = f.id
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Run executes one experiment by ID.
-func Run(id string, sc Scale) (*Report, error) {
-	f, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+// run is the one driver: it builds the shared fixture, fills a report
+// per requested figure, and removes the scratch directory.
+func run(sc Scale, figs []figure) ([]*Report, *fixture, error) {
+	fx, err := newFixture(sc)
+	if err != nil {
+		return nil, nil, err
 	}
-	return f(sc)
-}
-
-// All runs every experiment in paper order.
-func All(sc Scale) ([]*Report, error) {
-	reports := make([]*Report, 0, len(order))
-	for _, id := range order {
-		r, err := registry[id](sc)
-		if err != nil {
-			return reports, fmt.Errorf("experiments: %s: %w", id, err)
+	defer fx.sc.cleanup()
+	reports := make([]*Report, 0, len(figs))
+	for _, f := range figs {
+		r := &Report{ID: f.id, Title: f.title, Columns: f.columns}
+		if err := f.fill(fx, r); err != nil {
+			return reports, fx, fmt.Errorf("experiments: %s: %w", f.id, err)
 		}
 		reports = append(reports, r)
 	}
-	return reports, nil
+	return reports, fx, nil
+}
+
+// Run executes one experiment by ID.
+func Run(id string, sc Scale) (*Report, error) {
+	for _, f := range figures {
+		if f.id != id {
+			continue
+		}
+		reports, _, err := run(sc, []figure{f})
+		if err != nil {
+			return nil, err
+		}
+		return reports[0], nil
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+}
+
+// All runs every experiment in paper order over one shared fixture.
+func All(sc Scale) ([]*Report, error) {
+	reports, _, err := run(sc, figures)
+	return reports, err
 }
 
 // PrintAll runs and prints every experiment.

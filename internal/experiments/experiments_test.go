@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"parseq/internal/bam"
+	"parseq/internal/conv"
+	"parseq/internal/sam"
 )
 
 func quick(t *testing.T) Scale {
@@ -54,7 +60,7 @@ func TestReportPrint(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r, err := Table1(quick(t))
+	r, err := Run("table1", quick(t))
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -73,7 +79,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig6SpeedupShape(t *testing.T) {
-	r, err := Fig6(quick(t))
+	r, err := Run("fig6", quick(t))
 	if err != nil {
 		t.Fatalf("Fig6: %v", err)
 	}
@@ -102,7 +108,7 @@ func TestFig6SpeedupShape(t *testing.T) {
 }
 
 func TestFig7Runs(t *testing.T) {
-	r, err := Fig7(quick(t))
+	r, err := Run("fig7", quick(t))
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
@@ -116,7 +122,7 @@ func TestFig7Runs(t *testing.T) {
 }
 
 func TestFig8Proportionality(t *testing.T) {
-	r, err := Fig8(quick(t))
+	r, err := Run("fig8", quick(t))
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
@@ -141,7 +147,7 @@ func TestFig8Proportionality(t *testing.T) {
 }
 
 func TestFig9ReportsImprovement(t *testing.T) {
-	r, err := Fig9(quick(t))
+	r, err := Run("fig9", quick(t))
 	if err != nil {
 		t.Fatalf("Fig9: %v", err)
 	}
@@ -171,7 +177,7 @@ func TestFig9ReportsImprovement(t *testing.T) {
 }
 
 func TestFig10Runs(t *testing.T) {
-	r, err := Fig10(quick(t))
+	r, err := Run("fig10", quick(t))
 	if err != nil {
 		t.Fatalf("Fig10: %v", err)
 	}
@@ -187,7 +193,7 @@ func TestFig10Runs(t *testing.T) {
 func TestFig11NearLinearAndImprovingWithR(t *testing.T) {
 	sc := quick(t)
 	sc.Bins = 2000 // keep the r=320 kernel quick
-	r, err := Fig11(sc)
+	r, err := Run("fig11", sc)
 	if err != nil {
 		t.Fatalf("Fig11: %v", err)
 	}
@@ -204,7 +210,7 @@ func TestFig11NearLinearAndImprovingWithR(t *testing.T) {
 
 func TestFig12FusedBeatsTwoPass(t *testing.T) {
 	sc := quick(t)
-	r, err := Fig12(sc)
+	r, err := Run("fig12", sc)
 	if err != nil {
 		t.Fatalf("Fig12: %v", err)
 	}
@@ -229,7 +235,7 @@ func TestFig12FusedBeatsTwoPass(t *testing.T) {
 func TestAblationsReport(t *testing.T) {
 	sc := quick(t)
 	sc.Bins = 2000
-	r, err := Ablations(sc)
+	r, err := Run("ablations", sc)
 	if err != nil {
 		t.Fatalf("Ablations: %v", err)
 	}
@@ -253,9 +259,122 @@ func TestPrintAllQuick(t *testing.T) {
 	if err := PrintAll(&buf, sc); err != nil {
 		t.Fatalf("PrintAll: %v", err)
 	}
-	for _, id := range order {
-		if !strings.Contains(buf.String(), strings.ToUpper(id)) {
+	for _, id := range IDs() {
+		if !strings.Contains(buf.String(), "== "+strings.ToUpper(id)+":") {
 			t.Errorf("output missing %s", id)
 		}
+	}
+}
+
+// TestAllSharesOneFixture: a full run generates each dataset once (full
+// and chr1) and preprocesses BAM once, however many figures read them.
+func TestAllSharesOneFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep in -short mode")
+	}
+	sc := quick(t)
+	sc.Bins = 2000
+	reports, fx, err := run(sc, figures)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(reports) != len(figures) {
+		t.Fatalf("%d reports, want %d", len(reports), len(figures))
+	}
+	if fx.generated != 2 || fx.preBAM != 1 {
+		t.Errorf("datasets generated %d (want 2), PreprocessBAMFile calls %d (want 1)", fx.generated, fx.preBAM)
+	}
+}
+
+// TestPreprocessorsAgree pins what lets Table I read one chr1 BAMX/BAIX
+// pair for both "with preprocessing" rows: the BAM preprocessor and the
+// one-rank SAM preprocessor write identical bytes.
+func TestPreprocessorsAgree(t *testing.T) {
+	fx, err := newFixture(quick(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &fx.chr1
+	if err := d.pair(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.preprocessSAM(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.shards.BAMXFiles) != 1 {
+		t.Fatalf("SAM preprocessor wrote %d shards, want 1", len(d.shards.BAMXFiles))
+	}
+	for _, pair := range [][2]string{{d.bamx, d.shards.BAMXFiles[0]}, {d.baix, d.shards.BAIXFiles[0]}} {
+		if !bytes.Equal(mustRead(t, pair[0]), mustRead(t, pair[1])) {
+			t.Errorf("%s and %s differ", pair[0], pair[1])
+		}
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestAdaptationShimCopies: the adapted record shares no storage with
+// the library-side scratch object — overwrite the scratch and the record
+// is unchanged — and Table I's shimmed conversion still writes the bytes
+// of the product's sequential BAM converter.
+func TestAdaptationShimCopies(t *testing.T) {
+	fx, err := newFixture(quick(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.chr1.files(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(fx.chr1.bam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	br, err := bam.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	var scratch, rec sam.Record
+	if err := br.ReadInto(&scratch); err != nil {
+		t.Fatal(err)
+	}
+	adaptAlignment(&rec, &scratch)
+	want := rec.String()
+	if len(scratch.Cigar) == 0 || len(scratch.Tags) == 0 {
+		t.Fatalf("fixture record has no CIGAR or tags: %s", want)
+	}
+	for _, s := range [][2]string{{rec.QName, scratch.QName}, {rec.Seq, scratch.Seq}, {rec.Qual, scratch.Qual}} {
+		if unsafe.StringData(s[0]) == unsafe.StringData(s[1]) {
+			t.Errorf("adapted string %q shares the scratch's bytes", s[0])
+		}
+	}
+	scratch.Cigar[0] = sam.NewCigarOp(scratch.Cigar[0].Type(), scratch.Cigar[0].Len()+1)
+	scratch.Tags[0].Value = "overwritten"
+	scratch.QName, scratch.Seq, scratch.Qual, scratch.Pos = "x", "N", "!", -1
+	if got := rec.String(); got != want {
+		t.Errorf("record changed with the scratch:\n got %s\nwant %s", got, want)
+	}
+
+	opts := conv.Options{Format: "sam", OutDir: t.TempDir(), OutPrefix: "shim", CodecWorkers: 1}
+	adapted, err := convertBAMAdapted(fx.chr1.bam, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.OutPrefix = "plain"
+	plain, err := conv.ConvertBAMSequential(fx.chr1.bam, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, adapted.Files[0]), mustRead(t, plain.Files[0])) ||
+		adapted.Stats.Records != plain.Stats.Records || adapted.Stats.Emitted != plain.Stats.Emitted {
+		t.Error("shimmed conversion differs from ConvertBAMSequential")
 	}
 }

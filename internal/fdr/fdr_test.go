@@ -220,28 +220,6 @@ func TestSweep(t *testing.T) {
 	}
 }
 
-func BenchmarkSequential(b *testing.B) {
-	hist := simdata.Histogram(1000, 71)
-	sims := simdata.Simulations(20, 1000, 72)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sequential(hist, sims, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFused(b *testing.B) {
-	hist := simdata.Histogram(1000, 71)
-	sims := simdata.Simulations(20, 1000, 72)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fused(hist, sims, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestParallelValidationErrors(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if _, err := ParallelFused(c, []float64{1, 2}, [][]float64{{1}}, 1); !errors.Is(err, ErrShape) {

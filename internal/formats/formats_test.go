@@ -276,27 +276,6 @@ func TestAllEncodersOverGeneratedData(t *testing.T) {
 	}
 }
 
-func BenchmarkEncoders(b *testing.B) {
-	d := simdata.Generate(simdata.DefaultConfig(1000))
-	for _, name := range Names() {
-		enc, _ := New(name)
-		b.Run(name, func(b *testing.B) {
-			var out []byte
-			for i := 0; i < b.N; i++ {
-				out = out[:0]
-				for j := range d.Records {
-					var err error
-					out, err = enc.Encode(out, &d.Records[j], d.Header)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.SetBytes(int64(len(out)))
-		})
-	}
-}
-
 type testEncoder struct{}
 
 func (testEncoder) Name() string              { return "testenc" }

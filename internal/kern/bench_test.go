@@ -1,15 +1,10 @@
 package kern
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 )
-
-// benchSizes spans a short-read seq (151 bases, the Illumina staple)
-// and a buffer-sized payload where the word loop dominates.
-var benchSizes = []int{151, 4096}
 
 func benchPacked(n int) []byte {
 	rng := rand.New(rand.NewSource(11))
@@ -29,124 +24,9 @@ func benchQual(n int) []byte {
 	return p
 }
 
-// BenchmarkKernUnpackSeq and its Scalar twin time the 4-bit expansion
-// paths separately; bytes/s counts expanded bases.
-func BenchmarkKernUnpackSeq(b *testing.B) {
-	for _, n := range benchSizes {
-		src, dst := benchPacked(n), make([]byte, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				UnpackSeq(dst, src, n)
-			}
-		})
-	}
-}
-
-// BenchmarkKernUnpackSeqBitTrick times the table-free SWAR variant —
-// kept for the record: it documents why UnpackSeq uses the pair table.
-func BenchmarkKernUnpackSeqBitTrick(b *testing.B) {
-	for _, n := range benchSizes {
-		src, dst := benchPacked(n), make([]byte, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				unpackSeqBitTrick(dst, src, n)
-			}
-		})
-	}
-}
-
-func BenchmarkKernUnpackSeqScalar(b *testing.B) {
-	for _, n := range benchSizes {
-		src, dst := benchPacked(n), make([]byte, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				unpackSeqScalar(dst, src, n)
-			}
-		})
-	}
-}
-
-// BenchmarkKernShiftQual times the +33 quality shift with the paired
-// range check — the full decode-side qual path.
-func BenchmarkKernShiftQual(b *testing.B) {
-	for _, n := range benchSizes {
-		src, dst := benchQual(n), make([]byte, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				AddConst(dst, src, 33)
-				if !RangeOK(dst, '!', '~') {
-					b.Fatal("range check failed")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkKernShiftQualScalar(b *testing.B) {
-	for _, n := range benchSizes {
-		src, dst := benchQual(n), make([]byte, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				addConstScalar(dst, src, 33)
-				if !rangeOKScalar(dst, '!', '~') {
-					b.Fatal("range check failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkKernReverseComplement times both revcomp paths.
-func BenchmarkKernReverseComplement(b *testing.B) {
-	for _, n := range benchSizes {
-		src, dst := benchQual(n), make([]byte, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				ReverseComplement(dst, src)
-			}
-		})
-	}
-}
-
-func BenchmarkKernReverseComplementScalar(b *testing.B) {
-	for _, n := range benchSizes {
-		src, dst := benchQual(n), make([]byte, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				reverseComplementScalar(dst, src)
-			}
-		})
-	}
-}
-
-// BenchmarkKernParseUint times the digit kernel on a POS-shaped field.
-func BenchmarkKernParseUint(b *testing.B) {
-	field := []byte("248956422")
-	b.SetBytes(int64(len(field)))
-	for i := 0; i < b.N; i++ {
-		if _, ok := ParseUint(field, 1<<31-1); !ok {
-			b.Fatal("parse failed")
-		}
-	}
-}
-
-func BenchmarkKernParseUintScalar(b *testing.B) {
-	field := []byte("248956422")
-	b.SetBytes(int64(len(field)))
-	for i := 0; i < b.N; i++ {
-		if _, ok := parseUintScalar(field, 1<<31-1); !ok {
-			b.Fatal("parse failed")
-		}
-	}
-}
-
+// Kept: bench/ probes the exported kernels (kern.*_mb_s) but cannot reach
+// the unexported scalar twins, so this scalar-vs-SWAR ratio has no probe.
+//
 // BenchmarkKernSpeedup is the paired before/after contract for the two
 // acceptance kernels: each iteration runs one scalar batch and one
 // kernel batch back-to-back, per-side minima absorb machine weather,

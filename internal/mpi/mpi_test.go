@@ -414,38 +414,3 @@ func TestSplitRangeDegenerate(t *testing.T) {
 		t.Errorf("SplitRange(2,4,3) = %d,%d", lo, hi)
 	}
 }
-
-func BenchmarkBarrier(b *testing.B) {
-	err := Run(8, func(c *Comm) error {
-		for i := 0; i < b.N; i++ {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkSendRecv(b *testing.B) {
-	payload := make([]byte, 1024)
-	err := Run(2, func(c *Comm) error {
-		for i := 0; i < b.N; i++ {
-			if c.Rank() == 0 {
-				if err := c.Send(1, 0, payload); err != nil {
-					return err
-				}
-			} else {
-				if _, err := c.Recv(0, 0); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}

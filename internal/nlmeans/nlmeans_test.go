@@ -208,25 +208,3 @@ func TestPackUnpackFloat64s(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkDenoiseSequentialR20(b *testing.B) {
-	v := simdata.Histogram(10000, 1)
-	p := Params{R: 20, L: 15, Sigma: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Denoise(v, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDenoiseParallel(b *testing.B) {
-	v := simdata.Histogram(10000, 1)
-	p := Params{R: 20, L: 15, Sigma: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DenoiseParallel(v, p, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -4,6 +4,8 @@ import (
 	"testing"
 )
 
+// Kept: read by TestObsDisabledOverheadGuard.
+//
 // BenchmarkObsDisabledOverhead is the contract that lets instrumentation
 // stay on by default in library code: with no registry installed, one
 // counter update on the hot path is a single inlined nil check. The ci
@@ -17,6 +19,9 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 	}
 }
 
+// Kept: bench/ has no probe for the disabled path (it measures only
+// obs.enabled_overhead_share, a share of a whole journey).
+//
 // BenchmarkObsDisabledSpan measures the disabled span path: StartSpan +
 // End on a nil registry.
 func BenchmarkObsDisabledSpan(b *testing.B) {
@@ -28,6 +33,9 @@ func BenchmarkObsDisabledSpan(b *testing.B) {
 	}
 }
 
+// Kept: the per-update cost behind obs.enabled_overhead_share, which
+// bench/ reports only as a share of a whole journey.
+//
 // BenchmarkObsEnabledCounter is the enabled-path reference point.
 func BenchmarkObsEnabledCounter(b *testing.B) {
 	r := New()
@@ -38,6 +46,8 @@ func BenchmarkObsEnabledCounter(b *testing.B) {
 	}
 }
 
+// Kept: the per-span cost, same reason as BenchmarkObsEnabledCounter.
+//
 // BenchmarkObsEnabledSpan measures a live (untraced) span.
 func BenchmarkObsEnabledSpan(b *testing.B) {
 	r := New()

@@ -277,14 +277,3 @@ func TestFindLineBreakScansAcrossChunks(t *testing.T) {
 		t.Errorf("backward offset = %d, want %d", back, scanChunk+100)
 	}
 }
-
-func BenchmarkSAMForward(b *testing.B) {
-	data, _ := makeLines(7, 100000)
-	r := strings.NewReader(data)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SAMForward(r, 0, int64(len(data)), 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

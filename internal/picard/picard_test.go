@@ -134,17 +134,6 @@ func TestMissingFiles(t *testing.T) {
 	}
 }
 
-func BenchmarkSamToFastq(b *testing.B) {
-	samPath, _ := writeDataset(b, 2000)
-	out := filepath.Join(b.TempDir(), "out.fastq")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SamToFastq(samPath, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestUnwritableOutput(t *testing.T) {
 	samPath, bamPath := writeDataset(t, 10)
 	bad := filepath.Join(t.TempDir(), "missing", "out")

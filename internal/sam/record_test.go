@@ -235,25 +235,3 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkParseRecord(b *testing.B) {
-	var r Record
-	b.SetBytes(int64(len(sampleLine)))
-	for i := 0; i < b.N; i++ {
-		if err := ParseRecordInto(&r, sampleLine); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFormatRecord(b *testing.B) {
-	r, err := ParseRecord(sampleLine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sb strings.Builder
-	for i := 0; i < b.N; i++ {
-		sb.Reset()
-		r.AppendText(&sb)
-	}
-}

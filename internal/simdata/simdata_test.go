@@ -239,9 +239,3 @@ func TestSimulations(t *testing.T) {
 		t.Error("simulations 0 and 1 identical")
 	}
 }
-
-func BenchmarkGenerate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Generate(DefaultConfig(1000))
-	}
-}

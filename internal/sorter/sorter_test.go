@@ -200,17 +200,6 @@ func TestSortMissingInput(t *testing.T) {
 	}
 }
 
-func BenchmarkSortSAMToBAM(b *testing.B) {
-	samPath, _, _ := unsortedDataset(b, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := filepath.Join(b.TempDir(), "s.bam")
-		if _, err := SortSAMToBAM(samPath, out, Options{ChunkRecords: 1024, Cores: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // SortBAM with codec workers routes the input through the parallel
 // record scanner; output bytes must match the sequential path exactly
 // across the worker ladder.
