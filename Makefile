@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -82,12 +82,31 @@ fmt-check:
 
 # No product binary may link code written to be slow or to model the
 # paper's cluster: the Picard-style baseline, the experiment harness and
-# the analytic cluster model belong to ngsbench alone.
+# the analytic cluster model belong to ngsbench alone. And conv reads
+# binary containers only through shard.Provider: it may write BAMX
+# (writeIndexed, CompressBAMXFile) but never opens one or its BAIX.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: product binaries depend on:"; echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(ls internal/conv/*.go | grep -v _test | xargs grep -n 'bamx\.\(Open\|OpenCompressed\|ParseIndex\|BuildIndex\)' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: internal/conv reads BAMX past shard.Provider:"; echo "$$bad"; exit 1; \
+	fi
+
+# Non-test lines the way every deletion PR since PR 15 has counted them
+# (raw lines, comments included), per package and for the sets ROADMAP.md
+# tracks, so a PR's CHANGES.md entry and the next one quote one number.
+LOC_RECORDS = bam bamx conv formats/pamx shard flagstat hist engine
+LOC_REPRO = experiments cluster picard
+loc:
+	@count() { ls $$1/*.go | grep -v _test | xargs cat | wc -l; }; \
+	sum() { t=0; for p in $$@; do t=$$((t + $$(count internal/$$p))); done; echo $$t; }; \
+	for d in internal/* internal/formats/pamx cmd/*; do printf '%-26s %6d\n' $$d $$(count $$d); done; \
+	printf '%-26s %6d  (%s)\n' 'record-source set' $$(sum $(LOC_RECORDS)) '$(LOC_RECORDS)'; \
+	printf '%-26s %6d  (%s + cmd/ngsbench)\n' 'reproduction set' $$(( $$(sum $(LOC_REPRO)) + $$(count cmd/ngsbench) )) '$(LOC_REPRO)'; \
+	printf '%-26s %6d\n' 'non-test Go outside bench/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 
 # One iteration of every surviving testing.B benchmark: catches bit-rot
 # without paying for a measurement run. Each one is kept because a test

@@ -158,7 +158,7 @@ func runCompress(path string) {
 	if w <= 0 {
 		w = bgzf.AutoWorkers() // adaptive default, like the converter CLIs
 	}
-	n, err := conv.CompressBAMXFileWorkers(path, bamzPath, bamx.DefaultRecsPerBlock, w)
+	n, err := bamx.CompressFile(path, bamzPath, bamx.DefaultRecsPerBlock, w)
 	if err != nil {
 		die(err)
 	}

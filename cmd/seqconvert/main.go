@@ -1,7 +1,7 @@
 // Command seqconvert is the parallel sequence data format converter: it
-// converts SAM, BAM or preprocessed BAMX datasets into SAM, BED,
-// BEDGRAPH, FASTA, FASTQ, JSON, YAML or BAM shards with one output file
-// per rank.
+// converts SAM, BAM, preprocessed BAMX/BAMZ or columnar PAMX datasets
+// into SAM, BED, BEDGRAPH, FASTA, FASTQ, JSON, YAML or BAM shards with
+// one output file per rank.
 //
 // Usage:
 //
@@ -10,6 +10,7 @@
 //	seqconvert -in data.bamx -format sam -p 8 -region chr1:1-500000
 //	seqconvert -in data.sam  -converter psam -format fastq -p 8
 //	seqconvert -in data.bam  -converter pamx -out outdir -prefix data   # columnar PAMX
+//	seqconvert -in data.pamx -format bed -p 8 -region chr1:1-500000
 //
 // With -transport tcp the same command becomes one rank of a
 // multi-process world (run it once per rank with the same work flags):
@@ -51,7 +52,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel ranks")
 	fs.StringVar(&o.env.OutDir, "out", ".", "output directory")
 	fs.StringVar(&o.env.OutPrefix, "prefix", "out", "output file prefix")
-	fs.StringVar(&o.spec.Region, "region", "", "partial conversion region, e.g. chr1:100-200 (BAMX-backed converters only)")
+	fs.StringVar(&o.spec.Region, "region", "", "partial conversion region, e.g. chr1:100-200 (.bamx, .bamz, and .pamx to a text format)")
 	fs.StringVar(&o.spec.Converter, "converter", "auto", "converter instance: "+strings.Join(engine.Converters(), ", "))
 	fs.BoolVar(&o.preproc, "preprocess", false, "only preprocess the input into BAMX/BAIX")
 	fs.IntVar(&o.env.PreRanks, "pre-p", 0, "preprocessing ranks for the psam converter (default: -p)")

@@ -49,11 +49,14 @@ func TestFlagsMatchJSON(t *testing.T) {
 	}
 }
 
-// -converter pamx used to drop -region and -format on the floor.
+// -converter pamx used to drop -region and -format on the floor. A text
+// -format on a .pamx input is honoured since (a conversion like any
+// other container's); the columnar rewrites still take neither.
 func TestPAMXRejectsRegionAndFormat(t *testing.T) {
 	for _, argv := range [][]string{
 		{"-in", "a.bam", "-converter", "pamx", "-region", "chr1:1-100"},
-		{"-in", "a.pamx", "-format", "sam"},
+		{"-in", "a.pamx", "-format", "bam"},
+		{"-in", "a.pamx", "-region", "chr1:1-100"},
 	} {
 		o, err := parse(flag.NewFlagSet("seqconvert", flag.ContinueOnError), argv)
 		if err != nil {

@@ -274,19 +274,6 @@ func (ur *UnmappedTailReader) NextBody() ([]byte, error) {
 	}
 }
 
-// ReadInto decodes the next unmapped record into rec, or returns io.EOF.
-func (ur *UnmappedTailReader) ReadInto(rec *sam.Record) error {
-	body, err := ur.NextBody()
-	if err != nil {
-		return err
-	}
-	if err := DecodeRecord(body, rec, ur.br.Header()); err != nil {
-		ur.err = err
-		return err
-	}
-	return nil
-}
-
 // WriteIndexFile builds and writes a .bai file for a BAM file opened via
 // the given ReadSeeker, restoring the stream position afterwards.
 func WriteIndexFile(rs io.ReadSeeker, w io.Writer) error {

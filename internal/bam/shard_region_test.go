@@ -14,6 +14,23 @@ func recordKey(rec *sam.Record) string {
 	return fmt.Sprintf("%s/%d@%s:%d", rec.QName, rec.Flag, rec.RName, rec.Pos)
 }
 
+// nextTail decodes the tail's next body into rec, reporting false at
+// the end.
+func nextTail(t *testing.T, ur *UnmappedTailReader, rec *sam.Record, h *sam.Header) bool {
+	t.Helper()
+	body, err := ur.NextBody()
+	if err == io.EOF {
+		return false
+	}
+	if err == nil {
+		err = DecodeRecord(body, rec, h)
+	}
+	if err != nil {
+		t.Fatalf("tail: %v", err)
+	}
+	return true
+}
+
 // readShardSlice drains one start-within region reader into keys.
 func readShardSlice(t *testing.T, raw []byte, idx *Index, refName string, beg, end int, into map[string]int) {
 	t.Helper()
@@ -65,12 +82,7 @@ func TestShardPartitionExactlyOnce(t *testing.T) {
 			t.Fatalf("NewUnmappedTailReader: %v", err)
 		}
 		var rec sam.Record
-		for {
-			if err := ur.ReadInto(&rec); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("tail ReadInto: %v", err)
-			}
+		for nextTail(t, ur, &rec, h) {
 			got[recordKey(&rec)]++
 		}
 		br.Close()
@@ -170,12 +182,7 @@ func TestUnmappedTailReaderOnly(t *testing.T) {
 	}
 	got := 0
 	var rec sam.Record
-	for {
-		if err := ur.ReadInto(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("ReadInto: %v", err)
-		}
+	for nextTail(t, ur, &rec, br.Header()) {
 		if rec.RName != "*" {
 			t.Fatalf("tail returned placed record %s@%s", rec.QName, rec.RName)
 		}

@@ -244,34 +244,6 @@ func TestIndexRegionEmptyAndEdges(t *testing.T) {
 	}
 }
 
-func TestMultiRegionMerges(t *testing.T) {
-	var entries []Entry
-	for i := 0; i < 100; i++ {
-		entries = append(entries, Entry{RefID: 0, Pos: int32(i + 1), Index: int64(i)})
-	}
-	idx := NewIndex(entries)
-	got := idx.MultiRegion([]RegionSpec{
-		{RefID: 0, Beg: 10, End: 30},
-		{RefID: 0, Beg: 25, End: 40}, // overlaps previous
-		{RefID: 0, Beg: 60, End: 70},
-		{RefID: 3, Beg: 1, End: 5}, // no entries
-	})
-	if len(got) != 2 {
-		t.Fatalf("MultiRegion = %v, want 2 merged ranges", got)
-	}
-	if got[0] != [2]int{9, 40} {
-		t.Errorf("range 0 = %v, want [9 40]", got[0])
-	}
-	if got[1] != [2]int{59, 70} {
-		t.Errorf("range 1 = %v, want [59 70]", got[1])
-	}
-	// Whole-reference spec via zero Beg/End.
-	all := idx.MultiRegion([]RegionSpec{{RefID: 0}})
-	if len(all) != 1 || all[0] != [2]int{0, 100} {
-		t.Errorf("whole-ref MultiRegion = %v", all)
-	}
-}
-
 func TestIndexSerialization(t *testing.T) {
 	d := dataset(t, 100)
 	_, idx := buildBAMX(t, d)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"time"
@@ -95,15 +96,9 @@ type zblock struct {
 	err  error
 }
 
-// NewCompressedWriter writes the header and returns a record writer
-// that compresses blocks on the calling goroutine.
-func NewCompressedWriter(w io.Writer, h *sam.Header, caps Caps, recsPerBlock int) (*CompressedWriter, error) {
-	return NewCompressedWriterWorkers(w, h, caps, recsPerBlock, 0)
-}
-
-// NewCompressedWriterWorkers is NewCompressedWriter with block deflation
-// fanned out on the process-wide bgzf.SharedPool (≤1 keeps it on the
-// caller); `workers` sizes the writer's in-flight window while the pool
+// NewCompressedWriterWorkers writes the header and returns a record
+// writer with block deflation fanned out on the process-wide
+// bgzf.SharedPool (≤1 keeps it on the caller); `workers` sizes the writer's in-flight window while the pool
 // adapts its own worker count to aggregate demand, BAMZ blocks
 // included. Output is byte-identical regardless of worker count: blocks
 // are retired in submission order and flate with a fixed level is
@@ -387,7 +382,6 @@ type CompressedFile struct {
 
 	cachedBlock int64 // index of the cached decompressed block, -1 if none
 	cache       []byte
-	body        []byte
 
 	ra *blockReadahead // non-nil after StartReadahead
 }
@@ -531,33 +525,40 @@ func (f *CompressedFile) loadBlock(b int64) error {
 	return nil
 }
 
-// ReadRecord random-accesses record i. Consecutive accesses within one
-// block reuse the decompressed cache.
+// ReadRecord random-accesses record i through the plain-file view.
+// Consecutive accesses within one block reuse the decompressed cache.
 func (f *CompressedFile) ReadRecord(i int64, rec *sam.Record) error {
-	if i < 0 || i >= f.count {
-		return fmt.Errorf("bamx: record %d out of range [0, %d)", i, f.count)
-	}
-	if err := f.loadBlock(i / int64(f.recsPerBlock)); err != nil {
-		return err
-	}
-	intra := int(i%int64(f.recsPerBlock)) * f.stride
-	raw := f.cache[intra : intra+f.stride]
-	var err error
-	f.body, err = unpadRecord(f.body[:0], raw, f.caps)
-	if err != nil {
-		return err
-	}
-	return bam.DecodeRecord(f.body, rec, f.header)
+	return f.File().ReadRecord(i, rec)
 }
 
-// CompressBAMX rewrites a plain BAMX file as a compressed one, returning
-// the record count.
-func CompressBAMX(src *File, w io.Writer, recsPerBlock int) (int64, error) {
-	return CompressBAMXWorkers(src, w, recsPerBlock, 0)
+// ReadAt serves the uncompressed record area (offset 0 is record 0),
+// inflating the blocks the read touches: what File reads through.
+func (f *CompressedFile) ReadAt(p []byte, off int64) (n int, err error) {
+	blockBytes := int64(f.recsPerBlock) * int64(f.stride)
+	for n < len(p) {
+		if off < 0 || off >= f.count*int64(f.stride) {
+			return n, io.EOF
+		}
+		b := off / blockBytes
+		if err := f.loadBlock(b); err != nil {
+			return n, err
+		}
+		c := copy(p[n:], f.cache[off-b*blockBytes:])
+		n, off = n+c, off+int64(c)
+	}
+	return n, nil
 }
 
-// CompressBAMXWorkers is CompressBAMX with block deflation running on
-// `workers` goroutines (≤1 compresses on the calling goroutine).
+// File views the compressed file as a plain BAMX file, so one set of
+// fixed-stride access paths (Scan, ScanEntries, ReadRaw) reads both.
+// The view shares the handle's one-block cache: single-consumer.
+func (f *CompressedFile) File() *File {
+	return &File{r: f, header: f.header, caps: f.caps, count: f.count}
+}
+
+// CompressBAMXWorkers rewrites a plain BAMX file as a compressed one
+// with block deflation running on `workers` goroutines (≤1 compresses on
+// the calling goroutine), returning the record count.
 func CompressBAMXWorkers(src *File, w io.Writer, recsPerBlock, workers int) (int64, error) {
 	cw, err := NewCompressedWriterWorkers(w, src.Header(), src.Caps(), recsPerBlock, workers)
 	if err != nil {
@@ -577,4 +578,35 @@ func CompressBAMXWorkers(src *File, w io.Writer, recsPerBlock, workers int) (int
 			return 0, err
 		}
 	}
+}
+
+// CompressFile is CompressBAMXWorkers from the plain BAMX file at
+// bamxPath into bamzPath; a failed rewrite leaves no bamzPath behind.
+func CompressFile(bamxPath, bamzPath string, recsPerBlock, workers int) (int64, error) {
+	in, err := os.Open(bamxPath)
+	if err != nil {
+		return 0, err
+	}
+	defer in.Close()
+	st, err := in.Stat()
+	if err != nil {
+		return 0, err
+	}
+	src, err := Open(in, st.Size())
+	if err != nil {
+		return 0, err
+	}
+	out, err := os.Create(bamzPath)
+	if err != nil {
+		return 0, err
+	}
+	n, err := CompressBAMXWorkers(src, out, recsPerBlock, workers)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(bamzPath)
+		return 0, err
+	}
+	return n, nil
 }

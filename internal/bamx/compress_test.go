@@ -23,7 +23,7 @@ func buildCompressed(t testing.TB, d *simdata.Dataset, recsPerBlock int) (*Compr
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompressBAMX(pf, &buf, recsPerBlock); err != nil {
+	if _, err := CompressBAMXWorkers(pf, &buf, recsPerBlock, 0); err != nil {
 		t.Fatalf("CompressBAMX: %v", err)
 	}
 	cf, err := OpenCompressed(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
@@ -92,7 +92,7 @@ func TestCompressedWriterDirect(t *testing.T) {
 		bodies = append(bodies, body)
 	}
 	var buf bytes.Buffer
-	w, err := NewCompressedWriter(&buf, d.Header, caps, 16)
+	w, err := NewCompressedWriterWorkers(&buf, d.Header, caps, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCompressedWriterDirect(t *testing.T) {
 func TestCompressedEmptyFile(t *testing.T) {
 	h := sam.NewHeader(sam.Reference{Name: "chr1", Length: 100})
 	var buf bytes.Buffer
-	w, err := NewCompressedWriter(&buf, h, Caps{QName: 8, Seq: 8}, 4)
+	w, err := NewCompressedWriterWorkers(&buf, h, Caps{QName: 8, Seq: 8}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestOpenCompressedRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressBAMX(pf, &buf, 16); err != nil {
+	if _, err := CompressBAMXWorkers(pf, &buf, 16, 0); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -198,7 +198,7 @@ func TestOpenCompressedRejectsCorruption(t *testing.T) {
 
 func TestCompressedWriterRejectsDegenerateCaps(t *testing.T) {
 	h := sam.NewHeader()
-	if _, err := NewCompressedWriter(&bytes.Buffer{}, h, Caps{}, 4); err == nil {
+	if _, err := NewCompressedWriterWorkers(&bytes.Buffer{}, h, Caps{}, 4, 0); err == nil {
 		t.Error("degenerate caps accepted")
 	}
 }
@@ -259,7 +259,7 @@ func TestOpenCompressedNeverPanicsOnMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressBAMX(pf, &buf, 16); err != nil {
+	if _, err := CompressBAMXWorkers(pf, &buf, 16, 0); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

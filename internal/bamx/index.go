@@ -76,45 +76,6 @@ func (ix *Index) RefRange(refID int32) (lo, hi int) {
 	return lo, hi
 }
 
-// RegionSpec names one query region for MultiRegion.
-type RegionSpec struct {
-	RefID int32
-	Beg   int32 // 1-based inclusive; Beg == 0 means the reference start
-	End   int32 // 1-based inclusive; End == 0 means the reference end
-}
-
-// MultiRegion resolves several regions at once, merging overlapping or
-// adjacent index ranges. It implements the paper's future-work extension
-// of "more partial conversion types" on the BAIX structure.
-func (ix *Index) MultiRegion(specs []RegionSpec) [][2]int {
-	ranges := make([][2]int, 0, len(specs))
-	for _, s := range specs {
-		beg, end := s.Beg, s.End
-		if beg == 0 {
-			beg = 1
-		}
-		if end == 0 {
-			end = 1<<31 - 1
-		}
-		lo, hi := ix.Region(s.RefID, beg, end)
-		if lo < hi {
-			ranges = append(ranges, [2]int{lo, hi})
-		}
-	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
-	merged := ranges[:0]
-	for _, r := range ranges {
-		if n := len(merged); n > 0 && r[0] <= merged[n-1][1] {
-			if r[1] > merged[n-1][1] {
-				merged[n-1][1] = r[1]
-			}
-		} else {
-			merged = append(merged, r)
-		}
-	}
-	return merged
-}
-
 // WriteTo serialises the index in the BAIX file format: magic, entry
 // count, then 16 bytes per entry.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {

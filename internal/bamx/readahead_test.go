@@ -12,7 +12,7 @@ import (
 func emptyCompressed(t *testing.T, h *sam.Header) *CompressedFile {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewCompressedWriter(&buf, h, Caps{QName: 8, Seq: 8}, 4)
+	w, err := NewCompressedWriterWorkers(&buf, h, Caps{QName: 8, Seq: 8}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

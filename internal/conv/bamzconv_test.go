@@ -92,7 +92,12 @@ func TestConvertBAMZPartialMatchesPlain(t *testing.T) {
 }
 
 func TestConvertBAMZPartialRequiresIndex(t *testing.T) {
-	_, bamzPath, _ := prepBAMZ(t, 100)
+	_, bamzPath, baixPath := prepBAMZ(t, 100)
+	// "" means the sidecar beside the file; without one there is no
+	// plain-file scan to rebuild it from.
+	if err := os.Remove(baixPath); err != nil {
+		t.Fatal(err)
+	}
 	_, err := ConvertBAMZ(bamzPath, "", Options{
 		Format: "sam", OutDir: t.TempDir(),
 		Region: &Region{RName: "chr1", Beg: 1},

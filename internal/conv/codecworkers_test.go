@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"parseq/internal/bamx"
 )
 
 // The parallel BGZF codec must be invisible in the outputs: preprocessing
@@ -33,7 +35,7 @@ func TestCodecWorkersProduceIdenticalArtifacts(t *testing.T) {
 	if _, err := CompressBAMXFile(seqX, seqZ, 64); err != nil {
 		t.Fatalf("sequential compress: %v", err)
 	}
-	if _, err := CompressBAMXFileWorkers(parX, parZ, 64, 4); err != nil {
+	if _, err := bamx.CompressFile(parX, parZ, 64, 4); err != nil {
 		t.Fatalf("parallel compress: %v", err)
 	}
 	mustEqualFiles(t, seqZ, parZ)

@@ -9,9 +9,10 @@
 //     records in order. There are two: SAM text (Algorithm 1 byte
 //     partitioning, then a line engine — the line-at-a-time loop that
 //     ParseWorkers 1 selects and the tests use as reference, or the
-//     order-preserving batch pipeline) and an indexed record file (plain
-//     BAMX or block-compressed BAMZ, split into equal record counts, with
-//     an optional BAIX-resolved region for partial conversion).
+//     order-preserving batch pipeline) and a shard.Provider (BAMX, BAMZ,
+//     PAMX or indexed BAM: the provider cuts the file — or the region, for
+//     partial conversion — into one shard per rank and serves each rank
+//     an independent reader; "region → records" lives there, not here).
 //     ConvertStream is the degenerate one-rank source — any ordered
 //     record iterator — and ConvertBAMSequential is that over a BAM
 //     reader.
@@ -25,15 +26,17 @@
 //
 // The converter instances of Section III are thin configurations:
 // ConvertSAM (SAM source), ConvertBAM/ConvertBAMX (sequential BAMX/BAIX
-// preprocessing, then the record source), ConvertSAMPreprocessed
+// preprocessing, then the provider source), ConvertSAMPreprocessed
 // (the SAM source collecting records into per-rank BAMX files, then the
-// record source).
+// provider source).
 package conv
 
 import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -41,6 +44,8 @@ import (
 	"parseq/internal/formats"
 	"parseq/internal/mpi"
 	"parseq/internal/obs"
+	"parseq/internal/sam"
+	"parseq/internal/shard"
 )
 
 // Region selects a chromosome region for partial conversion, 1-based
@@ -59,74 +64,56 @@ func (r Region) String() string {
 	return fmt.Sprintf("%s:%d-%d", r.RName, r.Beg, r.End)
 }
 
-// ParseRegion parses "chr1", "chr1:100-200" or "chr1:100-".
+// ParseRegion parses "chr1", "chr1:100-200", "chr1:100-" or "chr1:100"
+// (the single base). Coordinates are unsigned decimals below 2³¹.
 func ParseRegion(s string) (Region, error) {
-	var r Region
-	colon := -1
-	for i := 0; i < len(s); i++ {
-		if s[i] == ':' {
-			colon = i
-			break
-		}
+	name, span, bounded := strings.Cut(s, ":")
+	if name == "" {
+		return Region{}, fmt.Errorf("conv: region %q has no reference name", s)
 	}
-	if colon < 0 {
-		if s == "" {
-			return r, fmt.Errorf("conv: empty region")
-		}
-		return Region{RName: s, Beg: 1}, nil
+	r := Region{RName: name, Beg: 1}
+	if !bounded {
+		return r, nil
 	}
-	r.RName = s[:colon]
-	if r.RName == "" {
-		return r, fmt.Errorf("conv: region %q has no reference name", s)
-	}
-	rest := s[colon+1:]
-	dash := -1
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == '-' {
-			dash = i
-			break
-		}
-	}
-	parse := func(t string) (int32, error) {
-		var n int64
-		if t == "" {
-			return 0, fmt.Errorf("conv: empty coordinate in region %q", s)
-		}
-		for i := 0; i < len(t); i++ {
-			if t[i] < '0' || t[i] > '9' {
-				return 0, fmt.Errorf("conv: bad coordinate %q in region %q", t, s)
-			}
-			n = n*10 + int64(t[i]-'0')
-			if n > 1<<31-1 {
-				return 0, fmt.Errorf("conv: coordinate overflow in region %q", s)
-			}
+	coord := func(t string) (int32, error) {
+		n, err := strconv.ParseUint(t, 10, 31)
+		if err != nil {
+			return 0, fmt.Errorf("conv: bad coordinate %q in region %q", t, s)
 		}
 		return int32(n), nil
 	}
-	if dash < 0 {
-		beg, err := parse(rest)
-		if err != nil {
-			return r, err
-		}
-		r.Beg, r.End = beg, beg
-		return r, nil
-	}
-	beg, err := parse(rest[:dash])
-	if err != nil {
+	first, last, ranged := strings.Cut(span, "-")
+	var err error
+	if r.Beg, err = coord(first); err != nil {
 		return r, err
 	}
-	r.Beg = beg
-	if rest[dash+1:] != "" {
-		end, err := parse(rest[dash+1:])
-		if err != nil {
+	switch {
+	case !ranged:
+		r.End = r.Beg
+	case last != "":
+		if r.End, err = coord(last); err != nil {
 			return r, err
 		}
-		if end < beg {
+		if r.End < r.Beg {
 			return r, fmt.Errorf("conv: inverted region %q", s)
 		}
-		r.End = end
 	}
 	return r, nil
+}
+
+// bound resolves the region into the provider's selection bound: the
+// one place the 1-based inclusive [Beg, End] becomes the zero-based
+// half-open [Beg-1, End) of alignment starts (an open End: the length).
+func (r Region) bound(h *sam.Header) (*shard.Region, error) {
+	id := h.RefID(r.RName)
+	if id < 0 {
+		return nil, fmt.Errorf("conv: region reference %q not in header", r.RName)
+	}
+	b := &shard.Region{Ref: r.RName, Beg: max(int(r.Beg)-1, 0), End: int(r.End)}
+	if r.End <= 0 {
+		b.End = h.RefByID(id).Length
+	}
+	return b, nil
 }
 
 // Options configures one conversion.
@@ -142,7 +129,7 @@ type Options struct {
 	// OutPrefix names the target files: <OutPrefix>_p<rank><ext>.
 	OutPrefix string
 	// Region restricts conversion to one chromosome region (partial
-	// conversion). Only the BAMX/BAMZ-based converters support it.
+	// conversion). Only the provider-backed converters support it.
 	Region *Region
 	// CodecWorkers is the number of BGZF codec goroutines used wherever
 	// BAM streams are read or written. 0 (the default) selects the

@@ -2,14 +2,18 @@ package conv
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"parseq/internal/bam"
 	"parseq/internal/formats"
+	"parseq/internal/formats/pamx"
 	"parseq/internal/sam"
+	"parseq/internal/shard"
 	"parseq/internal/simdata"
 )
 
@@ -92,9 +96,94 @@ func TestParseRegion(t *testing.T) {
 			t.Errorf("ParseRegion(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"", ":5-10", "chr1:x-10", "chr1:10-x", "chr1:20-10", "chr1:99999999999-"} {
+	for _, bad := range []string{"", ":5-10", "chr1:x-10", "chr1:10-x", "chr1:20-10", "chr1:99999999999-",
+		"chr1:", "chr1:-5", "chr1:+5-10", "chr1:5-10-20", "chr1:5_0-60", "chr1:2147483648"} {
 		if _, err := ParseRegion(bad); err == nil {
 			t.Errorf("ParseRegion(%q) succeeded", bad)
+		}
+	}
+}
+
+// TestRegionBound pins the one 1-based-inclusive → zero-based half-open
+// conversion, on the interval itself and on the records every provider
+// then selects: one starting at Beg and one at End are in, one at End+1
+// (and one before Beg) is out.
+func TestRegionBound(t *testing.T) {
+	h := sam.NewHeader()
+	h.AddReference("chr1", 5000)
+	h.AddReference("chr2", 700)
+	for _, tc := range []struct {
+		in   Region
+		want shard.Region
+	}{
+		{Region{RName: "chr1", Beg: 100, End: 200}, shard.Region{Ref: "chr1", Beg: 99, End: 200}},
+		{Region{RName: "chr1", Beg: 1, End: 1}, shard.Region{Ref: "chr1", Beg: 0, End: 1}},
+		{Region{RName: "chr1", Beg: 0, End: 10}, shard.Region{Ref: "chr1", Beg: 0, End: 10}},
+		{Region{RName: "chr2", Beg: 1}, shard.Region{Ref: "chr2", Beg: 0, End: 700}},
+		{Region{RName: "chr2", Beg: 300}, shard.Region{Ref: "chr2", Beg: 299, End: 700}},
+	} {
+		got, err := tc.in.bound(h)
+		if err != nil || *got != tc.want {
+			t.Errorf("%v.bound = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := (Region{RName: "chrNope", Beg: 1}).bound(h); err == nil {
+		t.Error("bound resolved a reference the header lacks")
+	}
+
+	// Four records around chr1:100-200, through every container.
+	var recs []sam.Record
+	for _, pos := range []int32{99, 100, 200, 201} {
+		recs = append(recs, sam.Record{
+			QName: fmt.Sprintf("at%d", pos), RName: "chr1", Pos: pos, MapQ: 30,
+			Cigar: sam.Cigar{sam.NewCigarOp(sam.CigarMatch, 4)}, RNext: "*", Seq: "ACGT", Qual: "IIII",
+		})
+	}
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	bf, err := os.Create(path("r.bam"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw, err := bam.NewWriter(bf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := bw.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bf.Close()
+	if _, err := PreprocessBAMFile(path("r.bam"), path("r.bamx"), path("r.baix"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompressBAMXFile(path("r.bamx"), path("r.bamz"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pamx.FromBAM(path("r.bam"), path("r.pamx"), pamx.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"r.bam", "r.bamx", "r.bamz", "r.pamx"} {
+		res, err := ConvertIndexed(path(name), "", Options{
+			Format: "bed", Cores: 2, OutDir: t.TempDir(), Region: &Region{RName: "chr1", Beg: 100, End: 200},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := concatFiles(t, res.Files)
+		for _, in := range []string{"at100", "at200"} {
+			if !strings.Contains(got, in) {
+				t.Errorf("%s: region chr1:100-200 dropped %s:\n%s", name, in, got)
+			}
+		}
+		for _, out := range []string{"at99", "at201"} {
+			if strings.Contains(got, out) {
+				t.Errorf("%s: region chr1:100-200 kept %s:\n%s", name, out, got)
+			}
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package conv
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,7 +13,9 @@ import (
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/formats"
+	"parseq/internal/formats/pamx"
 	"parseq/internal/sam"
+	"parseq/internal/shard"
 )
 
 // referenceText is the single-threaded conversion of recs, plus the
@@ -38,8 +43,11 @@ func referenceText(t *testing.T, recs []sam.Record, h *sam.Header, format string
 // TestSourceSinkMatrix pins the runtime's seam: every source reaches
 // every target, text and BAM shards alike, on both line engines and at
 // one and several ranks, with the same bytes as the sequential
-// reference and the same Stats — including BytesIn, which for the record
-// sources is records × stride on the full and the region path alike.
+// reference and the same Stats — including BytesIn, which for the
+// fixed-stride sources is records × stride on the full and the region
+// path alike. The provider source is exercised over every container a
+// provider reads; a shuffled BAMX pins the order contract — whole-file
+// output is file order, region output BAIX (position) order.
 func TestSourceSinkMatrix(t *testing.T) {
 	samPath, bamPath, d := writeDataset(t, 500)
 	dir := t.TempDir()
@@ -52,17 +60,49 @@ func TestSourceSinkMatrix(t *testing.T) {
 	if _, err := CompressBAMXFile(bamxPath, bamzPath, 64); err != nil {
 		t.Fatal(err)
 	}
-
-	// Partial conversion selects the records starting within the region,
-	// in BAIX (position) order.
-	region := &Region{RName: "chr1", Beg: 1, End: 100000}
-	var inRegion []sam.Record
-	for _, r := range d.Records {
-		if !r.Unmapped() && r.RName == region.RName && r.Pos >= region.Beg && r.Pos <= region.End {
-			inRegion = append(inRegion, r)
+	// Small groups, so the region cuts inside one.
+	pamxPath := filepath.Join(dir, "d.pamx")
+	if _, err := pamx.FromBAM(bamPath, pamxPath, pamx.Options{GroupRecords: 60}); err != nil {
+		t.Fatal(err)
+	}
+	// The same BAM beside a .bai sidecar; in.bam has none, so its
+	// provider builds the index in memory.
+	baiBAM := filepath.Join(dir, "d.bam")
+	raw, err := os.ReadFile(bamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bai bytes.Buffer
+	if err := bam.WriteIndexFile(bytes.NewReader(raw), &bai); err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string][]byte{baiBAM: raw, baiBAM + ".bai": bai.Bytes()} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sort.SliceStable(inRegion, func(i, j int) bool { return inRegion[i].Pos < inRegion[j].Pos })
+	shuffled := append([]sam.Record(nil), d.Records...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	shufPath := filepath.Join(dir, "shuf.bamx")
+	if _, err := writeIndexed(shufPath, filepath.Join(dir, "shuf.baix"), func(w io.Writer) (*bamx.Index, error) {
+		return bamx.BuildFromRecords(w, d.Header, shuffled)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Partial conversion selects the records starting within the region,
+	// in BAIX order: by position, file order among equals.
+	region := &Region{RName: "chr1", Beg: 1, End: 100000}
+	within := func(recs []sam.Record) (in []sam.Record) {
+		for _, r := range recs {
+			if !r.Unmapped() && r.RName == region.RName && r.Pos >= region.Beg && r.Pos <= region.End {
+				in = append(in, r)
+			}
+		}
+		sort.SliceStable(in, func(i, j int) bool { return in[i].Pos < in[j].Pos })
+		return in
+	}
+	inRegion := within(d.Records)
 	if len(inRegion) == 0 || len(inRegion) == len(d.Records) {
 		t.Fatalf("region selects %d of %d records; pick one that splits the dataset", len(inRegion), len(d.Records))
 	}
@@ -94,10 +134,18 @@ func TestSourceSinkMatrix(t *testing.T) {
 	}
 	stride := int64(x.Stride())
 
+	provider := func(open func() shard.Provider) func(Options) (*Result, error) {
+		return func(o Options) (*Result, error) { return convertProvider(open(), o) }
+	}
+	fromPAMX := provider(func() shard.Provider { return shard.NewPAMXProvider(pamxPath) })
+	fromBAI := provider(func() shard.Provider { return shard.NewBAMProvider(baiBAM) })
+	fromBAM := provider(func() shard.Provider { return shard.NewBAMProvider(bamPath) })
+	fromShuffled := func(o Options) (*Result, error) { return ConvertBAMX(shufPath, "", o) }
+
 	sources := []struct {
 		name    string
 		recs    []sam.Record
-		bytesIn int64
+		bytesIn int64 // -1: the provider's compressed-byte estimate, not pinned
 		region  *Region
 		convert func(Options) (*Result, error)
 	}{
@@ -113,6 +161,14 @@ func TestSourceSinkMatrix(t *testing.T) {
 			func(o Options) (*Result, error) { return ConvertBAMX(bamxPath, baixPath, o) }},
 		{"bamz+region", inRegion, stride * int64(len(inRegion)), region,
 			func(o Options) (*Result, error) { return ConvertBAMZ(bamzPath, baixPath, o) }},
+		{"pamx", d.Records, -1, nil, fromPAMX},
+		{"pamx+region", inRegion, -1, region, fromPAMX},
+		{"bam+bai", d.Records, -1, nil, fromBAI},
+		{"bam+bai+region", inRegion, -1, region, fromBAI},
+		{"bam", d.Records, -1, nil, fromBAM},
+		{"bam+region", inRegion, -1, region, fromBAM},
+		{"bamx-shuffled", shuffled, stride * int64(len(shuffled)), nil, fromShuffled},
+		{"bamx-shuffled+region", within(shuffled), stride * int64(len(inRegion)), region, fromShuffled},
 	}
 	for _, src := range sources {
 		for _, format := range []string{"sam", "bed", "fastq", "bam"} {
@@ -145,6 +201,9 @@ func TestSourceSinkMatrix(t *testing.T) {
 						BytesIn: res.Stats.BytesIn, BytesOut: res.Stats.BytesOut}
 					wantStats := Stats{Records: int64(len(src.recs)), Emitted: emitted,
 						BytesIn: src.bytesIn, BytesOut: onDisk}
+					if src.bytesIn < 0 {
+						wantStats.BytesIn = got.BytesIn
+					}
 					if got != wantStats {
 						t.Errorf("%s: stats = %+v, want %+v", name, got, wantStats)
 					}

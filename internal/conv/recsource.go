@@ -5,106 +5,120 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"parseq/internal/bam"
-	"parseq/internal/bamx"
 	"parseq/internal/mpi"
 	"parseq/internal/sam"
+	"parseq/internal/shard"
 )
 
-// recordFile is an indexed record container the runtime partitions by
-// record count and reads by random access: plain fixed-stride BAMX, or
-// its block-compressed BAMZ variant.
-type recordFile interface {
-	Header() *sam.Header
-	NumRecords() int64
-	Caps() bamx.Caps
-	// reader returns a decoder over records [lo, hi) — or, with region
-	// entries, over the records entries[lo:hi] point at — reporting
-	// false at the end.
-	reader(entries []bamx.Entry, lo, hi int) func(*sam.Record) (bool, error)
-	// rebuildIndex reconstructs the BAIX index when no sidecar supplies it.
-	rebuildIndex() (*bamx.Index, error)
-}
-
-// recordOpener opens one handle on the container at path; the returned
-// function releases it.
-type recordOpener func(path string, opts *Options) (recordFile, func(), error)
-
-type plainFile struct{ *bamx.File }
-
-func openPlain(path string, _ *Options) (recordFile, func(), error) {
-	f, size, err := openSized(path)
+// convertProvider is the parallel conversion phase over any container a
+// shard.Provider reads — the runtime's one binary record source. Rank 0
+// cuts the selection (the whole file, or opts.Region's records) into one
+// shard per rank (shard.Distribute); each rank drains its contiguous
+// group in order through independent readers, with no further
+// communication. Whole-file shards are in file order, so the
+// concatenated rank outputs replay the file; a region's are in
+// coordinate order. The provider is closed on return.
+func convertProvider(p shard.Provider, opts Options) (*Result, error) {
+	defer p.Close()
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
+	h, err := p.Header()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	xf, err := bamx.Open(f, size)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return plainFile{xf}, func() { f.Close() }, nil
-}
-
-func (p plainFile) reader(entries []bamx.Entry, lo, hi int) func(*sam.Record) (bool, error) {
-	if entries == nil {
-		return p.Scan(int64(lo), int64(hi)).Next
-	}
-	// Region entries of a sorted file are physically adjacent, so this
-	// too is about one read per megabyte.
-	return p.ScanEntries(entries[lo:hi]).Next
-}
-
-func (p plainFile) rebuildIndex() (*bamx.Index, error) { return bamx.BuildIndex(p.File) }
-
-// compressedFile is a BAMZ handle with its own block cache, so each
-// rank decompresses only the blocks its records live in.
-type compressedFile struct {
-	*bamx.CompressedFile
-	readahead int // inflate workers running ahead of the record loop; 0 for none
-}
-
-func openCompressed(path string, opts *Options) (recordFile, func(), error) {
-	f, size, err := openSized(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	zf, err := bamx.OpenCompressed(f, size)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	z := compressedFile{CompressedFile: zf}
-	if opts.CodecWorkers > 1 {
-		// The codec worker budget is shared across ranks; even a single
-		// readahead worker overlaps decompression with conversion.
-		z.readahead = max(1, opts.CodecWorkers/opts.Cores)
-	}
-	return z, func() { zf.Close(); f.Close() }, nil
-}
-
-func (z compressedFile) reader(entries []bamx.Entry, lo, hi int) func(*sam.Record) (bool, error) {
-	if z.readahead > 0 {
-		z.StartReadahead(z.readahead)
-	}
-	return func(rec *sam.Record) (bool, error) {
-		if lo >= hi {
-			return false, nil
+	sel := shard.Options{TargetShards: opts.Cores}
+	if opts.Region != nil {
+		if sel.Region, err = opts.Region.bound(h); err != nil {
+			return nil, err
 		}
-		i := int64(lo)
-		if entries != nil {
-			i = entries[lo].Index
-		}
-		lo++
-		return true, z.ReadRecord(i, rec)
 	}
+	return convert(&opts, h, func(c *mpi.Comm) (func(*sink) (rankStats, error), error) {
+		shards, err := shard.Distribute(c, p, sel)
+		return func(sk *sink) (rankStats, error) { return convertShards(p, h, shards, sk) }, err
+	})
 }
 
-// A compressed file cannot rebuild its index through the plain-file
-// scan.
-func (z compressedFile) rebuildIndex() (*bamx.Index, error) {
-	return nil, fmt.Errorf("conv: partial conversion of a compressed BAMX needs its BAIX index")
+// convertShards streams one rank's shards, in order, through its sink.
+// Input consumed is the byte weight of the shards drained plus the body
+// bytes read of the open one, capped at its weight: exact at every shard
+// boundary, so a fixed-stride source reports records × stride.
+func convertShards(p shard.Provider, h *sam.Header, shards []shard.Shard, sk *sink) (rankStats, error) {
+	for _, sh := range shards {
+		addBytesTotal(sh.Bytes)
+	}
+	var (
+		rr        shard.RecordReader // open on shards[0]; nil between shards
+		done, cur int64              // input bytes: of drained shards, of the open one
+	)
+	defer func() {
+		if rr != nil {
+			rr.Close()
+		}
+	}()
+	next := func(rec *sam.Record) (bool, error) {
+		for len(shards) > 0 {
+			if rr == nil {
+				var err error
+				if rr, err = p.NewReader(shards[0]); err != nil {
+					return false, err
+				}
+			}
+			body, err := rr.NextBody()
+			if err == nil {
+				cur = min(cur+int64(len(body))+4, shards[0].Bytes)
+				return true, bam.DecodeRecord(body, rec, h)
+			}
+			if err != io.EOF {
+				return false, err
+			}
+			err, rr = rr.Close(), nil
+			if err != nil {
+				return false, err
+			}
+			done, cur, shards = done+shards[0].Bytes, 0, shards[1:]
+		}
+		return false, nil
+	}
+	return convertRecords(next, func() int64 { return done + cur }, sk)
+}
+
+// readerCodec is each shard reader's share of the codec budget the
+// ranks divide (under a BAMZ reader even one readahead worker overlaps
+// decompression with conversion). The copy of opts resolves the adaptive
+// default; an invalid option resurfaces in convertProvider.
+func readerCodec(opts Options) shard.Option {
+	if opts.normalize() != nil || opts.CodecWorkers <= 1 {
+		return shard.WithCodecWorkers(0)
+	}
+	return shard.WithCodecWorkers(max(1, opts.CodecWorkers/opts.Cores))
+}
+
+// ConvertIndexed converts any container a shard provider reads (indexed
+// BAM, BAMX, BAMZ, PAMX — shard.OpenPathProvider, by extension), all of
+// it or opts.Region. indexPath overrides the sidecar index when not "".
+func ConvertIndexed(path, indexPath string, opts Options) (*Result, error) {
+	return convertProvider(shard.OpenPathProvider(path, shard.WithIndexPath(indexPath), readerCodec(opts)), opts)
+}
+
+// ConvertBAMX is the parallel conversion phase of the BAM format
+// converter (and of the preprocessing-optimized SAM converter) over the
+// fixed-stride BAMX file: equal physical record ranges, in file order.
+// With opts.Region set, the BAIX index (baixPath, or the sidecar beside
+// the file; rebuilt by a scan when missing) maps the region to a
+// contiguous entry range first (partial conversion).
+func ConvertBAMX(bamxPath, baixPath string, opts Options) (*Result, error) {
+	return convertProvider(shard.NewBAMXProvider(bamxPath, shard.WithIndexPath(baixPath)), opts)
+}
+
+// ConvertBAMZ is ConvertBAMX for compressed BAMX files: the same
+// partitioning, with each rank decompressing only the blocks its records
+// live in. Partial conversion needs the BAIX — a compressed file has no
+// scan to rebuild it from.
+func ConvertBAMZ(bamzPath, baixPath string, opts Options) (*Result, error) {
+	return convertProvider(shard.NewBAMZProvider(bamzPath, shard.WithIndexPath(baixPath), readerCodec(opts)), opts)
 }
 
 func openSized(path string) (*os.File, int64, error) {
@@ -118,95 +132,6 @@ func openSized(path string) (*os.File, int64, error) {
 		return nil, 0, err
 	}
 	return f, fi.Size(), nil
-}
-
-// regionEntries maps a chromosome region to its contiguous run of BAIX
-// entries, reading the index from baixPath or — when that is empty or
-// missing — rebuilding it.
-func regionEntries(rf recordFile, baixPath string, r *Region) ([]bamx.Entry, error) {
-	var idx *bamx.Index
-	data, err := os.ReadFile(baixPath)
-	switch {
-	case err == nil:
-		idx, err = bamx.ParseIndex(data)
-	case baixPath == "" || os.IsNotExist(err):
-		idx, err = rf.rebuildIndex()
-	}
-	if err != nil {
-		return nil, err
-	}
-	refID := rf.Header().RefID(r.RName)
-	if refID < 0 {
-		return nil, fmt.Errorf("conv: region reference %q not in header", r.RName)
-	}
-	beg, end := r.Beg, r.End
-	if beg <= 0 {
-		beg = 1
-	}
-	if end <= 0 {
-		end = 1<<31 - 1
-	}
-	lo, hi := idx.Region(int32(refID), beg, end)
-	return idx.Entries()[lo:hi], nil
-}
-
-// convertRecordFile is the parallel conversion phase over an indexed
-// record container: the unit of partitioning — every record, or the
-// BAIX region's entries for partial conversion — is divided into
-// partitions holding an equal number of records, retrieved by random
-// access and converted with no inter-rank communication.
-func convertRecordFile(path, baixPath string, open recordOpener, opts Options) (*Result, error) {
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
-	rf, release, err := open(path, &opts)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var (
-		resolve   sync.Once // the first rank to partition resolves the region for all
-		entries   []bamx.Entry
-		regionErr error
-		count     = int(rf.NumRecords())
-		stride    = int64(rf.Caps().Stride())
-	)
-	return convert(&opts, rf.Header(), func(c *mpi.Comm) (func(*sink) (rankStats, error), error) {
-		resolve.Do(func() {
-			if opts.Region != nil {
-				entries, regionErr = regionEntries(rf, baixPath, opts.Region)
-				count = len(entries)
-			}
-		})
-		lo, hi := c.SplitRange(count)
-		return func(sk *sink) (rankStats, error) {
-			// Each rank opens its own descriptor, as each MPI process would.
-			mine, release, err := open(path, &opts)
-			if err != nil {
-				return rankStats{}, err
-			}
-			defer release()
-			addBytesTotal(int64(hi-lo) * stride)
-			return convertRecords(mine.reader(entries, lo, hi),
-				func(records int64) int64 { return records * stride }, sk)
-		}, regionErr
-	})
-}
-
-// ConvertBAMX is the parallel conversion phase of the BAM format
-// converter (and of the preprocessing-optimized SAM converter) over the
-// fixed-stride BAMX file. With opts.Region set, the BAIX index maps the
-// chromosome region to a contiguous record range first (partial
-// conversion); baixPath may be empty for full conversion.
-func ConvertBAMX(bamxPath, baixPath string, opts Options) (*Result, error) {
-	return convertRecordFile(bamxPath, baixPath, openPlain, opts)
-}
-
-// ConvertBAMZ is ConvertBAMX for compressed BAMX files: the same
-// equal-record partitioning and optional BAIX-backed partial conversion,
-// with each rank decompressing only the blocks its records live in.
-func ConvertBAMZ(bamzPath, baixPath string, opts Options) (*Result, error) {
-	return convertRecordFile(bamzPath, baixPath, openCompressed, opts)
 }
 
 // ConvertBAM is the complete BAM format converter of Section III-B:
@@ -254,9 +179,7 @@ func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed
 	}
 	opts.Cores, opts.Launch = 1, nil
 	return convert(&opts, h, func(*mpi.Comm) (func(*sink) (rankStats, error), error) {
-		return func(sk *sink) (rankStats, error) {
-			return convertRecords(next, func(int64) int64 { return consumed() }, sk)
-		}, nil
+		return func(sk *sink) (rankStats, error) { return convertRecords(next, consumed, sk) }, nil
 	})
 }
 
@@ -264,11 +187,8 @@ func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed
 // the paper's "BAM format converter without preprocessing" Table I
 // configuration: ConvertStream over the file's BAM reader.
 func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
-	if err := opts.normalize(); err != nil {
+	if err := opts.normalize(); err != nil { // resolves the codec workers the reader gets
 		return nil, err
-	}
-	if opts.Region != nil {
-		return nil, fmt.Errorf("conv: sequential BAM conversion does not support partial conversion; preprocess to BAMX first")
 	}
 	f, size, err := openSized(bamPath)
 	if err != nil {

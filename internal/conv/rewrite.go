@@ -85,34 +85,7 @@ func PreprocessBAMFile(bamPath, bamxPath, baixPath string, codecWorkers int) (*P
 // unchanged: record indices are preserved, so an existing index keeps
 // working against the compressed file.
 func CompressBAMXFile(bamxPath, bamzPath string, recsPerBlock int) (int64, error) {
-	return CompressBAMXFileWorkers(bamxPath, bamzPath, recsPerBlock, 0)
-}
-
-// CompressBAMXFileWorkers is CompressBAMXFile with block deflation
-// fanned out over `workers` goroutines.
-func CompressBAMXFileWorkers(bamxPath, bamzPath string, recsPerBlock, workers int) (int64, error) {
-	in, size, err := openSized(bamxPath)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	xf, err := bamx.Open(in, size)
-	if err != nil {
-		return 0, err
-	}
-	out, err := os.Create(bamzPath)
-	if err != nil {
-		return 0, err
-	}
-	n, err := bamx.CompressBAMXWorkers(xf, out, recsPerBlock, workers)
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(bamzPath)
-		return 0, err
-	}
-	return n, nil
+	return bamx.CompressFile(bamxPath, bamzPath, recsPerBlock, 0)
 }
 
 // MergeBAMShards fuses per-rank BAM shards (which share one header) into

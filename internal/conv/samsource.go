@@ -64,7 +64,7 @@ func (s *samSource) partition(c *mpi.Comm) (partition.ByteRange, error) {
 // following non-empty line into rec, and consumed reports the bytes of
 // br read so far. Each line is a fresh string, so a record parsed into a
 // zero Record may be kept.
-func (s *samSource) records(br partition.ByteRange) (next func(*sam.Record) (bool, error), consumed func(int64) int64) {
+func (s *samSource) records(br partition.ByteRange) (next func(*sam.Record) (bool, error), consumed func() int64) {
 	scan := sam.NewLineScanner(s.f, br.Start, br.Len())
 	return func(rec *sam.Record) (bool, error) {
 		for scan.Scan() {
@@ -73,7 +73,7 @@ func (s *samSource) records(br partition.ByteRange) (next func(*sam.Record) (boo
 			}
 		}
 		return false, scan.Err()
-	}, func(int64) int64 { return scan.Pos() }
+	}, scan.Pos
 }
 
 // convert streams br's records through the rank's sink on the selected

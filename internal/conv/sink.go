@@ -183,17 +183,16 @@ func convert(opts *Options, h *sam.Header,
 
 // convertRecords is the sequential record loop every source shares: next
 // decodes the source's following record (false at the end of the rank's
-// share), consumed reports the input bytes read once the given number of
-// records are decoded, and each record runs through the user program
-// into the sink. It is the paper-faithful one-record-at-a-time baseline
-// the batch pipeline is tested against.
-func convertRecords(next func(*sam.Record) (bool, error), consumed func(records int64) int64, sk *sink) (st rankStats, err error) {
+// share), consumed reports the input bytes read so far, and each record
+// runs through the user program into the sink. It is the paper-faithful
+// one-record-at-a-time baseline the batch pipeline is tested against.
+func convertRecords(next func(*sam.Record) (bool, error), consumed func() int64, sk *sink) (st rankStats, err error) {
 	encode := sk.encoder()
 	// Periodic flushes keep /progress live without an atomic per record.
 	live := newLiveProgress()
 	var flushed rankStats
 	flush := func() {
-		now := rankStats{records: st.records, bytesIn: consumed(st.records), bytesOut: sk.n}
+		now := rankStats{records: st.records, bytesIn: consumed(), bytesOut: sk.n}
 		live.batch(now.records-flushed.records, now.bytesIn-flushed.bytesIn, now.bytesOut-flushed.bytesOut)
 		flushed = now
 	}

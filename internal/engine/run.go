@@ -40,7 +40,7 @@ type Env struct {
 	OutPath string
 	// BAIX is the index beside a .bamx/.bamz input; "" means the input
 	// path with a .baix extension. A missing index is rebuilt by
-	// scanning.
+	// scanning (.bamx) or refused (.bamz), and only a region needs one.
 	BAIX string
 	// Launch runs the job's rank functions: nil for Spec.Ranks goroutine
 	// ranks in this process, or a distributed world's launcher — then
@@ -117,9 +117,9 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	// The columnar converter stands apart from the per-rank shape: one
+	// The columnar rewrites stand apart from the per-rank shape: one
 	// output file either direction.
-	if kind == "pamx" {
+	if kind == "pamx" && !spec.pamxToText() {
 		return runPAMX(spec, env, out)
 	}
 	opts := conv.Options{
@@ -133,10 +133,6 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 			return nil, err
 		}
 		opts.Region = &r
-	}
-	baix := env.BAIX
-	if baix == "" {
-		baix = strings.TrimSuffix(env.Input, filepath.Ext(env.Input)) + ".baix"
 	}
 	var res *conv.Result
 	switch kind {
@@ -156,10 +152,13 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 			break
 		}
 		res, err = conv.ConvertBAMSequential(env.Input, opts)
-	case "bamx":
-		res, err = conv.ConvertBAMX(env.Input, baix, opts)
-	case "bamz":
-		res, err = conv.ConvertBAMZ(env.Input, baix, opts)
+	default:
+		// bamx, bamz, and pamx to a text format: the container the
+		// extension names, read through its shard provider.
+		if !strings.HasSuffix(env.Input, "."+kind) {
+			return nil, fmt.Errorf("engine: converter %s needs a .%s input, not %q", kind, kind, env.Input)
+		}
+		res, err = conv.ConvertIndexed(env.Input, env.BAIX, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -308,7 +307,7 @@ func (e *Env) dest(name string) string {
 
 // report writes an analysis output through write and appends
 // " → <path>" to the summary line; with no destination in the Env it
-// writes nothing.
+// writes nothing, and a failed write leaves no partial report behind.
 func (e *Env) report(name string, summary *string, write func(io.Writer) error) ([]string, error) {
 	if e.OutPath == "" && e.OutDir == "" {
 		return nil, nil
@@ -318,14 +317,18 @@ func (e *Env) report(name string, summary *string, write func(io.Writer) error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := write(f); err != nil {
-		f.Close()
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(dst)
 		return nil, err
 	}
 	if summary != nil {
 		*summary += " → " + dst
 	}
-	return []string{dst}, f.Close()
+	return []string{dst}, nil
 }
 
 // statFiles stats each output path, returning base-name Files in the

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -136,6 +137,16 @@ func TestRunMatchesLibrary(t *testing.T) {
 		{"convert/bamz", Spec{InputPath: in.bamz, Format: "bed"}, func(dir string, ranks int) ([]string, error) {
 			return files(conv.ConvertBAMZ(in.bamz, "", convOpts(dir, ranks)))
 		}},
+		{"convert/pamx→sam", Spec{InputPath: in.pamx, Format: "sam"}, func(dir string, ranks int) ([]string, error) {
+			opts := convOpts(dir, ranks)
+			opts.Format = "sam"
+			return files(conv.ConvertIndexed(in.pamx, "", opts))
+		}},
+		{"convert/pamx→bed+region", Spec{InputPath: in.pamx, Format: "bed", Region: in.rname + ":1-40000"}, func(dir string, ranks int) ([]string, error) {
+			opts := convOpts(dir, ranks)
+			opts.Region = &conv.Region{RName: in.rname, Beg: 1, End: 40000}
+			return files(conv.ConvertIndexed(in.pamx, "", opts))
+		}},
 		{"convert/pamx", Spec{InputPath: in.pamx}, func(dir string, _ int) ([]string, error) {
 			dst := filepath.Join(dir, "out.bam")
 			n, err := pamx.ToBAM(in.pamx, dst, pamx.Options{})
@@ -164,7 +175,7 @@ func TestRunMatchesLibrary(t *testing.T) {
 	}
 	// The analyses read SAM text by Algorithm 1 partitioning and every
 	// shard-provider container region-parallel.
-	for _, input := range []string{in.sam, in.bam, in.bamx, in.pamx} {
+	for _, input := range []string{in.sam, in.bam, in.bamx, in.bamz, in.pamx} {
 		input, ext := input, filepath.Ext(input)
 		cells = append(cells,
 			cell{"flagstat/" + ext[1:], Spec{Op: OpFlagstat, InputPath: input}, func(dir string, ranks int) ([]string, error) {
@@ -308,5 +319,38 @@ func TestEnvPlacesOutputs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(listed, res.Files) || total != res.BytesOut {
 		t.Fatalf("ConvertOutputs = %v (%d bytes), Run reported %v (%d bytes)", listed, total, res.Files, res.BytesOut)
+	}
+}
+
+// TestReportFailureLeavesNoFile: an analysis whose write fails midway
+// removes the partial report rather than leave a short flagstat.txt.
+func TestReportFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	boom := fmt.Errorf("disk full")
+	env := Env{OutDir: dir}
+	paths, err := env.report("flagstat.txt", nil, func(w io.Writer) error {
+		io.WriteString(w, "half a rep")
+		return boom
+	})
+	if err != boom || paths != nil {
+		t.Fatalf("report = %v, %v; want the write's error", paths, err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("failed report left %d files", len(left))
+	}
+}
+
+// TestConvertKindNeedsItsContainer: the provider is picked by extension,
+// so an explicit converter over another container is refused by name
+// rather than read as whatever the extension says.
+func TestConvertKindNeedsItsContainer(t *testing.T) {
+	in := makeContainers(t, 200)
+	dir := t.TempDir()
+	_, err := Run(Spec{Converter: "bamx", InputPath: in.bam, Format: "bed"}, Env{OutDir: dir})
+	if err == nil || !strings.Contains(err.Error(), ".bamx") {
+		t.Fatalf("converter bamx over a .bam input: %v", err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("refused job left %d files", len(left))
 	}
 }

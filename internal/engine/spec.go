@@ -18,6 +18,7 @@ import (
 
 	"parseq/internal/conv"
 	"parseq/internal/formats"
+	"parseq/internal/shard"
 )
 
 // Ops Run executes. Convert is the format converter; the rest are the
@@ -41,7 +42,8 @@ type Spec struct {
 	Converter string `json:"converter,omitempty"`
 	// Format is the conversion target format (sam, bam, bed, ...; ""
 	// means sam). The pamx converter has one target per direction and
-	// takes none.
+	// takes none — except that a .pamx input naming a text format is
+	// converted to it like any other record container.
 	Format string `json:"format,omitempty"`
 	// Ranks is the rank count: in-process goroutine ranks by default,
 	// or — when Env.Launch is a distributed launcher — the world size.
@@ -53,7 +55,7 @@ type Spec struct {
 	CodecWorkers int `json:"codec_workers,omitempty"`
 	ParseWorkers int `json:"parse_workers,omitempty"`
 	// Region restricts conversion to one chromosome region
-	// ("chr1:100-200"; BAMX/BAMZ-backed converters only).
+	// ("chr1:100-200"; .bamx, .bamz and .pamx→text conversions only).
 	Region string `json:"region,omitempty"`
 	// InputPath names the input file. Empty means the caller resolves
 	// the input itself (Env.Input — seqconvd's streamed uploads); then
@@ -88,22 +90,16 @@ const (
 	MaxSpecLen = 1 << 16
 )
 
-// kinds is the input-container table: the converter instance each
-// extension auto-detects to, and whether a shard provider reads the
-// container (the region-parallel path of flagstat, hist and peaks; SAM
-// text goes through Algorithm 1 partitioning instead). psam is the
-// preprocessing-optimized SAM converter — an explicit choice, never
-// inferred.
-var kinds = []struct {
-	name, ext string
-	sharded   bool
-}{
-	{"sam", ".sam", false},
-	{"bam", ".bam", true},
-	{"bamx", ".bamx", true},
-	{"bamz", ".bamz", false},
-	{"pamx", ".pamx", true},
-	{"psam", "", false},
+// kinds is the converter table: the instance each input extension
+// auto-detects to. psam is the preprocessing-optimized SAM converter —
+// an explicit choice, never inferred.
+var kinds = []struct{ name, ext string }{
+	{"sam", ".sam"},
+	{"bam", ".bam"},
+	{"bamx", ".bamx"},
+	{"bamz", ".bamz"},
+	{"pamx", ".pamx"},
+	{"psam", ""},
 }
 
 // Converters lists the values Converter accepts, for help strings.
@@ -115,16 +111,14 @@ func Converters() []string {
 	return names
 }
 
-// InputExts lists input extensions for help strings: every container
-// for convert, the shard-provider containers for the analyses.
+// InputExts lists input extensions for help strings: for the analyses
+// the containers a shard provider reads (the region-parallel path; SAM
+// text goes through Algorithm 1 partitioning), for convert those and .sam.
 func InputExts(op string) []string {
-	var exts []string
-	for _, k := range kinds {
-		if k.ext != "" && (op == OpConvert || k.sharded) {
-			exts = append(exts, k.ext)
-		}
+	if op != OpConvert {
+		return shard.Exts()
 	}
-	return exts
+	return append([]string{".sam"}, shard.Exts()...)
 }
 
 // DecodeSpec parses and validates a JSON job spec. Unknown fields are
@@ -206,13 +200,13 @@ func (s *Spec) Validate() error {
 	}
 	switch s.Op {
 	case OpConvert:
-		// The columnar converter has one target per direction and no
-		// partial conversion; it used to drop both options silently.
-		if kind == "pamx" && s.Format != "" {
-			return fmt.Errorf("engine: converter pamx does not take format (.bam/.bamx convert to PAMX, .pamx to BAM)")
+		// The columnar rewrites have one target per direction and no
+		// partial conversion; they used to drop both options silently.
+		if kind == "pamx" && !s.pamxToText() && s.Format != "" {
+			return fmt.Errorf("engine: converter pamx does not take format %q (.bam/.bamx convert to PAMX, .pamx to BAM or a text format)", s.Format)
 		}
-		if kind == "pamx" && s.Region != "" {
-			return fmt.Errorf("engine: converter pamx does not take region")
+		if kind == "pamx" && !s.pamxToText() && s.Region != "" {
+			return fmt.Errorf("engine: converter pamx takes region only from .pamx to a text format")
 		}
 		if s.Format != "" && s.Format != "bam" {
 			// "bam" is the converter's binary special case; every other
@@ -252,6 +246,12 @@ func (s *Spec) InputBase() string {
 		return s.InputName
 	}
 	return "input.sam"
+}
+
+// pamxToText reports a .pamx input that names a text format: a record
+// container to convert, not the columnar rewrite back to BAM.
+func (s *Spec) pamxToText() bool {
+	return strings.HasSuffix(s.InputBase(), ".pamx") && s.Format != "" && s.Format != "bam"
 }
 
 // autoConverter reports whether the converter goes by extension.

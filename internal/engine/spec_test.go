@@ -14,7 +14,9 @@ import (
 
 // TestValidateRejectsUnhonouredOptions: -converter pamx used to drop
 // region and format on the floor, and every op but convert accepted a
-// region it never read. Each is now an error naming the field.
+// region it never read. Each is now an error naming the field — except
+// what became honourable since: a .pamx input naming a text format is a
+// record container like any other, region included.
 func TestValidateRejectsUnhonouredOptions(t *testing.T) {
 	cases := []struct {
 		name, in, field string
@@ -22,7 +24,7 @@ func TestValidateRejectsUnhonouredOptions(t *testing.T) {
 		{"pamx converter with region", `{"converter":"pamx","region":"chr1:1-100","input_name":"a.bam"}`, "region"},
 		{"pamx by extension with region", `{"region":"chr1:1-100","input_name":"a.pamx"}`, "region"},
 		{"pamx converter with format", `{"converter":"pamx","format":"bed","input_name":"a.bamx"}`, "format"},
-		{"pamx by extension with format", `{"format":"sam","input_name":"a.pamx"}`, "format"},
+		{"pamx by extension with format", `{"format":"bam","input_name":"a.pamx"}`, "format"},
 		{"region on flagstat", `{"op":"flagstat","region":"chr1:1-100"}`, "region"},
 		{"region on hist", `{"op":"hist","rname":"chr1","region":"chr1:1-100"}`, "region"},
 		{"region on peaks", `{"op":"peaks","rname":"chr1","candidates":[1],"region":"chr1"}`, "region"},
@@ -48,6 +50,8 @@ func TestValidateRejectsUnhonouredOptions(t *testing.T) {
 		`{"region":"chr1:1-100","input_name":"a.bamz","format":"bed"}`,
 		`{"region":"chr1:1-100","converter":"psam","input_name":"a.sam"}`,
 		`{"converter":"pamx","codec_workers":2,"input_name":"a.bam"}`,
+		`{"format":"sam","input_name":"a.pamx"}`,
+		`{"format":"bed","region":"chr1:1-100","converter":"pamx","input_name":"a.pamx"}`,
 		`{"op":"flagstat","input_name":"reads.dat"}`,
 	} {
 		if _, err := DecodeSpec([]byte(in)); err != nil {
@@ -76,7 +80,7 @@ func TestKindTableHelp(t *testing.T) {
 	if got, want := InputExts(OpConvert), []string{".sam", ".bam", ".bamx", ".bamz", ".pamx"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("InputExts(convert) = %v, want %v", got, want)
 	}
-	if got, want := InputExts(OpFlagstat), []string{".bam", ".bamx", ".pamx"}; !reflect.DeepEqual(got, want) {
+	if got, want := InputExts(OpFlagstat), []string{".bam", ".bamx", ".bamz", ".pamx"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("InputExts(flagstat) = %v, want %v", got, want)
 	}
 	// Every name the table offers must validate and resolve to itself.

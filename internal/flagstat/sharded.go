@@ -55,17 +55,9 @@ func Sharded(p shard.Provider, cfg shard.Config) (Stats, error) {
 	launch, ranks := cfg.Launcher()
 	var total Stats
 	err := launch(ranks, func(c *mpi.Comm) error {
-		var all []shard.Shard
-		if c.Rank() == 0 {
-			var err error
-			all, err = p.GenerateShards(shard.Options{
-				TargetShards: cfg.ResolveTargetShards(c.Size()),
-			})
-			if err != nil {
-				return err
-			}
-		}
-		local, err := shard.Scatter(c, all)
+		local, err := shard.Distribute(c, p, shard.Options{
+			TargetShards: cfg.ResolveTargetShards(c.Size()),
+		})
 		if err != nil {
 			return err
 		}

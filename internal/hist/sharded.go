@@ -56,18 +56,10 @@ func FromProvider(p shard.Provider, rname string, binSize int, cfg shard.Config)
 	}
 	launch, ranks := cfg.Launcher()
 	err = launch(ranks, func(c *mpi.Comm) error {
-		var all []shard.Shard
-		if c.Rank() == 0 {
-			var err error
-			all, err = p.GenerateShards(shard.Options{
-				TargetShards: cfg.ResolveTargetShards(c.Size()),
-				Refs:         []string{rname},
-			})
-			if err != nil {
-				return err
-			}
-		}
-		local, err := shard.Scatter(c, all)
+		local, err := shard.Distribute(c, p, shard.Options{
+			TargetShards: cfg.ResolveTargetShards(c.Size()),
+			Refs:         []string{rname},
+		})
 		if err != nil {
 			return err
 		}

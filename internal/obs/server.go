@@ -102,6 +102,10 @@ func (s *Server) Close() error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	SampleRuntimeGauges(s.reg)
+	// The world.* gauges live in the local registry: re-derive them before
+	// the snapshot, or the scrape that first shows a rank down still
+	// carries the world_down of the scrape before.
+	s.view.Refresh()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap := s.reg.Snapshot()
 	pw := newPromWriter(w)

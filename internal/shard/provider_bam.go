@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -17,9 +18,8 @@ import (
 // from the .bai sidecar when present, otherwise built in memory by one
 // scan (kept for the provider's lifetime).
 type BAMProvider struct {
-	path         string
-	indexPath    string
-	codecWorkers int
+	path string
+	settings
 
 	mu     sync.Mutex
 	header *sam.Header
@@ -28,29 +28,12 @@ type BAMProvider struct {
 	loaded bool
 }
 
-// BAMOption tunes a BAMProvider.
-type BAMOption func(*BAMProvider)
-
-// WithIndexPath overrides the .bai sidecar path (default path + ".bai").
-func WithIndexPath(p string) BAMOption {
-	return func(b *BAMProvider) { b.indexPath = p }
-}
-
-// WithCodecWorkers sets the BGZF inflate worker count of each per-shard
-// reader. Shard readers default to the sequential codec: the shards
-// themselves are the parallelism, and stacking a decode pipeline per
-// shard oversubscribes the machine.
-func WithCodecWorkers(n int) BAMOption {
-	return func(b *BAMProvider) { b.codecWorkers = n }
-}
-
-// NewBAMProvider returns a provider over the BAM file at path.
-func NewBAMProvider(path string, opts ...BAMOption) *BAMProvider {
-	p := &BAMProvider{path: path, indexPath: path + ".bai"}
-	for _, opt := range opts {
-		opt(p)
-	}
-	return p
+// NewBAMProvider returns a provider over the BAM file at path. Shard
+// readers default to the sequential codec (WithCodecWorkers overrides):
+// the shards themselves are the parallelism, and stacking a decode
+// pipeline per shard oversubscribes the machine.
+func NewBAMProvider(path string, opts ...Option) *BAMProvider {
+	return &BAMProvider{path: path, settings: newSettings(path+".bai", opts)}
 }
 
 // load resolves the header, index and file size once, under the mutex —
@@ -72,7 +55,9 @@ func (p *BAMProvider) load() error {
 	}
 	br, err := bam.NewReader(f)
 	if err != nil {
-		return err
+		// OpenPathProvider sends every extension it does not know here.
+		return fmt.Errorf("shard: %s is not a readable BAM file (a provider reads %s): %w",
+			p.path, strings.Join(Exts(), ", "), err)
 	}
 	header := br.Header()
 	br.Close()
@@ -84,17 +69,10 @@ func (p *BAMProvider) load() error {
 		if err != nil {
 			return fmt.Errorf("shard: reading %s: %w", p.indexPath, err)
 		}
-	} else {
-		// No sidecar: build the index in memory from a fresh stream.
-		bf, err := os.Open(p.path)
-		if err != nil {
-			return err
-		}
-		idx, err = bam.BuildFileIndex(bf)
-		bf.Close()
-		if err != nil {
-			return err
-		}
+	} else if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	} else if idx, err = bam.BuildFileIndex(f); err != nil { // no sidecar: one scan, in memory
+		return err
 	}
 	p.header, p.index, p.size, p.loaded = header, idx, st.Size(), true
 	return nil
@@ -106,35 +84,6 @@ func (p *BAMProvider) Header() (*sam.Header, error) {
 		return nil, err
 	}
 	return p.header, nil
-}
-
-// Index exposes the resolved BAI index (loading it if needed).
-func (p *BAMProvider) Index() (*bam.Index, error) {
-	if err := p.load(); err != nil {
-		return nil, err
-	}
-	return p.index, nil
-}
-
-// resolveRefs maps Options.Refs to reference IDs: every header
-// reference when nil, the named subset otherwise. withTail reports
-// whether the unmapped-tail shard belongs in the generation.
-func resolveRefs(h *sam.Header, opts Options) (refIDs []int, withTail bool, err error) {
-	if opts.Refs == nil {
-		refIDs = make([]int, len(h.Refs))
-		for i := range h.Refs {
-			refIDs[i] = i
-		}
-		return refIDs, true, nil
-	}
-	for _, name := range opts.Refs {
-		id := h.RefID(name)
-		if id < 0 {
-			return nil, false, fmt.Errorf("shard: reference %q not in header", name)
-		}
-		refIDs = append(refIDs, id)
-	}
-	return refIDs, false, nil
 }
 
 // GenerateShards cuts the selected references into shards of roughly
@@ -155,6 +104,9 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 			total += end.Block() - beg.Block() + 1
 		}
 	}
+	if r := opts.Region; r != nil { // its share of the reference, estimated by base width
+		total = total * int64(max(r.End-r.Beg, 0)) / int64(max(p.header.RefByID(refIDs[0]).Length, 1))
+	}
 	target := opts.TargetBytes
 	if target <= 0 {
 		n := opts.TargetShards
@@ -170,12 +122,16 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 	for _, id := range refIDs {
 		ref := p.header.RefByID(id)
 		for _, sl := range p.index.ByteSplits(id, ref.Length, target) {
+			beg, end := opts.clip(sl.Beg, sl.End)
+			if beg >= end {
+				continue
+			}
 			shards = append(shards, Shard{
 				Seq:     len(shards),
 				RefID:   int32(id),
 				RefName: ref.Name,
-				Beg:     sl.Beg,
-				End:     sl.End,
+				Beg:     beg,
+				End:     end,
 				Bytes:   sl.Bytes,
 			})
 		}
@@ -199,14 +155,10 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 type bamShardReader struct {
 	f  *os.File
 	br *bam.Reader
-	it interface {
-		ReadInto(*sam.Record) error
-		NextBody() ([]byte, error)
-	}
+	it interface{ NextBody() ([]byte, error) }
 }
 
-func (r *bamShardReader) ReadInto(rec *sam.Record) error { return r.it.ReadInto(rec) }
-func (r *bamShardReader) NextBody() ([]byte, error)      { return r.it.NextBody() }
+func (r *bamShardReader) NextBody() ([]byte, error) { return r.it.NextBody() }
 
 func (r *bamShardReader) Close() error {
 	err := r.br.Close()
@@ -252,16 +204,3 @@ func (p *BAMProvider) NewReader(sh Shard) (RecordReader, error) {
 // Close releases the provider. Per-shard readers own their handles, so
 // this is a no-op kept for the Provider contract.
 func (p *BAMProvider) Close() error { return nil }
-
-// OpenPathProvider dispatches on the file extension: .bamx files get a
-// BAMXProvider (BAIX sidecar), .pamx files a columnar PAMXProvider, and
-// everything else a BAMProvider.
-func OpenPathProvider(path string) Provider {
-	switch {
-	case strings.HasSuffix(path, ".bamx"):
-		return NewBAMXProvider(path)
-	case strings.HasSuffix(path, ".pamx"):
-		return NewPAMXProvider(path)
-	}
-	return NewBAMProvider(path)
-}

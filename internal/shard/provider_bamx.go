@@ -3,47 +3,94 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
 
-	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/formats/pamx"
+	"parseq/internal/mpi"
 	"parseq/internal/sam"
 )
 
-// BAMXProvider serves shards of a BAMX file through its BAIX index. The
-// fixed stride makes shard weights exact — every record costs the same
-// bytes — so shards split entry ranges evenly instead of estimating
-// from compression. One read-only file handle is shared by every
-// reader: ReadAt is position-less and safe concurrently.
+// BAMXProvider serves shards of a fixed-stride BAMX file, plain or
+// block-compressed (BAMZ). The stride makes shard weights exact, so
+// shards split record ranges evenly instead of estimating from
+// compression, and a whole-file selection needs no index: it is cut
+// into even physical record ranges, in file order whether or not the
+// file is sorted. The BAIX sidecar is loaded only when a selection
+// names a reference; a plain file missing one rebuilds it by a scan.
+//
+// Readers of a plain file share one read-only handle. A compressed
+// handle inflates through a one-block cache and is single-consumer, so
+// each BAMZ reader opens its own plain-file view
+// (bamx.CompressedFile.File) and inflates only the blocks its records
+// live in, WithCodecWorkers readahead workers running ahead of it.
 //
 // The stride also puts every field at a constant offset, so the
 // provider is a Projector: under FieldCoord or FieldCoord|FieldCigar
 // readers lift the fixed prefix (and the CIGAR) out of the chunk instead
 // of reassembling the record; wider projections return full bodies.
 type BAMXProvider struct {
-	path     string
-	baixPath string
+	path string
+	settings
+	compressed bool
 
 	mu     sync.Mutex
-	osf    *os.File
-	file   *bamx.File
+	file   *bamxHandle // plain: every reader's; compressed: header and geometry only
 	index  *bamx.Index
 	fields pamx.Fields
-	loaded bool
 }
 
 // NewBAMXProvider returns a provider over the BAMX file at path, with
 // its BAIX sidecar at path minus ".bamx" plus ".baix" (the bamxtool
-// convention), or rebuilt by a scan when the sidecar is missing.
-func NewBAMXProvider(path string) *BAMXProvider {
-	return &BAMXProvider{
-		path:     path,
-		baixPath: strings.TrimSuffix(path, ".bamx") + ".baix",
-		fields:   pamx.FieldAll,
+// convention) unless WithIndexPath names another.
+func NewBAMXProvider(path string, opts ...Option) *BAMXProvider {
+	return &BAMXProvider{path: path, settings: newSettings(strings.TrimSuffix(path, ".bamx")+".baix", opts), fields: pamx.FieldAll}
+}
+
+// NewBAMZProvider is NewBAMXProvider for a block-compressed ".bamz".
+// Record indices survive compression, so the BAIX is the plain file's.
+func NewBAMZProvider(path string, opts ...Option) *BAMXProvider {
+	return &BAMXProvider{path: path, settings: newSettings(strings.TrimSuffix(path, ".bamz")+".baix", opts), fields: pamx.FieldAll, compressed: true}
+}
+
+// bamxHandle is one open handle on the container.
+type bamxHandle struct {
+	*bamx.File
+	osf *os.File
+	zf  *bamx.CompressedFile // under File, for BAMZ
+}
+
+func (h *bamxHandle) Close() error {
+	if h.zf != nil {
+		h.zf.Close() // stops the readahead
 	}
+	return h.osf.Close()
+}
+
+func (p *BAMXProvider) open() (*bamxHandle, error) {
+	f, err := os.Open(p.path)
+	if err != nil {
+		return nil, err
+	}
+	h := &bamxHandle{osf: f}
+	st, err := f.Stat()
+	switch {
+	case err != nil: // falls through to the close below
+	case p.compressed:
+		if h.zf, err = bamx.OpenCompressed(f, st.Size()); err == nil {
+			h.File = h.zf.File()
+		}
+	default:
+		h.File, err = bamx.Open(f, st.Size())
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return h, nil
 }
 
 // Project narrows the view readers return to fields (the fixed prefix
@@ -55,38 +102,36 @@ func (p *BAMXProvider) Project(fields pamx.Fields) {
 	p.fields = fields | pamx.FieldCoord
 }
 
-func (p *BAMXProvider) load() error {
+func (p *BAMXProvider) load() (err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.loaded {
-		return nil
+	if p.file == nil {
+		p.file, err = p.open()
 	}
-	f, err := os.Open(p.path)
-	if err != nil {
-		return err
+	return err
+}
+
+// loadIndex resolves the BAIX once: the sidecar, or for a plain file
+// without one, a scan.
+func (p *BAMXProvider) loadIndex() (*bamx.Index, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.index != nil {
+		return p.index, nil
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	xf, err := bamx.Open(f, st.Size())
-	if err != nil {
-		f.Close()
-		return err
-	}
-	var idx *bamx.Index
-	if data, err := os.ReadFile(p.baixPath); err == nil {
-		if idx, err = bamx.ParseIndex(data); err != nil {
-			f.Close()
-			return fmt.Errorf("shard: reading %s: %w", p.baixPath, err)
+	data, err := os.ReadFile(p.indexPath)
+	switch {
+	case err == nil:
+		if p.index, err = bamx.ParseIndex(data); err != nil {
+			err = fmt.Errorf("shard: reading %s: %w", p.indexPath, err)
 		}
-	} else if idx, err = bamx.BuildIndex(xf); err != nil {
-		f.Close()
-		return err
+	case !os.IsNotExist(err): // an unreadable sidecar is reported, not papered over
+	case p.compressed:
+		err = fmt.Errorf("shard: a reference or region selection of a compressed BAMX needs its BAIX index: %w", err)
+	default:
+		p.index, err = bamx.BuildIndex(p.file.File)
 	}
-	p.osf, p.file, p.index, p.loaded = f, xf, idx, true
-	return nil
+	return p.index, err
 }
 
 // Header returns the embedded SAM header.
@@ -97,91 +142,87 @@ func (p *BAMXProvider) Header() (*sam.Header, error) {
 	return p.file.Header(), nil
 }
 
-// GenerateShards splits each selected reference's BAIX entry range into
-// even record-count pieces (stride × records is the exact byte weight),
-// plus the physical tail of unmapped records for whole-file selections.
+// GenerateShards cuts the selection into even record-count pieces
+// (stride × records is the exact byte weight): physical record ranges
+// for a whole-file selection, pieces of each reference's BAIX entry
+// range — or of the entries starting within a Region — otherwise. The
+// shard budget is spread over the file's records (a reference gets its
+// proportional share), or over the region alone.
 func (p *BAMXProvider) GenerateShards(opts Options) ([]Shard, error) {
 	if err := p.load(); err != nil {
 		return nil, err
 	}
-	h := p.file.Header()
-	refIDs, withTail, err := resolveRefs(h, opts)
+	h, count, stride := p.file.Header(), p.file.NumRecords(), int64(p.file.Stride())
+	refIDs, whole, err := resolveRefs(h, opts)
 	if err != nil {
 		return nil, err
 	}
-	stride := int64(p.file.Stride())
-	total := int64(p.index.Len()) * stride
-	target := opts.TargetBytes
-	if target <= 0 {
-		n := opts.TargetShards
-		if n <= 0 {
-			n = DefaultTargetShards
+	type span struct {
+		refID  int32
+		lo, hi int64
+	}
+	spans, total := []span{{-1, 0, count}}, count
+	var entries []bamx.Entry
+	if !whole {
+		idx, err := p.loadIndex()
+		if err != nil {
+			return nil, err
 		}
-		target = total / int64(n)
+		entries, total, spans = idx.Entries(), int64(idx.Len()), nil
+		for _, id := range refIDs {
+			lo, hi := idx.RefRange(int32(id))
+			if r := opts.Region; r != nil {
+				// Zero-based [Beg, End) is 1-based inclusive [Beg+1, End].
+				lo, hi = idx.Region(int32(id), int32(min(r.Beg, math.MaxInt32-1))+1, int32(min(r.End, math.MaxInt32)))
+				total = int64(hi - lo)
+			}
+			spans = append(spans, span{int32(id), int64(lo), int64(hi)})
+		}
 	}
-	if target < stride {
-		target = stride
+	n := int64(opts.TargetShards)
+	if n <= 0 {
+		n = DefaultTargetShards
 	}
-	entries := p.index.Entries()
+	if opts.TargetBytes > 0 {
+		n = max(1, (total*stride+opts.TargetBytes-1)/opts.TargetBytes)
+	}
 	var shards []Shard
-	var maxPhys int64 = -1
-	for _, e := range entries {
-		if e.Index > maxPhys {
-			maxPhys = e.Index
-		}
-	}
-	for _, id := range refIDs {
-		lo, hi := p.index.RefRange(int32(id))
-		count := int64(hi - lo)
-		if count == 0 {
+	for _, sp := range spans {
+		cnt := sp.hi - sp.lo
+		if cnt <= 0 {
 			continue
 		}
-		pieces := int((count*stride + target - 1) / target)
-		if pieces < 1 {
-			pieces = 1
-		}
-		ref := h.RefByID(id)
+		pieces := int((n*cnt + total - 1) / total)
 		for k := 0; k < pieces; k++ {
-			a := lo + int(count*int64(k)/int64(pieces))
-			b := lo + int(count*int64(k+1)/int64(pieces))
+			a, b := mpi.SplitRange(int(cnt), pieces, k)
 			if a == b {
 				continue
 			}
-			shards = append(shards, Shard{
-				Seq:     len(shards),
-				RefID:   int32(id),
-				RefName: ref.Name,
-				Beg:     int(entries[a].Pos) - 1,
-				End:     int(entries[b-1].Pos),
-				RecLo:   int64(a),
-				RecHi:   int64(b),
-				Bytes:   int64(b-a) * stride,
-			})
+			sh := Shard{
+				Seq:   len(shards),
+				RefID: sp.refID,
+				RecLo: sp.lo + int64(a),
+				RecHi: sp.lo + int64(b),
+				Bytes: int64(b-a) * stride,
+			}
+			if sp.refID >= 0 {
+				sh.RefName = h.RefByID(int(sp.refID)).Name
+				sh.Beg, sh.End = int(entries[sh.RecLo].Pos)-1, int(entries[sh.RecHi-1].Pos)
+			}
+			shards = append(shards, sh)
 		}
-	}
-	if withTail {
-		physLo := maxPhys + 1
-		physHi := p.file.NumRecords()
-		shards = append(shards, Shard{
-			Seq:   len(shards),
-			RefID: -1,
-			RecLo: physLo,
-			RecHi: physHi,
-			Bytes: (physHi - physLo) * stride,
-		})
 	}
 	return shards, nil
 }
 
 // bamxShardReader iterates one shard's records through the file's
-// run-coalescing scanner: the BAIX entries of a region shard, or the
-// physical tail range for the unmapped shard (filtered to refID < 0 as
-// defence in depth).
+// run-coalescing scanner: the BAIX entries of a reference shard, or a
+// physical record range.
 type bamxShardReader struct {
-	file   *bamx.File
+	file   *bamxHandle
+	own    bool // a BAMZ reader's handle is its alone, and closes with it
 	sc     *bamx.Scanner
 	fields pamx.Fields
-	tail   bool
 	body   []byte // reassembled-view scratch
 }
 
@@ -192,9 +233,6 @@ type bamxShardReader struct {
 // the full reassembly makes.
 func (r *bamxShardReader) NextBody() ([]byte, error) {
 	raw, err := r.sc.NextRaw()
-	for r.tail && err == nil && int32(binary.LittleEndian.Uint32(raw)) >= 0 {
-		raw, err = r.sc.NextRaw()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -219,49 +257,61 @@ func (r *bamxShardReader) NextBody() ([]byte, error) {
 	return body, nil
 }
 
-func (r *bamxShardReader) ReadInto(rec *sam.Record) error {
-	body, err := r.NextBody()
-	if err != nil {
-		return err
+// Close releases the reader's own handle; the provider's stays open.
+func (r *bamxShardReader) Close() error {
+	if r.own {
+		return r.file.Close()
 	}
-	return bam.DecodeRecord(body, rec, r.file.Header())
+	return nil
 }
 
-// Close is a no-op: the file handle belongs to the provider.
-func (r *bamxShardReader) Close() error { return nil }
-
-// NewReader opens an iterator over one shard.
+// NewReader opens an iterator over one shard: the BAIX entries
+// [RecLo, RecHi) of a reference shard, the records of a physical range.
 func (p *BAMXProvider) NewReader(sh Shard) (RecordReader, error) {
 	if err := p.load(); err != nil {
 		return nil, err
 	}
+	var entries []bamx.Entry
+	count := p.file.NumRecords()
+	if !sh.Unmapped() {
+		idx, err := p.loadIndex()
+		if err != nil {
+			return nil, err
+		}
+		entries, count = idx.Entries(), int64(idx.Len())
+	}
+	if sh.RecLo < 0 || sh.RecHi < sh.RecLo || sh.RecHi > count {
+		return nil, fmt.Errorf("shard: BAMX record range [%d, %d) out of bounds [0, %d)", sh.RecLo, sh.RecHi, count)
+	}
 	p.mu.Lock()
-	r := &bamxShardReader{file: p.file, fields: p.fields, tail: sh.Unmapped()}
+	r := &bamxShardReader{file: p.file, fields: p.fields, own: p.compressed}
 	p.mu.Unlock()
-	n := int64(p.index.Len())
-	if r.tail {
-		n = p.file.NumRecords()
+	if r.own {
+		var err error
+		if r.file, err = p.open(); err != nil {
+			return nil, err
+		}
+		if p.codecWorkers > 0 {
+			r.file.zf.StartReadahead(p.codecWorkers)
+		}
 	}
-	if sh.RecLo < 0 || sh.RecHi < sh.RecLo || sh.RecHi > n {
-		return nil, fmt.Errorf("shard: BAMX record range [%d, %d) out of bounds [0, %d)", sh.RecLo, sh.RecHi, n)
-	}
-	if r.tail {
-		r.sc = p.file.Scan(sh.RecLo, sh.RecHi)
+	if sh.Unmapped() {
+		r.sc = r.file.Scan(sh.RecLo, sh.RecHi)
 	} else {
-		r.sc = p.file.ScanEntries(p.index.Entries()[sh.RecLo:sh.RecHi])
+		r.sc = r.file.ScanEntries(entries[sh.RecLo:sh.RecHi])
 	}
 	return r, nil
 }
 
-// Close releases the shared file handle.
+// Close releases the provider's handle.
 func (p *BAMXProvider) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.osf == nil {
+	if p.file == nil {
 		return nil
 	}
-	err := p.osf.Close()
-	p.osf = nil
+	err := p.file.Close()
+	p.file = nil
 	return err
 }
 

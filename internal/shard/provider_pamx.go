@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"encoding/binary"
+	"math"
 	"sync"
 
 	"parseq/internal/formats/pamx"
@@ -79,7 +81,8 @@ func (p *PAMXProvider) Header() (*sam.Header, error) {
 
 // GenerateShards maps each selected column group to one shard. The
 // TargetShards/TargetBytes guides are ignored: the file's group
-// structure is the partition, fixed at write time.
+// structure is the partition, fixed at write time; a Region keeps the
+// groups it overlaps, clipped.
 func (p *PAMXProvider) GenerateShards(opts Options) ([]Shard, error) {
 	pf, fields, err := p.load()
 	if err != nil {
@@ -108,12 +111,16 @@ func (p *PAMXProvider) GenerateShards(opts Options) ([]Shard, error) {
 		default:
 			name = h.RefByID(int(g.RefID)).Name
 		}
+		beg, end := opts.clip(int(g.Beg), int(g.End))
+		if opts.Region != nil && beg >= end {
+			continue
+		}
 		shards = append(shards, Shard{
 			Seq:     len(shards),
 			RefID:   g.RefID,
 			RefName: name,
-			Beg:     int(g.Beg),
-			End:     int(g.End),
+			Beg:     beg,
+			End:     end,
 			RecLo:   int64(i), // the group index; RecHi is unused
 			RecHi:   int64(i) + 1,
 			Bytes:   g.CompressedBytes(fields),
@@ -122,13 +129,40 @@ func (p *PAMXProvider) GenerateShards(opts Options) ([]Shard, error) {
 	return shards, nil
 }
 
-// NewReader opens a projected reader over one shard's column group.
+// NewReader opens a projected reader over one shard's column group,
+// filtered to the shard's interval when a Region clipped it short.
 func (p *PAMXProvider) NewReader(sh Shard) (RecordReader, error) {
 	pf, fields, err := p.load()
 	if err != nil {
 		return nil, err
 	}
-	return pf.NewGroupReader(int(sh.RecLo), fields)
+	gr, err := pf.NewGroupReader(int(sh.RecLo), fields)
+	if err != nil {
+		return nil, err
+	}
+	if g := pf.Group(int(sh.RecLo)); int64(sh.Beg) > g.Beg || int64(sh.End) < g.End {
+		return &startWithin{GroupReader: gr, beg: int32(sh.Beg), end: int32(min(sh.End, math.MaxInt32))}, nil
+	}
+	return gr, nil
+}
+
+// startWithin passes the group's records whose zero-based start lies in
+// [beg, end); the position is in every view's fixed prefix.
+type startWithin struct {
+	*pamx.GroupReader
+	beg, end int32
+}
+
+func (r *startWithin) NextBody() ([]byte, error) {
+	for {
+		body, err := r.GroupReader.NextBody()
+		if err != nil {
+			return nil, err
+		}
+		if pos := int32(binary.LittleEndian.Uint32(body[4:])); pos >= r.beg && pos < r.end {
+			return body, nil
+		}
+	}
 }
 
 // Close releases the shared file handle.
@@ -145,4 +179,3 @@ func (p *PAMXProvider) Close() error {
 
 var _ Provider = (*PAMXProvider)(nil)
 var _ Projector = (*PAMXProvider)(nil)
-var _ RecordReader = (*pamx.GroupReader)(nil)

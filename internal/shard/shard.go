@@ -25,42 +25,54 @@ import (
 )
 
 // Shard is one unit of region-parallel work: a half-open base interval
-// of one reference, or the unmapped tail (RefID -1). Bytes is the
-// provider's estimate of the compressed input under the shard — the
-// balancing weight for partitioning across ranks. Seq is the shard's
-// ordinal in generation order; drivers fold per-shard results in Seq
-// order so merged output is deterministic.
+// of one reference, or (RefID -1) records no reference interval names —
+// the unmapped tail of a BAM or PAMX file, a physical record range of a
+// fixed-stride file. Bytes is the provider's estimate of the compressed
+// input under the shard — the balancing weight for partitioning across
+// ranks. Seq is the shard's ordinal in generation order: drivers fold
+// per-shard results in Seq order so merged output is deterministic, and
+// draining a whole-file generation in Seq order replays the file (a
+// coordinate-sorted BAM or PAMX; any BAMX or BAMZ).
 type Shard struct {
 	Seq     int
 	RefID   int32
-	RefName string // "" for the unmapped tail
-	Beg     int    // zero-based half-open base interval (region shards)
+	RefName string // "" when RefID is -1
+	Beg     int    // zero-based half-open base interval (reference shards)
 	End     int
-	RecLo   int64 // BAMX: BAIX entry range (region) or physical range (tail)
+	RecLo   int64 // BAMX/BAMZ: BAIX entry range (reference shards) or physical record range; PAMX: the group
 	RecHi   int64
 	Bytes   int64
 }
 
-// Unmapped reports whether this is the unmapped-tail shard.
+// Unmapped reports whether the shard lies outside every reference
+// interval (RefID -1).
 func (sh Shard) Unmapped() bool { return sh.RefID < 0 }
 
 // String renders the shard for spans and logs.
 func (sh Shard) String() string {
-	if sh.Unmapped() {
+	switch {
+	case sh.Unmapped() && sh.RecLo == sh.RecHi:
 		return "*:unmapped"
+	case sh.Unmapped():
+		return fmt.Sprintf("*:%d-%d", sh.RecLo, sh.RecHi)
 	}
 	return fmt.Sprintf("%s:%d-%d", sh.RefName, sh.Beg, sh.End)
 }
 
-// RecordReader iterates one shard's records. NextBody is the
-// zero-decode hot path: the returned slice is the BAM-encoded record
-// body, aliases an internal buffer, and is valid only until the next
-// call. ReadInto decodes into a caller-owned record for consumers that
-// need full fields. Both return io.EOF when the shard is exhausted.
+// RecordReader iterates one shard's records: NextBody returns the next
+// BAM-encoded record body (for bam.DecodeRecord; it aliases an internal
+// buffer and is valid until the next call), io.EOF after the last.
 type RecordReader interface {
-	ReadInto(rec *sam.Record) error
 	NextBody() ([]byte, error)
 	Close() error
+}
+
+// Region bounds a selection to one reference and, on it, to the records
+// whose alignment starts within the zero-based half-open base interval
+// [Beg, End).
+type Region struct {
+	Ref      string
+	Beg, End int
 }
 
 // Options tunes shard generation.
@@ -76,6 +88,9 @@ type Options struct {
 	// the unmapped tail; non-nil restricts to the named references only
 	// (no tail shard), the whole-chromosome analysis case.
 	Refs []string
+	// Region, when set, replaces Refs with one bounded reference — the
+	// partial-conversion selection, whose pieces TargetShards then counts.
+	Region *Region
 }
 
 // DefaultTargetShards is the generation goal when Options leaves both
@@ -144,25 +159,19 @@ func PartitionByBytes(shards []Shard, n int) [][]Shard {
 // Wire format: one shard is a fixed 44-byte prefix plus the name.
 const shardWirePrefix = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 2
 
-// AppendShard appends sh's wire encoding to dst.
-func AppendShard(dst []byte, sh Shard) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.Seq))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.RefID))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.Beg))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.End))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.RecLo))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.RecHi))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.Bytes))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(sh.RefName)))
-	return append(dst, sh.RefName...)
-}
-
 // EncodeShards serialises a shard list for Scatter.
 func EncodeShards(shards []Shard) []byte {
-	var dst []byte
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(shards)))
+	dst := binary.LittleEndian.AppendUint32(nil, uint32(len(shards)))
 	for _, sh := range shards {
-		dst = AppendShard(dst, sh)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.Seq))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.RefID))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.Beg))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.End))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.RecLo))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.RecHi))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sh.Bytes))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(sh.RefName)))
+		dst = append(dst, sh.RefName...)
 	}
 	return dst
 }
@@ -222,6 +231,20 @@ func Scatter(c *mpi.Comm, shards []Shard) ([]Shard, error) {
 		return nil, err
 	}
 	return DecodeShards(mine)
+}
+
+// Distribute is the partition step every provider client shares: rank 0
+// (alone in touching the provider's index) generates the selection's
+// shards, Scatter hands each rank its contiguous byte-balanced group.
+func Distribute(c *mpi.Comm, p Provider, opts Options) ([]Shard, error) {
+	var all []Shard
+	if c.Rank() == 0 {
+		var err error
+		if all, err = p.GenerateShards(opts); err != nil {
+			return nil, err
+		}
+	}
+	return Scatter(c, all)
 }
 
 // Config tunes a region-parallel analysis run.

@@ -1,14 +1,19 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"parseq/internal/bam"
 	"parseq/internal/bamx"
+	"parseq/internal/formats/pamx"
 	"parseq/internal/mpi"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
@@ -59,6 +64,39 @@ func writeDataset(t testing.TB, n int) (bamPath, bamxPath string, d *simdata.Dat
 	return bamPath, bamxPath, d
 }
 
+// writeVariants adds, beside a writeDataset BAMX, its block-compressed
+// BAMZ (sharing the BAIX) and a shuffled BAMX with its own BAIX.
+func writeVariants(t testing.TB, bamxPath string, d *simdata.Dataset) (bamzPath, shufPath string, shuffled []sam.Record) {
+	t.Helper()
+	dir := filepath.Dir(bamxPath)
+	bamzPath = filepath.Join(dir, "data.bamz")
+	if _, err := bamx.CompressFile(bamxPath, bamzPath, 64, 1); err != nil {
+		t.Fatal(err)
+	}
+	shuffled = append([]sam.Record(nil), d.Records...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	shufPath = filepath.Join(dir, "shuf.bamx")
+	xf, err := os.Create(shufPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := bamx.BuildFromRecords(xf, d.Header, shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var baix bytes.Buffer
+	if _, err := idx.WriteTo(&baix); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shuf.baix"), baix.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return bamzPath, shufPath, shuffled
+}
+
 func recordKey(rec *sam.Record) string {
 	return fmt.Sprintf("%s/%d@%s:%d", rec.QName, rec.Flag, rec.RName, rec.Pos)
 }
@@ -68,6 +106,10 @@ func recordKey(rec *sam.Record) string {
 func drainShards(t *testing.T, p Provider, shards []Shard) map[string]int {
 	t.Helper()
 	got := map[string]int{}
+	h, err := p.Header()
+	if err != nil {
+		t.Fatalf("Header: %v", err)
+	}
 	var rec sam.Record
 	for _, sh := range shards {
 		rr, err := p.NewReader(sh)
@@ -75,10 +117,15 @@ func drainShards(t *testing.T, p Provider, shards []Shard) map[string]int {
 			t.Fatalf("NewReader(%v): %v", sh, err)
 		}
 		for {
-			if err := rr.ReadInto(&rec); err == io.EOF {
+			body, err := rr.NextBody()
+			if err == io.EOF {
 				break
-			} else if err != nil {
-				t.Fatalf("shard %v: ReadInto: %v", sh, err)
+			}
+			if err == nil {
+				err = bam.DecodeRecord(body, &rec, h)
+			}
+			if err != nil {
+				t.Fatalf("shard %v: %v", sh, err)
 			}
 			got[recordKey(&rec)]++
 		}
@@ -109,11 +156,13 @@ func checkMultiset(t *testing.T, label string, got, want map[string]int) {
 	}
 }
 
-// TestProvidersExactlyOnce is the tentpole contract for both providers:
+// TestProvidersExactlyOnce is the tentpole contract for every provider:
 // at every shard-count target the generated shards cover the dataset
-// exactly once, including the unmapped tail.
+// exactly once, including the unmapped tail — sorted or not, for the
+// fixed-stride containers.
 func TestProvidersExactlyOnce(t *testing.T) {
 	bamPath, bamxPath, d := writeDataset(t, 3000)
+	bamzPath, shufPath, _ := writeVariants(t, bamxPath, d)
 	want := wantMultiset(d)
 	providers := []struct {
 		name string
@@ -121,6 +170,9 @@ func TestProvidersExactlyOnce(t *testing.T) {
 	}{
 		{"bam", NewBAMProvider(bamPath)},
 		{"bamx", NewBAMXProvider(bamxPath)},
+		{"bamz", NewBAMZProvider(bamzPath)},
+		{"bamz readahead", NewBAMZProvider(bamzPath, WithCodecWorkers(2))},
+		{"bamx unsorted", NewBAMXProvider(shufPath)},
 	}
 	for _, tc := range providers {
 		defer tc.p.Close()
@@ -141,6 +193,129 @@ func TestProvidersExactlyOnce(t *testing.T) {
 			checkMultiset(t, fmt.Sprintf("%s target %d", tc.name, target), got, want)
 		}
 	}
+}
+
+// TestWholeFileShardsAreFileOrder: draining a whole-file generation of
+// a fixed-stride container in Seq order replays the file, sorted or
+// not, and never opens the BAIX.
+func TestWholeFileShardsAreFileOrder(t *testing.T) {
+	_, bamxPath, d := writeDataset(t, 700)
+	bamzPath, shufPath, shuffled := writeVariants(t, bamxPath, d)
+	for _, name := range []string{"data.baix", "shuf.baix"} {
+		// A BAIX that does not parse: touching it would fail the run.
+		if err := os.WriteFile(filepath.Join(filepath.Dir(bamxPath), name), []byte("not a BAIX"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		p    Provider
+		want []sam.Record
+	}{
+		{"bamx", NewBAMXProvider(bamxPath), d.Records},
+		{"bamz", NewBAMZProvider(bamzPath), d.Records},
+		{"bamx unsorted", NewBAMXProvider(shufPath), shuffled},
+	} {
+		for _, target := range []int{1, 3, 16} {
+			shards, err := tc.p.GenerateShards(Options{TargetShards: target})
+			if err != nil {
+				t.Fatalf("%s: GenerateShards(%d): %v", tc.name, target, err)
+			}
+			if len(shards) != target {
+				t.Errorf("%s: %d shards at target %d", tc.name, len(shards), target)
+			}
+			h, _ := tc.p.Header()
+			var rec sam.Record
+			i := 0
+			for _, sh := range shards {
+				rr, err := tc.p.NewReader(sh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for {
+					body, err := rr.NextBody()
+					if err == io.EOF {
+						break
+					}
+					if err == nil {
+						err = bam.DecodeRecord(body, &rec, h)
+					}
+					if err != nil {
+						t.Fatalf("%s shard %v: %v", tc.name, sh, err)
+					}
+					if i >= len(tc.want) || recordKey(&rec) != recordKey(&tc.want[i]) {
+						t.Fatalf("%s target %d: record %d is %s, not the file's", tc.name, target, i, recordKey(&rec))
+					}
+					i++
+				}
+				rr.Close()
+			}
+			if i != len(tc.want) {
+				t.Fatalf("%s target %d: %d records, want %d", tc.name, target, i, len(tc.want))
+			}
+		}
+		if _, err := tc.p.GenerateShards(Options{Refs: []string{d.Header.Refs[0].Name}}); err == nil {
+			t.Errorf("%s: a reference selection accepted a corrupt BAIX", tc.name)
+		}
+		tc.p.Close()
+	}
+}
+
+// TestRegionSelection: Options.Region yields, from every provider, the
+// records of one reference starting within the interval, in coordinate
+// order, at any shard count.
+func TestRegionSelection(t *testing.T) {
+	bamPath, bamxPath, d := writeDataset(t, 2500)
+	bamzPath, shufPath, _ := writeVariants(t, bamxPath, d)
+	pamxPath := filepath.Join(filepath.Dir(bamPath), "data.pamx")
+	if _, err := pamx.FromBAM(bamPath, pamxPath, pamx.Options{GroupRecords: 90}); err != nil {
+		t.Fatal(err)
+	}
+	ref := d.Header.Refs[1]
+	region := &Region{Ref: ref.Name, Beg: ref.Length / 5, End: ref.Length / 2}
+	want := map[string]int{}
+	for i := range d.Records {
+		r := &d.Records[i]
+		if !r.Unmapped() && r.RName == ref.Name && int(r.Pos)-1 >= region.Beg && int(r.Pos)-1 < region.End {
+			want[recordKey(r)]++
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("region selects nothing")
+	}
+	for name, p := range map[string]Provider{
+		"bam": NewBAMProvider(bamPath), "bamx": NewBAMXProvider(bamxPath), "bamz": NewBAMZProvider(bamzPath),
+		"bamx unsorted": NewBAMXProvider(shufPath), "pamx": NewPAMXProvider(pamxPath),
+	} {
+		for _, target := range []int{1, 3, 8} {
+			shards, err := p.GenerateShards(Options{TargetShards: target, Region: region})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, sh := range shards {
+				if sh.Seq != i || sh.Unmapped() || sh.RefName != ref.Name || sh.Beg < region.Beg || sh.End > region.End {
+					t.Fatalf("%s: region generation produced shard %d = %+v", name, i, sh)
+				}
+			}
+			checkMultiset(t, fmt.Sprintf("%s region target %d", name, target), drainShards(t, p, shards), want)
+		}
+		if _, err := p.GenerateShards(Options{Region: &Region{Ref: "chrNope", End: 10}}); err == nil {
+			t.Errorf("%s: unknown region reference did not error", name)
+		}
+		p.Close()
+	}
+	// A compressed file cannot rebuild a missing BAIX.
+	os.Remove(filepath.Join(filepath.Dir(bamxPath), "data.baix"))
+	if _, err := NewBAMZProvider(bamzPath).GenerateShards(Options{Region: region}); err == nil || !strings.Contains(err.Error(), "BAIX") {
+		t.Errorf("BAMZ region without BAIX: %v", err)
+	}
+	p := NewBAMXProvider(bamxPath)
+	defer p.Close()
+	shards, err := p.GenerateShards(Options{TargetShards: 2, Region: region})
+	if err != nil {
+		t.Fatalf("BAMX region with a missing BAIX: %v", err)
+	}
+	checkMultiset(t, "bamx rebuilt index", drainShards(t, p, shards), want)
 }
 
 // TestGenerateShardsRefsSubset: a named-reference selection stays on
@@ -309,13 +484,41 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// TestOpenPathProvider dispatches on extension.
+// TestOpenPathProvider dispatches on extension, and a file with none of
+// the known ones is told which a provider reads.
 func TestOpenPathProvider(t *testing.T) {
-	bamPath, bamxPath, _ := writeDataset(t, 200)
+	bamPath, bamxPath, d := writeDataset(t, 200)
+	bamzPath, _, _ := writeVariants(t, bamxPath, d)
 	if _, ok := OpenPathProvider(bamPath).(*BAMProvider); !ok {
 		t.Fatal("BAM path did not open a BAMProvider")
 	}
 	if _, ok := OpenPathProvider(bamxPath).(*BAMXProvider); !ok {
 		t.Fatal("BAMX path did not open a BAMXProvider")
+	}
+	if p, ok := OpenPathProvider(bamzPath).(*BAMXProvider); !ok || !p.compressed {
+		t.Fatal("BAMZ path did not open a compressed BAMXProvider")
+	}
+	samPath := filepath.Join(t.TempDir(), "reads.sam")
+	sf, err := os.Create(samPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteSAM(sf); err != nil {
+		t.Fatal(err)
+	}
+	sf.Close()
+	p := OpenPathProvider(samPath)
+	defer p.Close()
+	_, herr := p.Header()
+	_, gerr := p.GenerateShards(Options{})
+	for _, err := range []error{herr, gerr} {
+		if err == nil {
+			t.Fatal("a SAM file opened as a provider")
+		}
+		for _, ext := range Exts() {
+			if !strings.Contains(err.Error(), ext) {
+				t.Errorf("error %q does not name %s", err, ext)
+			}
+		}
 	}
 }

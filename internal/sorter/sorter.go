@@ -302,21 +302,37 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
-// mergeRuns streams the runs through a heap into the output BAM.
-func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorkers int, shared bool) error {
+// mergeRuns streams the runs through a heap into the output BAM. A
+// failed merge leaves no outPath behind: a truncated file there could
+// pass for a sorted BAM in a later run.
+func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorkers int, shared bool) (err error) {
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(outPath)
+		}
+	}()
 	wopt := bam.WithCodecWorkers(codecWorkers)
 	if shared {
 		wopt = bam.WithSharedCodec()
 	}
 	w, err := bam.NewWriter(out, header, wopt)
 	if err != nil {
-		out.Close()
 		return err
 	}
+	// Closed on every path, before out: an abandoned writer would strand
+	// its codec workers.
+	defer func() {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	readers := make([]*bam.Reader, len(runPaths))
 	files := make([]*os.File, len(runPaths))
 	defer func() {
@@ -336,13 +352,11 @@ func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorke
 	for i, path := range runPaths {
 		f, err := os.Open(path)
 		if err != nil {
-			out.Close()
 			return err
 		}
 		files[i] = f
 		r, err := bam.NewReader(f, bam.WithCodecWorkers(runWorkers))
 		if err != nil {
-			out.Close()
 			return err
 		}
 		readers[i] = r
@@ -350,7 +364,6 @@ func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorke
 		if err := r.ReadInto(&rec); err == io.EOF {
 			continue
 		} else if err != nil {
-			out.Close()
 			return err
 		}
 		heap.Push(h, mergeItem{rec: rec, k: keyOf(header, &rec), src: i})
@@ -358,7 +371,6 @@ func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorke
 	for h.Len() > 0 {
 		item := heap.Pop(h).(mergeItem)
 		if err := w.Write(&item.rec); err != nil {
-			out.Close()
 			return err
 		}
 		var rec sam.Record
@@ -367,14 +379,9 @@ func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorke
 			continue
 		}
 		if err != nil {
-			out.Close()
 			return err
 		}
 		heap.Push(h, mergeItem{rec: rec, k: keyOf(header, &rec), src: item.src})
 	}
-	if err := w.Close(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
+	return nil
 }

@@ -260,3 +260,42 @@ func TestSortSharedCodecDefaultIdentical(t *testing.T) {
 		t.Errorf("shared-codec output differs from sequential (%d vs %d bytes)", len(got), len(want))
 	}
 }
+
+// TestMergeRunsFailureLeavesNoOutput: a merge that cannot finish —
+// here one run is cut off mid-stream, so its first records merge and a
+// later read fails — removes the partial outPath instead of leaving a
+// truncated file a later run could take for a sorted BAM.
+func TestMergeRunsFailureLeavesNoOutput(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(4000))
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "run0.bam"), filepath.Join(dir, "run1.bam")
+	if err := writeRun(good, d.Header, d.Records[:2000], 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRun(bad, d.Header, d.Records[2000:], 1, false); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, runs := range [][]string{{good, bad}, {bad}, {good, filepath.Join(dir, "missing.bam")}} {
+		out := filepath.Join(dir, "out.bam")
+		if err := mergeRuns(runs, d.Header, out, 1, false); err == nil {
+			t.Fatalf("merge of %v succeeded", runs)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("failed merge of %v left %s behind (stat: %v)", runs, out, err)
+		}
+	}
+	// The same runs intact still merge.
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := mergeRuns([]string{good, bad}, d.Header, filepath.Join(dir, "ok.bam"), 1, false); err != nil {
+		t.Fatal(err)
+	}
+}
