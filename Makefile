@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-deflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -40,6 +40,17 @@ fuzz-kern:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnpackSeq' -fuzztime 10s ./internal/kern
 	$(GO) test -run '^$$' -fuzz 'FuzzShiftQual' -fuzztime 10s ./internal/kern
 	$(GO) test -run '^$$' -fuzz 'FuzzParseUint' -fuzztime 10s ./internal/kern
+
+# Short fuzz pass over the in-tree DEFLATE encoder: whatever the payload,
+# compress/flate and compress/gzip must inflate the member back to it,
+# and the member must fit the BGZF limits.
+fuzz-deflate:
+	$(GO) test -run '^$$' -fuzz 'FuzzDeflateBlock' -fuzztime 10s ./internal/bgzf
+
+# Re-measure DESIGN.md's codec frontier (compress/flate levels against
+# the in-tree encoder at four chain depths, one thread, a few minutes).
+deflate-frontier:
+	BGZF_FRONTIER=1 GOMAXPROCS=1 $(GO) test -v -count=1 -run 'TestDeflateFrontier' -timeout 30m ./internal/bgzf
 
 # Short fuzz passes over the BAI and BAIX readers: corrupt index bytes
 # must error, never panic, and every accepted index must re-serialise
@@ -84,7 +95,9 @@ fmt-check:
 # paper's cluster: the Picard-style baseline, the experiment harness and
 # the analytic cluster model belong to ngsbench alone. And conv reads
 # binary containers only through shard.Provider: it may write BAMX
-# (writeIndexed, CompressBAMXFile) but never opens one or its BAIX.
+# (writeIndexed, CompressBAMXFile) but never opens one or its BAIX. And
+# every deflate goes through internal/bgzf's encoder, except BAMZ's
+# (internal/bamx/compress.go) until its fate is decided.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -93,6 +106,10 @@ deps-check:
 	@bad=$$(ls internal/conv/*.go | grep -v _test | xargs grep -n 'bamx\.\(Open\|OpenCompressed\|ParseIndex\|BuildIndex\)' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: internal/conv reads BAMX past shard.Provider:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'flate\.NewWriter' internal cmd --include=*.go | grep -v _test | grep -v '^internal/bamx/compress.go' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: compress/flate writers outside internal/bamx/compress.go:"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them
@@ -106,7 +123,7 @@ loc:
 	for d in internal/* internal/formats/pamx cmd/*; do printf '%-26s %6d\n' $$d $$(count $$d); done; \
 	printf '%-26s %6d  (%s)\n' 'record-source set' $$(sum $(LOC_RECORDS)) '$(LOC_RECORDS)'; \
 	printf '%-26s %6d  (%s + cmd/ngsbench)\n' 'reproduction set' $$(( $$(sum $(LOC_REPRO)) + $$(count cmd/ngsbench) )) '$(LOC_REPRO)'; \
-	printf '%-26s %6d\n' 'non-test Go outside bench/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+	printf '%-26s %6d\n' 'non-test Go outside bench/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l)
 
 # One iteration of every surviving testing.B benchmark: catches bit-rot
 # without paying for a measurement run. Each one is kept because a test

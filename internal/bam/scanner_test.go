@@ -61,7 +61,7 @@ func encodeBAM(t testing.TB, h *sam.Header, recs []sam.Record, payload int) []by
 // truncation tests use to plant malformed final records.
 func encodeBAMTail(h *sam.Header, recs []sam.Record, payload int, tail []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	bg := bgzf.NewWriterLevel(&buf, -1, payload)
+	bg := bgzf.NewWriterSize(&buf, payload)
 	text := h.String()
 	hdr := make([]byte, 0, 16+len(text))
 	hdr = append(hdr, Magic...)

@@ -104,95 +104,71 @@ type BlockSource interface {
 	Recycle([]byte)
 }
 
-// deflator owns one reusable flate writer plus the scratch it deflates
-// into. Reusing the pair across blocks removes the dominant per-block
-// allocation of the codec (a fresh flate.Writer is ~650 KiB of state).
-type deflator struct {
-	fw      *flate.Writer
-	scratch bytes.Buffer
+// deflators recycles deflate state across every block of every writer in
+// the process: a conversion opens many short-lived writers (a BAM shard
+// per rank, a spill per sorted chunk, a daemon job's output), and none
+// of them should pay for its own tables.
+var deflators = sync.Pool{New: func() any { return new(deflator) }}
+
+// wrapBlock is wrap on a pooled deflator.
+func wrapBlock(dst, payload []byte) []byte {
+	d := deflators.Get().(*deflator)
+	dst = d.wrap(dst, payload)
+	deflators.Put(d)
+	return dst
 }
 
-// wrap compresses payload into a complete BGZF member appended to
-// dst[:0] and returns it.
-func (d *deflator) wrap(dst, payload []byte, level int) ([]byte, error) {
-	d.scratch.Reset()
-	if d.fw == nil {
-		fw, err := flate.NewWriter(&d.scratch, level)
-		if err != nil {
-			return nil, err
-		}
-		d.fw = fw
-	} else {
-		d.fw.Reset(&d.scratch)
-	}
-	if _, err := d.fw.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := d.fw.Close(); err != nil {
-		return nil, err
-	}
-	compressed := d.scratch.Bytes()
-	bsize := headerSize + len(compressed) + footerSize
-	if bsize > MaxBlockSize {
-		return nil, fmt.Errorf("bgzf: block of %d bytes exceeds format limit", bsize)
-	}
+// wrap compresses payload (at most MaxPayload bytes) into a complete
+// BGZF member, in dst's backing array when that is large enough, and
+// returns it. It cannot fail: the encoder (deflate.go) falls back to a
+// stored block, so a member never exceeds MaxBlockSize.
+func (d *deflator) wrap(dst, payload []byte) []byte {
+	bsize := headerSize + d.plan(payload, maxChain) + footerSize
 	if cap(dst) < bsize {
-		dst = make([]byte, bsize)
+		dst = make([]byte, 0, bsize)
 	}
-	block := dst[:bsize]
-	for i := range block[:headerSize] {
-		block[i] = 0
-	}
-	block[0], block[1], block[2], block[3] = 0x1f, 0x8b, 0x08, 0x04 // magic, deflate, FEXTRA
-	// MTIME (4), XFL left zero.
-	block[9] = 0xff // OS unknown
-	binary.LittleEndian.PutUint16(block[10:], 6)
-	block[12], block[13] = 'B', 'C'
-	binary.LittleEndian.PutUint16(block[14:], 2)
-	binary.LittleEndian.PutUint16(block[16:], uint16(bsize-1))
-	copy(block[headerSize:], compressed)
-	binary.LittleEndian.PutUint32(block[headerSize+len(compressed):], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(block[headerSize+len(compressed)+4:], uint32(len(payload)))
-	return block, nil
+	block := append(dst[:0],
+		0x1f, 0x8b, 0x08, 0x04, // magic, deflate, FEXTRA
+		0, 0, 0, 0, 0, // MTIME, XFL left zero
+		0xff, // OS unknown
+		6, 0, // XLEN
+		'B', 'C', 2, 0, byte(bsize-1), byte((bsize-1)>>8),
+	)
+	block = d.emit(block, payload)
+	block = binary.LittleEndian.AppendUint32(block, crc32.ChecksumIEEE(payload))
+	return binary.LittleEndian.AppendUint32(block, uint32(len(payload)))
 }
 
 // Writer compresses a stream into BGZF blocks. Close writes the EOF
 // marker block; forgetting it produces a file readers reject.
 type Writer struct {
 	w       io.Writer
-	level   int
 	buf     []byte // pending uncompressed bytes, ≤ blockPayload
 	payload int    // configured uncompressed bytes per block
-	def     deflator
 	block   []byte // reusable wrapped-block buffer
 	offset  int64  // compressed bytes written so far
 	err     error
 }
 
-// NewWriter returns a BGZF writer using the default compression level and
-// the maximum per-block payload.
+// NewWriter returns a BGZF writer using the maximum per-block payload.
 func NewWriter(w io.Writer) *Writer {
-	return NewWriterLevel(w, flate.DefaultCompression, MaxPayload)
+	return NewWriterSize(w, MaxPayload)
 }
 
-// NewWriterLevel returns a BGZF writer with an explicit flate level and
-// per-block uncompressed payload size (clamped to [1, MaxPayload]).
-// Smaller payloads trade compression ratio for finer random-access
-// granularity — the knob the block-size ablation benchmark sweeps.
-func NewWriterLevel(w io.Writer, level, payload int) *Writer {
-	level, payload = clampLevelPayload(level, payload)
-	return &Writer{w: w, level: level, payload: payload, buf: make([]byte, 0, payload)}
+// NewWriterSize returns a BGZF writer with an explicit per-block
+// uncompressed payload size (clamped to [1, MaxPayload]). Smaller
+// payloads trade compression ratio for finer random-access granularity.
+func NewWriterSize(w io.Writer, payload int) *Writer {
+	payload = clampPayload(payload)
+	return &Writer{w: w, payload: payload, buf: make([]byte, 0, payload)}
 }
 
-// clampLevelPayload applies the shared knob validation of both writers.
-func clampLevelPayload(level, payload int) (int, int) {
+// clampPayload applies the block-size validation both writers share.
+func clampPayload(payload int) int {
 	if payload <= 0 || payload > MaxPayload {
-		payload = MaxPayload
+		return MaxPayload
 	}
-	if level < flate.HuffmanOnly || level > flate.BestCompression {
-		level = flate.DefaultCompression
-	}
-	return level, payload
+	return payload
 }
 
 // Offset returns the virtual offset the next written byte will have.
@@ -233,17 +209,12 @@ func (w *Writer) Flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	block, err := w.def.wrap(w.block[:0], w.buf, w.level)
-	if err != nil {
+	w.block = wrapBlock(w.block, w.buf)
+	if _, err := w.w.Write(w.block); err != nil {
 		w.err = err
 		return err
 	}
-	w.block = block
-	if _, err := w.w.Write(block); err != nil {
-		w.err = err
-		return err
-	}
-	w.offset += int64(len(block))
+	w.offset += int64(len(w.block))
 	w.buf = w.buf[:0]
 	return nil
 }

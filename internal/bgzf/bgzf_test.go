@@ -13,7 +13,7 @@ import (
 func compress(t testing.TB, data []byte, payload int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriterLevel(&buf, -1, payload)
+	w := NewWriterSize(&buf, payload)
 	if _, err := w.Write(data); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestVOffsetProperty(t *testing.T) {
 func TestSeek(t *testing.T) {
 	// Three known blocks; record the writer offset at each write.
 	var buf bytes.Buffer
-	w := NewWriterLevel(&buf, -1, 16)
+	w := NewWriterSize(&buf, 16)
 	var offsets []VOffset
 	chunks := [][]byte{
 		[]byte("first block data"), // exactly one block

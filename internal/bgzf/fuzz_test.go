@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzBGZFRoundTrip drives both codecs with fuzzer-chosen payloads,
-// compression levels and block sizes, in two modes:
+// FuzzBGZFRoundTrip drives both codecs with fuzzer-chosen payloads and
+// block sizes, in two modes:
 //
 //   - corruptAt < 0: a clean round trip must reproduce the payload
 //     exactly through every writer/reader pairing.
@@ -18,21 +18,18 @@ import (
 //     the package's typed errors, never a raw slice bound or deflate
 //     internal.
 func FuzzBGZFRoundTrip(f *testing.F) {
-	f.Add([]byte("hello bgzf"), 6, 4096, -1, byte(0))
-	f.Add([]byte{}, 0, 0, -1, byte(0))
-	f.Add(bytes.Repeat([]byte{0xAB}, 70000), 1, 512, 10, byte(0xFF))
-	f.Add([]byte("corrupt me"), 9, 16, 5, byte(0x01))
+	f.Add([]byte("hello bgzf"), 4096, -1, byte(0))
+	f.Add([]byte{}, 0, -1, byte(0))
+	f.Add(bytes.Repeat([]byte{0xAB}, 70000), 512, 10, byte(0xFF))
+	f.Add([]byte("corrupt me"), 16, 5, byte(0x01))
 
-	f.Fuzz(func(t *testing.T, payload []byte, level, blockSize, corruptAt int, flip byte) {
+	f.Fuzz(func(t *testing.T, payload []byte, blockSize, corruptAt int, flip byte) {
 		if len(payload) > 1<<20 {
 			payload = payload[:1<<20]
 		}
-		if level < -2 || level > 9 {
-			level = -1
-		}
 
 		var buf bytes.Buffer
-		w := NewWriterLevel(&buf, level, blockSize)
+		w := NewWriterSize(&buf, blockSize)
 		if _, err := w.Write(payload); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
@@ -43,7 +40,7 @@ func FuzzBGZFRoundTrip(f *testing.F) {
 
 		// Parallel writer must produce byte-identical output.
 		var pbuf bytes.Buffer
-		pw := NewParallelWriterLevel(&pbuf, level, blockSize, 3)
+		pw := NewParallelWriterSize(&pbuf, blockSize, 3)
 		if _, err := pw.Write(payload); err != nil {
 			t.Fatalf("parallel Write: %v", err)
 		}

@@ -26,6 +26,7 @@ import (
 // throughput counters plus a per-block latency histogram. A nil codecObs
 // keeps the codec's hot path free of time.Now calls.
 type codecObs struct {
+	reg      *obs.Registry // the registry the handles belong to
 	blocks   *obs.Counter
 	bytesIn  *obs.Counter
 	bytesOut *obs.Counter
@@ -40,6 +41,7 @@ func newCodecObs(reg *obs.Registry, dir string) *codecObs {
 	}
 	prefix := "bgzf." + dir
 	return &codecObs{
+		reg:      reg,
 		blocks:   reg.Counter(prefix + ".blocks"),
 		bytesIn:  reg.Counter(prefix + ".bytes_in"),
 		bytesOut: reg.Counter(prefix + ".bytes_out"),
@@ -48,7 +50,7 @@ func newCodecObs(reg *obs.Registry, dir string) *codecObs {
 }
 
 // observe accounts one deflated block that took d: in payload bytes, out
-// member bytes (0 for a failed block). A nil receiver no-ops.
+// member bytes. A nil receiver no-ops.
 func (m *codecObs) observe(d time.Duration, in, out int) {
 	if m == nil {
 		return
@@ -99,25 +101,22 @@ func pipeDepth(workers int) int { return 4 * workers }
 type wblock struct {
 	payload []byte // uncompressed payload (owned by the block)
 	block   []byte // compressed, wrapped member
-	err     error
 }
 
 // ParallelWriter compresses a stream into BGZF blocks on a bounded
 // worker pool. Blocks are deflated concurrently and written to the
 // underlying writer in submission order, so the output is byte-identical
-// to the sequential Writer's at every compression level. The writer
-// itself is not safe for concurrent Write calls — like the sequential
-// codec it serves one producing goroutine, parallelising underneath.
+// to the sequential Writer's. The writer itself is not safe for
+// concurrent Write calls — like the sequential codec it serves one
+// producing goroutine, parallelising underneath.
 type ParallelWriter struct {
 	w       io.Writer
-	level   int
 	payload int
 
 	buf  []byte // pending uncompressed bytes, ≤ payload
 	pipe *parpipe.Pipe[*wblock]
 
 	blkPool sync.Pool // *wblock, recycled payload+block buffers
-	defPool sync.Pool // *deflator, one per active worker
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -134,19 +133,17 @@ type ParallelWriter struct {
 	sizer *poolSizer // non-nil on SharedPool-attached writers
 }
 
-// NewParallelWriter returns a parallel BGZF writer using the default
-// compression level and maximum per-block payload. workers ≤ 0 selects
-// one worker per CPU.
+// NewParallelWriter returns a parallel BGZF writer using the maximum
+// per-block payload. workers ≤ 0 selects one worker per CPU.
 func NewParallelWriter(w io.Writer, workers int) *ParallelWriter {
-	return NewParallelWriterLevel(w, -1, MaxPayload, workers)
+	return NewParallelWriterSize(w, MaxPayload, workers)
 }
 
-// NewParallelWriterLevel is NewWriterLevel with a worker pool: explicit
-// flate level, per-block payload size, and worker count (≤ 0 means one
-// per CPU).
-func NewParallelWriterLevel(w io.Writer, level, payload, workers int) *ParallelWriter {
+// NewParallelWriterSize is NewWriterSize with a worker pool: explicit
+// per-block payload size and worker count (≤ 0 means one per CPU).
+func NewParallelWriterSize(w io.Writer, payload, workers int) *ParallelWriter {
 	workers = resolveWorkers(workers)
-	pw := newParallelWriter(w, level, payload)
+	pw := newParallelWriter(w, payload)
 	pw.pipe = parpipe.NewObserved(workers, pipeDepth(workers), pw.compress, obs.Default(), "bgzf.deflate")
 	go pw.drain()
 	return pw
@@ -155,18 +152,16 @@ func NewParallelWriterLevel(w io.Writer, level, payload, workers int) *ParallelW
 // newParallelWriter builds the writer body shared by the private-pool
 // and SharedPool constructors; the caller attaches the pipe and starts
 // the drain goroutine.
-func newParallelWriter(w io.Writer, level, payload int) *ParallelWriter {
-	level, payload = clampLevelPayload(level, payload)
+func newParallelWriter(w io.Writer, payload int) *ParallelWriter {
+	payload = clampPayload(payload)
 	pw := &ParallelWriter{
 		w:       w,
-		level:   level,
 		payload: payload,
 		buf:     make([]byte, 0, payload),
 		drained: make(chan struct{}),
 	}
 	pw.cond = sync.NewCond(&pw.mu)
 	pw.blkPool.New = func() any { return &wblock{} }
-	pw.defPool.New = func() any { return &deflator{} }
 	pw.met = newCodecObs(obs.Default(), "deflate")
 	return pw
 }
@@ -179,9 +174,7 @@ func (w *ParallelWriter) compress(b *wblock) {
 	if w.met != nil || w.sizer != nil {
 		t0 = time.Now()
 	}
-	d := w.defPool.Get().(*deflator)
-	b.block, b.err = d.wrap(b.block[:0], b.payload, w.level)
-	w.defPool.Put(d)
+	b.block = wrapBlock(b.block, b.payload)
 	if w.met != nil {
 		w.met.observe(time.Since(t0), len(b.payload), len(b.block))
 	}
@@ -189,9 +182,7 @@ func (w *ParallelWriter) compress(b *wblock) {
 		w.sizer.observe(len(b.payload), time.Since(t0))
 	}
 	w.mu.Lock()
-	if b.err == nil {
-		w.offset += int64(len(b.block))
-	}
+	w.offset += int64(len(b.block))
 	w.unsized--
 	w.cond.Broadcast()
 	w.mu.Unlock()
@@ -208,18 +199,13 @@ func (w *ParallelWriter) drain() {
 		err := w.werr
 		w.mu.Unlock()
 		if err == nil {
-			err = b.err
-			if err == nil {
-				_, err = w.w.Write(b.block)
-			}
-			if err != nil {
+			if _, err = w.w.Write(b.block); err != nil {
 				w.mu.Lock()
 				w.werr = err
 				w.mu.Unlock()
 			}
 		}
 		b.payload = b.payload[:0]
-		b.err = nil
 		w.blkPool.Put(b)
 		w.mu.Lock()
 		w.consumed++

@@ -28,7 +28,7 @@ func testData(n int, seed int64) []byte {
 func compressParallel(t testing.TB, data []byte, payload, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewParallelWriterLevel(&buf, -1, payload, workers)
+	w := NewParallelWriterSize(&buf, payload, workers)
 	if _, err := w.Write(data); err != nil {
 		t.Fatalf("ParallelWriter.Write: %v", err)
 	}
@@ -96,8 +96,8 @@ func TestParallelCrossCodecCompatibility(t *testing.T) {
 
 func TestParallelWriterOffsetMatchesSequential(t *testing.T) {
 	var seqBuf, parBuf bytes.Buffer
-	sw := NewWriterLevel(&seqBuf, -1, 1000)
-	pw := NewParallelWriterLevel(&parBuf, -1, 1000, 4)
+	sw := NewWriterSize(&seqBuf, 1000)
+	pw := NewParallelWriterSize(&parBuf, 1000, 4)
 	rng := rand.New(rand.NewSource(3))
 	chunk := make([]byte, 700)
 	for i := 0; i < 40; i++ {
@@ -131,7 +131,7 @@ func TestParallelReaderSeek(t *testing.T) {
 	// Write known chunks at known offsets with the parallel writer, then
 	// seek back through them with the parallel reader.
 	var buf bytes.Buffer
-	w := NewParallelWriterLevel(&buf, -1, 16, 3)
+	w := NewParallelWriterSize(&buf, 16, 3)
 	var offsets []VOffset
 	chunks := [][]byte{
 		[]byte("first block data"),
@@ -291,7 +291,7 @@ func TestParallelReaderDeterministicFirstError(t *testing.T) {
 }
 
 func TestParallelWriterPropagatesSinkError(t *testing.T) {
-	w := NewParallelWriterLevel(&failAfter{n: 1}, -1, 512, 4)
+	w := NewParallelWriterSize(&failAfter{n: 1}, 512, 4)
 	data := testData(100*512, 23)
 	_, werr := w.Write(data)
 	ferr := w.Flush()
@@ -342,7 +342,7 @@ func TestParallelWriterEmpty(t *testing.T) {
 func TestParallelConcurrentRoundTrip(t *testing.T) {
 	data := testData(20*MaxPayload, 29)
 	var buf bytes.Buffer
-	w := NewParallelWriterLevel(&buf, -1, 8192, 4)
+	w := NewParallelWriterSize(&buf, 8192, 4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

@@ -10,12 +10,12 @@
 package bgzf
 
 import (
-	"compress/flate"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parseq/internal/obs"
@@ -52,7 +52,7 @@ func SharedPool() *parpipe.Pool {
 // pool's throughput sizer.
 func NewSharedParallelWriter(w io.Writer) *ParallelWriter {
 	pool := SharedPool()
-	pw := newParallelWriter(w, -1, MaxPayload)
+	pw := newParallelWriter(w, MaxPayload)
 	pw.sizer = sharedSizer
 	pw.pipe = parpipe.NewOnPool(pool, pipeDepth(pool.Max()), pw.compress, obs.Default(), "bgzf.deflate")
 	go pw.drain()
@@ -154,32 +154,42 @@ func (s *poolSizer) observe(n int, d time.Duration) {
 	}
 }
 
-// blockDeflators recycles deflators (~650 KiB of flate state each) across
-// every DeflateBlock caller in the process.
-var blockDeflators = sync.Pool{New: func() any { return &deflator{} }}
+// blockObs holds DeflateBlock's telemetry handles, resolved once per
+// registry rather than once per block.
+var blockObs atomic.Pointer[codecObs]
+
+func blockCodecObs() *codecObs {
+	reg := obs.Default()
+	if reg == nil {
+		return nil
+	}
+	m := blockObs.Load()
+	if m == nil || m.reg != reg {
+		m = newCodecObs(reg, "deflate")
+		blockObs.Store(m)
+	}
+	return m
+}
 
 // DeflateBlock compresses one payload of at most MaxPayload bytes into a
-// complete BGZF member at the default level, reusing dst's backing array
-// when it is large enough. The bytes equal what the sequential Writer
-// emits for the same block. It is the writer-less form of the codec for
-// callers that cut their own blocks out of buffers they already hold
-// (the PAMX column groups) and run the jobs wherever they like —
-// typically SharedPool. Every call feeds the bgzf.deflate.* counters and
-// the shared pool's throughput sizer, like a block of a SharedPool
-// writer. Safe for concurrent use.
+// complete BGZF member, reusing dst's backing array when it is large
+// enough. The bytes equal what the sequential Writer emits for the same
+// block. It is the writer-less form of the codec for callers that cut
+// their own blocks out of buffers they already hold (the PAMX column
+// groups) and run the jobs wherever they like — typically SharedPool.
+// Every call feeds the bgzf.deflate.* counters and the shared pool's
+// throughput sizer, like a block of a SharedPool writer. Safe for
+// concurrent use.
 func DeflateBlock(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("bgzf: %d-byte payload exceeds the %d-byte block limit", len(payload), MaxPayload)
 	}
-	met := newCodecObs(obs.Default(), "deflate")
 	t0 := time.Now()
-	d := blockDeflators.Get().(*deflator)
-	block, err := d.wrap(dst[:0], payload, flate.DefaultCompression)
-	blockDeflators.Put(d)
+	block := wrapBlock(dst, payload)
 	took := time.Since(t0)
-	met.observe(took, len(payload), len(block))
+	blockCodecObs().observe(took, len(payload), len(block))
 	ObserveSharedDeflate(len(payload), took)
-	return block, err
+	return block, nil
 }
 
 // EOFMarker returns the canonical empty member that terminates a BGZF

@@ -197,7 +197,7 @@ func TestSeekThenNextBlock(t *testing.T) {
 	// Flush between chunks so every chunk starts a block; record both the
 	// block-aligned offset and an intra-block offset inside each chunk.
 	var buf bytes.Buffer
-	w := NewWriterLevel(&buf, -1, 0)
+	w := NewWriterSize(&buf, 0)
 	chunks := [][]byte{
 		[]byte("alpha block payload 00"),
 		[]byte("beta block payload 111"),
