@@ -23,11 +23,12 @@ race:
 
 # The one fast pre-commit subset of `race`: the converter runtime
 # (sources, sinks, the batch line engine), the SAM analyses that share
-# its scanners, the shared deflate pool and the parpipe plumbing under
-# them, and the engine and daemon that drive them concurrently. `ci` runs
-# the full sweep.
+# its scanners, the sorter that keeps sam.Reader's byte-parsed records,
+# the shared deflate pool and the parpipe plumbing under them, and the
+# engine and daemon that drive them concurrently. `ci` runs the full
+# sweep.
 race-convert:
-	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/hist ./internal/flagstat ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
+	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
 
 # A short deterministic fuzz pass over the wire-frame decoder: corrupt
 # frames must error, never panic or over-allocate.
@@ -97,7 +98,9 @@ fmt-check:
 # binary containers only through shard.Provider: it may write BAMX
 # (writeIndexed, CompressBAMXFile) but never opens one or its BAIX. And
 # every deflate goes through internal/bgzf's encoder, except BAMZ's
-# (internal/bamx/compress.go) until its fate is decided.
+# (internal/bamx/compress.go) until its fate is decided. And SAM text
+# has one record parser and one renderer (sam.ParseRecordIntoBytes,
+# Record.AppendTo): no string twin comes back.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -111,17 +114,23 @@ deps-check:
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: compress/flate writers outside internal/bamx/compress.go:"; echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rn 'func parseRecordInto(\|AppendText(' internal --include=*.go | grep -v _test || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a second SAM record parser or renderer:"; echo "$$bad"; exit 1; \
+	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them
 # (raw lines, comments included), per package and for the sets ROADMAP.md
 # tracks, so a PR's CHANGES.md entry and the next one quote one number.
 LOC_RECORDS = bam bamx conv formats/pamx shard flagstat hist engine
+LOC_SAMTEXT = sam conv hist
 LOC_REPRO = experiments cluster picard
 loc:
 	@count() { ls $$1/*.go | grep -v _test | xargs cat | wc -l; }; \
 	sum() { t=0; for p in $$@; do t=$$((t + $$(count internal/$$p))); done; echo $$t; }; \
 	for d in internal/* internal/formats/pamx cmd/*; do printf '%-26s %6d\n' $$d $$(count $$d); done; \
 	printf '%-26s %6d  (%s)\n' 'record-source set' $$(sum $(LOC_RECORDS)) '$(LOC_RECORDS)'; \
+	printf '%-26s %6d  (%s)\n' 'SAM text set' $$(sum $(LOC_SAMTEXT)) '$(LOC_SAMTEXT)'; \
 	printf '%-26s %6d  (%s + cmd/ngsbench)\n' 'reproduction set' $$(( $$(sum $(LOC_REPRO)) + $$(count cmd/ngsbench) )) '$(LOC_REPRO)'; \
 	printf '%-26s %6d\n' 'non-test Go outside bench/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l)
 

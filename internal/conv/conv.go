@@ -7,12 +7,13 @@
 //
 //   - A source partitions the input across ranks and yields each rank's
 //     records in order. There are two: SAM text (Algorithm 1 byte
-//     partitioning, then a line engine — the line-at-a-time loop that
-//     ParseWorkers 1 selects and the tests use as reference, or the
-//     order-preserving batch pipeline) and a shard.Provider (BAMX, BAMZ,
-//     PAMX or indexed BAM: the provider cuts the file — or the region, for
-//     partial conversion — into one shard per rank and serves each rank
-//     an independent reader; "region → records" lives there, not here).
+//     partitioning, then one batch line engine — inline on the rank's
+//     goroutine at ParseWorkers 1, an order-preserving pipeline of
+//     ParseWorkers parse goroutines above it) and a shard.Provider (BAMX,
+//     BAMZ, PAMX or indexed BAM: the provider cuts the file — or the
+//     region, for partial conversion — into one shard per rank and serves
+//     each rank an independent reader; "region → records" lives there,
+//     not here).
 //     ConvertStream is the degenerate one-rank source — any ordered
 //     record iterator — and ConvertBAMSequential is that over a BAM
 //     reader.
@@ -144,13 +145,13 @@ type Options struct {
 	// source: each rank's partition is cut into ~256 KiB batches of whole
 	// lines, ParseWorkers goroutines parse and encode the batches in
 	// place (zero per-line allocation), and a single writer drains them
-	// in input order — output bytes and error behaviour are identical to
-	// the sequential loop's. 0 (the default)
-	// selects the adaptive count, GOMAXPROCS/Cores clamped to [1, 8];
-	// 1 forces the line-at-a-time sequential loop (the paper-faithful
-	// baseline). With ParseWorkers > 1, user formats registered via
-	// formats.Register get one encoder instance per worker, so their
-	// Encode must not rely on cross-record state.
+	// in input order — output bytes and error behaviour do not depend on
+	// the count. 0 (the default) selects the adaptive count,
+	// GOMAXPROCS/Cores clamped to [1, 8]; 1 parses on the rank's own
+	// goroutine, one thread per rank (the paper-faithful baseline). With
+	// ParseWorkers > 1, user formats registered via formats.Register get
+	// one encoder instance per worker, so their Encode must not rely on
+	// cross-record state.
 	ParseWorkers int
 	// Launch runs the converter's rank function across the world. Nil
 	// (the default) selects mpi.Run — Cores goroutine ranks in this

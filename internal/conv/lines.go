@@ -1,23 +1,20 @@
-// The SAM source's batch line engine. The line-at-a-time loop
-// (samSource.records under convertRecords) handles one line at a time:
-// scan, allocate a string, parse, encode, write. With ParseWorkers > 1
-// the rank's byte range instead runs through an order-preserving parpipe
-// stage in the mould of bam.ParallelScanner:
+// The SAM source's line engine, in the mould of bam.ParallelScanner:
 //
-//	scan goroutine:  cut the rank's byte range into ~256 KiB batches of
-//	                 whole lines — subslices of the file mapping, or
-//	                 pooled chunks with boundary lines stitched through a
-//	                 dedicated carry buffer where mapping is unavailable,
-//	parse workers:   parse each batch's lines in place
-//	                 (sam.ParseRecordIntoBytes — zero per-line
-//	                 allocation) and hand each record to the caller's
-//	                 work function (encode into a pooled output buffer,
-//	                 or keep the record for preprocessing),
-//	drain (caller):  receive batches in submission order.
+//	scan:   cut the rank's byte range into ~256 KiB batches of whole
+//	        lines — subslices of the file mapping, or pooled chunks with
+//	        boundary lines stitched through a dedicated carry buffer where
+//	        mapping is unavailable,
+//	parse:  parse each batch's lines in place (sam.ParseRecordIntoBytes —
+//	        zero per-line allocation) and hand each record to the
+//	        caller's work function (encode into a pooled output buffer, or
+//	        keep the record for preprocessing),
+//	drain:  hand each parsed batch to the caller in input order.
 //
-// Because delivery is in submission order, the output bytes and the
-// first error surfaced are identical to the sequential loop's — the
-// byte-identity and error-parity tests pin both.
+// With ParseWorkers 1 all three run inline on the rank's goroutine, one
+// batch at a time. With more, the scan runs on its own goroutine and
+// ParseWorkers goroutines parse behind an order-preserving parpipe stage,
+// so the output bytes and the first error surfaced do not depend on the
+// worker count — the byte-identity and error-parity tests pin both.
 
 package conv
 
@@ -155,37 +152,27 @@ var (
 // that keeps the record appends it to b.recs and zeroes *rec.
 type batchFunc func(b *lineBatch, rec *sam.Record) error
 
-// batches runs the engine over br: workers parse goroutines, each
-// handing its records to its own newWork() instance, and drain called
-// with every batch in input order on the caller's goroutine. A scan
-// error travels as the final batch's err, so drain sees every complete
-// batch first — first error in stream order, like the sequential loop;
-// a batch that fails midway is still drained (its records before the
-// error count) before its error ends the run.
-func (s *samSource) batches(br partition.ByteRange, workers int, stage string,
+// batches runs the engine over br: each batch's records go to a
+// newWork() instance (one per parse goroutine) and drain is called with
+// every batch in input order on the caller's goroutine. A scan error
+// travels as the final batch's err, so drain sees every complete batch
+// first — first error in stream order; a batch that fails midway is
+// still drained (its records before the error count) before its error
+// ends the run.
+func (s *samSource) batches(br partition.ByteRange, stage string,
 	newWork func() batchFunc, drain func(*lineBatch) error) error {
-
-	// One work function per worker, built up front and handed around.
-	free := make(chan batchFunc, workers)
-	for i := 0; i < workers; i++ {
-		free <- newWork()
-	}
-	pipe := parpipe.NewObserved(workers, 4*workers, func(b *lineBatch) {
-		work := <-free
-		parseBatchLines(b, work)
-		free <- work
-	}, obs.Default(), stage)
 
 	var stop atomic.Bool
 	pooled := s.mapped == nil
-	if pooled {
-		go scanBatches(pipe, &stop, io.NewSectionReader(s.f, br.Start, br.Len()), br.Start)
-	} else {
-		go cutBatches(pipe, &stop, s.mapped[br.Start:br.Start+br.Len()], br.Start)
+	scan := func(emit func(*lineBatch)) {
+		if pooled {
+			scanBatches(emit, &stop, io.NewSectionReader(s.f, br.Start, br.Len()), br.Start)
+		} else {
+			cutBatches(emit, &stop, s.mapped[br.Start:br.Start+br.Len()], br.Start)
+		}
 	}
-
 	var firstErr error
-	for b := range pipe.Out() {
+	settle := func(b *lineBatch) {
 		if firstErr == nil {
 			if firstErr = drain(b); firstErr == nil {
 				firstErr = b.err
@@ -199,12 +186,42 @@ func (s *samSource) batches(br partition.ByteRange, workers int, stage string,
 		// sam.ParseRecordIntoBytes) or a long line grew the chunk past
 		// batchBytes, which would leave the shared population unevenly
 		// sized.
-		if pooled && b.recs == nil && cap(b.chunk) == batchBytes {
+		if pooled && len(b.recs) == 0 && cap(b.chunk) == batchBytes {
 			chunkPool.Put(b.chunk[:0])
 		}
 		outPool.Put(b.out[:0])
-		*b = lineBatch{}
+		// drain has copied the kept records out; the batch keeps the
+		// slice's capacity for the next batch's records, cleared so it
+		// pins no chunk.
+		clear(b.recs)
+		*b = lineBatch{recs: b.recs[:0]}
 		batchPool.Put(b)
+	}
+
+	if s.workers == 1 {
+		work := newWork()
+		scan(func(b *lineBatch) {
+			parseBatchLines(b, work)
+			settle(b)
+		})
+		return firstErr
+	}
+	// One work function per worker, built up front and handed around.
+	free := make(chan batchFunc, s.workers)
+	for i := 0; i < s.workers; i++ {
+		free <- newWork()
+	}
+	pipe := parpipe.NewObserved(s.workers, 4*s.workers, func(b *lineBatch) {
+		work := <-free
+		parseBatchLines(b, work)
+		free <- work
+	}, obs.Default(), stage)
+	go func() {
+		defer pipe.Close()
+		scan(pipe.Submit)
+	}()
+	for b := range pipe.Out() {
+		settle(b)
 	}
 	return firstErr
 }
@@ -217,10 +234,9 @@ func newBatch(chunk []byte, base int64) *lineBatch {
 	return b
 }
 
-// scanBatches is the scan goroutine over a stream whose first byte sits
-// at absolute file offset base.
-func scanBatches(pipe *parpipe.Pipe[*lineBatch], stop *atomic.Bool, r io.Reader, base int64) {
-	defer pipe.Close()
+// scanBatches cuts a stream whose first byte sits at absolute file
+// offset base into batches and emits them in order.
+func scanBatches(emit func(*lineBatch), stop *atomic.Bool, r io.Reader, base int64) {
 	sc := &batchScanner{r: r, pool: &chunkPool, off: base}
 	for !stop.Load() {
 		chunk, off, err := sc.next()
@@ -229,19 +245,18 @@ func scanBatches(pipe *parpipe.Pipe[*lineBatch], stop *atomic.Bool, r io.Reader,
 		}
 		b := newBatch(chunk, off)
 		b.err = err
-		pipe.Submit(b)
+		emit(b)
 		if err != nil {
 			return
 		}
 	}
 }
 
-// cutBatches is the scan goroutine over a memory-mapped partition:
-// batches are plain subslices of the mapping cut at line boundaries — no
+// cutBatches cuts a memory-mapped partition into batches and emits them
+// in order: plain subslices of the mapping cut at line boundaries — no
 // reads, no copies, no pooled chunks. The mapping must outlive every
 // record parsed from it.
-func cutBatches(pipe *parpipe.Pipe[*lineBatch], stop *atomic.Bool, data []byte, base int64) {
-	defer pipe.Close()
+func cutBatches(emit func(*lineBatch), stop *atomic.Bool, data []byte, base int64) {
 	off := 0
 	for off < len(data) && !stop.Load() {
 		end := off + batchBytes
@@ -257,7 +272,7 @@ func cutBatches(pipe *parpipe.Pipe[*lineBatch], stop *atomic.Bool, data []byte, 
 		} else {
 			end = len(data)
 		}
-		pipe.Submit(newBatch(data[off:end], base+int64(off)))
+		emit(newBatch(data[off:end], base+int64(off)))
 		off = end
 	}
 }
@@ -276,8 +291,8 @@ func parseBatchLines(b *lineBatch, work batchFunc) {
 	for len(data) > 0 {
 		line, rest := cutLine(data)
 		if len(line) >= sam.MaxLineBytes {
-			// Line-limit parity with the sequential scanner, which
-			// refuses any line of at least the limit.
+			// Line-limit parity with sam.LineScanner, which refuses
+			// any line of at least the limit.
 			b.err = sam.LineTooLongError(b.base + rel)
 			return
 		}

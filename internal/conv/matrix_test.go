@@ -41,11 +41,11 @@ func referenceText(t *testing.T, recs []sam.Record, h *sam.Header, format string
 }
 
 // TestSourceSinkMatrix pins the runtime's seam: every source reaches
-// every target, text and BAM shards alike, on both line engines and at
-// one and several ranks, with the same bytes as the sequential
-// reference and the same Stats — including BytesIn, which for the
-// fixed-stride sources is records × stride on the full and the region
-// path alike. The provider source is exercised over every container a
+// every target, text and BAM shards alike, at one and four parse
+// workers and at one and several ranks, with the same bytes as the
+// single-threaded reference and the same Stats — including BytesIn,
+// which for the fixed-stride sources is records × stride on the full and
+// the region path alike. The provider source is exercised over every container a
 // provider reads; a shuffled BAMX pins the order contract — whole-file
 // output is file order, region output BAIX (position) order.
 func TestSourceSinkMatrix(t *testing.T) {

@@ -2,6 +2,7 @@ package conv
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,26 +10,22 @@ import (
 	"strings"
 	"testing"
 
+	"parseq/internal/bam"
 	"parseq/internal/formats"
+	"parseq/internal/partition"
 	"parseq/internal/sam"
 )
 
-// TestPipelinedConvertSAMByteIdentity is the tentpole's contract: the
-// pipelined converter produces byte-for-byte the sequential loop's
-// output for every registered target format, at every worker count, at
-// one and several ranks. ParseWorkers 0 exercises the adaptive default,
-// 1 the sequential baseline, 4 and 8 the batch pipeline.
+// TestPipelinedConvertSAMByteIdentity is the line engine's contract:
+// the converter produces byte-for-byte the single-threaded reference
+// conversion, with the reference's Stats, for every registered target
+// format, at every worker count, at one and several ranks. ParseWorkers
+// 0 exercises the adaptive default, 1 the inline engine, 4 and 8 the
+// parse pipeline.
 func TestPipelinedConvertSAMByteIdentity(t *testing.T) {
 	samPath, _, d := writeDataset(t, 800)
 	for _, format := range formats.Names() {
-		want := expected(t, d, format)
-		ref, err := ConvertSAM(samPath, Options{
-			Format: format, Cores: 1, ParseWorkers: 1,
-			OutDir: t.TempDir(), OutPrefix: "t",
-		})
-		if err != nil {
-			t.Fatalf("sequential ConvertSAM(%s): %v", format, err)
-		}
+		want, emitted := referenceText(t, d.Records, d.Header, format)
 		for _, workers := range []int{0, 1, 4, 8} {
 			for _, cores := range []int{1, 3} {
 				res, err := ConvertSAM(samPath, Options{
@@ -43,45 +40,75 @@ func TestPipelinedConvertSAMByteIdentity(t *testing.T) {
 					t.Errorf("%s workers=%d cores=%d output differs from reference (got %d bytes, want %d)",
 						format, workers, cores, len(got), len(want))
 				}
-				if res.Stats.Records != ref.Stats.Records {
+				if res.Stats.Records != int64(len(d.Records)) {
 					t.Errorf("%s workers=%d cores=%d Records = %d, want %d",
-						format, workers, cores, res.Stats.Records, ref.Stats.Records)
+						format, workers, cores, res.Stats.Records, len(d.Records))
 				}
-				if res.Stats.Emitted != ref.Stats.Emitted {
+				if res.Stats.Emitted != emitted {
 					t.Errorf("%s workers=%d cores=%d Emitted = %d, want %d",
-						format, workers, cores, res.Stats.Emitted, ref.Stats.Emitted)
+						format, workers, cores, res.Stats.Emitted, emitted)
 				}
-				if res.Stats.BytesOut != ref.Stats.BytesOut {
+				if res.Stats.BytesOut != int64(len(want)) {
 					t.Errorf("%s workers=%d cores=%d BytesOut = %d, want %d",
-						format, workers, cores, res.Stats.BytesOut, ref.Stats.BytesOut)
+						format, workers, cores, res.Stats.BytesOut, len(want))
 				}
 			}
 		}
 	}
 }
 
-// TestPipelinedConvertSAMToBAMByteIdentity pins the binary target: each
-// shard written through the batch pipeline (pre-encoded records handed
-// to WriteEncoded) is byte-identical to the per-record sequential
-// shard, both with the per-stream codec pinned sequential and with the
-// adaptive default that attaches the shards to the shared deflate pool.
-func TestPipelinedConvertSAMToBAMByteIdentity(t *testing.T) {
-	samPath, _, _ := writeDataset(t, 600)
-	ref, err := ConvertSAMToBAM(samPath, Options{
-		Cores: 2, ParseWorkers: 1, CodecWorkers: 1,
-		OutDir: t.TempDir(), OutPrefix: "shard",
-	})
+// referenceShards writes, for each of the ranks' Algorithm 1 partitions
+// of samPath, the BAM shard a per-record bam.Writer on the sequential
+// codec makes of that partition's records.
+func referenceShards(t *testing.T, samPath string, recs []sam.Record, ranks int) [][]byte {
+	t.Helper()
+	f, err := os.Open(samPath)
 	if err != nil {
-		t.Fatalf("sequential ConvertSAMToBAM: %v", err)
+		t.Fatal(err)
 	}
-	refShards := make([][]byte, len(ref.Files))
-	for i, f := range ref.Files {
-		b, err := os.ReadFile(f)
+	defer f.Close()
+	h, dataStart, err := sam.ScanHeader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(samPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.SAMForward(f, dataStart, int64(len(data)), ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([][]byte, len(parts))
+	for i, p := range parts {
+		n := bytes.Count(data[p.Start:p.End], []byte{'\n'})
+		var buf bytes.Buffer
+		w, err := bam.NewWriter(&buf, h, bam.WithCodecWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		refShards[i] = b
+		for j := range recs[:n] {
+			if err := w.Write(&recs[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		shards[i], recs = buf.Bytes(), recs[n:]
 	}
+	return shards
+}
+
+// TestPipelinedConvertSAMToBAMByteIdentity pins the binary target: each
+// shard written through the line engine (pre-encoded records handed to
+// WriteEncoded) is byte-identical to a per-record bam.Writer's shard of
+// the rank's records, both with the per-stream codec pinned sequential
+// and with the adaptive default that attaches the shards to the shared
+// deflate pool.
+func TestPipelinedConvertSAMToBAMByteIdentity(t *testing.T) {
+	samPath, _, d := writeDataset(t, 600)
+	refShards := referenceShards(t, samPath, d.Records, 2)
 	for _, workers := range []int{1, 4, 8} {
 		for _, codec := range []int{1, 0} { // 0 = adaptive → shared pool
 			res, err := ConvertSAMToBAM(samPath, Options{
@@ -91,17 +118,17 @@ func TestPipelinedConvertSAMToBAMByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ConvertSAMToBAM(workers=%d, codec=%d): %v", workers, codec, err)
 			}
-			if res.Stats.Records != ref.Stats.Records {
+			if res.Stats.Records != int64(len(d.Records)) {
 				t.Errorf("workers=%d codec=%d Records = %d, want %d",
-					workers, codec, res.Stats.Records, ref.Stats.Records)
+					workers, codec, res.Stats.Records, len(d.Records))
 			}
 			for i, f := range res.Files {
 				b, err := os.ReadFile(f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if string(b) != string(refShards[i]) {
-					t.Errorf("workers=%d codec=%d shard %d differs from sequential (%d vs %d bytes)",
+				if !bytes.Equal(b, refShards[i]) {
+					t.Errorf("workers=%d codec=%d shard %d differs from the reference (%d vs %d bytes)",
 						workers, codec, i, len(b), len(refShards[i]))
 				}
 			}
@@ -110,8 +137,8 @@ func TestPipelinedConvertSAMToBAMByteIdentity(t *testing.T) {
 }
 
 // TestPipelinedPreprocessedConverterIdentity covers the psam path: the
-// parallel SAM→BAMX preprocessing with pipelined parsing feeds the same
-// converter output as the sequential parse.
+// parallel SAM→BAMX preprocessing feeds the reference converter output
+// at one and four parse workers.
 func TestPipelinedPreprocessedConverterIdentity(t *testing.T) {
 	samPath, _, d := writeDataset(t, 500)
 	want := expected(t, d, "fastq")
@@ -180,73 +207,46 @@ func corruptRecord(t *testing.T, samPath string, n int) string {
 }
 
 // TestPipelinedErrorParity pins the failure contract: a malformed
-// record surfaces the same error message from the pipelined path as
-// from the sequential loop, and the partial rank file holds the same
-// bytes — everything before the failing record, nothing after.
+// record surfaces the same error message at every worker count, and the
+// partial rank file holds exactly the records before it — everything
+// before the failing record, nothing after.
 func TestPipelinedErrorParity(t *testing.T) {
-	samPath, _, _ := writeDataset(t, 400)
+	samPath, _, d := writeDataset(t, 400)
 	corrupt := corruptRecord(t, samPath, 250)
+	const wantErr = `sam: invalid alignment record: FLAG "notaflag"`
+	wantPartial, _ := referenceText(t, d.Records[:250], d.Header, "sam")
 
-	seqDir := t.TempDir()
-	_, seqErr := ConvertSAM(corrupt, Options{
-		Format: "sam", Cores: 1, ParseWorkers: 1, OutDir: seqDir, OutPrefix: "t",
-	})
-	if seqErr == nil {
-		t.Fatal("sequential conversion of corrupt input succeeded")
-	}
-	seqPartial, err := os.ReadFile(filepath.Join(seqDir, "t_p000.sam"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqPartial) == 0 {
-		t.Fatal("sequential partial output is empty; corruption is too early to test ordering")
-	}
-	for _, workers := range []int{4, 8} {
-		pipDir := t.TempDir()
-		_, pipErr := ConvertSAM(corrupt, Options{
-			Format: "sam", Cores: 1, ParseWorkers: workers, OutDir: pipDir, OutPrefix: "t",
+	for _, workers := range []int{1, 4, 8} {
+		dir := t.TempDir()
+		_, err := ConvertSAM(corrupt, Options{
+			Format: "sam", Cores: 1, ParseWorkers: workers, OutDir: dir, OutPrefix: "t",
 		})
-		if pipErr == nil {
-			t.Fatalf("workers=%d conversion of corrupt input succeeded", workers)
+		if err == nil || err.Error() != wantErr {
+			t.Errorf("workers=%d error = %v, want %q", workers, err, wantErr)
 		}
-		if pipErr.Error() != seqErr.Error() {
-			t.Errorf("workers=%d error differs:\n pipelined:  %v\n sequential: %v",
-				workers, pipErr, seqErr)
-		}
-		pipPartial, err := os.ReadFile(filepath.Join(pipDir, "t_p000.sam"))
+		partial, err := os.ReadFile(filepath.Join(dir, "t_p000.sam"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(pipPartial) != string(seqPartial) {
-			t.Errorf("workers=%d partial output differs from sequential (%d vs %d bytes)",
-				workers, len(pipPartial), len(seqPartial))
+		if string(partial) != wantPartial {
+			t.Errorf("workers=%d partial output is not the first 250 records (%d vs %d bytes)",
+				workers, len(partial), len(wantPartial))
 		}
-	}
 
-	// The binary target fails with the same message too.
-	_, seqBAMErr := ConvertSAMToBAM(corrupt, Options{
-		Cores: 1, ParseWorkers: 1, OutDir: t.TempDir(), OutPrefix: "s",
-	})
-	if seqBAMErr == nil {
-		t.Fatal("sequential SAM→BAM of corrupt input succeeded")
-	}
-	for _, workers := range []int{4, 8} {
-		_, pipBAMErr := ConvertSAMToBAM(corrupt, Options{
+		// The binary target fails with the same message too.
+		_, err = ConvertSAMToBAM(corrupt, Options{
 			Cores: 1, ParseWorkers: workers, OutDir: t.TempDir(), OutPrefix: "s",
 		})
-		if pipBAMErr == nil {
-			t.Fatalf("workers=%d SAM→BAM of corrupt input succeeded", workers)
-		}
-		if pipBAMErr.Error() != seqBAMErr.Error() {
-			t.Errorf("workers=%d SAM→BAM error differs:\n pipelined:  %v\n sequential: %v",
-				workers, pipBAMErr, seqBAMErr)
+		if err == nil || err.Error() != wantErr {
+			t.Errorf("workers=%d SAM→BAM error = %v, want %q", workers, err, wantErr)
 		}
 	}
 }
 
 // TestLongLineBeyondOldCap feeds a 5 MiB alignment line — over the old
 // converter's silent 4 MiB bufio cap, the shape of an ONT ultralong
-// read — through both paths and requires identical successful output.
+// read — through the inline engine and the parse pipeline and requires
+// identical successful output.
 func TestLongLineBeyondOldCap(t *testing.T) {
 	const seqLen = 5 << 20
 	line := fmt.Sprintf("ont1\t0\tchr1\t1\t60\t%dM\t*\t0\t0\t%s\t%s",
@@ -280,8 +280,8 @@ func TestLongLineBeyondOldCap(t *testing.T) {
 	}
 }
 
-// TestLineLimitErrorParity shrinks the line limit and requires both
-// paths to fail with the identical wrapped error: bufio.ErrTooLong
+// TestLineLimitErrorParity shrinks the line limit and requires every
+// worker count to fail with the identical wrapped error: bufio.ErrTooLong
 // under errors.Is, carrying the offending line's absolute file offset.
 func TestLineLimitErrorParity(t *testing.T) {
 	old := sam.MaxLineBytes
@@ -317,8 +317,9 @@ func TestLineLimitErrorParity(t *testing.T) {
 }
 
 // TestLineJustUnderLimitSucceeds pins the boundary: content of exactly
-// limit-1 bytes plus the newline passes on both paths (bufio's rule),
-// so the pipelined per-line check cannot be stricter than the scanner.
+// limit-1 bytes plus the newline passes at every worker count (bufio's
+// rule), so the engine's per-line check cannot be stricter than the
+// scanner.
 func TestLineJustUnderLimitSucceeds(t *testing.T) {
 	old := sam.MaxLineBytes
 	sam.MaxLineBytes = 512 << 10
@@ -344,6 +345,48 @@ func TestLineJustUnderLimitSucceeds(t *testing.T) {
 		}
 		if res.Stats.Records != 1 {
 			t.Errorf("workers=%d Records = %d, want 1", workers, res.Stats.Records)
+		}
+	}
+}
+
+// TestCollectRetainsRecords pins the aliasing contract of preprocessing:
+// collect keeps records that alias the batches' lines, so once a range
+// longer than two batches has drained, every kept record must still read
+// as the dataset's — over the file mapping and over pooled chunks, which
+// must not be recycled under a kept record, inline and pipelined.
+func TestCollectRetainsRecords(t *testing.T) {
+	samPath, _, d := writeDataset(t, 3000)
+	for _, workers := range []int{1, 4} {
+		for _, mapped := range []bool{true, false} {
+			src, err := openSAM(samPath, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src.size-src.dataStart <= 2*batchBytes {
+				t.Fatalf("alignment section is %d bytes, want more than two batches", src.size-src.dataStart)
+			}
+			if mapped && src.mapped == nil {
+				t.Logf("workers=%d: no file mapping on this platform", workers)
+				src.close()
+				continue
+			}
+			if !mapped {
+				src.mapped = nil
+			}
+			recs, err := src.collect(partition.ByteRange{Start: src.dataStart, End: src.size})
+			if err != nil {
+				t.Fatalf("workers=%d mapped=%v: %v", workers, mapped, err)
+			}
+			if len(recs) != len(d.Records) {
+				t.Fatalf("workers=%d mapped=%v: %d records, want %d", workers, mapped, len(recs), len(d.Records))
+			}
+			for i := range recs {
+				if got, want := recs[i].String(), d.Records[i].String(); got != want {
+					t.Errorf("workers=%d mapped=%v record %d = %q, want %q", workers, mapped, i, got, want)
+					break
+				}
+			}
+			src.close()
 		}
 	}
 }

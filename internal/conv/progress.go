@@ -40,7 +40,7 @@ func (lp *liveProgress) batch(records, bytesIn, bytesOut int64) {
 	lp.bytesOut.Add(bytesOut)
 }
 
-// liveFlushEvery is the sequential loop's counter-flush period in
+// liveFlushEvery is the record loop's counter-flush period in
 // records: frequent enough that /progress tracks a live run, rare
 // enough that the atomics vanish in the per-line parse cost.
 const liveFlushEvery = 4096

@@ -23,7 +23,7 @@ type samSource struct {
 	dataStart int64  // offset of the first alignment line
 	mapped    []byte // whole-file mapping the batch engine parses out of; nil → streamed reads
 	unmap     func() // releases mapped
-	workers   int    // ParseWorkers: 1 selects the line-at-a-time engine
+	workers   int    // ParseWorkers: parse goroutines per rank; 1 parses inline
 }
 
 // openSAM opens the source. The batch engine parses straight out of the
@@ -39,10 +39,8 @@ func openSAM(path string, parseWorkers int) (*samSource, error) {
 		f.Close()
 		return nil, err
 	}
-	if parseWorkers > 1 {
-		if data, unmap, err := mmapFile(f); err == nil {
-			s.mapped, s.unmap = data, unmap
-		}
+	if data, unmap, err := mmapFile(f); err == nil {
+		s.mapped, s.unmap = data, unmap
 	}
 	return s, nil
 }
@@ -60,33 +58,14 @@ func (s *samSource) partition(c *mpi.Comm) (partition.ByteRange, error) {
 	return partition.SAMForwardMPI(c, s.f, s.dataStart, s.size)
 }
 
-// records is the line-at-a-time engine over br: next parses the
-// following non-empty line into rec, and consumed reports the bytes of
-// br read so far. Each line is a fresh string, so a record parsed into a
-// zero Record may be kept.
-func (s *samSource) records(br partition.ByteRange) (next func(*sam.Record) (bool, error), consumed func() int64) {
-	scan := sam.NewLineScanner(s.f, br.Start, br.Len())
-	return func(rec *sam.Record) (bool, error) {
-		for scan.Scan() {
-			if line := scan.Text(); line != "" {
-				return true, sam.ParseRecordInto(rec, line)
-			}
-		}
-		return false, scan.Err()
-	}, scan.Pos
-}
-
-// convert streams br's records through the rank's sink on the selected
-// line engine; both produce the same bytes and the same first error.
+// convert streams br's records through the rank's sink: each batch's
+// records are encoded into its output buffer and the buffers written in
+// input order.
 func (s *samSource) convert(br partition.ByteRange, sk *sink) (rankStats, error) {
 	addBytesTotal(br.Len()) // the /progress ETA denominator
-	if s.workers == 1 {
-		next, consumed := s.records(br)
-		return convertRecords(next, consumed, sk)
-	}
 	st := rankStats{bytesIn: br.Len()}
 	live := newLiveProgress()
-	err := s.batches(br, s.workers, "conv.encode", func() batchFunc {
+	err := s.batches(br, "conv.encode", func() batchFunc {
 		encode := sk.encoder()
 		return func(b *lineBatch, rec *sam.Record) error {
 			out, err := encode(b.out, rec)
@@ -109,31 +88,22 @@ func (s *samSource) convert(br partition.ByteRange, sk *sink) (rankStats, error)
 }
 
 // collect parses br's records into a slice — what preprocessing does
-// with a parsed record instead of encoding it.
+// with a parsed record instead of encoding it. The records alias the
+// batches' lines, which the source keeps alive until close.
 func (s *samSource) collect(br partition.ByteRange) ([]sam.Record, error) {
 	var recs []sam.Record
-	if s.workers == 1 {
-		next, _ := s.records(br)
-		var rec sam.Record
-		for {
-			ok, err := next(&rec)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return recs, nil
-			}
-			recs = append(recs, rec)
-			rec = sam.Record{} // the slice now owns the Cigar and Tags arrays
-		}
-	}
-	err := s.batches(br, s.workers, "conv.parse", func() batchFunc {
+	err := s.batches(br, "conv.parse", func() batchFunc {
 		return func(b *lineBatch, rec *sam.Record) error {
 			b.recs = append(b.recs, *rec)
 			*rec = sam.Record{} // the slice now owns the Cigar and Tags arrays
 			return nil
 		}
 	}, func(b *lineBatch) error {
+		if recs == nil && len(b.chunk) > 0 {
+			// Size the rank's slice once, from the first batch's records
+			// per byte, instead of regrowing it batch after batch.
+			recs = make([]sam.Record, 0, int64(len(b.recs))*(br.Len()/int64(len(b.chunk))+1))
+		}
 		recs = append(recs, b.recs...)
 		return nil
 	})

@@ -181,11 +181,10 @@ func convert(opts *Options, h *sam.Header,
 	return res, nil
 }
 
-// convertRecords is the sequential record loop every source shares: next
-// decodes the source's following record (false at the end of the rank's
-// share), consumed reports the input bytes read so far, and each record
-// runs through the user program into the sink. It is the paper-faithful
-// one-record-at-a-time baseline the batch pipeline is tested against.
+// convertRecords is the record loop of the binary and stream sources:
+// next decodes the source's following record (false at the end of the
+// rank's share), consumed reports the input bytes read so far, and each
+// record runs through the user program into the sink.
 func convertRecords(next func(*sam.Record) (bool, error), consumed func() int64, sk *sink) (st rankStats, err error) {
 	encode := sk.encoder()
 	// Periodic flushes keep /progress live without an atomic per record.

@@ -146,8 +146,9 @@ func (fx *fixture) times(cores int, workloads ...cluster.Workload) ([]float64, e
 // sequential executions on the scaled chr1 dataset (paper: 37.54 GB SAM /
 // 7.72 GB BAM restricted to chr1). The measured runs pin ParseWorkers
 // and CodecWorkers to 1: Table I anchors the paper's sequential
-// converter, so neither the batch parse pipeline nor the parallel codec
-// may leak into it.
+// converter, so the SAM line engine runs inline on the one rank's
+// goroutine and neither a parse goroutine nor the parallel codec may
+// leak into it.
 func table1(fx *fixture, r *Report) error {
 	d := &fx.chr1
 	if err := d.preprocessSAM(); err != nil {

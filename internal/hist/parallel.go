@@ -97,11 +97,13 @@ func accumulateRange(f io.ReaderAt, br partition.ByteRange, rname string, refLen
 	scan := sam.NewLineScanner(f, br.Start, br.Len())
 	var rec sam.Record
 	for scan.Scan() {
-		line := scan.Text()
-		if line == "" {
+		line := scan.Bytes()
+		if len(line) == 0 {
 			continue
 		}
-		if err := sam.ParseRecordInto(&rec, line); err != nil {
+		// The record is consumed by AddRecord before the scanner reuses
+		// the buffer.
+		if err := sam.ParseRecordIntoBytes(&rec, line); err != nil {
 			return nil, err
 		}
 		local.AddRecord(&rec)

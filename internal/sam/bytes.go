@@ -1,10 +1,10 @@
-// Byte-slice entry points for the converter hot path. The pipelined
-// converter scans whole lines into pooled chunks and parses them in
-// place; converting each line to a string first would put one copy per
-// record back on the allocator, which is exactly the cost these entry
-// points remove. The string fields of a record parsed this way alias
-// the input buffer, so the buffer must stay untouched for as long as
-// the record is in use.
+// The SAM record parser and renderer. Every text reader in the
+// repository — the converter's batch engine, sam.Reader, the flagstat and
+// histogram scans — parses lines in place through ParseRecordIntoBytes;
+// converting each line to a string first would put one copy per record
+// back on the allocator. The string fields of a record parsed this way
+// alias the input buffer, so the buffer must stay untouched for as long
+// as the record is in use.
 
 package sam
 
@@ -16,37 +16,23 @@ import (
 	"parseq/internal/kern"
 )
 
-// ParseRecordBytes parses one tab-delimited alignment line held in a
-// byte slice. The returned record's string fields alias line's backing
-// array — the caller must not modify or recycle that memory while the
-// record is live. Error messages are identical to ParseRecord's.
-func ParseRecordBytes(line []byte) (Record, error) {
-	var r Record
-	if err := ParseRecordIntoBytes(&r, line); err != nil {
-		return Record{}, err
-	}
-	return r, nil
-}
-
-// ParseRecordIntoBytes is ParseRecordInto for a line held in a byte
-// slice: the line is parsed in place with zero per-line allocation, so
+// ParseRecordIntoBytes parses one tab-delimited alignment line (without
+// the trailing newline) into r in place, with zero per-line allocation:
 // r's string fields alias line's backing array. The caller owns the
-// lifetime contract — the buffer must not be modified or recycled
-// while r is in use. Tags and Cigar capacity is reused as in
-// ParseRecordInto, and error messages are identical to the string
-// entry points'. Field delimitation and numeric fields run through the
-// word-wide kern scanners instead of the string parser's per-byte
-// loops.
+// lifetime contract — the buffer must not be modified or recycled while
+// r is in use. r's Tags and Cigar capacity is reused, so callers that
+// retain parsed records across calls must pass a fresh Record (or copy
+// the slices). Field delimitation and numeric fields run through the
+// word-wide kern scanners.
 func ParseRecordIntoBytes(r *Record, line []byte) error {
 	r.Tags = r.Tags[:0]
 	return parseRecordIntoBytes(r, line)
 }
 
-// parseRecordIntoBytes mirrors parseRecordInto field for field — same
-// cursor semantics (a trailing tab does not produce a final empty
-// field), same error text — with kern.IndexByte delimiting fields and
-// kern.ParseUint converting the bounded numeric columns eight digits
-// per step.
+// parseRecordIntoBytes walks the fields with a cursor (a trailing tab
+// does not produce a final empty field), kern.IndexByte delimiting
+// fields and kern.ParseUint converting the bounded numeric columns eight
+// digits per step.
 func parseRecordIntoBytes(r *Record, line []byte) error {
 	rest := line
 	next := func() ([]byte, bool) {
@@ -215,10 +201,8 @@ func stringBytes(s string) []byte {
 }
 
 // AppendTo appends the record's SAM text form to dst, without a
-// trailing newline — the byte-slice counterpart of AppendText, used by
-// the SAM encoder so the convert hot path renders into pooled buffers
-// instead of a fresh strings.Builder per record. The two renderers
-// produce identical bytes.
+// trailing newline — the one renderer behind String, sam.Writer and the
+// SAM encoder, so the convert hot path renders into pooled buffers.
 func (r *Record) AppendTo(dst []byte) []byte {
 	dst = append(dst, r.QName...)
 	dst = append(dst, '\t')
@@ -230,14 +214,7 @@ func (r *Record) AppendTo(dst []byte) []byte {
 	dst = append(dst, '\t')
 	dst = appendUint(dst, uint64(r.MapQ))
 	dst = append(dst, '\t')
-	if len(r.Cigar) == 0 {
-		dst = append(dst, '*')
-	} else {
-		for _, op := range r.Cigar {
-			dst = appendUint(dst, uint64(op.Len()))
-			dst = append(dst, op.Type().Char())
-		}
-	}
+	dst = r.Cigar.appendTo(dst)
 	dst = append(dst, '\t')
 	dst = append(dst, r.RNext...)
 	dst = append(dst, '\t')

@@ -3,7 +3,6 @@ package sam
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // CigarOpType identifies one CIGAR operation kind. The numeric values
@@ -151,32 +150,19 @@ func ParseCigarInto(dst Cigar, s string) (Cigar, error) {
 
 // String renders the CIGAR in SAM text form; a nil/empty Cigar renders as "*".
 func (c Cigar) String() string {
-	if len(c) == 0 {
-		return "*"
-	}
-	var b strings.Builder
-	b.Grow(len(c) * 4)
-	for _, op := range c {
-		appendInt(&b, op.Len())
-		b.WriteByte(op.Type().Char())
-	}
-	return b.String()
+	return string(c.appendTo(nil))
 }
 
-// appendInt writes a non-negative int without strconv allocation churn.
-func appendInt(b *strings.Builder, n int) {
-	var buf [20]byte
-	i := len(buf)
-	if n == 0 {
-		b.WriteByte('0')
-		return
+// appendTo appends the CIGAR's SAM text form to dst.
+func (c Cigar) appendTo(dst []byte) []byte {
+	if len(c) == 0 {
+		return append(dst, '*')
 	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
+	for _, op := range c {
+		dst = appendUint(dst, uint64(op.Len()))
+		dst = append(dst, op.Type().Char())
 	}
-	b.Write(buf[i:])
+	return dst
 }
 
 // QueryLength returns the number of read bases the CIGAR consumes

@@ -12,7 +12,8 @@ import (
 type Reader struct {
 	br     *bufio.Reader
 	header *Header
-	line   int // 1-based line number for error reporting
+	line   int   // 1-based line number for error reporting
+	off    int64 // bytes of the stream consumed by completed lines
 	err    error
 }
 
@@ -47,13 +48,28 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (sr *Reader) Header() *Header { return sr.header }
 
 // readLine reads one line without the trailing newline (and without a
-// trailing carriage return, tolerating CRLF input).
+// trailing carriage return, tolerating CRLF input) into a fresh slice, so
+// records parsed from it may keep aliasing it. A line of MaxLineBytes or
+// more (before its newline) is refused with LineTooLongError as soon as
+// the limit is reached, not read whole.
 func (sr *Reader) readLine() ([]byte, error) {
-	line, err := sr.br.ReadBytes('\n')
-	if len(line) == 0 && err != nil {
-		return nil, err
+	var line []byte
+	for {
+		frag, err := sr.br.ReadSlice('\n')
+		line = append(line, frag...)
+		if n := len(line); n >= MaxLineBytes && (n > MaxLineBytes || line[n-1] != '\n') {
+			return nil, LineTooLongError(sr.off)
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if len(line) == 0 && err != nil {
+			return nil, err
+		}
+		break
 	}
 	sr.line++
+	sr.off += int64(len(line))
 	line = bytes.TrimSuffix(line, []byte{'\n'})
 	line = bytes.TrimSuffix(line, []byte{'\r'})
 	return line, nil
@@ -69,7 +85,8 @@ func (sr *Reader) Read() (Record, error) {
 
 // ReadInto parses the next alignment into rec, reusing its storage where
 // possible. It returns io.EOF at the end of the stream. Blank lines are
-// skipped.
+// skipped. Each line is a fresh slice that rec's fields alias, so a
+// record read into a zero Record may be kept.
 func (sr *Reader) ReadInto(rec *Record) error {
 	if sr.err != nil {
 		return sr.err
@@ -83,7 +100,7 @@ func (sr *Reader) ReadInto(rec *Record) error {
 		if len(line) == 0 {
 			continue
 		}
-		if err := ParseRecordInto(rec, string(line)); err != nil {
+		if err := ParseRecordIntoBytes(rec, line); err != nil {
 			sr.err = fmt.Errorf("line %d: %w", sr.line, err)
 			return sr.err
 		}
@@ -124,16 +141,14 @@ func NewWriter(w io.Writer, h *Header) (*Writer, error) {
 	return sw, nil
 }
 
-// Write emits one alignment line.
+// Write emits one alignment line, rendered straight into the write
+// buffer's free space.
 func (sw *Writer) Write(rec *Record) error {
 	if sw.werr != nil {
 		return sw.werr
 	}
-	if _, err := sw.bw.WriteString(rec.String()); err != nil {
-		sw.werr = err
-		return err
-	}
-	if err := sw.bw.WriteByte('\n'); err != nil {
+	line := append(rec.AppendTo(sw.bw.AvailableBuffer()), '\n')
+	if _, err := sw.bw.Write(line); err != nil {
 		sw.werr = err
 		return err
 	}

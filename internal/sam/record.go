@@ -2,9 +2,6 @@ package sam
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"parseq/internal/kern"
 )
@@ -30,161 +27,15 @@ type Record struct {
 var ErrInvalidRecord = errors.New("sam: invalid alignment record")
 
 // ParseRecord parses one tab-delimited alignment line (without the
-// trailing newline).
+// trailing newline) into a new record. It runs ParseRecordIntoBytes over
+// the string's own bytes, which nothing can modify, so the record's
+// fields are substrings of line and the record may be kept.
 func ParseRecord(line string) (Record, error) {
 	var r Record
-	if err := parseRecordInto(&r, line); err != nil {
+	if err := ParseRecordIntoBytes(&r, stringBytes(line)); err != nil {
 		return Record{}, err
 	}
 	return r, nil
-}
-
-// ParseRecordInto parses line into r, reusing r's Tags and Cigar slice
-// capacity. It is the allocation-light entry point for the converter
-// hot path; callers that retain parsed records across calls must pass a
-// fresh Record (or copy the slices) since the backing arrays are reused.
-func ParseRecordInto(r *Record, line string) error {
-	r.Tags = r.Tags[:0]
-	return parseRecordInto(r, line)
-}
-
-func parseRecordInto(r *Record, line string) error {
-	rest := line
-	next := func() (string, bool) {
-		if rest == "" {
-			return "", false
-		}
-		if i := strings.IndexByte(rest, '\t'); i >= 0 {
-			f := rest[:i]
-			rest = rest[i+1:]
-			return f, true
-		}
-		f := rest
-		rest = ""
-		return f, true
-	}
-
-	field, ok := next()
-	if !ok || field == "" {
-		return fmt.Errorf("%w: empty QNAME", ErrInvalidRecord)
-	}
-	r.QName = field
-
-	field, ok = next()
-	if !ok {
-		return fmt.Errorf("%w: missing FLAG", ErrInvalidRecord)
-	}
-	flag, err := parseUint(field, 1<<16-1)
-	if err != nil {
-		return fmt.Errorf("%w: FLAG %q", ErrInvalidRecord, field)
-	}
-	r.Flag = Flag(flag)
-
-	r.RName, ok = next()
-	if !ok || r.RName == "" {
-		return fmt.Errorf("%w: missing RNAME", ErrInvalidRecord)
-	}
-
-	field, ok = next()
-	if !ok {
-		return fmt.Errorf("%w: missing POS", ErrInvalidRecord)
-	}
-	pos, err := parseUint(field, 1<<31-1)
-	if err != nil {
-		return fmt.Errorf("%w: POS %q", ErrInvalidRecord, field)
-	}
-	r.Pos = int32(pos)
-
-	field, ok = next()
-	if !ok {
-		return fmt.Errorf("%w: missing MAPQ", ErrInvalidRecord)
-	}
-	mapq, err := parseUint(field, 255)
-	if err != nil {
-		return fmt.Errorf("%w: MAPQ %q", ErrInvalidRecord, field)
-	}
-	r.MapQ = uint8(mapq)
-
-	field, ok = next()
-	if !ok {
-		return fmt.Errorf("%w: missing CIGAR", ErrInvalidRecord)
-	}
-	r.Cigar, err = ParseCigarInto(r.Cigar, field)
-	if err != nil {
-		return err
-	}
-
-	r.RNext, ok = next()
-	if !ok || r.RNext == "" {
-		return fmt.Errorf("%w: missing RNEXT", ErrInvalidRecord)
-	}
-
-	field, ok = next()
-	if !ok {
-		return fmt.Errorf("%w: missing PNEXT", ErrInvalidRecord)
-	}
-	pnext, err := parseUint(field, 1<<31-1)
-	if err != nil {
-		return fmt.Errorf("%w: PNEXT %q", ErrInvalidRecord, field)
-	}
-	r.PNext = int32(pnext)
-
-	field, ok = next()
-	if !ok {
-		return fmt.Errorf("%w: missing TLEN", ErrInvalidRecord)
-	}
-	tlen, err := strconv.ParseInt(field, 10, 32)
-	if err != nil {
-		return fmt.Errorf("%w: TLEN %q", ErrInvalidRecord, field)
-	}
-	r.TLen = int32(tlen)
-
-	r.Seq, ok = next()
-	if !ok || r.Seq == "" {
-		return fmt.Errorf("%w: missing SEQ", ErrInvalidRecord)
-	}
-
-	r.Qual, ok = next()
-	if !ok || r.Qual == "" {
-		return fmt.Errorf("%w: missing QUAL", ErrInvalidRecord)
-	}
-	if r.Seq != "*" && r.Qual != "*" && len(r.Seq) != len(r.Qual) {
-		return fmt.Errorf("%w: SEQ/QUAL length mismatch (%d vs %d)",
-			ErrInvalidRecord, len(r.Seq), len(r.Qual))
-	}
-
-	for {
-		field, ok = next()
-		if !ok {
-			break
-		}
-		tag, err := ParseTag(field)
-		if err != nil {
-			return err
-		}
-		r.Tags = append(r.Tags, tag)
-	}
-	return nil
-}
-
-// parseUint parses a non-negative decimal with an inclusive maximum,
-// avoiding strconv's interface-heavy error path on the hot path.
-func parseUint(s string, max uint64) (uint64, error) {
-	if s == "" {
-		return 0, ErrInvalidRecord
-	}
-	var n uint64
-	for i := 0; i < len(s); i++ {
-		b := s[i]
-		if b < '0' || b > '9' {
-			return 0, ErrInvalidRecord
-		}
-		n = n*10 + uint64(b-'0')
-		if n > max {
-			return 0, ErrInvalidRecord
-		}
-	}
-	return n, nil
 }
 
 // Unmapped reports whether the record is unmapped either by flag or by a
@@ -228,58 +79,7 @@ func (r *Record) Tag(name string) (Tag, bool) {
 // String renders the record as one SAM alignment line without a trailing
 // newline.
 func (r *Record) String() string {
-	var b strings.Builder
-	r.AppendText(&b)
-	return b.String()
-}
-
-// AppendText writes the record's SAM text form into b, without a trailing
-// newline. Using a caller-owned builder lets the converter reuse one
-// buffer per partition.
-func (r *Record) AppendText(b *strings.Builder) {
-	b.Grow(len(r.QName) + len(r.Seq) + len(r.Qual) + 64)
-	b.WriteString(r.QName)
-	b.WriteByte('\t')
-	appendInt(b, int(r.Flag))
-	b.WriteByte('\t')
-	b.WriteString(r.RName)
-	b.WriteByte('\t')
-	appendInt(b, int(r.Pos))
-	b.WriteByte('\t')
-	appendInt(b, int(r.MapQ))
-	b.WriteByte('\t')
-	if len(r.Cigar) == 0 {
-		b.WriteByte('*')
-	} else {
-		for _, op := range r.Cigar {
-			appendInt(b, op.Len())
-			b.WriteByte(op.Type().Char())
-		}
-	}
-	b.WriteByte('\t')
-	b.WriteString(r.RNext)
-	b.WriteByte('\t')
-	appendInt(b, int(r.PNext))
-	b.WriteByte('\t')
-	if r.TLen < 0 {
-		b.WriteByte('-')
-		appendInt(b, int(-int64(r.TLen)))
-	} else {
-		appendInt(b, int(r.TLen))
-	}
-	b.WriteByte('\t')
-	b.WriteString(r.Seq)
-	b.WriteByte('\t')
-	b.WriteString(r.Qual)
-	for _, t := range r.Tags {
-		b.WriteByte('\t')
-		b.WriteByte(t.Name[0])
-		b.WriteByte(t.Name[1])
-		b.WriteByte(':')
-		b.WriteByte(t.Type)
-		b.WriteByte(':')
-		b.WriteString(t.Value)
-	}
+	return string(r.AppendTo(nil))
 }
 
 // ReverseComplement returns the reverse complement of a nucleotide

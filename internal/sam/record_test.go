@@ -144,14 +144,14 @@ func TestMateRName(t *testing.T) {
 
 func TestParseRecordInto_ReusesTags(t *testing.T) {
 	var r Record
-	if err := ParseRecordInto(&r, sampleLine); err != nil {
+	if err := ParseRecordIntoBytes(&r, []byte(sampleLine)); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Tags) != 2 {
 		t.Fatalf("Tags = %d, want 2", len(r.Tags))
 	}
 	// Re-parsing a tagless line must clear old tags.
-	if err := ParseRecordInto(&r, "r9\t4\t*\t0\t0\t*\t*\t0\t0\tA\tI"); err != nil {
+	if err := ParseRecordIntoBytes(&r, []byte("r9\t4\t*\t0\t0\t*\t*\t0\t0\tA\tI")); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Tags) != 0 {

@@ -9,7 +9,7 @@ import (
 // Parsers must never panic on arbitrary mutations of valid input — they
 // either parse or return an error. This is the fuzz-shaped safety net for
 // the converter's hot path, which feeds attacker-adjacent data (files
-// from other tools) through ParseRecordInto millions of times.
+// from other tools) through ParseRecordIntoBytes millions of times.
 func TestParseRecordNeverPanicsOnMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	base := sampleLine
@@ -50,7 +50,7 @@ func TestParseRecordNeverPanicsOnMutations(t *testing.T) {
 			line = mutate(line)
 		}
 		// Must not panic; error or success are both fine.
-		_ = ParseRecordInto(&rec, line)
+		_ = ParseRecordIntoBytes(&rec, []byte(line))
 	}
 }
 

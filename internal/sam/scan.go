@@ -59,7 +59,7 @@ var MaxLineBytes = 512 << 20
 
 // LineTooLongError is the shared over-limit error: every line reader
 // produces it with the same wording, so error parity holds across the
-// sequential and pipelined converters and the SAM analyses.
+// converter at every worker count, sam.Reader and the SAM analyses.
 func LineTooLongError(fileOff int64) error {
 	return fmt.Errorf("sam: line starting at file offset %d exceeds the %d byte line limit: %w",
 		fileOff, MaxLineBytes, bufio.ErrTooLong)
@@ -90,9 +90,6 @@ func NewLineScanner(r io.ReaderAt, start, n int64) *LineScanner {
 
 // Scan advances to the next line, bufio.ScanLines-delimited.
 func (s *LineScanner) Scan() bool { return s.scan.Scan() }
-
-// Text returns the current line as a freshly allocated string.
-func (s *LineScanner) Text() string { return s.scan.Text() }
 
 // Bytes returns the current line; the slice is valid until the next Scan.
 func (s *LineScanner) Bytes() []byte { return s.scan.Bytes() }

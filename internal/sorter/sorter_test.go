@@ -1,10 +1,13 @@
 package sorter
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"parseq/internal/bam"
@@ -91,6 +94,50 @@ func checkSorted(t *testing.T, outPath string, d *simdata.Dataset, wantCount int
 			t.Fatalf("record %d not in input (or duplicated): %s", i, recs[i].QName)
 		}
 		want[recs[i].String()]--
+	}
+}
+
+// TestReaderLineLimit shrinks the line limit and requires sam.Reader —
+// and so SortSAMToBAM, which reads through it — to accept a line one
+// byte under the limit and to refuse the next, over-limit line with the
+// shared error carrying that line's file offset.
+func TestReaderLineLimit(t *testing.T) {
+	old := sam.MaxLineBytes
+	sam.MaxLineBytes = 512 << 10
+	defer func() { sam.MaxLineBytes = old }()
+
+	hdr := "@SQ\tSN:chr1\tLN:1000\n"
+	good := "ok1\t0\tchr1\t1\t30\t4M\t*\t0\t0\tACGT\tIIII\n"
+	stem := "edge\t0\tchr1\t5\t30\t*\t*\t0\t0\t"
+	edge := stem + strings.Repeat("C", sam.MaxLineBytes-1-len(stem)-2) + "\t*\n"
+	long := "toolong\t0\tchr1\t9\t30\t*\t*\t0\t0\t" +
+		strings.Repeat("C", sam.MaxLineBytes+1000) + "\t*\n"
+	path := filepath.Join(t.TempDir(), "cap.sam")
+	if err := os.WriteFile(path, []byte(hdr+good+edge+long), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := sam.LineTooLongError(int64(len(hdr) + len(good) + len(edge))).Error()
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := sam.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := r.ReadAll()
+	if len(recs) != 2 {
+		t.Errorf("sam.Reader read %d records before the long line, want 2", len(recs))
+	}
+	if !errors.Is(err, bufio.ErrTooLong) || err.Error() != want {
+		t.Errorf("sam.Reader error = %v, want %q", err, want)
+	}
+
+	_, err = SortSAMToBAM(path, filepath.Join(t.TempDir(), "s.bam"), Options{})
+	if !errors.Is(err, bufio.ErrTooLong) || err.Error() != want {
+		t.Errorf("SortSAMToBAM error = %v, want %q", err, want)
 	}
 }
 
