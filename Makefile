@@ -97,8 +97,8 @@ fmt-check:
 # the analytic cluster model belong to ngsbench alone. And conv reads
 # binary containers only through shard.Provider: it may write BAMX
 # (writeIndexed, CompressBAMXFile) but never opens one or its BAIX. And
-# every deflate goes through internal/bgzf's encoder, except BAMZ's
-# (internal/bamx/compress.go) until its fate is decided. And SAM text
+# every DEFLATE call, either way, lives in internal/bgzf: no other
+# non-test file imports compress/flate. And SAM text
 # has one record parser and one renderer (sam.ParseRecordIntoBytes,
 # Record.AppendTo): no string twin comes back.
 deps-check:
@@ -110,9 +110,9 @@ deps-check:
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: internal/conv reads BAMX past shard.Provider:"; echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rn 'flate\.NewWriter' internal cmd --include=*.go | grep -v _test | grep -v '^internal/bamx/compress.go' || true); \
+	@bad=$$(grep -rln '"compress/flate"' internal cmd --include=*.go | grep -v _test | grep -v '^internal/bgzf/' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "deps-check: compress/flate writers outside internal/bamx/compress.go:"; echo "$$bad"; exit 1; \
+		echo "deps-check: compress/flate imported outside internal/bgzf:"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn 'func parseRecordInto(\|AppendText(' internal --include=*.go | grep -v _test || true); \
 	if [ -n "$$bad" ]; then \
@@ -125,6 +125,7 @@ deps-check:
 LOC_RECORDS = bam bamx conv formats/pamx shard flagstat hist engine
 LOC_SAMTEXT = sam conv hist
 LOC_REPRO = experiments cluster picard
+LOC_CODEC = bgzf bamx formats/pamx
 loc:
 	@count() { ls $$1/*.go | grep -v _test | xargs cat | wc -l; }; \
 	sum() { t=0; for p in $$@; do t=$$((t + $$(count internal/$$p))); done; echo $$t; }; \
@@ -132,6 +133,7 @@ loc:
 	printf '%-26s %6d  (%s)\n' 'record-source set' $$(sum $(LOC_RECORDS)) '$(LOC_RECORDS)'; \
 	printf '%-26s %6d  (%s)\n' 'SAM text set' $$(sum $(LOC_SAMTEXT)) '$(LOC_SAMTEXT)'; \
 	printf '%-26s %6d  (%s + cmd/ngsbench)\n' 'reproduction set' $$(( $$(sum $(LOC_REPRO)) + $$(count cmd/ngsbench) )) '$(LOC_REPRO)'; \
+	printf '%-26s %6d  (%s)\n' 'codec set' $$(sum $(LOC_CODEC)) '$(LOC_CODEC)'; \
 	printf '%-26s %6d\n' 'non-test Go outside bench/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l)
 
 # One iteration of every surviving testing.B benchmark: catches bit-rot

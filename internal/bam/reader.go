@@ -241,7 +241,7 @@ func NewWriter(w io.Writer, h *sam.Header, opts ...Option) (*Writer, error) {
 	var bg bgzf.BlockWriter
 	switch {
 	case o.shared:
-		bg = bgzf.NewSharedParallelWriter(w)
+		bg = bgzf.NewSharedParallelWriter(w, bgzf.MaxPayload)
 	case o.workers > 1:
 		bg = bgzf.NewParallelWriter(w, o.workers)
 	default:

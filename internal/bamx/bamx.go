@@ -182,7 +182,7 @@ func NewWriter(w io.Writer, h *sam.Header, caps Caps) (*Writer, error) {
 	if caps.QName < 2 || caps.Seq < 1 {
 		return nil, fmt.Errorf("bamx: degenerate caps %+v", caps)
 	}
-	hdr := encodeHeader(h, caps)
+	hdr := encodeHeader(Magic, h, caps)
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
 	}
@@ -194,23 +194,62 @@ func NewWriter(w io.Writer, h *sam.Header, caps Caps) (*Writer, error) {
 	}, nil
 }
 
-func encodeHeader(h *sam.Header, caps Caps) []byte {
+// encodeHeader lays out the prologue both containers open with: the
+// magic, the caps, the container's own words (BAMZ: its member payload),
+// then the SAM header text behind its length.
+func encodeHeader(magic []byte, h *sam.Header, caps Caps, words ...uint32) []byte {
 	text := h.String()
-	hdr := make([]byte, 0, 32+len(text))
-	hdr = append(hdr, Magic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(caps.QName))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(caps.CigarOps))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(caps.Seq))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(caps.Aux))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(text)))
-	hdr = append(hdr, text...)
-	return hdr
+	hdr := append(make([]byte, 0, len(magic)+4*(5+len(words))+len(text)), magic...)
+	words = append([]uint32{uint32(caps.QName), uint32(caps.CigarOps), uint32(caps.Seq), uint32(caps.Aux)}, words...)
+	for _, v := range append(words, uint32(len(text))) {
+		hdr = binary.LittleEndian.AppendUint32(hdr, v)
+	}
+	return append(hdr, text...)
+}
+
+// prologue is an encodeHeader prologue read back from a file.
+type prologue struct {
+	header *sam.Header
+	caps   Caps
+	words  []uint32
+	size   int64 // encoded bytes: where the data starts
+}
+
+// readPrologue reads and checks the prologue of a file of the given size
+// that opens with magic and carries `words` container words.
+func readPrologue(r io.ReaderAt, size int64, magic []byte, words int) (*prologue, error) {
+	fixed := make([]byte, len(magic)+4*(5+words))
+	if _, err := r.ReadAt(fixed, 0); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotBAMX, err)
+	}
+	if string(fixed[:len(magic)]) != string(magic) {
+		return nil, ErrNotBAMX
+	}
+	w := make([]uint32, 5+words)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint32(fixed[len(magic)+4*i:])
+	}
+	p := &prologue{
+		caps:  Caps{QName: int(w[0]), CigarOps: int(w[1]), Seq: int(w[2]), Aux: int(w[3])},
+		words: w[4 : 4+words],
+		size:  int64(len(fixed)) + int64(w[4+words]),
+	}
+	if p.caps.Stride() <= prefixSize || p.size > size {
+		return nil, ErrCorrupt
+	}
+	text := make([]byte, w[4+words])
+	if _, err := r.ReadAt(text, int64(len(fixed))); err != nil {
+		return nil, fmt.Errorf("%w: header text: %v", ErrCorrupt, err)
+	}
+	var err error
+	p.header, err = sam.ParseHeader(string(text))
+	return p, err
 }
 
 // HeaderSize returns the encoded size of the BAMX header for h, i.e. the
 // file offset where record data starts.
 func HeaderSize(h *sam.Header) int64 {
-	return int64(len(Magic)) + 20 + int64(len(h.String()))
+	return int64(len(encodeHeader(Magic, h, Caps{})))
 }
 
 // Write appends one alignment as a fixed-stride record.
@@ -261,40 +300,17 @@ type File struct {
 // Open validates the header of a BAMX file of the given total size and
 // returns a random-access handle.
 func Open(r io.ReaderAt, size int64) (*File, error) {
-	fixed := make([]byte, len(Magic)+20)
-	if _, err := r.ReadAt(fixed, 0); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotBAMX, err)
-	}
-	if string(fixed[:len(Magic)]) != string(Magic) {
-		return nil, ErrNotBAMX
-	}
-	p := fixed[len(Magic):]
-	caps := Caps{
-		QName:    int(binary.LittleEndian.Uint32(p[0:])),
-		CigarOps: int(binary.LittleEndian.Uint32(p[4:])),
-		Seq:      int(binary.LittleEndian.Uint32(p[8:])),
-		Aux:      int(binary.LittleEndian.Uint32(p[12:])),
-	}
-	textLen := int(binary.LittleEndian.Uint32(p[16:]))
-	if textLen < 0 || caps.Stride() <= prefixSize {
-		return nil, ErrCorrupt
-	}
-	text := make([]byte, textLen)
-	if _, err := r.ReadAt(text, int64(len(fixed))); err != nil {
-		return nil, fmt.Errorf("%w: header text: %v", ErrCorrupt, err)
-	}
-	h, err := sam.ParseHeader(string(text))
+	p, err := readPrologue(r, size, Magic, 0)
 	if err != nil {
 		return nil, err
 	}
-	dataStart := int64(len(fixed) + textLen)
-	dataLen := size - dataStart
-	stride := int64(caps.Stride())
-	if dataLen < 0 || dataLen%stride != 0 {
+	dataLen := size - p.size
+	stride := int64(p.caps.Stride())
+	if dataLen%stride != 0 {
 		return nil, fmt.Errorf("%w: %d data bytes is not a multiple of stride %d",
 			ErrCorrupt, dataLen, stride)
 	}
-	return &File{r: r, header: h, caps: caps, dataStart: dataStart, count: dataLen / stride}, nil
+	return &File{r: r, header: p.header, caps: p.caps, dataStart: p.size, count: dataLen / stride}, nil
 }
 
 // Header returns the embedded SAM header.

@@ -2,35 +2,24 @@ package bamx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"parseq/internal/bam"
+	"parseq/internal/bgzf"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
 )
 
 func buildCompressed(t testing.TB, d *simdata.Dataset, recsPerBlock int) (*CompressedFile, int) {
 	t.Helper()
-	var buf bytes.Buffer
-	// Derive caps through the plain builder, then compress record stream.
-	var plain bytes.Buffer
-	if _, err := BuildFromRecords(&plain, d.Header, d.Records); err != nil {
-		t.Fatal(err)
-	}
-	pf, err := Open(bytes.NewReader(plain.Bytes()), int64(plain.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompressBAMXWorkers(pf, &buf, recsPerBlock, 0); err != nil {
-		t.Fatalf("CompressBAMX: %v", err)
-	}
-	cf, err := OpenCompressed(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatalf("OpenCompressed: %v", err)
-	}
-	return cf, buf.Len()
+	_, z := compressBytes(t, d, recsPerBlock, 0)
+	return openBytes(t, z), len(z)
 }
 
 func TestCompressedRoundTrip(t *testing.T) {
@@ -96,9 +85,9 @@ func TestCompressedWriterDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range d.Records {
-		if err := w.Write(&d.Records[i]); err != nil {
-			t.Fatalf("Write(%d): %v", i, err)
+	for i, body := range bodies {
+		if err := w.WriteEncoded(body); err != nil {
+			t.Fatalf("WriteEncoded(%d): %v", i, err)
 		}
 	}
 	if w.Count() != 100 {
@@ -110,7 +99,6 @@ func TestCompressedWriterDirect(t *testing.T) {
 	if err := w.Close(); err == nil {
 		t.Error("double Close succeeded")
 	}
-	_ = bodies
 	cf, err := OpenCompressed(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
@@ -147,21 +135,85 @@ func TestCompressedEmptyFile(t *testing.T) {
 	}
 }
 
-func TestOpenCompressedRejectsCorruption(t *testing.T) {
-	d := simdata.Generate(simdata.DefaultConfig(50))
-	var plain bytes.Buffer
-	if _, err := BuildFromRecords(&plain, d.Header, d.Records); err != nil {
+// compressBytes returns d as a plain BAMX file and as a BAMZ file written
+// with the given member size and worker count.
+func compressBytes(t testing.TB, d *simdata.Dataset, recsPerBlock, workers int) (plain, z []byte) {
+	t.Helper()
+	var p, buf bytes.Buffer
+	if _, err := BuildFromRecords(&p, d.Header, d.Records); err != nil {
 		t.Fatal(err)
 	}
-	pf, err := Open(bytes.NewReader(plain.Bytes()), int64(plain.Len()))
+	pf, err := Open(bytes.NewReader(p.Bytes()), int64(p.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := CompressBAMXWorkers(pf, &buf, 16, 0); err != nil {
+	if _, err := CompressBAMXWorkers(pf, &buf, recsPerBlock, workers); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	return p.Bytes(), buf.Bytes()
+}
+
+// openBytes opens raw as a BAMZ file.
+func openBytes(t testing.TB, raw []byte) *CompressedFile {
+	t.Helper()
+	cf, err := OpenCompressed(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cf
+}
+
+// withMembers rebuilds the BAMZ file raw (opened as cf) around edited
+// data members: the header is kept, and the data section, member table
+// and footer are laid out afresh, so the edit is the only inconsistency.
+func withMembers(cf *CompressedFile, raw []byte, edit func(members [][]byte)) []byte {
+	members := make([][]byte, cf.NumBlocks())
+	for i := range members {
+		members[i] = raw[cf.data+int64(cf.table[i]) : cf.data+int64(cf.table[i+1])]
+	}
+	edit(members)
+	out := append([]byte(nil), raw[:cf.data]...)
+	var table []byte
+	for _, m := range append(members, bgzf.EOFMarker()) {
+		table = binary.LittleEndian.AppendUint64(table, uint64(int64(len(out))-cf.data))
+		out = append(out, m...)
+	}
+	tableOffset := len(out)
+	out = append(out, table...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(tableOffset))
+	out = binary.LittleEndian.AppendUint64(out, uint64(cf.count))
+	return append(out, compressedMagic...)
+}
+
+// readAllRecords opens raw and reads every record in order, with
+// readahead on `workers` goroutines (0: the sequential reader), returning
+// the first error. Every record read before it must be the dataset's:
+// a damaged file errors, it never misplaces records.
+func readAllRecords(t *testing.T, d *simdata.Dataset, raw []byte, workers int) error {
+	t.Helper()
+	cf, err := OpenCompressed(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		return err
+	}
+	if workers > 0 {
+		cf.StartReadahead(workers)
+	}
+	defer cf.Close()
+	var rec sam.Record
+	for i := int64(0); i < cf.NumRecords(); i++ {
+		if err := cf.ReadRecord(i, &rec); err != nil {
+			return err
+		}
+		if rec.String() != d.Records[i].String() {
+			t.Fatalf("record %d misplaced instead of an error", i)
+		}
+	}
+	return nil
+}
+
+func TestOpenCompressedRejectsCorruption(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(50))
+	plain, raw := compressBytes(t, d, 16, 0)
 
 	if _, err := OpenCompressed(bytes.NewReader([]byte("junk")), 4); !errors.Is(err, ErrNotBAMX) {
 		t.Errorf("garbage: %v", err)
@@ -171,28 +223,101 @@ func TestOpenCompressedRejectsCorruption(t *testing.T) {
 		t.Error("truncated footer accepted")
 	}
 	// Plain BAMX magic is rejected here (and vice versa).
-	if _, err := OpenCompressed(bytes.NewReader(plain.Bytes()), int64(plain.Len())); !errors.Is(err, ErrNotBAMX) {
+	if _, err := OpenCompressed(bytes.NewReader(plain), int64(len(plain))); !errors.Is(err, ErrNotBAMX) {
 		t.Errorf("plain BAMX accepted by OpenCompressed: %v", err)
 	}
 	if _, err := Open(bytes.NewReader(raw), int64(len(raw))); !errors.Is(err, ErrNotBAMX) {
 		t.Errorf("compressed BAMX accepted by Open: %v", err)
 	}
-	// Corrupt a data byte inside the first block.
-	bad := append([]byte(nil), raw...)
-	bad[400] ^= 0xff
-	cf, err := OpenCompressed(bytes.NewReader(bad), int64(len(bad)))
-	if err == nil {
-		var rec sam.Record
-		failed := false
-		for i := int64(0); i < cf.NumRecords(); i++ {
-			if err := cf.ReadRecord(i, &rec); err != nil {
-				failed = true
-				break
+	// A first-layout file names the command that re-creates it.
+	v1 := append([]byte("BAMZ\x01"), make([]byte, 64)...)
+	if _, err := OpenCompressed(bytes.NewReader(v1), int64(len(v1))); !errors.Is(err, ErrBAMZv1) ||
+		!strings.Contains(err.Error(), "bamxtool compress") {
+		t.Errorf("BAMZ v1 file: %v, want ErrBAMZv1 naming bamxtool compress", err)
+	}
+
+	cf := openBytes(t, raw)
+	if cf.NumBlocks() < 3 {
+		t.Fatalf("%d members, want several", cf.NumBlocks())
+	}
+	member1 := cf.data + int64(cf.table[1])
+	stride := int64(cf.caps.Stride())
+	rows := map[string][]byte{}
+	// A flipped byte inside a member's DEFLATE data fails its CRC32 or
+	// its decode.
+	flipped := append([]byte(nil), raw...)
+	flipped[member1+40] ^= 0xff
+	rows["flipped byte in member 1"] = flipped
+	// A member re-deflated with a valid CRC but one record short: its
+	// ISIZE is not P, and the records after it would all shift.
+	rows["member 0 re-deflated one record short"] = withMembers(cf, raw, func(members [][]byte) {
+		area := plain[HeaderSize(d.Header):]
+		short, err := bgzf.DeflateBlock(nil, area[stride:cf.payload])
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[0] = short
+	})
+	// A table entry pointing inside a member.
+	inside := append([]byte(nil), raw...)
+	tableOffset := int64(binary.LittleEndian.Uint64(raw[len(raw)-compressedFooterSize:]))
+	binary.LittleEndian.PutUint64(inside[tableOffset+8:], cf.table[1]+10)
+	rows["table entry inside member 1"] = inside
+
+	for name, bad := range rows {
+		for _, workers := range []int{0, 2} {
+			if err := readAllRecords(t, d, bad, workers); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, readahead %d: %v, want ErrCorrupt", name, workers, err)
 			}
 		}
-		if !failed {
-			t.Log("bit flip survived decode (flate may tolerate it); acceptable")
+		// Random access straight into the damaged member, not through it.
+		bcf, err := OpenCompressed(bytes.NewReader(bad), int64(len(bad)))
+		if err != nil {
+			continue
 		}
+		var rec sam.Record
+		i := cf.payload/stride + 1
+		switch err := bcf.ReadRecord(i, &rec); {
+		case err != nil && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%s, seek to record %d: %v, want ErrCorrupt", name, i, err)
+		case err == nil && rec.String() != d.Records[i].String():
+			t.Errorf("%s, seek to record %d: misplaced record instead of an error", name, i)
+		}
+	}
+}
+
+// The data section, cut out of the file, is a complete BGZF file holding
+// exactly the plain BAMX record area: bgzf.NewReader and, when it is
+// installed, gzip -dc both inflate it to those bytes.
+func TestCompressedDataSectionIsBGZF(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(400))
+	plain, raw := compressBytes(t, d, 16, 0)
+	cf := openBytes(t, raw)
+	if cf.NumBlocks() < 3 {
+		t.Fatalf("%d members, want several", cf.NumBlocks())
+	}
+	section := raw[cf.data : cf.data+cf.dataLen]
+	area := plain[HeaderSize(d.Header):]
+	got, err := io.ReadAll(bgzf.NewReader(bytes.NewReader(section)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, area) {
+		t.Fatalf("bgzf.Reader returns %d bytes that differ from the %d-byte record area", len(got), len(area))
+	}
+	gz, err := exec.LookPath("gzip")
+	if err != nil {
+		t.Skip("no gzip binary on PATH")
+	}
+	cmd := exec.Command(gz, "-dc")
+	cmd.Stdin = bytes.NewReader(section)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if got, err = cmd.Output(); err != nil {
+		t.Fatalf("gzip -dc: %v: %s", err, stderr.String())
+	}
+	if !bytes.Equal(got, area) {
+		t.Fatalf("gzip -dc returns %d bytes that differ from the %d-byte record area", len(got), len(area))
 	}
 }
 
@@ -332,7 +457,7 @@ func TestCompressedWorkersByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var outputs [][]byte
-	for _, workers := range []int{0, 2, 4} {
+	for _, workers := range []int{0, 1, 2, 4} {
 		pf, err := Open(bytes.NewReader(plain.Bytes()), int64(plain.Len()))
 		if err != nil {
 			t.Fatal(err)
@@ -353,7 +478,7 @@ func TestCompressedWorkersByteIdentity(t *testing.T) {
 				i, len(outputs[i]), len(outputs[0]))
 		}
 	}
-	cf, err := OpenCompressed(bytes.NewReader(outputs[2]), int64(len(outputs[2])))
+	cf, err := OpenCompressed(bytes.NewReader(outputs[3]), int64(len(outputs[3])))
 	if err != nil {
 		t.Fatalf("OpenCompressed on shared-pool output: %v", err)
 	}

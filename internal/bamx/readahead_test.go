@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"parseq/internal/bgzf"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
 )
@@ -26,8 +27,17 @@ func emptyCompressed(t *testing.T, h *sam.Header) *CompressedFile {
 	return cf
 }
 
+// onParallelReader fails unless cf's reads are served by a
+// bgzf.ParallelReader, the reader StartReadahead swaps in.
+func onParallelReader(t *testing.T, cf *CompressedFile) {
+	t.Helper()
+	if _, ok := cf.src.(*bgzf.ParallelReader); !ok {
+		t.Fatalf("readahead reads through %T, want *bgzf.ParallelReader", cf.src)
+	}
+}
+
 // A full sequential sweep with readahead on must deliver exactly the
-// records the inline loadBlock path delivers.
+// records the sequential reader delivers.
 func TestReadaheadFullSweepParity(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(400))
 	cf, _ := buildCompressed(t, d, 32)
@@ -42,7 +52,8 @@ func TestReadaheadFullSweepParity(t *testing.T) {
 			t.Fatalf("record %d differs with readahead on", i)
 		}
 	}
-	// A second sweep after exhausting the pipeline restarts it.
+	onParallelReader(t, cf)
+	// A second sweep after reaching the end seeks back.
 	for i := int64(0); i < cf.NumRecords(); i += 37 {
 		if err := cf.ReadRecord(i, &rec); err != nil {
 			t.Fatalf("second sweep ReadRecord(%d): %v", i, err)
@@ -53,8 +64,8 @@ func TestReadaheadFullSweepParity(t *testing.T) {
 	}
 }
 
-// Jumps outside the in-flight window — backwards and far forwards — must
-// drain and restart the pipeline transparently.
+// Jumps — backwards and far forwards — must re-seek the parallel reader
+// transparently.
 func TestReadaheadJumpAccess(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(600))
 	cf, _ := buildCompressed(t, d, 16)
@@ -69,9 +80,10 @@ func TestReadaheadJumpAccess(t *testing.T) {
 			t.Fatalf("record %d differs across jumps", i)
 		}
 	}
+	onParallelReader(t, cf)
 }
 
-// Closing mid-stream must drain every in-flight job; closing twice and
+// Closing mid-stream must stop the parallel reader; closing twice and
 // restarting readahead afterwards must both work.
 func TestReadaheadEarlyClose(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(500))
@@ -83,38 +95,46 @@ func TestReadaheadEarlyClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	onParallelReader(t, cf)
 	if err := cf.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := cf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Back on the inline path after Close.
+	// Back on the sequential reader after Close.
 	if err := cf.ReadRecord(400, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.String() != d.Records[400].String() {
 		t.Error("record differs after readahead teardown")
 	}
+	if _, ok := cf.src.(*bgzf.Reader); !ok {
+		t.Errorf("after Close reads go through %T, want *bgzf.Reader", cf.src)
+	}
 	// And readahead can start again.
 	cf.StartReadahead(0) // adaptive worker default
 	defer cf.Close()
 	cf.StartReadahead(2) // second start is a no-op
+	if cf.workers != bgzf.AutoWorkers() {
+		t.Errorf("readahead runs %d workers, want the adaptive %d", cf.workers, bgzf.AutoWorkers())
+	}
 	if err := cf.ReadRecord(450, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.String() != d.Records[450].String() {
 		t.Error("record differs after readahead restart")
 	}
+	onParallelReader(t, cf)
 }
 
-// StartReadahead on an empty file is a no-op (no blocks to prefetch).
+// StartReadahead on an empty file is a no-op (no members to prefetch).
 func TestReadaheadEmptyFile(t *testing.T) {
 	h := sam.NewHeader(sam.Reference{Name: "chr1", Length: 100})
 	cf := emptyCompressed(t, h)
 	cf.StartReadahead(2)
 	defer cf.Close()
-	if cf.ra != nil {
+	if cf.workers != 0 {
 		t.Error("readahead started on an empty file")
 	}
 }

@@ -23,6 +23,10 @@ const (
 	// MaxBlockSize is the maximum size of one compressed BGZF block,
 	// including the gzip wrapping, fixed by the specification.
 	MaxBlockSize = 0x10000
+	// MinBlockSize is the size of the smallest BGZF block, the empty one
+	// the EOF marker is: the header with its BC subfield, a two-byte
+	// empty DEFLATE block and the CRC32/ISIZE footer.
+	MinBlockSize = headerSize + 2 + footerSize
 	// MaxPayload is the maximum number of uncompressed bytes stored per
 	// block. It is chosen (65280 = 2^16-256) so a worst-case incompressible
 	// payload still fits MaxBlockSize after wrapping.
@@ -304,6 +308,20 @@ func (s *blockScanner) next(raw []byte) ([]byte, int, error) {
 	return raw, bsize, nil
 }
 
+// inflaters recycles flate readers across every member of every reader
+// in the process, the read-side twin of deflators.
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// unwrapBlock is inflate on a pooled inflater: the one function every
+// BGZF read, sequential or parallel, decompresses through.
+func unwrapBlock(dst, raw []byte) ([]byte, error) {
+	inf := inflaters.Get().(*inflater)
+	dst, err := inf.inflate(dst, raw)
+	inf.src.Reset(nil) // the pool must not pin the caller's member bytes
+	inflaters.Put(inf)
+	return dst, err
+}
+
 // inflater owns one reusable flate reader and decompresses member bodies
 // produced by blockScanner.next, verifying ISIZE and CRC32.
 type inflater struct {
@@ -349,7 +367,6 @@ func (inf *inflater) inflate(dst, raw []byte) ([]byte, error) {
 // reader is an io.ReadSeeker, Seek to a virtual offset is supported.
 type Reader struct {
 	scan       blockScanner
-	inf        inflater
 	rs         io.ReadSeeker // non-nil when seeking is possible
 	block      []byte        // current uncompressed block
 	raw        []byte        // reusable compressed-block buffer
@@ -394,7 +411,7 @@ func (r *Reader) readBlock() error {
 		if err != nil {
 			return err
 		}
-		if r.block, err = r.inf.inflate(r.block[:0], raw); err != nil {
+		if r.block, err = unwrapBlock(r.block[:0], raw); err != nil {
 			return err
 		}
 		r.pos = 0

@@ -364,7 +364,6 @@ type ParallelReader struct {
 
 	blkPool  sync.Pool // *rblock, recycled raw buffers
 	dataPool sync.Pool // []byte inflated-payload buffers (NextBlock recycling)
-	infPool  sync.Pool // *inflater, one per active worker
 
 	reg *obs.Registry // registry at construction time (may be nil)
 	met *codecObs     // nil when telemetry is disabled
@@ -379,7 +378,6 @@ func NewParallelReader(r io.Reader, workers int) *ParallelReader {
 		pr.rs = rs
 	}
 	pr.blkPool.New = func() any { return &rblock{} }
-	pr.infPool.New = func() any { return &inflater{} }
 	pr.reg = obs.Default()
 	pr.met = newCodecObs(pr.reg, "inflate")
 	pr.start(0)
@@ -462,9 +460,7 @@ func (r *ParallelReader) inflateBlock(blk *rblock) {
 	if r.met != nil {
 		t0 = time.Now()
 	}
-	inf := r.infPool.Get().(*inflater)
-	blk.data, blk.err = inf.inflate(blk.data[:0], blk.raw)
-	r.infPool.Put(inf)
+	blk.data, blk.err = unwrapBlock(blk.data[:0], blk.raw)
 	if r.met != nil {
 		r.met.latency.Observe(time.Since(t0).Nanoseconds())
 		r.met.blocks.Add(1)

@@ -44,29 +44,30 @@ func SharedPool() *parpipe.Pool {
 }
 
 // NewSharedParallelWriter returns a parallel BGZF writer whose deflate
-// jobs run on SharedPool instead of a private worker pool. Output
-// bytes, virtual offsets and error behaviour are identical to
-// NewParallelWriter's; only the execution substrate differs, so the
-// many short-lived writers a converter rank opens stop paying a pool
-// start/stop per stream. Each compressed block also feeds the shared
-// pool's throughput sizer.
-func NewSharedParallelWriter(w io.Writer) *ParallelWriter {
+// jobs run on SharedPool instead of a private worker pool, with an
+// explicit per-block payload size as NewParallelWriterSize takes it.
+// Output bytes, virtual offsets and error behaviour are identical to
+// NewWriterSize's for the same payload; only the execution substrate
+// differs, so the many short-lived writers a converter rank opens stop
+// paying a pool start/stop per stream. Each compressed block also feeds
+// the shared pool's throughput sizer.
+func NewSharedParallelWriter(w io.Writer, payload int) *ParallelWriter {
 	pool := SharedPool()
-	pw := newParallelWriter(w, MaxPayload)
+	pw := newParallelWriter(w, payload)
 	pw.sizer = sharedSizer
 	pw.pipe = parpipe.NewOnPool(pool, pipeDepth(pool.Max()), pw.compress, obs.Default(), "bgzf.deflate")
 	go pw.drain()
 	return pw
 }
 
-// ObserveSharedDeflate feeds one deflate job that ran on SharedPool but
-// outside the BGZF writers — the BAMZ block compressor — into the
-// pool's throughput sizer: n payload bytes compressed in d of worker
-// wall time. Every deflate consumer of the shared pool contributes to
-// the same demand window, so the pool sizes for the true aggregate
-// load (and the bgzf.shared_pool.throughput gauge the admission-control
-// plan reads stays honest).
-func ObserveSharedDeflate(n int, d time.Duration) {
+// observeSharedDeflate feeds one deflate job that ran on SharedPool but
+// outside the BGZF writers — a DeflateBlock call — into the pool's
+// throughput sizer: n payload bytes compressed in d of worker wall
+// time. Every deflate consumer of the shared pool contributes to the
+// same demand window, so the pool sizes for the true aggregate load
+// (and the bgzf.shared_pool.throughput gauge the admission-control plan
+// reads stays honest).
+func observeSharedDeflate(n int, d time.Duration) {
 	SharedPool() // force sharedSizer initialisation
 	sharedSizer.observe(n, d)
 }
@@ -188,7 +189,7 @@ func DeflateBlock(dst, payload []byte) ([]byte, error) {
 	block := wrapBlock(dst, payload)
 	took := time.Since(t0)
 	blockCodecObs().observe(took, len(payload), len(block))
-	ObserveSharedDeflate(len(payload), took)
+	observeSharedDeflate(len(payload), took)
 	return block, nil
 }
 

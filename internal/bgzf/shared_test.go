@@ -2,6 +2,8 @@ package bgzf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +15,7 @@ import (
 func compressShared(t testing.TB, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewSharedParallelWriter(&buf)
+	w := NewSharedParallelWriter(&buf, MaxPayload)
 	if _, err := w.Write(data); err != nil {
 		t.Fatalf("shared Write: %v", err)
 	}
@@ -175,5 +177,59 @@ func TestDeflateBlockMatchesSequentialWriter(t *testing.T) {
 	}
 	if _, err := DeflateBlock(nil, make([]byte, MaxPayload+1)); err == nil {
 		t.Error("DeflateBlock accepted a payload over MaxPayload")
+	}
+}
+
+// memberWrites keeps a copy of every Write a BGZF writer issues.
+type memberWrites struct{ writes [][]byte }
+
+func (m *memberWrites) Write(p []byte) (int, error) {
+	m.writes = append(m.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// Every writer hands its sink exactly one whole member per Write, the EOF
+// marker included, however the caller's writes and flushes fall: the
+// contract a sink that records member offsets (BAMZ's member table)
+// relies on.
+func TestWritersIssueOneWritePerMember(t *testing.T) {
+	data := testData(4*MaxPayload+777, 29)
+	const payload = 10000
+	writers := map[string]func(io.Writer) BlockWriter{
+		"Writer":            func(w io.Writer) BlockWriter { return NewWriterSize(w, payload) },
+		"ParallelWriter":    func(w io.Writer) BlockWriter { return NewParallelWriterSize(w, payload, 3) },
+		"SharedPool writer": func(w io.Writer) BlockWriter { return NewSharedParallelWriter(w, payload) },
+	}
+	for name, open := range writers {
+		var sink memberWrites
+		w := open(&sink)
+		for i, rest := 0, data; len(rest) > 0; i++ {
+			n := min(len(rest), 7777)
+			if _, err := w.Write(rest[:n]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rest = rest[n:]
+			if i%5 == 4 {
+				if err := w.Flush(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, p := range sink.writes {
+			if len(p) < headerSize || p[0] != 0x1f || p[1] != 0x8b || int(binary.LittleEndian.Uint16(p[16:]))+1 != len(p) {
+				t.Fatalf("%s: write %d of %d bytes is not one whole member", name, i, len(p))
+			}
+		}
+		if last := sink.writes[len(sink.writes)-1]; !bytes.Equal(last, eofMarker) {
+			t.Errorf("%s: last write is not the EOF marker", name)
+		}
+		stream := bytes.Join(sink.writes, nil)
+		got, err := io.ReadAll(NewReader(bytes.NewReader(stream)))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: stream does not inflate to the input (%v)", name, err)
+		}
 	}
 }

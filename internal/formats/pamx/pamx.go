@@ -32,6 +32,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"parseq/internal/bgzf"
 )
 
 // Magic identifies a PAMX file.
@@ -211,6 +213,12 @@ func (g *GroupInfo) validate(i int) error {
 		}
 		if (e.ULen == 0) != (e.CLen == 0) {
 			return fmt.Errorf("%w: group %d column %d empty/non-empty mismatch", ErrCorrupt, i, c)
+		}
+		// A blob of CLen bytes holds at most CLen/MinBlockSize members of
+		// at most MaxBlockSize bytes each: the bound on the buffer a read
+		// of the column allocates (divided through, so it cannot overflow).
+		if e.ULen/bgzf.MaxBlockSize > e.CLen/bgzf.MinBlockSize {
+			return fmt.Errorf("%w: group %d column %d claims %d bytes from a %d-byte blob", ErrCorrupt, i, c, e.ULen, e.CLen)
 		}
 	}
 	return nil

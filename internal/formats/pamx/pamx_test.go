@@ -3,6 +3,8 @@ package pamx
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -360,6 +362,16 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		mut[off] ^= 0xff
 		if tryOpen(mut) == nil {
 			t.Fatalf("bit damage at offset %d accepted", off)
+		}
+	}
+	// A column whose ULen is more than its CLen bytes of BGZF can carry
+	// must fail Open, not the allocation a group read makes for it.
+	footStart := len(good) - 16 - int(binary.LittleEndian.Uint64(good[len(good)-16:]))
+	for _, ulen := range []uint64{1 << 40, 1 << 50} {
+		mut := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(mut[footStart+4+28+colQName*24+16:], ulen)
+		if err := tryOpen(mut); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("qname column ULen %d: Open = %v, want ErrCorrupt", ulen, err)
 		}
 	}
 }

@@ -72,14 +72,6 @@ var MetricNames = []MetricInfo{
 	{"parpipe.bam.decode.busy_ns", KindCounter, "worker ns spent decoding BAM record batches"},
 	{"parpipe.bam.decode.idle_ns", KindCounter, "worker ns spent waiting for BAM record batches"},
 	{"parpipe.bam.decode.queue_depth", KindGauge, "BAM decode batches queued and not yet picked up"},
-	{"parpipe.bamz.deflate.items", KindCounter, "blocks compressed by the BAMZ deflate pipeline"},
-	{"parpipe.bamz.deflate.busy_ns", KindCounter, "worker ns spent compressing BAMZ blocks"},
-	{"parpipe.bamz.deflate.idle_ns", KindCounter, "worker ns spent waiting for BAMZ blocks"},
-	{"parpipe.bamz.deflate.queue_depth", KindGauge, "BAMZ deflate blocks queued and not yet picked up"},
-	{"parpipe.bamz.inflate.items", KindCounter, "blocks inflated by the BAMZ readahead pipeline"},
-	{"parpipe.bamz.inflate.busy_ns", KindCounter, "worker ns spent inflating BAMZ blocks"},
-	{"parpipe.bamz.inflate.idle_ns", KindCounter, "worker ns spent waiting for BAMZ blocks"},
-	{"parpipe.bamz.inflate.queue_depth", KindGauge, "BAMZ readahead blocks queued and not yet picked up"},
 	{"parpipe.conv.encode.items", KindCounter, "line batches encoded by the converter pipeline"},
 	{"parpipe.conv.encode.busy_ns", KindCounter, "worker ns spent parsing+encoding line batches"},
 	{"parpipe.conv.encode.idle_ns", KindCounter, "worker ns spent waiting for line batches"},
@@ -102,12 +94,6 @@ var MetricNames = []MetricInfo{
 	{"bgzf.prefetch.bytes", KindCounter, "bytes prefetched ahead of the BGZF scanner"},
 	{"bgzf.shared.workers", KindGauge, "current worker count of the shared deflate pool"},
 	{"bgzf.shared_pool.throughput", KindGauge, "EWMA bytes/s one shared-pool worker delivers (admission-control signal)"},
-
-	// BAMZ block codec.
-	{"bamz.deflate.blocks", KindCounter, "BAMZ blocks compressed"},
-	{"bamz.deflate.bytes_in", KindCounter, "payload bytes into the BAMZ deflater"},
-	{"bamz.deflate.bytes_out", KindCounter, "compressed bytes out of the BAMZ deflater"},
-	{"bamz.deflate.latency_ns", KindHistogram, "per-block BAMZ deflate latency"},
 
 	// Decoded-record and sorter counters.
 	{"bam.decode.records", KindCounter, "BAM records decoded by the parallel scanner"},
