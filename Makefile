@@ -100,7 +100,9 @@ fmt-check:
 # every DEFLATE call, either way, lives in internal/bgzf: no other
 # non-test file imports compress/flate. And SAM text
 # has one record parser and one renderer (sam.ParseRecordIntoBytes,
-# Record.AppendTo): no string twin comes back.
+# Record.AppendTo): no string twin comes back. And internal/bgzf has one
+# Reader and one Writer, where blocks run being a field: no parallel
+# twin type or interface to switch between twins comes back.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -117,6 +119,10 @@ deps-check:
 	@bad=$$(grep -rn 'func parseRecordInto(\|AppendText(' internal --include=*.go | grep -v _test || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a second SAM record parser or renderer:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(ls internal/bgzf/*.go | grep -v _test | xargs grep -nE 'type (ParallelReader|ParallelWriter|BlockReader|BlockWriter|BlockSource)\b' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a second BGZF reader or writer type in internal/bgzf:"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them

@@ -47,7 +47,7 @@ func applyOptions(opts []Option) codecOptions {
 // Reader decodes a BAM stream: the BAM header (SAM header text plus the
 // binary reference dictionary) eagerly, then one record per Read call.
 type Reader struct {
-	bg        bgzf.BlockReader
+	bg        *bgzf.Reader
 	header    *sam.Header
 	dataStart bgzf.VOffset // virtual offset of the first record
 	buf       []byte       // reusable record-body buffer
@@ -60,7 +60,7 @@ type Reader struct {
 // WithCodecWorkers(n) with n > 1 to decode ahead on a worker pool.
 func NewReader(r io.Reader, opts ...Option) (*Reader, error) {
 	o := applyOptions(opts)
-	var bg bgzf.BlockReader
+	var bg *bgzf.Reader
 	if o.workers > 1 {
 		bg = bgzf.NewParallelReader(r, o.workers)
 	} else {
@@ -128,15 +128,9 @@ func (br *Reader) readHeader() error {
 	return nil
 }
 
-// Close releases codec resources. It matters for the parallel codec,
-// which keeps a worker pool alive until the stream is drained or
-// closed; on the sequential codec it is a no-op.
-func (br *Reader) Close() error {
-	if c, ok := br.bg.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
+// Close releases codec resources. It matters for a pooled codec, which
+// keeps a worker pool alive until the stream is drained or closed.
+func (br *Reader) Close() error { return br.bg.Close() }
 
 // Header returns the decoded header.
 func (br *Reader) Header() *sam.Header { return br.header }
@@ -227,7 +221,7 @@ func (br *Reader) ReadAll() ([]sam.Record, error) {
 
 // Writer encodes records into a BAM stream.
 type Writer struct {
-	bg     bgzf.BlockWriter
+	bg     *bgzf.Writer
 	header *sam.Header
 	buf    []byte
 	err    error
@@ -238,7 +232,7 @@ type Writer struct {
 // the emitted bytes are identical either way.
 func NewWriter(w io.Writer, h *sam.Header, opts ...Option) (*Writer, error) {
 	o := applyOptions(opts)
-	var bg bgzf.BlockWriter
+	var bg *bgzf.Writer
 	switch {
 	case o.shared:
 		bg = bgzf.NewSharedParallelWriter(w, bgzf.MaxPayload)

@@ -1,5 +1,5 @@
 // Zero-copy and parallel record scanning. Both scanners here sit on the
-// codec's BlockSource face (bgzf.Reader and bgzf.ParallelReader alike):
+// codec's block API (bgzf.Reader's NextBlock/Recycle, in either mode):
 // whole inflated blocks are parsed in place, so record bytes are copied
 // only when a record straddles a block boundary — a few percent of the
 // stream — instead of once per record through Read's copy loop.
@@ -39,8 +39,7 @@ const minRecordBody = 32
 // reader's stream position: do not interleave it with the reader's own
 // Read* calls.
 type BodyScanner struct {
-	br    *Reader
-	src   bgzf.BlockSource
+	src   *bgzf.Reader
 	block []byte // current inflated block, owned until exhausted
 	pos   int
 	carry []byte // scratch for records spanning block boundaries
@@ -50,11 +49,7 @@ type BodyScanner struct {
 // NewBodyScanner wraps br, which must be positioned at the first record
 // (as NewReader leaves it, mid-block after the header).
 func NewBodyScanner(br *Reader) *BodyScanner {
-	s := &BodyScanner{br: br}
-	if src, ok := br.bg.(bgzf.BlockSource); ok {
-		s.src = src
-	}
-	return s
+	return &BodyScanner{src: br.bg}
 }
 
 // Next returns the next record body (without the block_size prefix),
@@ -63,15 +58,6 @@ func NewBodyScanner(br *Reader) *BodyScanner {
 func (s *BodyScanner) Next() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
-	}
-	if s.src == nil {
-		// A custom BlockReader without the zero-copy face: fall back to
-		// the copying path.
-		body, err := s.br.ReadBody()
-		if err != nil {
-			s.err = err
-		}
-		return body, err
 	}
 	body, err := s.next()
 	if err != nil {
@@ -229,8 +215,7 @@ var scannerProcs = runtime.GOMAXPROCS
 // copies all bytes), so they stay valid after the scanner recycles the
 // underlying block.
 type ParallelScanner struct {
-	br     *Reader
-	src    bgzf.BlockSource
+	src    *bgzf.Reader
 	header *sam.Header
 
 	pipe *parpipe.Pipe[*decodeBatch]
@@ -244,8 +229,7 @@ type ParallelScanner struct {
 	batchBytes int          // per-batch payload target (batchTarget)
 	met        *obs.Counter // bam.decode.records; nil when telemetry is off
 
-	seq      *BodyScanner // sequential bypass: decode on the caller
-	fallback bool         // no BlockSource underneath: decode on the caller
+	seq *BodyScanner // sequential bypass: decode on the caller
 }
 
 // NewParallelScanner wraps br, which must be positioned at the first
@@ -259,12 +243,7 @@ type ParallelScanner struct {
 // zero-overhead sequential bypass: the zero-copy BodyScanner feeds
 // DecodeRecord on the caller's goroutine, no pipeline, no channels.
 func NewParallelScanner(br *Reader, workers int) *ParallelScanner {
-	s := &ParallelScanner{br: br, header: br.Header()}
-	src, ok := br.bg.(bgzf.BlockSource)
-	if !ok {
-		s.fallback = true
-		return s
-	}
+	s := &ParallelScanner{src: br.bg, header: br.Header()}
 	if workers <= 0 {
 		workers = bgzf.AutoWorkers()
 	}
@@ -276,7 +255,6 @@ func NewParallelScanner(br *Reader, workers int) *ParallelScanner {
 		s.seq = NewBodyScanner(br)
 		return s
 	}
-	s.src = src
 	s.batchBytes = batchTarget(workers)
 	s.batchPool.New = func() any { return &decodeBatch{} }
 	s.stop = &atomic.Bool{}
@@ -435,16 +413,6 @@ func (s *ParallelScanner) retire(b *decodeBatch) {
 // Next decodes the next record into rec. It returns false at the clean
 // end of the stream, and false with an error on failure.
 func (s *ParallelScanner) Next(rec *sam.Record) (bool, error) {
-	if s.fallback {
-		err := s.br.ReadInto(rec)
-		if err == io.EOF {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		return true, nil
-	}
 	if s.seq != nil {
 		return s.nextSeq(rec)
 	}
@@ -537,9 +505,6 @@ func (s *ParallelScanner) Err() error {
 // close the underlying Reader — close the scanner first, then the
 // reader. Safe to call after EOF or mid-stream.
 func (s *ParallelScanner) Close() error {
-	if s.fallback {
-		return nil
-	}
 	if s.seq != nil {
 		if s.err == nil || s.err == io.EOF {
 			s.err = errors.New("bam: parallel scanner closed")

@@ -188,46 +188,6 @@ func TestBodyScannerMatchesReadBody(t *testing.T) {
 	}
 }
 
-// The scanners must fall back to the copying ReadBody path when the
-// underlying BlockReader hides the BlockSource face, and still produce
-// identical output.
-func TestScannerFallbackWithoutBlockSource(t *testing.T) {
-	h := testHeader()
-	recs := genRecords(t, 50)
-	raw := encodeBAM(t, h, recs, 0)
-	br := &Reader{bg: opaqueReader(raw)}
-	if err := br.readHeader(); err != nil {
-		t.Fatal(err)
-	}
-	sc := NewBodyScanner(br)
-	ps := NewParallelScanner(br, 2)
-	defer ps.Close()
-	if !ps.fallback {
-		t.Fatal("ParallelScanner did not detect the missing BlockSource")
-	}
-	n := 0
-	for {
-		_, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != len(recs) {
-		t.Errorf("fallback scanner read %d records, want %d", n, len(recs))
-	}
-}
-
-// opaqueReader wraps the sequential codec behind the bare BlockReader
-// interface — a struct-embedded interface value drops the zero-copy
-// methods from the dynamic type.
-func opaqueReader(raw []byte) bgzf.BlockReader {
-	return struct{ bgzf.BlockReader }{bgzf.NewReader(bytes.NewReader(raw))}
-}
-
 func TestParallelScannerMatchesSequential(t *testing.T) {
 	forcePipeline(t) // workers=1 still takes the bypass; workers=4 the pipeline
 	h := testHeader()

@@ -53,7 +53,7 @@ type CompressedWriter struct {
 	w         io.Writer
 	caps      Caps
 	rec       []byte // stride-sized padding scratch
-	bg        bgzf.BlockWriter
+	bg        *bgzf.Writer
 	sink      memberSink
 	dataStart int64
 	count     int64
@@ -163,8 +163,8 @@ func (w *CompressedWriter) Close() error {
 }
 
 // CompressedFile provides random access to a compressed BAMX file. It
-// reads the data section through one bgzf reader, sequential or (after
-// StartReadahead) parallel, and is single-consumer.
+// reads the data section through one bgzf.Reader, inflating on the
+// caller or (after StartReadahead) on a pool, and is single-consumer.
 type CompressedFile struct {
 	r       io.ReaderAt
 	header  *sam.Header
@@ -176,11 +176,11 @@ type CompressedFile struct {
 	dataLen int64    // data section length, EOF marker included
 	table   []uint64 // member starts within the data section, EOF marker last
 
-	src     bgzf.BlockSource // nil until the first read
-	workers int              // readahead workers; 0 inflates on the caller
-	next    int64            // record-area offset src delivers next; -1 if unknown
-	blk     []byte           // the last member (from its delivered offset) NextBlock returned
-	blkAt   int64            // record-area offset of blk[0]
+	src     *bgzf.Reader // nil until the first read
+	workers int          // readahead workers; 0 inflates on the caller
+	next    int64        // record-area offset src delivers next; -1 if unknown
+	blk     []byte       // the last member (from its delivered offset) NextBlock returned
+	blkAt   int64        // record-area offset of blk[0]
 }
 
 // OpenCompressed validates the header, footer and member table of a
@@ -263,13 +263,13 @@ func (f *CompressedFile) NumRecords() int64 { return f.count }
 // NumBlocks returns the number of BGZF data members.
 func (f *CompressedFile) NumBlocks() int { return len(f.table) - 1 }
 
-// StartReadahead swaps the sequential reader for a bgzf.ParallelReader
-// with the given worker count (≤ 0 selects bgzf.AutoWorkers), so the
-// members a mostly sequential consumer reads next are usually inflated
-// before it asks. Random access still works: a jump re-seeks the
-// reader. It is a no-op when already started or when the file has no
-// members. Call Close when abandoning the file, or the pipeline
-// goroutines are left parked.
+// StartReadahead swaps the inline reader for a pooled one
+// (bgzf.NewParallelReader) with the given worker count (≤ 0 selects
+// bgzf.AutoWorkers), so the members a mostly sequential consumer reads
+// next are usually inflated before it asks. Random access still works:
+// a jump re-seeks the reader. It is a no-op when already started or
+// when the file has no members. Call Close when abandoning the file, or
+// the pipeline goroutines are left parked.
 func (f *CompressedFile) StartReadahead(workers int) {
 	if f.workers > 0 || f.NumBlocks() == 0 {
 		return
@@ -285,8 +285,8 @@ func (f *CompressedFile) StartReadahead(workers int) {
 // inflating on the caller. The file itself wraps a caller-owned
 // ReaderAt and needs no other teardown.
 func (f *CompressedFile) Close() error {
-	if c, ok := f.src.(io.Closer); ok {
-		c.Close()
+	if f.src != nil {
+		f.src.Close()
 	}
 	f.src, f.workers, f.next, f.blk = nil, 0, -1, nil
 	return nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parseq/internal/bgzf"
+	"parseq/internal/obs"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
 )
@@ -27,12 +28,26 @@ func emptyCompressed(t *testing.T, h *sam.Header) *CompressedFile {
 	return cf
 }
 
-// onParallelReader fails unless cf's reads are served by a
-// bgzf.ParallelReader, the reader StartReadahead swaps in.
-func onParallelReader(t *testing.T, cf *CompressedFile) {
+// observeCodec makes a fresh registry the default for the test.
+func observeCodec(t *testing.T) *obs.Registry {
+	reg := obs.New()
+	obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(nil) })
+	return reg
+}
+
+// pooledInflates counts the members inflated on a worker pool, which
+// only the pooled reader StartReadahead swaps in feeds.
+func pooledInflates(reg *obs.Registry) int64 {
+	return reg.Counter("parpipe.bgzf.inflate.items").Value()
+}
+
+// onPooledReader fails unless a pool has inflated members since the
+// count was before.
+func onPooledReader(t *testing.T, reg *obs.Registry, before int64) {
 	t.Helper()
-	if _, ok := cf.src.(*bgzf.ParallelReader); !ok {
-		t.Fatalf("readahead reads through %T, want *bgzf.ParallelReader", cf.src)
+	if pooledInflates(reg) == before {
+		t.Fatal("readahead inflated no member on a worker pool")
 	}
 }
 
@@ -41,6 +56,7 @@ func onParallelReader(t *testing.T, cf *CompressedFile) {
 func TestReadaheadFullSweepParity(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(400))
 	cf, _ := buildCompressed(t, d, 32)
+	reg := observeCodec(t)
 	cf.StartReadahead(2)
 	defer cf.Close()
 	var rec sam.Record
@@ -52,7 +68,7 @@ func TestReadaheadFullSweepParity(t *testing.T) {
 			t.Fatalf("record %d differs with readahead on", i)
 		}
 	}
-	onParallelReader(t, cf)
+	onPooledReader(t, reg, 0)
 	// A second sweep after reaching the end seeks back.
 	for i := int64(0); i < cf.NumRecords(); i += 37 {
 		if err := cf.ReadRecord(i, &rec); err != nil {
@@ -69,6 +85,7 @@ func TestReadaheadFullSweepParity(t *testing.T) {
 func TestReadaheadJumpAccess(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(600))
 	cf, _ := buildCompressed(t, d, 16)
+	reg := observeCodec(t)
 	cf.StartReadahead(2)
 	defer cf.Close()
 	var rec sam.Record
@@ -80,7 +97,7 @@ func TestReadaheadJumpAccess(t *testing.T) {
 			t.Fatalf("record %d differs across jumps", i)
 		}
 	}
-	onParallelReader(t, cf)
+	onPooledReader(t, reg, 0)
 }
 
 // Closing mid-stream must stop the parallel reader; closing twice and
@@ -88,6 +105,7 @@ func TestReadaheadJumpAccess(t *testing.T) {
 func TestReadaheadEarlyClose(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(500))
 	cf, _ := buildCompressed(t, d, 8)
+	reg := observeCodec(t)
 	cf.StartReadahead(3)
 	var rec sam.Record
 	for i := int64(0); i < 20; i++ {
@@ -95,22 +113,23 @@ func TestReadaheadEarlyClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	onParallelReader(t, cf)
+	onPooledReader(t, reg, 0)
 	if err := cf.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := cf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Back on the sequential reader after Close.
+	// Back on the inline reader after Close.
+	pooled := pooledInflates(reg)
 	if err := cf.ReadRecord(400, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.String() != d.Records[400].String() {
 		t.Error("record differs after readahead teardown")
 	}
-	if _, ok := cf.src.(*bgzf.Reader); !ok {
-		t.Errorf("after Close reads go through %T, want *bgzf.Reader", cf.src)
+	if pooledInflates(reg) != pooled {
+		t.Error("after Close members still inflate on a worker pool")
 	}
 	// And readahead can start again.
 	cf.StartReadahead(0) // adaptive worker default
@@ -125,7 +144,7 @@ func TestReadaheadEarlyClose(t *testing.T) {
 	if rec.String() != d.Records[450].String() {
 		t.Error("record differs after readahead restart")
 	}
-	onParallelReader(t, cf)
+	onPooledReader(t, reg, pooled)
 }
 
 // StartReadahead on an empty file is a no-op (no members to prefetch).

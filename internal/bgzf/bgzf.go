@@ -4,8 +4,9 @@
 // skip between blocks without inflating them. Independent blocks are what
 // make BAM indexable — a (block offset, intra-block offset) pair, the
 // virtual file offset, addresses any record. Block independence is also
-// what makes the format parallelisable: see ParallelWriter and
-// ParallelReader for the pipelined multi-worker codec.
+// what makes the format parallelisable: one Writer and one Reader each
+// run their blocks either on the caller or on a worker pool, chosen by
+// the constructor, with the same bytes, virtual offsets and errors.
 package bgzf
 
 import (
@@ -16,7 +17,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
+
+	"parseq/internal/obs"
 )
 
 const (
@@ -70,44 +76,6 @@ func (v VOffset) Intra() int { return int(v & 0xffff) }
 // String renders the offset as "block:intra".
 func (v VOffset) String() string { return fmt.Sprintf("%d:%d", v.Block(), v.Intra()) }
 
-// BlockReader is the decompression interface both the sequential Reader
-// and the ParallelReader satisfy; consumers such as the BAM codec are
-// agnostic to which one feeds them.
-type BlockReader interface {
-	io.Reader
-	Offset() VOffset
-	Seek(VOffset) error
-}
-
-// BlockWriter is the compression interface both the sequential Writer
-// and the ParallelWriter satisfy.
-type BlockWriter interface {
-	io.Writer
-	Offset() VOffset
-	Flush() error
-	Close() error
-}
-
-// BlockSource is the zero-copy face both readers present on top of
-// BlockReader: whole inflated blocks are handed to the caller, who
-// parses them in place instead of draining them through Read's copy
-// loop, and hands buffers back through Recycle. It is the read-side
-// foundation of the parallel BAM record decoder (internal/bam).
-type BlockSource interface {
-	BlockReader
-	// NextBlock returns the unread remainder of the current block — or
-	// the next non-empty block — without copying, together with the
-	// virtual offset of its first byte. Ownership of the slice passes
-	// to the caller until it is returned via Recycle. The stream
-	// position advances past the returned bytes, so NextBlock and Read
-	// calls may be interleaved. At the end of the stream it returns
-	// io.EOF.
-	NextBlock() (data []byte, off VOffset, err error)
-	// Recycle hands a NextBlock buffer back for reuse. Optional —
-	// skipping it only costs allocations.
-	Recycle([]byte)
-}
-
 // deflators recycles deflate state across every block of every writer in
 // the process: a conversion opens many short-lived writers (a BAM shard
 // per rank, a spill per sorted chunk, a daemon job's output), and none
@@ -143,126 +111,37 @@ func (d *deflator) wrap(dst, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(block, uint32(len(payload)))
 }
 
-// Writer compresses a stream into BGZF blocks. Close writes the EOF
-// marker block; forgetting it produces a file readers reject.
-type Writer struct {
-	w       io.Writer
-	buf     []byte // pending uncompressed bytes, ≤ blockPayload
-	payload int    // configured uncompressed bytes per block
-	block   []byte // reusable wrapped-block buffer
-	offset  int64  // compressed bytes written so far
-	err     error
-}
-
-// NewWriter returns a BGZF writer using the maximum per-block payload.
-func NewWriter(w io.Writer) *Writer {
-	return NewWriterSize(w, MaxPayload)
-}
-
-// NewWriterSize returns a BGZF writer with an explicit per-block
-// uncompressed payload size (clamped to [1, MaxPayload]). Smaller
-// payloads trade compression ratio for finer random-access granularity.
-func NewWriterSize(w io.Writer, payload int) *Writer {
-	payload = clampPayload(payload)
-	return &Writer{w: w, payload: payload, buf: make([]byte, 0, payload)}
-}
-
-// clampPayload applies the block-size validation both writers share.
-func clampPayload(payload int) int {
-	if payload <= 0 || payload > MaxPayload {
-		return MaxPayload
-	}
-	return payload
-}
-
-// Offset returns the virtual offset the next written byte will have.
-func (w *Writer) Offset() VOffset {
-	return MakeVOffset(w.offset, len(w.buf))
-}
-
-// Write buffers p, flushing completed blocks as the payload size is
-// reached.
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	n := len(p)
-	for len(p) > 0 {
-		space := w.payload - len(w.buf)
-		if space == 0 {
-			if err := w.Flush(); err != nil {
-				return n - len(p), err
-			}
-			space = w.payload
-		}
-		if space > len(p) {
-			space = len(p)
-		}
-		w.buf = append(w.buf, p[:space]...)
-		p = p[space:]
-	}
-	return n, nil
-}
-
-// Flush writes any buffered bytes as one block. It is a no-op when the
-// buffer is empty, so files never contain spurious empty data blocks.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	if len(w.buf) == 0 {
-		return nil
-	}
-	w.block = wrapBlock(w.block, w.buf)
-	if _, err := w.w.Write(w.block); err != nil {
-		w.err = err
-		return err
-	}
-	w.offset += int64(len(w.block))
-	w.buf = w.buf[:0]
-	return nil
-}
-
-// Close flushes pending data and writes the EOF marker.
-func (w *Writer) Close() error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(eofMarker); err != nil {
-		w.err = err
-		return err
-	}
-	w.offset += int64(len(eofMarker))
-	w.err = errors.New("bgzf: writer closed")
-	return nil
-}
-
-// blockScanner reads raw BGZF members sequentially, reusing its header
-// and extra-field scratch across blocks. It is the shared front half of
-// both readers: the sequential Reader inflates each member in place, the
-// ParallelReader's scan goroutine hands members to inflate workers.
+// blockScanner walks raw BGZF members in file order, reusing its header
+// and extra-field scratch across blocks. Its scan step is the one front
+// half of the Reader: run on the caller when blocks inflate inline, on
+// the scan goroutine that feeds the inflate pool otherwise.
 type blockScanner struct {
-	r     io.Reader
-	hdr   [headerSize]byte
-	extra []byte // reusable FEXTRA scratch
+	r      io.Reader
+	hdr    [headerSize]byte
+	extra  []byte // reusable FEXTRA scratch
+	next   int64  // compressed offset of the next member
+	sawEOF bool   // the last member read was empty: the EOF marker, if nothing follows
 }
 
-// next reads one compressed member into raw (grown as needed), returning
-// the member body (compressed data + footer) and the member's total
-// on-disk size. A clean end of stream at a member boundary returns
-// io.EOF; the caller decides whether the EOF marker was seen.
-func (s *blockScanner) next(raw []byte) ([]byte, int, error) {
+// scan reads the next member into blk: its body (compressed data +
+// footer) into blk.raw, grown as needed, and its start and end offsets.
+// A clean end of stream at a member boundary is io.EOF after the EOF
+// marker and ErrNoEOFMarker otherwise.
+func (s *blockScanner) scan(blk *rblock) error {
+	blk.start = s.next
 	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
-		if err == io.EOF {
-			return raw, 0, io.EOF
+		switch {
+		case err == io.EOF && s.sawEOF:
+			return io.EOF
+		case err == io.EOF:
+			return ErrNoEOFMarker
+		case err == io.ErrUnexpectedEOF:
+			return ErrCorrupt
 		}
-		if err == io.ErrUnexpectedEOF {
-			return raw, 0, ErrCorrupt
-		}
-		return raw, 0, err
+		return err
 	}
 	if s.hdr[0] != 0x1f || s.hdr[1] != 0x8b || s.hdr[2] != 0x08 || s.hdr[3]&0x04 == 0 {
-		return raw, 0, ErrNotBGZF
+		return ErrNotBGZF
 	}
 	xlen := int(binary.LittleEndian.Uint16(s.hdr[10:]))
 	if cap(s.extra) < xlen {
@@ -272,7 +151,7 @@ func (s *blockScanner) next(raw []byte) ([]byte, int, error) {
 	copy(extra, s.hdr[12:])
 	if xlen > headerSize-12 {
 		if _, err := io.ReadFull(s.r, extra[headerSize-12:]); err != nil {
-			return raw, 0, ErrCorrupt
+			return ErrCorrupt
 		}
 	}
 	bsize := -1
@@ -286,16 +165,17 @@ func (s *blockScanner) next(raw []byte) ([]byte, int, error) {
 		i += 4 + slen
 	}
 	if bsize < 0 {
-		return raw, 0, ErrNotBGZF
+		return ErrNotBGZF
 	}
 	rawLen := bsize - 12 - xlen // compressed data + footer
 	if rawLen < footerSize {
-		return raw, 0, ErrCorrupt
+		return ErrCorrupt
 	}
-	if cap(raw) < rawLen {
-		raw = make([]byte, rawLen)
+	if cap(blk.raw) < rawLen {
+		blk.raw = make([]byte, rawLen)
 	}
-	raw = raw[:rawLen]
+	raw := blk.raw[:rawLen]
+	blk.raw = raw
 	already := 0
 	if 12+xlen < headerSize {
 		// Part of the data was consumed into the fixed-size header buffer.
@@ -303,9 +183,14 @@ func (s *blockScanner) next(raw []byte) ([]byte, int, error) {
 		copy(raw, s.hdr[12+xlen:])
 	}
 	if _, err := io.ReadFull(s.r, raw[already:]); err != nil {
-		return raw, 0, ErrCorrupt
+		return ErrCorrupt
 	}
-	return raw, bsize, nil
+	s.next += int64(bsize)
+	blk.next = s.next
+	// The footer's ISIZE tells whether the member is empty without
+	// inflating it; a trailing empty member is the EOF marker.
+	s.sawEOF = binary.LittleEndian.Uint32(raw[len(raw)-4:]) == 0
+	return nil
 }
 
 // inflaters recycles flate readers across every member of every reader
@@ -313,7 +198,7 @@ func (s *blockScanner) next(raw []byte) ([]byte, int, error) {
 var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
 // unwrapBlock is inflate on a pooled inflater: the one function every
-// BGZF read, sequential or parallel, decompresses through.
+// BGZF read decompresses through.
 func unwrapBlock(dst, raw []byte) ([]byte, error) {
 	inf := inflaters.Get().(*inflater)
 	dst, err := inf.inflate(dst, raw)
@@ -323,7 +208,7 @@ func unwrapBlock(dst, raw []byte) ([]byte, error) {
 }
 
 // inflater owns one reusable flate reader and decompresses member bodies
-// produced by blockScanner.next, verifying ISIZE and CRC32.
+// produced by blockScanner.scan, verifying ISIZE and CRC32.
 type inflater struct {
 	src bytes.Reader
 	fr  io.ReadCloser
@@ -363,186 +248,87 @@ func (inf *inflater) inflate(dst, raw []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Reader decompresses a BGZF stream block by block. When the underlying
-// reader is an io.ReadSeeker, Seek to a virtual offset is supported.
-type Reader struct {
-	scan       blockScanner
-	rs         io.ReadSeeker // non-nil when seeking is possible
-	block      []byte        // current uncompressed block
-	raw        []byte        // reusable compressed-block buffer
-	spareMu    sync.Mutex    // guards spare: Recycle may run on another goroutine
-	spare      [][]byte      // Recycle'd block buffers awaiting reuse
-	pos        int           // read position within block
-	blockStart int64         // compressed offset of current block
-	nextStart  int64         // compressed offset of next block
-	sawEOF     bool
-	err        error
+// codecObs bundles one direction's telemetry handles: block and byte
+// throughput counters plus a per-block latency histogram. A nil codecObs
+// keeps the codec's hot path free of time.Now calls.
+type codecObs struct {
+	reg      *obs.Registry // the registry the handles belong to
+	blocks   *obs.Counter
+	bytesIn  *obs.Counter
+	bytesOut *obs.Counter
+	latency  *obs.Histogram
 }
 
-// NewReader wraps r. When r is an io.ReadSeeker the returned reader
-// supports Seek.
-func NewReader(r io.Reader) *Reader {
-	br := &Reader{scan: blockScanner{r: r}}
-	if rs, ok := r.(io.ReadSeeker); ok {
-		br.rs = rs
+// The bgzf.deflate.* and bgzf.inflate.* handles, resolved once per
+// registry rather than once per stream: a PAMX read opens a Reader per
+// column blob.
+var deflateObs, inflateObs atomic.Pointer[codecObs]
+
+// codecObsFor returns the bgzf.<dir>.* handles on the default registry
+// cached in slot, or nil when telemetry is disabled.
+func codecObsFor(slot *atomic.Pointer[codecObs], dir string) *codecObs {
+	reg := obs.Default()
+	if reg == nil {
+		return nil
 	}
-	return br
+	if m := slot.Load(); m != nil && m.reg == reg {
+		return m
+	}
+	prefix := "bgzf." + dir
+	m := &codecObs{
+		reg:      reg,
+		blocks:   reg.Counter(prefix + ".blocks"),
+		bytesIn:  reg.Counter(prefix + ".bytes_in"),
+		bytesOut: reg.Counter(prefix + ".bytes_out"),
+		latency:  reg.Histogram(prefix + ".latency_ns"),
+	}
+	slot.Store(m)
+	return m
 }
 
-// Offset returns the virtual offset of the next byte Read will return.
-func (r *Reader) Offset() VOffset { return MakeVOffset(r.blockStart, r.pos) }
-
-// readBlock loads the next non-empty block into r.block. It returns
-// io.EOF at the end of the stream (after the EOF marker). Empty blocks
-// are verified and skipped in a loop — a loop, not recursion, so a
-// crafted file holding millions of consecutive empty members cannot
-// overflow the stack.
-func (r *Reader) readBlock() error {
-	for {
-		r.blockStart = r.nextStart
-		raw, bsize, err := r.scan.next(r.raw[:0])
-		r.raw = raw
-		if err == io.EOF {
-			if !r.sawEOF {
-				return ErrNoEOFMarker
-			}
-			return io.EOF
-		}
-		if err != nil {
-			return err
-		}
-		if r.block, err = unwrapBlock(r.block[:0], raw); err != nil {
-			return err
-		}
-		r.pos = 0
-		r.nextStart = r.blockStart + int64(bsize)
-		r.sawEOF = len(r.block) == 0
-		if !r.sawEOF {
-			return nil
-		}
-		// Empty block: could be the EOF marker; keep reading — a following
-		// block resets sawEOF, trailing EOF terminates cleanly.
-	}
-}
-
-// Read implements io.Reader over the decompressed stream.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	total := 0
-	for len(p) > 0 {
-		if r.pos == len(r.block) {
-			if err := r.readBlock(); err != nil {
-				r.err = err
-				if total > 0 && err == io.EOF {
-					return total, nil
-				}
-				return total, err
-			}
-		}
-		n := copy(p, r.block[r.pos:])
-		r.pos += n
-		p = p[n:]
-		total += n
-	}
-	return total, nil
-}
-
-// NextBlock implements BlockSource: it returns the unread remainder of
-// the current block, or loads and returns the next non-empty one,
-// detaching the buffer so the caller can parse it in place. The
-// sequential codec gains no concurrency from this, but sharing the
-// interface lets block-level consumers (the parallel BAM decoder) run
-// unchanged over either reader.
-func (r *Reader) NextBlock() ([]byte, VOffset, error) {
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	for r.pos == len(r.block) {
-		if err := r.readBlock(); err != nil {
-			r.err = err
-			return nil, 0, err
-		}
-	}
-	data := r.block[r.pos:]
-	off := MakeVOffset(r.blockStart, r.pos)
-	// Detach the buffer; the next readBlock inflates into a recycled
-	// spare (or allocates when none is available).
-	r.block = nil
-	r.spareMu.Lock()
-	if n := len(r.spare); n > 0 {
-		r.block, r.spare = r.spare[n-1], r.spare[:n-1]
-	}
-	r.spareMu.Unlock()
-	r.blockStart = r.nextStart
-	r.pos = 0
-	return data, off, nil
-}
-
-// Recycle implements BlockSource, handing a NextBlock buffer back for
-// reuse. The free list is small and bounded: the zero-copy consumers
-// hold at most a couple of blocks at a time. Like the parallel
-// reader's, Recycle is safe to call from a goroutine other than the
-// consumer — the parallel record decoder recycles from its drain side.
-func (r *Reader) Recycle(b []byte) {
-	if cap(b) == 0 {
+// observe accounts one block that took d: in bytes in, out bytes out. A
+// nil receiver no-ops.
+func (m *codecObs) observe(d time.Duration, in, out int) {
+	if m == nil {
 		return
 	}
-	r.spareMu.Lock()
-	if len(r.spare) < 4 {
-		r.spare = append(r.spare, b[:0])
-	}
-	r.spareMu.Unlock()
+	m.latency.Observe(d.Nanoseconds())
+	m.blocks.Add(1)
+	m.bytesIn.Add(int64(in))
+	m.bytesOut.Add(int64(out))
 }
 
-// Seek positions the reader at a virtual offset. It requires the
-// underlying reader to be an io.ReadSeeker.
-func (r *Reader) Seek(v VOffset) error {
-	if r.rs == nil {
-		return errors.New("bgzf: underlying reader is not seekable")
+// maxAutoWorkers caps the adaptive default. Past ~8 workers a BGZF
+// pool saturates memory bandwidth before CPU, and a process commonly
+// runs several pools at once (reader, writer, record decoder); an
+// explicit worker count still goes uncapped.
+const maxAutoWorkers = 8
+
+// gomaxprocs is runtime.GOMAXPROCS, indirected so tests can pin the
+// apparent CPU count when exercising the adaptive worker default.
+var gomaxprocs = runtime.GOMAXPROCS
+
+// resolveWorkers applies the worker-count convention shared by the
+// parallel codec constructors: n > 0 is taken as given, anything else means one
+// worker per available CPU, capped at maxAutoWorkers.
+func resolveWorkers(n int) int {
+	if n > 0 {
+		return n
 	}
-	if _, err := r.rs.Seek(v.Block(), io.SeekStart); err != nil {
-		return err
+	if p := gomaxprocs(0); p < maxAutoWorkers {
+		return p
 	}
-	r.err = nil
-	r.block = r.block[:0]
-	r.pos = 0
-	r.nextStart = v.Block()
-	r.sawEOF = false
-	if err := r.readBlock(); err != nil {
-		r.err = err
-		return err
-	}
-	if v.Intra() > len(r.block) {
-		return fmt.Errorf("%w: intra-block offset %d beyond block of %d bytes",
-			ErrCorrupt, v.Intra(), len(r.block))
-	}
-	r.pos = v.Intra()
-	return nil
+	return maxAutoWorkers
 }
 
-// HasEOFMarker checks (without disturbing the stream position) whether a
-// ReadSeeker ends with the canonical BGZF EOF block.
-func HasEOFMarker(rs io.ReadSeeker) (bool, error) {
-	cur, err := rs.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return false, err
-	}
-	defer rs.Seek(cur, io.SeekStart)
-	end, err := rs.Seek(0, io.SeekEnd)
-	if err != nil {
-		return false, err
-	}
-	if end < int64(len(eofMarker)) {
-		return false, nil
-	}
-	if _, err := rs.Seek(end-int64(len(eofMarker)), io.SeekStart); err != nil {
-		return false, err
-	}
-	tail := make([]byte, len(eofMarker))
-	if _, err := io.ReadFull(rs, tail); err != nil {
-		return false, err
-	}
-	return bytes.Equal(tail, eofMarker), nil
-}
+// AutoWorkers is the adaptive default worker count used across the
+// tree when a codec/decoder knob is left at zero: one worker per
+// available CPU, capped so stacked pools do not oversubscribe the
+// machine. On a single-CPU host it resolves to 1, which every
+// constructor treats as the sequential path.
+func AutoWorkers() int { return resolveWorkers(0) }
+
+// pipeDepth bounds in-flight blocks per pipeline: enough read-ahead to
+// keep every worker busy across scheduling hiccups, small enough to cap
+// memory at a few MiB of 64 KiB blocks.
+func pipeDepth(workers int) int { return 4 * workers }

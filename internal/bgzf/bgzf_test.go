@@ -113,22 +113,6 @@ func TestMissingEOFMarker(t *testing.T) {
 	}
 }
 
-func TestHasEOFMarker(t *testing.T) {
-	raw := compress(t, []byte("data"), 0)
-	ok, err := HasEOFMarker(bytes.NewReader(raw))
-	if err != nil || !ok {
-		t.Errorf("HasEOFMarker = %v, %v; want true", ok, err)
-	}
-	ok, err = HasEOFMarker(bytes.NewReader(raw[:len(raw)-1]))
-	if err != nil || ok {
-		t.Errorf("HasEOFMarker(truncated) = %v, %v; want false", ok, err)
-	}
-	ok, err = HasEOFMarker(bytes.NewReader(nil))
-	if err != nil || ok {
-		t.Errorf("HasEOFMarker(empty) = %v, %v; want false", ok, err)
-	}
-}
-
 func TestCorruptCRC(t *testing.T) {
 	raw := compress(t, []byte("payload payload payload"), 0)
 	// Flip a bit in the stored CRC of the first block (footer sits just
@@ -253,6 +237,81 @@ func TestSeekBeyondBlock(t *testing.T) {
 	r := NewReader(bytes.NewReader(raw))
 	if err := r.Seek(MakeVOffset(0, 100)); err == nil {
 		t.Error("Seek beyond block succeeded")
+	}
+}
+
+// seekFailer is a bytes.Reader whose Seek fails while fail is set.
+type seekFailer struct {
+	*bytes.Reader
+	fail bool
+}
+
+func (s *seekFailer) Seek(off int64, whence int) (int64, error) {
+	if s.fail {
+		return 0, errors.New("seek refused")
+	}
+	return s.Reader.Seek(off, whence)
+}
+
+// A failed Seek is sticky in both modes: Read and NextBlock report an
+// error — never bytes from wherever the reader happened to be — until a
+// later Seek lands, which must then read correctly.
+func TestFailedSeekIsSticky(t *testing.T) {
+	const payload = 16384
+	data := testData(2*payload, 61)
+	var buf bytes.Buffer
+	w := NewWriterSize(&buf, payload)
+	w.Write(data[:payload])
+	w.Flush()
+	second := w.Offset().Block()
+	w.Write(data[payload:])
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+
+	cases := []struct {
+		name      string
+		at        VOffset
+		seekFails bool
+	}{
+		{"intra offset past the block", MakeVOffset(0, 20000), false},
+		{"underlying Seek fails", MakeVOffset(second, 0), true},
+		{"offset past the EOF marker", MakeVOffset(int64(len(raw))+100, 0), false},
+	}
+	for _, tc := range cases {
+		for mode, open := range readerModes {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				src := &seekFailer{Reader: bytes.NewReader(raw)}
+				r := open(src)
+				defer r.Close()
+				head := make([]byte, 10)
+				if _, err := io.ReadFull(r, head); err != nil {
+					t.Fatal(err)
+				}
+				src.fail = tc.seekFails
+				if err := r.Seek(tc.at); err == nil {
+					t.Fatalf("Seek(%v) succeeded", tc.at)
+				}
+				src.fail = false
+				if n, err := r.Read(head); err == nil {
+					t.Errorf("Read after a failed Seek = %q, nil", head[:n])
+				}
+				if blk, off, err := r.NextBlock(); err == nil {
+					t.Errorf("NextBlock after a failed Seek = %d bytes at %v, nil", len(blk), off)
+				}
+				if err := r.Seek(MakeVOffset(second, 100)); err != nil {
+					t.Fatalf("good Seek after a failed one: %v", err)
+				}
+				got := make([]byte, 1000)
+				if _, err := io.ReadFull(r, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, data[payload+100:payload+1100]) {
+					t.Error("good Seek after a failed one reads the wrong bytes")
+				}
+			})
+		}
 	}
 }
 

@@ -30,10 +30,10 @@ func compressParallel(t testing.TB, data []byte, payload, workers int) []byte {
 	var buf bytes.Buffer
 	w := NewParallelWriterSize(&buf, payload, workers)
 	if _, err := w.Write(data); err != nil {
-		t.Fatalf("ParallelWriter.Write: %v", err)
+		t.Fatalf("pooled Write: %v", err)
 	}
 	if err := w.Close(); err != nil {
-		t.Fatalf("ParallelWriter.Close: %v", err)
+		t.Fatalf("pooled Close: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -73,7 +73,7 @@ func TestParallelCrossCodecCompatibility(t *testing.T) {
 	parRaw := compressParallel(t, data, 0, 4)
 	seqRaw := compress(t, data, 0)
 
-	// Files written by ParallelWriter are readable by the sequential Reader.
+	// Files written on a pool are readable inline.
 	got, err := io.ReadAll(NewReader(bytes.NewReader(parRaw)))
 	if err != nil {
 		t.Fatalf("sequential Reader over parallel output: %v", err)
@@ -87,7 +87,7 @@ func TestParallelCrossCodecCompatibility(t *testing.T) {
 	defer pr.Close()
 	got, err = io.ReadAll(pr)
 	if err != nil {
-		t.Fatalf("ParallelReader over sequential output: %v", err)
+		t.Fatalf("pooled Reader over inline output: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Error("parallel read of sequential output mismatch")
@@ -262,12 +262,9 @@ func TestParallelReaderDeterministicFirstError(t *testing.T) {
 	raw := compress(t, data, 2048)
 	// Corrupt the CRC of the 3rd block and the 20th block.
 	var starts []int
-	r := NewReader(bytes.NewReader(raw))
-	for {
-		starts = append(starts, int(r.nextStart))
-		if err := r.readBlock(); err != nil {
-			break
-		}
+	scan, blk := blockScanner{r: bytes.NewReader(raw)}, new(rblock)
+	for scan.scan(blk) == nil {
+		starts = append(starts, int(blk.start))
 	}
 	if len(starts) < 25 {
 		t.Fatalf("fixture too small: %d blocks", len(starts))
@@ -337,7 +334,7 @@ func TestParallelWriterEmpty(t *testing.T) {
 	}
 }
 
-// Round-trip through ParallelWriter → ParallelReader while a second
+// Round-trip through a pooled Writer → pooled Reader while a second
 // goroutine hammers Offset, exercised under -race by the CI target.
 func TestParallelConcurrentRoundTrip(t *testing.T) {
 	data := testData(20*MaxPayload, 29)
@@ -379,9 +376,9 @@ func TestParallelConcurrentRoundTrip(t *testing.T) {
 	}
 }
 
-// Abandoning a ParallelReader mid-stream then closing it must not
-// deadlock or leak (the leak check lives in parpipe's tests; here we
-// check Close unblocks the pipeline promptly).
+// Abandoning a pooled Reader mid-stream then closing it must not
+// deadlock or leak (TestMain checks for leaks; here we check Close
+// unblocks the pipeline promptly).
 func TestParallelReaderCloseMidStream(t *testing.T) {
 	data := testData(50*MaxPayload, 31)
 	raw := compressParallel(t, data, 0, 4)

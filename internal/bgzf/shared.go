@@ -15,7 +15,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parseq/internal/obs"
@@ -43,21 +42,20 @@ func SharedPool() *parpipe.Pool {
 	return sharedPool
 }
 
-// NewSharedParallelWriter returns a parallel BGZF writer whose deflate
-// jobs run on SharedPool instead of a private worker pool, with an
-// explicit per-block payload size as NewParallelWriterSize takes it.
-// Output bytes, virtual offsets and error behaviour are identical to
-// NewWriterSize's for the same payload; only the execution substrate
-// differs, so the many short-lived writers a converter rank opens stop
-// paying a pool start/stop per stream. Each compressed block also feeds
-// the shared pool's throughput sizer.
-func NewSharedParallelWriter(w io.Writer, payload int) *ParallelWriter {
+// NewSharedParallelWriter returns a BGZF writer whose deflate jobs run
+// on SharedPool instead of a private worker pool, with an explicit
+// per-block payload size as NewWriterSize takes it. Output bytes,
+// virtual offsets and error behaviour are identical to NewWriterSize's
+// for the same payload; only where blocks run differs, so the many
+// short-lived writers a converter rank opens stop paying a pool
+// start/stop per stream. Each compressed block also feeds the shared
+// pool's throughput sizer.
+func NewSharedParallelWriter(w io.Writer, payload int) *Writer {
 	pool := SharedPool()
-	pw := newParallelWriter(w, payload)
-	pw.sizer = sharedSizer
-	pw.pipe = parpipe.NewOnPool(pool, pipeDepth(pool.Max()), pw.compress, obs.Default(), "bgzf.deflate")
-	go pw.drain()
-	return pw
+	bw := NewWriterSize(w, payload)
+	bw.sizer = sharedSizer
+	bw.start(parpipe.NewOnPool(pool, pipeDepth(pool.Max()), bw.compress, obs.Default(), "bgzf.deflate"))
+	return bw
 }
 
 // observeSharedDeflate feeds one deflate job that ran on SharedPool but
@@ -155,27 +153,9 @@ func (s *poolSizer) observe(n int, d time.Duration) {
 	}
 }
 
-// blockObs holds DeflateBlock's telemetry handles, resolved once per
-// registry rather than once per block.
-var blockObs atomic.Pointer[codecObs]
-
-func blockCodecObs() *codecObs {
-	reg := obs.Default()
-	if reg == nil {
-		return nil
-	}
-	m := blockObs.Load()
-	if m == nil || m.reg != reg {
-		m = newCodecObs(reg, "deflate")
-		blockObs.Store(m)
-	}
-	return m
-}
-
 // DeflateBlock compresses one payload of at most MaxPayload bytes into a
 // complete BGZF member, reusing dst's backing array when it is large
-// enough. The bytes equal what the sequential Writer emits for the same
-// block. It is the writer-less form of the codec for callers that cut
+// enough. The bytes equal what a Writer emits for the same block. It is the writer-less form of the codec for callers that cut
 // their own blocks out of buffers they already hold (the PAMX column
 // groups) and run the jobs wherever they like — typically SharedPool.
 // Every call feeds the bgzf.deflate.* counters and the shared pool's
@@ -188,7 +168,7 @@ func DeflateBlock(dst, payload []byte) ([]byte, error) {
 	t0 := time.Now()
 	block := wrapBlock(dst, payload)
 	took := time.Since(t0)
-	blockCodecObs().observe(took, len(payload), len(block))
+	codecObsFor(&deflateObs, "deflate").observe(took, len(payload), len(block))
 	observeSharedDeflate(len(payload), took)
 	return block, nil
 }

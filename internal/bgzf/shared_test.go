@@ -139,11 +139,12 @@ func TestPoolSizerIgnoresIdleGaps(t *testing.T) {
 // are the stream the sequential Writer produces, and every block lands
 // in the bgzf.deflate.* counters.
 func TestDeflateBlockMatchesSequentialWriter(t *testing.T) {
+	data := testData(5*MaxPayload+4321, 23)
+	want := compress(t, data, MaxPayload)
 	reg := obs.New()
 	obs.SetDefault(reg)
 	defer obs.SetDefault(nil)
 
-	data := testData(5*MaxPayload+4321, 23)
 	var payloads [][]byte
 	for rest := data; len(rest) > 0; {
 		n := min(len(rest), MaxPayload)
@@ -165,7 +166,7 @@ func TestDeflateBlockMatchesSequentialWriter(t *testing.T) {
 		}
 		wg.Wait()
 		got := append(bytes.Join(members, nil), EOFMarker()...)
-		if !bytes.Equal(got, compress(t, data, MaxPayload)) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: members + EOF marker differ from the sequential stream", round)
 		}
 	}
@@ -195,10 +196,10 @@ func (m *memberWrites) Write(p []byte) (int, error) {
 func TestWritersIssueOneWritePerMember(t *testing.T) {
 	data := testData(4*MaxPayload+777, 29)
 	const payload = 10000
-	writers := map[string]func(io.Writer) BlockWriter{
-		"Writer":            func(w io.Writer) BlockWriter { return NewWriterSize(w, payload) },
-		"ParallelWriter":    func(w io.Writer) BlockWriter { return NewParallelWriterSize(w, payload, 3) },
-		"SharedPool writer": func(w io.Writer) BlockWriter { return NewSharedParallelWriter(w, payload) },
+	writers := map[string]func(io.Writer) *Writer{
+		"inline":     func(w io.Writer) *Writer { return NewWriterSize(w, payload) },
+		"private":    func(w io.Writer) *Writer { return NewParallelWriterSize(w, payload, 3) },
+		"SharedPool": func(w io.Writer) *Writer { return NewSharedParallelWriter(w, payload) },
 	}
 	for name, open := range writers {
 		var sink memberWrites

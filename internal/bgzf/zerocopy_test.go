@@ -7,21 +7,17 @@ import (
 	"testing"
 )
 
-// blockSources builds a sequential and a parallel reader over the same
-// stream, so every zero-copy test runs against both BlockSource faces.
-func blockSources(raw []byte) map[string]func() BlockSource {
-	return map[string]func() BlockSource{
-		"sequential": func() BlockSource { return NewReader(bytes.NewReader(raw)) },
-		"parallel":   func() BlockSource { return NewParallelReader(bytes.NewReader(raw), 3) },
-	}
+// readerModes opens an inline and a pooled reader, so every test that
+// ranges over it runs in both modes.
+var readerModes = map[string]func(io.Reader) *Reader{
+	"sequential": NewReader,
+	"parallel":   func(r io.Reader) *Reader { return NewParallelReader(r, 3) },
 }
 
-func closeSource(t *testing.T, src BlockSource) {
+func closeSource(t *testing.T, src *Reader) {
 	t.Helper()
-	if c, ok := src.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
+	if err := src.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -31,9 +27,9 @@ func closeSource(t *testing.T, src BlockSource) {
 func TestNextBlockConcatMatchesRead(t *testing.T) {
 	data := testData(5*MaxPayload+321, 51)
 	raw := compress(t, data, 4096)
-	for name, open := range blockSources(raw) {
+	for name, open := range readerModes {
 		t.Run(name, func(t *testing.T) {
-			src := open()
+			src := open(bytes.NewReader(raw))
 			defer closeSource(t, src)
 			var got []byte
 			type blockAt struct {
@@ -85,13 +81,12 @@ func TestNextBlockAfterPartialRead(t *testing.T) {
 	data := testData(2*MaxPayload, 53)
 	raw := compress(t, data, 8192)
 	const skip = 1000
-	for name, open := range blockSources(raw) {
+	for name, open := range readerModes {
 		t.Run(name, func(t *testing.T) {
-			src := open()
+			src := open(bytes.NewReader(raw))
 			defer closeSource(t, src)
-			r := src.(io.Reader)
 			head := make([]byte, skip)
-			if _, err := io.ReadFull(r, head); err != nil {
+			if _, err := io.ReadFull(src, head); err != nil {
 				t.Fatal(err)
 			}
 			blk, off, err := src.NextBlock()
@@ -102,7 +97,7 @@ func TestNextBlockAfterPartialRead(t *testing.T) {
 				t.Errorf("intra offset = %d, want %d", off.Intra(), skip%8192)
 			}
 			got := append(append([]byte{}, head...), blk...)
-			rest, err := io.ReadAll(r)
+			rest, err := io.ReadAll(src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,9 +161,9 @@ func TestNextBlockErrorPropagation(t *testing.T) {
 		{"corrupt-crc", corrupt, ErrCorrupt},
 	}
 	for _, tc := range cases {
-		for name, open := range blockSources(tc.raw) {
+		for name, open := range readerModes {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				src := open()
+				src := open(bytes.NewReader(tc.raw))
 				defer closeSource(t, src)
 				var err error
 				for {
@@ -220,14 +215,13 @@ func TestSeekThenNextBlock(t *testing.T) {
 	raw := buf.Bytes()
 
 	const intra = 6
-	for name, open := range blockSources(raw) {
+	for name, open := range readerModes {
 		t.Run(name, func(t *testing.T) {
-			src := open()
+			src := open(bytes.NewReader(raw))
 			defer closeSource(t, src)
-			sk := src.(interface{ Seek(VOffset) error })
 			for round := 0; round < 3; round++ {
 				for i := len(chunks) - 1; i >= 0; i-- {
-					if err := sk.Seek(offsets[i]); err != nil {
+					if err := src.Seek(offsets[i]); err != nil {
 						t.Fatalf("round %d: Seek(%v): %v", round, offsets[i], err)
 					}
 					blk, off, err := src.NextBlock()
@@ -244,7 +238,7 @@ func TestSeekThenNextBlock(t *testing.T) {
 
 					// Intra-block: seek into the middle of the same chunk.
 					at := MakeVOffset(offsets[i].Block(), intra)
-					if err := sk.Seek(at); err != nil {
+					if err := src.Seek(at); err != nil {
 						t.Fatalf("round %d: Seek(%v): %v", round, at, err)
 					}
 					blk, off, err = src.NextBlock()

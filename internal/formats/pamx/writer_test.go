@@ -3,43 +3,22 @@ package pamx
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"parseq/internal/bgzf"
+	"parseq/internal/leakcheck"
 )
 
 // TestMain fails the package when goroutines outlive the tests: every
 // flush stage a Writer starts must be joined by its Close. The shared
-// deflate pool is started first — its workers live for the process and
-// only ever shrink in number — so it is part of the baseline.
+// deflate pool lives for the process, so it is started first.
 func TestMain(m *testing.M) {
-	bgzf.SharedPool()
-	base := runtime.NumGoroutine()
-	code := m.Run()
-	if code == 0 && !goroutinesSettle(base) {
-		buf := make([]byte, 1<<20)
-		fmt.Fprintf(os.Stderr, "pamx: %d goroutines at exit, %d before the tests:\n%s\n",
-			runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		code = 1
-	}
-	os.Exit(code)
-}
-
-// goroutinesSettle waits for the goroutine count to fall back to base.
-func goroutinesSettle(base int) bool {
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		if runtime.NumGoroutine() <= base {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return false
+	pool := bgzf.SharedPool()
+	leakcheck.Main(m, pool.Max()-pool.Workers())
 }
 
 // TestFileBytesAcrossCodecs is the byte-identity table of the pipelined
@@ -200,7 +179,7 @@ func TestWriterFailureIsSticky(t *testing.T) {
 			}
 		}
 	}
-	if !goroutinesSettle(base) {
+	if !leakcheck.Settle(base) {
 		t.Fatalf("%d goroutines after the failed writers, %d before", runtime.NumGoroutine(), base)
 	}
 }
@@ -245,7 +224,7 @@ func TestFailedConversionLeavesNoFile(t *testing.T) {
 			}
 		}
 	}
-	if !goroutinesSettle(base) {
+	if !leakcheck.Settle(base) {
 		t.Fatalf("%d goroutines after the failed conversions, %d before", runtime.NumGoroutine(), base)
 	}
 }
