@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-deflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-stats fuzz-deflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -41,6 +41,14 @@ fuzz-kern:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnpackSeq' -fuzztime 10s ./internal/kern
 	$(GO) test -run '^$$' -fuzz 'FuzzShiftQual' -fuzztime 10s ./internal/kern
 	$(GO) test -run '^$$' -fuzz 'FuzzParseUint' -fuzztime 10s ./internal/kern
+
+# Short fuzz passes over the statistics kernels: the FDR rank counts must
+# equal the reference's pairwise loops (ties, zeros, NaNs), and sliding-
+# window NL-means must stay within 1e-9 of the direct reference with the
+# same bits on one core and three.
+fuzz-stats:
+	$(GO) test -run '^$$' -fuzz 'FuzzFDRRanks' -fuzztime 10s ./internal/fdr
+	$(GO) test -run '^$$' -fuzz 'FuzzDenoise' -fuzztime 10s ./internal/nlmeans
 
 # Short fuzz pass over the in-tree DEFLATE encoder: whatever the payload,
 # compress/flate and compress/gzip must inflate the member back to it,

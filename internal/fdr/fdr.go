@@ -4,12 +4,17 @@
 // computes FDR(p_t), the expected fraction of reported peaks that are
 // false, for a candidate threshold p_t.
 //
-// Three implementations are provided: a direct sequential transcription
-// of Equations 4-6; the paper's fused parallel Algorithm 2, which applies
-// the summation permutation of Equations 7-9 so numerator and denominator
-// are reduced in a single pass with one global synchronisation; and a
-// two-pass parallel version kept as the ablation baseline the paper's
-// "certain extra speedup" claim is measured against.
+// Sequential is the reference: a direct transcription of Equations 4-6,
+// Θ(M·B²). The others share one per-bin kernel, countBins, Θ(M·B²) worst
+// case but one insertion sort of B values per bin rather than B² rank
+// comparisons: the paper's fused parallel Algorithm 2 (ParallelFused, and
+// Fused on one core), which applies the summation permutation of
+// Equations 7-9 so numerator and denominator are reduced in a single pass
+// with one global synchronisation; the two-pass versions kept as the
+// ablation baseline the paper's "certain extra speedup" claim is
+// measured against; and Sweep, which answers every threshold from one
+// pass. All of it is integer counting, so every implementation returns
+// the same bits.
 package fdr
 
 import (
@@ -74,55 +79,102 @@ func Sequential(hist []float64, sims [][]float64, pt float64) (float64, error) {
 			}
 		}
 	}
-	// Equation 6.
-	num := 0.0
+	// Equation 6, evaluated as Equation 9 is so both give the same bits.
+	var num, den int64
 	for _, db := range d {
-		num += float64(db)
+		num += int64(db)
 	}
-	num /= float64(bCount)
-	den := 0.0
 	for i := 0; i < m; i++ {
 		if float64(p[i]) <= pt {
 			den++
 		}
 	}
-	if den == 0 {
-		return 0, ErrNoSelection
+	return fromSums(num, den, bCount)
+}
+
+// countBins is the per-bin kernel: for bins [lo, hi) it adds to
+// cntRank[r] the number of simulated values whose rank within their bin,
+// rank_ib = Σ_b' I(r*_ib ≤ r*_ib') of Equation 5, is r, and to cntP[p] the
+// number of bins whose p_i of Equation 4 is p. Both have len(sims)+1
+// buckets; a nil one is skipped. The bin's values are insertion-sorted
+// once and rank_ib = m - #{values < r*_ib} is read off the sorted order,
+// ties counted as Equation 5 counts them. A NaN has rank 0 and adds to no
+// other value's rank, since x <= NaN is false.
+func countBins(hist []float64, sims [][]float64, lo, hi int, cntRank, cntP []int64) {
+	sorted := make([]float64, 0, len(sims))
+	for i := lo; i < hi; i++ {
+		if cntP != nil {
+			pi, h := 0, hist[i]
+			for _, sim := range sims {
+				c := 0
+				if h <= sim[i] {
+					c = 1
+				}
+				pi += c
+			}
+			cntP[pi]++
+		}
+		if cntRank == nil {
+			continue
+		}
+		sorted = sorted[:0]
+		for _, sim := range sims {
+			x := sim[i]
+			if x != x {
+				cntRank[0]++
+				continue
+			}
+			k := len(sorted)
+			sorted = append(sorted, x)
+			for k > 0 && sorted[k-1] > x {
+				sorted[k] = sorted[k-1]
+				k--
+			}
+			sorted[k] = x
+		}
+		m := len(sorted)
+		for j := 0; j < m; {
+			k := j + 1
+			for k < m && sorted[k] == sorted[j] {
+				k++
+			}
+			cntRank[m-j] += int64(k - j)
+			j = k
+		}
 	}
-	return num / den, nil
+}
+
+// upTo sums cnt[r] over the r with float64(r) <= pt, the comparison
+// Equations 5 and 6 make: none for a negative or NaN p_t.
+func upTo(cnt []int64, pt float64) int64 {
+	var s int64
+	for r := 0; r < len(cnt) && float64(r) <= pt; r++ {
+		s += cnt[r]
+	}
+	return s
 }
 
 // binSums computes the fused per-bin contributions of Equations 7-8 for
 // bins [lo, hi): sumDiamond = Σ_i Σ_b I(rank_ib ≤ p_t) and
 // sumStar = Σ_i I(p_i ≤ p_t).
 func binSums(hist []float64, sims [][]float64, pt float64, lo, hi int) (sumDiamond, sumStar int64) {
-	bCount := len(sims)
-	for i := lo; i < hi; i++ {
-		// Equation 8 component: the observed bin's survival count.
-		pi := 0
-		for b := 0; b < bCount; b++ {
-			if hist[i] <= sims[b][i] {
-				pi++
-			}
-		}
-		if float64(pi) <= pt {
-			sumStar++
-		}
-		// Equation 7 component: simulated ranks within the bin.
-		for b := 0; b < bCount; b++ {
-			rank := 0
-			vb := sims[b][i]
-			for b2 := 0; b2 < bCount; b2++ {
-				if vb <= sims[b2][i] {
-					rank++
-				}
-			}
-			if float64(rank) <= pt {
-				sumDiamond++
-			}
-		}
-	}
-	return sumDiamond, sumStar
+	cntRank, cntP := make([]int64, len(sims)+1), make([]int64, len(sims)+1)
+	countBins(hist, sims, lo, hi, cntRank, cntP)
+	return upTo(cntRank, pt), upTo(cntP, pt)
+}
+
+// numerator and denominator are the two halves of the kernel the
+// two-pass versions run as separate sweeps over bins [lo, hi).
+func numerator(hist []float64, sims [][]float64, pt float64, lo, hi int) int64 {
+	cnt := make([]int64, len(sims)+1)
+	countBins(hist, sims, lo, hi, cnt, nil)
+	return upTo(cnt, pt)
+}
+
+func denominator(hist []float64, sims [][]float64, pt float64, lo, hi int) int64 {
+	cnt := make([]int64, len(sims)+1)
+	countBins(hist, sims, lo, hi, nil, cnt)
+	return upTo(cnt, pt)
 }
 
 // fromSums applies Equation 9.
@@ -151,35 +203,9 @@ func TwoPass(hist []float64, sims [][]float64, pt float64) (float64, error) {
 	if err := validate(hist, sims); err != nil {
 		return 0, err
 	}
-	bCount := len(sims)
-	var sd int64
-	for i := 0; i < len(hist); i++ {
-		for b := 0; b < bCount; b++ {
-			rank := 0
-			vb := sims[b][i]
-			for b2 := 0; b2 < bCount; b2++ {
-				if vb <= sims[b2][i] {
-					rank++
-				}
-			}
-			if float64(rank) <= pt {
-				sd++
-			}
-		}
-	}
-	var ss int64
-	for i := 0; i < len(hist); i++ {
-		pi := 0
-		for b := 0; b < bCount; b++ {
-			if hist[i] <= sims[b][i] {
-				pi++
-			}
-		}
-		if float64(pi) <= pt {
-			ss++
-		}
-	}
-	return fromSums(sd, ss, bCount)
+	sd := numerator(hist, sims, pt, 0, len(hist))
+	ss := denominator(hist, sims, pt, 0, len(hist))
+	return fromSums(sd, ss, len(sims))
 }
 
 // ParallelFused is Algorithm 2: the datasets are partitioned in the bin
@@ -218,24 +244,9 @@ func ParallelTwoPass(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) 
 		return 0, err
 	}
 	lo, hi := c.SplitRange(len(hist))
-	bCount := len(sims)
 
 	// Pass 1: FDR numerator.
-	var sd int64
-	for i := lo; i < hi; i++ {
-		for b := 0; b < bCount; b++ {
-			rank := 0
-			vb := sims[b][i]
-			for b2 := 0; b2 < bCount; b2++ {
-				if vb <= sims[b2][i] {
-					rank++
-				}
-			}
-			if float64(rank) <= pt {
-				sd++
-			}
-		}
-	}
+	sd := numerator(hist, sims, pt, lo, hi)
 	if err := c.Barrier(); err != nil {
 		return 0, err
 	}
@@ -245,18 +256,7 @@ func ParallelTwoPass(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) 
 	}
 
 	// Pass 2: FDR denominator, behind its own barrier.
-	var ss int64
-	for i := lo; i < hi; i++ {
-		pi := 0
-		for b := 0; b < bCount; b++ {
-			if hist[i] <= sims[b][i] {
-				pi++
-			}
-		}
-		if float64(pi) <= pt {
-			ss++
-		}
-	}
+	ss := denominator(hist, sims, pt, lo, hi)
 	if err := c.Barrier(); err != nil {
 		return 0, err
 	}
@@ -264,26 +264,23 @@ func ParallelTwoPass(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) 
 	if err != nil {
 		return 0, err
 	}
-	return fromSums(totalD, totalS, bCount)
+	return fromSums(totalD, totalS, len(sims))
 }
 
-// Sweep evaluates FDR over several candidate thresholds sequentially
-// (with the fused kernel) and returns the FDR for each. Callers use it to
-// pick the smallest threshold whose FDR is below a target.
+// Sweep evaluates FDR over several candidate thresholds and returns the
+// FDR for each, 0 where nothing is selected. One pass of the kernel
+// counts every rank and p_i; each threshold is then a prefix sum of those
+// counts. Callers use it to pick the smallest threshold whose FDR is
+// below a target.
 func Sweep(hist []float64, sims [][]float64, thresholds []float64) ([]float64, error) {
 	if err := validate(hist, sims); err != nil {
 		return nil, err
 	}
+	cntRank, cntP := make([]int64, len(sims)+1), make([]int64, len(sims)+1)
+	countBins(hist, sims, 0, len(hist), cntRank, cntP)
 	out := make([]float64, len(thresholds))
 	for k, pt := range thresholds {
-		v, err := Fused(hist, sims, pt)
-		if err != nil && !errors.Is(err, ErrNoSelection) {
-			return nil, err
-		}
-		if errors.Is(err, ErrNoSelection) {
-			v = 0
-		}
-		out[k] = v
+		out[k], _ = fromSums(upTo(cntRank, pt), upTo(cntP, pt), len(sims))
 	}
 	return out, nil
 }

@@ -57,19 +57,26 @@ func TestSequentialHandComputed(t *testing.T) {
 }
 
 func TestFusedMatchesSequential(t *testing.T) {
-	hist := simdata.Histogram(500, 21)
-	sims := simdata.Simulations(12, 500, 22)
-	for _, pt := range []float64{0, 1, 3, 6, 12} {
-		seq, errSeq := Sequential(hist, sims, pt)
-		fused, errFused := Fused(hist, sims, pt)
-		if (errSeq == nil) != (errFused == nil) {
-			t.Fatalf("pt=%g: error mismatch %v vs %v", pt, errSeq, errFused)
-		}
-		if errSeq != nil {
-			continue
-		}
-		if math.Abs(seq-fused) > 1e-12 {
-			t.Errorf("pt=%g: Sequential %g vs Fused %g", pt, seq, fused)
+	for _, c := range []struct {
+		m, b int
+		seed int64
+		pts  []float64
+	}{
+		{500, 12, 21, []float64{0, 1, 3, 6, 12}},
+		// Σd/B/den and Σd/(B·den) differ in the last bit here.
+		{100, 40, 1, []float64{39}},
+	} {
+		hist := simdata.Histogram(c.m, c.seed)
+		sims := simdata.Simulations(c.b, c.m, c.seed+1)
+		for _, pt := range c.pts {
+			seq, errSeq := Sequential(hist, sims, pt)
+			fused, errFused := Fused(hist, sims, pt)
+			if (errSeq == nil) != (errFused == nil) {
+				t.Fatalf("B=%d pt=%g: error mismatch %v vs %v", c.b, pt, errSeq, errFused)
+			}
+			if seq != fused {
+				t.Errorf("B=%d pt=%g: Sequential %v vs Fused %v", c.b, pt, seq, fused)
+			}
 		}
 	}
 }
@@ -81,7 +88,7 @@ func TestParallelFusedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ranks := range []int{1, 2, 5, 16} {
+	for _, ranks := range []int{1, 2, 3, 5, 16} {
 		results := make([]float64, ranks)
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
 			v, err := ParallelFused(c, hist, sims, 2)
@@ -95,7 +102,7 @@ func TestParallelFusedMatchesSequential(t *testing.T) {
 			t.Fatalf("ParallelFused(ranks=%d): %v", ranks, err)
 		}
 		for r, v := range results {
-			if math.Abs(v-want) > 1e-12 {
+			if v != want {
 				t.Errorf("ranks=%d rank %d = %g, want %g", ranks, r, v, want)
 			}
 		}
@@ -261,9 +268,7 @@ func TestTwoPassMatchesSequential(t *testing.T) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("pt=%g: error mismatch %v vs %v", pt, errA, errB)
 		}
-		// The two formulations associate the divisions differently, so
-		// allow a last-ulp difference.
-		if errA == nil && math.Abs(seq-tp) > 1e-12*(1+math.Abs(seq)) {
+		if seq != tp {
 			t.Errorf("pt=%g: Sequential %g vs TwoPass %g", pt, seq, tp)
 		}
 	}
@@ -276,4 +281,96 @@ func TestSweepPropagatesShapeError(t *testing.T) {
 	if _, err := Sweep([]float64{1}, [][]float64{{1, 2}}, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("Sweep err = %v", err)
 	}
+}
+
+// directCounts is countBins by Sequential's loops: one comparison per
+// pair for Equation 5's ranks, one per simulation for Equation 4's p_i.
+func directCounts(hist []float64, sims [][]float64) (cntRank, cntP []int64) {
+	cntRank, cntP = make([]int64, len(sims)+1), make([]int64, len(sims)+1)
+	for i := range hist {
+		p := 0
+		for _, s := range sims {
+			if hist[i] <= s[i] {
+				p++
+			}
+		}
+		cntP[p]++
+		for _, s := range sims {
+			rank := 0
+			for _, s2 := range sims {
+				if s[i] <= s2[i] {
+					rank++
+				}
+			}
+			cntRank[rank]++
+		}
+	}
+	return cntRank, cntP
+}
+
+// FuzzFDRRanks decodes bytes into a histogram and B ∈ {1, 2, 40}
+// simulations of small integer values (heavy ties, many zeros; 0xff is
+// NaN). The kernel's counts must equal Sequential's loops, and every
+// implementation must return Sequential's bits at thresholds that are
+// negative, fractional, NaN and at both ends of the rank range.
+func FuzzFDRRanks(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 0, 7, 7, 1}, uint8(0))
+	f.Add([]byte{0, 0xff, 3, 3, 5, 0, 0xff, 2, 2, 9, 0, 1}, uint8(1))
+	f.Add(make([]byte, 41*3), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
+		b := []int{1, 2, 40}[int(sel)%3]
+		m := len(data) / (b + 1)
+		if m == 0 {
+			return
+		}
+		value := func(x byte) float64 {
+			if x == 0xff {
+				return math.NaN()
+			}
+			return float64(x % 8)
+		}
+		hist := make([]float64, m)
+		sims := make([][]float64, b)
+		for k := range sims {
+			sims[k] = make([]float64, m)
+		}
+		for i := 0; i < m; i++ {
+			row := data[i*(b+1) : (i+1)*(b+1)]
+			hist[i] = value(row[0])
+			for k := range sims {
+				sims[k][i] = value(row[k+1])
+			}
+		}
+		wantRank, wantP := directCounts(hist, sims)
+		gotRank, gotP := make([]int64, b+1), make([]int64, b+1)
+		countBins(hist, sims, 0, m, gotRank, gotP)
+		for r := range wantRank {
+			if gotRank[r] != wantRank[r] || gotP[r] != wantP[r] {
+				t.Fatalf("bucket %d: rank %d want %d, p %d want %d",
+					r, gotRank[r], wantRank[r], gotP[r], wantP[r])
+			}
+		}
+		pts := []float64{-1, 0, 0.5, 1, float64(b) - 1, float64(b), math.Inf(1), math.NaN()}
+		sweep, err := Sweep(hist, sims, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, pt := range pts {
+			want, errWant := Sequential(hist, sims, pt)
+			if errWant != nil && !errors.Is(errWant, ErrNoSelection) {
+				t.Fatal(errWant)
+			}
+			if sweep[k] != want {
+				t.Errorf("pt=%g: Sweep %v, Sequential %v", pt, sweep[k], want)
+			}
+			for name, run := range map[string]func([]float64, [][]float64, float64) (float64, error){
+				"Fused": Fused, "TwoPass": TwoPass,
+			} {
+				got, err := run(hist, sims, pt)
+				if !errors.Is(err, errWant) || got != want {
+					t.Errorf("pt=%g: %s %v (%v), Sequential %v (%v)", pt, name, got, err, want, errWant)
+				}
+			}
+		}
+	})
 }

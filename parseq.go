@@ -197,8 +197,9 @@ func Denoise(histogram []float64, p NLMeansParams) ([]float64, error) {
 	return nlmeans.Denoise(histogram, p)
 }
 
-// DenoiseParallel runs NL-means with `cores` parallel workers; the result
-// is bit-identical to Denoise.
+// DenoiseParallel runs NL-means with `cores` parallel workers on the
+// sliding-window kernel; the result is bit-identical at every core count,
+// within 1e-9 of Denoise.
 func DenoiseParallel(histogram []float64, p NLMeansParams, cores int) ([]float64, error) {
 	return nlmeans.DenoiseParallel(histogram, p, cores)
 }

@@ -102,16 +102,27 @@ func TestStatisticsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DenoiseParallel(h, p, 4)
+	par, err := DenoiseParallel(h, p, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, cores := range []int{2, 4} {
+		got, err := DenoiseParallel(h, p, cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range par {
+			if got[i] != par[i] {
+				t.Fatalf("parallel on %d cores differs from 1 core at %d", cores, i)
+			}
+		}
 	}
 	dist, err := DenoiseDistributed(h, p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
-		if seq[i] != par[i] {
+		if diff := seq[i] - par[i]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("parallel differs at %d", i)
 		}
 		if diff := seq[i] - dist[i]; diff > 1e-9 || diff < -1e-9 {
