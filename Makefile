@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-stats fuzz-deflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -55,6 +55,13 @@ fuzz-stats:
 # and the member must fit the BGZF limits.
 fuzz-deflate:
 	$(GO) test -run '^$$' -fuzz 'FuzzDeflateBlock' -fuzztime 10s ./internal/bgzf
+
+# Short fuzz passes over the decode side: unwrapBlock against
+# compress/flate on arbitrary DEFLATE streams (the same bytes, or both
+# refuse), and whole BGZF streams written, damaged and read back.
+fuzz-inflate:
+	$(GO) test -run '^$$' -fuzz 'FuzzInflateMember' -fuzztime 10s ./internal/bgzf
+	$(GO) test -run '^$$' -fuzz 'FuzzBGZFRoundTrip' -fuzztime 10s ./internal/bgzf
 
 # Re-measure DESIGN.md's codec frontier (compress/flate levels against
 # the in-tree encoder at four chain depths, one thread, a few minutes).
@@ -105,8 +112,9 @@ fmt-check:
 # the analytic cluster model belong to ngsbench alone. And conv reads
 # binary containers only through shard.Provider: it may write BAMX
 # (writeIndexed, CompressBAMXFile) but never opens one or its BAIX. And
-# every DEFLATE call, either way, lives in internal/bgzf: no other
-# non-test file imports compress/flate. And SAM text
+# the product has no stdlib codec: DEFLATE, both ways, is internal/bgzf's
+# own, so no non-test file under internal/, cmd/ or the module root
+# imports compress/* (compress/flate is the tests' oracle). And SAM text
 # has one record parser and one renderer (sam.ParseRecordIntoBytes,
 # Record.AppendTo): no string twin comes back. And internal/bgzf has one
 # Reader and one Writer, where blocks run being a field: no parallel
@@ -120,9 +128,9 @@ deps-check:
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: internal/conv reads BAMX past shard.Provider:"; echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rln '"compress/flate"' internal cmd --include=*.go | grep -v _test | grep -v '^internal/bgzf/' || true); \
+	@bad=$$(grep -rln '"compress/' internal cmd *.go --include=*.go | grep -v '_test\.go$$' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "deps-check: compress/flate imported outside internal/bgzf:"; echo "$$bad"; exit 1; \
+		echo "deps-check: a stdlib codec (compress/*) imported by product code:"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn 'func parseRecordInto(\|AppendText(' internal --include=*.go | grep -v _test || true); \
 	if [ -n "$$bad" ]; then \

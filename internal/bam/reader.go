@@ -198,7 +198,7 @@ func (br *Reader) ReadBody() ([]byte, error) {
 	}
 	body := br.buf[:size]
 	if _, err := io.ReadFull(br.bg, body); err != nil {
-		br.err = fmt.Errorf("%w: truncated record body: %v", ErrInvalidRecord, err)
+		br.err = fmt.Errorf("%w: truncated record body: %w", ErrInvalidRecord, err)
 		return nil, br.err
 	}
 	return body, nil

@@ -10,8 +10,6 @@
 package bgzf
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -191,61 +189,6 @@ func (s *blockScanner) scan(blk *rblock) error {
 	// inflating it; a trailing empty member is the EOF marker.
 	s.sawEOF = binary.LittleEndian.Uint32(raw[len(raw)-4:]) == 0
 	return nil
-}
-
-// inflaters recycles flate readers across every member of every reader
-// in the process, the read-side twin of deflators.
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
-
-// unwrapBlock is inflate on a pooled inflater: the one function every
-// BGZF read decompresses through.
-func unwrapBlock(dst, raw []byte) ([]byte, error) {
-	inf := inflaters.Get().(*inflater)
-	dst, err := inf.inflate(dst, raw)
-	inf.src.Reset(nil) // the pool must not pin the caller's member bytes
-	inflaters.Put(inf)
-	return dst, err
-}
-
-// inflater owns one reusable flate reader and decompresses member bodies
-// produced by blockScanner.scan, verifying ISIZE and CRC32.
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser
-}
-
-// inflate decompresses the member body raw into dst[:0] and returns it.
-func (inf *inflater) inflate(dst, raw []byte) ([]byte, error) {
-	compressed, footer := raw[:len(raw)-footerSize], raw[len(raw)-footerSize:]
-	wantCRC := binary.LittleEndian.Uint32(footer)
-	isize := binary.LittleEndian.Uint32(footer[4:])
-	if isize > MaxBlockSize {
-		// The spec bounds uncompressed blocks at 64 KiB; a larger ISIZE is
-		// corruption and must not drive the allocation below.
-		return dst[:0], fmt.Errorf("%w: ISIZE %d exceeds format limit", ErrCorrupt, isize)
-	}
-	inf.src.Reset(compressed)
-	if inf.fr == nil {
-		inf.fr = flate.NewReader(&inf.src)
-	} else if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
-		return dst[:0], err
-	}
-	if cap(dst) < int(isize) {
-		dst = make([]byte, isize)
-	}
-	dst = dst[:isize]
-	if _, err := io.ReadFull(inf.fr, dst); err != nil {
-		return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	// The member must contain no more than ISIZE bytes.
-	var one [1]byte
-	if n, _ := inf.fr.Read(one[:]); n != 0 {
-		return dst, fmt.Errorf("%w: block longer than ISIZE", ErrCorrupt)
-	}
-	if crc32.ChecksumIEEE(dst) != wantCRC {
-		return dst, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
-	return dst, nil
 }
 
 // codecObs bundles one direction's telemetry handles: block and byte

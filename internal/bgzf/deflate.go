@@ -90,6 +90,7 @@ func init() {
 		fixedDist.len[s] = 5
 	}
 	fixedDist.assign(numDist)
+	initDecodeTables()
 }
 
 // huffCode is one canonical Huffman code: per symbol its length and its

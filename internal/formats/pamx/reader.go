@@ -136,7 +136,14 @@ func (f *File) readColumn(e colEntry) ([]byte, error) {
 	out := make([]byte, e.ULen)
 	zr := bgzf.NewReader(bytes.NewReader(raw))
 	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("%w: column inflate: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: column inflate: %w", ErrCorrupt, err)
+	}
+	// The blob ends with its ULen-th byte, on the EOF marker.
+	if n, err := zr.Read(make([]byte, 1)); err != io.EOF {
+		if n > 0 {
+			err = fmt.Errorf("column longer than its %d bytes", e.ULen)
+		}
+		return nil, fmt.Errorf("%w: column inflate: %w", ErrCorrupt, err)
 	}
 	return out, nil
 }

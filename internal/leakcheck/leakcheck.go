@@ -5,6 +5,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,6 +21,9 @@ import (
 func Main(m *testing.M, slack int) {
 	base := runtime.NumGoroutine() + slack
 	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		base++ // a fuzzing run's os/signal handler lives for the process
+	}
 	if code == 0 && !Settle(base) {
 		buf := make([]byte, 1<<20)
 		fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines at exit, %d allowed:\n%s\n",
