@@ -22,11 +22,10 @@ race:
 	$(GO) test -race ./...
 
 # The one fast pre-commit subset of `race`: the converter runtime
-# (sources, sinks, the batch line engine), the SAM analyses that share
-# its scanners, the sorter that keeps sam.Reader's byte-parsed records,
-# the shared deflate pool and the parpipe plumbing under them, and the
-# engine and daemon that drive them concurrently. `ci` runs the full
-# sweep.
+# (sources, sinks, the batch line engine), the SAM analyses and the
+# sorter that share its scanners, the shared deflate pool and the
+# parpipe plumbing under them, and the engine and daemon that drive them
+# concurrently. `ci` runs the full sweep.
 race-convert:
 	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
 
@@ -116,9 +115,12 @@ fmt-check:
 # own, so no non-test file under internal/, cmd/ or the module root
 # imports compress/* (compress/flate is the tests' oracle). And SAM text
 # has one record parser and one renderer (sam.ParseRecordIntoBytes,
-# Record.AppendTo): no string twin comes back. And internal/bgzf has one
-# Reader and one Writer, where blocks run being a field: no parallel
-# twin type or interface to switch between twins comes back.
+# Record.AppendTo): no string twin comes back, and SAM lines have one
+# reader (ScanHeader + LineScanner): no sam.NewReader comes back. And
+# internal/bgzf has one Reader and one Writer, where blocks run being a
+# field: no parallel twin type or interface to switch between twins
+# comes back. And no product code decodes BAM through
+# bam.NewParallelScanner, which only bench/ still calls.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -139,6 +141,14 @@ deps-check:
 	@bad=$$(ls internal/bgzf/*.go | grep -v _test | xargs grep -nE 'type (ParallelReader|ParallelWriter|BlockReader|BlockWriter|BlockSource)\b' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a second BGZF reader or writer type in internal/bgzf:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(ls internal/sam/*.go | grep -v _test | xargs grep -n 'func NewReader(' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a second SAM line reader in internal/sam:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'bam\.NewParallelScanner' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./bench/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: bam.NewParallelScanner called outside bench/:"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them

@@ -1,8 +1,8 @@
 // The SAM record parser and renderer. Every text reader in the
-// repository — the converter's batch engine, sam.Reader, the flagstat and
-// histogram scans — parses lines in place through ParseRecordIntoBytes;
-// converting each line to a string first would put one copy per record
-// back on the allocator. The string fields of a record parsed this way
+// repository — the converter's batch engine, the sorter, the flagstat
+// and histogram scans — parses lines in place through
+// ParseRecordIntoBytes; converting each line to a string first would put
+// one copy per record back on the allocator. The string fields of a record parsed this way
 // alias the input buffer, so the buffer must stay untouched for as long
 // as the record is in use.
 

@@ -1,6 +1,10 @@
 package sam
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -133,19 +137,42 @@ func TestParseHeaderCRLF(t *testing.T) {
 	}
 }
 
+// readAll reads SAM text the way the repository's readers do: the header
+// through ScanHeader, then the alignment lines through a LineScanner,
+// blank lines skipped. A parse error names the file offset of its line.
+func readAll(text string) (*Header, []Record, error) {
+	r := strings.NewReader(text)
+	h, start, err := ScanHeader(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	scan := NewLineScanner(r, start, r.Size()-start)
+	var recs []Record
+	for {
+		off := start + scan.Pos()
+		if !scan.Scan() {
+			return h, recs, scan.Err()
+		}
+		if len(scan.Bytes()) == 0 {
+			continue
+		}
+		var rec Record // fields alias the line, so each gets its own copy
+		if err := ParseRecordIntoBytes(&rec, bytes.Clone(scan.Bytes())); err != nil {
+			return h, recs, fmt.Errorf("line at file offset %d: %w", off, err)
+		}
+		recs = append(recs, rec)
+	}
+}
+
 func TestReaderWriter(t *testing.T) {
 	input := sampleHeader + sampleLine + "\n" +
 		"r002\t0\tchr2\t100\t60\t10M\t*\t0\t0\tAAAAACCCCC\tJJJJJJJJJJ\n"
-	r, err := NewReader(strings.NewReader(input))
+	h, recs, err := readAll(input)
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("readAll: %v", err)
 	}
-	if len(r.Header().Refs) != 2 {
-		t.Fatalf("header refs = %d", len(r.Header().Refs))
-	}
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+	if len(h.Refs) != 2 {
+		t.Fatalf("header refs = %d", len(h.Refs))
 	}
 	if len(recs) != 2 {
 		t.Fatalf("records = %d, want 2", len(recs))
@@ -155,7 +182,7 @@ func TestReaderWriter(t *testing.T) {
 	}
 
 	var out strings.Builder
-	w, err := NewWriter(&out, r.Header())
+	w, err := NewWriter(&out, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,36 +200,24 @@ func TestReaderWriter(t *testing.T) {
 }
 
 func TestReaderHeaderless(t *testing.T) {
-	r, err := NewReader(strings.NewReader(sampleLine + "\n"))
+	h, recs, err := readAll(sampleLine + "\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("records = %d, want 1", len(recs))
+	if len(h.Refs) != 0 || len(recs) != 1 {
+		t.Fatalf("refs = %d, records = %d, want 0 and 1", len(h.Refs), len(recs))
 	}
 }
 
 func TestReaderEmpty(t *testing.T) {
-	r, err := NewReader(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.ReadAll()
+	_, recs, err := readAll("")
 	if err != nil || len(recs) != 0 {
-		t.Errorf("ReadAll = %d recs, %v", len(recs), err)
+		t.Errorf("readAll = %d recs, %v", len(recs), err)
 	}
 }
 
 func TestReaderNoTrailingNewline(t *testing.T) {
-	r, err := NewReader(strings.NewReader(sampleLine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.ReadAll()
+	_, recs, err := readAll(sampleLine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +227,7 @@ func TestReaderNoTrailingNewline(t *testing.T) {
 }
 
 func TestReaderSkipsBlankLines(t *testing.T) {
-	r, err := NewReader(strings.NewReader(sampleLine + "\n\n" + sampleLine + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.ReadAll()
+	_, recs, err := readAll(sampleLine + "\n\n" + sampleLine + "\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +236,38 @@ func TestReaderSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestReaderReportsLineNumber(t *testing.T) {
-	input := "@SQ\tSN:chr1\tLN:5\nnot\ta valid\trecord\n"
-	r, err := NewReader(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
+// TestReaderReportsLineOffset: the scanner's position before a line is
+// the line's file offset, past the header ScanHeader measured.
+func TestReaderReportsLineOffset(t *testing.T) {
+	input := "@SQ\tSN:chr1\tLN:5\n" + sampleLine + "\n\nnot\ta valid\trecord\n"
+	_, _, err := readAll(input)
+	want := fmt.Sprintf("file offset %d:", len(input)-len("not\ta valid\trecord\n"))
+	if !errors.Is(err, ErrInvalidRecord) || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want ErrInvalidRecord at %q", err, want)
 	}
-	_, err = r.ReadAll()
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("err = %v, want line-2 mention", err)
+}
+
+// TestScanHeaderLineLimit shrinks the line limit and requires ScanHeader
+// to refuse an over-limit header line at its offset, as the alignment
+// line readers do, and to accept one a byte under the limit.
+func TestScanHeaderLineLimit(t *testing.T) {
+	old := MaxLineBytes
+	MaxLineBytes = 64 << 10
+	defer func() { MaxLineBytes = old }()
+
+	hd := "@HD\tVN:1.6\n"
+	long := "@CO\t" + strings.Repeat("x", 1<<20) + "\n"
+	_, _, err := ScanHeader(strings.NewReader(hd + long + sampleLine + "\n"))
+	if want := LineTooLongError(int64(len(hd))).Error(); !errors.Is(err, bufio.ErrTooLong) || err.Error() != want {
+		t.Errorf("ScanHeader error = %v, want %q", err, want)
+	}
+
+	edge := "@CO\t" + strings.Repeat("x", MaxLineBytes-1-len("@CO\t")) + "\n"
+	h, start, err := ScanHeader(strings.NewReader(hd + edge + sampleLine + "\n"))
+	if err != nil {
+		t.Fatalf("a header line under the limit: %v", err)
+	}
+	if start != int64(len(hd+edge)) || len(h.Comments) != 1 {
+		t.Errorf("data start = %d, comments = %d; want %d and 1", start, len(h.Comments), len(hd+edge))
 	}
 }

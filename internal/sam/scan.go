@@ -2,13 +2,16 @@ package sam
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 )
 
 // ScanHeader reads the header section of a SAM file from its start and
 // returns the parsed header plus the byte offset where alignment data
-// begins — the lower bound of every Algorithm 1 byte partition.
+// begins — the lower bound of every Algorithm 1 byte partition. A header
+// line of MaxLineBytes or more is refused with LineTooLongError as soon
+// as the limit is reached, not read whole.
 func ScanHeader(f io.ReadSeeker) (*Header, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, err
@@ -16,6 +19,7 @@ func ScanHeader(f io.ReadSeeker) (*Header, int64, error) {
 	h := NewHeader()
 	br := bufio.NewReaderSize(f, 64<<10)
 	var offset int64
+	var line []byte
 	for {
 		peek, err := br.Peek(1)
 		if err == io.EOF {
@@ -27,23 +31,25 @@ func ScanHeader(f io.ReadSeeker) (*Header, int64, error) {
 		if peek[0] != '@' {
 			return h, offset, nil
 		}
-		line, err := br.ReadString('\n')
-		if err != nil && err != io.EOF {
-			return nil, 0, err
+		line = line[:0]
+		for {
+			frag, err := br.ReadSlice('\n')
+			line = append(line, frag...)
+			if n := len(line); n >= MaxLineBytes && (n > MaxLineBytes || line[n-1] != '\n') {
+				return nil, 0, LineTooLongError(offset)
+			}
+			if err == bufio.ErrBufferFull {
+				continue
+			}
+			if err != nil && err != io.EOF {
+				return nil, 0, err
+			}
+			break
 		}
 		offset += int64(len(line))
-		trimmed := line
-		if n := len(trimmed); n > 0 && trimmed[n-1] == '\n' {
-			trimmed = trimmed[:n-1]
-		}
-		if n := len(trimmed); n > 0 && trimmed[n-1] == '\r' {
-			trimmed = trimmed[:n-1]
-		}
-		if perr := h.ParseHeaderLine(trimmed); perr != nil {
-			return nil, 0, perr
-		}
-		if err == io.EOF {
-			return h, offset, nil
+		trimmed := bytes.TrimSuffix(bytes.TrimSuffix(line, []byte{'\n'}), []byte{'\r'})
+		if err := h.ParseHeaderLine(string(trimmed)); err != nil {
+			return nil, 0, err
 		}
 	}
 }
@@ -59,7 +65,8 @@ var MaxLineBytes = 512 << 20
 
 // LineTooLongError is the shared over-limit error: every line reader
 // produces it with the same wording, so error parity holds across the
-// converter at every worker count, sam.Reader and the SAM analyses.
+// converter at every worker count, the sorter, the SAM analyses and the
+// header scan.
 func LineTooLongError(fileOff int64) error {
 	return fmt.Errorf("sam: line starting at file offset %d exceeds the %d byte line limit: %w",
 		fileOff, MaxLineBytes, bufio.ErrTooLong)

@@ -1,18 +1,23 @@
 // Package sorter coordinate-sorts alignment datasets, the precondition
 // for every index in this repository (BAI binning, BAIX starting
 // positions) and for the paper's sorted 117 GB BAM input. The sort is an
-// external merge sort in the samtools mould: the input streams into
-// bounded in-memory chunks, chunks sort in parallel ranks and spill as
-// sorted temporary runs, and a k-way merge produces the output. Unmapped
-// records sort after all mapped ones, as samtools does.
+// external merge sort in the samtools mould over encoded BAM records:
+// the input streams into bounded chunks of records encoded by
+// bam.EncodeRecord, chunks sort in parallel ranks and spill as raw
+// sorted runs, and a k-way merge writes the output BAM. Unmapped records
+// sort after all mapped ones, as samtools does.
 package sorter
 
 import (
+	"bufio"
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,28 +32,23 @@ type Options struct {
 	// ChunkRecords is the number of records sorted in memory per run
 	// (default 100k ≈ tens of MB for short reads).
 	ChunkRecords int
-	// Cores sorts chunks with this many parallel workers.
+	// Cores sorts and spills chunks with this many parallel workers.
 	Cores int
 	// TmpDir receives the temporary runs; "" uses the OS default.
 	TmpDir string
-	// CodecWorkers is the BGZF codec/decoder worker budget. The input
-	// reader gets the full budget — codec workers plus, for BAM input,
-	// the parallel record decoder (bam.ParallelScanner) — while spilled
-	// runs and merge readers share it, clamped per stream so many runs
-	// do not multiply the goroutine count. 0 selects the adaptive
-	// default (bgzf.AutoWorkers) and — as in the converter's shard
-	// writers — attaches the short-lived spill and merge writers to the
-	// process-wide bgzf.SharedPool, so many parallel spill workers keep
-	// the codec goroutine count at the pool's throughput-sized level
-	// rather than Cores × per-stream; an explicit count keeps private
-	// per-stream pools, and 1 forces the sequential paths. Orthogonal
-	// to Cores, exactly as in the converter runtime.
+	// CodecWorkers is the BGZF codec worker budget of the two BGZF
+	// streams a sort has: the BAM input's inflate and the output's
+	// deflate (runs are raw, with no codec). 0 selects the adaptive
+	// default (bgzf.AutoWorkers) and, as in the converter's shard
+	// writers, puts the output writer on the process-wide
+	// bgzf.SharedPool; 1 forces the sequential paths. Orthogonal to
+	// Cores, exactly as in the converter runtime.
 	CodecWorkers int
 }
 
 // normalize resolves the defaults and reports whether CodecWorkers was
-// left adaptive, which puts the spill and merge writers on the shared
-// deflate pool.
+// left adaptive, which puts the output writer on the shared deflate
+// pool.
 func (o *Options) normalize() (sharedCodec bool) {
 	if o.ChunkRecords < 1 {
 		o.ChunkRecords = 100_000
@@ -63,32 +63,28 @@ func (o *Options) normalize() (sharedCodec bool) {
 	return sharedCodec
 }
 
-// perStreamWorkers divides one codec worker budget across streams that
-// are open simultaneously (parallel spill writers, merge readers).
-func perStreamWorkers(budget, streams int) int {
-	if streams < 1 {
-		streams = 1
-	}
-	per := budget / streams
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
+// runBufSize is the buffer of each run's writer and of each run's
+// reader in the merge.
+const runBufSize = 64 << 10
 
-// key is a record's coordinate sort key. Unmapped records (refID -1) map
-// past every reference.
+// key is a record's coordinate sort key: the reference ID, past every
+// reference for an unmapped record, and the SAM POS.
 type key struct {
 	refID int32
 	pos   int32
 }
 
-func keyOf(h *sam.Header, rec *sam.Record) key {
-	id := h.RefID(rec.RName)
-	if id < 0 || rec.Unmapped() {
-		return key{refID: 1<<31 - 1, pos: rec.Pos}
+// keyOf reads the key of one encoded record (block_size prefix
+// included) from its fixed fields.
+func keyOf(rec []byte) key {
+	refID := int32(binary.LittleEndian.Uint32(rec[4:]))
+	// The 1-based POS, wrapping in int32 as a decoded record's does, so
+	// the order is the one sorting decoded records gives.
+	pos := int32(binary.LittleEndian.Uint32(rec[8:])) + 1
+	if refID < 0 || sam.Flag(binary.LittleEndian.Uint16(rec[18:])).Unmapped() {
+		refID = math.MaxInt32
 	}
-	return key{refID: int32(id), pos: rec.Pos}
+	return key{refID: refID, pos: pos}
 }
 
 func (k key) less(other key) bool {
@@ -98,61 +94,127 @@ func (k key) less(other key) bool {
 	return k.pos < other.pos
 }
 
-// SortRecords coordinate-sorts records in place (stable, so equal
-// positions keep input order).
-func SortRecords(h *sam.Header, recs []sam.Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		return keyOf(h, &recs[i]).less(keyOf(h, &recs[j]))
+// chunk is a run in memory: encoded records laid end to end in buf,
+// record i starting at offs[i].
+type chunk struct {
+	buf  []byte
+	offs []int
+}
+
+func (c *chunk) record(i int) []byte {
+	off := c.offs[i]
+	return c.buf[off : off+4+int(binary.LittleEndian.Uint32(c.buf[off:]))]
+}
+
+// sort orders the records by key, stably, so equal positions keep input
+// order.
+func (c *chunk) sort() {
+	sort.SliceStable(c.offs, func(i, j int) bool {
+		return keyOf(c.buf[c.offs[i]:]).less(keyOf(c.buf[c.offs[j]:]))
 	})
 }
 
-// recordSource abstracts SAM/BAM inputs for the sorter.
-type recordSource interface {
-	Header() *sam.Header
-	ReadInto(*sam.Record) error
+// spill sorts the chunk and writes its records to path, raw: a run is a
+// private temporary file, so it needs no codec.
+func (c *chunk) spill(path string) error {
+	c.sort()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, runBufSize)
+	for i := range c.offs {
+		w.Write(c.record(i)) // sticky: Flush reports the first error
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
+
+// run is one spilled chunk and the number of records it must hold.
+type run struct {
+	path string
+	n    int
+}
+
+// nextFunc appends the next input record, encoded, to dst. It returns
+// io.EOF at the end of the input.
+type nextFunc func(dst []byte) ([]byte, error)
 
 // SortSAMToBAM sorts a SAM file into a coordinate-sorted BAM file.
 func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 	shared := opts.normalize()
-	in, err := os.Open(samPath)
+	f, err := os.Open(samPath)
 	if err != nil {
 		return 0, err
 	}
-	defer in.Close()
-	src, err := sam.NewReader(in)
+	defer f.Close()
+	h, dataStart, err := sam.ScanHeader(f)
 	if err != nil {
 		return 0, err
 	}
-	return sortToBAM(src, outPath, opts, shared)
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	scan := sam.NewLineScanner(f, dataStart, fi.Size()-dataStart)
+	var rec sam.Record
+	next := func(dst []byte) ([]byte, error) {
+		for {
+			off := dataStart + scan.Pos()
+			if !scan.Scan() {
+				if err := scan.Err(); err != nil {
+					return dst, err
+				}
+				return dst, io.EOF
+			}
+			line := scan.Bytes()
+			if len(line) == 0 {
+				continue
+			}
+			err := sam.ParseRecordIntoBytes(&rec, line)
+			if err == nil {
+				dst, err = bam.EncodeRecord(dst, &rec, h)
+			}
+			if err != nil {
+				return dst, fmt.Errorf("sam: line at file offset %d: %w", off, err)
+			}
+			return dst, nil
+		}
+	}
+	return sortToBAM(h, next, outPath, opts, shared)
 }
 
-// SortBAM sorts a BAM file into a coordinate-sorted BAM file. With more
-// than one codec worker the input decodes through bam.ParallelScanner —
-// record order and output bytes stay identical to the sequential path.
+// SortBAM sorts a BAM file into a coordinate-sorted BAM file. Every
+// record is decoded and re-encoded, so a malformed one is refused as the
+// decoder refuses it.
 func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 	shared := opts.normalize()
-	in, err := os.Open(bamPath)
+	f, err := os.Open(bamPath)
 	if err != nil {
 		return 0, err
 	}
-	defer in.Close()
-	src, err := bam.NewReader(in, bam.WithCodecWorkers(opts.CodecWorkers))
+	defer f.Close()
+	br, err := bam.NewReader(f, bam.WithCodecWorkers(opts.CodecWorkers))
 	if err != nil {
 		return 0, err
 	}
-	defer src.Close()
-	if opts.CodecWorkers > 1 {
-		sc := bam.NewParallelScanner(src, opts.CodecWorkers)
-		defer sc.Close() // runs before src.Close: the scanner owns the stream
-		return sortToBAM(sc, outPath, opts, shared)
+	defer br.Close()
+	var rec sam.Record
+	next := func(dst []byte) ([]byte, error) {
+		if err := br.ReadInto(&rec); err != nil {
+			return dst, err
+		}
+		return bam.EncodeRecord(dst, &rec, br.Header())
 	}
-	return sortToBAM(src, outPath, opts, shared)
+	return sortToBAM(br.Header(), next, outPath, opts, shared)
 }
 
 // sortToBAM drives the external merge sort over normalized opts.
-func sortToBAM(src recordSource, outPath string, opts Options, sharedCodec bool) (int64, error) {
-	header := src.Header().Clone()
+func sortToBAM(in *sam.Header, next nextFunc, outPath string, opts Options, sharedCodec bool) (int64, error) {
+	header := in.Clone()
 	header.SortOrder = sam.SortCoordinate
 
 	tmpDir, err := os.MkdirTemp(opts.TmpDir, "parseq-sort-")
@@ -165,64 +227,49 @@ func sortToBAM(src recordSource, outPath string, opts Options, sharedCodec bool)
 	ph := obs.NewPhaseSet(reg)
 	spill := ph.Start(0, "sort.spill")
 
-	// Phase 1: read chunks, sort them in parallel workers, spill runs.
+	// Phase 1: fill chunks, sort and spill them in parallel workers.
 	type job struct {
-		idx  int
-		recs []sam.Record
+		c    *chunk
+		path string
 	}
+	// One queued chunk per worker: the reader runs at most Cores chunks
+	// ahead of the spills, which bounds the chunks held in memory.
 	jobs := make(chan job, opts.Cores)
-	runPaths := make([]string, 0, 8)
-	var runMu sync.Mutex
-	var wg sync.WaitGroup
 	workerErr := make([]error, opts.Cores)
-	spillWorkers := perStreamWorkers(opts.CodecWorkers, opts.Cores)
-	for w := 0; w < opts.Cores; w++ {
+	var wg sync.WaitGroup
+	for w := range opts.Cores {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
+			// After a failure keep draining, so the producer never blocks.
 			for j := range jobs {
-				SortRecords(header, j.recs)
-				path := filepath.Join(tmpDir, fmt.Sprintf("run%06d.bam", j.idx))
-				if err := writeRun(path, header, j.recs, spillWorkers, sharedCodec); err != nil {
-					workerErr[worker] = err
-					// Drain remaining jobs so the producer never blocks.
-					continue
+				if workerErr[w] == nil {
+					workerErr[w] = j.c.spill(j.path)
 				}
-				runMu.Lock()
-				runPaths = append(runPaths, path)
-				runMu.Unlock()
 			}
-		}(w)
+		}()
 	}
 
+	var runs []run
 	var total int64
-	chunk := make([]sam.Record, 0, opts.ChunkRecords)
-	chunkIdx := 0
 	var readErr error
-	for {
-		var rec sam.Record
-		err := src.ReadInto(&rec)
-		if err == io.EOF {
-			break
+	c := &chunk{}
+	for readErr == nil {
+		off := len(c.buf)
+		if c.buf, readErr = next(c.buf); readErr == nil {
+			c.offs = append(c.offs, off)
+			total++
 		}
-		if err != nil {
-			readErr = err
-			break
+		if len(c.offs) == opts.ChunkRecords || (readErr == io.EOF && len(c.offs) > 0) {
+			r := run{path: filepath.Join(tmpDir, fmt.Sprintf("run%06d", len(runs))), n: len(c.offs)}
+			runs = append(runs, r)
+			jobs <- job{c: c, path: r.path}
+			c = &chunk{buf: make([]byte, 0, cap(c.buf)), offs: make([]int, 0, cap(c.offs))}
 		}
-		total++
-		chunk = append(chunk, rec)
-		if len(chunk) == opts.ChunkRecords {
-			jobs <- job{idx: chunkIdx, recs: chunk}
-			chunkIdx++
-			chunk = make([]sam.Record, 0, opts.ChunkRecords)
-		}
-	}
-	if len(chunk) > 0 && readErr == nil {
-		jobs <- job{idx: chunkIdx, recs: chunk}
 	}
 	close(jobs)
 	wg.Wait()
-	if readErr != nil {
+	if readErr != io.EOF {
 		return 0, readErr
 	}
 	for _, err := range workerErr {
@@ -232,80 +279,82 @@ func sortToBAM(src recordSource, outPath string, opts Options, sharedCodec bool)
 	}
 	spill.End()
 	reg.Counter("sorter.records").Add(total)
-	reg.Counter("sorter.runs").Add(int64(len(runPaths)))
+	reg.Counter("sorter.runs").Add(int64(len(runs)))
 
 	// Phase 2: k-way merge of the sorted runs.
 	merge := ph.Start(0, "sort.merge")
-	sort.Strings(runPaths)
-	if err := mergeRuns(runPaths, header, outPath, opts.CodecWorkers, sharedCodec); err != nil {
+	if err := mergeRuns(runs, header, outPath, opts.CodecWorkers, sharedCodec); err != nil {
 		return 0, err
 	}
 	merge.End()
 	return total, nil
 }
 
-// writeRun spills one sorted chunk as a BAM run.
-func writeRun(path string, h *sam.Header, recs []sam.Record, codecWorkers int, shared bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	wopt := bam.WithCodecWorkers(codecWorkers)
-	if shared {
-		wopt = bam.WithSharedCodec()
-	}
-	w, err := bam.NewWriter(f, h, wopt)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// runReader is one run in the merge: its current record and key.
+type runReader struct {
+	run
+	idx  int // the run's place in input order, which breaks key ties
+	r    *bufio.Reader
+	read int
+	rec  []byte // block_size prefix included
+	k    key
 }
 
-// mergeItem is one run's head record in the merge heap.
-type mergeItem struct {
-	rec sam.Record
-	k   key
-	src int
+// next reads the run's next record, reporting false once all n are read.
+// A run that ends early, even at a record boundary, is an error.
+func (rr *runReader) next() (bool, error) {
+	if rr.read == rr.n {
+		return false, nil
+	}
+	rr.rec = slices.Grow(rr.rec[:0], 4)[:4]
+	if _, err := io.ReadFull(rr.r, rr.rec); err != nil {
+		return false, rr.failed(err)
+	}
+	size := int(int32(binary.LittleEndian.Uint32(rr.rec)))
+	if size < 32 {
+		return false, fmt.Errorf("sorter: run %s record %d: block_size %d", rr.path, rr.read, size)
+	}
+	rr.rec = slices.Grow(rr.rec, size)[:4+size]
+	if _, err := io.ReadFull(rr.r, rr.rec[4:]); err != nil {
+		return false, rr.failed(err)
+	}
+	rr.read++
+	rr.k = keyOf(rr.rec)
+	return true, nil
 }
 
-type mergeHeap struct {
-	items []mergeItem
+func (rr *runReader) failed(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("sorter: run %s ends after %d of %d records: %w",
+			rr.path, rr.read, rr.n, io.ErrUnexpectedEOF)
+	}
+	return err
 }
 
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.k != b.k {
-		return a.k.less(b.k)
+// mergeHeap orders the runs by their current record.
+type mergeHeap []*runReader
+
+func (h mergeHeap) Len() int { return len(h) }
+func (h mergeHeap) Less(i, j int) bool {
+	if h[i].k != h[j].k {
+		return h[i].k.less(h[j].k)
 	}
 	// Equal keys: earlier run wins, keeping the sort stable.
-	return a.src < b.src
+	return h[i].idx < h[j].idx
 }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
+func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*runReader)) }
 func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return x
 }
 
 // mergeRuns streams the runs through a heap into the output BAM. A
 // failed merge leaves no outPath behind: a truncated file there could
 // pass for a sorted BAM in a later run.
-func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorkers int, shared bool) (err error) {
+func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int, shared bool) (err error) {
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
@@ -333,55 +382,33 @@ func mergeRuns(runPaths []string, header *sam.Header, outPath string, codecWorke
 			err = cerr
 		}
 	}()
-	readers := make([]*bam.Reader, len(runPaths))
-	files := make([]*os.File, len(runPaths))
-	defer func() {
-		for i, f := range files {
-			if readers[i] != nil {
-				readers[i].Close()
-			}
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
-	h := &mergeHeap{}
-	// The merge keeps every run open at once; clamp the per-run codec
-	// worker count so k runs never cost k × budget goroutines.
-	runWorkers := perStreamWorkers(codecWorkers, len(runPaths))
-	for i, path := range runPaths {
-		f, err := os.Open(path)
+	h := make(mergeHeap, 0, len(runs))
+	for i, r := range runs {
+		f, err := os.Open(r.path)
 		if err != nil {
 			return err
 		}
-		files[i] = f
-		r, err := bam.NewReader(f, bam.WithCodecWorkers(runWorkers))
-		if err != nil {
+		defer f.Close()
+		rr := &runReader{run: r, idx: i, r: bufio.NewReaderSize(f, runBufSize)}
+		if ok, err := rr.next(); err != nil {
 			return err
+		} else if ok {
+			h = append(h, rr)
 		}
-		readers[i] = r
-		var rec sam.Record
-		if err := r.ReadInto(&rec); err == io.EOF {
-			continue
-		} else if err != nil {
-			return err
-		}
-		heap.Push(h, mergeItem{rec: rec, k: keyOf(header, &rec), src: i})
 	}
-	for h.Len() > 0 {
-		item := heap.Pop(h).(mergeItem)
-		if err := w.Write(&item.rec); err != nil {
+	heap.Init(&h)
+	for len(h) > 0 {
+		rr := h[0]
+		if err := w.WriteEncoded(rr.rec); err != nil {
 			return err
 		}
-		var rec sam.Record
-		err := readers[item.src].ReadInto(&rec)
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
+		if ok, err := rr.next(); err != nil {
 			return err
+		} else if ok {
+			heap.Fix(&h, 0)
+		} else {
+			heap.Pop(&h)
 		}
-		heap.Push(h, mergeItem{rec: rec, k: keyOf(header, &rec), src: item.src})
 	}
 	return nil
 }

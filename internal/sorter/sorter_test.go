@@ -97,10 +97,10 @@ func checkSorted(t *testing.T, outPath string, d *simdata.Dataset, wantCount int
 	}
 }
 
-// TestReaderLineLimit shrinks the line limit and requires sam.Reader —
-// and so SortSAMToBAM, which reads through it — to accept a line one
-// byte under the limit and to refuse the next, over-limit line with the
-// shared error carrying that line's file offset.
+// TestReaderLineLimit shrinks the line limit and requires SortSAMToBAM
+// to accept a line one byte under the limit and to refuse the next,
+// over-limit line with the shared error carrying that line's file
+// offset, leaving no output.
 func TestReaderLineLimit(t *testing.T) {
 	old := sam.MaxLineBytes
 	sam.MaxLineBytes = 512 << 10
@@ -112,32 +112,66 @@ func TestReaderLineLimit(t *testing.T) {
 	edge := stem + strings.Repeat("C", sam.MaxLineBytes-1-len(stem)-2) + "\t*\n"
 	long := "toolong\t0\tchr1\t9\t30\t*\t*\t0\t0\t" +
 		strings.Repeat("C", sam.MaxLineBytes+1000) + "\t*\n"
-	path := filepath.Join(t.TempDir(), "cap.sam")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cap.sam")
 	if err := os.WriteFile(path, []byte(hdr+good+edge+long), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	want := sam.LineTooLongError(int64(len(hdr) + len(good) + len(edge))).Error()
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r, err := sam.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.ReadAll()
-	if len(recs) != 2 {
-		t.Errorf("sam.Reader read %d records before the long line, want 2", len(recs))
-	}
-	if !errors.Is(err, bufio.ErrTooLong) || err.Error() != want {
-		t.Errorf("sam.Reader error = %v, want %q", err, want)
-	}
-
-	_, err = SortSAMToBAM(path, filepath.Join(t.TempDir(), "s.bam"), Options{})
+	out := filepath.Join(dir, "s.bam")
+	_, err := SortSAMToBAM(path, out, Options{})
 	if !errors.Is(err, bufio.ErrTooLong) || err.Error() != want {
 		t.Errorf("SortSAMToBAM error = %v, want %q", err, want)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("failed sort left %s behind (stat: %v)", out, err)
+	}
+
+	// Without the long line, the edge line sorts.
+	if err := os.WriteFile(path, []byte(hdr+good+edge), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := SortSAMToBAM(path, out, Options{}); err != nil || n != 2 {
+		t.Errorf("SortSAMToBAM = %d records, %v; want 2", n, err)
+	}
+}
+
+// TestSortSAMLines: the sorter reads SAM text as the other line readers
+// do. Blank lines are skipped, and a malformed line is refused with its
+// file offset, leaving no output.
+func TestSortSAMLines(t *testing.T) {
+	hdr := "@SQ\tSN:chr1\tLN:1000\n"
+	rec := "r%d\t0\tchr1\t%d\t30\t4M\t*\t0\t0\tACGT\tIIII\n"
+	dir := t.TempDir()
+	path, out := filepath.Join(dir, "in.sam"), filepath.Join(dir, "s.bam")
+	text := hdr + fmt.Sprintf(rec, 1, 9) + "\n\n" + fmt.Sprintf(rec, 2, 3) + "\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := SortSAMToBAM(path, out, Options{ChunkRecords: 1}); err != nil || n != 2 {
+		t.Fatalf("SortSAMToBAM = %d records, %v; want 2", n, err)
+	}
+
+	for _, bad := range []struct {
+		line string
+		err  error
+	}{
+		{"not\ta valid\trecord\n", sam.ErrInvalidRecord},
+		{"r3\t0\tchrX\t5\t30\t4M\t*\t0\t0\tACGT\tIIII\n", bam.ErrInvalidRecord}, // no such reference
+	} {
+		if err := os.WriteFile(path, []byte(text+bad.line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		os.Remove(out)
+		_, err := SortSAMToBAM(path, out, Options{ChunkRecords: 1})
+		at := fmt.Sprintf("file offset %d:", len(text))
+		if !errors.Is(err, bad.err) || !strings.Contains(err.Error(), at) {
+			t.Errorf("error = %v, want %v naming %q", err, bad.err, at)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("failed sort left %s behind (stat: %v)", out, err)
+		}
 	}
 }
 
@@ -194,19 +228,48 @@ func TestSortedOutputIndexes(t *testing.T) {
 	}
 }
 
+// encodeChunk lays the records out as the sorter's input loop does.
+func encodeChunk(t testing.TB, h *sam.Header, recs []sam.Record) *chunk {
+	t.Helper()
+	c := &chunk{}
+	for i := range recs {
+		c.offs = append(c.offs, len(c.buf))
+		var err error
+		if c.buf, err = bam.EncodeRecord(c.buf, &recs[i], h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
 func TestSortRecordsStable(t *testing.T) {
-	h := sam.NewHeader(sam.Reference{Name: "chr1", Length: 1000})
-	mk := func(name string, pos int32) sam.Record {
+	h := sam.NewHeader(sam.Reference{Name: "chr1", Length: 1000}, sam.Reference{Name: "chr2", Length: 1000})
+	mk := func(name, rname string, pos int32, flag sam.Flag) sam.Record {
 		return sam.Record{
-			QName: name, RName: "chr1", Pos: pos, MapQ: 60,
+			QName: name, Flag: flag, RName: rname, Pos: pos, MapQ: 60,
 			Cigar: sam.Cigar{sam.NewCigarOp(sam.CigarMatch, 4)},
 			RNext: "*", Seq: "ACGT", Qual: "IIII",
 		}
 	}
-	recs := []sam.Record{mk("b", 5), mk("a", 5), mk("c", 1)}
-	SortRecords(h, recs)
-	if recs[0].QName != "c" || recs[1].QName != "b" || recs[2].QName != "a" {
-		t.Errorf("order = %s %s %s (stability broken)", recs[0].QName, recs[1].QName, recs[2].QName)
+	// An unmapped record sorts past every reference whether or not it is
+	// placed; among themselves unmapped records sort by POS.
+	recs := []sam.Record{
+		mk("u1", "*", 0, sam.FlagUnmapped), mk("b", "chr1", 5, 0), mk("d", "chr2", 1, 0),
+		mk("u2", "chr1", 2, sam.FlagUnmapped), mk("a", "chr1", 5, 0), mk("c", "chr1", 1, 0),
+		mk("u3", "*", 0, sam.FlagUnmapped),
+	}
+	c := encodeChunk(t, h, recs)
+	c.sort()
+	var got []string
+	for i := range c.offs {
+		var rec sam.Record
+		if err := bam.DecodeRecord(c.record(i)[4:], &rec, h); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rec.QName)
+	}
+	if want := "c b a d u1 u3 u2"; strings.Join(got, " ") != want {
+		t.Errorf("order = %s, want %s (stability broken)", strings.Join(got, " "), want)
 	}
 }
 
@@ -247,8 +310,8 @@ func TestSortMissingInput(t *testing.T) {
 	}
 }
 
-// SortBAM with codec workers routes the input through the parallel
-// record scanner; output bytes must match the sequential path exactly
+// SortBAM with codec workers inflates the input and deflates the output
+// on worker pools; output bytes must match the sequential path exactly
 // across the worker ladder.
 func TestSortBAMCodecWorkersIdentical(t *testing.T) {
 	_, bamPath, _ := unsortedDataset(t, 800)
@@ -279,9 +342,9 @@ func TestSortBAMCodecWorkersIdentical(t *testing.T) {
 	}
 }
 
-// The adaptive codec default routes spill and merge writers through
-// bgzf.SharedPool; the output must stay byte-identical to the private
-// per-stream pools and the sequential codec.
+// The adaptive codec default routes the output writer through
+// bgzf.SharedPool; the output must stay byte-identical to the sequential
+// codec.
 func TestSortSharedCodecDefaultIdentical(t *testing.T) {
 	samPath, _, _ := unsortedDataset(t, 700)
 	dir := t.TempDir()
@@ -294,7 +357,7 @@ func TestSortSharedCodecDefaultIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CodecWorkers 0 selects the adaptive count and the shared pool for
-	// spills and the merge.
+	// the output.
 	out := filepath.Join(dir, "shared.bam")
 	if _, err := SortSAMToBAM(samPath, out, Options{ChunkRecords: 100, Cores: 2}); err != nil {
 		t.Fatalf("shared sort: %v", err)
@@ -309,40 +372,54 @@ func TestSortSharedCodecDefaultIdentical(t *testing.T) {
 }
 
 // TestMergeRunsFailureLeavesNoOutput: a merge that cannot finish —
-// here one run is cut off mid-stream, so its first records merge and a
-// later read fails — removes the partial outPath instead of leaving a
-// truncated file a later run could take for a sorted BAM.
+// here one run is cut off, mid-record or exactly at a record boundary,
+// so its first records merge and a later read fails — removes the
+// partial outPath instead of leaving a truncated file a later run could
+// take for a sorted BAM.
 func TestMergeRunsFailureLeavesNoOutput(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(4000))
 	dir := t.TempDir()
-	good, bad := filepath.Join(dir, "run0.bam"), filepath.Join(dir, "run1.bam")
-	if err := writeRun(good, d.Header, d.Records[:2000], 1, false); err != nil {
+	good := run{path: filepath.Join(dir, "run0"), n: 2000}
+	bad := run{path: filepath.Join(dir, "run1"), n: 2000}
+	if err := encodeChunk(t, d.Header, d.Records[:2000]).spill(good.path); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRun(bad, d.Header, d.Records[2000:], 1, false); err != nil {
+	c := encodeChunk(t, d.Header, d.Records[2000:])
+	if err := c.spill(bad.path); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(bad)
+	raw, err := os.ReadFile(bad.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(bad, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
+	if len(raw) != len(c.buf) {
+		t.Fatalf("run holds %d bytes, want the chunk's %d", len(raw), len(c.buf))
 	}
-	for _, runs := range [][]string{{good, bad}, {bad}, {good, filepath.Join(dir, "missing.bam")}} {
-		out := filepath.Join(dir, "out.bam")
-		if err := mergeRuns(runs, d.Header, out, 1, false); err == nil {
-			t.Fatalf("merge of %v succeeded", runs)
+	// The byte offset of record 1000 in the sorted run.
+	boundary := 0
+	for i := 0; i < 1000; i++ {
+		boundary += len(c.record(i))
+	}
+	missing := run{path: filepath.Join(dir, "missing"), n: 1}
+	for _, cut := range []int{len(raw) / 2, boundary} {
+		if err := os.WriteFile(bad.path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(out); !os.IsNotExist(err) {
-			t.Fatalf("failed merge of %v left %s behind (stat: %v)", runs, out, err)
+		for _, runs := range [][]run{{good, bad}, {bad}, {good, missing}} {
+			out := filepath.Join(dir, "out.bam")
+			if err := mergeRuns(runs, d.Header, out, 1, false); err == nil {
+				t.Fatalf("merge of %v cut at %d succeeded", runs, cut)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("failed merge of %v left %s behind (stat: %v)", runs, out, err)
+			}
 		}
 	}
 	// The same runs intact still merge.
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+	if err := os.WriteFile(bad.path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := mergeRuns([]string{good, bad}, d.Header, filepath.Join(dir, "ok.bam"), 1, false); err != nil {
+	if err := mergeRuns([]run{good, bad}, d.Header, filepath.Join(dir, "ok.bam"), 1, false); err != nil {
 		t.Fatal(err)
 	}
 }
