@@ -120,7 +120,9 @@ fmt-check:
 # internal/bgzf has one Reader and one Writer, where blocks run being a
 # field: no parallel twin type or interface to switch between twins
 # comes back. And no product code decodes BAM through
-# bam.NewParallelScanner, which only bench/ still calls.
+# bam.NewParallelScanner, which only bench/ still calls. And the
+# converter streams: no non-test file under internal/conv holds records
+# as a []sam.Record (SAM preprocessing spills encoded records instead).
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -149,6 +151,10 @@ deps-check:
 	@bad=$$(grep -rn 'bam\.NewParallelScanner' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./bench/' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: bam.NewParallelScanner called outside bench/:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(ls internal/conv/*.go | grep -v _test | xargs grep -n '\[\]sam\.Record' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: internal/conv holds records in a []sam.Record:"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them

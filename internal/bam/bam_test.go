@@ -401,8 +401,8 @@ func TestSeekAndReread(t *testing.T) {
 		if err := r.Seek(offsets[i]); err != nil {
 			t.Fatalf("Seek(%v): %v", offsets[i], err)
 		}
-		got, err := r.Read()
-		if err != nil {
+		var got sam.Record
+		if err := r.ReadInto(&got); err != nil {
 			t.Fatalf("Read after seek: %v", err)
 		}
 		if got.String() != testLines[i] {

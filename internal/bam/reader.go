@@ -50,8 +50,7 @@ type Reader struct {
 	bg        *bgzf.Reader
 	header    *sam.Header
 	dataStart bgzf.VOffset // virtual offset of the first record
-	buf       []byte       // reusable record-body buffer
-	sizeBuf   [4]byte      // block_size scratch; a local would escape per call
+	buf       []byte       // reusable record buffer, block_size included
 	err       error
 }
 
@@ -153,14 +152,8 @@ func (br *Reader) Seek(v bgzf.VOffset) error {
 	return nil
 }
 
-// Read decodes the next record. It returns io.EOF at the end of stream.
-func (br *Reader) Read() (sam.Record, error) {
-	var rec sam.Record
-	err := br.ReadInto(&rec)
-	return rec, err
-}
-
-// ReadInto decodes the next record into rec, reusing its storage.
+// ReadInto decodes the next record into rec, reusing its storage. It
+// returns io.EOF at the end of stream.
 func (br *Reader) ReadInto(rec *sam.Record) error {
 	body, err := br.ReadBody()
 	if err != nil {
@@ -181,38 +174,24 @@ func (br *Reader) ReadBody() ([]byte, error) {
 	if br.err != nil {
 		return nil, br.err
 	}
-	if _, err := io.ReadFull(br.bg, br.sizeBuf[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: truncated record size", ErrInvalidRecord)
-		}
+	rec, err := readFrame(br.bg, br.buf)
+	br.buf = rec
+	if err != nil {
 		br.err = err
 		return nil, err
 	}
-	size := int(int32(binary.LittleEndian.Uint32(br.sizeBuf[:])))
-	if size < 32 {
-		br.err = fmt.Errorf("%w: block_size %d", ErrInvalidRecord, size)
-		return nil, br.err
-	}
-	if cap(br.buf) < size {
-		br.buf = make([]byte, size)
-	}
-	body := br.buf[:size]
-	if _, err := io.ReadFull(br.bg, body); err != nil {
-		br.err = fmt.Errorf("%w: truncated record body: %w", ErrInvalidRecord, err)
-		return nil, br.err
-	}
-	return body, nil
+	return rec[4:], nil
 }
 
 // ReadAll consumes the remaining records.
 func (br *Reader) ReadAll() ([]sam.Record, error) {
 	var recs []sam.Record
 	for {
-		rec, err := br.Read()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
+		var rec sam.Record
+		if err := br.ReadInto(&rec); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
 			return recs, err
 		}
 		recs = append(recs, rec)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"parseq/internal/bam"
 	"parseq/internal/sam"
 )
 
@@ -168,13 +167,11 @@ func unpadRecord(dst, rec []byte, caps Caps) ([]byte, error) {
 // the price of the fixed layout, and why the paper's preprocessors are
 // two-pass.
 type Writer struct {
-	w      io.Writer
-	header *sam.Header
-	caps   Caps
-	rec    []byte // stride-sized scratch
-	body   []byte // BAM-encoding scratch
-	count  int64
-	err    error
+	w     io.Writer
+	caps  Caps
+	rec   []byte // stride-sized scratch
+	count int64
+	err   error
 }
 
 // NewWriter writes the BAMX header and returns a record writer.
@@ -186,12 +183,7 @@ func NewWriter(w io.Writer, h *sam.Header, caps Caps) (*Writer, error) {
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
 	}
-	return &Writer{
-		w:      w,
-		header: h,
-		caps:   caps,
-		rec:    make([]byte, caps.Stride()),
-	}, nil
+	return &Writer{w: w, caps: caps, rec: make([]byte, caps.Stride())}, nil
 }
 
 // encodeHeader lays out the prologue both containers open with: the
@@ -252,23 +244,8 @@ func HeaderSize(h *sam.Header) int64 {
 	return int64(len(encodeHeader(Magic, h, Caps{})))
 }
 
-// Write appends one alignment as a fixed-stride record.
-func (w *Writer) Write(rec *sam.Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	var err error
-	w.body, err = bam.EncodeRecord(w.body[:0], rec, w.header)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	return w.WriteEncoded(w.body[4:])
-}
-
 // WriteEncoded appends one record given its BAM-encoded body (without the
-// block_size prefix). It lets preprocessors avoid a decode/re-encode
-// round trip.
+// block_size prefix).
 func (w *Writer) WriteEncoded(body []byte) error {
 	if w.err != nil {
 		return w.err

@@ -118,7 +118,11 @@ func TestWriterRejectsOversizedField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(&rec); !errors.Is(err, ErrFieldSize) {
+	body, err := bam.EncodeRecord(nil, &rec, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteEncoded(body[4:]); !errors.Is(err, ErrFieldSize) {
 		t.Errorf("err = %v, want ErrFieldSize", err)
 	}
 }
@@ -153,9 +157,9 @@ func TestPreprocessBAMMatchesSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	var xBuf bytes.Buffer
-	idx, err := PreprocessBAM(bytes.NewReader(bamBuf.Bytes()), &xBuf)
+	idx, err := PreprocessBAMWorkers(bytes.NewReader(bamBuf.Bytes()), &xBuf, 0)
 	if err != nil {
-		t.Fatalf("PreprocessBAM: %v", err)
+		t.Fatalf("PreprocessBAMWorkers: %v", err)
 	}
 	f, err := Open(bytes.NewReader(xBuf.Bytes()), int64(xBuf.Len()))
 	if err != nil {
@@ -173,7 +177,7 @@ func TestPreprocessBAMMatchesSource(t *testing.T) {
 			t.Errorf("record %d differs after BAM→BAMX", i)
 		}
 	}
-	// The index from PreprocessBAM must match one rebuilt from the file.
+	// The index from PreprocessBAMWorkers must match one rebuilt from the file.
 	rebuilt, err := BuildIndex(f)
 	if err != nil {
 		t.Fatal(err)

@@ -41,6 +41,15 @@ func NewIndex(entries []Entry) *Index {
 	return &Index{entries: es}
 }
 
+// appendEntry appends record i's entry, read from the BAM fixed section
+// that opens a body and a padded record alike; an unplaced record has none.
+func appendEntry(entries []Entry, fixed []byte, i int64) []Entry {
+	if refID := int32(binary.LittleEndian.Uint32(fixed)); refID >= 0 {
+		return append(entries, Entry{RefID: refID, Pos: int32(binary.LittleEndian.Uint32(fixed[4:])) + 1, Index: i})
+	}
+	return entries
+}
+
 // Len returns the number of indexed alignments.
 func (ix *Index) Len() int { return len(ix.entries) }
 

@@ -1,7 +1,7 @@
 package bamx
 
 import (
-	"encoding/binary"
+	"bufio"
 	"io"
 
 	"parseq/internal/bam"
@@ -9,28 +9,15 @@ import (
 	"parseq/internal/sam"
 )
 
-// PreprocessBAM is the sequential preprocessing phase of the paper's BAM
-// format converter: it reads a BAM stream twice (the format offers no
-// record delimiters, so this pass cannot be parallelised — exactly the
-// paper's Section III-B observation), writing a fixed-stride BAMX file
-// and returning the BAIX index.
-//
-// Pass one measures the maximum field sizes; pass two pads every record
-// to those capacities. The BAM bodies are relocated without decoding —
-// field lengths live in the record prefix.
-func PreprocessBAM(rs io.ReadSeeker, w io.Writer) (*Index, error) {
-	return PreprocessBAMWorkers(rs, w, 0)
-}
-
-// PreprocessBAMWorkers is PreprocessBAM with the BGZF inflate side
-// running on codecWorkers goroutines (0 selects the adaptive default,
-// bgzf.AutoWorkers; 1 forces the sequential codec). The record scan
-// itself stays sequential — the paper's constraint is on record
-// delimitation, not block decompression, so the codec is the one layer
-// that can be parallelised under it. Both passes walk the stream
-// through the zero-copy block scanner, so record bytes are never copied
-// out of the inflated blocks except at block boundaries; the emitted
-// BAMX bytes and BAIX index are bit-identical for every worker count.
+// PreprocessBAMWorkers is the sequential preprocessing phase of the
+// paper's BAM format converter: it reads a BAM stream twice (the format
+// offers no record delimiters, so the record scan cannot be parallelised
+// — the paper's Section III-B observation), measuring the maximum field
+// sizes and then writing every record padded to them as a fixed-stride
+// BAMX file, and returns the BAIX index. Bodies are relocated without
+// decoding, through the zero-copy block scanner. Only the BGZF inflate
+// runs on codecWorkers goroutines (0 selects bgzf.AutoWorkers, 1 the
+// sequential codec); the BAMX and BAIX bytes are the same for any count.
 func PreprocessBAMWorkers(rs io.ReadSeeker, w io.Writer, codecWorkers int) (*Index, error) {
 	if codecWorkers <= 0 {
 		codecWorkers = bgzf.AutoWorkers()
@@ -46,8 +33,6 @@ func PreprocessBAMWorkers(rs io.ReadSeeker, w io.Writer, codecWorkers int) (*Ind
 		return nil, err
 	}
 	var caps Caps
-	caps.QName = 2 // room for the "*" placeholder name
-	caps.Seq = 1
 	sc := bam.NewBodyScanner(br)
 	for {
 		body, err := sc.Next()
@@ -73,63 +58,64 @@ func PreprocessBAMWorkers(rs io.ReadSeeker, w io.Writer, codecWorkers int) (*Ind
 		return nil, err
 	}
 	defer br.Close()
-	bw, err := NewWriter(w, br.Header(), caps)
+	return WriteBodies(w, br.Header(), caps, bam.NewBodyScanner(br).Next)
+}
+
+// BuildFromRecords writes a BAMX file plus BAIX index for in-memory
+// records. Each record is encoded twice, into one reused buffer: once to
+// measure the caps, once to be padded.
+func BuildFromRecords(w io.Writer, h *sam.Header, recs []sam.Record) (*Index, error) {
+	var caps Caps
+	var rec []byte
+	for i := range recs {
+		var err error
+		if rec, err = bam.EncodeRecord(rec[:0], &recs[i], h); err != nil {
+			return nil, err
+		}
+		caps.Observe(rec[4:])
+	}
+	i := 0
+	return WriteBodies(w, h, caps, func() ([]byte, error) {
+		if i == len(recs) {
+			return nil, io.EOF
+		}
+		rec, _ = bam.EncodeRecord(rec[:0], &recs[i], h) // the first pass proved it encodes
+		i++
+		return rec[4:], nil
+	})
+}
+
+// WriteBodies is the one writer of padded records: it writes a BAMX
+// file of the BAM-encoded bodies (no block_size prefix) next yields
+// until io.EOF, and returns the BAIX index, built from each body's
+// refID and position. caps are the bodies' measured maxima — a
+// preprocessor measures them in a pass of its own, since the stride
+// precedes the first record — and are raised to the floor every BAMX
+// file keeps: room for the "*" read name and one base.
+func WriteBodies(w io.Writer, h *sam.Header, caps Caps, next func() ([]byte, error)) (*Index, error) {
+	caps.QName = max(caps.QName, 2)
+	caps.Seq = max(caps.Seq, 1)
+	out := bufio.NewWriterSize(w, 256<<10) // batches the stride-sized writes
+	bw, err := NewWriter(out, h, caps)
 	if err != nil {
 		return nil, err
 	}
 	var entries []Entry
-	sc = bam.NewBodyScanner(br)
 	for {
-		body, err := sc.Next()
+		body, err := next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		refID := int32(binary.LittleEndian.Uint32(body[0:]))
-		pos := int32(binary.LittleEndian.Uint32(body[4:])) + 1
-		idx := bw.Count()
+		entries = appendEntry(entries, body, bw.Count())
 		if err := bw.WriteEncoded(body); err != nil {
 			return nil, err
 		}
-		if refID >= 0 {
-			entries = append(entries, Entry{RefID: refID, Pos: pos, Index: idx})
-		}
 	}
-	return NewIndex(entries), nil
-}
-
-// BuildFromRecords writes a BAMX file plus BAIX index for in-memory
-// records — the building block of the preprocessing-optimized SAM
-// converter, where each rank turns its text partition into one BAMX file.
-// The two passes of PreprocessBAM become one measurement sweep over the
-// encoded bodies and one padded write.
-func BuildFromRecords(w io.Writer, h *sam.Header, recs []sam.Record) (*Index, error) {
-	caps := Caps{QName: 2, Seq: 1}
-	bodies := make([][]byte, 0, len(recs))
-	for i := range recs {
-		body, err := bam.EncodeRecord(nil, &recs[i], h)
-		if err != nil {
-			return nil, err
-		}
-		body = body[4:] // drop the block_size prefix
-		caps.Observe(body)
-		bodies = append(bodies, body)
-	}
-	bw, err := NewWriter(w, h, caps)
-	if err != nil {
+	if err := out.Flush(); err != nil {
 		return nil, err
-	}
-	var entries []Entry
-	for i, body := range bodies {
-		refID := h.RefID(recs[i].RName)
-		if refID >= 0 {
-			entries = append(entries, Entry{RefID: int32(refID), Pos: recs[i].Pos, Index: bw.Count()})
-		}
-		if err := bw.WriteEncoded(body); err != nil {
-			return nil, err
-		}
 	}
 	return NewIndex(entries), nil
 }
@@ -147,10 +133,6 @@ func BuildIndex(f *File) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		refID := int32(binary.LittleEndian.Uint32(raw[0:]))
-		pos := int32(binary.LittleEndian.Uint32(raw[4:])) + 1
-		if refID >= 0 {
-			entries = append(entries, Entry{RefID: refID, Pos: pos, Index: i})
-		}
+		entries = appendEntry(entries, raw, i)
 	}
 }

@@ -28,8 +28,8 @@
 // The converter instances of Section III are thin configurations:
 // ConvertSAM (SAM source), ConvertBAM/ConvertBAMX (sequential BAMX/BAIX
 // preprocessing, then the provider source), ConvertSAMPreprocessed
-// (the SAM source collecting records into per-rank BAMX files, then the
-// provider source).
+// (the SAM source encoding each rank's records into a raw spill that a
+// pad pass turns into the rank's BAMX file, then the provider source).
 package conv
 
 import (

@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"parseq/internal/bam"
+	"parseq/internal/bamx"
 	"parseq/internal/formats"
 	"parseq/internal/formats/pamx"
+	"parseq/internal/partition"
 	"parseq/internal/sam"
 	"parseq/internal/shard"
 	"parseq/internal/simdata"
@@ -443,6 +445,94 @@ func TestPreprocessSAMParallelProducesValidBAMX(t *testing.T) {
 	got := concatFiles(t, res.Files)
 	if want := expected(t, d, "fastq"); got != want {
 		t.Error("sharded conversion differs from reference")
+	}
+}
+
+// TestPreprocessSAMParallelMatchesBuildFromRecords: every rank's .bamx
+// and .baix equal bamx.BuildFromRecords over that rank's partition
+// records, at every rank and parse-worker count. The file's last record
+// carries the widest read name, CIGAR, sequence and aux, so the last
+// rank's caps grow only on its final record.
+func TestPreprocessSAMParallelMatchesBuildFromRecords(t *testing.T) {
+	samPath, _, d := writeDataset(t, 600)
+	const cigarOps, seqLen = 400, 1200 // "5M1I" × 200
+	wide := fmt.Sprintf("%s\t0\t%s\t1\t60\t%s\t*\t0\t0\t%s\t%s\tXZ:Z:%s\n",
+		strings.Repeat("q", 200), d.Header.Refs[0].Name, strings.Repeat("5M1I", cigarOps/2),
+		strings.Repeat("ACGTAC", seqLen/6), strings.Repeat("I", seqLen), strings.Repeat("z", 500))
+	f, err := os.OpenFile(samPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(wide); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	data, err := os.ReadFile(samPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := os.Open(samPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	h, dataStart, err := sam.ScanHeader(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []int{1, 2, 3, 5} {
+		ranges, err := partition.SAMForward(in, dataStart, int64(len(data)), cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each rank's reference pair, built from its partition's records.
+		want := make([][2][]byte, cores)
+		for r, br := range ranges {
+			var recs []sam.Record
+			for _, line := range strings.Split(string(data[br.Start:br.End]), "\n") {
+				if line == "" {
+					continue
+				}
+				var rec sam.Record
+				if err := sam.ParseRecordIntoBytes(&rec, []byte(line)); err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, rec)
+			}
+			var x, ix bytes.Buffer
+			idx, err := bamx.BuildFromRecords(&x, h, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := idx.WriteTo(&ix); err != nil {
+				t.Fatal(err)
+			}
+			want[r] = [2][]byte{x.Bytes(), ix.Bytes()}
+		}
+		if last := want[cores-1][0]; !bytes.Contains(last, []byte(strings.Repeat("z", 500))) {
+			t.Fatalf("cores=%d: the wide record is not in the last rank's file", cores)
+		}
+		for _, workers := range []int{1, 4} {
+			dir := t.TempDir()
+			pre, err := PreprocessSAMParallel(samPath, Options{Cores: cores, ParseWorkers: workers, OutDir: dir, OutPrefix: "pp"})
+			if err != nil {
+				t.Fatalf("cores=%d workers=%d: %v", cores, workers, err)
+			}
+			if pre.Records != int64(len(d.Records)+1) {
+				t.Errorf("cores=%d workers=%d: Records = %d, want %d", cores, workers, pre.Records, len(d.Records)+1)
+			}
+			for r := range cores {
+				for i, path := range []string{pre.BAMXFiles[r], pre.BAIXFiles[r]} {
+					if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want[r][i]) {
+						t.Errorf("cores=%d workers=%d: %s differs from BuildFromRecords over rank %d's records (err %v)",
+							cores, workers, filepath.Base(path), r, err)
+					}
+				}
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 2*cores {
+				t.Errorf("cores=%d workers=%d: %d files in the output directory, want %d", cores, workers, len(left), 2*cores)
+			}
+		}
 	}
 }
 

@@ -4,17 +4,18 @@
 //	        lines — subslices of the file mapping, or pooled chunks with
 //	        boundary lines stitched through a dedicated carry buffer where
 //	        mapping is unavailable,
-//	parse:  parse each batch's lines in place (sam.ParseRecordIntoBytes —
-//	        zero per-line allocation) and hand each record to the
-//	        caller's work function (encode into a pooled output buffer, or
-//	        keep the record for preprocessing),
-//	drain:  hand each parsed batch to the caller in input order.
+//	encode: parse each batch's lines in place (sam.ParseRecordIntoBytes —
+//	        zero per-line allocation) and encode each record into a
+//	        pooled output buffer (target text, or BAM records for a
+//	        shard or preprocessing's spill),
+//	drain:  hand each encoded batch to the caller in input order.
 //
 // With ParseWorkers 1 all three run inline on the rank's goroutine, one
 // batch at a time. With more, the scan runs on its own goroutine and
-// ParseWorkers goroutines parse behind an order-preserving parpipe stage,
-// so the output bytes and the first error surfaced do not depend on the
-// worker count — the byte-identity and error-parity tests pin both.
+// ParseWorkers goroutines encode behind an order-preserving parpipe
+// stage, so the output bytes and the first error surfaced do not depend
+// on the worker count — the byte-identity and error-parity tests pin
+// both.
 
 package conv
 
@@ -39,16 +40,15 @@ import (
 const batchBytes = 256 << 10
 
 // lineBatch is the pipeline's unit of work: one pooled chunk of whole
-// input lines on the way in; encoded output bytes (or parsed records,
-// on the preprocessing path) plus tallies on the way out.
+// input lines on the way in; encoded output bytes plus tallies on the
+// way out.
 type lineBatch struct {
-	chunk   []byte       // whole input lines (pooled; nil on sentinel batches)
-	base    int64        // absolute file offset of chunk[0]
-	out     []byte       // encoded target bytes (pooled)
-	recs    []sam.Record // parsed records (preprocessing path only)
-	records int64        // records parsed
-	emitted int64        // records that produced output
-	err     error        // first parse/encode error, or terminal scan error
+	chunk   []byte // whole input lines (pooled; nil on sentinel batches)
+	base    int64  // absolute file offset of chunk[0]
+	out     []byte // encoded target bytes (pooled)
+	records int64  // records parsed
+	emitted int64  // records that produced output
+	err     error  // first parse/encode error, or terminal scan error
 }
 
 // batchScanner cuts a stream into pooled chunks of whole lines. The
@@ -146,22 +146,14 @@ var (
 	batchPool = sync.Pool{New: func() any { return &lineBatch{} }}
 )
 
-// batchFunc is what the engine does with one parsed record of batch b.
-// It runs on a parse worker and may touch only b and its own state; rec
-// aliases b.chunk and is reparsed into after the call, so a function
-// that keeps the record appends it to b.recs and zeroes *rec.
-type batchFunc func(b *lineBatch, rec *sam.Record) error
-
-// batches runs the engine over br: each batch's records go to a
-// newWork() instance (one per parse goroutine) and drain is called with
-// every batch in input order on the caller's goroutine. A scan error
-// travels as the final batch's err, so drain sees every complete batch
-// first — first error in stream order; a batch that fails midway is
-// still drained (its records before the error count) before its error
-// ends the run.
-func (s *samSource) batches(br partition.ByteRange, stage string,
-	newWork func() batchFunc, drain func(*lineBatch) error) error {
-
+// batches runs the engine over br: each batch's records are encoded into
+// its out by a newEncoder() instance (one per encode goroutine) and
+// drain is called with every batch in input order on the caller's
+// goroutine. A scan error travels as the final batch's err, so drain
+// sees every complete batch first — first error in stream order; a
+// batch that fails midway is still drained (its records before the
+// error count) before its error ends the run.
+func (s *samSource) batches(br partition.ByteRange, newEncoder func() encodeFunc, drain func(*lineBatch) error) error {
 	var stop atomic.Bool
 	pooled := s.mapped == nil
 	scan := func(emit func(*lineBatch)) {
@@ -181,41 +173,35 @@ func (s *samSource) batches(br partition.ByteRange, stage string,
 				stop.Store(true)
 			}
 		}
-		// Pool chunks go back unless the batch's records were kept (they
-		// alias the chunk — the lifetime contract of
-		// sam.ParseRecordIntoBytes) or a long line grew the chunk past
+		// Pool chunks go back unless a long line grew the chunk past
 		// batchBytes, which would leave the shared population unevenly
 		// sized.
-		if pooled && len(b.recs) == 0 && cap(b.chunk) == batchBytes {
+		if pooled && cap(b.chunk) == batchBytes {
 			chunkPool.Put(b.chunk[:0])
 		}
 		outPool.Put(b.out[:0])
-		// drain has copied the kept records out; the batch keeps the
-		// slice's capacity for the next batch's records, cleared so it
-		// pins no chunk.
-		clear(b.recs)
-		*b = lineBatch{recs: b.recs[:0]}
+		*b = lineBatch{}
 		batchPool.Put(b)
 	}
 
 	if s.workers == 1 {
-		work := newWork()
+		encode := newEncoder()
 		scan(func(b *lineBatch) {
-			parseBatchLines(b, work)
+			encodeBatch(b, encode)
 			settle(b)
 		})
 		return firstErr
 	}
-	// One work function per worker, built up front and handed around.
-	free := make(chan batchFunc, s.workers)
+	// One encoder per worker, built up front and handed around.
+	free := make(chan encodeFunc, s.workers)
 	for i := 0; i < s.workers; i++ {
-		free <- newWork()
+		free <- newEncoder()
 	}
 	pipe := parpipe.NewObserved(s.workers, 4*s.workers, func(b *lineBatch) {
-		work := <-free
-		parseBatchLines(b, work)
-		free <- work
-	}, obs.Default(), stage)
+		encode := <-free
+		encodeBatch(b, encode)
+		free <- encode
+	}, obs.Default(), "conv.encode")
 	go func() {
 		defer pipe.Close()
 		scan(pipe.Submit)
@@ -277,36 +263,42 @@ func cutBatches(emit func(*lineBatch), stop *atomic.Bool, data []byte, base int6
 	}
 }
 
-// parseBatchLines drives one batch's line loop: every non-empty line is
-// parsed in place and handed to work. On any error the batch stops
-// there, recording it — batches are independent, and the ordered drain
-// surfaces the first error in stream order.
-func parseBatchLines(b *lineBatch, work batchFunc) {
+// encodeBatch drives one batch's line loop: every non-empty line is
+// parsed in place and encoded onto b.out. On any error the batch stops
+// there, recording it with the line's file offset — batches are
+// independent, and the ordered drain surfaces the first error in stream
+// order.
+func encodeBatch(b *lineBatch, encode encodeFunc) {
 	if b.err != nil {
 		return
 	}
 	var rec sam.Record
-	data := b.chunk
-	rel := int64(0)
-	for len(data) > 0 {
+	for data := b.chunk; len(data) > 0; {
+		off := b.base + int64(len(b.chunk)-len(data)) // the line's file offset
 		line, rest := cutLine(data)
+		data = rest
 		if len(line) >= sam.MaxLineBytes {
 			// Line-limit parity with sam.LineScanner, which refuses
 			// any line of at least the limit.
-			b.err = sam.LineTooLongError(b.base + rel)
+			b.err = sam.LineTooLongError(off)
 			return
 		}
-		rel += int64(len(data) - len(rest))
-		data = rest
 		if len(line) == 0 {
 			continue
 		}
-		if b.err = sam.ParseRecordIntoBytes(&rec, line); b.err != nil {
+		if err := sam.ParseRecordIntoBytes(&rec, line); err != nil {
+			b.err = sam.LineError(off, err)
 			return
 		}
 		b.records++
-		if b.err = work(b, &rec); b.err != nil {
+		out, err := encode(b.out, &rec)
+		if err != nil {
+			b.err = sam.LineError(off, err)
 			return
 		}
+		if len(out) != len(b.out) {
+			b.emitted++
+		}
+		b.out = out
 	}
 }

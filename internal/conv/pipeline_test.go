@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"parseq/internal/bam"
+	"parseq/internal/bamx"
 	"parseq/internal/formats"
 	"parseq/internal/partition"
 	"parseq/internal/sam"
@@ -174,8 +175,9 @@ func TestPipelinedPreprocessedConverterIdentity(t *testing.T) {
 }
 
 // corruptRecord rewrites samPath with alignment line n's FLAG field
-// replaced by a non-number, returning the corrupted copy's path.
-func corruptRecord(t *testing.T, samPath string, n int) string {
+// replaced by a non-number, returning the corrupted copy's path and the
+// file offset of the corrupted line.
+func corruptRecord(t *testing.T, samPath string, n int) (string, int) {
 	t.Helper()
 	data, err := os.ReadFile(samPath)
 	if err != nil {
@@ -198,22 +200,23 @@ func corruptRecord(t *testing.T, samPath string, n int) string {
 			if err := os.WriteFile(out, []byte(strings.Join(lines, "")), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			return out
+			return out, len(strings.Join(lines[:i], ""))
 		}
 		seen++
 	}
 	t.Fatalf("fewer than %d alignment lines", n)
-	return ""
+	return "", 0
 }
 
 // TestPipelinedErrorParity pins the failure contract: a malformed
-// record surfaces the same error message at every worker count, and the
-// partial rank file holds exactly the records before it — everything
-// before the failing record, nothing after.
+// record surfaces the same error message, naming its line's file
+// offset, at every worker count, and the partial rank file holds exactly
+// the records before it — everything before the failing record, nothing
+// after.
 func TestPipelinedErrorParity(t *testing.T) {
 	samPath, _, d := writeDataset(t, 400)
-	corrupt := corruptRecord(t, samPath, 250)
-	const wantErr = `sam: invalid alignment record: FLAG "notaflag"`
+	corrupt, off := corruptRecord(t, samPath, 250)
+	wantErr := fmt.Sprintf(`sam: line at file offset %d: sam: invalid alignment record: FLAG "notaflag"`, off)
 	wantPartial, _ := referenceText(t, d.Records[:250], d.Header, "sam")
 
 	for _, workers := range []int{1, 4, 8} {
@@ -349,12 +352,11 @@ func TestLineJustUnderLimitSucceeds(t *testing.T) {
 	}
 }
 
-// TestCollectRetainsRecords pins the aliasing contract of preprocessing:
-// collect keeps records that alias the batches' lines, so once a range
-// longer than two batches has drained, every kept record must still read
-// as the dataset's — over the file mapping and over pooled chunks, which
-// must not be recycled under a kept record, inline and pipelined.
-func TestCollectRetainsRecords(t *testing.T) {
+// TestPreprocessRankMappedAndPooled: one preprocessing rank over a
+// range longer than two batches writes the same BAMX and BAIX bytes as
+// bamx.BuildFromRecords over the dataset — over the file mapping and over
+// pooled chunks, inline and pipelined — and leaves no spill behind.
+func TestPreprocessRankMappedAndPooled(t *testing.T) {
 	samPath, _, d := writeDataset(t, 3000)
 	for _, workers := range []int{1, 4} {
 		for _, mapped := range []bool{true, false} {
@@ -373,20 +375,33 @@ func TestCollectRetainsRecords(t *testing.T) {
 			if !mapped {
 				src.mapped = nil
 			}
-			recs, err := src.collect(partition.ByteRange{Start: src.dataStart, End: src.size})
+			var want bytes.Buffer
+			wantIdx, err := bamx.BuildFromRecords(&want, src.header, d.Records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			bamxPath, baixPath := filepath.Join(dir, "r.bamx"), filepath.Join(dir, "r.baix")
+			n, err := src.preprocess(partition.ByteRange{Start: src.dataStart, End: src.size}, bamxPath, baixPath)
+			src.close()
 			if err != nil {
 				t.Fatalf("workers=%d mapped=%v: %v", workers, mapped, err)
 			}
-			if len(recs) != len(d.Records) {
-				t.Fatalf("workers=%d mapped=%v: %d records, want %d", workers, mapped, len(recs), len(d.Records))
+			if n != int64(len(d.Records)) {
+				t.Errorf("workers=%d mapped=%v: %d records, want %d", workers, mapped, n, len(d.Records))
 			}
-			for i := range recs {
-				if got, want := recs[i].String(), d.Records[i].String(); got != want {
-					t.Errorf("workers=%d mapped=%v record %d = %q, want %q", workers, mapped, i, got, want)
-					break
+			var wantIx bytes.Buffer
+			if _, err := wantIdx.WriteTo(&wantIx); err != nil {
+				t.Fatal(err)
+			}
+			for path, want := range map[string][]byte{bamxPath: want.Bytes(), baixPath: wantIx.Bytes()} {
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("workers=%d mapped=%v: %s differs from BuildFromRecords (err %v)", workers, mapped, filepath.Base(path), err)
 				}
 			}
-			src.close()
+			if left, _ := os.ReadDir(dir); len(left) != 2 {
+				t.Errorf("workers=%d mapped=%v: %d files in the output directory, want the pair", workers, mapped, len(left))
+			}
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package conv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
 
+	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/mpi"
 	"parseq/internal/partition"
@@ -65,20 +67,7 @@ func (s *samSource) convert(br partition.ByteRange, sk *sink) (rankStats, error)
 	addBytesTotal(br.Len()) // the /progress ETA denominator
 	st := rankStats{bytesIn: br.Len()}
 	live := newLiveProgress()
-	err := s.batches(br, "conv.encode", func() batchFunc {
-		encode := sk.encoder()
-		return func(b *lineBatch, rec *sam.Record) error {
-			out, err := encode(b.out, rec)
-			if err != nil {
-				return err
-			}
-			if len(out) != len(b.out) {
-				b.emitted++
-			}
-			b.out = out
-			return nil
-		}
-	}, func(b *lineBatch) error {
+	err := s.batches(br, sk.encoder, func(b *lineBatch) error {
 		st.records += b.records
 		st.emitted += b.emitted
 		live.batch(b.records, int64(len(b.chunk)), int64(len(b.out)))
@@ -87,30 +76,40 @@ func (s *samSource) convert(br partition.ByteRange, sk *sink) (rankStats, error)
 	return st, err
 }
 
-// collect parses br's records into a slice — what preprocessing does
-// with a parsed record instead of encoding it. The records alias the
-// batches' lines, which the source keeps alive until close.
-func (s *samSource) collect(br partition.ByteRange) ([]sam.Record, error) {
-	var recs []sam.Record
-	err := s.batches(br, "conv.parse", func() batchFunc {
-		return func(b *lineBatch, rec *sam.Record) error {
-			b.recs = append(b.recs, *rec)
-			*rec = sam.Record{} // the slice now owns the Cigar and Tags arrays
-			return nil
+// preprocess is one rank of SAM preprocessing. The batch engine encodes
+// br's records as a BAM shard's are and the drain appends each batch to
+// a raw spill in the output directory (a bam.RunReader run), growing the
+// BAMX caps and counting records as it goes; a pad pass then writes the
+// rank's BAMX/BAIX pair from the spill, which is removed on every path.
+// Memory is O(batch); temporary disk is the rank's uncompressed records.
+func (s *samSource) preprocess(br partition.ByteRange, bamxPath, baixPath string) (n int64, err error) {
+	spill, err := os.CreateTemp(filepath.Dir(bamxPath), filepath.Base(bamxPath)+".spill-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(spill.Name())
+	defer spill.Close()
+	var caps bamx.Caps
+	err = s.batches(br, func() encodeFunc { return bamEncoder(s.header) }, func(b *lineBatch) error {
+		for rec := b.out; len(rec) > 0; {
+			size := 4 + int(binary.LittleEndian.Uint32(rec))
+			caps.Observe(rec[4:size])
+			rec = rec[size:]
 		}
-	}, func(b *lineBatch) error {
-		if recs == nil && len(b.chunk) > 0 {
-			// Size the rank's slice once, from the first batch's records
-			// per byte, instead of regrowing it batch after batch.
-			recs = make([]sam.Record, 0, int64(len(b.recs))*(br.Len()/int64(len(b.chunk))+1))
-		}
-		recs = append(recs, b.recs...)
-		return nil
+		n += b.records
+		_, err := spill.Write(b.out)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return recs, nil
+	if _, err := spill.Seek(0, io.SeekStart); err != nil {
+		return 0, err
+	}
+	_, err = writeIndexed(bamxPath, baixPath, func(w io.Writer) (*bamx.Index, error) {
+		return bamx.WriteBodies(w, s.header, caps, bam.NewRunReader(spill, n).NextBody)
+	})
+	return n, err
 }
 
 // ConvertSAM is the paper's SAM format converter: the input file is
@@ -151,9 +150,12 @@ func ConvertSAMToBAM(samPath string, opts Options) (*Result, error) {
 // BAIX index, <OutDir>/<OutPrefix>_m<rank>.{bamx,baix} (OutPrefix
 // defaults to "pre"). Unlike the BAM preprocessor this phase
 // parallelises, because SAM's line breakers make the partitioning
-// possible. ParseWorkers and Launch mean what they mean for ConvertSAM;
-// under a distributed launcher each process preprocesses and records
-// only its own rank's pair — the files on disk are the shared result.
+// possible. Each rank streams, in memory bounded by a batch: its records
+// are spilled raw to OutDir and padded from there. A failed run leaves
+// no rank's pair behind. ParseWorkers and Launch mean what they mean for
+// ConvertSAM; under a distributed launcher each process preprocesses and
+// records only its own rank's pair — the files on disk are the shared
+// result.
 func PreprocessSAMParallel(samPath string, opts Options) (*PreprocessResult, error) {
 	if opts.OutPrefix == "" {
 		opts.OutPrefix = "pre"
@@ -174,19 +176,21 @@ func PreprocessSAMParallel(samPath string, opts Options) (*PreprocessResult, err
 	stats, err := run(&opts, "preprocess", func(c *mpi.Comm) (func() (rankStats, error), error) {
 		br, err := src.partition(c)
 		return func() (rankStats, error) {
-			recs, err := src.collect(br)
+			base := filepath.Join(opts.OutDir, fmt.Sprintf("%s_m%03d", opts.OutPrefix, c.Rank()))
+			n, err := src.preprocess(br, base+".bamx", base+".baix")
 			if err != nil {
 				return rankStats{}, err
 			}
-			base := filepath.Join(opts.OutDir, fmt.Sprintf("%s_m%03d", opts.OutPrefix, c.Rank()))
-			_, err = writeIndexed(base+".bamx", base+".baix", func(w io.Writer) (*bamx.Index, error) {
-				return bamx.BuildFromRecords(w, src.header, recs)
-			})
 			res.BAMXFiles[c.Rank()], res.BAIXFiles[c.Rank()] = base+".bamx", base+".baix"
-			return rankStats{records: int64(len(recs))}, err
+			return rankStats{records: n}, nil
 		}, err
 	})
 	if err != nil {
+		// The pairs of ranks that succeeded could pass for a good result.
+		for i := range res.BAMXFiles {
+			os.Remove(res.BAMXFiles[i]) // "" for a rank that wrote none
+			os.Remove(res.BAIXFiles[i])
+		}
 		return nil, err
 	}
 	res.Records = stats.Records

@@ -91,15 +91,20 @@ func newSink(opts *Options, h *sam.Header, rank int) (*sink, error) {
 // sink pins a megabyte of write buffer — measured as +40% peak RSS on a
 // daemon serving small jobs.
 func (s *sink) encoder() encodeFunc {
-	h := s.h
 	if s.shard != nil {
-		return func(dst []byte, rec *sam.Record) ([]byte, error) {
-			return bam.EncodeRecord(dst, rec, h)
-		}
+		return bamEncoder(s.h)
 	}
 	enc, _ := formats.New(s.format) // newSink proved the name registered
+	h := s.h
 	return func(dst []byte, rec *sam.Record) ([]byte, error) {
 		return enc.Encode(dst, rec, h)
+	}
+}
+
+// bamEncoder encodes records for a BAM shard or preprocessing's spill.
+func bamEncoder(h *sam.Header) encodeFunc {
+	return func(dst []byte, rec *sam.Record) ([]byte, error) {
+		return bam.EncodeRecord(dst, rec, h)
 	}
 }
 

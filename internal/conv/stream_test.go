@@ -103,6 +103,9 @@ func TestRewritesLeaveNoPartialOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A bad line in the second half of the alignments: in rank 1's
+	// partition of a two-rank preprocessing, after rank 0's whole share.
+	badLine, _ := corruptRecord(t, samPath, 1800)
 	garbage := filepath.Join(dir, "garbage.bam")
 	if err := os.WriteFile(garbage, []byte("not a BAM shard"), 0o644); err != nil {
 		t.Fatal(err)
@@ -114,6 +117,10 @@ func TestRewritesLeaveNoPartialOutput(t *testing.T) {
 	}{
 		{"PreprocessBAMFile/truncated mid-block", []string{"o.bamx", "o.baix"}, func(o []string) error {
 			_, err := PreprocessBAMFile(truncated, o[0], o[1], 1)
+			return err
+		}},
+		{"PreprocessSAMParallel/bad line in rank 1", []string{"x_m000.bamx"}, func(o []string) error {
+			_, err := PreprocessSAMParallel(badLine, Options{Cores: 2, OutDir: filepath.Dir(o[0]), OutPrefix: "x"})
 			return err
 		}},
 		{"MergeBAMShards/garbage second shard", []string{"merged.bam"}, func(o []string) error {

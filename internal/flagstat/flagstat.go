@@ -223,7 +223,7 @@ func tallyRange(f io.ReaderAt, br partition.ByteRange) (Stats, error) {
 	var s Stats
 	scan := sam.NewLineScanner(f, br.Start, br.Len())
 	var rec sam.Record
-	for scan.Scan() {
+	for off := br.Start; scan.Scan(); off = br.Start + scan.Pos() {
 		line := scan.Bytes()
 		if len(line) == 0 {
 			continue
@@ -231,7 +231,7 @@ func tallyRange(f io.ReaderAt, br partition.ByteRange) (Stats, error) {
 		// Bytes path: no per-line string copy, kern-scanned fields. The
 		// record is consumed by Add before the scanner reuses the buffer.
 		if err := sam.ParseRecordIntoBytes(&rec, line); err != nil {
-			return s, err
+			return s, sam.LineError(off, err)
 		}
 		s.Add(&rec)
 	}

@@ -96,7 +96,7 @@ func accumulateRange(f io.ReaderAt, br partition.ByteRange, rname string, refLen
 	}
 	scan := sam.NewLineScanner(f, br.Start, br.Len())
 	var rec sam.Record
-	for scan.Scan() {
+	for off := br.Start; scan.Scan(); off = br.Start + scan.Pos() {
 		line := scan.Bytes()
 		if len(line) == 0 {
 			continue
@@ -104,7 +104,7 @@ func accumulateRange(f io.ReaderAt, br partition.ByteRange, rname string, refLen
 		// The record is consumed by AddRecord before the scanner reuses
 		// the buffer.
 		if err := sam.ParseRecordIntoBytes(&rec, line); err != nil {
-			return nil, err
+			return nil, sam.LineError(off, err)
 		}
 		local.AddRecord(&rec)
 	}

@@ -76,10 +76,6 @@ var MetricNames = []MetricInfo{
 	{"parpipe.conv.encode.busy_ns", KindCounter, "worker ns spent parsing+encoding line batches"},
 	{"parpipe.conv.encode.idle_ns", KindCounter, "worker ns spent waiting for line batches"},
 	{"parpipe.conv.encode.queue_depth", KindGauge, "converter line batches queued and not yet picked up"},
-	{"parpipe.conv.parse.items", KindCounter, "line batches parsed by the preprocessing pipeline"},
-	{"parpipe.conv.parse.busy_ns", KindCounter, "worker ns spent parsing preprocessing batches"},
-	{"parpipe.conv.parse.idle_ns", KindCounter, "worker ns spent waiting for preprocessing batches"},
-	{"parpipe.conv.parse.queue_depth", KindGauge, "preprocessing line batches queued and not yet picked up"},
 
 	// BGZF codec streams and the shared deflate pool.
 	{"bgzf.deflate.blocks", KindCounter, "BGZF blocks compressed"},

@@ -72,6 +72,12 @@ func LineTooLongError(fileOff int64) error {
 		fileOff, MaxLineBytes, bufio.ErrTooLong)
 }
 
+// LineError is how every SAM line reader reports a record's parse or
+// encode error: naming the line's file offset, wrapping the cause.
+func LineError(fileOff int64, err error) error {
+	return fmt.Errorf("sam: line at file offset %d: %w", fileOff, err)
+}
+
 // LineScanner reads the lines of one byte range of a SAM file — a rank's
 // Algorithm 1 partition — with the raised line limit and exact offset
 // tracking, so the over-limit error reports where the offending line

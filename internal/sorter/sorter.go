@@ -17,7 +17,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 
@@ -62,10 +61,6 @@ func (o *Options) normalize() (sharedCodec bool) {
 	}
 	return sharedCodec
 }
-
-// runBufSize is the buffer of each run's writer and of each run's
-// reader in the merge.
-const runBufSize = 64 << 10
 
 // key is a record's coordinate sort key: the reference ID, past every
 // reference for an unmapped record, and the SAM POS.
@@ -122,7 +117,7 @@ func (c *chunk) spill(path string) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, runBufSize)
+	w := bufio.NewWriterSize(f, 64<<10)
 	for i := range c.offs {
 		w.Write(c.record(i)) // sticky: Flush reports the first error
 	}
@@ -179,7 +174,7 @@ func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 				dst, err = bam.EncodeRecord(dst, &rec, h)
 			}
 			if err != nil {
-				return dst, fmt.Errorf("sam: line at file offset %d: %w", off, err)
+				return dst, sam.LineError(off, err)
 			}
 			return dst, nil
 		}
@@ -293,42 +288,23 @@ func sortToBAM(in *sam.Header, next nextFunc, outPath string, opts Options, shar
 // runReader is one run in the merge: its current record and key.
 type runReader struct {
 	run
-	idx  int // the run's place in input order, which breaks key ties
-	r    *bufio.Reader
-	read int
-	rec  []byte // block_size prefix included
-	k    key
+	idx int // the run's place in input order, which breaks key ties
+	r   *bam.RunReader
+	rec []byte // block_size prefix included
+	k   key
 }
 
 // next reads the run's next record, reporting false once all n are read.
-// A run that ends early, even at a record boundary, is an error.
 func (rr *runReader) next() (bool, error) {
-	if rr.read == rr.n {
+	rec, err := rr.r.Next()
+	if err == io.EOF {
 		return false, nil
 	}
-	rr.rec = slices.Grow(rr.rec[:0], 4)[:4]
-	if _, err := io.ReadFull(rr.r, rr.rec); err != nil {
-		return false, rr.failed(err)
+	if err != nil {
+		return false, fmt.Errorf("sorter: run %s: %w", rr.path, err)
 	}
-	size := int(int32(binary.LittleEndian.Uint32(rr.rec)))
-	if size < 32 {
-		return false, fmt.Errorf("sorter: run %s record %d: block_size %d", rr.path, rr.read, size)
-	}
-	rr.rec = slices.Grow(rr.rec, size)[:4+size]
-	if _, err := io.ReadFull(rr.r, rr.rec[4:]); err != nil {
-		return false, rr.failed(err)
-	}
-	rr.read++
-	rr.k = keyOf(rr.rec)
+	rr.rec, rr.k = rec, keyOf(rec)
 	return true, nil
-}
-
-func (rr *runReader) failed(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("sorter: run %s ends after %d of %d records: %w",
-			rr.path, rr.read, rr.n, io.ErrUnexpectedEOF)
-	}
-	return err
 }
 
 // mergeHeap orders the runs by their current record.
@@ -389,7 +365,7 @@ func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int,
 			return err
 		}
 		defer f.Close()
-		rr := &runReader{run: r, idx: i, r: bufio.NewReaderSize(f, runBufSize)}
+		rr := &runReader{run: r, idx: i, r: bam.NewRunReader(f, int64(r.n))}
 		if ok, err := rr.next(); err != nil {
 			return err
 		} else if ok {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -401,14 +402,21 @@ func TestMergeRunsFailureLeavesNoOutput(t *testing.T) {
 		boundary += len(c.record(i))
 	}
 	missing := run{path: filepath.Join(dir, "missing"), n: 1}
-	for _, cut := range []int{len(raw) / 2, boundary} {
+	// bam.RunReader's two kinds of short run: cut inside a record, the
+	// frame is an invalid record; cut at a boundary, the run lacks
+	// records.
+	for cut, kind := range map[int]error{len(raw) / 2: bam.ErrInvalidRecord, boundary: io.ErrUnexpectedEOF} {
 		if err := os.WriteFile(bad.path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, runs := range [][]run{{good, bad}, {bad}, {good, missing}} {
 			out := filepath.Join(dir, "out.bam")
-			if err := mergeRuns(runs, d.Header, out, 1, false); err == nil {
+			err := mergeRuns(runs, d.Header, out, 1, false)
+			if err == nil {
 				t.Fatalf("merge of %v cut at %d succeeded", runs, cut)
+			}
+			if runs[len(runs)-1] == bad && !errors.Is(err, kind) {
+				t.Errorf("merge of %v cut at %d: err = %v, want %v", runs, cut, err, kind)
 			}
 			if _, err := os.Stat(out); !os.IsNotExist(err) {
 				t.Fatalf("failed merge of %v left %s behind (stat: %v)", runs, out, err)

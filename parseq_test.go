@@ -2,10 +2,14 @@ package parseq
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"parseq/internal/sam"
 )
 
 // writeSample materialises a small dataset for the facade tests.
@@ -288,5 +292,66 @@ func TestPeaksFacade(t *testing.T) {
 	}
 	if pt < 0 || estimate < 0 {
 		t.Errorf("pt=%g estimate=%g", pt, estimate)
+	}
+}
+
+// TestSAMParseErrorsNameTheLineOffset: a malformed alignment line in a
+// later rank's partition fails every SAM text entry point with the same
+// error, naming the line's absolute file offset and wrapping the parse
+// error's cause.
+func TestSAMParseErrorsNameTheLineOffset(t *testing.T) {
+	samPath, _, d := writeSample(t, 2000)
+	data, err := os.ReadFile(samPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	off, seen := 0, 0
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "@") {
+			if seen == 1500 {
+				fields := strings.Split(line, "\t")
+				fields[3] = "notanumber"
+				lines[i] = strings.Join(fields, "\t")
+				break
+			}
+			seen++
+		}
+		off += len(line)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.sam")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`sam: line at file offset %d: sam: invalid alignment record: POS "notanumber"`, off)
+	for _, tc := range []struct {
+		name string
+		run  func(dir string) error
+	}{
+		{"ConvertSAM", func(dir string) error {
+			_, err := ConvertSAM(bad, Options{Format: "bed", Cores: 2, OutDir: dir})
+			return err
+		}},
+		{"PreprocessSAM", func(dir string) error {
+			_, err := PreprocessSAM(bad, dir, "pre", 2)
+			return err
+		}},
+		{"Flagstat", func(string) error {
+			_, err := Flagstat(bad, 2)
+			return err
+		}},
+		{"CoverageParallel", func(string) error {
+			_, err := CoverageParallel(bad, d.Header.Refs[0].Name, 1000, 2)
+			return err
+		}},
+		{"SortSAMToBAM", func(dir string) error {
+			_, err := SortSAMToBAM(bad, filepath.Join(dir, "s.bam"), SortOptions{Cores: 2, ChunkRecords: 500})
+			return err
+		}},
+	} {
+		err := tc.run(t.TempDir())
+		if err == nil || err.Error() != want || !errors.Is(err, sam.ErrInvalidRecord) {
+			t.Errorf("%s: err = %v, want %q wrapping sam.ErrInvalidRecord", tc.name, err, want)
+		}
 	}
 }
