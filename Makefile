@@ -123,6 +123,9 @@ fmt-check:
 # bam.NewParallelScanner, which only bench/ still calls. And the
 # converter streams: no non-test file under internal/conv holds records
 # as a []sam.Record (SAM preprocessing spills encoded records instead).
+# And numbers cross ranks one way, through internal/mpi's generic
+# collectives: no non-test file outside internal/mpi hand-codes float64
+# bits, and no Go file names a typed Comm helper they replaced.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -155,6 +158,14 @@ deps-check:
 	@bad=$$(ls internal/conv/*.go | grep -v _test | xargs grep -n '\[\]sam\.Record' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: internal/conv holds records in a []sam.Record:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'math\.Float64\(from\)\?bits' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./internal/mpi/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: float64 bits hand-coded outside internal/mpi:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE '\b(ReduceFloat64Sum|ReduceInt64Sum|AllreduceInt64Sum|SendInt64|RecvInt64|SendFloat64s|RecvFloat64s)\b' --include=*.go . || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a typed mpi.Comm helper in place of the generic collectives:"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them

@@ -210,8 +210,9 @@ func TwoPass(hist []float64, sims [][]float64, pt float64) (float64, error) {
 
 // ParallelFused is Algorithm 2: the datasets are partitioned in the bin
 // direction, each rank computes its local sum◇ and sum* concurrently, and
-// after one global synchronisation the master reduces both sums and
-// computes the FDR. All ranks return the result.
+// after one global synchronisation a single mpi.AllreduceSum adds both
+// sums and every rank computes the FDR from them. All ranks return the
+// result.
 func ParallelFused(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) (float64, error) {
 	if err := validate(hist, sims); err != nil {
 		return 0, err
@@ -219,20 +220,16 @@ func ParallelFused(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) (f
 	lo, hi := c.SplitRange(len(hist)) // line 1: bin-direction partitioning
 	sd, ss := binSums(hist, sims, pt, lo, hi)
 
-	// Lines 4-8: one synchronisation covers both reductions because the
-	// summation permutation made them independent local sums.
+	// Lines 4-8: one synchronisation and one reduction cover both sums
+	// because the summation permutation made them independent local sums.
 	if err := c.Barrier(); err != nil {
 		return 0, err
 	}
-	totalD, err := c.AllreduceInt64Sum(sd)
+	total, err := mpi.AllreduceSum(c, []int64{sd, ss})
 	if err != nil {
 		return 0, err
 	}
-	totalS, err := c.AllreduceInt64Sum(ss)
-	if err != nil {
-		return 0, err
-	}
-	return fromSums(totalD, totalS, len(sims))
+	return fromSums(total[0], total[1], len(sims))
 }
 
 // ParallelTwoPass is the unfused ablation baseline: the numerator is
@@ -250,7 +247,7 @@ func ParallelTwoPass(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) 
 	if err := c.Barrier(); err != nil {
 		return 0, err
 	}
-	totalD, err := c.AllreduceInt64Sum(sd)
+	totalD, err := mpi.AllreduceSum(c, []int64{sd})
 	if err != nil {
 		return 0, err
 	}
@@ -260,11 +257,11 @@ func ParallelTwoPass(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) 
 	if err := c.Barrier(); err != nil {
 		return 0, err
 	}
-	totalS, err := c.AllreduceInt64Sum(ss)
+	totalS, err := mpi.AllreduceSum(c, []int64{ss})
 	if err != nil {
 		return 0, err
 	}
-	return fromSums(totalD, totalS, len(sims))
+	return fromSums(totalD[0], totalS[0], len(sims))
 }
 
 // Sweep evaluates FDR over several candidate thresholds and returns the

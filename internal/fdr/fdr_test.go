@@ -2,11 +2,13 @@ package fdr
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"parseq/internal/mpi"
+	"parseq/internal/obs"
 	"parseq/internal/simdata"
 )
 
@@ -105,6 +107,31 @@ func TestParallelFusedMatchesSequential(t *testing.T) {
 			if v != want {
 				t.Errorf("ranks=%d rank %d = %g, want %g", ranks, r, v, want)
 			}
+		}
+	}
+}
+
+// TestParallelFusedReducesOnce: Algorithm 2 adds sum◇ and sum* in one
+// reduction, so each non-root rank sends exactly one message.
+func TestParallelFusedReducesOnce(t *testing.T) {
+	reg := obs.New()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	hist := simdata.Histogram(300, 31)
+	sims := simdata.Simulations(10, 300, 32)
+	const ranks = 3
+	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		_, err := ParallelFused(c, hist, sims, 2)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	for r := 1; r < ranks; r++ {
+		name := fmt.Sprintf("mpi.rank%d.sends", r)
+		if got := s.Counters[name]; got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
 		}
 	}
 }

@@ -87,20 +87,14 @@ func (s *Stats) tally(f sam.Flag, hasRef bool) {
 
 // Merge folds other into s; merging is the parallel reduction.
 func (s *Stats) Merge(other Stats) {
-	s.Total += other.Total
-	s.Mapped += other.Mapped
-	s.Paired += other.Paired
-	s.ProperlyPaired += other.ProperlyPaired
-	s.Read1 += other.Read1
-	s.Read2 += other.Read2
-	s.Secondary += other.Secondary
-	s.Supplementary += other.Supplementary
-	s.Duplicates += other.Duplicates
-	s.QCFail += other.QCFail
-	s.MateMapped += other.MateMapped
+	o := other.fields()
+	for i, f := range s.fields() {
+		*f += *o[i]
+	}
 }
 
-// fields serialises the counters for the gather step; order matters.
+// fields lists the counters in one fixed order: Merge's and the
+// cross-rank sum's.
 func (s *Stats) fields() []*int64 {
 	return []*int64{
 		&s.Total, &s.Mapped, &s.Paired, &s.ProperlyPaired, &s.Read1,
@@ -109,25 +103,22 @@ func (s *Stats) fields() []*int64 {
 	}
 }
 
-func (s *Stats) pack() []byte {
-	fs := s.fields()
-	out := make([]byte, 0, 8*len(fs))
-	for _, f := range fs {
-		out = binary.LittleEndian.AppendUint64(out, uint64(*f))
-	}
-	return out
-}
-
-func unpack(data []byte) (Stats, error) {
-	var s Stats
-	fs := s.fields()
-	if len(data) != 8*len(fs) {
-		return s, fmt.Errorf("flagstat: payload of %d bytes", len(data))
-	}
+// reduce sets rank 0's total to the sum of every rank's local
+// counters; the other ranks leave total as it is.
+func reduce(c *mpi.Comm, local Stats, total *Stats) error {
+	fs := local.fields()
+	v := make([]int64, len(fs))
 	for i, f := range fs {
-		*f = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		v[i] = *f
 	}
-	return s, nil
+	sum, err := mpi.ReduceSum(c, 0, v)
+	if err != nil || c.Rank() != 0 {
+		return err
+	}
+	for i, f := range total.fields() {
+		*f = sum[i]
+	}
+	return nil
 }
 
 // percent renders "n (p%)" like samtools flagstat.
@@ -166,9 +157,10 @@ func Of(recs []sam.Record) Stats {
 
 // SAMFile computes flagstat over a SAM file with `cores` ranks: the text
 // is partitioned with Algorithm 1, each rank tallies its partition, and
-// rank 0 gathers and merges the partial counters. A nil launch selects
-// the in-process mpi.Run; under a distributed launcher the merged Stats
-// are complete on rank 0's process only.
+// one mpi.ReduceSum adds the partial counters at rank 0. A nil launch
+// selects the in-process mpi.Run; under a distributed launcher rank 0's
+// process returns the summed Stats and every other process returns zero
+// Stats.
 func SAMFile(samPath string, cores int, launch mpi.Launcher) (Stats, error) {
 	if launch == nil {
 		launch = mpi.Run
@@ -200,20 +192,7 @@ func SAMFile(samPath string, cores int, launch mpi.Launcher) (Stats, error) {
 		if err != nil {
 			return err
 		}
-		parts, err := c.Gather(0, local.pack())
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for _, p := range parts {
-				s, err := unpack(p)
-				if err != nil {
-					return err
-				}
-				total.Merge(s)
-			}
-		}
-		return nil
+		return reduce(c, local, &total)
 	})
 	return total, err
 }
@@ -223,17 +202,13 @@ func tallyRange(f io.ReaderAt, br partition.ByteRange) (Stats, error) {
 	var s Stats
 	scan := sam.NewLineScanner(f, br.Start, br.Len())
 	var rec sam.Record
-	for off := br.Start; scan.Scan(); off = br.Start + scan.Pos() {
-		line := scan.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		// Bytes path: no per-line string copy, kern-scanned fields. The
-		// record is consumed by Add before the scanner reuses the buffer.
-		if err := sam.ParseRecordIntoBytes(&rec, line); err != nil {
-			return s, sam.LineError(off, err)
+	for {
+		// The record is consumed by Add before the scanner reuses the line.
+		if _, err := scan.ScanRecord(&rec); err == io.EOF {
+			return s, nil
+		} else if err != nil {
+			return s, err
 		}
 		s.Add(&rec)
 	}
-	return s, scan.Err()
 }

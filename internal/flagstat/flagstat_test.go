@@ -66,21 +66,6 @@ func TestMergeEqualsWhole(t *testing.T) {
 	}
 }
 
-func TestPackUnpackRoundTrip(t *testing.T) {
-	d := simdata.Generate(simdata.DefaultConfig(300))
-	s := Of(d.Records)
-	got, err := unpack(s.pack())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != s {
-		t.Errorf("round trip %+v != %+v", got, s)
-	}
-	if _, err := unpack([]byte{1, 2, 3}); err == nil {
-		t.Error("short payload accepted")
-	}
-}
-
 func TestSAMFileParallelMatchesSequential(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(800))
 	dir := t.TempDir()

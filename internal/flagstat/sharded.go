@@ -42,11 +42,12 @@ func BAMFile(path string) (Stats, error) {
 // rank 0 generates byte-balanced genomic shards and scatters contiguous
 // descriptor groups across the world; each rank drains its group
 // through local workers on independent seek-and-scan readers (the
-// zero-decode body path); per-shard tallies fold in shard order and
-// gather to rank 0. The start-within shard contract makes the merged
-// counters identical to a sequential scan at any shard count, worker
-// count or transport. Under a distributed launcher the result is
-// complete on rank 0's process only.
+// zero-decode body path); per-shard tallies fold in shard order and one
+// mpi.ReduceSum adds the ranks' tallies at rank 0. The start-within
+// shard contract makes the merged counters identical to a sequential
+// scan at any shard count, worker count or transport. Under a
+// distributed launcher rank 0's process returns the summed Stats and
+// every other process returns zero Stats.
 func Sharded(p shard.Provider, cfg shard.Config) (Stats, error) {
 	// Flagstat reads only the FLAG word and mate refs of the fixed
 	// prefix: over a columnar provider, project the coordinate column
@@ -81,20 +82,7 @@ func Sharded(p shard.Provider, cfg shard.Config) (Stats, error) {
 		for i := range per {
 			sum.Merge(per[i])
 		}
-		parts, err := c.Gather(0, sum.pack())
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for _, pt := range parts {
-				s, err := unpack(pt)
-				if err != nil {
-					return err
-				}
-				total.Merge(s)
-			}
-		}
-		return nil
+		return reduce(c, sum, &total)
 	})
 	return total, err
 }

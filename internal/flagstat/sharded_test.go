@@ -1,6 +1,7 @@
 package flagstat
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -169,6 +170,9 @@ func TestShardedIdentityTCP(t *testing.T) {
 				mu.Lock()
 				rank0 = &got
 				mu.Unlock()
+			} else if got != (Stats{}) {
+				// Only rank 0 receives the sum; the others get zero Stats.
+				return fmt.Errorf("rank %d returned %+v, want zero Stats", w.Rank(), got)
 			}
 			return nil
 		})

@@ -2,7 +2,6 @@ package hist
 
 import (
 	"io"
-	"math"
 	"os"
 
 	"parseq/internal/mpi"
@@ -15,10 +14,10 @@ import (
 // point: "the user is able to convert aligned sequence data in SAM/BAM
 // format into histogram data … in parallel". The file is partitioned
 // with Algorithm 1, each rank accumulates a partial histogram over its
-// records, and the partials reduce by element-wise addition (coverage is
-// associative). A nil launch selects the in-process mpi.Run; under a
-// distributed launcher the reduced histogram is complete on rank 0's
-// process only — other ranks receive their unreduced local total.
+// records, and one mpi.ReduceSum adds the partials element-wise at rank
+// 0 (coverage is associative). A nil launch selects the in-process
+// mpi.Run; under a distributed launcher rank 0's process returns the
+// reduced histogram and every other process returns all-zero bins.
 func FromSAMParallel(samPath, rname string, binSize, cores int, launch mpi.Launcher) (*Histogram, error) {
 	if launch == nil {
 		launch = mpi.Run
@@ -58,27 +57,22 @@ func FromSAMParallel(samPath, rname string, binSize, cores int, launch mpi.Launc
 		if err != nil {
 			return err
 		}
-		parts, err := c.Gather(0, packBins(local.Bins))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for _, p := range parts {
-				bins, err := unpackBins(p)
-				if err != nil {
-					return err
-				}
-				for i := range bins {
-					total.Bins[i] += bins[i]
-				}
-			}
-		}
-		return nil
+		return total.reduce(c, local.Bins)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return total, nil
+}
+
+// reduce sets rank 0's bins to the element-wise sum of every rank's
+// local bins; the other ranks leave h as it is.
+func (h *Histogram) reduce(c *mpi.Comm, local []float64) error {
+	sum, err := mpi.ReduceSum(c, 0, local)
+	if err == nil && c.Rank() == 0 {
+		copy(h.Bins, sum)
+	}
+	return err
 }
 
 // UnknownReferenceError reports a reference name missing from the header.
@@ -96,43 +90,14 @@ func accumulateRange(f io.ReaderAt, br partition.ByteRange, rname string, refLen
 	}
 	scan := sam.NewLineScanner(f, br.Start, br.Len())
 	var rec sam.Record
-	for off := br.Start; scan.Scan(); off = br.Start + scan.Pos() {
-		line := scan.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	for {
 		// The record is consumed by AddRecord before the scanner reuses
-		// the buffer.
-		if err := sam.ParseRecordIntoBytes(&rec, line); err != nil {
-			return nil, sam.LineError(off, err)
+		// the line.
+		if _, err := scan.ScanRecord(&rec); err == io.EOF {
+			return local, nil
+		} else if err != nil {
+			return nil, err
 		}
 		local.AddRecord(&rec)
 	}
-	return local, scan.Err()
-}
-
-func packBins(bins []float64) []byte {
-	out := make([]byte, 8*len(bins))
-	for i, v := range bins {
-		u := math.Float64bits(v)
-		for b := 0; b < 8; b++ {
-			out[8*i+b] = byte(u >> (8 * b))
-		}
-	}
-	return out
-}
-
-func unpackBins(data []byte) ([]float64, error) {
-	if len(data)%8 != 0 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		var u uint64
-		for b := 0; b < 8; b++ {
-			u |= uint64(data[8*i+b]) << (8 * b)
-		}
-		out[i] = math.Float64frombits(u)
-	}
-	return out, nil
 }

@@ -30,11 +30,13 @@ func (h *Histogram) addBody(body []byte, refID int32) {
 // region-parallel over an indexed provider: rank 0 cuts the reference
 // into byte-balanced shards and scatters descriptor groups, each rank
 // drains its group through local workers on the zero-decode body path,
-// and per-shard partial histograms reduce by element-wise addition
-// (every contribution is an integer bin increment, so float64 sums are
-// exact and the merged bins are identical to a sequential scan at any
-// shard count, worker count or transport). Under a distributed launcher
-// the reduced histogram is complete on rank 0's process only.
+// per-shard partial histograms fold in shard order, and one
+// mpi.ReduceSum adds the ranks' partials element-wise at rank 0 (every
+// contribution is an integer bin increment, so float64 sums are exact
+// and the merged bins are identical to a sequential scan at any shard
+// count, worker count or transport). Under a distributed launcher rank
+// 0's process returns the reduced histogram and every other process
+// returns all-zero bins.
 func FromProvider(p shard.Provider, rname string, binSize int, cfg shard.Config) (*Histogram, error) {
 	// Coverage needs the alignment span — the fixed prefix plus the
 	// CIGAR walk bam.BodySpan performs — and nothing else; over a
@@ -97,22 +99,7 @@ func FromProvider(p shard.Provider, rname string, binSize int, cfg shard.Config)
 				sum.Bins[i] += lh.Bins[i]
 			}
 		}
-		parts, err := c.Gather(0, packBins(sum.Bins))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for _, pt := range parts {
-				bins, err := unpackBins(pt)
-				if err != nil {
-					return err
-				}
-				for i := range bins {
-					total.Bins[i] += bins[i]
-				}
-			}
-		}
-		return nil
+		return total.reduce(c, sum.Bins)
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -137,6 +138,13 @@ func TestFromProviderIdentityTCP(t *testing.T) {
 				mu.Lock()
 				rank0 = got
 				mu.Unlock()
+				return nil
+			}
+			// Only rank 0 receives the sum; the others get all-zero bins.
+			for i, v := range got.Bins {
+				if v != 0 {
+					return fmt.Errorf("rank %d bin %d = %g, want 0", w.Rank(), i, v)
+				}
 			}
 			return nil
 		})

@@ -4,12 +4,14 @@
 // 1 and 2 are written against, so every parallel algorithm in this
 // repository reads like its published pseudocode.
 //
-// The runtime is split in two layers. Comm implements every collective,
-// the typed helpers and the telemetry against the small Transport
-// interface (transport.go). The default transport runs ranks as
-// goroutines over in-process channels (Run); internal/mpinet implements
-// the same interface over TCP so unchanged rank code spans processes
-// and hosts — the paper's 32-node deployment.
+// The runtime is split in two layers. Comm implements every collective
+// and the telemetry against the small Transport interface
+// (transport.go); int64 and float64 slices cross ranks one way, through
+// SendSlice, RecvSlice, ReduceSum, AllreduceSum and Allgather. The
+// default transport runs ranks as goroutines over in-process channels
+// (Run); internal/mpinet implements the same interface over TCP so
+// unchanged rank code spans processes and hosts — the paper's 32-node
+// deployment.
 //
 // The runtime is deterministic where the paper's algorithms need it to
 // be: collectives combine contributions in rank order, so floating-point
@@ -17,6 +19,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -212,114 +215,112 @@ const (
 	tagReduce
 )
 
-// ReduceFloat64Sum sums each rank's contribution at root, combining in
-// rank order for determinism. Non-roots receive 0.
-func (c *Comm) ReduceFloat64Sum(root int, v float64) (float64, error) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	if c.Rank() != root {
-		return 0, c.Send(root, tagReduce, buf[:])
-	}
-	sum := 0.0
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			sum += v
-			continue
-		}
-		d, err := c.Recv(r, tagReduce)
-		if err != nil {
-			return 0, err
-		}
-		if len(d) != 8 {
-			return 0, fmt.Errorf("mpi: reduce payload %d bytes", len(d))
-		}
-		sum += math.Float64frombits(binary.LittleEndian.Uint64(d))
-	}
-	return sum, nil
+// Number is the element type of the numeric collectives: int64 counters
+// and float64 bins cross ranks as little-endian 8-byte words, so every
+// bit pattern (−0, NaN payloads, ±Inf, math.MinInt64) arrives unchanged.
+type Number interface{ int64 | float64 }
+
+// SendSlice sends vs to rank `to` with a tag. Go methods cannot take
+// type parameters, so the numeric calls are functions over a Comm.
+func SendSlice[T Number](c *Comm, to, tag int, vs []T) error {
+	return c.Send(to, tag, encode(vs))
 }
 
-// ReduceInt64Sum sums each rank's contribution at root. Non-roots
-// receive 0.
-func (c *Comm) ReduceInt64Sum(root int, v int64) (int64, error) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	if c.Rank() != root {
-		return 0, c.Send(root, tagReduce, buf[:])
-	}
-	var sum int64
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			sum += v
-			continue
-		}
-		d, err := c.Recv(r, tagReduce)
-		if err != nil {
-			return 0, err
-		}
-		if len(d) != 8 {
-			return 0, fmt.Errorf("mpi: reduce payload %d bytes", len(d))
-		}
-		sum += int64(binary.LittleEndian.Uint64(d))
-	}
-	return sum, nil
-}
-
-// AllreduceInt64Sum sums contributions and distributes the total to every
-// rank.
-func (c *Comm) AllreduceInt64Sum(v int64) (int64, error) {
-	sum, err := c.ReduceInt64Sum(0, v)
-	if err != nil {
-		return 0, err
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(sum))
-	out, err := c.Bcast(0, buf[:])
-	if err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(out)), nil
-}
-
-// SendInt64 sends one int64 to rank `to`.
-func (c *Comm) SendInt64(to, tag int, v int64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	return c.Send(to, tag, buf[:])
-}
-
-// RecvInt64 receives one int64 from rank `from`.
-func (c *Comm) RecvInt64(from, tag int) (int64, error) {
-	d, err := c.Recv(from, tag)
-	if err != nil {
-		return 0, err
-	}
-	if len(d) != 8 {
-		return 0, fmt.Errorf("mpi: int64 payload %d bytes", len(d))
-	}
-	return int64(binary.LittleEndian.Uint64(d)), nil
-}
-
-// SendFloat64s sends a float64 slice to rank `to`.
-func (c *Comm) SendFloat64s(to, tag int, vs []float64) error {
-	buf := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return c.Send(to, tag, buf)
-}
-
-// RecvFloat64s receives a float64 slice from rank `from`.
-func (c *Comm) RecvFloat64s(from, tag int) ([]float64, error) {
+// RecvSlice receives a slice SendSlice sent from rank `from`.
+func RecvSlice[T Number](c *Comm, from, tag int) ([]T, error) {
 	d, err := c.Recv(from, tag)
 	if err != nil {
 		return nil, err
 	}
-	if len(d)%8 != 0 {
-		return nil, fmt.Errorf("mpi: float64s payload %d bytes", len(d))
+	return decode[T](d)
+}
+
+// ReduceSum adds every rank's slice element-wise at root, combining the
+// contributions in rank order so float sums are the same bits run to
+// run. Root refuses a contribution whose length differs from its own.
+// Non-roots receive nil.
+func ReduceSum[T Number](c *Comm, root int, local []T) ([]T, error) {
+	if c.Rank() != root {
+		return nil, SendSlice(c, root, tagReduce, local)
 	}
-	out := make([]float64, len(d)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d[8*i:]))
+	sum := make([]T, len(local))
+	for r := 0; r < c.Size(); r++ {
+		part := local
+		if r != root {
+			var err error
+			if part, err = RecvSlice[T](c, r, tagReduce); err != nil {
+				return nil, err
+			}
+			if len(part) != len(local) {
+				return nil, fmt.Errorf("mpi: rank %d contributed %d values to a sum of %d", r, len(part), len(local))
+			}
+		}
+		for i, v := range part {
+			sum[i] += v
+		}
+	}
+	return sum, nil
+}
+
+// AllreduceSum is ReduceSum at rank 0 followed by a broadcast: every
+// rank receives the total.
+func AllreduceSum[T Number](c *Comm, local []T) ([]T, error) {
+	sum, err := ReduceSum(c, 0, local)
+	if err != nil {
+		return nil, err
+	}
+	d, err := c.Bcast(0, encode(sum))
+	if err != nil {
+		return nil, err
+	}
+	return decode[T](d)
+}
+
+// Allgather concatenates every rank's slice in rank order and delivers
+// the whole to every rank.
+func Allgather[T Number](c *Comm, local []T) ([]T, error) {
+	parts, err := c.Gather(0, encode(local))
+	if err != nil {
+		return nil, err
+	}
+	// Concatenated encodings are the encoding of the concatenation.
+	d, err := c.Bcast(0, bytes.Join(parts, nil))
+	if err != nil {
+		return nil, err
+	}
+	return decode[T](d)
+}
+
+// encode is the numeric wire format, switching once on the slice type.
+func encode[T Number](vs []T) []byte {
+	out := make([]byte, 8*len(vs))
+	switch vs := any(vs).(type) {
+	case []int64:
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
+		}
+	case []float64:
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+func decode[T Number](d []byte) ([]T, error) {
+	if len(d)%8 != 0 {
+		return nil, fmt.Errorf("mpi: numeric payload of %d bytes", len(d))
+	}
+	out := make([]T, len(d)/8)
+	switch vs := any(out).(type) {
+	case []int64:
+		for i := range vs {
+			vs[i] = int64(binary.LittleEndian.Uint64(d[8*i:]))
+		}
+	case []float64:
+		for i := range vs {
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(d[8*i:]))
+		}
 	}
 	return out, nil
 }
@@ -346,11 +347,4 @@ func SplitRange(n, size, rank int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

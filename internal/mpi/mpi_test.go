@@ -56,19 +56,19 @@ func TestSendRecvOrdering(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 100; i++ {
-				if err := c.SendInt64(1, 0, int64(i)); err != nil {
+				if err := SendSlice(c, 1, 0, []int64{int64(i)}); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for i := 0; i < 100; i++ {
-			v, err := c.RecvInt64(0, 0)
+			v, err := RecvSlice[int64](c, 0, 0)
 			if err != nil {
 				return err
 			}
-			if v != int64(i) {
-				return fmt.Errorf("message %d arrived as %d", i, v)
+			if len(v) != 1 || v[0] != int64(i) {
+				return fmt.Errorf("message %d arrived as %v", i, v)
 			}
 		}
 		return nil
@@ -255,19 +255,22 @@ func TestScatterWrongPartCount(t *testing.T) {
 
 func TestReduceSums(t *testing.T) {
 	err := Run(7, func(c *Comm) error {
-		got, err := c.ReduceInt64Sum(3, int64(c.Rank()))
+		got, err := ReduceSum(c, 3, []int64{int64(c.Rank()), 1})
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 3 && got != 21 {
-			return fmt.Errorf("int sum = %d, want 21", got)
+		if c.Rank() == 3 && (len(got) != 2 || got[0] != 21 || got[1] != 7) {
+			return fmt.Errorf("int sum = %v, want [21 7]", got)
 		}
-		f, err := c.ReduceFloat64Sum(0, 0.5)
+		if c.Rank() != 3 && got != nil {
+			return fmt.Errorf("non-root rank %d received %v", c.Rank(), got)
+		}
+		f, err := ReduceSum(c, 0, []float64{0.5})
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 && f != 3.5 {
-			return fmt.Errorf("float sum = %g, want 3.5", f)
+		if c.Rank() == 0 && f[0] != 3.5 {
+			return fmt.Errorf("float sum = %g, want 3.5", f[0])
 		}
 		return nil
 	})
@@ -278,12 +281,12 @@ func TestReduceSums(t *testing.T) {
 
 func TestAllreduce(t *testing.T) {
 	err := Run(5, func(c *Comm) error {
-		got, err := c.AllreduceInt64Sum(2)
+		got, err := AllreduceSum(c, []int64{2, int64(c.Rank())})
 		if err != nil {
 			return err
 		}
-		if got != 10 {
-			return fmt.Errorf("rank %d allreduce = %d, want 10", c.Rank(), got)
+		if len(got) != 2 || got[0] != 10 || got[1] != 10 {
+			return fmt.Errorf("rank %d allreduce = %v, want [10 10]", c.Rank(), got)
 		}
 		return nil
 	})
@@ -296,9 +299,9 @@ func TestFloat64sRoundTrip(t *testing.T) {
 	want := []float64{1.5, -2.25, 0, 1e300}
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.SendFloat64s(1, 0, want)
+			return SendSlice(c, 1, 0, want)
 		}
-		got, err := c.RecvFloat64s(0, 0)
+		got, err := RecvSlice[float64](c, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -314,6 +317,21 @@ func TestFloat64sRoundTrip(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNumericCodecAllocations: a float64 slice crosses the wire format
+// with a few allocations (the two buffers; the race runtime may add
+// one), not one per element behind the type switch.
+func TestNumericCodecAllocations(t *testing.T) {
+	vs := make([]float64, 64<<10)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := decode[float64](encode(vs)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("encode+decode of %d floats: %.0f allocations, want at most 3", len(vs), allocs)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // world. The in-process channel world below is the reference
 // implementation; internal/mpinet provides a TCP-backed one so the same
 // rank code spans processes and hosts. Comm builds every collective,
-// the typed helpers, rank validation, tag checking and telemetry on top
-// of these six methods, so a transport only moves bytes.
+// rank validation, tag checking and telemetry on top of these six
+// methods, so a transport only moves bytes.
 //
 // Send must not retain data after it returns; the caller may reuse the
 // slice. Recv returns the next message from `from` in send order along

@@ -92,11 +92,11 @@ func TestTCPSessionRoundTrip(t *testing.T) {
 					rank, s.Distributed(), s.Rank(), s.Ranks(99))
 			}
 			errs[rank] = s.Launcher()(world, func(c *mpi.Comm) error {
-				sum, err := c.AllreduceInt64Sum(int64(c.Rank() + 10))
+				sum, err := mpi.AllreduceSum(c, []int64{int64(c.Rank() + 10)})
 				if err != nil {
 					return err
 				}
-				sums[rank] = sum
+				sums[rank] = sum[0]
 				return c.Barrier()
 			})
 		}(r)

@@ -3,6 +3,7 @@ package mpinet_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -142,10 +143,10 @@ func TestConformanceFloat64s(t *testing.T) {
 			err := tr.run(size, func(c *mpi.Comm) error {
 				if c.Rank() != 0 {
 					vs := []float64{float64(c.Rank()), float64(c.Rank()) * 0.5, -1}
-					return c.SendFloat64s(0, 11, vs)
+					return mpi.SendSlice(c, 0, 11, vs)
 				}
 				for r := 1; r < size; r++ {
-					vs, err := c.RecvFloat64s(r, 11)
+					vs, err := mpi.RecvSlice[float64](c, r, 11)
 					if err != nil {
 						return err
 					}
@@ -162,13 +163,54 @@ func TestConformanceFloat64s(t *testing.T) {
 	}
 }
 
+// Payloads whose bits an arithmetic round trip or a text codec would
+// lose: −0, NaN payloads of both signs, ±Inf and the int64 extremes.
+var (
+	oddFloats = []float64{
+		math.Copysign(0, -1),
+		math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff8dead0000beef),
+		math.Inf(1),
+		math.Inf(-1),
+	}
+	oddInts = []int64{math.MinInt64, -1, math.MaxInt64}
+)
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// reduceOrderTerms are four addends whose float64 sum depends on the
+// order they are added in, so a ReduceSum that added root's own
+// contribution first, or ranks in reverse, gives different bits.
+var reduceOrderTerms = []float64{0.1, 0.2, 0.3, 1e-16}
+
 func TestConformanceCollectives(t *testing.T) {
+	fold := func(order ...int) float64 {
+		s := 0.0
+		for _, r := range order {
+			s += reduceOrderTerms[r]
+		}
+		return s
+	}
+	inRankOrder := fold(0, 1, 2, 3)
+	if inRankOrder == fold(3, 0, 1, 2) || inRankOrder == fold(3, 2, 1, 0) {
+		t.Fatal("reduceOrderTerms do not tell the addition orders apart")
+	}
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			t.Parallel()
 			const size = 4
 			err := tr.run(size, func(c *mpi.Comm) error {
-				// Bcast then Gather then Allreduce, with barriers between.
+				// Bcast then Gather then AllreduceSum, with barriers between.
 				got, err := c.Bcast(0, []byte("seed"))
 				if err != nil {
 					return err
@@ -190,17 +232,74 @@ func TestConformanceCollectives(t *testing.T) {
 						}
 					}
 				}
-				sum, err := c.AllreduceInt64Sum(int64(c.Rank() + 1))
+				sum, err := mpi.AllreduceSum(c, []int64{int64(c.Rank() + 1)})
 				if err != nil {
 					return err
 				}
-				if want := int64(size * (size + 1) / 2); sum != want {
-					return fmt.Errorf("rank %d allreduce sum %d, want %d", c.Rank(), sum, want)
+				if want := int64(size * (size + 1) / 2); len(sum) != 1 || sum[0] != want {
+					return fmt.Errorf("rank %d allreduce sum %v, want [%d]", c.Rank(), sum, want)
+				}
+
+				// SendSlice/RecvSlice round a ring with every odd bit pattern.
+				next, prev := (c.Rank()+1)%size, (c.Rank()+size-1)%size
+				if err := mpi.SendSlice(c, next, 21, oddFloats); err != nil {
+					return err
+				}
+				if err := mpi.SendSlice(c, next, 22, oddInts); err != nil {
+					return err
+				}
+				fs, err := mpi.RecvSlice[float64](c, prev, 21)
+				if err != nil {
+					return err
+				}
+				is, err := mpi.RecvSlice[int64](c, prev, 22)
+				if err != nil {
+					return err
+				}
+				if !sameBits(fs, oddFloats) || fmt.Sprint(is) != fmt.Sprint(oddInts) {
+					return fmt.Errorf("rank %d received %v and %v", c.Rank(), fs, is)
+				}
+
+				// Allgather concatenates in rank order; rank r adds r
+				// values, so rank 0's empty slice is a case too.
+				all, err := mpi.Allgather(c, oddFloats[:c.Rank()])
+				if err != nil {
+					return err
+				}
+				var want []float64
+				for r := 0; r < size; r++ {
+					want = append(want, oddFloats[:r]...)
+				}
+				if !sameBits(all, want) {
+					return fmt.Errorf("rank %d allgathered %v, want %v", c.Rank(), all, want)
+				}
+
+				// ReduceSum adds in rank order, root's own term included.
+				const root = 3
+				red, err := mpi.ReduceSum(c, root, []float64{reduceOrderTerms[c.Rank()]})
+				if err != nil {
+					return err
+				}
+				if c.Rank() == root && (len(red) != 1 || math.Float64bits(red[0]) != math.Float64bits(inRankOrder)) {
+					return fmt.Errorf("reduce sum %v, want [%v] (rank order)", red, inRankOrder)
 				}
 				return c.Barrier()
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+
+			// A contribution of the wrong length is root's error, not a panic.
+			err = tr.run(size, func(c *mpi.Comm) error {
+				n := 2
+				if c.Rank() == 2 {
+					n = 3
+				}
+				_, err := mpi.ReduceSum(c, 0, make([]int64, n))
+				return err
+			})
+			if want := "mpi: rank 2 contributed 3 values to a sum of 2"; err == nil || err.Error() != want {
+				t.Fatalf("mismatched ReduceSum: world error = %v, want %q", err, want)
 			}
 		})
 	}
@@ -336,12 +435,12 @@ func TestTCPSequentialWorldRuns(t *testing.T) {
 					if err := c.Barrier(); err != nil {
 						return err
 					}
-					sum, err := c.AllreduceInt64Sum(int64(c.Rank()))
+					sum, err := mpi.AllreduceSum(c, []int64{int64(c.Rank())})
 					if err != nil {
 						return err
 					}
-					if want := int64(size * (size - 1) / 2); sum != want {
-						return fmt.Errorf("round %d sum %d, want %d", round, sum, want)
+					if want := int64(size * (size - 1) / 2); sum[0] != want {
+						return fmt.Errorf("round %d sum %d, want %d", round, sum[0], want)
 					}
 					return c.Barrier()
 				})

@@ -248,8 +248,9 @@ func DenoiseParallel(v []float64, p Params, cores int) ([]float64, error) {
 // on the message-passing runtime: (1) the histogram is evenly divided
 // among ranks, (2) each partition P_i is expanded to P'_i by replicating
 // an (r+l)-wide region from each neighbour, (3) each rank denoises only
-// its original span against the expanded data, and rank 0 gathers the
-// result. All ranks receive the full denoised histogram.
+// its original span against the expanded data, and mpi.Allgather
+// concatenates the spans in rank order. All ranks receive the full
+// denoised histogram.
 func DenoiseDistributed(c *mpi.Comm, v []float64, p Params) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -280,7 +281,7 @@ func DenoiseDistributed(c *mpi.Comm, v []float64, p Params) ([]float64, error) {
 		if len(end) > halo {
 			end = myPart[len(myPart)-halo:]
 		}
-		if err := c.SendFloat64s(rank+1, tagToNext, end); err != nil {
+		if err := mpi.SendSlice(c, rank+1, tagToNext, end); err != nil {
 			return nil, err
 		}
 	}
@@ -289,20 +290,20 @@ func DenoiseDistributed(c *mpi.Comm, v []float64, p Params) ([]float64, error) {
 		if len(start) > halo {
 			start = myPart[:halo]
 		}
-		if err := c.SendFloat64s(rank-1, tagToPrev, start); err != nil {
+		if err := mpi.SendSlice(c, rank-1, tagToPrev, start); err != nil {
 			return nil, err
 		}
 	}
 	var left, right []float64
 	var err error
 	if rank > 0 {
-		left, err = c.RecvFloat64s(rank-1, tagToNext)
+		left, err = mpi.RecvSlice[float64](c, rank-1, tagToNext)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if rank+1 < size {
-		right, err = c.RecvFloat64s(rank+1, tagToPrev)
+		right, err = mpi.RecvSlice[float64](c, rank+1, tagToPrev)
 		if err != nil {
 			return nil, err
 		}
@@ -321,45 +322,5 @@ func DenoiseDistributed(c *mpi.Comm, v []float64, p Params) ([]float64, error) {
 	local := make([]float64, len(myPart))
 	newWindow(p).denoise(expanded, lo-len(left), len(v), lo, hi, local)
 
-	// Gather rank partitions to root, then broadcast the assembled result.
-	parts, err := c.Gather(0, packFloat64s(local))
-	if err != nil {
-		return nil, err
-	}
-	var full []byte
-	if rank == 0 {
-		assembled := make([]float64, 0, len(v))
-		for _, part := range parts {
-			assembled = append(assembled, unpackFloat64s(part)...)
-		}
-		full = packFloat64s(assembled)
-	}
-	full, err = c.Bcast(0, full)
-	if err != nil {
-		return nil, err
-	}
-	return unpackFloat64s(full), nil
-}
-
-func packFloat64s(vs []float64) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		bits := math.Float64bits(v)
-		for b := 0; b < 8; b++ {
-			out[8*i+b] = byte(bits >> (8 * b))
-		}
-	}
-	return out
-}
-
-func unpackFloat64s(d []byte) []float64 {
-	out := make([]float64, len(d)/8)
-	for i := range out {
-		var bits uint64
-		for b := 0; b < 8; b++ {
-			bits |= uint64(d[8*i+b]) << (8 * b)
-		}
-		out[i] = math.Float64frombits(bits)
-	}
-	return out
+	return mpi.Allgather(c, local)
 }

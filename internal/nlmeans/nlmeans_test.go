@@ -255,19 +255,6 @@ func TestDenoiseEmptyInput(t *testing.T) {
 	}
 }
 
-func TestPackUnpackFloat64s(t *testing.T) {
-	want := []float64{0, -1.5, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64}
-	got := unpackFloat64s(packFloat64s(want))
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("v[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSlidingWindowEdgeCases holds the sliding-window kernels to the
 // direct reference on inputs built to break them: cancellation after
 // spikes, exact zeros in constant runs, histograms with no or one

@@ -198,24 +198,27 @@ func SAMForwardMPI(c *mpi.Comm, r io.ReaderAt, dataStart, dataEnd int64) (ByteRa
 	// Lines 11-15: rank i+1's start becomes rank i's end.
 	end := dataEnd
 	if rank != n-1 {
-		if err := c.SendInt64(rank+1, 0, 0); err != nil { // request (pairs the exchange)
+		if err := mpi.SendSlice(c, rank+1, 0, []int64{0}); err != nil { // request (pairs the exchange)
 			return ByteRange{}, err
 		}
 	}
 	if rank != 0 {
-		if _, err := c.RecvInt64(rank-1, 0); err != nil {
+		if _, err := mpi.RecvSlice[int64](c, rank-1, 0); err != nil {
 			return ByteRange{}, err
 		}
-		if err := c.SendInt64(rank-1, 1, start); err != nil {
+		if err := mpi.SendSlice(c, rank-1, 1, []int64{start}); err != nil {
 			return ByteRange{}, err
 		}
 	}
 	if rank != n-1 {
-		v, err := c.RecvInt64(rank+1, 1)
+		v, err := mpi.RecvSlice[int64](c, rank+1, 1)
 		if err != nil {
 			return ByteRange{}, err
 		}
-		end = v
+		if len(v) != 1 {
+			return ByteRange{}, fmt.Errorf("partition: rank %d sent %d starting points", rank+1, len(v))
+		}
+		end = v[0]
 	}
 	// Line 16: global barrier before lengths are used.
 	if err := c.Barrier(); err != nil {

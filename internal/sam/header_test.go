@@ -2,9 +2,9 @@ package sam
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -138,7 +138,7 @@ func TestParseHeaderCRLF(t *testing.T) {
 }
 
 // readAll reads SAM text the way the repository's readers do: the header
-// through ScanHeader, then the alignment lines through a LineScanner,
+// through ScanHeader, then the records through LineScanner.ScanRecord,
 // blank lines skipped. A parse error names the file offset of its line.
 func readAll(text string) (*Header, []Record, error) {
 	r := strings.NewReader(text)
@@ -148,19 +148,19 @@ func readAll(text string) (*Header, []Record, error) {
 	}
 	scan := NewLineScanner(r, start, r.Size()-start)
 	var recs []Record
+	var rec Record
 	for {
-		off := start + scan.Pos()
-		if !scan.Scan() {
-			return h, recs, scan.Err()
+		if _, err := scan.ScanRecord(&rec); err == io.EOF {
+			return h, recs, nil
+		} else if err != nil {
+			return h, recs, err
 		}
-		if len(scan.Bytes()) == 0 {
-			continue
+		// rec's fields alias the scanner's line: keep a copy of its own.
+		kept, err := ParseRecord(string(rec.AppendTo(nil)))
+		if err != nil {
+			return h, recs, err
 		}
-		var rec Record // fields alias the line, so each gets its own copy
-		if err := ParseRecordIntoBytes(&rec, bytes.Clone(scan.Bytes())); err != nil {
-			return h, recs, fmt.Errorf("line at file offset %d: %w", off, err)
-		}
-		recs = append(recs, rec)
+		recs = append(recs, kept)
 	}
 }
 

@@ -101,6 +101,28 @@ func NewLineScanner(r io.ReaderAt, start, n int64) *LineScanner {
 	return ls
 }
 
+// ScanRecord parses the range's next non-blank line into rec, whose
+// fields alias the line until the next call, and returns the line's file
+// offset. A parse error is wrapped with LineError at that offset; the
+// end of the range is io.EOF.
+func (s *LineScanner) ScanRecord(rec *Record) (int64, error) {
+	for {
+		off := s.base + s.pos
+		if !s.scan.Scan() {
+			if err := s.Err(); err != nil {
+				return off, err
+			}
+			return off, io.EOF
+		}
+		if line := s.scan.Bytes(); len(line) > 0 {
+			if err := ParseRecordIntoBytes(rec, line); err != nil {
+				return off, LineError(off, err)
+			}
+			return off, nil
+		}
+	}
+}
+
 // Scan advances to the next line, bufio.ScanLines-delimited.
 func (s *LineScanner) Scan() bool { return s.scan.Scan() }
 

@@ -157,27 +157,14 @@ func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 	scan := sam.NewLineScanner(f, dataStart, fi.Size()-dataStart)
 	var rec sam.Record
 	next := func(dst []byte) ([]byte, error) {
-		for {
-			off := dataStart + scan.Pos()
-			if !scan.Scan() {
-				if err := scan.Err(); err != nil {
-					return dst, err
-				}
-				return dst, io.EOF
-			}
-			line := scan.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			err := sam.ParseRecordIntoBytes(&rec, line)
-			if err == nil {
-				dst, err = bam.EncodeRecord(dst, &rec, h)
-			}
-			if err != nil {
-				return dst, sam.LineError(off, err)
-			}
-			return dst, nil
+		off, err := scan.ScanRecord(&rec)
+		if err != nil {
+			return dst, err
 		}
+		if dst, err = bam.EncodeRecord(dst, &rec, h); err != nil {
+			return dst, sam.LineError(off, err)
+		}
+		return dst, nil
 	}
 	return sortToBAM(h, next, outPath, opts, shared)
 }
