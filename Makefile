@@ -125,7 +125,11 @@ fmt-check:
 # as a []sam.Record (SAM preprocessing spills encoded records instead).
 # And numbers cross ranks one way, through internal/mpi's generic
 # collectives: no non-test file outside internal/mpi hand-codes float64
-# bits, and no Go file names a typed Comm helper they replaced.
+# bits, and no Go file names a typed Comm helper they replaced. And a
+# codec worker count is read in internal/bgzf alone: no Go file names a
+# placement switch it replaced, and no non-test file outside
+# internal/bgzf, bench/ and the bench-only internal/bam/scanner.go
+# resolves the adaptive count or submits to the shared pool itself.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -166,6 +170,14 @@ deps-check:
 	@bad=$$(grep -rnE '\b(ReduceFloat64Sum|ReduceInt64Sum|AllreduceInt64Sum|SendInt64|RecvInt64|SendFloat64s|RecvFloat64s)\b' --include=*.go . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a typed mpi.Comm helper in place of the generic collectives:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE '\b(WithSharedCodec|NewSharedParallelWriter|BuildFileIndexWorkers|sharedCodec|bamWriterOpts)\b' --include=*.go . || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a codec placement switch outside internal/bgzf's worker rule:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'bgzf\.AutoWorkers\(\)|SharedPool\(\)\.Submit' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./internal/bgzf/' | grep -v '^\./bench/' | grep -v '^\./internal/bam/scanner\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a codec worker count resolved outside internal/bgzf:"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them

@@ -26,7 +26,7 @@ import (
 )
 
 var (
-	workers  = flag.Int("w", 0, "compression worker goroutines (compress only; 0: auto, one per CPU capped; 1: sequential)")
+	workers  = flag.Int("w", 0, "BGZF deflate workers (compress only; "+bgzf.WorkersUsage+")")
 	obsFlags = obsflag.Register(nil)
 )
 
@@ -154,11 +154,7 @@ func runIndex(path string) {
 
 func runCompress(path string) {
 	bamzPath := strings.TrimSuffix(path, ".bamx") + ".bamz"
-	w := *workers
-	if w <= 0 {
-		w = bgzf.AutoWorkers() // adaptive default, like the converter CLIs
-	}
-	n, err := bamx.CompressFile(path, bamzPath, bamx.DefaultRecsPerBlock, w)
+	n, err := bamx.CompressFile(path, bamzPath, bamx.DefaultRecsPerBlock, *workers)
 	if err != nil {
 		die(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"strings"
 
+	"parseq/internal/bgzf"
 	"parseq/internal/engine"
 	"parseq/internal/obsflag"
 )
@@ -33,7 +34,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.env.OutPath, "out", "", "output BAM (default: input with .sorted.bam)")
 	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel chunk-sort workers")
 	fs.IntVar(&o.env.ChunkRecords, "chunk", 0, "records per in-memory chunk (default 100000)")
-	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec goroutines for the BAM input and the output (0: auto, one per CPU capped, output on the shared deflate pool; 1: sequential codec)")
+	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec workers for the BAM input and the output ("+bgzf.WorkersUsage+")")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -26,6 +26,7 @@ import (
 	"os"
 	"strings"
 
+	"parseq/internal/bgzf"
 	"parseq/internal/conv"
 	"parseq/internal/engine"
 	"parseq/internal/formats"
@@ -57,7 +58,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.BoolVar(&o.preproc, "preprocess", false, "only preprocess the input into BAMX/BAIX")
 	fs.IntVar(&o.env.PreRanks, "pre-p", 0, "preprocessing ranks for the psam converter (default: -p)")
 	fs.StringVar(&o.env.BAIX, "baix", "", "BAIX index path (default: input with .baix)")
-	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec goroutines per BAM stream (0: auto, one per CPU capped; 1: sequential codec)")
+	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec workers per BAM stream ("+bgzf.WorkersUsage+")")
 	fs.IntVar(&o.spec.ParseWorkers, "parse-workers", 0, "per-rank parse/encode goroutines for SAM text input (0: auto; 1: parse on the rank's own goroutine)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -15,29 +15,19 @@ type Option func(*codecOptions)
 
 type codecOptions struct {
 	workers int
-	shared  bool
 }
 
-// WithCodecWorkers selects the number of BGZF codec workers. Values
-// above 1 route compression/decompression through the parallel codec;
-// 0 or 1 keep the sequential codec. Both produce bit-identical streams
-// and virtual offsets, so indexes built against either resolve on both.
+// WithCodecWorkers passes n, the BGZF codec worker count, to the bgzf
+// constructors, which alone read it (see package bgzf). Without the
+// option blocks run on the caller, as at n == 1. Every count produces
+// bit-identical streams and virtual offsets, so indexes built against
+// one resolve on all.
 func WithCodecWorkers(n int) Option {
 	return func(o *codecOptions) { o.workers = n }
 }
 
-// WithSharedCodec attaches a Writer's compression to the process-wide
-// bgzf.SharedPool instead of a private worker pool. Output bytes are
-// identical; the difference is purely operational — short-lived writers
-// (per-rank shards, sorter spill runs) share one throughput-sized pool
-// rather than each starting and stopping their own. Readers ignore the
-// option. It takes precedence over WithCodecWorkers on the write side.
-func WithSharedCodec() Option {
-	return func(o *codecOptions) { o.shared = true }
-}
-
 func applyOptions(opts []Option) codecOptions {
-	var o codecOptions
+	o := codecOptions{workers: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -55,17 +45,10 @@ type Reader struct {
 }
 
 // NewReader wraps a BGZF-compressed BAM stream and decodes the header.
-// By default blocks inflate on the calling goroutine; pass
-// WithCodecWorkers(n) with n > 1 to decode ahead on a worker pool.
+// By default blocks inflate on the calling goroutine; WithCodecWorkers
+// places them otherwise.
 func NewReader(r io.Reader, opts ...Option) (*Reader, error) {
-	o := applyOptions(opts)
-	var bg *bgzf.Reader
-	if o.workers > 1 {
-		bg = bgzf.NewParallelReader(r, o.workers)
-	} else {
-		bg = bgzf.NewReader(r)
-	}
-	br := &Reader{bg: bg}
+	br := &Reader{bg: bgzf.NewParallelReader(r, applyOptions(opts).workers)}
 	if err := br.readHeader(); err != nil {
 		// The parallel codec runs goroutines; release them before
 		// reporting the malformed header.
@@ -206,21 +189,11 @@ type Writer struct {
 	err    error
 }
 
-// NewWriter wraps w, writing the BAM header immediately. Pass
-// WithCodecWorkers(n) with n > 1 to compress blocks on a worker pool;
-// the emitted bytes are identical either way.
+// NewWriter wraps w, writing the BAM header immediately. By default
+// blocks deflate on the calling goroutine; WithCodecWorkers places them
+// otherwise. The emitted bytes are identical either way.
 func NewWriter(w io.Writer, h *sam.Header, opts ...Option) (*Writer, error) {
-	o := applyOptions(opts)
-	var bg *bgzf.Writer
-	switch {
-	case o.shared:
-		bg = bgzf.NewSharedParallelWriter(w, bgzf.MaxPayload)
-	case o.workers > 1:
-		bg = bgzf.NewParallelWriter(w, o.workers)
-	default:
-		bg = bgzf.NewWriter(w)
-	}
-	bw := &Writer{bg: bg, header: h}
+	bw := &Writer{bg: bgzf.NewParallelWriter(w, applyOptions(opts).workers), header: h}
 	text := h.String()
 	hdr := make([]byte, 0, 16+len(text))
 	hdr = append(hdr, Magic...)

@@ -33,15 +33,7 @@ func bodySpan(body []byte) (refID int32, beg, end int) {
 // BuildFileIndex scans a coordinate-sorted BAM stream and builds its BAI
 // index. The stream is consumed; callers reopen or seek to read again.
 func BuildFileIndex(r io.Reader) (*Index, error) {
-	return BuildFileIndexWorkers(r, 0)
-}
-
-// BuildFileIndexWorkers is BuildFileIndex with BGZF inflation pipelined
-// over `workers` codec goroutines (≤ 1 keeps the sequential codec). The
-// scan itself stays sequential — virtual offsets must be observed in
-// stream order — but block decompression parallelises under it.
-func BuildFileIndexWorkers(r io.Reader, workers int) (*Index, error) {
-	br, err := NewReader(r, WithCodecWorkers(workers))
+	br, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}

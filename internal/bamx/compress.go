@@ -84,10 +84,9 @@ func (s *memberSink) Write(p []byte) (int, error) {
 
 // NewCompressedWriterWorkers writes the header and returns a record
 // writer whose members carry min(recsPerBlock × stride, bgzf.MaxPayload)
-// bytes (recsPerBlock < 1 selects DefaultRecsPerBlock). workers ≤ 1
-// deflates on the caller; more deflate on the process-wide
-// bgzf.SharedPool, which sizes itself to aggregate demand. The bytes do
-// not depend on the worker count.
+// bytes (recsPerBlock < 1 selects DefaultRecsPerBlock), deflating where
+// the codec worker count places them (bgzf.NewParallelWriterSize). The
+// bytes do not depend on the worker count.
 func NewCompressedWriterWorkers(w io.Writer, h *sam.Header, caps Caps, recsPerBlock, workers int) (*CompressedWriter, error) {
 	if caps.QName < 2 || caps.Seq < 1 {
 		return nil, fmt.Errorf("bamx: degenerate caps %+v", caps)
@@ -107,11 +106,7 @@ func NewCompressedWriterWorkers(w io.Writer, h *sam.Header, caps Caps, recsPerBl
 		sink:      memberSink{w: w},
 		dataStart: int64(len(hdr)),
 	}
-	if workers > 1 {
-		cw.bg = bgzf.NewSharedParallelWriter(&cw.sink, payload)
-	} else {
-		cw.bg = bgzf.NewWriterSize(&cw.sink, payload)
-	}
+	cw.bg = bgzf.NewParallelWriterSize(&cw.sink, payload, workers)
 	return cw, nil
 }
 
@@ -164,7 +159,8 @@ func (w *CompressedWriter) Close() error {
 
 // CompressedFile provides random access to a compressed BAMX file. It
 // reads the data section through one bgzf.Reader, inflating on the
-// caller or (after StartReadahead) on a pool, and is single-consumer.
+// caller or (after StartReadahead) where the codec worker count places
+// the members, and is single-consumer.
 type CompressedFile struct {
 	r       io.ReaderAt
 	header  *sam.Header
@@ -177,7 +173,7 @@ type CompressedFile struct {
 	table   []uint64 // member starts within the data section, EOF marker last
 
 	src     *bgzf.Reader // nil until the first read
-	workers int          // readahead workers; 0 inflates on the caller
+	workers int          // codec workers src opens with; 1, the caller, until StartReadahead
 	next    int64        // record-area offset src delivers next; -1 if unknown
 	blk     []byte       // the last member (from its delivered offset) NextBlock returned
 	blkAt   int64        // record-area offset of blk[0]
@@ -247,6 +243,7 @@ func OpenCompressed(r io.ReaderAt, size int64) (*CompressedFile, error) {
 		data:    data,
 		dataLen: dataLen,
 		table:   table,
+		workers: 1,
 		next:    -1,
 	}, nil
 }
@@ -263,22 +260,19 @@ func (f *CompressedFile) NumRecords() int64 { return f.count }
 // NumBlocks returns the number of BGZF data members.
 func (f *CompressedFile) NumBlocks() int { return len(f.table) - 1 }
 
-// StartReadahead swaps the inline reader for a pooled one
-// (bgzf.NewParallelReader) with the given worker count (≤ 0 selects
-// bgzf.AutoWorkers), so the members a mostly sequential consumer reads
-// next are usually inflated before it asks. Random access still works:
-// a jump re-seeks the reader. It is a no-op when already started or
-// when the file has no members. Call Close when abandoning the file, or
-// the pipeline goroutines are left parked.
+// StartReadahead swaps the inline reader for one opened with the given
+// codec worker count (bgzf.NewParallelReader), which past the caller
+// reads ahead, so the members a mostly sequential consumer reads next
+// are usually inflated before it asks. Random access still works: a jump
+// re-seeks the reader, and a later call replaces the reader the same
+// way. It is a no-op when the file has no members. Call Close when
+// abandoning the file, or the pipeline goroutines are left parked.
 func (f *CompressedFile) StartReadahead(workers int) {
-	if f.workers > 0 || f.NumBlocks() == 0 {
+	if f.NumBlocks() == 0 {
 		return
 	}
 	f.Close()
 	f.workers = workers
-	if workers <= 0 {
-		f.workers = bgzf.AutoWorkers()
-	}
 }
 
 // Close stops the readahead, if one was started, and returns the file to
@@ -288,7 +282,7 @@ func (f *CompressedFile) Close() error {
 	if f.src != nil {
 		f.src.Close()
 	}
-	f.src, f.workers, f.next, f.blk = nil, 0, -1, nil
+	f.src, f.workers, f.next, f.blk = nil, 1, -1, nil
 	return nil
 }
 
@@ -299,12 +293,7 @@ func (f *CompressedFile) Close() error {
 // misplaced records.
 func (f *CompressedFile) load(off int64) error {
 	if f.src == nil {
-		sec := io.NewSectionReader(f.r, f.data, f.dataLen)
-		if f.workers > 0 {
-			f.src = bgzf.NewParallelReader(sec, f.workers)
-		} else {
-			f.src = bgzf.NewReader(sec)
-		}
+		f.src = bgzf.NewParallelReader(io.NewSectionReader(f.r, f.data, f.dataLen), f.workers)
 		f.next = 0
 	}
 	if f.blk != nil {
@@ -361,9 +350,9 @@ func (f *CompressedFile) File() *File {
 	return &File{r: f, header: f.header, caps: f.caps, count: f.count}
 }
 
-// CompressBAMXWorkers rewrites a plain BAMX file as a compressed one
-// with deflation running on the shared pool for workers > 1 (≤ 1
-// compresses on the calling goroutine), returning the record count.
+// CompressBAMXWorkers rewrites a plain BAMX file as a compressed one,
+// deflating where the codec worker count places the members (see
+// NewCompressedWriterWorkers), and returns the record count.
 func CompressBAMXWorkers(src *File, w io.Writer, recsPerBlock, workers int) (int64, error) {
 	cw, err := NewCompressedWriterWorkers(w, src.Header(), src.Caps(), recsPerBlock, workers)
 	if err != nil {

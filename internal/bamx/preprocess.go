@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"parseq/internal/bam"
-	"parseq/internal/bgzf"
 	"parseq/internal/sam"
 )
 
@@ -16,12 +15,9 @@ import (
 // sizes and then writing every record padded to them as a fixed-stride
 // BAMX file, and returns the BAIX index. Bodies are relocated without
 // decoding, through the zero-copy block scanner. Only the BGZF inflate
-// runs on codecWorkers goroutines (0 selects bgzf.AutoWorkers, 1 the
-// sequential codec); the BAMX and BAIX bytes are the same for any count.
+// follows codecWorkers, the codec worker count bam.WithCodecWorkers
+// passes on; the BAMX and BAIX bytes are the same for any count.
 func PreprocessBAMWorkers(rs io.ReadSeeker, w io.Writer, codecWorkers int) (*Index, error) {
-	if codecWorkers <= 0 {
-		codecWorkers = bgzf.AutoWorkers()
-	}
 	start, err := rs.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"parseq/internal/bgzf"
 	"parseq/internal/obs"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
@@ -132,11 +131,11 @@ func TestReadaheadEarlyClose(t *testing.T) {
 		t.Error("after Close members still inflate on a worker pool")
 	}
 	// And readahead can start again.
-	cf.StartReadahead(0) // adaptive worker default
+	cf.StartReadahead(3)
 	defer cf.Close()
-	cf.StartReadahead(2) // second start is a no-op
-	if cf.workers != bgzf.AutoWorkers() {
-		t.Errorf("readahead runs %d workers, want the adaptive %d", cf.workers, bgzf.AutoWorkers())
+	cf.StartReadahead(2) // a second start replaces the first
+	if cf.workers != 2 {
+		t.Errorf("readahead runs %d workers, want the second start's 2", cf.workers)
 	}
 	if err := cf.ReadRecord(450, &rec); err != nil {
 		t.Fatal(err)
@@ -153,7 +152,7 @@ func TestReadaheadEmptyFile(t *testing.T) {
 	cf := emptyCompressed(t, h)
 	cf.StartReadahead(2)
 	defer cf.Close()
-	if cf.workers != 0 {
+	if cf.workers != 1 {
 		t.Error("readahead started on an empty file")
 	}
 }

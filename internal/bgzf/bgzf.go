@@ -7,6 +7,14 @@
 // what makes the format parallelisable: one Writer and one Reader each
 // run their blocks either on the caller or on a worker pool, chosen by
 // the constructor, with the same bytes, virtual offsets and errors.
+//
+// A codec worker count n is read here and nowhere else — every other
+// package passes its caller's count through unchanged — by one rule,
+// which NewParallelWriter[Size], NewParallelReader and DeflateBlocks
+// apply: n == 1 runs blocks on the caller, with no goroutine; n > 1 runs
+// them on a private pool of n; n ≤ 0 is adaptive, putting writers and
+// deflate batches on SharedPool and reading ahead on AutoWorkers()
+// workers (on the caller when that is 1).
 package bgzf
 
 import (
@@ -251,25 +259,15 @@ const maxAutoWorkers = 8
 // apparent CPU count when exercising the adaptive worker default.
 var gomaxprocs = runtime.GOMAXPROCS
 
-// resolveWorkers applies the worker-count convention shared by the
-// parallel codec constructors: n > 0 is taken as given, anything else means one
-// worker per available CPU, capped at maxAutoWorkers.
-func resolveWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	if p := gomaxprocs(0); p < maxAutoWorkers {
-		return p
-	}
-	return maxAutoWorkers
-}
+// AutoWorkers is the adaptive worker count: one worker per available
+// CPU, capped so stacked pools do not oversubscribe the machine. It sizes
+// SharedPool and the read-ahead of a reader whose count is ≤ 0; on a
+// single-CPU host it resolves to 1, the caller.
+func AutoWorkers() int { return min(gomaxprocs(0), maxAutoWorkers) }
 
-// AutoWorkers is the adaptive default worker count used across the
-// tree when a codec/decoder knob is left at zero: one worker per
-// available CPU, capped so stacked pools do not oversubscribe the
-// machine. On a single-CPU host it resolves to 1, which every
-// constructor treats as the sequential path.
-func AutoWorkers() int { return resolveWorkers(0) }
+// WorkersUsage is the worker rule in a command-line flag's words, for
+// every flag that sets a codec worker count.
+const WorkersUsage = "1: on the caller; N > 1: a private pool of N; 0: adaptive, writers on the shared deflate pool and readers reading ahead on one worker per CPU, capped"
 
 // pipeDepth bounds in-flight blocks per pipeline: enough read-ahead to
 // keep every worker busy across scheduling hiccups, small enough to cap

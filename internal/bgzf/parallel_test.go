@@ -445,7 +445,9 @@ func TestAutoWorkersTracksProcs(t *testing.T) {
 	}
 	// An explicit worker count passes through untouched, even past the cap.
 	gomaxprocs = func(int) int { return 1 }
-	if got := resolveWorkers(12); got != 12 {
-		t.Errorf("resolveWorkers(12) = %d, want 12", got)
+	r := NewParallelReader(bytes.NewReader(eofMarker), 12)
+	defer r.Close()
+	if r.workers != 12 {
+		t.Errorf("NewParallelReader(r, 12) runs %d workers, want 12", r.workers)
 	}
 }

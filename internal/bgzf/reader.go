@@ -23,12 +23,13 @@ type rblock struct {
 }
 
 // Reader decompresses a BGZF stream block by block. Where blocks inflate
-// is fixed by the constructor: on the caller (NewReader), or on a worker
-// pool fed by a scan goroutine that reads members ahead of the consumer
-// (NewParallelReader). Blocks are delivered in file order either way, so
-// the bytes, virtual offsets and first error are the same. When the
-// underlying reader is an io.ReadSeeker, Seek to a virtual offset is
-// supported.
+// is fixed by the constructor: on the caller (NewReader), or where the
+// worker count places them (NewParallelReader; see the package comment),
+// which off the caller is a worker pool fed by a scan goroutine that
+// reads members ahead of the consumer. Blocks are delivered in file
+// order either way, so the bytes, virtual offsets and first error are
+// the same. When the underlying reader is an io.ReadSeeker, Seek to a
+// virtual offset is supported.
 //
 // Besides Read, NextBlock hands whole inflated blocks to the caller, who
 // parses them in place and hands the buffers back through Recycle — the
@@ -70,13 +71,21 @@ func NewReader(r io.Reader) *Reader {
 	return br
 }
 
-// NewParallelReader wraps r with block read-ahead: a scan goroutine walks
-// the members (cheap — the BC subfield gives each block's size without
-// inflating it) and a pool of `workers` inflate workers (≤ 0 means one
-// per CPU) decompresses and CRC-checks them concurrently.
+// NewParallelReader wraps r, inflating where workers places the blocks:
+// on the caller at 1; above 1 with block read-ahead, a scan goroutine
+// walking the members (cheap — the BC subfield gives each block's size
+// without inflating it) and a private pool of that many workers
+// decompressing and CRC-checking them concurrently; at ≤ 0 with
+// read-ahead on AutoWorkers() workers, or on the caller when that is 1.
 func NewParallelReader(r io.Reader, workers int) *Reader {
 	br := NewReader(r)
-	br.workers = resolveWorkers(workers)
+	if workers <= 0 {
+		workers = AutoWorkers()
+	}
+	if workers == 1 {
+		return br
+	}
+	br.workers = workers
 	br.reg = obs.Default()
 	br.blocks.New = func() any { return new(rblock) }
 	br.start(0)
@@ -162,9 +171,9 @@ func (r *Reader) advance() error {
 		return io.EOF
 	}
 	r.cur, r.pos = blk, 0
-	if blk.err != nil {
-		r.release()
-		return blk.err
+	if err := blk.err; err != nil {
+		r.release() // blk may be rescanned from here on
+		return err
 	}
 	r.blockStart = blk.start
 	return nil

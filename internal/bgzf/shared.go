@@ -2,16 +2,16 @@
 // short-lived BGZF writers — one BAM shard per rank, one spill run per
 // sorted chunk — and giving each its own worker pool multiplies
 // goroutines while leaving most of them idle. SharedPool keeps one warm
-// pool the writers attach to (parpipe.NewOnPool), and sizes it from
-// measurement rather than CPU count alone: how many workers the recent
-// blocks of all attached streams kept busy, reported alongside an EWMA
-// of the bytes/s one worker achieves.
+// pool the adaptive writers and deflate batches attach to
+// (parpipe.NewOnPool), and sizes it from measurement rather than CPU
+// count alone: how many workers the recent blocks of all attached
+// streams kept busy, reported alongside an EWMA of the bytes/s one
+// worker achieves.
 
 package bgzf
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -40,34 +40,6 @@ func SharedPool() *parpipe.Pool {
 		sharedSizer = newPoolSizer(sharedPool)
 	})
 	return sharedPool
-}
-
-// NewSharedParallelWriter returns a BGZF writer whose deflate jobs run
-// on SharedPool instead of a private worker pool, with an explicit
-// per-block payload size as NewWriterSize takes it. Output bytes,
-// virtual offsets and error behaviour are identical to NewWriterSize's
-// for the same payload; only where blocks run differs, so the many
-// short-lived writers a converter rank opens stop paying a pool
-// start/stop per stream. Each compressed block also feeds the shared
-// pool's throughput sizer.
-func NewSharedParallelWriter(w io.Writer, payload int) *Writer {
-	pool := SharedPool()
-	bw := NewWriterSize(w, payload)
-	bw.sizer = sharedSizer
-	bw.start(parpipe.NewOnPool(pool, pipeDepth(pool.Max()), bw.compress, obs.Default(), "bgzf.deflate"))
-	return bw
-}
-
-// observeSharedDeflate feeds one deflate job that ran on SharedPool but
-// outside the BGZF writers — a DeflateBlock call — into the pool's
-// throughput sizer: n payload bytes compressed in d of worker wall
-// time. Every deflate consumer of the shared pool contributes to the
-// same demand window, so the pool sizes for the true aggregate load
-// (and the bgzf.shared_pool.throughput gauge the admission-control plan
-// reads stays honest).
-func observeSharedDeflate(n int, d time.Duration) {
-	SharedPool() // force sharedSizer initialisation
-	sharedSizer.observe(n, d)
 }
 
 const (
@@ -154,23 +126,72 @@ func (s *poolSizer) observe(n int, d time.Duration) {
 }
 
 // DeflateBlock compresses one payload of at most MaxPayload bytes into a
-// complete BGZF member, reusing dst's backing array when it is large
-// enough. The bytes equal what a Writer emits for the same block. It is the writer-less form of the codec for callers that cut
-// their own blocks out of buffers they already hold (the PAMX column
-// groups) and run the jobs wherever they like — typically SharedPool.
-// Every call feeds the bgzf.deflate.* counters and the shared pool's
-// throughput sizer, like a block of a SharedPool writer. Safe for
+// complete BGZF member on the caller, reusing dst's backing array when it
+// is large enough. The bytes equal what a Writer emits for the same
+// block, and the block lands in the bgzf.deflate.* counters. Safe for
 // concurrent use.
 func DeflateBlock(dst, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("bgzf: %d-byte payload exceeds the %d-byte block limit", len(payload), MaxPayload)
+	if err := checkPayload(payload); err != nil {
+		return nil, err
+	}
+	return deflate(dst, payload, codecObsFor(&deflateObs, "deflate"), nil), nil
+}
+
+// DeflateBlocks is DeflateBlock over a batch: members[i] becomes the
+// member of payloads[i], reusing its backing array, with the jobs placed
+// by workers as a Writer's blocks are (see the package comment). It
+// returns once every job has run; a payload over MaxPayload fails the
+// batch before any does.
+func DeflateBlocks(members, payloads [][]byte, workers int) error {
+	for _, p := range payloads {
+		if err := checkPayload(p); err != nil {
+			return err
+		}
+	}
+	met := codecObsFor(&deflateObs, "deflate")
+	var sizer *poolSizer // set before any job runs
+	job := func(i int) { members[i] = deflate(members[i], payloads[i], met, sizer) }
+	pipe, s := deflatePipe(workers, job)
+	sizer = s
+	if pipe == nil {
+		for i := range payloads {
+			job(i)
+		}
+		return nil
+	}
+	go func() {
+		for i := range payloads {
+			pipe.Submit(i)
+		}
+		pipe.Close()
+	}()
+	for range pipe.Out() {
+	}
+	return nil
+}
+
+func checkPayload(p []byte) error {
+	if len(p) > MaxPayload {
+		return fmt.Errorf("bgzf: %d-byte payload exceeds the %d-byte block limit", len(p), MaxPayload)
+	}
+	return nil
+}
+
+// deflate wraps payload into a member in dst, accounting it in the
+// bgzf.deflate.* handles met and, for a job that ran on SharedPool, in
+// the pool's sizer; either may be nil.
+func deflate(dst, payload []byte, met *codecObs, sizer *poolSizer) []byte {
+	if met == nil && sizer == nil {
+		return wrapBlock(dst, payload)
 	}
 	t0 := time.Now()
-	block := wrapBlock(dst, payload)
+	dst = wrapBlock(dst, payload)
 	took := time.Since(t0)
-	codecObsFor(&deflateObs, "deflate").observe(took, len(payload), len(block))
-	observeSharedDeflate(len(payload), took)
-	return block, nil
+	met.observe(took, len(payload), len(dst))
+	if sizer != nil {
+		sizer.observe(len(payload), took)
+	}
+	return dst
 }
 
 // EOFMarker returns the canonical empty member that terminates a BGZF

@@ -15,7 +15,7 @@ import (
 func compressShared(t testing.TB, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewSharedParallelWriter(&buf, MaxPayload)
+	w := NewParallelWriter(&buf, 0)
 	if _, err := w.Write(data); err != nil {
 		t.Fatalf("shared Write: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestWritersIssueOneWritePerMember(t *testing.T) {
 	writers := map[string]func(io.Writer) *Writer{
 		"inline":     func(w io.Writer) *Writer { return NewWriterSize(w, payload) },
 		"private":    func(w io.Writer) *Writer { return NewParallelWriterSize(w, payload, 3) },
-		"SharedPool": func(w io.Writer) *Writer { return NewSharedParallelWriter(w, payload) },
+		"SharedPool": func(w io.Writer) *Writer { return NewParallelWriterSize(w, payload, 0) },
 	}
 	for name, open := range writers {
 		var sink memberWrites

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"time"
 
 	"parseq/internal/obs"
 	"parseq/internal/parpipe"
@@ -18,10 +17,10 @@ type wblock struct {
 }
 
 // Writer compresses a stream into BGZF blocks. Where blocks deflate is
-// fixed by the constructor: on the caller (NewWriter, NewWriterSize), on
-// a private worker pool (NewParallelWriter, NewParallelWriterSize) or on
-// SharedPool (NewSharedParallelWriter). The mode changes nothing a
-// reader of the output can see: block boundaries are cut by one
+// fixed by the constructor: on the caller (NewWriter, NewWriterSize), or
+// where the worker count places them (NewParallelWriter,
+// NewParallelWriterSize; see the package comment). The mode changes
+// nothing a reader of the output can see: block boundaries are cut by one
 // lazy-flush rule before compression, the encoder is a pure function of
 // the payload, and members reach the underlying writer in stream order,
 // one Write each — so the bytes, the virtual offsets and the first error
@@ -71,20 +70,36 @@ func NewWriterSize(w io.Writer, payload int) *Writer {
 }
 
 // NewParallelWriter returns a BGZF writer using the maximum per-block
-// payload that deflates on a private pool of workers (≤ 0 means one per
-// CPU).
+// payload whose blocks deflate where workers places them: on the caller
+// at 1, on a private pool of workers above 1, on SharedPool at ≤ 0.
 func NewParallelWriter(w io.Writer, workers int) *Writer {
 	return NewParallelWriterSize(w, MaxPayload, workers)
 }
 
-// NewParallelWriterSize is NewWriterSize with a private worker pool:
-// explicit per-block payload size and worker count (≤ 0 means one per
-// CPU).
+// NewParallelWriterSize is NewParallelWriter with an explicit per-block
+// payload size, as NewWriterSize takes it.
 func NewParallelWriterSize(w io.Writer, payload, workers int) *Writer {
-	workers = resolveWorkers(workers)
 	bw := NewWriterSize(w, payload)
-	bw.start(parpipe.NewObserved(workers, pipeDepth(workers), bw.compress, obs.Default(), "bgzf.deflate"))
+	if pipe, sizer := deflatePipe(workers, bw.compress); pipe != nil {
+		bw.sizer = sizer
+		bw.start(pipe)
+	}
 	return bw
+}
+
+// deflatePipe places deflate jobs by the worker rule: nil at 1 (the
+// caller runs them), a private pipeline of workers above 1, and at ≤ 0 a
+// pipeline on SharedPool, returned with the pool's sizer — the only
+// jobs that may feed it are the ones that ran there.
+func deflatePipe[J any](workers int, fn func(J)) (*parpipe.Pipe[J], *poolSizer) {
+	switch {
+	case workers == 1:
+		return nil, nil
+	case workers > 1:
+		return parpipe.NewObserved(workers, pipeDepth(workers), fn, obs.Default(), "bgzf.deflate"), nil
+	}
+	pool := SharedPool()
+	return parpipe.NewOnPool(pool, pipeDepth(pool.Max()), fn, obs.Default(), "bgzf.deflate"), sharedSizer
 }
 
 // start hands the writer's blocks to pipe and launches the loop that
@@ -105,17 +120,7 @@ func (w *Writer) start(pipe *parpipe.Pipe[*wblock]) {
 // soon as it is known so Offset can resolve without waiting for the
 // block to reach the underlying writer.
 func (w *Writer) compress(b *wblock) {
-	var t0 time.Time
-	if w.met != nil || w.sizer != nil {
-		t0 = time.Now()
-	}
-	b.block = wrapBlock(b.block, b.payload)
-	if w.met != nil {
-		w.met.observe(time.Since(t0), len(b.payload), len(b.block))
-	}
-	if w.sizer != nil {
-		w.sizer.observe(len(b.payload), time.Since(t0))
-	}
+	b.block = deflate(b.block, b.payload, w.met, w.sizer)
 	w.mu.Lock()
 	w.offset += int64(len(b.block))
 	w.unsized--

@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parseq/internal/bgzf"
 	"parseq/internal/formats"
 	"parseq/internal/mpi"
 	"parseq/internal/obs"
@@ -132,14 +131,14 @@ type Options struct {
 	// Region restricts conversion to one chromosome region (partial
 	// conversion). Only the provider-backed converters support it.
 	Region *Region
-	// CodecWorkers is the number of BGZF codec goroutines used wherever
-	// BAM streams are read or written. 0 (the default) selects the
-	// adaptive count — one worker per CPU, capped (bgzf.AutoWorkers) —
-	// so CLIs get the parallel codec without flags; 1 forces the
-	// sequential codec (the paper-faithful baseline). The codec
-	// parallelism is orthogonal to Cores: Cores splits records across
-	// ranks, CodecWorkers pipelines block compression/decompression
-	// under each stream.
+	// CodecWorkers is the BGZF codec worker count of every BAM stream
+	// read or written, passed to package bgzf, whose rule places the
+	// blocks; the default, 0, is adaptive, and 1 is the sequential codec
+	// (the paper-faithful baseline). Shard readers are the exception:
+	// they get a per-rank share of an explicit count and otherwise run
+	// on the caller (readerCodec). The codec parallelism is orthogonal to
+	// Cores: Cores splits records across ranks, CodecWorkers pipelines
+	// block compression/decompression under each stream.
 	CodecWorkers int
 	// ParseWorkers is the per-rank parse/encode worker count of the SAM
 	// source: each rank's partition is cut into ~256 KiB batches of whole
@@ -160,12 +159,6 @@ type Options struct {
 	// tally cover this rank alone; the per-rank target files on disk
 	// are the cross-process ground truth.
 	Launch mpi.Launcher
-
-	// sharedCodec records that CodecWorkers was left at the adaptive
-	// default: the short-lived per-rank BAM shard writers then attach to
-	// the process-wide bgzf.SharedPool (sized from measured bytes/s per
-	// worker) instead of each starting a private pool.
-	sharedCodec bool
 }
 
 func (o *Options) normalize() error {
@@ -181,10 +174,6 @@ func (o *Options) normalize() error {
 	}
 	if o.Cores < 1 {
 		o.Cores = 1
-	}
-	if o.CodecWorkers <= 0 {
-		o.CodecWorkers = bgzf.AutoWorkers()
-		o.sharedCodec = true
 	}
 	if o.ParseWorkers <= 0 {
 		o.ParseWorkers = adaptiveParseWorkers(o.Cores)

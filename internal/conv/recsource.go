@@ -85,15 +85,14 @@ func convertShards(p shard.Provider, h *sam.Header, shards []shard.Shard, sk *si
 	return convertRecords(next, func() int64 { return done + cur }, sk)
 }
 
-// readerCodec is each shard reader's share of the codec budget the
-// ranks divide (under a BAMZ reader even one readahead worker overlaps
-// decompression with conversion). The copy of opts resolves the adaptive
-// default; an invalid option resurfaces in convertProvider.
+// readerCodec is each shard reader's share of an explicit codec count
+// (n > 1), which the ranks divide. Any other count runs shard readers on
+// the caller: the shards themselves are the parallelism.
 func readerCodec(opts Options) shard.Option {
-	if opts.normalize() != nil || opts.CodecWorkers <= 1 {
-		return shard.WithCodecWorkers(0)
+	if opts.CodecWorkers <= 1 {
+		return shard.WithCodecWorkers(1)
 	}
-	return shard.WithCodecWorkers(max(1, opts.CodecWorkers/opts.Cores))
+	return shard.WithCodecWorkers(max(1, opts.CodecWorkers/max(opts.Cores, 1)))
 }
 
 // ConvertIndexed converts any container a shard provider reads (indexed
@@ -187,7 +186,7 @@ func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed
 // the paper's "BAM format converter without preprocessing" Table I
 // configuration: ConvertStream over the file's BAM reader.
 func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
-	if err := opts.normalize(); err != nil { // resolves the codec workers the reader gets
+	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	f, size, err := openSized(bamPath)

@@ -83,9 +83,9 @@ func PreprocessBAMFile(bamPath, bamxPath, baixPath string, codecWorkers int) (*P
 // CompressBAMXFile rewrites a plain BAMX file as a compressed one (the
 // paper's Section VII compression extension). The BAIX index is
 // unchanged: record indices are preserved, so an existing index keeps
-// working against the compressed file.
+// working against the compressed file. Members deflate on the caller.
 func CompressBAMXFile(bamxPath, bamzPath string, recsPerBlock int) (int64, error) {
-	return bamx.CompressFile(bamxPath, bamzPath, recsPerBlock, 0)
+	return bamx.CompressFile(bamxPath, bamzPath, recsPerBlock, 1)
 }
 
 // MergeBAMShards fuses per-rank BAM shards (which share one header) into

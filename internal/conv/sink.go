@@ -59,16 +59,7 @@ func newSink(opts *Options, h *sam.Header, rank int) (*sink, error) {
 	}
 	s.f = f
 	if opts.Format == "bam" {
-		// When CodecWorkers was left adaptive the shard attaches to the
-		// process-wide shared deflate pool (bgzf.SharedPool) — the many
-		// short-lived per-rank writers stop paying a pool start/stop each
-		// — while an explicit worker count keeps the per-stream pool or
-		// the sequential codec.
-		codec := bam.WithCodecWorkers(opts.CodecWorkers)
-		if opts.sharedCodec {
-			codec = bam.WithSharedCodec()
-		}
-		if s.shard, err = bam.NewWriter(f, h, codec); err != nil {
+		if s.shard, err = bam.NewWriter(f, h, bam.WithCodecWorkers(opts.CodecWorkers)); err != nil {
 			f.Close()
 			return nil, err
 		}

@@ -1,11 +1,14 @@
 package conv
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"parseq/internal/bam"
+	"parseq/internal/obs"
 )
 
 func TestConvertSAMToBAMRoundTrip(t *testing.T) {
@@ -103,6 +106,44 @@ func TestMergeBAMShardsErrors(t *testing.T) {
 	}
 	if _, err := MergeBAMShards([]string{"/does/not/exist.bam"}, filepath.Join(t.TempDir(), "o.bam"), 0); err == nil {
 		t.Error("missing shard accepted")
+	}
+}
+
+// MergeBAMShards' codec count follows bgzf's rule: 0 is adaptive, so the
+// fused writer deflates on the shared pool (its pipeline counters move
+// whatever the CPU count), while 1 keeps every stream on the caller. The
+// bytes are the same either way.
+func TestMergeBAMShardsCodecWorkersZeroIsAdaptive(t *testing.T) {
+	samPath, _, _ := writeDataset(t, 300)
+	outDir := t.TempDir()
+	res, err := ConvertSAMToBAM(samPath, Options{Cores: 3, OutDir: outDir, OutPrefix: "s", CodecWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := map[int][]byte{}
+	for _, workers := range []int{0, 1} {
+		reg := obs.New()
+		obs.SetDefault(reg)
+		out := filepath.Join(outDir, fmt.Sprintf("merged%d.bam", workers))
+		_, err := MergeBAMShards(res.Files, out, workers)
+		obs.SetDefault(nil)
+		if err != nil {
+			t.Fatalf("MergeBAMShards(%d): %v", workers, err)
+		}
+		if merged[workers], err = os.ReadFile(out); err != nil {
+			t.Fatal(err)
+		}
+		deflated := reg.Counter("parpipe.bgzf.deflate.items").Value()
+		inflated := reg.Counter("parpipe.bgzf.inflate.items").Value()
+		if workers == 0 && deflated == 0 {
+			t.Error("codec workers 0: the merged writer ran no block on a pool")
+		}
+		if workers == 1 && deflated+inflated != 0 {
+			t.Errorf("codec workers 1: %d deflate and %d inflate jobs ran on a pool", deflated, inflated)
+		}
+	}
+	if !bytes.Equal(merged[0], merged[1]) {
+		t.Error("merged bytes depend on the codec worker count")
 	}
 }
 

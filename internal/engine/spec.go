@@ -49,9 +49,10 @@ type Spec struct {
 	// or — when Env.Launch is a distributed launcher — the world size.
 	// 0 means 1.
 	Ranks int `json:"ranks,omitempty"`
-	// CodecWorkers and ParseWorkers are the BGZF codec goroutines per
-	// stream (convert, sort) and the per-rank parse/encode goroutines of
-	// SAM text conversion (0 adaptive, 1 sequential).
+	// CodecWorkers and ParseWorkers are the BGZF codec workers per
+	// stream (convert, sort, and the pamx converter both ways; package
+	// bgzf's rule places them) and the per-rank parse/encode goroutines
+	// of SAM text conversion (0 adaptive, 1 sequential).
 	CodecWorkers int `json:"codec_workers,omitempty"`
 	ParseWorkers int `json:"parse_workers,omitempty"`
 	// Region restricts conversion to one chromosome region

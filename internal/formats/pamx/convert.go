@@ -9,39 +9,20 @@ import (
 
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
-	"parseq/internal/bgzf"
 	"parseq/internal/sam"
 )
 
-// bamWriterOpts maps pamx codec Options onto the bam.Writer option set
-// with the same semantics: 0 shares the process pool, 1 is sequential,
-// n > 1 a private pool. Every path emits bit-identical BGZF bytes.
-func bamWriterOpts(opts Options) []bam.Option {
-	switch {
-	case opts.CodecWorkers == 1:
-		return nil
-	case opts.CodecWorkers > 1:
-		return []bam.Option{bam.WithCodecWorkers(opts.CodecWorkers)}
-	default:
-		return []bam.Option{bam.WithSharedCodec()}
-	}
-}
-
 // FromBAM converts a BAM file into PAMX at pamxPath, streaming record
 // bodies straight into the column splitter without decoding. The inflate
-// side follows CodecWorkers like the write side (0 picks the adaptive
-// bgzf.AutoWorkers, 1 the sequential codec). Returns the record count.
+// side follows CodecWorkers like the write side. Returns the record
+// count.
 func FromBAM(bamPath, pamxPath string, opts Options) (int64, error) {
 	in, err := os.Open(bamPath)
 	if err != nil {
 		return 0, err
 	}
 	defer in.Close()
-	inflaters := opts.CodecWorkers
-	if inflaters <= 0 {
-		inflaters = bgzf.AutoWorkers()
-	}
-	br, err := bam.NewReader(bufio.NewReaderSize(in, 1<<20), bam.WithCodecWorkers(inflaters))
+	br, err := bam.NewReader(bufio.NewReaderSize(in, 1<<20), bam.WithCodecWorkers(opts.CodecWorkers))
 	if err != nil {
 		return 0, err
 	}
@@ -113,6 +94,7 @@ func writePAMX(path string, h *sam.Header, opts Options, next func() ([]byte, er
 
 // ToBAM converts a PAMX file back into BAM at bamPath with the full
 // projection — the return leg of the byte-identity round-trip contract.
+// The BAM deflate follows CodecWorkers.
 func ToBAM(pamxPath, bamPath string, opts Options) (int64, error) {
 	pf, err := OpenPath(pamxPath)
 	if err != nil {
@@ -124,7 +106,7 @@ func ToBAM(pamxPath, bamPath string, opts Options) (int64, error) {
 		return 0, err
 	}
 	bw := bufio.NewWriterSize(out, 1<<20)
-	w, err := bam.NewWriter(bw, pf.Header(), bamWriterOpts(opts)...)
+	w, err := bam.NewWriter(bw, pf.Header(), bam.WithCodecWorkers(opts.CodecWorkers))
 	if err != nil {
 		out.Close()
 		os.Remove(bamPath)

@@ -129,11 +129,12 @@ const coordStride = 36
 
 // Options tunes a Writer.
 type Options struct {
-	// CodecWorkers drives the BGZF block jobs of a group flush: 0 runs
-	// them on the process-wide bgzf.SharedPool, 1 inline on the caller
-	// with no goroutine at all (the sequential baseline), and n > 1 on up
-	// to n goroutines at a time. All three emit bit-identical bytes. The
-	// converters apply the same count to the BAM inflate side.
+	// CodecWorkers is the BGZF codec worker count of a group flush's
+	// block jobs (one bgzf.DeflateBlocks batch), passed to package bgzf,
+	// whose rule places them; at 1 the flush itself also runs on the
+	// producer, with no goroutine at all (the sequential baseline). Every
+	// count emits bit-identical bytes. The converters pass the same count
+	// to the BAM side.
 	CodecWorkers int
 	// GroupBytes caps the uncompressed bytes buffered into one column
 	// group before it is cut (summed across columns). ≤ 0 picks

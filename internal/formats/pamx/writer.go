@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"parseq/internal/bam"
 	"parseq/internal/bgzf"
@@ -16,10 +15,10 @@ import (
 // (Write/WriteBody) splits records into the per-column buffers of the
 // open group until it cuts (size cap, record cap, or reference change);
 // the flush stage then takes the whole group: it slices all six columns
-// into ≤ bgzf.MaxPayload block jobs, runs them together on the codec
-// Options select, and appends the members — plus each column's EOF
-// marker — in column/block order, while the producer fills the next
-// group on a second buffer set. At most one group fills while one
+// into ≤ bgzf.MaxPayload payloads, deflates them in one
+// bgzf.DeflateBlocks batch at Options.CodecWorkers, and appends the
+// members — plus each column's EOF marker — in column/block order,
+// while the producer fills the next group on a second buffer set. At most one group fills while one
 // compresses, so in-flight memory is bounded by 2 × GroupBytes of column
 // bytes plus one group's compressed blocks. Close flushes the last
 // group, joins the flush stage and writes the footer index.
@@ -34,7 +33,6 @@ type Writer struct {
 	w      io.Writer
 	header *sam.Header
 	opts   Options
-	submit func(job func()) // starts one block job; see NewWriter
 
 	// Producer side.
 	fill    *group // the open group
@@ -48,12 +46,13 @@ type Writer struct {
 	// spare buffer set and the fields below it belong to that goroutine
 	// until done closes and to the producer otherwise, so the channel is
 	// their only synchronisation.
-	done   chan struct{}
-	spare  *group // the buffer set not being filled
-	off    int64  // absolute file offset of the next byte written
-	groups []GroupInfo
-	jobs   []blockJob // reused, and with it every job's member buffer
-	ferr   error
+	done     chan struct{}
+	spare    *group // the buffer set not being filled
+	off      int64  // absolute file offset of the next byte written
+	groups   []GroupInfo
+	payloads [][]byte // a flush's block payloads, aliasing the column buffers
+	members  [][]byte // their deflated members; the buffers are reused
+	ferr     error
 }
 
 // group is one buffer set: the column bytes of a group and its footer
@@ -70,14 +69,6 @@ func (g *group) reset() {
 	for c := range g.cols {
 		g.cols[c] = g.cols[c][:0]
 	}
-}
-
-// blockJob is one BGZF member of one column: payload aliases the column
-// buffer, block is the deflated member.
-type blockJob struct {
-	payload []byte
-	block   []byte
-	err     error
 }
 
 var errClosed = errors.New("pamx: writer closed")
@@ -101,23 +92,7 @@ func NewWriter(w io.Writer, h *sam.Header, opts Options) (*Writer, error) {
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
 	}
-	pw := &Writer{w: w, header: h, opts: opts, off: int64(len(hdr)), fill: &group{}, spare: &group{}}
-	switch n := opts.CodecWorkers; {
-	case n == 1:
-		pw.submit = func(job func()) { job() }
-	case n > 1:
-		sem := make(chan struct{}, n)
-		pw.submit = func(job func()) {
-			sem <- struct{}{}
-			go func() {
-				job()
-				<-sem
-			}()
-		}
-	default:
-		pw.submit = bgzf.SharedPool().Submit
-	}
-	return pw, nil
+	return &Writer{w: w, header: h, opts: opts, off: int64(len(hdr)), fill: &group{}, spare: &group{}}, nil
 }
 
 // Write encodes one alignment and appends it.
@@ -246,48 +221,35 @@ func (w *Writer) join() error {
 // record the group's footer entry. The first failure in that order
 // lands in w.ferr; nothing is written after it.
 func (w *Writer) flush(g *group) {
-	jobs := w.jobs[:0]
-	var blocks [numColumns]int // jobs per column
+	payloads := w.payloads[:0]
+	var blocks [numColumns]int // payloads per column
 	for c, col := range g.cols {
 		for ; len(col) > 0; blocks[c]++ {
 			n := min(len(col), bgzf.MaxPayload)
-			if len(jobs) < cap(jobs) {
-				jobs = jobs[:len(jobs)+1] // keeps the slot's member buffer
-			} else {
-				jobs = append(jobs, blockJob{})
-			}
-			jobs[len(jobs)-1].payload = col[:n]
+			payloads = append(payloads, col[:n])
 			col = col[n:]
 		}
 	}
-	w.jobs = jobs
-
-	var wg sync.WaitGroup
-	wg.Add(len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		w.submit(func() {
-			defer wg.Done()
-			j.block, j.err = bgzf.DeflateBlock(j.block, j.payload)
-		})
+	w.payloads = payloads
+	for len(w.members) < len(payloads) {
+		w.members = append(w.members, nil)
 	}
-	wg.Wait()
+	members := w.members[:len(payloads)]
+	if w.ferr = bgzf.DeflateBlocks(members, payloads, w.opts.CodecWorkers); w.ferr != nil {
+		return
+	}
 
 	for c, col := range g.cols {
 		if len(col) == 0 {
 			continue
 		}
 		start := w.off
-		for _, j := range jobs[:blocks[c]] {
-			if j.err != nil {
-				w.ferr = j.err
-				return
-			}
-			if !w.emit(j.block) {
+		for _, m := range members[:blocks[c]] {
+			if !w.emit(m) {
 				return
 			}
 		}
-		jobs = jobs[blocks[c]:]
+		members = members[blocks[c]:]
 		if !w.emit(bgzf.EOFMarker()) {
 			return
 		}

@@ -27,16 +27,16 @@ func WithIndexPath(p string) Option {
 	}
 }
 
-// WithCodecWorkers gives every shard reader n codec goroutines of its
-// own: BGZF inflate workers under a BAM reader (n > 1), block readahead
-// workers under a BAMZ reader (n > 0). The default, 0, keeps readers
-// sequential — the shards themselves are the parallelism.
+// WithCodecWorkers passes n, the BGZF codec worker count, to every BAM
+// and BAMZ shard reader's inflate (package bgzf's rule places it). The
+// default, 1, keeps readers on the caller — the shards themselves are
+// the parallelism.
 func WithCodecWorkers(n int) Option {
 	return func(s *settings) { s.codecWorkers = n }
 }
 
 func newSettings(indexPath string, opts []Option) settings {
-	s := settings{indexPath: indexPath}
+	s := settings{indexPath: indexPath, codecWorkers: 1}
 	for _, opt := range opts {
 		opt(&s)
 	}

@@ -29,7 +29,7 @@ type BAMProvider struct {
 }
 
 // NewBAMProvider returns a provider over the BAM file at path. Shard
-// readers default to the sequential codec (WithCodecWorkers overrides):
+// readers default to inflating on the caller (WithCodecWorkers overrides):
 // the shards themselves are the parallelism, and stacking a decode
 // pipeline per shard oversubscribes the machine.
 func NewBAMProvider(path string, opts ...Option) *BAMProvider {
@@ -179,11 +179,7 @@ func (p *BAMProvider) NewReader(sh Shard) (RecordReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bopts []bam.Option
-	if p.codecWorkers > 1 {
-		bopts = append(bopts, bam.WithCodecWorkers(p.codecWorkers))
-	}
-	br, err := bam.NewReader(f, bopts...)
+	br, err := bam.NewReader(f, bam.WithCodecWorkers(p.codecWorkers))
 	if err != nil {
 		f.Close()
 		return nil, err

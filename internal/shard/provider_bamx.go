@@ -26,7 +26,7 @@ import (
 // handle inflates through a one-block cache and is single-consumer, so
 // each BAMZ reader opens its own plain-file view
 // (bamx.CompressedFile.File) and inflates only the blocks its records
-// live in, WithCodecWorkers readahead workers running ahead of it.
+// live in, with WithCodecWorkers' count placing the inflate.
 //
 // The stride also puts every field at a constant offset, so the
 // provider is a Projector: under FieldCoord or FieldCoord|FieldCigar
@@ -291,9 +291,7 @@ func (p *BAMXProvider) NewReader(sh Shard) (RecordReader, error) {
 		if r.file, err = p.open(); err != nil {
 			return nil, err
 		}
-		if p.codecWorkers > 0 {
-			r.file.zf.StartReadahead(p.codecWorkers)
-		}
+		r.file.zf.StartReadahead(p.codecWorkers)
 	}
 	if sh.Unmapped() {
 		r.sc = r.file.Scan(sh.RecLo, sh.RecHi)

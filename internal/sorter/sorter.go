@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"parseq/internal/bam"
-	"parseq/internal/bgzf"
 	"parseq/internal/obs"
 	"parseq/internal/sam"
 )
@@ -35,31 +34,22 @@ type Options struct {
 	Cores int
 	// TmpDir receives the temporary runs; "" uses the OS default.
 	TmpDir string
-	// CodecWorkers is the BGZF codec worker budget of the two BGZF
-	// streams a sort has: the BAM input's inflate and the output's
-	// deflate (runs are raw, with no codec). 0 selects the adaptive
-	// default (bgzf.AutoWorkers) and, as in the converter's shard
-	// writers, puts the output writer on the process-wide
-	// bgzf.SharedPool; 1 forces the sequential paths. Orthogonal to
-	// Cores, exactly as in the converter runtime.
+	// CodecWorkers is the BGZF codec worker count of the two BGZF
+	// streams a sort has, the BAM input's inflate and the output's
+	// deflate (runs are raw, with no codec), passed to package bgzf,
+	// whose rule places the blocks. Orthogonal to Cores, exactly as in
+	// the converter runtime.
 	CodecWorkers int
 }
 
-// normalize resolves the defaults and reports whether CodecWorkers was
-// left adaptive, which puts the output writer on the shared deflate
-// pool.
-func (o *Options) normalize() (sharedCodec bool) {
+// normalize resolves the defaults.
+func (o *Options) normalize() {
 	if o.ChunkRecords < 1 {
 		o.ChunkRecords = 100_000
 	}
 	if o.Cores < 1 {
 		o.Cores = 1
 	}
-	if o.CodecWorkers <= 0 {
-		o.CodecWorkers = bgzf.AutoWorkers()
-		sharedCodec = true
-	}
-	return sharedCodec
 }
 
 // key is a record's coordinate sort key: the reference ID, past every
@@ -140,7 +130,7 @@ type nextFunc func(dst []byte) ([]byte, error)
 
 // SortSAMToBAM sorts a SAM file into a coordinate-sorted BAM file.
 func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
-	shared := opts.normalize()
+	opts.normalize()
 	f, err := os.Open(samPath)
 	if err != nil {
 		return 0, err
@@ -166,14 +156,14 @@ func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 		}
 		return dst, nil
 	}
-	return sortToBAM(h, next, outPath, opts, shared)
+	return sortToBAM(h, next, outPath, opts)
 }
 
 // SortBAM sorts a BAM file into a coordinate-sorted BAM file. Every
 // record is decoded and re-encoded, so a malformed one is refused as the
 // decoder refuses it.
 func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
-	shared := opts.normalize()
+	opts.normalize()
 	f, err := os.Open(bamPath)
 	if err != nil {
 		return 0, err
@@ -191,11 +181,11 @@ func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 		}
 		return bam.EncodeRecord(dst, &rec, br.Header())
 	}
-	return sortToBAM(br.Header(), next, outPath, opts, shared)
+	return sortToBAM(br.Header(), next, outPath, opts)
 }
 
 // sortToBAM drives the external merge sort over normalized opts.
-func sortToBAM(in *sam.Header, next nextFunc, outPath string, opts Options, sharedCodec bool) (int64, error) {
+func sortToBAM(in *sam.Header, next nextFunc, outPath string, opts Options) (int64, error) {
 	header := in.Clone()
 	header.SortOrder = sam.SortCoordinate
 
@@ -265,7 +255,7 @@ func sortToBAM(in *sam.Header, next nextFunc, outPath string, opts Options, shar
 
 	// Phase 2: k-way merge of the sorted runs.
 	merge := ph.Start(0, "sort.merge")
-	if err := mergeRuns(runs, header, outPath, opts.CodecWorkers, sharedCodec); err != nil {
+	if err := mergeRuns(runs, header, outPath, opts.CodecWorkers); err != nil {
 		return 0, err
 	}
 	merge.End()
@@ -317,7 +307,7 @@ func (h *mergeHeap) Pop() interface{} {
 // mergeRuns streams the runs through a heap into the output BAM. A
 // failed merge leaves no outPath behind: a truncated file there could
 // pass for a sorted BAM in a later run.
-func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int, shared bool) (err error) {
+func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int) (err error) {
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
@@ -330,11 +320,7 @@ func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int,
 			os.Remove(outPath)
 		}
 	}()
-	wopt := bam.WithCodecWorkers(codecWorkers)
-	if shared {
-		wopt = bam.WithSharedCodec()
-	}
-	w, err := bam.NewWriter(out, header, wopt)
+	w, err := bam.NewWriter(out, header, bam.WithCodecWorkers(codecWorkers))
 	if err != nil {
 		return err
 	}

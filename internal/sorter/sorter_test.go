@@ -411,7 +411,7 @@ func TestMergeRunsFailureLeavesNoOutput(t *testing.T) {
 		}
 		for _, runs := range [][]run{{good, bad}, {bad}, {good, missing}} {
 			out := filepath.Join(dir, "out.bam")
-			err := mergeRuns(runs, d.Header, out, 1, false)
+			err := mergeRuns(runs, d.Header, out, 1)
 			if err == nil {
 				t.Fatalf("merge of %v cut at %d succeeded", runs, cut)
 			}
@@ -427,7 +427,7 @@ func TestMergeRunsFailureLeavesNoOutput(t *testing.T) {
 	if err := os.WriteFile(bad.path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := mergeRuns([]run{good, bad}, d.Header, filepath.Join(dir, "ok.bam"), 1, false); err != nil {
+	if err := mergeRuns([]run{good, bad}, d.Header, filepath.Join(dir, "ok.bam"), 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -161,8 +161,8 @@ func ConvertBAMZ(bamzPath, baixPath string, opts Options) (*Result, error) {
 	return conv.ConvertBAMZ(bamzPath, baixPath, opts)
 }
 
-// PAMXOptions tunes the columnar PAMX writer: codec worker count (0
-// attaches to the shared BGZF pool) and column-group cut thresholds.
+// PAMXOptions tunes the columnar PAMX writer: codec worker count (see
+// package bgzf's rule) and column-group cut thresholds.
 type PAMXOptions = pamx.Options
 
 // PAMXFields selects the columns a PAMX reader inflates; see the
