@@ -252,11 +252,11 @@ func TestOpenCompressedRejectsCorruption(t *testing.T) {
 	// ISIZE is not P, and the records after it would all shift.
 	rows["member 0 re-deflated one record short"] = withMembers(cf, raw, func(members [][]byte) {
 		area := plain[HeaderSize(d.Header):]
-		short, err := bgzf.DeflateBlock(nil, area[stride:cf.payload])
-		if err != nil {
+		short := make([][]byte, 1)
+		if err := bgzf.DeflateBlocks(short, [][]byte{area[stride:cf.payload]}, 1); err != nil {
 			t.Fatal(err)
 		}
-		members[0] = short
+		members[0] = short[0]
 	})
 	// A table entry pointing inside a member.
 	inside := append([]byte(nil), raw...)

@@ -93,10 +93,7 @@ func TestDeflateSimColumns(t *testing.T) {
 			t.Fatalf("no %s payload", set.name)
 		}
 		p := set.payloads[0]
-		member, err := bgzf.DeflateBlock(nil, p)
-		if err != nil {
-			t.Fatalf("%s: %v", set.name, err)
-		}
+		member := deflateOne(t, p)
 		bgzf.CheckMember(t, p, member)
 		if len(member) >= len(p) {
 			t.Errorf("%s: %d bytes wrap to %d", set.name, len(p), len(member))
@@ -135,11 +132,7 @@ func TestGzipInflatesOurMembers(t *testing.T) {
 	}
 	var table []byte
 	for _, c := range bgzf.DeflateCases() {
-		member, err := bgzf.DeflateBlock(nil, c.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table = append(table, member...)
+		table = append(table, deflateOne(t, c.Payload)...)
 	}
 	streams["correctness table"] = append(table, bgzf.EOFMarker()...)
 
@@ -180,12 +173,18 @@ func FuzzDeflateBlock(f *testing.F) {
 		if len(payload) > bgzf.MaxPayload {
 			payload = payload[:bgzf.MaxPayload]
 		}
-		member, err := bgzf.DeflateBlock(nil, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bgzf.CheckMember(t, payload, member)
+		bgzf.CheckMember(t, payload, deflateOne(t, payload))
 	})
+}
+
+// deflateOne wraps one payload into a member on the caller.
+func deflateOne(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	members := make([][]byte, 1)
+	if err := bgzf.DeflateBlocks(members, [][]byte{payload}, 1); err != nil {
+		t.Fatal(err)
+	}
+	return members[0]
 }
 
 // TestDeflateFrontier prints DESIGN.md's codec frontier: compress/flate

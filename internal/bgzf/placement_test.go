@@ -180,25 +180,14 @@ func TestWorkerRulePlacesBlocks(t *testing.T) {
 // private pool leaves the window where it was.
 func TestDeflateOffSharedPoolLeavesSizerAlone(t *testing.T) {
 	payloads := splitPayloads(testData(3*MaxPayload, 43))
-	before := func() func(string) {
-		b, n := sizerWindow()
-		return func(what string) {
-			if b1, n1 := sizerWindow(); b1 != b || n1 != n {
-				t.Errorf("%s moved the shared sizer's window", what)
-			}
-		}
-	}
-	check := before()
-	if _, err := DeflateBlock(nil, payloads[0]); err != nil {
-		t.Fatal(err)
-	}
-	check("DeflateBlock")
 	for _, n := range []int{1, 3} {
-		check := before()
+		blocks0, bytes0 := sizerWindow()
 		if err := DeflateBlocks(make([][]byte, len(payloads)), payloads, n); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("a batch at workers=%d", n))
+		if blocks1, bytes1 := sizerWindow(); blocks1 != blocks0 || bytes1 != bytes0 {
+			t.Errorf("a batch at workers=%d moved the shared sizer's window", n)
+		}
 	}
 }
 

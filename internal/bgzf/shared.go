@@ -125,27 +125,18 @@ func (s *poolSizer) observe(n int, d time.Duration) {
 	}
 }
 
-// DeflateBlock compresses one payload of at most MaxPayload bytes into a
-// complete BGZF member on the caller, reusing dst's backing array when it
-// is large enough. The bytes equal what a Writer emits for the same
-// block, and the block lands in the bgzf.deflate.* counters. Safe for
-// concurrent use.
-func DeflateBlock(dst, payload []byte) ([]byte, error) {
-	if err := checkPayload(payload); err != nil {
-		return nil, err
-	}
-	return deflate(dst, payload, codecObsFor(&deflateObs, "deflate"), nil), nil
-}
-
-// DeflateBlocks is DeflateBlock over a batch: members[i] becomes the
-// member of payloads[i], reusing its backing array, with the jobs placed
-// by workers as a Writer's blocks are (see the package comment). It
-// returns once every job has run; a payload over MaxPayload fails the
-// batch before any does.
+// DeflateBlocks compresses each payload of at most MaxPayload bytes into
+// a complete BGZF member: members[i] becomes the member of payloads[i],
+// reusing its backing array when it is large enough. The bytes equal
+// what a Writer emits for the same block, every block lands in the
+// bgzf.deflate.* counters, and the jobs are placed by workers as a
+// Writer's blocks are (see the package comment; 1 runs them on the
+// caller). It returns once every job has run; a payload over MaxPayload
+// fails the batch before any does. Safe for concurrent use.
 func DeflateBlocks(members, payloads [][]byte, workers int) error {
 	for _, p := range payloads {
-		if err := checkPayload(p); err != nil {
-			return err
+		if len(p) > MaxPayload {
+			return fmt.Errorf("bgzf: %d-byte payload exceeds the %d-byte block limit", len(p), MaxPayload)
 		}
 	}
 	met := codecObsFor(&deflateObs, "deflate")
@@ -166,13 +157,6 @@ func DeflateBlocks(members, payloads [][]byte, workers int) error {
 		pipe.Close()
 	}()
 	for range pipe.Out() {
-	}
-	return nil
-}
-
-func checkPayload(p []byte) error {
-	if len(p) > MaxPayload {
-		return fmt.Errorf("bgzf: %d-byte payload exceeds the %d-byte block limit", len(p), MaxPayload)
 	}
 	return nil
 }

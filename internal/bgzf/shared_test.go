@@ -134,10 +134,11 @@ func TestPoolSizerIgnoresIdleGaps(t *testing.T) {
 	}
 }
 
-// DeflateBlock is the writer-less codec: members deflated one by one —
-// concurrently, into reused buffers — and followed by the EOF marker
-// are the stream the sequential Writer produces, and every block lands
-// in the bgzf.deflate.* counters.
+// DeflateBlocks is the writer-less codec: members deflated one by one —
+// by concurrent one-payload batches on their callers, into reused
+// buffers — and followed by the EOF marker are the stream the
+// sequential Writer produces, and every block lands in the
+// bgzf.deflate.* counters.
 func TestDeflateBlockMatchesSequentialWriter(t *testing.T) {
 	data := testData(5*MaxPayload+4321, 23)
 	want := compress(t, data, MaxPayload)
@@ -158,9 +159,8 @@ func TestDeflateBlockMatchesSequentialWriter(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				var err error
-				if members[i], err = DeflateBlock(members[i], payloads[i]); err != nil {
-					t.Errorf("DeflateBlock(%d): %v", i, err)
+				if err := DeflateBlocks(members[i:i+1], payloads[i:i+1], 1); err != nil {
+					t.Errorf("DeflateBlocks(%d): %v", i, err)
 				}
 			}(i)
 		}
@@ -175,9 +175,6 @@ func TestDeflateBlockMatchesSequentialWriter(t *testing.T) {
 	}
 	if got, want := reg.Counter("bgzf.deflate.bytes_in").Value(), int64(2*len(data)); got != want {
 		t.Errorf("bgzf.deflate.bytes_in = %d, want %d", got, want)
-	}
-	if _, err := DeflateBlock(nil, make([]byte, MaxPayload+1)); err == nil {
-		t.Error("DeflateBlock accepted a payload over MaxPayload")
 	}
 }
 
