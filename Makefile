@@ -179,6 +179,14 @@ deps-check:
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a codec worker count resolved outside internal/bgzf:"; echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rnE '\b(bam|pamx)\.NewWriter\(|bamx\.WriteBodies\(' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./internal/shard/' | grep -v '^\./internal/conv/sink\.go:' | grep -v '^\./internal/simdata/' | grep -v '^\./bench/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a container writer opened outside shard.Create:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/formats/pamx | grep -x 'parseq/internal/bamx' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: internal/formats/pamx imports internal/bamx (rewrites go through shard.Rewrite)"; exit 1; \
+	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them
 # (raw lines, comments included), per package and for the sets ROADMAP.md

@@ -1,9 +1,11 @@
-// Command samsort coordinate-sorts a SAM or BAM file into BAM, the
-// precondition for BAI/BAIX indexing and partial conversion.
+// Command samsort coordinate-sorts a SAM or BAM file into BAM, BAMX or
+// PAMX (by the output's extension), the precondition for BAI/BAIX
+// indexing and partial conversion.
 //
 // Usage:
 //
 //	samsort -in reads.sam -out sorted.bam -p 4
+//	samsort -in reads.sam -out sorted.bamx     # sorted.bamx + sorted.baix
 package main
 
 import (
@@ -31,7 +33,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{obsFlags: obsflag.Register(fs)}
 	o.spec.Op = engine.OpSort
 	fs.StringVar(&o.spec.InputPath, "in", "", "input file (.sam or .bam)")
-	fs.StringVar(&o.env.OutPath, "out", "", "output BAM (default: input with .sorted.bam)")
+	fs.StringVar(&o.env.OutPath, "out", "", "output file; its extension picks the container: .bam, .bamx (with a .baix beside it) or .pamx (default: input with .sorted.bam)")
 	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel chunk-sort workers")
 	fs.IntVar(&o.env.ChunkRecords, "chunk", 0, "records per in-memory chunk (default 100000)")
 	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec workers for the BAM input and the output ("+bgzf.WorkersUsage+")")

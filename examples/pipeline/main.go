@@ -1,5 +1,5 @@
 // End-to-end pipeline: every stage of the framework on one dataset.
-// Raw unsorted alignments are coordinate-sorted, summarised, preprocessed
+// Raw unsorted alignments are summarised, coordinate-sorted straight
 // into the indexed BAMX form, compressed, partially converted, and
 // finally analysed statistically — the full workflow the paper's two
 // components enable.
@@ -49,31 +49,28 @@ func main() {
 	step.done("flagstat: %d records, %d mapped, %d properly paired",
 		stats.Total, stats.Mapped, stats.ProperlyPaired)
 
-	// 2. Coordinate sort (external merge sort, parallel chunk sorting).
-	sorted := filepath.Join(dir, "sorted.bam")
-	n, err := parseq.SortSAMToBAM(rawSAM, sorted, parseq.SortOptions{
+	// 2. Coordinate sort (external merge sort, parallel chunk sorting),
+	// written as the indexed fixed-stride BAMX its extension names, then
+	// compressed.
+	bamx := filepath.Join(dir, "sorted.bamx")
+	baix := filepath.Join(dir, "sorted.baix")
+	n, err := parseq.SortSAMToBAM(rawSAM, bamx, parseq.SortOptions{
 		ChunkRecords: 8192, Cores: 4,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	step.done("sorted %d records → %s", n, sorted)
+	step.done("sorted %d records → %s + %s", n, bamx, baix)
 
-	// 3. Preprocess into the indexed fixed-stride BAMX form and compress.
-	bamx := filepath.Join(dir, "sorted.bamx")
-	baix := filepath.Join(dir, "sorted.baix")
-	pre, err := parseq.PreprocessBAM(sorted, bamx, baix)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 3. Compress the BAMX; the BAIX serves both.
 	bamz := filepath.Join(dir, "sorted.bamz")
 	if _, err := parseq.CompressBAMX(bamx, bamz, 512); err != nil {
 		log.Fatal(err)
 	}
 	xi, _ := os.Stat(bamx)
 	zi, _ := os.Stat(bamz)
-	step.done("preprocessed %d indexed alignments; BAMX %d B, compressed BAMZ %d B (%.0f%%)",
-		pre.Records, xi.Size(), zi.Size(), 100*float64(zi.Size())/float64(xi.Size()))
+	step.done("BAMX %d B, compressed BAMZ %d B (%.0f%%)",
+		xi.Size(), zi.Size(), 100*float64(zi.Size())/float64(xi.Size()))
 
 	// 4. Partial conversion of one region from the compressed file.
 	region, err := parseq.ParseRegion("chr1:1-80000")

@@ -40,21 +40,19 @@ type Caps struct {
 	Aux      int // maximum encoded auxiliary-tag bytes
 }
 
-// Observe grows caps to accommodate the BAM-encoded record body.
-func (c *Caps) Observe(body []byte) {
-	nameLen, nCigar, seqLen, auxLen := bodyLens(body)
-	if nameLen > c.QName {
-		c.QName = nameLen
+// Observe grows caps to accommodate the BAM-encoded record body. A body
+// shorter than its fixed section or than the lengths it declares is
+// ErrCorrupt, and leaves caps as they were.
+func (c *Caps) Observe(body []byte) error {
+	nameLen, nCigar, seqLen, auxLen, err := bodyLens(body)
+	if err != nil {
+		return err
 	}
-	if nCigar > c.CigarOps {
-		c.CigarOps = nCigar
-	}
-	if seqLen > c.Seq {
-		c.Seq = seqLen
-	}
-	if auxLen > c.Aux {
-		c.Aux = auxLen
-	}
+	c.QName = max(c.QName, nameLen)
+	c.CigarOps = max(c.CigarOps, nCigar)
+	c.Seq = max(c.Seq, seqLen)
+	c.Aux = max(c.Aux, auxLen)
+	return nil
 }
 
 // Stride returns the fixed record size the caps imply.
@@ -67,21 +65,29 @@ func (c Caps) Stride() int {
 // one length the BAM prefix does not carry).
 const prefixSize = 36
 
-// bodyLens extracts the variable-section lengths from a BAM record body.
-func bodyLens(body []byte) (nameLen, nCigar, seqLen, auxLen int) {
+// bodyLens extracts the variable-section lengths from a BAM record body,
+// refusing as ErrCorrupt a body shorter than the 32-byte fixed section
+// or than the lengths it declares.
+func bodyLens(body []byte) (nameLen, nCigar, seqLen, auxLen int, err error) {
+	if len(body) < 32 {
+		return 0, 0, 0, 0, fmt.Errorf("%w: %d-byte BAM record body", ErrCorrupt, len(body))
+	}
 	nameLen = int(body[8])
 	nCigar = int(binary.LittleEndian.Uint16(body[12:]))
 	seqLen = int(int32(binary.LittleEndian.Uint32(body[16:])))
 	auxLen = len(body) - 32 - nameLen - 4*nCigar - (seqLen+1)/2 - seqLen
-	return nameLen, nCigar, seqLen, auxLen
+	if seqLen < 0 || auxLen < 0 {
+		return 0, 0, 0, 0, fmt.Errorf("%w: inconsistent BAM record lengths", ErrCorrupt)
+	}
+	return nameLen, nCigar, seqLen, auxLen, nil
 }
 
 // padRecord lays the BAM record body out into the fixed-stride BAMX form
 // in dst, which must be Stride() bytes and zeroed or fully overwritten.
 func padRecord(dst, body []byte, caps Caps) error {
-	nameLen, nCigar, seqLen, auxLen := bodyLens(body)
-	if auxLen < 0 {
-		return fmt.Errorf("%w: inconsistent BAM record lengths", ErrCorrupt)
+	nameLen, nCigar, seqLen, auxLen, err := bodyLens(body)
+	if err != nil {
+		return err
 	}
 	if nameLen > caps.QName || nCigar > caps.CigarOps || seqLen > caps.Seq || auxLen > caps.Aux {
 		return fmt.Errorf("%w (name %d/%d, cigar %d/%d, seq %d/%d, aux %d/%d)",

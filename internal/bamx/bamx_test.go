@@ -150,44 +150,31 @@ func TestHeaderSizeMatchesLayout(t *testing.T) {
 	}
 }
 
-func TestPreprocessBAMMatchesSource(t *testing.T) {
-	d := dataset(t, 120)
-	var bamBuf bytes.Buffer
-	if err := d.WriteBAM(&bamBuf); err != nil {
-		t.Fatal(err)
-	}
-	var xBuf bytes.Buffer
-	idx, err := PreprocessBAMWorkers(bytes.NewReader(bamBuf.Bytes()), &xBuf, 0)
-	if err != nil {
-		t.Fatalf("PreprocessBAMWorkers: %v", err)
-	}
-	f, err := Open(bytes.NewReader(xBuf.Bytes()), int64(xBuf.Len()))
+// TestShortBodyIsCorrupt: a body shorter than the 32-byte fixed section,
+// or than the lengths it declares, is ErrCorrupt to the caps pass and to
+// the padded writer alike, never an out-of-range slice.
+func TestShortBodyIsCorrupt(t *testing.T) {
+	d := dataset(t, 10)
+	good, err := bam.EncodeRecord(nil, &d.Records[0], d.Header)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumRecords() != int64(len(d.Records)) {
-		t.Fatalf("records = %d, want %d", f.NumRecords(), len(d.Records))
-	}
-	var rec sam.Record
-	for i := range d.Records {
-		if err := f.ReadRecord(int64(i), &rec); err != nil {
-			t.Fatalf("ReadRecord(%d): %v", i, err)
+	lying := append([]byte(nil), good[4:37]...)
+	for name, body := range map[string][]byte{"empty": {}, "10 bytes": good[4:14], "31 bytes": good[4:35], "lying lengths": lying} {
+		var caps Caps
+		if err := caps.Observe(body); !errors.Is(err, ErrCorrupt) || caps != (Caps{}) {
+			t.Errorf("%s: Observe = %v, caps %+v; want ErrCorrupt and no change", name, err, caps)
 		}
-		if rec.String() != d.Records[i].String() {
-			t.Errorf("record %d differs after BAM→BAMX", i)
-		}
-	}
-	// The index from PreprocessBAMWorkers must match one rebuilt from the file.
-	rebuilt, err := BuildIndex(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Len() != idx.Len() {
-		t.Fatalf("rebuilt index %d entries, want %d", rebuilt.Len(), idx.Len())
-	}
-	for i, e := range rebuilt.Entries() {
-		if e != idx.Entries()[i] {
-			t.Errorf("entry %d: rebuilt %+v vs preprocessed %+v", i, e, idx.Entries()[i])
+		sent := false
+		_, err := WriteBodies(io.Discard, d.Header, Caps{QName: 64, CigarOps: 8, Seq: 256, Aux: 64}, func() ([]byte, error) {
+			if sent {
+				return nil, io.EOF
+			}
+			sent = true
+			return body, nil
+		})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: WriteBodies = %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -8,55 +8,6 @@ import (
 	"parseq/internal/sam"
 )
 
-// PreprocessBAMWorkers is the sequential preprocessing phase of the
-// paper's BAM format converter: it reads a BAM stream twice (the format
-// offers no record delimiters, so the record scan cannot be parallelised
-// — the paper's Section III-B observation), measuring the maximum field
-// sizes and then writing every record padded to them as a fixed-stride
-// BAMX file, and returns the BAIX index. Bodies are relocated without
-// decoding, through the zero-copy block scanner. Only the BGZF inflate
-// follows codecWorkers, the codec worker count bam.WithCodecWorkers
-// passes on; the BAMX and BAIX bytes are the same for any count.
-func PreprocessBAMWorkers(rs io.ReadSeeker, w io.Writer, codecWorkers int) (*Index, error) {
-	start, err := rs.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 1: measure capacities.
-	br, err := bam.NewReader(rs, bam.WithCodecWorkers(codecWorkers))
-	if err != nil {
-		return nil, err
-	}
-	var caps Caps
-	sc := bam.NewBodyScanner(br)
-	for {
-		body, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			br.Close()
-			return nil, err
-		}
-		caps.Observe(body)
-	}
-	if err := br.Close(); err != nil {
-		return nil, err
-	}
-
-	// Pass 2: relocate records into the padded layout.
-	if _, err := rs.Seek(start, io.SeekStart); err != nil {
-		return nil, err
-	}
-	br, err = bam.NewReader(rs, bam.WithCodecWorkers(codecWorkers))
-	if err != nil {
-		return nil, err
-	}
-	defer br.Close()
-	return WriteBodies(w, br.Header(), caps, bam.NewBodyScanner(br).Next)
-}
-
 // BuildFromRecords writes a BAMX file plus BAIX index for in-memory
 // records. Each record is encoded twice, into one reused buffer: once to
 // measure the caps, once to be padded.
@@ -68,7 +19,9 @@ func BuildFromRecords(w io.Writer, h *sam.Header, recs []sam.Record) (*Index, er
 		if rec, err = bam.EncodeRecord(rec[:0], &recs[i], h); err != nil {
 			return nil, err
 		}
-		caps.Observe(rec[4:])
+		if err := caps.Observe(rec[4:]); err != nil {
+			return nil, err
+		}
 	}
 	i := 0
 	return WriteBodies(w, h, caps, func() ([]byte, error) {
@@ -84,10 +37,11 @@ func BuildFromRecords(w io.Writer, h *sam.Header, recs []sam.Record) (*Index, er
 // WriteBodies is the one writer of padded records: it writes a BAMX
 // file of the BAM-encoded bodies (no block_size prefix) next yields
 // until io.EOF, and returns the BAIX index, built from each body's
-// refID and position. caps are the bodies' measured maxima — a
-// preprocessor measures them in a pass of its own, since the stride
-// precedes the first record — and are raised to the floor every BAMX
-// file keeps: room for the "*" read name and one base.
+// refID and position. caps are the bodies' measured maxima — measured
+// in a pass of their own, since the stride precedes the first record
+// (shard.Create's BAMX sink measures them as it spills) — and are raised
+// to the floor every BAMX file keeps: room for the "*" read name and one
+// base.
 func WriteBodies(w io.Writer, h *sam.Header, caps Caps, next func() ([]byte, error)) (*Index, error) {
 	caps.QName = max(caps.QName, 2)
 	caps.Seq = max(caps.Seq, 1)
@@ -105,10 +59,10 @@ func WriteBodies(w io.Writer, h *sam.Header, caps Caps, next func() ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		entries = appendEntry(entries, body, bw.Count())
 		if err := bw.WriteEncoded(body); err != nil {
 			return nil, err
 		}
+		entries = appendEntry(entries, body, bw.Count()-1) // the body checked as it was padded
 	}
 	if err := out.Flush(); err != nil {
 		return nil, err

@@ -12,7 +12,6 @@ import (
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/formats"
-	"parseq/internal/formats/pamx"
 	"parseq/internal/partition"
 	"parseq/internal/sam"
 	"parseq/internal/shard"
@@ -166,7 +165,7 @@ func TestRegionBound(t *testing.T) {
 	if _, err := CompressBAMXFile(path("r.bamx"), path("r.bamz"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pamx.FromBAM(path("r.bam"), path("r.pamx"), pamx.Options{}); err != nil {
+	if _, err := shard.Rewrite(path("r.bam"), path("r.pamx")); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"r.bam", "r.bamx", "r.bamz", "r.pamx"} {

@@ -3,7 +3,6 @@ package conv
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/formats"
-	"parseq/internal/formats/pamx"
 	"parseq/internal/sam"
 	"parseq/internal/shard"
 )
@@ -62,7 +60,7 @@ func TestSourceSinkMatrix(t *testing.T) {
 	}
 	// Small groups, so the region cuts inside one.
 	pamxPath := filepath.Join(dir, "d.pamx")
-	if _, err := pamx.FromBAM(bamPath, pamxPath, pamx.Options{GroupRecords: 60}); err != nil {
+	if _, err := shard.Rewrite(bamPath, pamxPath, shard.WithGroupCaps(0, 60)); err != nil {
 		t.Fatal(err)
 	}
 	// The same BAM beside a .bai sidecar; in.bam has none, so its
@@ -84,9 +82,20 @@ func TestSourceSinkMatrix(t *testing.T) {
 	shuffled := append([]sam.Record(nil), d.Records...)
 	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	shufPath := filepath.Join(dir, "shuf.bamx")
-	if _, err := writeIndexed(shufPath, filepath.Join(dir, "shuf.baix"), func(w io.Writer) (*bamx.Index, error) {
-		return bamx.BuildFromRecords(w, d.Header, shuffled)
-	}); err != nil {
+	shuf, err := shard.Create(shufPath, d.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc []byte
+	for i := range shuffled {
+		if enc, err = bam.EncodeRecord(enc[:0], &shuffled[i], d.Header); err != nil {
+			t.Fatal(err)
+		}
+		if err := shuf.WriteBody(enc[4:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := shuf.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,78 +4,46 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/obs"
 	"parseq/internal/sam"
+	"parseq/internal/shard"
 )
 
 // Whole-file container rewrites around the converter: BAM → BAMX/BAIX
-// preprocessing, BAMX → BAMZ compression, BAM shards → one BAM.
-
-// writeIndexed creates a BAMX file through build and writes the BAIX
-// index build returns beside it. On any error both files are removed: a
-// failed preprocessing leaves nothing a later run could mistake for a
-// complete pair.
-func writeIndexed(bamxPath, baixPath string, build func(io.Writer) (*bamx.Index, error)) (idx *bamx.Index, err error) {
-	out, err := os.Create(bamxPath)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			os.Remove(bamxPath)
-		}
-	}()
-	if idx, err = build(out); err != nil {
-		out.Close()
-		return nil, err
-	}
-	if err = out.Close(); err != nil {
-		return nil, err
-	}
-	ixf, err := os.Create(baixPath)
-	if err != nil {
-		return nil, err
-	}
-	_, err = idx.WriteTo(ixf)
-	if cerr := ixf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(baixPath)
-		return nil, err
-	}
-	return idx, nil
-}
+// preprocessing, BAM shards → one BAM, and BAMX → BAMZ compression. The
+// first two are a record source feeding a shard.Sink — shard.Rewrite
+// when the source is one file — so the container writers and their
+// commit-by-rename live in package shard alone; compression is
+// bamx.CompressFile's, block for block.
 
 // PreprocessBAMFile is the sequential preprocessing phase of the BAM
 // format converter: BAM in, BAMX + BAIX out. The BAM format's lack of
 // record delimiters forces the record scan to be sequential (Section
 // III-B), but BGZF block decompression pipelines under it on
 // codecWorkers goroutines (0 selects the adaptive count, 1 the
-// sequential codec).
+// sequential codec). The BAM is inflated once: the BAMX sink spills the
+// bodies raw beside bamxPath while it measures the field caps, then pads
+// them from the spill.
 func PreprocessBAMFile(bamPath, bamxPath, baixPath string, codecWorkers int) (*PreprocessResult, error) {
+	if !strings.HasSuffix(bamxPath, ".bamx") {
+		return nil, fmt.Errorf("conv: BAMX output %s needs a .bamx extension", bamxPath)
+	}
 	start := time.Now()
 	sp := obs.Default().StartSpan(0, 0, "preprocess")
 	defer sp.End()
-	in, err := os.Open(bamPath)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	idx, err := writeIndexed(bamxPath, baixPath, func(w io.Writer) (*bamx.Index, error) {
-		return bamx.PreprocessBAMWorkers(in, w, codecWorkers)
-	})
+	n, err := shard.Rewrite(bamPath, bamxPath, shard.WithIndexPath(baixPath), shard.WithCodecWorkers(codecWorkers))
 	if err != nil {
 		return nil, err
 	}
 	return &PreprocessResult{
 		BAMXFiles: []string{bamxPath},
 		BAIXFiles: []string{baixPath},
-		Records:   int64(idx.Len()),
+		Records:   n,
 		Duration:  time.Since(start),
 	}, nil
 }
@@ -91,86 +59,63 @@ func CompressBAMXFile(bamxPath, bamzPath string, recsPerBlock int) (int64, error
 // MergeBAMShards fuses per-rank BAM shards (which share one header) into
 // a single BAM file, streaming records in shard order, with both the
 // shard decode and the fused encode running codecWorkers BGZF goroutines
-// per stream (0 selects the adaptive count).
+// per stream (0 selects the adaptive count). Every record is decoded and
+// re-encoded under the first shard's header: the shards may come from
+// anywhere, and that is the check on them.
 func MergeBAMShards(shardPaths []string, outPath string, codecWorkers int) (int64, error) {
 	if len(shardPaths) == 0 {
 		return 0, fmt.Errorf("conv: no shards to merge")
 	}
-	first, err := os.Open(shardPaths[0])
-	if err != nil {
-		return 0, err
-	}
-	firstReader, err := bam.NewReader(first)
-	if err != nil {
-		first.Close()
-		return 0, err
-	}
-	header := firstReader.Header()
-	firstReader.Close()
-	first.Close()
-
-	out, err := os.Create(outPath)
-	if err != nil {
-		return 0, err
-	}
-	total, err := mergeShards(out, header, shardPaths, codecWorkers)
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		// A failed merge leaves no truncated BAM behind.
-		os.Remove(outPath)
-	}
-	return total, err
-}
-
-// mergeShards streams every shard's records, in shard order, into one
-// BAM stream on out; the writer is closed on every path.
-func mergeShards(out io.Writer, header *sam.Header, shardPaths []string, codecWorkers int) (total int64, err error) {
-	bw, err := bam.NewWriter(out, header, bam.WithCodecWorkers(codecWorkers))
-	if err != nil {
-		return 0, err
-	}
+	var (
+		header *sam.Header // the first shard's
+		out    *shard.Sink
+		total  int64
+		rec    sam.Record
+		buf    []byte
+	)
 	defer func() {
-		if cerr := bw.Close(); err == nil {
-			err = cerr
+		if out != nil {
+			out.Abort()
 		}
 	}()
-	var rec sam.Record
-	for _, shard := range shardPaths {
-		n, err := appendShard(bw, &rec, shard, len(header.Refs), codecWorkers)
-		total += n
+	for _, path := range shardPaths {
+		err := func() error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			r, err := bam.NewReader(f, bam.WithCodecWorkers(codecWorkers))
+			if err != nil {
+				return err
+			}
+			defer r.Close()
+			if header == nil {
+				header = r.Header()
+				if out, err = shard.Create(outPath, header, shard.WithCodecWorkers(codecWorkers)); err != nil {
+					return err
+				}
+			} else if refs := len(r.Header().Refs); refs != len(header.Refs) {
+				return fmt.Errorf("conv: shard %s has %d references, expected %d", path, refs, len(header.Refs))
+			}
+			for {
+				if err := r.ReadInto(&rec); err == io.EOF {
+					return nil
+				} else if err != nil {
+					return err
+				}
+				if buf, err = bam.EncodeRecord(buf[:0], &rec, header); err != nil {
+					return err
+				}
+				if err := out.WriteBody(buf[4:]); err != nil {
+					return err
+				}
+				total++
+			}
+		}()
 		if err != nil {
-			return total, err
+			return 0, err
 		}
 	}
-	return total, nil
-}
-
-// appendShard copies one shard's records into bw.
-func appendShard(bw *bam.Writer, rec *sam.Record, shard string, refs, codecWorkers int) (int64, error) {
-	f, err := os.Open(shard)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	r, err := bam.NewReader(f, bam.WithCodecWorkers(codecWorkers))
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	if len(r.Header().Refs) != refs {
-		return 0, fmt.Errorf("conv: shard %s has %d references, expected %d",
-			shard, len(r.Header().Refs), refs)
-	}
-	for n := int64(0); ; n++ {
-		if err := r.ReadInto(rec); err == io.EOF {
-			return n, nil
-		} else if err != nil {
-			return n, err
-		}
-		if err := bw.Write(rec); err != nil {
-			return n, err
-		}
-	}
+	return total, out.Close()
 }

@@ -3,16 +3,14 @@ package conv
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
-	"parseq/internal/bam"
-	"parseq/internal/bamx"
 	"parseq/internal/mpi"
 	"parseq/internal/partition"
 	"parseq/internal/sam"
+	"parseq/internal/shard"
 )
 
 // samSource is a SAM text file as the runtime reads it: opened and its
@@ -77,39 +75,31 @@ func (s *samSource) convert(br partition.ByteRange, sk *sink) (rankStats, error)
 }
 
 // preprocess is one rank of SAM preprocessing. The batch engine encodes
-// br's records as a BAM shard's are and the drain appends each batch to
-// a raw spill in the output directory (a bam.RunReader run), growing the
-// BAMX caps and counting records as it goes; a pad pass then writes the
-// rank's BAMX/BAIX pair from the spill, which is removed on every path.
+// br's records as a BAM shard's are and the drain hands each to the
+// rank's BAMX sink, which spills them raw beside bamxPath while it
+// measures the caps, and on Close pads them into the BAMX/BAIX pair.
 // Memory is O(batch); temporary disk is the rank's uncompressed records.
 func (s *samSource) preprocess(br partition.ByteRange, bamxPath, baixPath string) (n int64, err error) {
-	spill, err := os.CreateTemp(filepath.Dir(bamxPath), filepath.Base(bamxPath)+".spill-*")
+	out, err := shard.Create(bamxPath, s.header, shard.WithIndexPath(baixPath))
 	if err != nil {
 		return 0, err
 	}
-	defer os.Remove(spill.Name())
-	defer spill.Close()
-	var caps bamx.Caps
+	defer out.Abort()
 	err = s.batches(br, func() encodeFunc { return bamEncoder(s.header) }, func(b *lineBatch) error {
 		for rec := b.out; len(rec) > 0; {
 			size := 4 + int(binary.LittleEndian.Uint32(rec))
-			caps.Observe(rec[4:size])
+			if err := out.WriteBody(rec[4:size]); err != nil {
+				return err
+			}
 			rec = rec[size:]
 		}
 		n += b.records
-		_, err := spill.Write(b.out)
-		return err
+		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	if _, err := spill.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	_, err = writeIndexed(bamxPath, baixPath, func(w io.Writer) (*bamx.Index, error) {
-		return bamx.WriteBodies(w, s.header, caps, bam.NewRunReader(spill, n).NextBody)
-	})
-	return n, err
+	return n, out.Close()
 }
 
 // ConvertSAM is the paper's SAM format converter: the input file is

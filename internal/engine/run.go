@@ -12,7 +12,6 @@ import (
 	"parseq/internal/conv"
 	"parseq/internal/flagstat"
 	"parseq/internal/formats"
-	"parseq/internal/formats/pamx"
 	"parseq/internal/hist"
 	"parseq/internal/mpi"
 	"parseq/internal/peaks"
@@ -195,24 +194,19 @@ func ConvertOutputs(spec *Spec, env Env) ([]File, int64, error) {
 	return statFiles(paths)
 }
 
+// runPAMX is the pamx converter's rewrite, one file either direction:
+// .bam and .bamx to PAMX, .pamx back to BAM.
 func runPAMX(spec *Spec, env *Env, out *Result) ([]string, error) {
 	start := time.Now()
-	for _, dir := range []struct {
-		from, to string
-		run      func(src, dst string, opts pamx.Options) (int64, error)
-	}{
-		{".pamx", ".bam", pamx.ToBAM}, {".bamx", ".pamx", pamx.FromBAMX}, {".bam", ".pamx", pamx.FromBAM},
-	} {
-		if !strings.HasSuffix(env.Input, dir.from) {
-			continue
-		}
-		dst := filepath.Join(env.OutDir, env.OutPrefix+dir.to)
-		n, err := dir.run(env.Input, dst, pamx.Options{CodecWorkers: spec.CodecWorkers})
-		out.Records = n
-		out.Summary = fmt.Sprintf("converted %d records into %s in %v", n, dst, time.Since(start))
-		return []string{dst}, err
+	ext := map[string]string{".bam": ".pamx", ".bamx": ".pamx", ".pamx": ".bam"}[filepath.Ext(env.Input)]
+	if ext == "" {
+		return nil, fmt.Errorf("engine: converter pamx needs a .bam, .bamx or .pamx input")
 	}
-	return nil, fmt.Errorf("engine: converter pamx needs a .bam, .bamx or .pamx input")
+	dst := filepath.Join(env.OutDir, env.OutPrefix+ext)
+	n, err := shard.Rewrite(env.Input, dst, shard.WithCodecWorkers(spec.CodecWorkers))
+	out.Records = n
+	out.Summary = fmt.Sprintf("converted %d records into %s in %v", n, dst, time.Since(start))
+	return []string{dst}, err
 }
 
 func runSort(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
@@ -223,6 +217,7 @@ func runSort(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
 	case !strings.HasSuffix(env.Input, ".bam"):
 		return nil, fmt.Errorf("engine: op sort needs a .sam or .bam input, not %q", env.Input)
 	}
+	// The output's extension picks its container: .bam, .bamx or .pamx.
 	dst := env.dest("out.bam")
 	n, err := run(env.Input, dst, sorter.Options{
 		ChunkRecords: env.ChunkRecords, Cores: ranks,
@@ -230,7 +225,7 @@ func runSort(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
 	})
 	out.Records = n
 	out.Summary = fmt.Sprintf("sorted %d records → %s", n, dst)
-	return []string{dst}, err
+	return shard.Outputs(dst), err
 }
 
 // runAnalysis is flagstat, hist and peaks: Algorithm 1 byte

@@ -12,7 +12,6 @@ import (
 
 	"parseq/internal/conv"
 	"parseq/internal/flagstat"
-	"parseq/internal/formats/pamx"
 	"parseq/internal/hist"
 	"parseq/internal/peaks"
 	"parseq/internal/shard"
@@ -58,7 +57,7 @@ func makeContainers(t *testing.T, reads int) containers {
 	if _, err := conv.CompressBAMXFile(in.bamx, in.bamz, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pamx.FromBAM(in.bam, in.pamx, pamx.Options{}); err != nil {
+	if _, err := shard.Rewrite(in.bam, in.pamx); err != nil {
 		t.Fatal(err)
 	}
 	return in
@@ -149,17 +148,17 @@ func TestRunMatchesLibrary(t *testing.T) {
 		}},
 		{"convert/pamx", Spec{InputPath: in.pamx}, func(dir string, _ int) ([]string, error) {
 			dst := filepath.Join(dir, "out.bam")
-			n, err := pamx.ToBAM(in.pamx, dst, pamx.Options{})
+			n, err := shard.Rewrite(in.pamx, dst)
 			return one(dst, n, err)
 		}},
 		{"convert/bam→pamx", Spec{InputPath: in.bam, Converter: "pamx"}, func(dir string, _ int) ([]string, error) {
 			dst := filepath.Join(dir, "out.pamx")
-			n, err := pamx.FromBAM(in.bam, dst, pamx.Options{})
+			n, err := shard.Rewrite(in.bam, dst)
 			return one(dst, n, err)
 		}},
 		{"convert/bamx→pamx", Spec{InputPath: in.bamx, Converter: "pamx"}, func(dir string, _ int) ([]string, error) {
 			dst := filepath.Join(dir, "out.pamx")
-			n, err := pamx.FromBAMX(in.bamx, dst, pamx.Options{})
+			n, err := shard.Rewrite(in.bamx, dst)
 			return one(dst, n, err)
 		}},
 		{"sort/sam", Spec{Op: OpSort, InputPath: in.sam}, func(dir string, ranks int) ([]string, error) {
@@ -172,7 +171,29 @@ func TestRunMatchesLibrary(t *testing.T) {
 			n, err := sorter.SortBAM(in.bam, dst, sorter.Options{Cores: ranks, TmpDir: dir})
 			return one(dst, n, err)
 		}},
+		// A sort into .bamx or .pamx (outPaths) is the sort into BAM and
+		// then the rewrite.
+		{"sort/sam→bamx", Spec{Op: OpSort, InputPath: in.sam}, func(dir string, ranks int) ([]string, error) {
+			sorted := filepath.Join(dir, "sorted.bam")
+			if _, err := sorter.SortSAMToBAM(in.sam, sorted, sorter.Options{Cores: ranks, TmpDir: dir}); err != nil {
+				return nil, err
+			}
+			bamx, baix := filepath.Join(dir, "out.bamx"), filepath.Join(dir, "out.baix")
+			_, err := conv.PreprocessBAMFile(sorted, bamx, baix, 1)
+			return []string{bamx, baix}, err
+		}},
+		{"sort/bam→pamx", Spec{Op: OpSort, InputPath: in.bam}, func(dir string, ranks int) ([]string, error) {
+			sorted := filepath.Join(dir, "sorted.bam")
+			if _, err := sorter.SortBAM(in.bam, sorted, sorter.Options{Cores: ranks, TmpDir: dir}); err != nil {
+				return nil, err
+			}
+			dst := filepath.Join(dir, "out.pamx")
+			n, err := shard.Rewrite(sorted, dst)
+			return one(dst, n, err)
+		}},
 	}
+	// The cells whose output Env.OutPath names, and so its container.
+	outPaths := map[string]string{"sort/sam→bamx": "out.bamx", "sort/bam→pamx": "out.pamx"}
 	// The analyses read SAM text by Algorithm 1 partitioning and every
 	// shard-provider container region-parallel.
 	for _, input := range []string{in.sam, in.bam, in.bamx, in.bamz, in.pamx} {
@@ -230,7 +251,11 @@ func TestRunMatchesLibrary(t *testing.T) {
 				spec := c.spec
 				spec.Ranks = ranks
 				outDir := t.TempDir()
-				res, err := Run(spec, Env{OutDir: outDir})
+				env := Env{OutDir: outDir}
+				if name, ok := outPaths[c.name]; ok {
+					env.OutPath = filepath.Join(outDir, name)
+				}
+				res, err := Run(spec, env)
 				if err != nil {
 					t.Fatal(err)
 				}

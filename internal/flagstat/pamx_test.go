@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"parseq/internal/formats/pamx"
 	"parseq/internal/mpinet"
 	"parseq/internal/shard"
 )
@@ -17,7 +16,7 @@ func writePAMXDataset(t testing.TB, bamPath string, n, target int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.pamx")
 	groupRecords := (n + target - 1) / target
-	if _, err := pamx.FromBAM(bamPath, path, pamx.Options{GroupRecords: groupRecords}); err != nil {
+	if _, err := shard.Rewrite(bamPath, path, shard.WithGroupCaps(0, groupRecords)); err != nil {
 		t.Fatalf("FromBAM: %v", err)
 	}
 	return path

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"parseq/internal/bam"
-	"parseq/internal/bamx"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
 )
@@ -33,46 +32,6 @@ func writeTestBAM(t testing.TB, n int) (string, *simdata.Dataset) {
 		t.Fatal(err)
 	}
 	return path, d
-}
-
-// rewriteBAM streams a BAM file through the sequential reader/writer
-// pair — the canonical byte reference a PAMX round trip must reproduce.
-func rewriteBAM(t testing.TB, path string) []byte {
-	t.Helper()
-	in, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	br, err := bam.NewReader(bufio.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	var buf bytes.Buffer
-	bw, err := bam.NewWriter(&buf, br.Header())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec []byte
-	for {
-		body, err := br.ReadBody()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec = append(rec[:0], byte(len(body)), byte(len(body)>>8), byte(len(body)>>16), byte(len(body)>>24))
-		rec = append(rec, body...)
-		if err := bw.WriteEncoded(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // readBAMBodies collects every record body of a BAM file.
@@ -102,108 +61,45 @@ func readBAMBodies(t testing.TB, path string) [][]byte {
 	return bodies
 }
 
-// TestRoundTripByteIdentity is the correctness contract: BAM → PAMX →
-// BAM reproduces the canonical rewrite byte for byte at codec workers
-// {0, 1, 4} across group structures forced to target counts {1, 2, 4,
-// 8}, and the PAMX file bytes themselves are identical at every worker
-// count (the BGZF writer paths are bit-identical).
-func TestRoundTripByteIdentity(t *testing.T) {
-	const n = 2000
-	bamPath, _ := writeTestBAM(t, n)
-	want := rewriteBAM(t, bamPath)
-	dir := t.TempDir()
-
-	for _, target := range []int{1, 2, 4, 8} {
-		groupRecords := (n + target - 1) / target
-		var pamxBytes []byte
-		for _, workers := range []int{0, 1, 4} {
-			opts := Options{CodecWorkers: workers, GroupRecords: groupRecords}
-			pamxPath := filepath.Join(dir, "data.pamx")
-			count, err := FromBAM(bamPath, pamxPath, opts)
-			if err != nil {
-				t.Fatalf("target %d workers %d: FromBAM: %v", target, workers, err)
-			}
-			if count != n {
-				t.Fatalf("target %d workers %d: FromBAM wrote %d records, want %d", target, workers, count, n)
-			}
-			raw, err := os.ReadFile(pamxPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pamxBytes == nil {
-				pamxBytes = raw
-			} else if !bytes.Equal(raw, pamxBytes) {
-				t.Fatalf("target %d workers %d: PAMX bytes differ from workers-0 output", target, workers)
-			}
-
-			pf, err := OpenPath(pamxPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := pf.NumRecords(); got != n {
-				t.Fatalf("target %d: footer counts %d records, want %d", target, got, n)
-			}
-			if got := pf.NumGroups(); got < target {
-				t.Fatalf("target %d: only %d groups", target, got)
-			}
-			pf.Close()
-
-			outPath := filepath.Join(dir, "back.bam")
-			count, err = ToBAM(pamxPath, outPath, opts)
-			if err != nil {
-				t.Fatalf("target %d workers %d: ToBAM: %v", target, workers, err)
-			}
-			if count != n {
-				t.Fatalf("target %d workers %d: ToBAM wrote %d records, want %d", target, workers, count, n)
-			}
-			got, err := os.ReadFile(outPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("target %d workers %d: round-tripped BAM differs from canonical rewrite", target, workers)
-			}
+// writeTestPAMX writes the records of the BAM file at bamPath as a PAMX
+// file at path.
+func writeTestPAMX(t testing.TB, bamPath, path string, opts Options) {
+	t.Helper()
+	in, err := os.Open(bamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	br, err := bam.NewReader(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriter(out, br.Header(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		body, err := br.ReadBody()
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = w.WriteBody(body)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestFromBAMXMatchesFromBAM converts the same dataset from its BAM and
-// BAMX renderings and requires identical PAMX bytes — the two ingest
-// paths feed identical bodies into the column splitter.
-func TestFromBAMXMatchesFromBAM(t *testing.T) {
-	bamPath, d := writeTestBAM(t, 500)
-	dir := t.TempDir()
-	bamxPath := filepath.Join(dir, "data.bamx")
-	xf, err := os.Create(bamxPath)
-	if err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bamx.BuildFromRecords(xf, d.Header, d.Records); err != nil {
+	if err := out.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if err := xf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := Options{CodecWorkers: 1, GroupRecords: 100}
-	fromBAM := filepath.Join(dir, "a.pamx")
-	fromBAMX := filepath.Join(dir, "b.pamx")
-	if _, err := FromBAM(bamPath, fromBAM, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromBAMX(bamxPath, fromBAMX, opts); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(fromBAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(fromBAMX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("PAMX from BAM and from BAMX differ")
 	}
 }
 
@@ -214,9 +110,7 @@ func TestFromBAMXMatchesFromBAM(t *testing.T) {
 func TestProjectionViews(t *testing.T) {
 	bamPath, _ := writeTestBAM(t, 600)
 	pamxPath := filepath.Join(t.TempDir(), "data.pamx")
-	if _, err := FromBAM(bamPath, pamxPath, Options{CodecWorkers: 1, GroupRecords: 128}); err != nil {
-		t.Fatal(err)
-	}
+	writeTestPAMX(t, bamPath, pamxPath, Options{CodecWorkers: 1, GroupRecords: 128})
 	orig := readBAMBodies(t, bamPath)
 	pf, err := OpenPath(pamxPath)
 	if err != nil {
@@ -299,9 +193,7 @@ func TestProjectionViews(t *testing.T) {
 func TestGroupsNeverMixReferences(t *testing.T) {
 	bamPath, _ := writeTestBAM(t, 1000)
 	pamxPath := filepath.Join(t.TempDir(), "data.pamx")
-	if _, err := FromBAM(bamPath, pamxPath, Options{CodecWorkers: 1}); err != nil {
-		t.Fatal(err)
-	}
+	writeTestPAMX(t, bamPath, pamxPath, Options{CodecWorkers: 1})
 	pf, err := OpenPath(pamxPath)
 	if err != nil {
 		t.Fatal(err)
@@ -337,9 +229,7 @@ func TestGroupsNeverMixReferences(t *testing.T) {
 func TestOpenRejectsCorruption(t *testing.T) {
 	bamPath, _ := writeTestBAM(t, 200)
 	pamxPath := filepath.Join(t.TempDir(), "data.pamx")
-	if _, err := FromBAM(bamPath, pamxPath, Options{CodecWorkers: 1}); err != nil {
-		t.Fatal(err)
-	}
+	writeTestPAMX(t, bamPath, pamxPath, Options{CodecWorkers: 1})
 	good, err := os.ReadFile(pamxPath)
 	if err != nil {
 		t.Fatal(err)

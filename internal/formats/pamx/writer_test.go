@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -181,50 +179,5 @@ func TestWriterFailureIsSticky(t *testing.T) {
 	}
 	if !leakcheck.Settle(base) {
 		t.Fatalf("%d goroutines after the failed writers, %d before", runtime.NumGoroutine(), base)
-	}
-}
-
-// TestFailedConversionLeavesNoFile drives writePAMX with a source that
-// turns bad mid-stream — a body that fails validation, then a read
-// error — while a flush is in flight: the error comes back typed, the
-// flush stage is joined before the file is closed, and the partial
-// .pamx is gone.
-func TestFailedConversionLeavesNoFile(t *testing.T) {
-	bamPath, d := writeTestBAM(t, 1500)
-	bodies := readBAMBodies(t, bamPath)
-	h := d.Header
-	errSource := errors.New("source read failure")
-
-	base := runtime.NumGoroutine()
-	for _, workers := range []int{0, 1, 4} {
-		for name, tc := range map[string]struct {
-			bad  []byte
-			err  error
-			want error
-		}{
-			"corrupt body": {bad: bodies[0][:10], want: ErrCorrupt},
-			"lying body":   {bad: append([]byte(nil), bodies[0][:33]...), want: ErrCorrupt},
-			"source error": {err: errSource, want: errSource},
-		} {
-			path := filepath.Join(t.TempDir(), "out.pamx")
-			i := 0
-			next := func() ([]byte, error) {
-				if i == len(bodies)*2/3 {
-					return tc.bad, tc.err
-				}
-				i++
-				return bodies[i-1], nil
-			}
-			n, err := writePAMX(path, h, Options{CodecWorkers: workers, GroupBytes: 32 << 10}, next)
-			if !errors.Is(err, tc.want) || n != 0 {
-				t.Fatalf("workers %d, %s: writePAMX = %d, %v; want 0, %v", workers, name, n, err, tc.want)
-			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("workers %d, %s: partial file left behind (stat: %v)", workers, name, err)
-			}
-		}
-	}
-	if !leakcheck.Settle(base) {
-		t.Fatalf("%d goroutines after the failed conversions, %d before", runtime.NumGoroutine(), base)
 	}
 }

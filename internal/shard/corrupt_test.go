@@ -68,7 +68,7 @@ func TestBGZFCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	pamxPath := filepath.Join(dir, "clean.pamx")
-	if _, err := pamx.FromBAM(bamPath, pamxPath, pamx.Options{}); err != nil {
+	if _, err := shard.Rewrite(bamPath, pamxPath); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,19 +2,22 @@ package shard
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"parseq/internal/sam"
 )
 
-// settings are the knobs an Option turns; each provider reads the ones
-// its container has a use for.
+// settings are the knobs an Option turns; each provider and sink reads
+// the ones its container has a use for.
 type settings struct {
 	indexPath    string // sidecar index: .bai beside a BAM, .baix beside a BAMX or BAMZ
-	codecWorkers int    // codec goroutines per shard reader
+	codecWorkers int    // codec goroutines per shard reader, source or sink
+	groupBytes   int64  // a PAMX sink's group caps (pamx.Options)
+	groupRecords int
 }
 
-// Option tunes a provider.
+// Option tunes a provider or a sink.
 type Option func(*settings)
 
 // WithIndexPath overrides the sidecar index path; "" keeps the default
@@ -28,11 +31,17 @@ func WithIndexPath(p string) Option {
 }
 
 // WithCodecWorkers passes n, the BGZF codec worker count, to every BAM
-// and BAMZ shard reader's inflate (package bgzf's rule places it). The
-// default, 1, keeps readers on the caller — the shards themselves are
-// the parallelism.
+// and BAMZ shard reader's inflate and to a sink's deflate (package
+// bgzf's rule places it). The default, 1, keeps readers and writers on
+// the caller — the shards themselves are the parallelism.
 func WithCodecWorkers(n int) Option {
 	return func(s *settings) { s.codecWorkers = n }
+}
+
+// WithGroupCaps passes pamx.Options' GroupBytes and GroupRecords to a
+// PAMX sink; ≤ 0 keeps the writer's defaults.
+func WithGroupCaps(bytes int64, records int) Option {
+	return func(s *settings) { s.groupBytes, s.groupRecords = bytes, records }
 }
 
 func newSettings(indexPath string, opts []Option) settings {
@@ -43,15 +52,31 @@ func newSettings(indexPath string, opts []Option) settings {
 	return s
 }
 
-// containers is the one table of what a provider reads, by extension.
-var containers = []struct {
-	ext  string
-	open func(path string, opts ...Option) Provider
-}{
-	{".bam", func(path string, opts ...Option) Provider { return NewBAMProvider(path, opts...) }},
-	{".bamx", func(path string, opts ...Option) Provider { return NewBAMXProvider(path, opts...) }},
-	{".bamz", func(path string, opts ...Option) Provider { return NewBAMZProvider(path, opts...) }},
-	{".pamx", func(path string, _ ...Option) Provider { return NewPAMXProvider(path) }},
+// container is one row of the table of containers, read and write: a
+// provider reads it, and create (nil for BAMZ) writes one into out.
+type container struct {
+	ext    string
+	open   func(path string, opts ...Option) Provider
+	create func(sk *Sink, out *os.File, h *sam.Header, s settings) (encoder, error)
+}
+
+// containers is the one table of containers, by extension; a path with
+// none of them is read and written as BAM, the first row.
+var containers = []container{
+	{".bam", func(path string, opts ...Option) Provider { return NewBAMProvider(path, opts...) }, createBAM},
+	{".bamx", func(path string, opts ...Option) Provider { return NewBAMXProvider(path, opts...) }, createBAMX},
+	{".bamz", func(path string, opts ...Option) Provider { return NewBAMZProvider(path, opts...) }, nil},
+	{".pamx", func(path string, _ ...Option) Provider { return NewPAMXProvider(path) }, createPAMX},
+}
+
+// containerOf is path's row of the table.
+func containerOf(path string) *container {
+	for i := range containers {
+		if strings.HasSuffix(path, containers[i].ext) {
+			return &containers[i]
+		}
+	}
+	return &containers[0]
 }
 
 // Exts lists the extensions OpenPathProvider dispatches on.
@@ -66,12 +91,7 @@ func Exts() []string {
 // OpenPathProvider dispatches on the file extension. A path with none
 // of Exts opens as BAM, whose first use then says what a provider reads.
 func OpenPathProvider(path string, opts ...Option) Provider {
-	for _, c := range containers {
-		if strings.HasSuffix(path, c.ext) {
-			return c.open(path, opts...)
-		}
-	}
-	return NewBAMProvider(path, opts...)
+	return containerOf(path).open(path, opts...)
 }
 
 // resolveRefs maps the selection to reference IDs: every header

@@ -44,7 +44,7 @@ func writeContainers(t *testing.T, n int) (bamxPath, pamxPath string, d *simdata
 	create("data.baix", func(f *os.File) error { _, err := idx.WriteTo(f); return err })
 	bamPath := create("data.bam", func(f *os.File) error { return d.WriteBAM(f) })
 	pamxPath = filepath.Join(dir, "data.pamx")
-	if _, err := pamx.FromBAM(bamPath, pamxPath, pamx.Options{GroupRecords: n / 5}); err != nil {
+	if _, err := shard.Rewrite(bamPath, pamxPath, shard.WithGroupCaps(0, n/5)); err != nil {
 		t.Fatal(err)
 	}
 	return bamxPath, pamxPath, d

@@ -28,7 +28,7 @@ func writePAMXFile(t testing.TB, n, target int) (string, *simdata.Dataset) {
 		t.Fatal(err)
 	}
 	pamxPath := filepath.Join(dir, "data.pamx")
-	if _, err := pamx.FromBAM(bamPath, pamxPath, pamx.Options{GroupRecords: (n + target - 1) / target}); err != nil {
+	if _, err := Rewrite(bamPath, pamxPath, WithGroupCaps(0, (n+target-1)/target)); err != nil {
 		t.Fatal(err)
 	}
 	return pamxPath, d

@@ -13,7 +13,6 @@ import (
 
 	"parseq/internal/bam"
 	"parseq/internal/bamx"
-	"parseq/internal/formats/pamx"
 	"parseq/internal/mpi"
 	"parseq/internal/sam"
 	"parseq/internal/simdata"
@@ -268,7 +267,7 @@ func TestRegionSelection(t *testing.T) {
 	bamPath, bamxPath, d := writeDataset(t, 2500)
 	bamzPath, shufPath, _ := writeVariants(t, bamxPath, d)
 	pamxPath := filepath.Join(filepath.Dir(bamPath), "data.pamx")
-	if _, err := pamx.FromBAM(bamPath, pamxPath, pamx.Options{GroupRecords: 90}); err != nil {
+	if _, err := Rewrite(bamPath, pamxPath, WithGroupCaps(0, 90)); err != nil {
 		t.Fatal(err)
 	}
 	ref := d.Header.Refs[1]

@@ -4,8 +4,9 @@
 // external merge sort in the samtools mould over encoded BAM records:
 // the input streams into bounded chunks of records encoded by
 // bam.EncodeRecord, chunks sort in parallel ranks and spill as raw
-// sorted runs, and a k-way merge writes the output BAM. Unmapped records
-// sort after all mapped ones, as samtools does.
+// sorted runs, and a k-way merge writes the output: BAM, or BAMX or PAMX
+// as its extension names (shard.Create). Unmapped records sort after all
+// mapped ones, as samtools does.
 package sorter
 
 import (
@@ -23,6 +24,7 @@ import (
 	"parseq/internal/bam"
 	"parseq/internal/obs"
 	"parseq/internal/sam"
+	"parseq/internal/shard"
 )
 
 // Options tunes the sort.
@@ -128,7 +130,8 @@ type run struct {
 // io.EOF at the end of the input.
 type nextFunc func(dst []byte) ([]byte, error)
 
-// SortSAMToBAM sorts a SAM file into a coordinate-sorted BAM file.
+// SortSAMToBAM sorts a SAM file into a coordinate-sorted BAM file (a
+// .bamx or .pamx outPath: that container).
 func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 	opts.normalize()
 	f, err := os.Open(samPath)
@@ -156,12 +159,12 @@ func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 		}
 		return dst, nil
 	}
-	return sortToBAM(h, next, outPath, opts)
+	return sortInto(h, next, outPath, opts)
 }
 
-// SortBAM sorts a BAM file into a coordinate-sorted BAM file. Every
-// record is decoded and re-encoded, so a malformed one is refused as the
-// decoder refuses it.
+// SortBAM sorts a BAM file into a coordinate-sorted BAM file (a .bamx or
+// .pamx outPath: that container). Every record is decoded and
+// re-encoded, so a malformed one is refused as the decoder refuses it.
 func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 	opts.normalize()
 	f, err := os.Open(bamPath)
@@ -181,11 +184,11 @@ func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 		}
 		return bam.EncodeRecord(dst, &rec, br.Header())
 	}
-	return sortToBAM(br.Header(), next, outPath, opts)
+	return sortInto(br.Header(), next, outPath, opts)
 }
 
-// sortToBAM drives the external merge sort over normalized opts.
-func sortToBAM(in *sam.Header, next nextFunc, outPath string, opts Options) (int64, error) {
+// sortInto drives the external merge sort over normalized opts.
+func sortInto(in *sam.Header, next nextFunc, outPath string, opts Options) (int64, error) {
 	header := in.Clone()
 	header.SortOrder = sam.SortCoordinate
 
@@ -304,33 +307,16 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
-// mergeRuns streams the runs through a heap into the output BAM. A
-// failed merge leaves no outPath behind: a truncated file there could
-// pass for a sorted BAM in a later run.
-func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int) (err error) {
-	out, err := os.Create(outPath)
+// mergeRuns streams the runs through a heap into the output, whose
+// container shard.Create picks by extension: BAM, BAMX or PAMX. A failed
+// merge leaves no outPath behind: a truncated file there could pass for
+// a sorted one in a later run.
+func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int) error {
+	out, err := shard.Create(outPath, header, shard.WithCodecWorkers(codecWorkers))
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(outPath)
-		}
-	}()
-	w, err := bam.NewWriter(out, header, bam.WithCodecWorkers(codecWorkers))
-	if err != nil {
-		return err
-	}
-	// Closed on every path, before out: an abandoned writer would strand
-	// its codec workers.
-	defer func() {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-	}()
+	defer out.Abort()
 	h := make(mergeHeap, 0, len(runs))
 	for i, r := range runs {
 		f, err := os.Open(r.path)
@@ -348,7 +334,7 @@ func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int)
 	heap.Init(&h)
 	for len(h) > 0 {
 		rr := h[0]
-		if err := w.WriteEncoded(rr.rec); err != nil {
+		if err := out.WriteBody(rr.rec[4:]); err != nil {
 			return err
 		}
 		if ok, err := rr.next(); err != nil {
@@ -359,5 +345,5 @@ func mergeRuns(runs []run, header *sam.Header, outPath string, codecWorkers int)
 			heap.Pop(&h)
 		}
 	}
-	return nil
+	return out.Close()
 }

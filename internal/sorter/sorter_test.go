@@ -374,9 +374,9 @@ func TestSortSharedCodecDefaultIdentical(t *testing.T) {
 
 // TestMergeRunsFailureLeavesNoOutput: a merge that cannot finish —
 // here one run is cut off, mid-record or exactly at a record boundary,
-// so its first records merge and a later read fails — removes the
-// partial outPath instead of leaving a truncated file a later run could
-// take for a sorted BAM.
+// so its first records merge and a later read fails — leaves nothing in
+// the output's directory, into any container, instead of a truncated
+// file a later run could take for a sorted one.
 func TestMergeRunsFailureLeavesNoOutput(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(4000))
 	dir := t.TempDir()
@@ -410,16 +410,18 @@ func TestMergeRunsFailureLeavesNoOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, runs := range [][]run{{good, bad}, {bad}, {good, missing}} {
-			out := filepath.Join(dir, "out.bam")
-			err := mergeRuns(runs, d.Header, out, 1)
-			if err == nil {
-				t.Fatalf("merge of %v cut at %d succeeded", runs, cut)
-			}
-			if runs[len(runs)-1] == bad && !errors.Is(err, kind) {
-				t.Errorf("merge of %v cut at %d: err = %v, want %v", runs, cut, err, kind)
-			}
-			if _, err := os.Stat(out); !os.IsNotExist(err) {
-				t.Fatalf("failed merge of %v left %s behind (stat: %v)", runs, out, err)
+			for _, name := range []string{"out.bam", "out.bamx", "out.pamx"} {
+				outDir := t.TempDir()
+				err := mergeRuns(runs, d.Header, filepath.Join(outDir, name), 1)
+				if err == nil {
+					t.Fatalf("merge of %v cut at %d into %s succeeded", runs, cut, name)
+				}
+				if runs[len(runs)-1] == bad && !errors.Is(err, kind) {
+					t.Errorf("merge of %v cut at %d into %s: err = %v, want %v", runs, cut, name, err, kind)
+				}
+				if left, _ := os.ReadDir(outDir); len(left) != 0 {
+					t.Fatalf("failed merge of %v into %s left %s behind", runs, name, left[0].Name())
+				}
 			}
 		}
 	}

@@ -29,7 +29,9 @@
 package parseq
 
 import (
+	"fmt"
 	"io"
+	"strings"
 
 	"parseq/internal/conv"
 	"parseq/internal/experiments"
@@ -42,6 +44,7 @@ import (
 	"parseq/internal/nlmeans"
 	"parseq/internal/peaks"
 	"parseq/internal/sam"
+	"parseq/internal/shard"
 	"parseq/internal/simdata"
 	"parseq/internal/sorter"
 )
@@ -173,19 +176,28 @@ type PAMXFields = pamx.Fields
 // streams compressed independently into coordinate-sharded column
 // groups, so later analyses inflate only the fields they project.
 func ConvertBAMToPAMX(bamPath, pamxPath string, opts PAMXOptions) (int64, error) {
-	return pamx.FromBAM(bamPath, pamxPath, opts)
+	return rewritePAMX(bamPath, pamxPath, true, opts)
 }
 
 // ConvertBAMXToPAMX rewrites a fixed-stride BAMX file as columnar PAMX.
 func ConvertBAMXToPAMX(bamxPath, pamxPath string, opts PAMXOptions) (int64, error) {
-	return pamx.FromBAMX(bamxPath, pamxPath, opts)
+	return rewritePAMX(bamxPath, pamxPath, true, opts)
 }
 
 // ConvertPAMXToBAM converts a PAMX file back into BAM with the full
 // projection; the output is byte-identical to a sequential BAM rewrite
 // of the original input at any codec worker count.
 func ConvertPAMXToBAM(pamxPath, bamPath string, opts PAMXOptions) (int64, error) {
-	return pamx.ToBAM(pamxPath, bamPath, opts)
+	return rewritePAMX(pamxPath, bamPath, false, opts)
+}
+
+// rewritePAMX is shard.Rewrite under PAMXOptions. dst's extension picks
+// the container, so a PAMX output must carry .pamx.
+func rewritePAMX(src, dst string, toPAMX bool, opts PAMXOptions) (int64, error) {
+	if toPAMX && !strings.HasSuffix(dst, ".pamx") {
+		return 0, fmt.Errorf("parseq: PAMX output %s needs a .pamx extension", dst)
+	}
+	return shard.Rewrite(src, dst, shard.WithCodecWorkers(opts.CodecWorkers), shard.WithGroupCaps(opts.GroupBytes, opts.GroupRecords))
 }
 
 // NLMeansParams are the non-local means parameters: search radius R,
@@ -308,11 +320,14 @@ type SortOptions = sorter.Options
 
 // SortSAMToBAM coordinate-sorts a SAM file into BAM via a parallel
 // external merge sort, preparing it for indexing and partial conversion.
+// An outPath ending in .bamx or .pamx gets that container instead (a
+// .bamx with its .baix).
 func SortSAMToBAM(samPath, outPath string, opts SortOptions) (int64, error) {
 	return sorter.SortSAMToBAM(samPath, outPath, opts)
 }
 
-// SortBAM coordinate-sorts a BAM file into a new BAM file.
+// SortBAM coordinate-sorts a BAM file into a new BAM file (or, as for
+// SortSAMToBAM, the container outPath's extension names).
 func SortBAM(bamPath, outPath string, opts SortOptions) (int64, error) {
 	return sorter.SortBAM(bamPath, outPath, opts)
 }
