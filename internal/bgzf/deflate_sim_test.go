@@ -160,7 +160,8 @@ func TestGzipInflatesOurMembers(t *testing.T) {
 
 // FuzzDeflateBlock feeds the encoder arbitrary payloads: the member must
 // inflate back to the payload under compress/flate and compress/gzip,
-// fit MaxBlockSize, and never be larger than a stored block.
+// fit MaxBlockSize, never be larger than a stored block, and carry the
+// reference search's bytes.
 func FuzzDeflateBlock(f *testing.F) {
 	for _, c := range bgzf.DeflateCases() {
 		f.Add(c.Payload)
@@ -169,12 +170,56 @@ func FuzzDeflateBlock(f *testing.F) {
 	for _, p := range bamSet.payloads {
 		f.Add(p)
 	}
+	same := sameBytes()
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > bgzf.MaxPayload {
 			payload = payload[:bgzf.MaxPayload]
 		}
 		bgzf.CheckMember(t, payload, deflateOne(t, payload))
+		if !same(payload) {
+			t.Fatal("the encoder and the reference search emit different bytes")
+		}
 	})
+}
+
+// sameBytes reports whether the encoder, at the product's chain depth,
+// deflates a payload to the same bytes as the reference search.
+func sameBytes() func(p []byte) bool {
+	enc, ref := bgzf.NewRawDeflate(bgzf.MaxChain), bgzf.NewReferenceDeflate(bgzf.MaxChain)
+	a, b := make([]byte, 0, bgzf.MaxBlockSize), make([]byte, 0, bgzf.MaxBlockSize)
+	return func(p []byte) bool { return bytes.Equal(enc(a, p), ref(b, p)) }
+}
+
+// TestMatchfinderSameBytes holds the four-byte candidate test to its
+// promise: it rejects only candidates that cannot beat best, so the
+// search takes the reference's matches and every payload the product
+// hands the encoder — the correctness table, a BAM's members and each
+// PAMX column's, on both frontier inputs — deflates to the same bytes.
+func TestMatchfinderSameBytes(t *testing.T) {
+	table := payloadSet{name: "correctness table"}
+	for _, c := range bgzf.DeflateCases() {
+		table.payloads = append(table.payloads, c.Payload)
+	}
+	sets := []payloadSet{table}
+	for _, in := range frontierInputs(5000) {
+		bamSet, columns := simPayloads(t, in.cfg)
+		for _, set := range append(columns, bamSet) {
+			set.name = in.name + ", " + set.name
+			sets = append(sets, set)
+		}
+	}
+	same := sameBytes()
+	for _, set := range sets {
+		if len(set.payloads) == 0 {
+			t.Fatalf("no %s payload", set.name)
+		}
+		for i, p := range set.payloads {
+			if !same(p) {
+				t.Errorf("%s: payload %d of %d deflates differently from the reference search", set.name, i, len(set.payloads))
+				break
+			}
+		}
+	}
 }
 
 // deflateOne wraps one payload into a member on the caller.
@@ -187,10 +232,26 @@ func deflateOne(t testing.TB, payload []byte) []byte {
 	return members[0]
 }
 
+// frontierInputs is the frontier's two generated inputs at a size.
+func frontierInputs(reads int) []struct {
+	name string
+	cfg  simdata.Config
+} {
+	seed2 := simdata.DefaultConfig(reads)
+	seed2.Seed, seed2.ReadLen = 2, 150
+	return []struct {
+		name string
+		cfg  simdata.Config
+	}{{"seed 1", simdata.DefaultConfig(reads)}, {"seed 2, 150 bases", seed2}}
+}
+
 // TestDeflateFrontier prints DESIGN.md's codec frontier: compress/flate
-// at every level against the in-tree encoder at four chain depths, one
-// thread, over the payloads of two generated inputs. It measures, so it
-// only runs when asked: `make deflate-frontier`.
+// at every level against the in-tree encoder at four chain depths and
+// the reference search at the product's, one thread, over the payloads
+// of two generated inputs. Each pass runs every codec once, round-robin,
+// and each row keeps its fastest of five passes, so a noisy neighbour
+// cannot single out one row. It measures, so it only runs when asked:
+// `make deflate-frontier`.
 func TestDeflateFrontier(t *testing.T) {
 	if os.Getenv("BGZF_FRONTIER") == "" {
 		t.Skip("set BGZF_FRONTIER=1 to measure")
@@ -216,51 +277,68 @@ func TestDeflateFrontier(t *testing.T) {
 		}})
 	}
 	for _, chain := range []int{32, 64, 96, 128} {
+		if chain == bgzf.MaxChain {
+			codecs = append(codecs, codec{fmt.Sprintf("reference search (parent), chain %d", chain), bgzf.NewReferenceDeflate(chain)})
+		}
 		codecs = append(codecs, codec{fmt.Sprintf("in-tree chain %d", chain), bgzf.NewRawDeflate(chain)})
 	}
 
-	seed2 := simdata.DefaultConfig(40000)
-	seed2.Seed, seed2.ReadLen = 2, 150
-	for _, in := range []struct {
-		name string
-		cfg  simdata.Config
-	}{{"seed 1", simdata.DefaultConfig(40000)}, {"seed 2, 150 bases", seed2}} {
+	const passes = 5
+	for _, in := range frontierInputs(40000) {
 		bamSet, columns := simPayloads(t, in.cfg)
-		all := payloadSet{name: "pamx"}
+		npamx := 0
 		for _, col := range columns {
-			all.payloads = append(all.payloads, col.payloads...)
+			npamx += len(col.payloads)
 		}
-		fmt.Printf("\n%s: %d BAM payloads, %d PAMX payloads\n", in.name, len(bamSet.payloads), len(all.payloads))
-		fmt.Println("| codec | BAM MB/s | BAM ratio | PAMX MB/s | PAMX ratio | coord | qname | cigar | seq | qual | aux |")
-		for _, c := range codecs {
-			fmt.Printf("| %s ", c.name)
-			for _, set := range []payloadSet{bamSet, all} {
-				mbs, ratio := measure(c.run, set, 3)
-				fmt.Printf("| %.1f | %.4f ", mbs, ratio)
+		type row struct {
+			took    [2]time.Duration // fastest pass over the BAM payloads, then the PAMX columns'
+			in, out [2][]int         // their bytes per set, the same on every pass
+		}
+		rows := make([]row, len(codecs))
+		for pass := range passes {
+			for i, c := range codecs {
+				r := &rows[i]
+				for k, sets := range [][]payloadSet{{bamSet}, columns} {
+					took, in, out := runPass(c.run, sets)
+					if pass == 0 || took < r.took[k] {
+						r.took[k] = took
+					}
+					r.in[k], r.out[k] = in, out
+				}
 			}
-			for _, col := range columns {
-				_, ratio := measure(c.run, col, 1)
-				fmt.Printf("| %.4f ", ratio)
+		}
+
+		fmt.Printf("\n%s: %d BAM payloads, %d PAMX payloads\n", in.name, len(bamSet.payloads), npamx)
+		fmt.Println("| codec | BAM MB/s | BAM ratio | PAMX MB/s | PAMX ratio | coord | qname | cigar | seq | qual | aux |")
+		for i, c := range codecs {
+			r := rows[i]
+			fmt.Printf("| %s ", c.name)
+			for k := range r.took {
+				in, out := 0, 0
+				for s := range r.in[k] {
+					in, out = in+r.in[k][s], out+r.out[k][s]
+				}
+				fmt.Printf("| %.1f | %.4f ", float64(in)/1e6/r.took[k].Seconds(), float64(out)/float64(in))
+			}
+			for col := range columns {
+				fmt.Printf("| %.4f ", float64(r.out[1][col])/float64(r.in[1][col]))
 			}
 			fmt.Println("|")
 		}
 	}
 }
 
-// measure compresses every payload of the set, passes times over, and
-// returns the fastest pass's MB/s and the compressed/uncompressed ratio.
-func measure(run func(dst, p []byte) []byte, set payloadSet, passes int) (mbs, ratio float64) {
+// runPass compresses every payload of the sets once and returns the time
+// it took and each set's uncompressed and compressed bytes.
+func runPass(run func(dst, p []byte) []byte, sets []payloadSet) (took time.Duration, in, out []int) {
 	dst := make([]byte, 0, bgzf.MaxBlockSize)
-	var in, out int
-	best := time.Duration(1 << 62)
-	for pass := 0; pass < passes; pass++ {
-		in, out = 0, 0
-		t0 := time.Now()
+	in, out = make([]int, len(sets)), make([]int, len(sets))
+	t0 := time.Now()
+	for i, set := range sets {
 		for _, p := range set.payloads {
-			in += len(p)
-			out += len(run(dst, p))
+			in[i] += len(p)
+			out[i] += len(run(dst, p))
 		}
-		best = min(best, time.Since(t0))
 	}
-	return float64(in) / 1e6 / best.Seconds(), float64(out) / float64(in)
+	return time.Since(t0), in, out
 }

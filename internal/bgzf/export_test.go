@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -14,6 +15,9 @@ import (
 // DeflateCases is the encoder's correctness table.
 var DeflateCases = deflateCases
 
+// MaxChain is the chain depth the product searches at.
+const MaxChain = maxChain
+
 // NewRawDeflate returns the bare encoder — no BGZF wrapping — at a chosen
 // chain depth, for the frontier table; production runs at maxChain only.
 func NewRawDeflate(chain int) func(dst, p []byte) []byte {
@@ -22,6 +26,101 @@ func NewRawDeflate(chain int) func(dst, p []byte) []byte {
 		e.plan(p, chain)
 		return e.emit(dst[:0], p)
 	}
+}
+
+// NewReferenceDeflate is NewRawDeflate over the reference search below,
+// which tests a candidate on the one byte at best where the encoder tests
+// the four bytes ending there. Both must emit the same bytes.
+func NewReferenceDeflate(chain int) func(dst, p []byte) []byte {
+	e := new(deflator)
+	return func(dst, p []byte) []byte {
+		refTokenize(e, p, chain)
+		e.planTokens(len(p))
+		return e.emit(dst[:0], p)
+	}
+}
+
+// refLongestMatch rejects a candidate on the one byte at best.
+func refLongestMatch(e *deflator, p []byte, pos, cand, best, chain int) (length, dist int) {
+	maxLen := min(len(p)-pos, maxMatch)
+	nice := min(niceLen, maxLen)
+	if best >= goodLen {
+		chain >>= 2
+	}
+	floor := max(pos-windowSize, 0)
+	word := binary.LittleEndian.Uint32(p[pos:])
+	tail := p[pos+best]
+	for {
+		if p[cand+best] == tail && binary.LittleEndian.Uint32(p[cand:]) == word {
+			l := minMatch + matchLen(p[cand+minMatch:], p[pos+minMatch:pos+maxLen])
+			if l > best && (l > minMatch || pos-cand <= tooFar) {
+				best, dist = l, pos-cand
+				if l >= nice {
+					break
+				}
+				tail = p[pos+best]
+			}
+		}
+		if chain--; chain <= 0 {
+			break
+		}
+		if cand = int(e.prev[cand]) - 1; cand < floor {
+			break
+		}
+	}
+	return best, dist
+}
+
+// refTokenize is deflator.tokenize calling refLongestMatch.
+func refTokenize(e *deflator, p []byte, chain int) {
+	clear(e.head[:])
+	clear(e.litFreq[:])
+	clear(e.distFreq[:])
+	tokens := e.tokens[:0]
+	lastHash := len(p) - minMatch
+	insert := func(pos int) int {
+		h := hash4(p, pos)
+		cand := e.head[h]
+		e.prev[pos] = cand
+		e.head[h] = uint16(pos + 1)
+		return int(cand) - 1
+	}
+
+	prevLen, prevDist, pending := minMatch-1, 0, false
+	for pos := 0; pos < len(p); {
+		curLen, curDist := minMatch-1, 0
+		if pos <= lastHash {
+			cand := insert(pos)
+			if cand >= 0 && pos-cand <= windowSize && prevLen < lazyLen && prevLen < len(p)-pos {
+				curLen, curDist = refLongestMatch(e, p, pos, cand, prevLen, chain)
+			}
+		}
+		if prevLen >= minMatch && curLen <= prevLen {
+			tokens = append(tokens, uint32(prevLen-3)<<16|uint32(prevDist))
+			e.litFreq[257+int(lenCode[prevLen-3])]++
+			e.distFreq[distSym(prevDist)]++
+			end := pos - 1 + prevLen
+			for pos++; pos < end; pos++ {
+				if pos <= lastHash {
+					insert(pos)
+				}
+			}
+			prevLen, pending = minMatch-1, false
+			continue
+		}
+		if pending {
+			tokens = append(tokens, uint32(p[pos-1])<<16)
+			e.litFreq[p[pos-1]]++
+		}
+		prevLen, prevDist, pending = curLen, curDist, true
+		pos++
+	}
+	if pending {
+		tokens = append(tokens, uint32(p[len(p)-1])<<16)
+		e.litFreq[p[len(p)-1]]++
+	}
+	e.litFreq[endBlock] = 1
+	e.tokens = tokens
 }
 
 // CheckMember fails t unless member is a BGZF member that both

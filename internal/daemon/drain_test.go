@@ -22,17 +22,25 @@ import (
 	"testing"
 	"time"
 
+	"parseq/internal/bgzf"
 	"parseq/internal/conv"
+	"parseq/internal/leakcheck"
 	"parseq/internal/obs"
 	"parseq/internal/obsflag"
 )
 
+// TestMain runs the drain child when asked to; otherwise it runs the
+// tests and fails the package when goroutines outlive them: the job
+// runners, and every engine run under them, must stop once the daemon
+// is closed. The shared deflate pool lives for the process, so it is
+// started first.
 func TestMain(m *testing.M) {
 	if os.Getenv("SEQCONVD_TEST_MODE") == "drain-daemon" {
 		runDrainChild()
 		return
 	}
-	os.Exit(m.Run())
+	pool := bgzf.SharedPool()
+	leakcheck.Main(m, pool.Max()-pool.Workers())
 }
 
 // runDrainChild is the seqconvd stand-in: same session wiring, printed

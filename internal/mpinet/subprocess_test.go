@@ -17,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"parseq/internal/bgzf"
 	"parseq/internal/conv"
+	"parseq/internal/leakcheck"
 	"parseq/internal/mpi"
 	"parseq/internal/mpinet"
 	"parseq/internal/obs"
@@ -28,12 +30,16 @@ import (
 // thing: the test binary re-execs itself, once per rank, and the rank
 // processes form a loopback TCP world. TestMain routes helper
 // invocations (marked by MPINET_TEST_MODE) into rank duty instead of
-// the test suite.
+// the test suite. The suite itself fails when goroutines outlive it:
+// every peer's read loop and abort broadcast must end once its world is
+// closed or aborted. The shared deflate pool lives for the process, so
+// it is started first.
 
 func TestMain(m *testing.M) {
 	switch os.Getenv("MPINET_TEST_MODE") {
 	case "":
-		os.Exit(m.Run())
+		pool := bgzf.SharedPool()
+		leakcheck.Main(m, pool.Max()-pool.Workers())
 	case "convert":
 		helperConvert()
 	case "abortworld":
