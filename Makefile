@@ -22,8 +22,8 @@ race:
 	$(GO) test -race ./...
 
 # The one fast pre-commit subset of `race`: the converter runtime
-# (sources, sinks, the batch line engine), the SAM analyses and the
-# sorter that share its scanners, the shared deflate pool and the
+# (sources, sinks), the batch line engine (internal/sam), the SAM
+# analyses and the sorter that read through it, the shared deflate pool and the
 # parpipe plumbing under them, and the engine and daemon that drive them
 # concurrently. `ci` runs the full sweep.
 race-convert:
@@ -115,8 +115,10 @@ fmt-check:
 # own, so no non-test file under internal/, cmd/ or the module root
 # imports compress/* (compress/flate is the tests' oracle). And SAM text
 # has one record parser and one renderer (sam.ParseRecordIntoBytes,
-# Record.AppendTo): no string twin comes back, and SAM lines have one
-# reader (ScanHeader + LineScanner): no sam.NewReader comes back. And
+# Record.AppendTo): no string twin comes back, and SAM alignment lines
+# have one reader (sam.Source's batch line engine): no sam.NewReader or
+# LineScanner comes back, and no product file of internal/sam, conv,
+# flagstat or sorter opens a bufio.Scanner. And
 # internal/bgzf has one Reader and one Writer, where blocks run being a
 # field: no parallel twin type or interface to switch between twins
 # comes back. And no product code decodes BAM through
@@ -151,9 +153,11 @@ deps-check:
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a second BGZF reader or writer type in internal/bgzf:"; echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(ls internal/sam/*.go | grep -v _test | xargs grep -n 'func NewReader(' || true); \
+	@bad=$$( { ls internal/sam/*.go | grep -v _test | xargs grep -n 'func NewReader('; \
+		grep -rn 'LineScanner' --include=*.go . | grep -v '_test\.go:'; \
+		ls internal/sam/*.go internal/conv/*.go internal/flagstat/*.go internal/sorter/*.go | grep -v _test | xargs grep -n 'bufio\.NewScanner'; } || true); \
 	if [ -n "$$bad" ]; then \
-		echo "deps-check: a second SAM line reader in internal/sam:"; echo "$$bad"; exit 1; \
+		echo "deps-check: a second SAM line reader beside sam.Source's batch line engine:"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn 'bam\.NewParallelScanner' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./bench/' || true); \
 	if [ -n "$$bad" ]; then \

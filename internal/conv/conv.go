@@ -7,8 +7,8 @@
 //
 //   - A source partitions the input across ranks and yields each rank's
 //     records in order. There are two: SAM text (Algorithm 1 byte
-//     partitioning, then one batch line engine — inline on the rank's
-//     goroutine at ParseWorkers 1, an order-preserving pipeline of
+//     partitioning, then sam.Source's batch line engine — inline on the
+//     rank's goroutine at ParseWorkers 1, an order-preserving pipeline of
 //     ParseWorkers parse goroutines above it) and a shard.Provider (BAMX,
 //     BAMZ, PAMX or indexed BAM: the provider cuts the file — or the
 //     region, for partial conversion — into one shard per rank and serves
@@ -35,7 +35,6 @@ package conv
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -176,7 +175,7 @@ func (o *Options) normalize() error {
 		o.Cores = 1
 	}
 	if o.ParseWorkers <= 0 {
-		o.ParseWorkers = adaptiveParseWorkers(o.Cores)
+		o.ParseWorkers = sam.AdaptiveWorkers(o.Cores)
 	}
 	if o.OutDir == "" {
 		o.OutDir = "."
@@ -232,20 +231,6 @@ type rankStats struct {
 	emitted  int64
 	bytesIn  int64
 	bytesOut int64
-}
-
-// adaptiveParseWorkers sizes a rank's parse/encode pool when the knob
-// is zero: the ranks already occupy Cores CPUs, so each gets its share
-// of the remaining parallelism, clamped like the codec's AutoWorkers.
-func adaptiveParseWorkers(cores int) int {
-	w := runtime.GOMAXPROCS(0) / cores
-	if w < 1 {
-		w = 1
-	}
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
 
 // run is the runtime's one rank driver. plan is a rank's partition step

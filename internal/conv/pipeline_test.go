@@ -352,56 +352,44 @@ func TestLineJustUnderLimitSucceeds(t *testing.T) {
 	}
 }
 
-// TestPreprocessRankMappedAndPooled: one preprocessing rank over a
-// range longer than two batches writes the same BAMX and BAIX bytes as
-// bamx.BuildFromRecords over the dataset — over the file mapping and over
-// pooled chunks, inline and pipelined — and leaves no spill behind.
-func TestPreprocessRankMappedAndPooled(t *testing.T) {
+// TestPreprocessRankMatchesBuildFromRecords: one preprocessing rank
+// over the whole alignment section writes the same BAMX and BAIX bytes
+// as bamx.BuildFromRecords over the dataset, inline and pipelined, and
+// leaves no spill behind. (The engine's mapped and pooled scans are
+// pinned against each other in internal/sam.)
+func TestPreprocessRankMatchesBuildFromRecords(t *testing.T) {
 	samPath, _, d := writeDataset(t, 3000)
 	for _, workers := range []int{1, 4} {
-		for _, mapped := range []bool{true, false} {
-			src, err := openSAM(samPath, workers)
-			if err != nil {
-				t.Fatal(err)
+		src, err := sam.Open(samPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		wantIdx, err := bamx.BuildFromRecords(&want, src.Header, d.Records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		bamxPath, baixPath := filepath.Join(dir, "r.bamx"), filepath.Join(dir, "r.baix")
+		n, err := preprocessShare(src, src.All(), workers, bamxPath, baixPath)
+		src.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if n != int64(len(d.Records)) {
+			t.Errorf("workers=%d: %d records, want %d", workers, n, len(d.Records))
+		}
+		var wantIx bytes.Buffer
+		if _, err := wantIdx.WriteTo(&wantIx); err != nil {
+			t.Fatal(err)
+		}
+		for path, want := range map[string][]byte{bamxPath: want.Bytes(), baixPath: wantIx.Bytes()} {
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("workers=%d: %s differs from BuildFromRecords (err %v)", workers, filepath.Base(path), err)
 			}
-			if src.size-src.dataStart <= 2*batchBytes {
-				t.Fatalf("alignment section is %d bytes, want more than two batches", src.size-src.dataStart)
-			}
-			if mapped && src.mapped == nil {
-				t.Logf("workers=%d: no file mapping on this platform", workers)
-				src.close()
-				continue
-			}
-			if !mapped {
-				src.mapped = nil
-			}
-			var want bytes.Buffer
-			wantIdx, err := bamx.BuildFromRecords(&want, src.header, d.Records)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			bamxPath, baixPath := filepath.Join(dir, "r.bamx"), filepath.Join(dir, "r.baix")
-			n, err := src.preprocess(partition.ByteRange{Start: src.dataStart, End: src.size}, bamxPath, baixPath)
-			src.close()
-			if err != nil {
-				t.Fatalf("workers=%d mapped=%v: %v", workers, mapped, err)
-			}
-			if n != int64(len(d.Records)) {
-				t.Errorf("workers=%d mapped=%v: %d records, want %d", workers, mapped, n, len(d.Records))
-			}
-			var wantIx bytes.Buffer
-			if _, err := wantIdx.WriteTo(&wantIx); err != nil {
-				t.Fatal(err)
-			}
-			for path, want := range map[string][]byte{bamxPath: want.Bytes(), baixPath: wantIx.Bytes()} {
-				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("workers=%d mapped=%v: %s differs from BuildFromRecords (err %v)", workers, mapped, filepath.Base(path), err)
-				}
-			}
-			if left, _ := os.ReadDir(dir); len(left) != 2 {
-				t.Errorf("workers=%d mapped=%v: %d files in the output directory, want the pair", workers, mapped, len(left))
-			}
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 2 {
+			t.Errorf("workers=%d: %d files in the output directory, want the pair", workers, len(left))
 		}
 	}
 }

@@ -120,19 +120,6 @@ func ConvertBAMZ(bamzPath, baixPath string, opts Options) (*Result, error) {
 	return convertProvider(shard.NewBAMZProvider(bamzPath, shard.WithIndexPath(baixPath), readerCodec(opts)), opts)
 }
 
-func openSized(path string) (*os.File, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return f, fi.Size(), nil
-}
-
 // ConvertBAM is the complete BAM format converter of Section III-B:
 // sequential preprocessing into a temporary BAMX/BAIX pair, then
 // embarrassingly parallel conversion of the fixed-stride file. The
@@ -189,17 +176,21 @@ func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	f, size, err := openSized(bamPath)
+	f, err := os.Open(bamPath)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	br, err := bam.NewReader(f, bam.WithCodecWorkers(opts.CodecWorkers))
 	if err != nil {
 		return nil, err
 	}
 	defer br.Close()
-	addBytesTotal(size)
+	addBytesTotal(fi.Size())
 	next := func(rec *sam.Record) (bool, error) {
 		err := br.ReadInto(rec)
 		if err == io.EOF {

@@ -13,87 +13,43 @@ import (
 	"parseq/internal/shard"
 )
 
-// samSource is a SAM text file as the runtime reads it: opened and its
-// header scanned once, then shared by the ranks, which read their
-// partitions through positioned reads or the mapping.
-type samSource struct {
-	f         *os.File
-	size      int64
-	header    *sam.Header
-	dataStart int64  // offset of the first alignment line
-	mapped    []byte // whole-file mapping the batch engine parses out of; nil → streamed reads
-	unmap     func() // releases mapped
-	workers   int    // ParseWorkers: parse goroutines per rank; 1 parses inline
-}
-
-// openSAM opens the source. The batch engine parses straight out of the
-// page cache through a read-only mapping where the platform and the file
-// allow one (not an empty file, pipe, or filesystem without mmap).
-func openSAM(path string, parseWorkers int) (*samSource, error) {
-	f, size, err := openSized(path)
-	if err != nil {
-		return nil, err
-	}
-	s := &samSource{f: f, size: size, workers: parseWorkers, unmap: func() {}}
-	if s.header, s.dataStart, err = sam.ScanHeader(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if data, unmap, err := mmapFile(f); err == nil {
-		s.mapped, s.unmap = data, unmap
-	}
-	return s, nil
-}
-
-// close releases the source; no record parsed by the batch engine may
-// be used after it.
-func (s *samSource) close() {
-	s.unmap()
-	s.f.Close()
-}
-
-// partition is Algorithm 1: the alignment section is split evenly by
-// bytes and each boundary adjusted forward to the next line breaker.
-func (s *samSource) partition(c *mpi.Comm) (partition.ByteRange, error) {
-	return partition.SAMForwardMPI(c, s.f, s.dataStart, s.size)
-}
-
-// convert streams br's records through the rank's sink: each batch's
-// records are encoded into its output buffer and the buffers written in
-// input order.
-func (s *samSource) convert(br partition.ByteRange, sk *sink) (rankStats, error) {
+// convertShare streams br's records through the rank's sink: the batch
+// line engine encodes each batch's records into its output buffer and
+// the buffers are written in input order.
+func convertShare(src *sam.Source, br partition.ByteRange, workers int, sk *sink) (rankStats, error) {
 	addBytesTotal(br.Len()) // the /progress ETA denominator
 	st := rankStats{bytesIn: br.Len()}
 	live := newLiveProgress()
-	err := s.batches(br, sk.encoder, func(b *lineBatch) error {
-		st.records += b.records
-		st.emitted += b.emitted
-		live.batch(b.records, int64(len(b.chunk)), int64(len(b.out)))
-		return sk.write(b.out)
+	err := src.Batches(br, workers, sk.encoder, func(b *sam.Batch) error {
+		st.records += b.Records
+		st.emitted += b.Emitted
+		live.batch(b.Records, int64(len(b.Chunk)), int64(len(b.Out)))
+		return sk.write(b.Out)
 	})
 	return st, err
 }
 
-// preprocess is one rank of SAM preprocessing. The batch engine encodes
-// br's records as a BAM shard's are and the drain hands each to the
-// rank's BAMX sink, which spills them raw beside bamxPath while it
-// measures the caps, and on Close pads them into the BAMX/BAIX pair.
-// Memory is O(batch); temporary disk is the rank's uncompressed records.
-func (s *samSource) preprocess(br partition.ByteRange, bamxPath, baixPath string) (n int64, err error) {
-	out, err := shard.Create(bamxPath, s.header, shard.WithIndexPath(baixPath))
+// preprocessShare is one rank of SAM preprocessing. The batch line
+// engine encodes br's records as a BAM shard's are and the drain hands
+// each to the rank's BAMX sink, which spills them raw beside bamxPath
+// while it measures the caps, and on Close pads them into the BAMX/BAIX
+// pair. Memory is O(batch); temporary disk is the rank's uncompressed
+// records.
+func preprocessShare(src *sam.Source, br partition.ByteRange, workers int, bamxPath, baixPath string) (n int64, err error) {
+	out, err := shard.Create(bamxPath, src.Header, shard.WithIndexPath(baixPath))
 	if err != nil {
 		return 0, err
 	}
 	defer out.Abort()
-	err = s.batches(br, func() encodeFunc { return bamEncoder(s.header) }, func(b *lineBatch) error {
-		for rec := b.out; len(rec) > 0; {
+	err = src.Batches(br, workers, func() sam.Visit { return bamEncoder(src.Header) }, func(b *sam.Batch) error {
+		for rec := b.Out; len(rec) > 0; {
 			size := 4 + int(binary.LittleEndian.Uint32(rec))
 			if err := out.WriteBody(rec[4:size]); err != nil {
 				return err
 			}
 			rec = rec[size:]
 		}
-		n += b.records
+		n += b.Records
 		return nil
 	})
 	if err != nil {
@@ -116,14 +72,14 @@ func ConvertSAM(samPath string, opts Options) (*Result, error) {
 	if opts.Region != nil {
 		return nil, fmt.Errorf("conv: the SAM format converter does not support partial conversion; preprocess to BAMX first")
 	}
-	src, err := openSAM(samPath, opts.ParseWorkers)
+	src, err := sam.Open(samPath)
 	if err != nil {
 		return nil, err
 	}
-	defer src.close()
-	return convert(&opts, src.header, func(c *mpi.Comm) (func(*sink) (rankStats, error), error) {
-		br, err := src.partition(c)
-		return func(sk *sink) (rankStats, error) { return src.convert(br, sk) }, err
+	defer src.Close()
+	return convert(&opts, src.Header, func(c *mpi.Comm) (func(*sink) (rankStats, error), error) {
+		br, err := src.Partition(c)
+		return func(sk *sink) (rankStats, error) { return convertShare(src, br, opts.ParseWorkers, sk) }, err
 	})
 }
 
@@ -154,20 +110,20 @@ func PreprocessSAMParallel(samPath string, opts Options) (*PreprocessResult, err
 		return nil, err
 	}
 	start := time.Now()
-	src, err := openSAM(samPath, opts.ParseWorkers)
+	src, err := sam.Open(samPath)
 	if err != nil {
 		return nil, err
 	}
-	defer src.close()
+	defer src.Close()
 	res := &PreprocessResult{
 		BAMXFiles: make([]string, opts.Cores),
 		BAIXFiles: make([]string, opts.Cores),
 	}
 	stats, err := run(&opts, "preprocess", func(c *mpi.Comm) (func() (rankStats, error), error) {
-		br, err := src.partition(c)
+		br, err := src.Partition(c)
 		return func() (rankStats, error) {
 			base := filepath.Join(opts.OutDir, fmt.Sprintf("%s_m%03d", opts.OutPrefix, c.Rank()))
-			n, err := src.preprocess(br, base+".bamx", base+".baix")
+			n, err := preprocessShare(src, br, opts.ParseWorkers, base+".bamx", base+".baix")
 			if err != nil {
 				return rankStats{}, err
 			}

@@ -16,10 +16,6 @@ import (
 // stage is not syscall-bound when batches arrive back to back.
 const writeBufSize = 1 << 20
 
-// encodeFunc appends rec's target object to dst (nothing, for a record
-// the format skips). One instance serves one goroutine.
-type encodeFunc func(dst []byte, rec *sam.Record) ([]byte, error)
-
 // sink is one rank's target file: a text file written through a
 // formats.Encoder, or — Format "bam" — a complete, valid BAM file
 // carrying the header (a shard). Encoding is separate from writing so
@@ -81,7 +77,7 @@ func newSink(opts *Options, h *sam.Header, rank int) (*sink, error) {
 // pipe embeds a sync.Pool, which the runtime tracks that long), and a
 // sink pins a megabyte of write buffer — measured as +40% peak RSS on a
 // daemon serving small jobs.
-func (s *sink) encoder() encodeFunc {
+func (s *sink) encoder() sam.Visit {
 	if s.shard != nil {
 		return bamEncoder(s.h)
 	}
@@ -93,7 +89,7 @@ func (s *sink) encoder() encodeFunc {
 }
 
 // bamEncoder encodes records for a BAM shard or preprocessing's spill.
-func bamEncoder(h *sam.Header) encodeFunc {
+func bamEncoder(h *sam.Header) sam.Visit {
 	return func(dst []byte, rec *sam.Record) ([]byte, error) {
 		return bam.EncodeRecord(dst, rec, h)
 	}

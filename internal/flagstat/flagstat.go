@@ -8,12 +8,9 @@ package flagstat
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 
 	"parseq/internal/mpi"
-	"parseq/internal/partition"
 	"parseq/internal/sam"
 )
 
@@ -156,11 +153,13 @@ func Of(recs []sam.Record) Stats {
 }
 
 // SAMFile computes flagstat over a SAM file with `cores` ranks: the text
-// is partitioned with Algorithm 1, each rank tallies its partition, and
-// one mpi.ReduceSum adds the partial counters at rank 0. A nil launch
-// selects the in-process mpi.Run; under a distributed launcher rank 0's
-// process returns the summed Stats and every other process returns zero
-// Stats.
+// is partitioned with Algorithm 1, each rank tallies its partition
+// through the batch line engine (sam.AdaptiveWorkers visitors, each with
+// its own counters, summed when the share is read — integer sums, so the
+// result does not depend on the worker count), and one mpi.ReduceSum
+// adds the partial counters at rank 0. A nil launch selects the
+// in-process mpi.Run; under a distributed launcher rank 0's process
+// returns the summed Stats and every other process returns zero Stats.
 func SAMFile(samPath string, cores int, launch mpi.Launcher) (Stats, error) {
 	if launch == nil {
 		launch = mpi.Run
@@ -168,47 +167,36 @@ func SAMFile(samPath string, cores int, launch mpi.Launcher) (Stats, error) {
 	if cores < 1 {
 		cores = 1
 	}
-	f, err := os.Open(samPath)
+	src, err := sam.Open(samPath)
 	if err != nil {
 		return Stats{}, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return Stats{}, err
-	}
-	_, dataStart, err := sam.ScanHeader(f)
-	if err != nil {
-		return Stats{}, err
-	}
+	defer src.Close()
 
 	var total Stats
 	err = launch(cores, func(c *mpi.Comm) error {
-		br, err := partition.SAMForwardMPI(c, f, dataStart, fi.Size())
+		br, err := src.Partition(c)
 		if err != nil {
 			return err
 		}
-		local, err := tallyRange(f, br)
-		if err != nil {
+		var parts []*Stats
+		newVisit := func() sam.Visit {
+			s := &Stats{}
+			parts = append(parts, s)
+			return func(dst []byte, rec *sam.Record) ([]byte, error) {
+				s.Add(rec)
+				return dst, nil
+			}
+		}
+		drain := func(*sam.Batch) error { return nil }
+		if err := src.Batches(br, sam.AdaptiveWorkers(cores), newVisit, drain); err != nil {
 			return err
+		}
+		var local Stats
+		for _, s := range parts {
+			local.Merge(*s)
 		}
 		return reduce(c, local, &total)
 	})
 	return total, err
-}
-
-// tallyRange tallies one text partition.
-func tallyRange(f io.ReaderAt, br partition.ByteRange) (Stats, error) {
-	var s Stats
-	scan := sam.NewLineScanner(f, br.Start, br.Len())
-	var rec sam.Record
-	for {
-		// The record is consumed by Add before the scanner reuses the line.
-		if _, err := scan.ScanRecord(&rec); err == io.EOF {
-			return s, nil
-		} else if err != nil {
-			return s, err
-		}
-		s.Add(&rec)
-	}
 }

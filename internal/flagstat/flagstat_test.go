@@ -3,6 +3,7 @@ package flagstat
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,8 +67,22 @@ func TestMergeEqualsWhole(t *testing.T) {
 	}
 }
 
+// setEngineWorkers sets GOMAXPROCS so that each of ranks ranks reads
+// its share with workers batch line engine workers, until the test ends.
+func setEngineWorkers(t *testing.T, workers, ranks int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(workers * ranks)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	if got := sam.AdaptiveWorkers(ranks); got != workers {
+		t.Fatalf("GOMAXPROCS %d gives %d engine workers per rank, want %d", workers*ranks, got, workers)
+	}
+}
+
+// TestSAMFileParallelMatchesSequential: the tally over a SAM file of
+// several engine batches per rank equals the in-memory one at every
+// rank count and engine worker count.
 func TestSAMFileParallelMatchesSequential(t *testing.T) {
-	d := simdata.Generate(simdata.DefaultConfig(800))
+	d := simdata.Generate(simdata.DefaultConfig(6000))
 	dir := t.TempDir()
 	samPath := filepath.Join(dir, "f.sam")
 	f, err := os.Create(samPath)
@@ -80,13 +95,16 @@ func TestSAMFileParallelMatchesSequential(t *testing.T) {
 	f.Close()
 
 	want := Of(d.Records)
-	for _, cores := range []int{1, 2, 7} {
-		got, err := SAMFile(samPath, cores, nil)
-		if err != nil {
-			t.Fatalf("SAMFile(cores=%d): %v", cores, err)
-		}
-		if got != want {
-			t.Errorf("cores=%d: %+v != %+v", cores, got, want)
+	for _, workers := range []int{1, 4} {
+		for _, cores := range []int{1, 2, 3, 7} {
+			setEngineWorkers(t, workers, cores)
+			got, err := SAMFile(samPath, cores, nil)
+			if err != nil {
+				t.Fatalf("SAMFile(cores=%d, workers=%d): %v", cores, workers, err)
+			}
+			if got != want {
+				t.Errorf("cores=%d workers=%d: %+v != %+v", cores, workers, got, want)
+			}
 		}
 	}
 }

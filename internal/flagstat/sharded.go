@@ -2,41 +2,11 @@ package flagstat
 
 import (
 	"io"
-	"os"
 
-	"parseq/internal/bam"
 	"parseq/internal/formats/pamx"
 	"parseq/internal/mpi"
 	"parseq/internal/shard"
 )
-
-// BAMFile computes flagstat over a BAM file with one sequential
-// whole-file scan — the single-stream reference path the sharded driver
-// is measured against, and the fallback for unindexed inputs. The loop
-// stays on the undecoded body path.
-func BAMFile(path string) (Stats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Stats{}, err
-	}
-	defer f.Close()
-	br, err := bam.NewReader(f)
-	if err != nil {
-		return Stats{}, err
-	}
-	defer br.Close()
-	var s Stats
-	for {
-		body, err := br.ReadBody()
-		if err == io.EOF {
-			return s, nil
-		}
-		if err != nil {
-			return s, err
-		}
-		s.AddBody(body)
-	}
-}
 
 // Sharded computes flagstat region-parallel over an indexed provider:
 // rank 0 generates byte-balanced genomic shards and scatters contiguous

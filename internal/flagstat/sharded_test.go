@@ -2,6 +2,7 @@ package flagstat
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -95,6 +96,33 @@ func runLoopbackWorld(t *testing.T, size int, fn func(w *mpinet.World) error) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
+	}
+}
+
+// BAMFile computes flagstat over a BAM file with one sequential
+// whole-file scan on the undecoded body path: the single-stream
+// reference the sharded driver is checked against.
+func BAMFile(path string) (Stats, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Stats{}, err
+	}
+	defer f.Close()
+	br, err := bam.NewReader(f)
+	if err != nil {
+		return Stats{}, err
+	}
+	defer br.Close()
+	var s Stats
+	for {
+		body, err := br.ReadBody()
+		if err == io.EOF {
+			return s, nil
+		}
+		if err != nil {
+			return s, err
+		}
+		s.AddBody(body)
 	}
 }
 

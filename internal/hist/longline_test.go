@@ -2,7 +2,6 @@ package hist
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -33,16 +32,15 @@ func TestFromSAMParallelLongLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []sam.Record
-	scan := sam.NewLineScanner(r, start, r.Size()-start)
-	for scan.Scan() {
+	for _, line := range strings.SplitAfter(text[start:], "\n") {
+		if line == "" {
+			continue
+		}
 		var rec sam.Record // fields alias the line, so each gets its own copy
-		if err := sam.ParseRecordIntoBytes(&rec, bytes.Clone(scan.Bytes())); err != nil {
+		if err := sam.ParseRecordIntoBytes(&rec, []byte(strings.TrimSuffix(line, "\n"))); err != nil {
 			t.Fatal(err)
 		}
 		recs = append(recs, rec)
-	}
-	if err := scan.Err(); err != nil {
-		t.Fatal(err)
 	}
 	want, err := Coverage(recs, h, "chr1", 100000)
 	if err != nil {

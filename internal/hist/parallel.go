@@ -1,11 +1,9 @@
 package hist
 
 import (
-	"io"
-	"os"
+	"encoding/binary"
 
 	"parseq/internal/mpi"
-	"parseq/internal/partition"
 	"parseq/internal/sam"
 )
 
@@ -15,9 +13,12 @@ import (
 // format into histogram data … in parallel". The file is partitioned
 // with Algorithm 1, each rank accumulates a partial histogram over its
 // records, and one mpi.ReduceSum adds the partials element-wise at rank
-// 0 (coverage is associative). A nil launch selects the in-process
-// mpi.Run; under a distributed launcher rank 0's process returns the
-// reduced histogram and every other process returns all-zero bins.
+// 0 (coverage is associative). A rank reads its share through the batch
+// line engine: the workers append each on-reference record's span to
+// the batch's output and the ordered drain adds the spans to the rank's
+// one bin array. A nil launch selects the in-process mpi.Run; under a
+// distributed launcher rank 0's process returns the reduced histogram
+// and every other process returns all-zero bins.
 func FromSAMParallel(samPath, rname string, binSize, cores int, launch mpi.Launcher) (*Histogram, error) {
 	if launch == nil {
 		launch = mpi.Run
@@ -25,35 +26,45 @@ func FromSAMParallel(samPath, rname string, binSize, cores int, launch mpi.Launc
 	if cores < 1 {
 		cores = 1
 	}
-	f, err := os.Open(samPath)
+	src, err := sam.Open(samPath)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	header, dataStart, err := sam.ScanHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	refID := header.RefID(rname)
+	defer src.Close()
+	refID := src.Header.RefID(rname)
 	if refID < 0 {
 		return nil, &UnknownReferenceError{RName: rname}
 	}
-	refLen := header.RefByID(refID).Length
+	refLen := src.Header.RefByID(refID).Length
 
 	total, err := New(rname, refLen, binSize)
 	if err != nil {
 		return nil, err
 	}
+	// A span is two little-endian int32s, SAM's 1-based inclusive POS
+	// and end.
+	visit := func(dst []byte, rec *sam.Record) ([]byte, error) {
+		if rec.Unmapped() || rec.RName != rname {
+			return dst, nil
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Pos))
+		return binary.LittleEndian.AppendUint32(dst, uint32(rec.End())), nil
+	}
 	err = launch(cores, func(c *mpi.Comm) error {
-		br, err := partition.SAMForwardMPI(c, f, dataStart, fi.Size())
+		br, err := src.Partition(c)
 		if err != nil {
 			return err
 		}
-		local, err := accumulateRange(f, br, rname, refLen, binSize)
+		local, err := New(rname, refLen, binSize)
+		if err != nil {
+			return err
+		}
+		err = src.Batches(br, sam.AdaptiveWorkers(cores), func() sam.Visit { return visit }, func(b *sam.Batch) error {
+			for sp := b.Out; len(sp) > 0; sp = sp[8:] {
+				local.AddInterval(int32(binary.LittleEndian.Uint32(sp)), int32(binary.LittleEndian.Uint32(sp[4:])), 1)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
@@ -80,24 +91,4 @@ type UnknownReferenceError struct{ RName string }
 
 func (e *UnknownReferenceError) Error() string {
 	return "hist: reference " + e.RName + " not in header"
-}
-
-// accumulateRange tallies one partition's coverage.
-func accumulateRange(f io.ReaderAt, br partition.ByteRange, rname string, refLen, binSize int) (*Histogram, error) {
-	local, err := New(rname, refLen, binSize)
-	if err != nil {
-		return nil, err
-	}
-	scan := sam.NewLineScanner(f, br.Start, br.Len())
-	var rec sam.Record
-	for {
-		// The record is consumed by AddRecord before the scanner reuses
-		// the line.
-		if _, err := scan.ScanRecord(&rec); err == io.EOF {
-			return local, nil
-		} else if err != nil {
-			return nil, err
-		}
-		local.AddRecord(&rec)
-	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"parseq/internal/sam"
 	"parseq/internal/simdata"
 )
 
@@ -27,23 +29,40 @@ func writeSAMFile(t testing.TB, n int) (string, *simdata.Dataset) {
 	return path, d
 }
 
+// setEngineWorkers sets GOMAXPROCS so that each of ranks ranks reads
+// its share with workers batch line engine workers, until the test ends.
+func setEngineWorkers(t *testing.T, workers, ranks int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(workers * ranks)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	if got := sam.AdaptiveWorkers(ranks); got != workers {
+		t.Fatalf("GOMAXPROCS %d gives %d engine workers per rank, want %d", workers*ranks, got, workers)
+	}
+}
+
+// TestFromSAMParallelMatchesSequential: the histogram over a SAM file
+// of several engine batches per rank has the in-memory one's bins at
+// every rank count and engine worker count.
 func TestFromSAMParallelMatchesSequential(t *testing.T) {
-	path, d := writeSAMFile(t, 600)
+	path, d := writeSAMFile(t, 6000)
 	want, err := Coverage(d.Records, d.Header, "chr1", 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cores := range []int{1, 2, 5} {
-		got, err := FromSAMParallel(path, "chr1", 25, cores, nil)
-		if err != nil {
-			t.Fatalf("FromSAMParallel(cores=%d): %v", cores, err)
-		}
-		if len(got.Bins) != len(want.Bins) {
-			t.Fatalf("cores=%d: bins %d vs %d", cores, len(got.Bins), len(want.Bins))
-		}
-		for i := range got.Bins {
-			if got.Bins[i] != want.Bins[i] {
-				t.Fatalf("cores=%d: bin %d = %g, want %g", cores, i, got.Bins[i], want.Bins[i])
+	for _, workers := range []int{1, 4} {
+		for _, cores := range []int{1, 2, 3, 5} {
+			setEngineWorkers(t, workers, cores)
+			got, err := FromSAMParallel(path, "chr1", 25, cores, nil)
+			if err != nil {
+				t.Fatalf("FromSAMParallel(cores=%d, workers=%d): %v", cores, workers, err)
+			}
+			if len(got.Bins) != len(want.Bins) {
+				t.Fatalf("cores=%d workers=%d: bins %d vs %d", cores, workers, len(got.Bins), len(want.Bins))
+			}
+			for i := range got.Bins {
+				if got.Bins[i] != want.Bins[i] {
+					t.Fatalf("cores=%d workers=%d: bin %d = %g, want %g", cores, workers, i, got.Bins[i], want.Bins[i])
+				}
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,6 +20,8 @@ import (
 
 	"parseq/internal/bgzf"
 	"parseq/internal/conv"
+	"parseq/internal/flagstat"
+	"parseq/internal/hist"
 	"parseq/internal/leakcheck"
 	"parseq/internal/mpi"
 	"parseq/internal/mpinet"
@@ -42,6 +45,8 @@ func TestMain(m *testing.M) {
 		leakcheck.Main(m, pool.Max()-pool.Workers())
 	case "convert":
 		helperConvert()
+	case "tally":
+		helperTally()
 	case "abortworld":
 		helperAbortWorld()
 	case "obsworld":
@@ -90,6 +95,38 @@ func helperConvert() {
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// helperTally is one rank of the distributed SAM analyses: connect, run
+// flagstat and the chr1 coverage histogram over the TCP world, and on
+// rank 0 print the report and the bins (writeTally's form).
+func helperTally() {
+	w, err := mpinet.Connect(helperConfig())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "connect:", err)
+		os.Exit(1)
+	}
+	in := os.Getenv("MPINET_TEST_IN")
+	st, err := flagstat.SAMFile(in, w.Size(), w.Launcher())
+	var h *hist.Histogram
+	if err == nil {
+		h, err = hist.FromSAMParallel(in, "chr1", 100, w.Size(), w.Launcher())
+	}
+	w.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tally:", err)
+		os.Exit(1)
+	}
+	if w.Rank() == 0 {
+		writeTally(os.Stdout, st, h)
+	}
+	os.Exit(0)
+}
+
+// writeTally renders a flagstat report and a histogram's bins.
+func writeTally(w io.Writer, st flagstat.Stats, h *hist.Histogram) {
+	io.WriteString(w, st.Format())
+	hist.WriteTSV(w, h.Bins)
 }
 
 // helperAbortWorld is one rank of the killed-worker scenario. Rank 1
@@ -203,6 +240,70 @@ func TestSubprocessConvertByteIdentical(t *testing.T) {
 		}
 		if len(ref) == 0 {
 			t.Fatalf("rank %d produced no output", r)
+		}
+	}
+}
+
+// TestSubprocessTalliesMatchOneRank: flagstat and the coverage
+// histogram over SAM, computed by a three-process TCP world whose
+// ranks read their shares with one and with four batch line engine
+// workers (GOMAXPROCS sets the adaptive count), must equal the
+// in-process one-rank, one-worker result.
+func TestSubprocessTalliesMatchOneRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	const world = 3
+	dir := t.TempDir()
+	samPath := filepath.Join(dir, "in.sam")
+	sf, err := os.Create(samPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := simdata.Generate(simdata.DefaultConfig(6000)).WriteSAM(sf); err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	old := runtime.GOMAXPROCS(1)
+	st, err := flagstat.SAMFile(samPath, 1, nil)
+	var h *hist.Histogram
+	if err == nil {
+		h, err = hist.FromSAMParallel(samPath, "chr1", 100, 1, nil)
+	}
+	runtime.GOMAXPROCS(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	writeTally(&want, st, h)
+
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+		coord := freeLoopbackAddr()
+		extra := map[string]string{"MPINET_TEST_IN": samPath, "GOMAXPROCS": strconv.Itoa(world * workers)}
+		cmds := make([]*exec.Cmd, world)
+		outs, errs := make([]bytes.Buffer, world), make([]bytes.Buffer, world)
+		for r := range world {
+			cmds[r] = helperCmd(ctx, t, "tally", r, world, coord, extra)
+			cmds[r].Stdout, cmds[r].Stderr = &outs[r], &errs[r]
+			if err := cmds[r].Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := range world {
+			if err := cmds[r].Wait(); err != nil {
+				t.Fatalf("workers=%d rank %d process: %v\n%s", workers, r, err, errs[r].String())
+			}
+		}
+		cancel()
+		if outs[0].String() != want.String() {
+			t.Errorf("workers=%d: rank 0 printed %d bytes that differ from the one-rank result's %d", workers, outs[0].Len(), want.Len())
+		}
+		if outs[1].Len()+outs[2].Len() != 0 {
+			t.Errorf("workers=%d: ranks 1 and 2 printed output", workers)
 		}
 	}
 }

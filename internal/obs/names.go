@@ -72,10 +72,10 @@ var MetricNames = []MetricInfo{
 	{"parpipe.bam.decode.busy_ns", KindCounter, "worker ns spent decoding BAM record batches"},
 	{"parpipe.bam.decode.idle_ns", KindCounter, "worker ns spent waiting for BAM record batches"},
 	{"parpipe.bam.decode.queue_depth", KindGauge, "BAM decode batches queued and not yet picked up"},
-	{"parpipe.conv.encode.items", KindCounter, "line batches encoded by the converter pipeline"},
-	{"parpipe.conv.encode.busy_ns", KindCounter, "worker ns spent parsing+encoding line batches"},
-	{"parpipe.conv.encode.idle_ns", KindCounter, "worker ns spent waiting for line batches"},
-	{"parpipe.conv.encode.queue_depth", KindGauge, "converter line batches queued and not yet picked up"},
+	{"parpipe.conv.encode.items", KindCounter, "SAM line batches visited by the batch line engine"},
+	{"parpipe.conv.encode.busy_ns", KindCounter, "worker ns spent parsing+visiting SAM line batches"},
+	{"parpipe.conv.encode.idle_ns", KindCounter, "worker ns spent waiting for SAM line batches"},
+	{"parpipe.conv.encode.queue_depth", KindGauge, "SAM line batches queued and not yet picked up"},
 
 	// BGZF codec streams and the shared deflate pool.
 	{"bgzf.deflate.blocks", KindCounter, "BGZF blocks compressed"},

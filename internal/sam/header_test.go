@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 )
@@ -137,37 +136,10 @@ func TestParseHeaderCRLF(t *testing.T) {
 	}
 }
 
-// readAll reads SAM text the way the repository's readers do: the header
-// through ScanHeader, then the records through LineScanner.ScanRecord,
-// blank lines skipped. A parse error names the file offset of its line.
-func readAll(text string) (*Header, []Record, error) {
-	r := strings.NewReader(text)
-	h, start, err := ScanHeader(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	scan := NewLineScanner(r, start, r.Size()-start)
-	var recs []Record
-	var rec Record
-	for {
-		if _, err := scan.ScanRecord(&rec); err == io.EOF {
-			return h, recs, nil
-		} else if err != nil {
-			return h, recs, err
-		}
-		// rec's fields alias the scanner's line: keep a copy of its own.
-		kept, err := ParseRecord(string(rec.AppendTo(nil)))
-		if err != nil {
-			return h, recs, err
-		}
-		recs = append(recs, kept)
-	}
-}
-
 func TestReaderWriter(t *testing.T) {
 	input := sampleHeader + sampleLine + "\n" +
 		"r002\t0\tchr2\t100\t60\t10M\t*\t0\t0\tAAAAACCCCC\tJJJJJJJJJJ\n"
-	h, recs, err := readAll(input)
+	h, recs, err := readAll(t, input)
 	if err != nil {
 		t.Fatalf("readAll: %v", err)
 	}
@@ -200,7 +172,7 @@ func TestReaderWriter(t *testing.T) {
 }
 
 func TestReaderHeaderless(t *testing.T) {
-	h, recs, err := readAll(sampleLine + "\n")
+	h, recs, err := readAll(t, sampleLine+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +182,14 @@ func TestReaderHeaderless(t *testing.T) {
 }
 
 func TestReaderEmpty(t *testing.T) {
-	_, recs, err := readAll("")
+	_, recs, err := readAll(t, "")
 	if err != nil || len(recs) != 0 {
 		t.Errorf("readAll = %d recs, %v", len(recs), err)
 	}
 }
 
 func TestReaderNoTrailingNewline(t *testing.T) {
-	_, recs, err := readAll(sampleLine)
+	_, recs, err := readAll(t, sampleLine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +199,7 @@ func TestReaderNoTrailingNewline(t *testing.T) {
 }
 
 func TestReaderSkipsBlankLines(t *testing.T) {
-	_, recs, err := readAll(sampleLine + "\n\n" + sampleLine + "\n")
+	_, recs, err := readAll(t, sampleLine+"\n\n"+sampleLine+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +208,11 @@ func TestReaderSkipsBlankLines(t *testing.T) {
 	}
 }
 
-// TestReaderReportsLineOffset: the scanner's position before a line is
-// the line's file offset, past the header ScanHeader measured.
+// TestReaderReportsLineOffset: a bad line's error names its file
+// offset, past the header ScanHeader measured.
 func TestReaderReportsLineOffset(t *testing.T) {
 	input := "@SQ\tSN:chr1\tLN:5\n" + sampleLine + "\n\nnot\ta valid\trecord\n"
-	_, _, err := readAll(input)
+	_, _, err := readAll(t, input)
 	want := fmt.Sprintf("file offset %d:", len(input)-len("not\ta valid\trecord\n"))
 	if !errors.Is(err, ErrInvalidRecord) || !strings.Contains(err.Error(), want) {
 		t.Errorf("err = %v, want ErrInvalidRecord at %q", err, want)

@@ -2,6 +2,9 @@ package simdata
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"parseq/internal/bam"
@@ -135,34 +138,39 @@ func TestGenerateFractions(t *testing.T) {
 
 func TestWriteSAMReadable(t *testing.T) {
 	d := Generate(DefaultConfig(100))
-	var buf bytes.Buffer
-	if err := d.WriteSAM(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "d.sam")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteSAM(f); err != nil {
 		t.Fatalf("WriteSAM: %v", err)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	h, start, err := sam.ScanHeader(r)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := sam.Open(path)
 	if err != nil {
-		t.Fatalf("ScanHeader: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
+	defer src.Close()
 	n := 0
-	scan := sam.NewLineScanner(r, start, r.Size()-start)
-	for ; scan.Scan(); n++ {
-		var rec sam.Record
-		if err := sam.ParseRecordIntoBytes(&rec, scan.Bytes()); err != nil {
-			t.Fatalf("record %d: %v", n, err)
-		}
+	check := func(dst []byte, rec *sam.Record) ([]byte, error) {
 		if rec.QName != d.Records[n].QName {
-			t.Fatalf("record %d = %s, want %s", n, rec.QName, d.Records[n].QName)
+			return dst, fmt.Errorf("record %d = %s, want %s", n, rec.QName, d.Records[n].QName)
 		}
+		n++
+		return dst, nil
 	}
-	if err := scan.Err(); err != nil {
+	err = src.Batches(src.All(), 1, func() sam.Visit { return check }, func(*sam.Batch) error { return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 100 {
 		t.Fatalf("records = %d", n)
 	}
-	if len(h.Refs) != len(d.Header.Refs) {
-		t.Errorf("refs = %d, want %d", len(h.Refs), len(d.Header.Refs))
+	if len(src.Header.Refs) != len(d.Header.Refs) {
+		t.Errorf("refs = %d, want %d", len(src.Header.Refs), len(d.Header.Refs))
 	}
 }
 

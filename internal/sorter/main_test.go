@@ -8,8 +8,9 @@ import (
 )
 
 // TestMain fails the package when goroutines outlive the tests: the
-// input reader and output writer run codec pools that a sort must stop
-// on every path, failed ones included. The shared deflate pool lives for
+// SAM input's batch line engine and the BAM input's reader and output
+// writer run pipelines and codec pools that a sort must stop on every
+// path, failed ones included. The shared deflate pool lives for
 // the process, so it is started first.
 func TestMain(m *testing.M) {
 	pool := bgzf.SharedPool()

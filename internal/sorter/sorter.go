@@ -126,40 +126,34 @@ type run struct {
 	n    int
 }
 
-// nextFunc appends the next input record, encoded, to dst. It returns
-// io.EOF at the end of the input.
-type nextFunc func(dst []byte) ([]byte, error)
+// feedFunc hands every input record, encoded (block_size prefix
+// included), to add in input order; add copies it.
+type feedFunc func(add func(rec []byte)) error
 
 // SortSAMToBAM sorts a SAM file into a coordinate-sorted BAM file (a
-// .bamx or .pamx outPath: that container).
+// .bamx or .pamx outPath: that container). The batch line engine reads
+// the whole alignment section as one share (sam.AdaptiveWorkers(1)
+// workers encode) and its ordered drain feeds the chunks.
 func SortSAMToBAM(samPath, outPath string, opts Options) (int64, error) {
 	opts.normalize()
-	f, err := os.Open(samPath)
+	src, err := sam.Open(samPath)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	h, dataStart, err := sam.ScanHeader(f)
-	if err != nil {
-		return 0, err
+	defer src.Close()
+	h := src.Header
+	encode := func(dst []byte, rec *sam.Record) ([]byte, error) { return bam.EncodeRecord(dst, rec, h) }
+	feed := func(add func([]byte)) error {
+		return src.Batches(src.All(), sam.AdaptiveWorkers(1), func() sam.Visit { return encode }, func(b *sam.Batch) error {
+			for recs := b.Out; len(recs) > 0; {
+				n := 4 + int(binary.LittleEndian.Uint32(recs))
+				add(recs[:n])
+				recs = recs[n:]
+			}
+			return nil
+		})
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	scan := sam.NewLineScanner(f, dataStart, fi.Size()-dataStart)
-	var rec sam.Record
-	next := func(dst []byte) ([]byte, error) {
-		off, err := scan.ScanRecord(&rec)
-		if err != nil {
-			return dst, err
-		}
-		if dst, err = bam.EncodeRecord(dst, &rec, h); err != nil {
-			return dst, sam.LineError(off, err)
-		}
-		return dst, nil
-	}
-	return sortInto(h, next, outPath, opts)
+	return sortInto(h, feed, outPath, opts)
 }
 
 // SortBAM sorts a BAM file into a coordinate-sorted BAM file (a .bamx or
@@ -177,18 +171,28 @@ func SortBAM(bamPath, outPath string, opts Options) (int64, error) {
 		return 0, err
 	}
 	defer br.Close()
-	var rec sam.Record
-	next := func(dst []byte) ([]byte, error) {
-		if err := br.ReadInto(&rec); err != nil {
-			return dst, err
+	feed := func(add func([]byte)) error {
+		var rec sam.Record
+		var buf []byte
+		for {
+			err := br.ReadInto(&rec)
+			if err == io.EOF {
+				return nil
+			}
+			if err == nil {
+				buf, err = bam.EncodeRecord(buf[:0], &rec, br.Header())
+			}
+			if err != nil {
+				return err
+			}
+			add(buf)
 		}
-		return bam.EncodeRecord(dst, &rec, br.Header())
 	}
-	return sortInto(br.Header(), next, outPath, opts)
+	return sortInto(br.Header(), feed, outPath, opts)
 }
 
 // sortInto drives the external merge sort over normalized opts.
-func sortInto(in *sam.Header, next nextFunc, outPath string, opts Options) (int64, error) {
+func sortInto(in *sam.Header, feed feedFunc, outPath string, opts Options) (int64, error) {
 	header := in.Clone()
 	header.SortOrder = sam.SortCoordinate
 
@@ -227,24 +231,27 @@ func sortInto(in *sam.Header, next nextFunc, outPath string, opts Options) (int6
 
 	var runs []run
 	var total int64
-	var readErr error
 	c := &chunk{}
-	for readErr == nil {
-		off := len(c.buf)
-		if c.buf, readErr = next(c.buf); readErr == nil {
-			c.offs = append(c.offs, off)
-			total++
+	queue := func() {
+		r := run{path: filepath.Join(tmpDir, fmt.Sprintf("run%06d", len(runs))), n: len(c.offs)}
+		runs = append(runs, r)
+		jobs <- job{c: c, path: r.path}
+		c = &chunk{buf: make([]byte, 0, cap(c.buf)), offs: make([]int, 0, cap(c.offs))}
+	}
+	readErr := feed(func(rec []byte) {
+		c.offs = append(c.offs, len(c.buf))
+		c.buf = append(c.buf, rec...)
+		total++
+		if len(c.offs) == opts.ChunkRecords {
+			queue()
 		}
-		if len(c.offs) == opts.ChunkRecords || (readErr == io.EOF && len(c.offs) > 0) {
-			r := run{path: filepath.Join(tmpDir, fmt.Sprintf("run%06d", len(runs))), n: len(c.offs)}
-			runs = append(runs, r)
-			jobs <- job{c: c, path: r.path}
-			c = &chunk{buf: make([]byte, 0, cap(c.buf)), offs: make([]int, 0, cap(c.offs))}
-		}
+	})
+	if readErr == nil && len(c.offs) > 0 {
+		queue()
 	}
 	close(jobs)
 	wg.Wait()
-	if readErr != io.EOF {
+	if readErr != nil {
 		return 0, readErr
 	}
 	for _, err := range workerErr {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -193,6 +194,40 @@ func TestSortSAMToBAM(t *testing.T) {
 			t.Errorf("sorted %d records", n)
 		}
 		checkSorted(t, out, d, 1000)
+	}
+}
+
+// TestSortSAMWorkerInvariance: the sorted output's bytes do not depend
+// on the batch line engine's worker count (set through GOMAXPROCS, the
+// one-share adaptive rule) or the sort's rank count, over an input of
+// several engine batches and many runs.
+func TestSortSAMWorkerInvariance(t *testing.T) {
+	samPath, _, d := unsortedDataset(t, 6000)
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	var want []byte
+	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
+		if got := sam.AdaptiveWorkers(1); got != workers {
+			t.Fatalf("GOMAXPROCS %d gives %d engine workers, want %d", workers, got, workers)
+		}
+		for _, cores := range []int{1, 3} {
+			out := filepath.Join(t.TempDir(), "s.bam")
+			n, err := SortSAMToBAM(samPath, out, Options{ChunkRecords: 700, Cores: cores})
+			if err != nil || n != 6000 {
+				t.Fatalf("workers=%d cores=%d: %d records, %v", workers, cores, n, err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				checkSorted(t, out, d, 6000)
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("workers=%d cores=%d: output differs from workers=1 cores=1", workers, cores)
+			}
+		}
 	}
 }
 
