@@ -131,7 +131,11 @@ fmt-check:
 # codec worker count is read in internal/bgzf alone: no Go file names a
 # placement switch it replaced, and no non-test file outside
 # internal/bgzf, bench/ and the bench-only internal/bam/scanner.go
-# resolves the adaptive count or submits to the shared pool itself.
+# resolves the adaptive count or submits to the shared pool itself. And
+# a job's one parallelism setting is its ranks: no worker count comes
+# back as an engine.Spec JSON field or a command-line flag, and no flag
+# help quotes bgzf's worker rule (WorkersUsage); a container is a
+# -format, so no -preprocess flag comes back either.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -190,6 +194,12 @@ deps-check:
 	@bad=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/formats/pamx | grep -x 'parseq/internal/bamx' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: internal/formats/pamx imports internal/bamx (rewrites go through shard.Rewrite)"; exit 1; \
+	fi
+	@bad=$$( { grep -rnE 'json:"(codec_workers|parse_workers|workers)[",]' --include=*.go internal/engine; \
+		grep -rnE '(Int|Uint|Int64|Uint64|Bool|String|Float64|Duration|Func|BoolFunc|Text)(Var)?\(([^,()]+, *)?"(codec-workers|parse-workers|pre-p|workers|w|preprocess)"' --include=*.go cmd; \
+		grep -rn 'WorkersUsage' --include=*.go .; } | grep -v '_test\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a worker count or -preprocess back on the job surface (a job is input, format and ranks):"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them

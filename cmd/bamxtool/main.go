@@ -7,7 +7,7 @@
 //	bamxtool info data.bamx
 //	bamxtool verify data.bamx
 //	bamxtool index data.bamx             # (re)build data.baix
-//	bamxtool [-w N] compress data.bamx   # write data.bamz, N deflate workers
+//	bamxtool compress data.bamx          # write data.bamz
 //	bamxtool region data.bamx chr1:1-50000
 package main
 
@@ -19,16 +19,12 @@ import (
 	"strings"
 
 	"parseq/internal/bamx"
-	"parseq/internal/bgzf"
 	"parseq/internal/conv"
 	"parseq/internal/obsflag"
 	"parseq/internal/sam"
 )
 
-var (
-	workers  = flag.Int("w", 0, "BGZF deflate workers (compress only; "+bgzf.WorkersUsage+")")
-	obsFlags = obsflag.Register(nil)
-)
+var obsFlags = obsflag.Register(nil)
 
 func main() {
 	flag.Usage = usage
@@ -63,7 +59,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: bamxtool [-w N] {info|verify|index|compress} FILE.bamx")
+	fmt.Fprintln(os.Stderr, "usage: bamxtool {info|verify|index|compress} FILE.bamx")
 	fmt.Fprintln(os.Stderr, "       bamxtool region FILE.bamx chr:beg-end")
 	os.Exit(2)
 }
@@ -154,7 +150,7 @@ func runIndex(path string) {
 
 func runCompress(path string) {
 	bamzPath := strings.TrimSuffix(path, ".bamx") + ".bamz"
-	n, err := bamx.CompressFile(path, bamzPath, bamx.DefaultRecsPerBlock, *workers)
+	n, err := bamx.CompressFile(path, bamzPath, bamx.DefaultRecsPerBlock, 0)
 	if err != nil {
 		die(err)
 	}

@@ -59,7 +59,6 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.spec.RName, "rname", "", "reference name to histogram (hist, peaks)")
 	fs.IntVar(&o.spec.BinSize, "bin", 200, "histogram bin width in bases (hist, peaks)")
 	fs.IntVar(&o.spec.Shards, "shards", 0, "target shard count across the world (0: auto)")
-	fs.IntVar(&o.spec.Workers, "workers", 0, "shard workers per rank (0: one per CPU, capped)")
 	fs.StringVar(&o.env.OutPath, "out", "", "output path (hist, peaks, nlmeans)")
 	fs.IntVar(&o.r, "r", 20, "NL-means search range radius")
 	fs.IntVar(&o.l, "l", 15, "NL-means half patch size")

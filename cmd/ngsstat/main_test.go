@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"reflect"
 	"testing"
 
@@ -21,8 +22,8 @@ func TestFlagsMatchJSON(t *testing.T) {
 		{[]string{"-op", "hist", "-bam", "a.bam", "-rname", "chr1"},
 			`{"op":"hist","rname":"chr1","bin":200,"ranks":1,"input_path":"a.bam"}`,
 			engine.Env{OutPath: "a.bam.hist.tsv", MaxGap: 1, MinWidth: 2}},
-		{[]string{"-op", "hist", "-bam", "a.bamx", "-rname", "chr2", "-bin", "50", "-p", "4", "-shards", "16", "-workers", "2", "-out", "h.tsv"},
-			`{"op":"hist","rname":"chr2","bin":50,"ranks":4,"shards":16,"workers":2,"input_path":"a.bamx"}`,
+		{[]string{"-op", "hist", "-bam", "a.bamx", "-rname", "chr2", "-bin", "50", "-p", "4", "-shards", "16", "-out", "h.tsv"},
+			`{"op":"hist","rname":"chr2","bin":50,"ranks":4,"shards":16,"input_path":"a.bamx"}`,
 			engine.Env{OutPath: "h.tsv", MaxGap: 1, MinWidth: 2}},
 		{[]string{"-op", "peaks", "-bam", "a.pamx", "-rname", "chr1", "-sims", "sim*.tsv", "-candidates", "1, 2.5,10", "-maxgap", "3", "-minwidth", "4"},
 			`{"op":"peaks","rname":"chr1","bin":200,"ranks":1,"candidates":[1,2.5,10],"input_path":"a.pamx"}`,
@@ -50,8 +51,11 @@ func TestFlagsMatchJSON(t *testing.T) {
 	for _, argv := range [][]string{
 		{}, {"-op", "hist", "-rname", "chr1"}, {"-op", "peaks", "-bam", "a.bam", "-rname", "chr1"},
 		{"-op", "peaks", "-bam", "a.bam", "-rname", "chr1", "-sims", "s*", "-candidates", "x"}, {"-op", "sort"},
+		{"-op", "hist", "-bam", "a.bam", "-rname", "chr1", "-workers", "2"},
 	} {
-		if _, err := parse(flag.NewFlagSet("ngsstat", flag.ContinueOnError), argv); err == nil {
+		fs := flag.NewFlagSet("ngsstat", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parse(fs, argv); err == nil {
 			t.Errorf("%v accepted", argv)
 		}
 	}

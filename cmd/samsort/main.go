@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"parseq/internal/bgzf"
 	"parseq/internal/engine"
 	"parseq/internal/obsflag"
 )
@@ -36,7 +35,6 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.env.OutPath, "out", "", "output file; its extension picks the container: .bam, .bamx (with a .baix beside it) or .pamx (default: input with .sorted.bam)")
 	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel chunk-sort workers")
 	fs.IntVar(&o.env.ChunkRecords, "chunk", 0, "records per in-memory chunk (default 100000)")
-	fs.IntVar(&o.spec.CodecWorkers, "codec-workers", 0, "BGZF codec workers for the BAM input and the output ("+bgzf.WorkersUsage+")")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"reflect"
 	"testing"
 
@@ -18,8 +19,8 @@ func TestFlagsMatchJSON(t *testing.T) {
 	}{
 		{[]string{"-in", "d/a.sam"}, `{"op":"sort","ranks":1,"input_path":"d/a.sam"}`,
 			engine.Env{OutPath: "d/a.sorted.bam"}},
-		{[]string{"-in", "a.bam", "-out", "s.bam", "-p", "4", "-chunk", "500", "-codec-workers", "2"},
-			`{"op":"sort","ranks":4,"codec_workers":2,"input_path":"a.bam"}`,
+		{[]string{"-in", "a.bam", "-out", "s.bam", "-p", "4", "-chunk", "500"},
+			`{"op":"sort","ranks":4,"input_path":"a.bam"}`,
 			engine.Env{OutPath: "s.bam", ChunkRecords: 500}},
 	}
 	for _, tc := range cases {
@@ -40,5 +41,12 @@ func TestFlagsMatchJSON(t *testing.T) {
 		if !reflect.DeepEqual(o.env, tc.env) {
 			t.Errorf("%v env = %+v, want %+v", tc.argv, o.env, tc.env)
 		}
+	}
+	// The codec worker count is no part of the job: -p is its one
+	// parallelism setting.
+	fs := flag.NewFlagSet("samsort", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if _, err := parse(fs, []string{"-in", "a.bam", "-codec-workers", "2"}); err == nil {
+		t.Error("-codec-workers accepted")
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	samstat -in reads.sam -p 8
-//	samstat -bam reads.bam -p 2 -workers 4 -shards 32
+//	samstat -bam reads.bam -p 2 -shards 32
 //	samstat -bam reads.bamx -metrics-addr :9100
 //
 // With -transport tcp the command becomes one rank of a multi-process
@@ -42,7 +42,6 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.spec.InputPath, "in", "", "SAM file")
 	fs.StringVar(&bam, "bam", "", "region-parallel shard input ("+strings.Join(engine.InputExts(engine.OpFlagstat), ", ")+")")
 	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel ranks")
-	fs.IntVar(&o.spec.Workers, "workers", 0, "shard workers per rank (0: one per CPU, capped)")
 	fs.IntVar(&o.spec.Shards, "shards", 0, "target shard count across the world (0: auto)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

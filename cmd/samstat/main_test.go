@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"reflect"
 	"testing"
 
@@ -16,8 +17,8 @@ func TestFlagsMatchJSON(t *testing.T) {
 		json string
 	}{
 		{[]string{"-in", "a.sam"}, `{"op":"flagstat","ranks":1,"input_path":"a.sam"}`},
-		{[]string{"-bam", "a.pamx", "-p", "2", "-workers", "4", "-shards", "32"},
-			`{"op":"flagstat","ranks":2,"workers":4,"shards":32,"input_path":"a.pamx"}`},
+		{[]string{"-bam", "a.pamx", "-p", "2", "-shards", "32"},
+			`{"op":"flagstat","ranks":2,"shards":32,"input_path":"a.pamx"}`},
 	}
 	for _, tc := range cases {
 		o, err := parse(flag.NewFlagSet("samstat", flag.ContinueOnError), tc.argv)
@@ -35,9 +36,13 @@ func TestFlagsMatchJSON(t *testing.T) {
 			t.Errorf("%v builds\n %+v\n%s decodes to\n %+v", tc.argv, o.spec, tc.json, want)
 		}
 	}
-	for _, argv := range [][]string{{}, {"-in", "a.sam", "-bam", "a.bam"}} {
-		if _, err := parse(flag.NewFlagSet("samstat", flag.ContinueOnError), argv); err == nil {
-			t.Errorf("%v accepted; want exactly one input", argv)
+	// Exactly one input; and no shard worker count, -p being the job's
+	// one parallelism setting.
+	for _, argv := range [][]string{{}, {"-in", "a.sam", "-bam", "a.bam"}, {"-bam", "a.bam", "-workers", "4"}} {
+		fs := flag.NewFlagSet("samstat", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parse(fs, argv); err == nil {
+			t.Errorf("%v accepted", argv)
 		}
 	}
 }

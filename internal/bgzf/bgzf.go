@@ -265,10 +265,6 @@ var gomaxprocs = runtime.GOMAXPROCS
 // single-CPU host it resolves to 1, the caller.
 func AutoWorkers() int { return min(gomaxprocs(0), maxAutoWorkers) }
 
-// WorkersUsage is the worker rule in a command-line flag's words, for
-// every flag that sets a codec worker count.
-const WorkersUsage = "1: on the caller; N > 1: a private pool of N; 0: adaptive, writers on the shared deflate pool and readers reading ahead on one worker per CPU, capped"
-
 // pipeDepth bounds in-flight blocks per pipeline: enough read-ahead to
 // keep every worker busy across scheduling hiccups, small enough to cap
 // memory at a few MiB of 64 KiB blocks.

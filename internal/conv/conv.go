@@ -194,9 +194,22 @@ func (o *Options) launch() mpi.Launcher {
 	return mpi.Run
 }
 
-// outPath names rank r's target file.
-func (o *Options) outPath(ext string, rank int) string {
-	return filepath.Join(o.OutDir, fmt.Sprintf("%s_p%03d%s", o.OutPrefix, rank, ext))
+// OutputPath names the target file rank writes under opts:
+// <OutDir>/<OutPrefix>_p<rank><ext>, where ext is the text format's
+// extension, or .bam for Format "bam", and the defaults are Options'.
+func OutputPath(opts Options, rank int) (string, error) {
+	if err := opts.normalize(); err != nil {
+		return "", err
+	}
+	ext := ".bam"
+	if opts.Format != "bam" {
+		enc, err := formats.New(opts.Format)
+		if err != nil {
+			return "", err
+		}
+		ext = enc.Extension()
+	}
+	return filepath.Join(opts.OutDir, fmt.Sprintf("%s_p%03d%s", opts.OutPrefix, rank, ext)), nil
 }
 
 // Stats aggregates counters over all ranks of a conversion.

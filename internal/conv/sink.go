@@ -35,20 +35,16 @@ type sink struct {
 // newSink creates rank r's target file; rank 0 of a text target carries
 // the format's prologue (e.g. the SAM header or the BEDGRAPH track line).
 func newSink(opts *Options, h *sam.Header, rank int) (*sink, error) {
-	s := &sink{format: opts.Format, h: h}
-	var prologue []byte
-	ext := ".bam"
-	if opts.Format != "bam" {
-		enc, err := formats.New(opts.Format)
-		if err != nil {
-			return nil, err
-		}
-		ext = enc.Extension()
-		if rank == 0 {
-			prologue = enc.Header(h)
-		}
+	path, err := OutputPath(*opts, rank)
+	if err != nil {
+		return nil, err
 	}
-	s.path = opts.outPath(ext, rank)
+	s := &sink{path: path, format: opts.Format, h: h}
+	var prologue []byte
+	if opts.Format != "bam" && rank == 0 {
+		enc, _ := formats.New(opts.Format) // OutputPath proved the name registered
+		prologue = enc.Header(h)
+	}
 	f, err := os.Create(s.path)
 	if err != nil {
 		return nil, err

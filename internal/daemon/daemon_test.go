@@ -500,11 +500,18 @@ func TestDistributedFleetByteIdentity(t *testing.T) {
 		t.Fatalf("distributed flagstat differs:\n%s", got)
 	}
 
-	// A fleet-ineligible spec with matching ranks is refused up front.
-	_, err = cl.Submit(JobSpec{Op: OpSort, Ranks: 2, InputPath: samPath}, nil)
-	var derr *Error
-	if !asError(err, &derr) || derr.Code != CodeBadSpec {
-		t.Fatalf("fleet-ineligible submit: %v", err)
+	// A fleet-ineligible spec with matching ranks is refused up front:
+	// a sort, and a SAM input's container target (its per-rank BAMX
+	// pairs would be listed by one process only).
+	for _, spec := range []JobSpec{
+		{Op: OpSort, Ranks: 2, InputPath: samPath},
+		{Op: OpConvert, Format: "bamx", Ranks: 2, InputPath: samPath},
+	} {
+		_, err = cl.Submit(spec, nil)
+		var derr *Error
+		if !asError(err, &derr) || derr.Code != CodeBadSpec {
+			t.Fatalf("fleet-ineligible submit %+v: %v", spec, err)
+		}
 	}
 
 	if _, err := d.Drain(10 * time.Second); err != nil {

@@ -38,9 +38,9 @@ const opShutdown = "__shutdown__"
 
 // distributable reports whether a spec's engine path runs the same
 // launcher call sequence on every fleet process. Only the SAM-input
-// engines qualify: the BAM/psam converters and the shard analyses
-// aggregate per-process file lists that distributed execution leaves
-// partially empty.
+// engines to per-rank targets qualify: the BAM/psam converters, the
+// container targets and the shard analyses aggregate per-process file
+// lists that distributed execution leaves partially empty.
 func distributable(spec *JobSpec) error {
 	name := spec.InputBase()
 	switch spec.Op {
@@ -51,6 +51,9 @@ func distributable(spec *JobSpec) error {
 		}
 		if kind != "sam" {
 			return fmt.Errorf("daemon: converter %q does not support fleet ranks; use converter sam or ranks 1", kind)
+		}
+		if spec.WritesContainer() {
+			return fmt.Errorf("daemon: format %s does not support fleet ranks; use a per-rank format or ranks 1", spec.Format)
 		}
 	case OpFlagstat, OpHist:
 		if !strings.HasSuffix(name, ".sam") {

@@ -23,7 +23,7 @@ func TestDecodeSpecValid(t *testing.T) {
 				t.Fatalf("inputName = %q", s.InputBase())
 			}
 		}},
-		{"full convert surface", `{"op":"convert","converter":"sam","format":"bed","ranks":4,"codec_workers":2,"parse_workers":3,"input_name":"x.sam"}`,
+		{"full convert surface", `{"op":"convert","converter":"sam","format":"bed","ranks":4,"input_name":"x.sam"}`,
 			func(t *testing.T, s JobSpec) {
 				k, err := s.ConverterKind()
 				if err != nil || k != "sam" {
@@ -120,7 +120,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"op":"convert","format":"bed","ranks":2}`,
 		`{"op":"hist","rname":"chr1","bin":50,"input_path":"/x.sam"}`,
 		`{"op":"peaks","rname":"chr1","candidates":[0.5,1,2],"sims":4,"seed":7,"input_name":"a.bam"}`,
-		`{"op":"flagstat","shards":16,"workers":2,"input_name":"a.bamx"}`,
+		`{"op":"flagstat","shards":16,"input_name":"a.bamx"}`,
 		`{"converter":"pamx","input_name":"a.pamx"}`,
 		`{"region":"chr1:100-200","input_name":"a.bamx"}`,
 		`{"ranks":-1}`,

@@ -11,7 +11,6 @@ import (
 
 	"parseq/internal/conv"
 	"parseq/internal/flagstat"
-	"parseq/internal/formats"
 	"parseq/internal/hist"
 	"parseq/internal/mpi"
 	"parseq/internal/peaks"
@@ -27,10 +26,10 @@ type Env struct {
 	// Input is the resolved input file; "" means Spec.InputPath.
 	Input string
 	// OutDir receives the outputs under engine-chosen names: convert's
-	// <OutPrefix>_p<rank><ext> per rank (<OutPrefix>.pamx / .bam for the
-	// pamx converter), sort's out.bam, flagstat.txt, hist.tsv,
-	// peaks.tsv. "" is the working directory. OutPrefix defaults to
-	// "out".
+	// <OutPrefix>_p<rank><ext> per rank (<OutPrefix>.bamx and .baix, or
+	// <OutPrefix>.pamx, for a container format), sort's out.bam,
+	// flagstat.txt, hist.tsv, peaks.tsv. "" is the working directory.
+	// OutPrefix defaults to "out".
 	OutDir    string
 	OutPrefix string
 	// OutPath overrides the name of a single-file op's output (sort,
@@ -50,9 +49,6 @@ type Env struct {
 
 	// Options the CLIs expose that have no JSON name.
 
-	// PreRanks is the psam converter's preprocessing rank count (0, or
-	// any distributed run: the job's ranks).
-	PreRanks int
 	// ChunkRecords is sort's in-memory run size (0: the sorter's default).
 	ChunkRecords int
 	// SimData replaces peaks' synthetic background (Spec.Sims datasets
@@ -100,7 +96,7 @@ func Run(spec Spec, env Env) (res Result, err error) {
 	case OpConvert:
 		paths, err = runConvert(&spec, &env, ranks, &res)
 	case OpSort:
-		paths, err = runSort(&spec, &env, ranks, &res)
+		paths, err = runSort(&env, ranks, &res)
 	default:
 		paths, err = runAnalysis(&spec, &env, ranks, &res)
 	}
@@ -116,16 +112,22 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	// The columnar rewrites stand apart from the per-rank shape: one
-	// output file either direction.
-	if kind == "pamx" && !spec.pamxToText() {
-		return runPAMX(spec, env, out)
+	switch kind {
+	case "bamx", "bamz", "pamx":
+		// The provider is picked by extension: an explicit kind over
+		// another container would read it as whatever its name says.
+		if !strings.HasSuffix(env.Input, "."+kind) {
+			return nil, fmt.Errorf("engine: converter %s needs a .%s input, not %q", kind, kind, env.Input)
+		}
 	}
-	opts := conv.Options{
-		Format: spec.Format, Cores: ranks, OutDir: env.OutDir, OutPrefix: env.OutPrefix,
-		CodecWorkers: spec.CodecWorkers, ParseWorkers: spec.ParseWorkers,
-		Launch: env.Launch,
+	if spec.WritesContainer() {
+		if kind == "sam" || kind == "psam" {
+			// psam's preprocessing phase alone: one BAMX pair per rank.
+			return preprocessSAM(env, ranks, out)
+		}
+		return rewrite(spec, env, out)
 	}
+	opts := convOptions(spec, env, ranks)
 	if spec.Region != "" {
 		r, err := conv.ParseRegion(spec.Region)
 		if err != nil {
@@ -138,25 +140,19 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 	case "sam":
 		res, err = conv.ConvertSAM(env.Input, opts)
 	case "psam":
-		pre := env.PreRanks
-		if pre == 0 || env.Launch != nil {
-			pre = ranks // both phases of a distributed run share the one world
-		}
-		res, err = conv.ConvertSAMPreprocessed(env.Input, pre, opts)
+		res, err = conv.ConvertSAMPreprocessed(env.Input, ranks, opts)
 	case "bam":
-		if ranks > 1 {
+		if ranks > 1 || opts.Region != nil {
 			// The complete BAM format converter: sequential preprocessing
-			// into a temporary BAMX/BAIX pair, then parallel conversion.
+			// into a temporary BAMX/BAIX pair, then parallel (or partial)
+			// conversion.
 			res, err = conv.ConvertBAM(env.Input, opts)
 			break
 		}
 		res, err = conv.ConvertBAMSequential(env.Input, opts)
 	default:
-		// bamx, bamz, and pamx to a text format: the container the
-		// extension names, read through its shard provider.
-		if !strings.HasSuffix(env.Input, "."+kind) {
-			return nil, fmt.Errorf("engine: converter %s needs a .%s input, not %q", kind, kind, env.Input)
-		}
+		// bamx, bamz and pamx: the container the extension names, read
+		// through its shard provider.
 		res, err = conv.ConvertIndexed(env.Input, env.BAIX, opts)
 	}
 	if err != nil {
@@ -175,41 +171,65 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 	return res.Files, nil
 }
 
+// convOptions is the converter configuration a convert job names. Every
+// worker count is left at 0, the adaptive rule.
+func convOptions(spec *Spec, env *Env, ranks int) conv.Options {
+	return conv.Options{
+		Format: spec.Format, Cores: ranks, OutDir: env.OutDir, OutPrefix: env.OutPrefix,
+		Launch: env.Launch,
+	}
+}
+
 // ConvertOutputs stats the per-rank outputs of a distributed SAM
-// conversion, <OutDir>/<OutPrefix>_p<rank><ext>. Call it once every
+// conversion, the names conv.OutputPath gives. Call it once every
 // rank's files are durable (after the world's settle barrier).
 func ConvertOutputs(spec *Spec, env Env) ([]File, int64, error) {
-	ext := ".bam"
-	if spec.Format != "bam" {
-		enc, err := formats.New(cmp.Or(spec.Format, "sam"))
-		if err != nil {
+	opts := convOptions(spec, &env, max(spec.Ranks, 1))
+	paths := make([]string, opts.Cores)
+	for r := range paths {
+		var err error
+		if paths[r], err = conv.OutputPath(opts, r); err != nil {
 			return nil, 0, err
 		}
-		ext = enc.Extension()
-	}
-	paths := make([]string, max(spec.Ranks, 1))
-	for r := range paths {
-		paths[r] = filepath.Join(env.OutDir, fmt.Sprintf("%s_p%03d%s", cmp.Or(env.OutPrefix, "out"), r, ext))
 	}
 	return statFiles(paths)
 }
 
-// runPAMX is the pamx converter's rewrite, one file either direction:
-// .bam and .bamx to PAMX, .pamx back to BAM.
-func runPAMX(spec *Spec, env *Env, out *Result) ([]string, error) {
+// rewrite is a container target from a container input: the records in
+// file order into one <OutPrefix>.bamx (with its BAIX) or .pamx. The
+// codec count 0 is the adaptive rule; shard.Rewrite's own default is 1.
+func rewrite(spec *Spec, env *Env, out *Result) ([]string, error) {
 	start := time.Now()
-	ext := map[string]string{".bam": ".pamx", ".bamx": ".pamx", ".pamx": ".bam"}[filepath.Ext(env.Input)]
-	if ext == "" {
-		return nil, fmt.Errorf("engine: converter pamx needs a .bam, .bamx or .pamx input")
-	}
-	dst := filepath.Join(env.OutDir, env.OutPrefix+ext)
-	n, err := shard.Rewrite(env.Input, dst, shard.WithCodecWorkers(spec.CodecWorkers))
+	dst := filepath.Join(env.OutDir, env.OutPrefix+"."+spec.Format)
+	n, err := shard.Rewrite(env.Input, dst, shard.WithCodecWorkers(0))
 	out.Records = n
 	out.Summary = fmt.Sprintf("converted %d records into %s in %v", n, dst, time.Since(start))
-	return []string{dst}, err
+	return shard.Outputs(dst), err
 }
 
-func runSort(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
+// preprocessSAM is a SAM input's bamx target, the preprocessing phase
+// of the psam converter: <OutPrefix>_m<rank>.bamx and .baix per rank.
+func preprocessSAM(env *Env, ranks int, out *Result) ([]string, error) {
+	res, err := conv.PreprocessSAMParallel(env.Input, conv.Options{
+		Cores: ranks, OutDir: env.OutDir, OutPrefix: env.OutPrefix, Launch: env.Launch,
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Records = res.Records
+	out.Summary = fmt.Sprintf("preprocessed %d records into %s in %v",
+		res.Records, strings.Join(res.BAMXFiles, ", "), res.Duration)
+	if env.Launch != nil {
+		return nil, nil // another process wrote the other ranks' pairs
+	}
+	var paths []string
+	for i := range res.BAMXFiles {
+		paths = append(paths, res.BAMXFiles[i], res.BAIXFiles[i])
+	}
+	return paths, nil
+}
+
+func runSort(env *Env, ranks int, out *Result) ([]string, error) {
 	run := sorter.SortBAM
 	switch {
 	case strings.HasSuffix(env.Input, ".sam"):
@@ -219,10 +239,7 @@ func runSort(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
 	}
 	// The output's extension picks its container: .bam, .bamx or .pamx.
 	dst := env.dest("out.bam")
-	n, err := run(env.Input, dst, sorter.Options{
-		ChunkRecords: env.ChunkRecords, Cores: ranks,
-		CodecWorkers: spec.CodecWorkers, TmpDir: env.OutDir,
-	})
+	n, err := run(env.Input, dst, sorter.Options{ChunkRecords: env.ChunkRecords, Cores: ranks, TmpDir: env.OutDir})
 	out.Records = n
 	out.Summary = fmt.Sprintf("sorted %d records → %s", n, dst)
 	return shard.Outputs(dst), err
@@ -246,7 +263,7 @@ func runAnalysis(spec *Spec, env *Env, ranks int, out *Result) ([]string, error)
 	} else {
 		p := shard.OpenPathProvider(env.Input)
 		defer p.Close()
-		cfg := shard.Config{Ranks: ranks, Workers: spec.Workers, TargetShards: spec.Shards, Launch: env.Launch}
+		cfg := shard.Config{Ranks: ranks, TargetShards: spec.Shards, Launch: env.Launch}
 		if spec.Op == OpFlagstat {
 			st, err = flagstat.Sharded(p, cfg)
 		} else {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,7 +81,9 @@ func writeTo(dir, name string, write func(f *os.File) error) ([]string, error) {
 // TestRunMatchesLibrary is the engine's contract: for every op over
 // every container it reads, at 1 and 3 ranks, the files Run leaves in
 // OutDir carry the names the daemon always used and the bytes of the
-// direct library call.
+// direct library call. A job has no worker knob: every count under its
+// ranks follows GOMAXPROCS, so each cell runs at a CPU budget of 1, 2
+// and 4 against one library run, and the bytes must not move.
 func TestRunMatchesLibrary(t *testing.T) {
 	in := makeContainers(t, 1500)
 	candidates := []float64{1, 2, 5}
@@ -125,6 +128,13 @@ func TestRunMatchesLibrary(t *testing.T) {
 			}
 			return files(conv.ConvertBAMSequential(in.bam, convOpts(dir, ranks)))
 		}},
+		// A region is partial conversion at every rank count: the BAM
+		// converter preprocesses into BAMX first even at one rank.
+		{"convert/bam+region", Spec{InputPath: in.bam, Format: "bed", Region: in.rname + ":1-40000"}, func(dir string, ranks int) ([]string, error) {
+			opts := convOpts(dir, ranks)
+			opts.Region = &conv.Region{RName: in.rname, Beg: 1, End: 40000}
+			return files(conv.ConvertBAM(in.bam, opts))
+		}},
 		{"convert/bamx", Spec{InputPath: in.bamx, Format: "bed"}, func(dir string, ranks int) ([]string, error) {
 			return files(conv.ConvertBAMX(in.bamx, "", convOpts(dir, ranks)))
 		}},
@@ -146,20 +156,45 @@ func TestRunMatchesLibrary(t *testing.T) {
 			opts.Region = &conv.Region{RName: in.rname, Beg: 1, End: 40000}
 			return files(conv.ConvertIndexed(in.pamx, "", opts))
 		}},
-		{"convert/pamx", Spec{InputPath: in.pamx}, func(dir string, _ int) ([]string, error) {
-			dst := filepath.Join(dir, "out.bam")
-			n, err := shard.Rewrite(in.pamx, dst)
-			return one(dst, n, err)
+		// A .pamx input reaches the per-rank BAM target like any other
+		// container.
+		{"convert/pamx", Spec{InputPath: in.pamx, Format: "bam"}, func(dir string, ranks int) ([]string, error) {
+			opts := convOpts(dir, ranks)
+			opts.Format = "bam"
+			return files(conv.ConvertIndexed(in.pamx, "", opts))
 		}},
-		{"convert/bam→pamx", Spec{InputPath: in.bam, Converter: "pamx"}, func(dir string, _ int) ([]string, error) {
+		// A container format is one whole-file rewrite, whatever the
+		// ranks; from SAM, bamx is psam's preprocessing, a pair per rank.
+		{"convert/bam→pamx", Spec{InputPath: in.bam, Format: "pamx"}, func(dir string, _ int) ([]string, error) {
 			dst := filepath.Join(dir, "out.pamx")
 			n, err := shard.Rewrite(in.bam, dst)
 			return one(dst, n, err)
 		}},
-		{"convert/bamx→pamx", Spec{InputPath: in.bamx, Converter: "pamx"}, func(dir string, _ int) ([]string, error) {
+		{"convert/bamx→pamx", Spec{InputPath: in.bamx, Format: "pamx"}, func(dir string, _ int) ([]string, error) {
 			dst := filepath.Join(dir, "out.pamx")
 			n, err := shard.Rewrite(in.bamx, dst)
 			return one(dst, n, err)
+		}},
+		{"convert/bam→bamx", Spec{InputPath: in.bam, Format: "bamx"}, func(dir string, _ int) ([]string, error) {
+			bamx, baix := filepath.Join(dir, "out.bamx"), filepath.Join(dir, "out.baix")
+			_, err := conv.PreprocessBAMFile(in.bam, bamx, baix, 0)
+			return []string{bamx, baix}, err
+		}},
+		{"convert/pamx→bamx", Spec{InputPath: in.pamx, Format: "bamx"}, func(dir string, _ int) ([]string, error) {
+			dst := filepath.Join(dir, "out.bamx")
+			_, err := shard.Rewrite(in.pamx, dst)
+			return shard.Outputs(dst), err
+		}},
+		{"convert/sam→bamx", Spec{InputPath: in.sam, Format: "bamx"}, func(dir string, ranks int) ([]string, error) {
+			pre, err := conv.PreprocessSAMParallel(in.sam, conv.Options{Cores: ranks, OutDir: dir, OutPrefix: "out"})
+			if err != nil {
+				return nil, err
+			}
+			var paths []string
+			for i := range pre.BAMXFiles {
+				paths = append(paths, pre.BAMXFiles[i], pre.BAIXFiles[i])
+			}
+			return paths, nil
 		}},
 		{"sort/sam", Spec{Op: OpSort, InputPath: in.sam}, func(dir string, ranks int) ([]string, error) {
 			dst := filepath.Join(dir, "out.bam")
@@ -248,53 +283,65 @@ func TestRunMatchesLibrary(t *testing.T) {
 	for _, ranks := range []int{1, 3} {
 		for _, c := range cells {
 			t.Run(fmt.Sprintf("%s/ranks%d", c.name, ranks), func(t *testing.T) {
-				spec := c.spec
-				spec.Ranks = ranks
-				outDir := t.TempDir()
-				env := Env{OutDir: outDir}
-				if name, ok := outPaths[c.name]; ok {
-					env.OutPath = filepath.Join(outDir, name)
-				}
-				res, err := Run(spec, env)
-				if err != nil {
-					t.Fatal(err)
-				}
 				want, err := c.direct(t.TempDir(), ranks)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Files) != len(want) {
-					t.Fatalf("Run left %d files, the library %d", len(res.Files), len(want))
-				}
-				var total int64
-				for i, f := range res.Files {
-					if f.Name != filepath.Base(want[i]) {
-						t.Errorf("file %d named %q, want %q", i, f.Name, filepath.Base(want[i]))
-					}
-					ref, err := os.ReadFile(want[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := os.ReadFile(filepath.Join(outDir, f.Name))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, ref) {
-						t.Errorf("%s differs from the library's output (%d vs %d bytes)", f.Name, len(got), len(ref))
-					}
-					if int64(len(got)) != f.Size {
-						t.Errorf("%s: reported size %d, file holds %d bytes", f.Name, f.Size, len(got))
-					}
-					total += f.Size
-				}
-				if res.BytesOut != total {
-					t.Errorf("BytesOut = %d, files sum to %d", res.BytesOut, total)
-				}
-				if res.Records <= 0 || res.Summary == "" {
-					t.Errorf("Records = %d, Summary = %q", res.Records, res.Summary)
+				for _, procs := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("gomaxprocs%d", procs), func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						spec := c.spec
+						spec.Ranks = ranks
+						outDir := t.TempDir()
+						env := Env{OutDir: outDir}
+						if name, ok := outPaths[c.name]; ok {
+							env.OutPath = filepath.Join(outDir, name)
+						}
+						res, err := Run(spec, env)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkFiles(t, res, outDir, want)
+					})
 				}
 			})
 		}
+	}
+}
+
+// checkFiles compares the files Run left in outDir with the library's,
+// name by name and byte for byte, and the Result's sizes with the files.
+func checkFiles(t *testing.T, res Result, outDir string, want []string) {
+	t.Helper()
+	if len(res.Files) != len(want) {
+		t.Fatalf("Run left %d files, the library %d", len(res.Files), len(want))
+	}
+	var total int64
+	for i, f := range res.Files {
+		if f.Name != filepath.Base(want[i]) {
+			t.Errorf("file %d named %q, want %q", i, f.Name, filepath.Base(want[i]))
+		}
+		ref, err := os.ReadFile(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(outDir, f.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("%s differs from the library's output (%d vs %d bytes)", f.Name, len(got), len(ref))
+		}
+		if int64(len(got)) != f.Size {
+			t.Errorf("%s: reported size %d, file holds %d bytes", f.Name, f.Size, len(got))
+		}
+		total += f.Size
+	}
+	if res.BytesOut != total {
+		t.Errorf("BytesOut = %d, files sum to %d", res.BytesOut, total)
+	}
+	if res.Records <= 0 || res.Summary == "" {
+		t.Errorf("Records = %d, Summary = %q", res.Records, res.Summary)
 	}
 }
 

@@ -2,7 +2,7 @@
 // (convert, sort, flagstat, hist or peaks, with every option a client
 // may set), an Env says where (the resolved input, the output
 // destination, the rank world), and Run routes the pair onto the
-// conv/pamx/sorter/flagstat/hist/peaks libraries. seqconvd decodes a
+// conv/shard/sorter/flagstat/hist/peaks libraries. seqconvd decodes a
 // Spec from JSON; seqconvert, samsort, samstat, ngsstat and ngsbench
 // fill one from flags; both call Run, so a job means the same thing —
 // same converter inference, same output names, same bytes — whichever
@@ -40,23 +40,22 @@ type Spec struct {
 	// Converter picks the converter instance for Op=convert: auto (by
 	// input extension), sam, bam, psam, bamx, bamz or pamx.
 	Converter string `json:"converter,omitempty"`
-	// Format is the conversion target format (sam, bam, bed, ...; ""
-	// means sam). The pamx converter has one target per direction and
-	// takes none — except that a .pamx input naming a text format is
-	// converted to it like any other record container.
+	// Format is the conversion target format: a text format (sam, bed,
+	// ...; "" means sam) or bam, one file per rank; or bamx or pamx, one
+	// container, <OutPrefix>.bamx (with its .baix) or <OutPrefix>.pamx,
+	// rewritten from any container input. A SAM input's bamx target is
+	// psam's preprocessing instead: one <OutPrefix>_m<rank> pair per rank.
 	Format string `json:"format,omitempty"`
 	// Ranks is the rank count: in-process goroutine ranks by default,
 	// or — when Env.Launch is a distributed launcher — the world size.
-	// 0 means 1.
+	// 0 means 1. It is the job's one parallelism setting: the codec,
+	// parse and shard workers under each rank take the adaptive count,
+	// which reads GOMAXPROCS.
 	Ranks int `json:"ranks,omitempty"`
-	// CodecWorkers and ParseWorkers are the BGZF codec workers per
-	// stream (convert, sort, and the pamx converter both ways; package
-	// bgzf's rule places them) and the per-rank parse/encode goroutines
-	// of SAM text conversion (0 adaptive, 1 sequential).
-	CodecWorkers int `json:"codec_workers,omitempty"`
-	ParseWorkers int `json:"parse_workers,omitempty"`
 	// Region restricts conversion to one chromosome region
-	// ("chr1:100-200"; .bamx, .bamz and .pamx→text conversions only).
+	// ("chr1:100-200") of a .bam, .bamx, .bamz or .pamx input, or of a
+	// SAM input under the psam converter, which preprocesses into BAMX
+	// first; the per-rank targets only, not bamx or pamx.
 	Region string `json:"region,omitempty"`
 	// InputPath names the input file. Empty means the caller resolves
 	// the input itself (Env.Input — seqconvd's streamed uploads); then
@@ -64,11 +63,10 @@ type Spec struct {
 	// auto-detection.
 	InputPath string `json:"input_path,omitempty"`
 	InputName string `json:"input_name,omitempty"`
-	// Shards and Workers tune the region-parallel analyses (flagstat,
-	// hist, peaks over .bam/.bamx/.pamx inputs): shard generation goal
-	// and per-rank worker goroutines. 0 picks the adaptive defaults.
-	Shards  int `json:"shards,omitempty"`
-	Workers int `json:"workers,omitempty"`
+	// Shards is the region-parallel analyses' shard generation goal
+	// (flagstat, hist, peaks over .bam/.bamx/.bamz/.pamx inputs); 0 picks
+	// the adaptive default.
+	Shards int `json:"shards,omitempty"`
 	// RName and BinSize select the reference and bin width for hist and
 	// peaks.
 	RName   string `json:"rname,omitempty"`
@@ -85,7 +83,6 @@ type Spec struct {
 // absurd worlds or shard counts. MaxSpecLen caps the encoded spec.
 const (
 	maxRanks   = 1024
-	maxWorkers = 1024
 	maxShards  = 1 << 16
 	maxSims    = 1 << 12
 	MaxSpecLen = 1 << 16
@@ -163,9 +160,7 @@ func (s *Spec) Validate() error {
 		name   string
 		v, max int
 	}{
-		{"ranks", s.Ranks, maxRanks}, {"codec_workers", s.CodecWorkers, maxWorkers},
-		{"parse_workers", s.ParseWorkers, maxWorkers}, {"workers", s.Workers, maxWorkers},
-		{"shards", s.Shards, maxShards}, {"sims", s.Sims, maxSims},
+		{"ranks", s.Ranks, maxRanks}, {"shards", s.Shards, maxShards}, {"sims", s.Sims, maxSims},
 	} {
 		if f.v < 0 || f.v > f.max {
 			return fmt.Errorf("engine: %s %d outside [0, %d]", f.name, f.v, f.max)
@@ -201,18 +196,16 @@ func (s *Spec) Validate() error {
 	}
 	switch s.Op {
 	case OpConvert:
-		// The columnar rewrites have one target per direction and no
-		// partial conversion; they used to drop both options silently.
-		if kind == "pamx" && !s.pamxToText() && s.Format != "" {
-			return fmt.Errorf("engine: converter pamx does not take format %q (.bam/.bamx convert to PAMX, .pamx to BAM or a text format)", s.Format)
-		}
-		if kind == "pamx" && !s.pamxToText() && s.Region != "" {
-			return fmt.Errorf("engine: converter pamx takes region only from .pamx to a text format")
-		}
-		if s.Format != "" && s.Format != "bam" {
-			// "bam" is the converter's binary special case; every other
-			// target must be in the format registry. Catching a typo here
-			// beats a doomed job.
+		switch {
+		case s.WritesContainer() && s.Region != "":
+			return fmt.Errorf("engine: format %s rewrites the whole input and takes no region", s.Format)
+		case s.Format == "pamx" && (kind == "sam" || kind == "psam"):
+			return fmt.Errorf("engine: format pamx needs a container input (%s), not SAM", strings.Join(shard.Exts(), ", "))
+		case kind == "sam" && s.Region != "":
+			return fmt.Errorf("engine: converter sam reads SAM text, which has no index for a region; use converter psam")
+		case s.Format != "" && s.Format != "bam" && !s.WritesContainer():
+			// Every other target must be in the format registry.
+			// Catching a typo here beats a doomed job.
 			if _, err := formats.New(s.Format); err != nil {
 				return fmt.Errorf("engine: %w", err)
 			}
@@ -249,11 +242,9 @@ func (s *Spec) InputBase() string {
 	return "input.sam"
 }
 
-// pamxToText reports a .pamx input that names a text format: a record
-// container to convert, not the columnar rewrite back to BAM.
-func (s *Spec) pamxToText() bool {
-	return strings.HasSuffix(s.InputBase(), ".pamx") && s.Format != "" && s.Format != "bam"
-}
+// WritesContainer reports a bamx or pamx target: one container (or,
+// from SAM, one BAMX pair per rank) rather than a file per rank.
+func (s *Spec) WritesContainer() bool { return s.Format == "bamx" || s.Format == "pamx" }
 
 // autoConverter reports whether the converter goes by extension.
 func (s *Spec) autoConverter() bool { return s.Converter == "" || s.Converter == "auto" }

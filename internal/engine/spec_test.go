@@ -12,25 +12,35 @@ import (
 // live in internal/daemon (spec_test.go), where the wire format is
 // served; the rows here pin what Validate adds on top of it.
 
-// TestValidateRejectsUnhonouredOptions: -converter pamx used to drop
-// region and format on the floor, and every op but convert accepted a
-// region it never read. Each is now an error naming the field — except
-// what became honourable since: a .pamx input naming a text format is a
-// record container like any other, region included.
+// TestValidateRejectsUnhonouredOptions: an option a job cannot honour
+// is an error naming the field, refused before a daemon spools an
+// upload for it, never dropped on the floor. A container format is a
+// whole-file rewrite of a container input, so it takes no region and
+// pamx takes no SAM; the SAM converter has no index for a region; and
+// only convert reads one at all.
 func TestValidateRejectsUnhonouredOptions(t *testing.T) {
 	cases := []struct {
 		name, in, field string
 	}{
-		{"pamx converter with region", `{"converter":"pamx","region":"chr1:1-100","input_name":"a.bam"}`, "region"},
-		{"pamx by extension with region", `{"region":"chr1:1-100","input_name":"a.pamx"}`, "region"},
-		{"pamx converter with format", `{"converter":"pamx","format":"bed","input_name":"a.bamx"}`, "format"},
-		{"pamx by extension with format", `{"format":"bam","input_name":"a.pamx"}`, "format"},
+		{"pamx converter with region", `{"format":"pamx","region":"chr1:1-100","input_name":"a.bam"}`, "region"},
+		{"pamx by extension with region", `{"format":"pamx","region":"chr1:1-100","input_name":"a.pamx"}`, "region"},
+		{"pamx converter with format", `{"converter":"psam","format":"pamx","input_name":"a.sam"}`, "format"},
+		{"pamx by extension with format", `{"format":"pamx","input_name":"a.sam"}`, "format"},
+		{"bamx format with region", `{"format":"bamx","region":"chr1:1-100","input_name":"a.bam"}`, "region"},
+		{"bamx format from SAM with region", `{"format":"bamx","region":"chr1","converter":"psam","input_name":"a.sam"}`, "region"},
+		{"region on sam", `{"format":"bed","region":"chr1:1-100","input_name":"a.sam"}`, "region"},
+		{"region on sam by default", `{"region":"chr1"}`, "region"},
 		{"region on flagstat", `{"op":"flagstat","region":"chr1:1-100"}`, "region"},
 		{"region on hist", `{"op":"hist","rname":"chr1","region":"chr1:1-100"}`, "region"},
 		{"region on peaks", `{"op":"peaks","rname":"chr1","candidates":[1],"region":"chr1"}`, "region"},
 		{"region on sort", `{"op":"sort","region":"chr1"}`, "region"},
 		{"uninferrable converter", `{"input_name":"reads.txt"}`, "converter"},
 		{"unknown converter on an analysis", `{"op":"flagstat","converter":"xam"}`, "converter"},
+		// Ranks is a job's one parallelism setting; every worker count
+		// under it is the adaptive rule.
+		{"codec workers", `{"codec_workers":2,"input_name":"a.bam"}`, "codec_workers"},
+		{"parse workers", `{"parse_workers":2,"input_name":"a.sam"}`, "parse_workers"},
+		{"shard workers", `{"op":"flagstat","workers":2,"input_name":"a.bamx"}`, "workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,8 +58,12 @@ func TestValidateRejectsUnhonouredOptions(t *testing.T) {
 	for _, in := range []string{
 		`{"region":"chr1:1-100","input_name":"a.bamx"}`,
 		`{"region":"chr1:1-100","input_name":"a.bamz","format":"bed"}`,
+		`{"region":"chr1:1-100","input_name":"a.bam","format":"bed"}`,
 		`{"region":"chr1:1-100","converter":"psam","input_name":"a.sam"}`,
-		`{"converter":"pamx","codec_workers":2,"input_name":"a.bam"}`,
+		`{"format":"pamx","input_name":"a.bam"}`,
+		`{"format":"bamx","input_name":"a.pamx"}`,
+		`{"format":"bamx","ranks":3,"input_name":"a.sam"}`,
+		`{"format":"bam","input_name":"a.pamx"}`,
 		`{"format":"sam","input_name":"a.pamx"}`,
 		`{"format":"bed","region":"chr1:1-100","converter":"pamx","input_name":"a.pamx"}`,
 		`{"op":"flagstat","input_name":"reads.dat"}`,
@@ -64,7 +78,7 @@ func TestValidateRejectsUnhonouredOptions(t *testing.T) {
 // any file is touched.
 func TestRunRejectsUnhonouredOptions(t *testing.T) {
 	dir := t.TempDir()
-	_, err := Run(Spec{Converter: "pamx", Region: "chr1", InputPath: filepath.Join(dir, "missing.bam")}, Env{OutDir: dir})
+	_, err := Run(Spec{Format: "pamx", Region: "chr1", InputPath: filepath.Join(dir, "missing.bam")}, Env{OutDir: dir})
 	if err == nil || !strings.Contains(err.Error(), "region") {
 		t.Fatalf("Run error = %v, want one naming region", err)
 	}

@@ -51,7 +51,6 @@ type Snapshot struct {
 	Histograms map[string]HistogramValue `json:"histograms"`
 	Phases     map[string]PhaseValue     `json:"phases"`
 	Derived    map[string]float64        `json:"derived"`
-	Runtime    map[string]float64        `json:"runtime"`
 }
 
 // Snapshot captures the registry's current state, computing the derived
@@ -67,7 +66,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Histograms: make(map[string]HistogramValue),
 		Phases:     make(map[string]PhaseValue),
 		Derived:    make(map[string]float64),
-		Runtime:    RuntimeSample(),
 	}
 	if r == nil {
 		return s

@@ -245,6 +245,7 @@ func TestSnapshotDerivedMetrics(t *testing.T) {
 	r.Counter("parpipe.bgzf.deflate.idle_ns").Add(100)
 	r.Counter("bgzf.deflate.blocks").Add(50)
 	r.Counter("parpipe.bgzf.deflate.items").Add(50)
+	SampleRuntimeGauges(r)
 	s := r.Snapshot()
 	if f := s.Derived["parpipe.bgzf.deflate.busy_fraction"]; f != 0.75 {
 		t.Errorf("busy_fraction = %v, want 0.75", f)
@@ -255,8 +256,10 @@ func TestSnapshotDerivedMetrics(t *testing.T) {
 	if _, ok := s.Derived["parpipe.bgzf.deflate.items_per_sec"]; !ok {
 		t.Error("items_per_sec not derived")
 	}
-	if len(s.Runtime) == 0 {
-		t.Error("runtime sample empty")
+	// The runtime rides the snapshot as the sampler's go.* gauges.
+	if s.Gauges["go.goroutines"].Value <= 0 || s.Gauges["go.mem_total_bytes"].Value <= 0 {
+		t.Errorf("runtime gauges missing: go.goroutines %+v, go.mem_total_bytes %+v",
+			s.Gauges["go.goroutines"], s.Gauges["go.mem_total_bytes"])
 	}
 }
 

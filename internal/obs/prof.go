@@ -3,7 +3,6 @@ package obs
 import (
 	"os"
 	"runtime"
-	"runtime/metrics"
 	"runtime/pprof"
 )
 
@@ -40,38 +39,4 @@ func WriteHeapProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runtimeSamples is the curated runtime/metrics set included in every
-// snapshot: scheduler pressure, heap footprint and GC effort — the
-// signals that matter when deciding where the next worker goroutine
-// should go.
-var runtimeSamples = []string{
-	"/sched/goroutines:goroutines",
-	"/memory/classes/heap/objects:bytes",
-	"/memory/classes/total:bytes",
-	"/gc/cycles/total:gc-cycles",
-	"/gc/heap/allocs:bytes",
-	"/sync/mutex/wait/total:seconds",
-	"/cpu/classes/gc/total:cpu-seconds",
-}
-
-// RuntimeSample reads the curated runtime/metrics set as float64s.
-// Metrics the running Go version does not export are omitted.
-func RuntimeSample() map[string]float64 {
-	samples := make([]metrics.Sample, len(runtimeSamples))
-	for i, name := range runtimeSamples {
-		samples[i].Name = name
-	}
-	metrics.Read(samples)
-	out := make(map[string]float64, len(samples))
-	for _, s := range samples {
-		switch s.Value.Kind() {
-		case metrics.KindUint64:
-			out[s.Name] = float64(s.Value.Uint64())
-		case metrics.KindFloat64:
-			out[s.Name] = s.Value.Float64()
-		}
-	}
-	return out
 }

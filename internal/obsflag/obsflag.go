@@ -220,8 +220,9 @@ func (s *Session) close() error {
 		s.stopSignals()
 		s.stopSignals = nil
 	}
-	if s.stopSampler != nil {
-		s.stopSampler()
+	sampled := s.stopSampler != nil
+	if sampled {
+		s.stopSampler() // samples the runtime one last time
 		s.stopSampler = nil
 	}
 	if s.server != nil {
@@ -235,6 +236,9 @@ func (s *Session) close() error {
 	if s.reg != nil {
 		obs.SetDefault(nil)
 		if s.flags.Metrics != "" {
+			if !sampled {
+				obs.SampleRuntimeGauges(s.reg)
+			}
 			keep(writeFile(s.flags.Metrics, s.reg.WriteJSON))
 		}
 		if s.flags.Trace != "" {

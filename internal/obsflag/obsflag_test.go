@@ -76,8 +76,11 @@ func TestMetricsSchema(t *testing.T) {
 			t.Errorf("counter %q missing from metrics snapshot", name)
 		}
 	}
-	if _, ok := snap.Gauges["parpipe.bgzf.deflate.queue_depth"]; !ok {
-		t.Errorf("gauge parpipe.bgzf.deflate.queue_depth missing from metrics snapshot")
+	// The runtime is sampled into the go.* gauges before the write.
+	for _, name := range []string{"parpipe.bgzf.deflate.queue_depth", "go.goroutines", "go.mem_total_bytes"} {
+		if _, ok := snap.Gauges[name]; !ok {
+			t.Errorf("gauge %q missing from metrics snapshot", name)
+		}
 	}
 	for _, name := range []string{"parpipe.bgzf.deflate.busy_fraction", "bgzf.deflate.blocks_per_sec"} {
 		if _, ok := snap.Derived[name]; !ok {
