@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-body fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -22,12 +22,14 @@ race:
 	$(GO) test -race ./...
 
 # The one fast pre-commit subset of `race`: the converter runtime
-# (sources, sinks), the batch line engine (internal/sam), the SAM
-# analyses and the sorter that read through it, the shared deflate pool and the
-# parpipe plumbing under them, and the engine and daemon that drive them
-# concurrently. `ci` runs the full sweep.
+# (sources, sinks), the body→text encoders (internal/formats) and the
+# BAMX reader (internal/bamx) that run on its rank goroutines, the batch
+# line engine (internal/sam), the SAM analyses and the sorter that read
+# through it, the shared deflate pool and the parpipe plumbing under
+# them, and the engine and daemon that drive them concurrently. `ci`
+# runs the full sweep.
 race-convert:
-	$(GO) test -race -count=1 ./internal/conv ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
+	$(GO) test -race -count=1 ./internal/conv ./internal/formats ./internal/bamx ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
 
 # A short deterministic fuzz pass over the wire-frame decoder: corrupt
 # frames must error, never panic or over-allocate.
@@ -40,6 +42,14 @@ fuzz-kern:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnpackSeq' -fuzztime 10s ./internal/kern
 	$(GO) test -run '^$$' -fuzz 'FuzzShiftQual' -fuzztime 10s ./internal/kern
 	$(GO) test -run '^$$' -fuzz 'FuzzParseUint' -fuzztime 10s ./internal/kern
+
+# A short differential fuzz pass over the body→text encoders: for each
+# of sam, bed, bedgraph, fasta and fastq, AppendBody on an arbitrary
+# body must append exactly what Encode appends for DecodeRecord's
+# record, and fail exactly when the decode fails. Every input is checked
+# under all five formats, so 50 s is 10 s per format.
+fuzz-body:
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendBody' -fuzztime 50s ./internal/formats
 
 # Short fuzz passes over the statistics kernels: the FDR rank counts must
 # equal the reference's pairwise loops (ties, zeros, NaNs), and sliding-
@@ -115,7 +125,10 @@ fmt-check:
 # own, so no non-test file under internal/, cmd/ or the module root
 # imports compress/* (compress/flate is the tests' oracle). And SAM text
 # has one record parser and one renderer (sam.ParseRecordIntoBytes,
-# Record.AppendTo): no string twin comes back, and SAM alignment lines
+# Record.AppendTo; a body renders through formats.BodyEncoder): no
+# string twin comes back, and BAM tag values become text only in
+# internal/bam (no float32 tag decode, and no strconv render of an aux
+# value, outside it), and SAM alignment lines
 # have one reader (sam.Source's batch line engine): no sam.NewReader or
 # LineScanner comes back, and no product file of internal/sam, conv,
 # flagstat or sorter opens a bufio.Scanner. And
@@ -152,6 +165,11 @@ deps-check:
 	@bad=$$(grep -rn 'func parseRecordInto(\|AppendText(' internal --include=*.go | grep -v _test || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a second SAM record parser or renderer:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$( { grep -rn 'math\.Float32frombits' --include=*.go internal cmd *.go; \
+		grep -rnE 'strconv\.(Format|Append)(Int|Uint|Float)\(.*\b[aA]ux' --include=*.go internal cmd *.go; } | grep -v '_test\.go:' | grep -v '^internal/bam/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a BAM tag value rendered as text outside internal/bam (Body.AppendTags and DecodeRecord are the ways):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(ls internal/bgzf/*.go | grep -v _test | xargs grep -nE 'type (ParallelReader|ParallelWriter|BlockReader|BlockWriter|BlockSource)\b' || true); \
 	if [ -n "$$bad" ]; then \

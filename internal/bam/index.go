@@ -48,7 +48,7 @@ func (idx *Index) Add(refID, beg, end int, chunkBeg, chunkEnd bgzf.VOffset) erro
 		return nil
 	}
 	if refID >= len(idx.refs) {
-		return fmt.Errorf("bam: index Add refID %d out of range", refID)
+		return fmt.Errorf("%w: index Add refID %d out of range", ErrInvalidRecord, refID)
 	}
 	if end <= beg {
 		end = beg + 1

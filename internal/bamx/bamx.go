@@ -332,15 +332,15 @@ func (f *File) ReadRaw(i int64, buf []byte) error {
 	return err
 }
 
-// AppendBody reassembles the contiguous BAM record body from one raw
+// UnpadBody reassembles the contiguous BAM record body from one raw
 // fixed-stride record, appending to dst — the zero-decode path for
 // body-level tallies over BAMX shards. Callers reuse dst across records
 // to keep the loop allocation-free.
-func (f *File) AppendBody(dst, raw []byte) ([]byte, error) {
+func (f *File) UnpadBody(dst, raw []byte) ([]byte, error) {
 	return unpadRecord(dst, raw, f.caps)
 }
 
-// RawCigar validates one raw fixed-stride record as AppendBody does and
+// RawCigar validates one raw fixed-stride record as UnpadBody does and
 // returns its CIGAR operations in place: with the 32-byte fixed prefix
 // at raw[:32] they are everything a coordinate/coverage tally reads, at
 // constant offsets, with no reassembly.

@@ -188,7 +188,7 @@ func physicalOrders(d *simdata.Dataset) map[string][]sam.Record {
 
 // TestScanEntriesMatchesPerRecordReads: over every physical order and
 // every shape of entry slice, ScanEntries yields the bodies the
-// per-record ReadRaw + AppendBody loop yields, in entry order.
+// per-record ReadRaw + UnpadBody loop yields, in entry order.
 func TestScanEntriesMatchesPerRecordReads(t *testing.T) {
 	d := dataset(t, 6000) // more than one chunk
 	for order, recs := range physicalOrders(d) {
@@ -208,7 +208,7 @@ func TestScanEntriesMatchesPerRecordReads(t *testing.T) {
 				if err := f.ReadRaw(e.Index, raw); err != nil {
 					t.Fatal(err)
 				}
-				want, err := f.AppendBody(nil, raw)
+				want, err := f.UnpadBody(nil, raw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,7 +217,7 @@ func TestScanEntriesMatchesPerRecordReads(t *testing.T) {
 					t.Fatalf("%s/%s: NextBody at entry %d: %v", order, walk, k, err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s/%s: entry %d (record %d) differs from ReadRaw+AppendBody", order, walk, k, e.Index)
+					t.Fatalf("%s/%s: entry %d (record %d) differs from ReadRaw+UnpadBody", order, walk, k, e.Index)
 				}
 			}
 			for i := 0; i < 2; i++ { // exhausted stays exhausted

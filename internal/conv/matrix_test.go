@@ -2,11 +2,14 @@ package conv
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"parseq/internal/bam"
@@ -14,7 +17,30 @@ import (
 	"parseq/internal/formats"
 	"parseq/internal/sam"
 	"parseq/internal/shard"
+	"parseq/internal/simdata"
 )
+
+// matrixFormat is a format added through formats.Register. It has
+// Encode alone, so the binary sources reach it through the record path;
+// it prints every field, tags included, so a decode difference shows.
+const matrixFormat = "matrixtsv"
+
+type matrixEncoder struct{}
+
+func (matrixEncoder) Name() string              { return matrixFormat }
+func (matrixEncoder) Extension() string         { return ".tsv" }
+func (matrixEncoder) Header(*sam.Header) []byte { return nil }
+func (matrixEncoder) Encode(dst []byte, rec *sam.Record, _ *sam.Header) ([]byte, error) {
+	dst = append(dst, rec.QName...)
+	for _, t := range rec.Tags {
+		dst = append(append(dst, ' '), t.String()...)
+	}
+	return append(append(append(dst, ' '), rec.Cigar.String()...), '\n'), nil
+}
+
+var registerMatrixFormat = sync.OnceValue(func() error {
+	return formats.Register(matrixFormat, func() formats.Encoder { return matrixEncoder{} })
+})
 
 // referenceText is the single-threaded conversion of recs, plus the
 // number of records the format emits anything for.
@@ -39,7 +65,9 @@ func referenceText(t *testing.T, recs []sam.Record, h *sam.Header, format string
 }
 
 // TestSourceSinkMatrix pins the runtime's seam: every source reaches
-// every target, text and BAM shards alike, at one and four parse
+// every target, text and BAM shards alike, the binary sources' body
+// path (the five formats with AppendBody) and record path (JSON, a
+// format added through formats.Register, BAM shards) alike, at one and four parse
 // workers and at one and several ranks, with the same bytes as the
 // single-threaded reference and the same Stats — including BytesIn,
 // which for the fixed-stride sources is records × stride on the full and
@@ -179,8 +207,13 @@ func TestSourceSinkMatrix(t *testing.T) {
 		{"bamx-shuffled", shuffled, stride * int64(len(shuffled)), nil, fromShuffled},
 		{"bamx-shuffled+region", within(shuffled), stride * int64(len(inRegion)), region, fromShuffled},
 	}
+	if err := registerMatrixFormat(); err != nil {
+		t.Fatal(err)
+	}
 	for _, src := range sources {
-		for _, format := range []string{"sam", "bed", "fastq", "bam"} {
+		// The first five take the body path from the binary sources;
+		// json, the registered format and bam take the record path.
+		for _, format := range []string{"sam", "bed", "bedgraph", "fasta", "fastq", "json", matrixFormat, "bam"} {
 			// A BAM target is checked through its records: the merged
 			// shards must decode to the SAM text of the input records.
 			textFormat := format
@@ -256,4 +289,57 @@ func mergedShardText(t *testing.T, shards []string, h *sam.Header) string {
 	}
 	text, _ := referenceText(t, recs, h, "sam")
 	return text
+}
+
+// TestCorruptBodyFailsBothPaths: a BAMX and a BAM that each hold one bad
+// body fail conversion on the body path (sam) and the record path (json)
+// alike, with an error wrapping bam.ErrInvalidRecord — never a success,
+// never a panic.
+func TestCorruptBodyFailsBothPaths(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(200))
+	h := d.Header
+	const bad = 120
+	for _, c := range []struct {
+		name  string
+		spoil func(body []byte) []byte
+	}{
+		{"a name without its NUL", func(b []byte) []byte { b[32+int(b[8])-1] = 'x'; return b }},
+		{"a Z tag without its NUL", func(b []byte) []byte { return append(b, "XZZabc"...) }},
+		{"refID past the header", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b, uint32(len(h.Refs)+2))
+			return b
+		}},
+	} {
+		for _, ext := range []string{".bamx", ".bam"} {
+			path := filepath.Join(t.TempDir(), "bad"+ext)
+			out, err := shard.Create(path, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var enc []byte
+			for i := range d.Records {
+				if enc, err = bam.EncodeRecord(enc[:0], &d.Records[i], h); err != nil {
+					t.Fatal(err)
+				}
+				body := enc[4:]
+				if i == bad {
+					body = c.spoil(body)
+				}
+				if err := out.WriteBody(body); err != nil {
+					t.Fatalf("%s%s: writing: %v", c.name, ext, err)
+				}
+			}
+			if err := out.Close(); err != nil {
+				t.Fatalf("%s%s: closing: %v", c.name, ext, err)
+			}
+			for _, format := range []string{"sam", "json"} {
+				for _, cores := range []int{1, 2} {
+					_, err := ConvertIndexed(path, "", Options{Format: format, Cores: cores, OutDir: t.TempDir()})
+					if !errors.Is(err, bam.ErrInvalidRecord) {
+						t.Errorf("%s in %s → %s, %d ranks: err = %v, want bam.ErrInvalidRecord", c.name, ext, format, cores, err)
+					}
+				}
+			}
+		}
+	}
 }

@@ -37,15 +37,16 @@ func convertProvider(p shard.Provider, opts Options) (*Result, error) {
 	}
 	return convert(&opts, h, func(c *mpi.Comm) (func(*sink) (rankStats, error), error) {
 		shards, err := shard.Distribute(c, p, sel)
-		return func(sk *sink) (rankStats, error) { return convertShards(p, h, shards, sk) }, err
+		return func(sk *sink) (rankStats, error) { return convertShards(p, shards, sk) }, err
 	})
 }
 
-// convertShards streams one rank's shards, in order, through its sink.
+// convertShards streams one rank's shards, in order, through its sink's
+// body step (sink.bodyStep).
 // Input consumed is the byte weight of the shards drained plus the body
 // bytes read of the open one, capped at its weight: exact at every shard
 // boundary, so a fixed-stride source reports records × stride.
-func convertShards(p shard.Provider, h *sam.Header, shards []shard.Shard, sk *sink) (rankStats, error) {
+func convertShards(p shard.Provider, shards []shard.Shard, sk *sink) (rankStats, error) {
 	for _, sh := range shards {
 		addBytesTotal(sh.Bytes)
 	}
@@ -58,29 +59,31 @@ func convertShards(p shard.Provider, h *sam.Header, shards []shard.Shard, sk *si
 			rr.Close()
 		}
 	}()
-	next := func(rec *sam.Record) (bool, error) {
+	step := sk.bodyStep()
+	next := func(dst []byte) ([]byte, bool, error) {
 		for len(shards) > 0 {
 			if rr == nil {
 				var err error
 				if rr, err = p.NewReader(shards[0]); err != nil {
-					return false, err
+					return dst, false, err
 				}
 			}
 			body, err := rr.NextBody()
 			if err == nil {
 				cur = min(cur+int64(len(body))+4, shards[0].Bytes)
-				return true, bam.DecodeRecord(body, rec, h)
+				dst, err = step(dst, body)
+				return dst, true, err
 			}
 			if err != io.EOF {
-				return false, err
+				return dst, false, err
 			}
 			err, rr = rr.Close(), nil
 			if err != nil {
-				return false, err
+				return dst, false, err
 			}
 			done, cur, shards = done+shards[0].Bytes, 0, shards[1:]
 		}
-		return false, nil
+		return dst, false, nil
 	}
 	return convertRecords(next, func() int64 { return done + cur }, sk)
 }
@@ -165,7 +168,18 @@ func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed
 	}
 	opts.Cores, opts.Launch = 1, nil
 	return convert(&opts, h, func(*mpi.Comm) (func(*sink) (rankStats, error), error) {
-		return func(sk *sink) (rankStats, error) { return convertRecords(next, consumed, sk) }, nil
+		return func(sk *sink) (rankStats, error) {
+			encode := sk.encoder()
+			var rec sam.Record
+			return convertRecords(func(dst []byte) ([]byte, bool, error) {
+				ok, err := next(&rec)
+				if err != nil || !ok {
+					return dst, false, err
+				}
+				dst, err = encode(dst, &rec)
+				return dst, true, err
+			}, consumed, sk)
+		}, nil
 	})
 }
 

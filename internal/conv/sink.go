@@ -84,6 +84,28 @@ func (s *sink) encoder() sam.Visit {
 	}
 }
 
+// bodyStep returns the rank's per-record step over encoded bodies: a
+// text format's AppendBody (formats.BodyEncoder; the body path), or a
+// decode into a record for the encoder (the record path) — JSON, YAML,
+// registered formats and BAM shards, whose re-encode renormalises tags.
+func (s *sink) bodyStep() func(dst, body []byte) ([]byte, error) {
+	h := s.h
+	if s.shard == nil {
+		enc, _ := formats.New(s.format) // newSink proved the name registered
+		if be, ok := enc.(formats.BodyEncoder); ok {
+			return func(dst, body []byte) ([]byte, error) { return be.AppendBody(dst, body, h) }
+		}
+	}
+	encode := s.encoder()
+	var rec sam.Record
+	return func(dst, body []byte) ([]byte, error) {
+		if err := bam.DecodeRecord(body, &rec, h); err != nil {
+			return dst, err
+		}
+		return encode(dst, &rec)
+	}
+}
+
 // bamEncoder encodes records for a BAM shard or preprocessing's spill.
 func bamEncoder(h *sam.Header) sam.Visit {
 	return func(dst []byte, rec *sam.Record) ([]byte, error) {
@@ -170,11 +192,11 @@ func convert(opts *Options, h *sam.Header,
 }
 
 // convertRecords is the record loop of the binary and stream sources:
-// next decodes the source's following record (false at the end of the
-// rank's share), consumed reports the input bytes read so far, and each
-// record runs through the user program into the sink.
-func convertRecords(next func(*sam.Record) (bool, error), consumed func() int64, sk *sink) (st rankStats, err error) {
-	encode := sk.encoder()
+// next appends the source's following record, rendered by the user
+// program, to dst (ok false at the end of the rank's share), consumed
+// reports the input bytes read so far, and each rendered record goes to
+// the sink.
+func convertRecords(next func(dst []byte) (out []byte, ok bool, err error), consumed func() int64, sk *sink) (st rankStats, err error) {
 	// Periodic flushes keep /progress live without an atomic per record.
 	live := newLiveProgress()
 	var flushed rankStats
@@ -187,19 +209,15 @@ func convertRecords(next func(*sam.Record) (bool, error), consumed func() int64,
 		flush()
 		st.bytesIn = flushed.bytesIn
 	}()
-	var rec sam.Record
 	var out []byte
 	for {
-		ok, err := next(&rec)
-		if err != nil || !ok {
+		var ok bool
+		if out, ok, err = next(out[:0]); err != nil || !ok {
 			return st, err
 		}
 		st.records++
 		if st.records%liveFlushEvery == 0 {
 			flush()
-		}
-		if out, err = encode(out[:0], &rec); err != nil {
-			return st, err
 		}
 		if len(out) > 0 {
 			st.emitted++

@@ -10,6 +10,7 @@ package formats
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -91,23 +92,7 @@ func Names() []string {
 }
 
 // appendInt appends the decimal form of a possibly negative integer.
-func appendInt(dst []byte, n int64) []byte {
-	if n < 0 {
-		dst = append(dst, '-')
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	if n == 0 {
-		return append(dst, '0')
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(dst, buf[i:]...)
-}
+func appendInt(dst []byte, n int64) []byte { return strconv.AppendInt(dst, n, 10) }
 
 // SAM re-emits records as SAM text (the BAM→SAM path of Table I).
 type SAM struct{}
@@ -152,22 +137,30 @@ func (BED) Encode(dst []byte, rec *sam.Record, h *sam.Header) ([]byte, error) {
 	if rec.Unmapped() {
 		return dst, nil
 	}
-	dst = append(dst, rec.RName...)
+	dst = appendInterval(dst, rec.RName, rec.Pos-1, rec.End())
+	return appendFeature(dst, rec.QName, rec.MapQ, rec.Flag), nil
+}
+
+// appendInterval appends the chrom, 0-based start and end columns BED
+// and BEDGRAPH share.
+func appendInterval(dst []byte, rname string, start, end int32) []byte {
+	dst = append(dst, rname...)
 	dst = append(dst, '\t')
-	dst = appendInt(dst, int64(rec.Pos-1))
+	dst = appendInt(dst, int64(start))
 	dst = append(dst, '\t')
-	dst = appendInt(dst, int64(rec.End()))
+	return appendInt(dst, int64(end))
+}
+
+// appendFeature appends BED's name, score and strand columns.
+func appendFeature[T string | []byte](dst []byte, name T, mapq uint8, f sam.Flag) []byte {
 	dst = append(dst, '\t')
-	dst = append(dst, rec.QName...)
+	dst = append(dst, name...)
 	dst = append(dst, '\t')
-	dst = appendInt(dst, int64(rec.MapQ))
-	dst = append(dst, '\t')
-	if rec.Flag.Reverse() {
-		dst = append(dst, '-')
-	} else {
-		dst = append(dst, '+')
+	dst = appendInt(dst, int64(mapq))
+	if f.Reverse() {
+		return append(dst, "\t-\n"...)
 	}
-	return append(dst, '\n'), nil
+	return append(dst, "\t+\n"...)
 }
 
 // BEDGraph emits one four-column interval per mapped alignment: chrom,
@@ -194,13 +187,7 @@ func (BEDGraph) Encode(dst []byte, rec *sam.Record, h *sam.Header) ([]byte, erro
 	if rec.Unmapped() {
 		return dst, nil
 	}
-	dst = append(dst, rec.RName...)
-	dst = append(dst, '\t')
-	dst = appendInt(dst, int64(rec.Pos-1))
-	dst = append(dst, '\t')
-	dst = appendInt(dst, int64(rec.End()))
-	dst = append(dst, "\t1\n"...)
-	return dst, nil
+	return append(appendInterval(dst, rec.RName, rec.Pos-1, rec.End()), "\t1\n"...), nil
 }
 
 // FASTA emits each primary alignment's read as a FASTA entry,
@@ -224,18 +211,28 @@ func (FASTA) Encode(dst []byte, rec *sam.Record, h *sam.Header) ([]byte, error) 
 	if !rec.Flag.Primary() || rec.Seq == "*" {
 		return dst, nil
 	}
-	dst = append(dst, '>')
-	dst = append(dst, rec.QName...)
-	dst = append(dst, readSuffix(rec.Flag)...)
-	dst = append(dst, '\n')
-	if rec.Flag.Reverse() {
-		var tail []byte
-		dst, tail = kern.Grow(dst, len(rec.Seq))
-		kern.ReverseComplement(tail, kern.StringBytes(rec.Seq))
-	} else {
-		dst = append(dst, rec.Seq...)
+	dst = appendReadName(dst, '>', rec.QName, rec.Flag)
+	return append(appendSeq(dst, rec.Seq, rec.Flag.Reverse()), '\n'), nil
+}
+
+// appendReadName appends a FASTA/FASTQ name line: the marker, the name
+// and the mate suffix.
+func appendReadName[T string | []byte](dst []byte, marker byte, name T, f sam.Flag) []byte {
+	dst = append(dst, marker)
+	dst = append(dst, name...)
+	dst = append(dst, readSuffix(f)...)
+	return append(dst, '\n')
+}
+
+// appendSeq appends a read's bases, mirrored straight into the output
+// buffer (kern's word loops, no intermediate string) when reverse is set.
+func appendSeq(dst []byte, seq string, reverse bool) []byte {
+	if !reverse {
+		return append(dst, seq...)
 	}
-	return append(dst, '\n'), nil
+	dst, tail := kern.Grow(dst, len(seq))
+	kern.ReverseComplement(tail, kern.StringBytes(seq))
+	return dst
 }
 
 // FASTQ emits each primary alignment's read and qualities as a FASTQ
@@ -257,22 +254,10 @@ func (FASTQ) Encode(dst []byte, rec *sam.Record, h *sam.Header) ([]byte, error) 
 	if !rec.Flag.Primary() || rec.Seq == "*" {
 		return dst, nil
 	}
-	dst = append(dst, '@')
-	dst = append(dst, rec.QName...)
-	dst = append(dst, readSuffix(rec.Flag)...)
-	dst = append(dst, '\n')
-	// Reverse-strand reads mirror straight into the output buffer — the
-	// kern word loops replace the per-record intermediate string the old
-	// path allocated for sam.ReverseComplement/sam.Reverse.
 	rev := rec.Flag.Reverse()
+	dst = appendReadName(dst, '@', rec.QName, rec.Flag)
+	dst = append(appendSeq(dst, rec.Seq, rev), "\n+\n"...)
 	var tail []byte
-	if rev {
-		dst, tail = kern.Grow(dst, len(rec.Seq))
-		kern.ReverseComplement(tail, kern.StringBytes(rec.Seq))
-	} else {
-		dst = append(dst, rec.Seq...)
-	}
-	dst = append(dst, "\n+\n"...)
 	switch {
 	case rec.Qual == "*":
 		// Missing qualities render as the lowest score, one per base.

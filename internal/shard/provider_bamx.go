@@ -237,7 +237,7 @@ func (r *bamxShardReader) NextBody() ([]byte, error) {
 		return nil, err
 	}
 	if r.fields&^(pamx.FieldCoord|pamx.FieldCigar) != 0 {
-		r.body, err = r.file.AppendBody(r.body[:0], raw)
+		r.body, err = r.file.UnpadBody(r.body[:0], raw)
 		return r.body, err
 	}
 	cigar, err := r.file.RawCigar(raw)
