@@ -22,14 +22,15 @@ race:
 	$(GO) test -race ./...
 
 # The one fast pre-commit subset of `race`: the converter runtime
-# (sources, sinks), the body→text encoders (internal/formats) and the
-# BAMX reader (internal/bamx) that run on its rank goroutines, the batch
+# (sources, sinks), the shard providers it reads every container
+# through (internal/shard), the body→text encoders (internal/formats)
+# and the BAMX reader (internal/bamx) that run on its rank goroutines, the batch
 # line engine (internal/sam), the SAM analyses and the sorter that read
 # through it, the shared deflate pool and the parpipe plumbing under
 # them, and the engine and daemon that drive them concurrently. `ci`
 # runs the full sweep.
 race-convert:
-	$(GO) test -race -count=1 ./internal/conv ./internal/formats ./internal/bamx ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
+	$(GO) test -race -count=1 ./internal/conv ./internal/shard ./internal/formats ./internal/bamx ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
 
 # A short deterministic fuzz pass over the wire-frame decoder: corrupt
 # frames must error, never panic or over-allocate.
@@ -148,7 +149,13 @@ fmt-check:
 # a job's one parallelism setting is its ranks: no worker count comes
 # back as an engine.Spec JSON field or a command-line flag, and no flag
 # help quotes bgzf's worker rule (WorkersUsage); a container is a
-# -format, so no -preprocess flag comes back either.
+# -format, so no -preprocess flag comes back either. And a .bam is read
+# through its provider like every other container: internal/engine
+# calls neither conv.ConvertBAM (a temporary BAMX) nor
+# conv.ConvertBAMSequential, no product code outside internal/bam and
+# bench/ builds a BAI in memory (a .bam with no .bai is one stream
+# shard), and shard.BAMProvider's stream shard is the one product
+# reader of a BAM body stream (bam.NewBodyScanner).
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -218,6 +225,18 @@ deps-check:
 		grep -rn 'WorkersUsage' --include=*.go .; } | grep -v '_test\.go:' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a worker count or -preprocess back on the job surface (a job is input, format and ranks):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'conv\.ConvertBAM(Sequential)?\(' --include=*.go internal/engine | grep -v '_test\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: internal/engine converts a .bam around its shard provider:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'bam\.BuildFileIndex(' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./internal/bam/' | grep -v '^\./bench/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a BAI built in memory (a .bam with no .bai is one stream shard):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'bam\.NewBodyScanner(' --include=*.go . | grep -v '_test\.go:' | grep -v '^\./internal/shard/provider_bam\.go:' | grep -v '^\./bench/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a BAM body stream read outside shard.BAMProvider's stream shard:"; echo "$$bad"; exit 1; \
 	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them

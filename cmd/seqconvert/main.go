@@ -53,7 +53,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.env.OutPrefix, "prefix", "out", "output file prefix")
 	fs.StringVar(&o.spec.Region, "region", "", "partial conversion region, e.g. chr1:100-200 (.bam, .bamx, .bamz, .pamx, or SAM under -converter psam)")
 	fs.StringVar(&o.spec.Converter, "converter", "auto", "converter instance: "+strings.Join(engine.Converters(), ", "))
-	fs.StringVar(&o.env.BAIX, "baix", "", "BAIX index path (default: input with .baix)")
+	fs.StringVar(&o.env.BAIX, "baix", "", "index path: the .bai of a .bam input, the .baix of a .bamx/.bamz (default: input plus .bai, or with .baix)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package bam
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,6 +62,39 @@ func TestEncodeRejectsUnknownReference(t *testing.T) {
 	rec.RName = "chrZ"
 	if _, err := EncodeRecord(nil, &rec, h); err == nil {
 		t.Error("EncodeRecord with unknown reference succeeded")
+	}
+}
+
+// TestEncodeRejectsUnknownMateReference: an RNEXT the header lacks is
+// refused as an unknown RNAME is, not written as next_refID -1.
+func TestEncodeRejectsUnknownMateReference(t *testing.T) {
+	h := sam.NewHeader(sam.Reference{Name: "chr1", Length: 1000})
+	rec := mustParse(t, "r1\t99\tchr1\t5\t30\t4M\tchrZ\t9\t0\tACGT\tIIII")
+	if _, err := EncodeRecord(nil, &rec, h); !errors.Is(err, ErrInvalidRecord) || !strings.Contains(err.Error(), "chrZ") {
+		t.Errorf("EncodeRecord with mate reference chrZ: %v, want ErrInvalidRecord naming it", err)
+	}
+}
+
+// TestReaderRejectsStarReference: a binary reference dictionary naming
+// a reference "*" (which every record on it would read as unplaced) is
+// an invalid header, as the same @SQ line is in SAM text.
+func TestReaderRejectsStarReference(t *testing.T) {
+	var buf bytes.Buffer
+	bg := bgzf.NewWriter(&buf)
+	hdr := append([]byte(nil), Magic...)
+	hdr = appendInt32(hdr, 0) // no header text: the dictionary alone
+	hdr = appendInt32(hdr, 1)
+	hdr = appendInt32(hdr, 2)
+	hdr = append(hdr, '*', 0)
+	hdr = appendInt32(hdr, 100)
+	if _, err := bg.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := bg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReader(&buf); !errors.Is(err, sam.ErrInvalidHeader) {
+		t.Errorf("NewReader over a reference named *: %v, want sam.ErrInvalidHeader", err)
 	}
 }
 

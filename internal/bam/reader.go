@@ -98,6 +98,9 @@ func (br *Reader) readHeader() error {
 		if _, err := io.ReadFull(br.bg, name); err != nil {
 			return fmt.Errorf("bam: reference %d name: %w", i, err)
 		}
+		if string(name[:lName-1]) == "*" { // RNAME "*" is an unplaced record
+			return fmt.Errorf("bam: reference %d: %w: a reference named \"*\"", i, sam.ErrInvalidHeader)
+		}
 		var lRef int32
 		if err := binary.Read(br.bg, binary.LittleEndian, &lRef); err != nil {
 			return fmt.Errorf("bam: reference %d length: %w", i, err)

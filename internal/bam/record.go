@@ -37,7 +37,9 @@ func EncodeRecord(dst []byte, rec *sam.Record, h *sam.Header) ([]byte, error) {
 	case "*":
 		nextRefID = -1
 	default:
-		nextRefID = h.RefID(rec.RNext)
+		if nextRefID = h.RefID(rec.RNext); nextRefID < 0 {
+			return nil, fmt.Errorf("%w: mate reference %q not in header", ErrInvalidRecord, rec.RNext)
+		}
 	}
 	if rec.RName != "*" && refID < 0 {
 		return nil, fmt.Errorf("%w: reference %q not in header", ErrInvalidRecord, rec.RName)

@@ -9,14 +9,12 @@
 //     records in order. There are two: SAM text (Algorithm 1 byte
 //     partitioning, then sam.Source's batch line engine — inline on the
 //     rank's goroutine at ParseWorkers 1, an order-preserving pipeline of
-//     ParseWorkers parse goroutines above it) and a shard.Provider (BAMX,
-//     BAMZ, PAMX or indexed BAM: the provider cuts the file — or the
-//     region, for partial conversion — into one shard per rank and serves
-//     each rank an independent reader; "region → records" lives there,
-//     not here).
-//     ConvertStream is the degenerate one-rank source — any ordered
-//     record iterator — and ConvertBAMSequential is that over a BAM
-//     reader.
+//     ParseWorkers parse goroutines above it) and a shard.Provider (BAM,
+//     BAMX, BAMZ or PAMX: the provider cuts the file — or the region, for
+//     partial conversion — into up to one shard per rank and serves each
+//     rank an independent reader; "region → records" lives there, not
+//     here). ConvertStream is the degenerate one-rank source — any ordered
+//     record iterator.
 //   - A sink is one rank's target file: text through a formats.Encoder
 //     (the "user program": converting into a new format means writing one
 //     Encode function), or a standalone BAM shard when Format is "bam".
@@ -27,7 +25,8 @@
 //
 // The converter instances of Section III are thin configurations:
 // ConvertSAM (SAM source), ConvertBAM/ConvertBAMX (sequential BAMX/BAIX
-// preprocessing, then the provider source), ConvertSAMPreprocessed
+// preprocessing, then the provider source: the paper's BAM converter,
+// a library call that a job no longer makes), ConvertSAMPreprocessed
 // (the SAM source encoding each rank's records into a raw spill that a
 // pad pass turns into the rank's BAMX file, then the provider source).
 package conv
@@ -134,10 +133,11 @@ type Options struct {
 	// read or written, passed to package bgzf, whose rule places the
 	// blocks; the default, 0, is adaptive, and 1 is the sequential codec
 	// (the paper-faithful baseline). Shard readers are the exception:
-	// they get a per-rank share of an explicit count and otherwise run
-	// on the caller (readerCodec). The codec parallelism is orthogonal to
-	// Cores: Cores splits records across ranks, CodecWorkers pipelines
-	// block compression/decompression under each stream.
+	// they get a per-rank share of an explicit count, and the provider
+	// places them otherwise (readerCodec). The codec parallelism is
+	// orthogonal to Cores: Cores splits records across ranks,
+	// CodecWorkers pipelines block compression/decompression under each
+	// stream.
 	CodecWorkers int
 	// ParseWorkers is the per-rank parse/encode worker count of the SAM
 	// source: each rank's partition is cut into ~256 KiB batches of whole

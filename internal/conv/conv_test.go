@@ -168,7 +168,21 @@ func TestRegionBound(t *testing.T) {
 	if _, err := shard.Rewrite(path("r.bam"), path("r.pamx")); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"r.bam", "r.bamx", "r.bamz", "r.pamx"} {
+	// r.bam has no .bai, so it is one stream shard; ri.bam has one.
+	raw, err := os.ReadFile(path("r.bam"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bai bytes.Buffer
+	if err := bam.WriteIndexFile(bytes.NewReader(raw), &bai); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"ri.bam": raw, "ri.bam.bai": bai.Bytes()} {
+		if err := os.WriteFile(path(name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"r.bam", "ri.bam", "r.bamx", "r.bamz", "r.pamx"} {
 		res, err := ConvertIndexed(path(name), "", Options{
 			Format: "bed", Cores: 2, OutDir: t.TempDir(), Region: &Region{RName: "chr1", Beg: 100, End: 200},
 		})

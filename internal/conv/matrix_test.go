@@ -92,7 +92,7 @@ func TestSourceSinkMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same BAM beside a .bai sidecar; in.bam has none, so its
-	// provider builds the index in memory.
+	// provider reads it as one stream shard.
 	baiBAM := filepath.Join(dir, "d.bam")
 	raw, err := os.ReadFile(bamPath)
 	if err != nil {

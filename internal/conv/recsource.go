@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"parseq/internal/bam"
 	"parseq/internal/mpi"
 	"parseq/internal/sam"
 	"parseq/internal/shard"
@@ -15,11 +14,12 @@ import (
 // convertProvider is the parallel conversion phase over any container a
 // shard.Provider reads — the runtime's one binary record source. Rank 0
 // cuts the selection (the whole file, or opts.Region's records) into one
-// shard per rank (shard.Distribute); each rank drains its contiguous
-// group in order through independent readers, with no further
-// communication. Whole-file shards are in file order, so the
-// concatenated rank outputs replay the file; a region's are in
-// coordinate order. The provider is closed on return.
+// shard per rank (shard.Distribute; a BAM's stream shard is one for all
+// ranks); each rank drains its contiguous group in order through
+// independent readers, with no further communication. Whole-file shards
+// are in file order, so the concatenated rank outputs replay the file; a
+// region's are in coordinate order, or file order from a stream shard.
+// The provider is closed on return.
 func convertProvider(p shard.Provider, opts Options) (*Result, error) {
 	defer p.Close()
 	if err := opts.normalize(); err != nil {
@@ -88,21 +88,23 @@ func convertShards(p shard.Provider, shards []shard.Shard, sk *sink) (rankStats,
 	return convertRecords(next, func() int64 { return done + cur }, sk)
 }
 
-// readerCodec is each shard reader's share of an explicit codec count
-// (n > 1), which the ranks divide. Any other count runs shard readers on
-// the caller: the shards themselves are the parallelism.
-func readerCodec(opts Options) shard.Option {
-	if opts.CodecWorkers <= 1 {
-		return shard.WithCodecWorkers(1)
+// readerCodec is each shard reader's share of an explicit codec count,
+// which the ranks divide. At the default count the provider places the
+// inflate: index shards on the caller, a BAM's lone stream shard on
+// bgzf's adaptive count.
+func readerCodec(opts Options) []shard.Option {
+	if opts.CodecWorkers <= 0 {
+		return nil
 	}
-	return shard.WithCodecWorkers(max(1, opts.CodecWorkers/max(opts.Cores, 1)))
+	return []shard.Option{shard.WithCodecWorkers(max(1, opts.CodecWorkers/max(opts.Cores, 1)))}
 }
 
-// ConvertIndexed converts any container a shard provider reads (indexed
-// BAM, BAMX, BAMZ, PAMX — shard.OpenPathProvider, by extension), all of
-// it or opts.Region. indexPath overrides the sidecar index when not "".
+// ConvertIndexed converts any container a shard provider reads (BAM,
+// BAMX, BAMZ, PAMX — shard.OpenPathProvider, by extension), all of it or
+// opts.Region. indexPath overrides the sidecar index (.bai or .baix)
+// when not "".
 func ConvertIndexed(path, indexPath string, opts Options) (*Result, error) {
-	return convertProvider(shard.OpenPathProvider(path, shard.WithIndexPath(indexPath), readerCodec(opts)), opts)
+	return convertProvider(shard.OpenPathProvider(path, append(readerCodec(opts), shard.WithIndexPath(indexPath))...), opts)
 }
 
 // ConvertBAMX is the parallel conversion phase of the BAM format
@@ -120,7 +122,7 @@ func ConvertBAMX(bamxPath, baixPath string, opts Options) (*Result, error) {
 // live in. Partial conversion needs the BAIX — a compressed file has no
 // scan to rebuild it from.
 func ConvertBAMZ(bamzPath, baixPath string, opts Options) (*Result, error) {
-	return convertProvider(shard.NewBAMZProvider(bamzPath, shard.WithIndexPath(baixPath), readerCodec(opts)), opts)
+	return convertProvider(shard.NewBAMZProvider(bamzPath, append(readerCodec(opts), shard.WithIndexPath(baixPath))...), opts)
 }
 
 // ConvertBAM is the complete BAM format converter of Section III-B:
@@ -156,9 +158,9 @@ func ConvertBAM(bamPath string, opts Options) (*Result, error) {
 // degenerate source, a single share holding the whole stream. next
 // decodes the following record into its argument (false at the end) and
 // consumed reports the input bytes read so far. Region is rejected — a
-// stream has no index to resolve it — and Cores is forced to 1.
-// ConvertBAMSequential is built on it; the paper-baseline harness
-// (internal/experiments) feeds it a deliberately slower iterator.
+// stream has no index to resolve it — and Cores is forced to 1. The
+// paper-baseline harness (internal/experiments) feeds it a deliberately
+// slower iterator.
 func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed func() int64, opts Options) (*Result, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -183,40 +185,11 @@ func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed
 	})
 }
 
-// ConvertBAMSequential converts a BAM file record-at-a-time on one core —
-// the paper's "BAM format converter without preprocessing" Table I
-// configuration: ConvertStream over the file's BAM reader.
+// ConvertBAMSequential converts a BAM file on one rank, forcing Cores to
+// 1 — the paper's "BAM format converter without preprocessing" Table I
+// configuration: the BAM provider, which reads a whole file as its
+// stream shard, in file order.
 func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(bamPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	br, err := bam.NewReader(f, bam.WithCodecWorkers(opts.CodecWorkers))
-	if err != nil {
-		return nil, err
-	}
-	defer br.Close()
-	addBytesTotal(fi.Size())
-	next := func(rec *sam.Record) (bool, error) {
-		err := br.ReadInto(rec)
-		if err == io.EOF {
-			return false, nil
-		}
-		return err == nil, err
-	}
-	// Input consumed is how far the codec has read the file (an offset
-	// query that cannot fail on an open regular file): all of it once the
-	// stream ends.
-	return ConvertStream(br.Header(), next, func() int64 {
-		off, _ := f.Seek(0, io.SeekCurrent)
-		return off
-	}, opts)
+	opts.Cores, opts.Launch = 1, nil
+	return convertProvider(shard.NewBAMProvider(bamPath, readerCodec(opts)...), opts)
 }

@@ -36,9 +36,11 @@ type Env struct {
 	// flagstat, hist, peaks). An analysis with neither OutPath nor
 	// OutDir writes no file: its Result is the whole answer.
 	OutPath string
-	// BAIX is the index beside a .bamx/.bamz input; "" means the input
-	// path with a .baix extension. A missing index is rebuilt by
-	// scanning (.bamx) or refused (.bamz), and only a region needs one.
+	// BAIX is the index beside a container input, the .bai of a .bam or
+	// the .baix of a .bamx/.bamz; "" means the input path plus .bai, or
+	// with a .baix extension. A .bam needs none; a missing BAIX is
+	// rebuilt by scanning (.bamx) or refused (.bamz), and only a region
+	// reads one.
 	BAIX string
 	// Launch runs the job's rank functions: nil for Spec.Ranks goroutine
 	// ranks in this process, or a distributed world's launcher — then
@@ -112,13 +114,10 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case "bamx", "bamz", "pamx":
+	if kind != "sam" && kind != "psam" && shard.Ext(env.Input) != "."+kind {
 		// The provider is picked by extension: an explicit kind over
 		// another container would read it as whatever its name says.
-		if !strings.HasSuffix(env.Input, "."+kind) {
-			return nil, fmt.Errorf("engine: converter %s needs a .%s input, not %q", kind, kind, env.Input)
-		}
+		return nil, fmt.Errorf("engine: converter %s needs a .%s input, not %q", kind, kind, env.Input)
 	}
 	if spec.WritesContainer() {
 		if kind == "sam" || kind == "psam" {
@@ -141,18 +140,9 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 		res, err = conv.ConvertSAM(env.Input, opts)
 	case "psam":
 		res, err = conv.ConvertSAMPreprocessed(env.Input, ranks, opts)
-	case "bam":
-		if ranks > 1 || opts.Region != nil {
-			// The complete BAM format converter: sequential preprocessing
-			// into a temporary BAMX/BAIX pair, then parallel (or partial)
-			// conversion.
-			res, err = conv.ConvertBAM(env.Input, opts)
-			break
-		}
-		res, err = conv.ConvertBAMSequential(env.Input, opts)
 	default:
-		// bamx, bamz and pamx: the container the extension names, read
-		// through its shard provider.
+		// A container, the one the extension names, read through its
+		// shard provider.
 		res, err = conv.ConvertIndexed(env.Input, env.BAIX, opts)
 	}
 	if err != nil {

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"parseq/internal/bam"
 	"parseq/internal/conv"
 	"parseq/internal/flagstat"
 	"parseq/internal/hist"
@@ -24,6 +27,7 @@ import (
 // reads, all named in.<ext> so the BAIX sidecar serves .bamx and .bamz.
 type containers struct {
 	sam, bam, bamx, bamz, pamx string
+	baiBAM                     string // the .bam again, in another directory, beside its .bai
 	rname                      string
 }
 
@@ -60,6 +64,20 @@ func makeContainers(t *testing.T, reads int) containers {
 	}
 	if _, err := shard.Rewrite(in.bam, in.pamx); err != nil {
 		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(in.bam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bai bytes.Buffer
+	if err := bam.WriteIndexFile(bytes.NewReader(raw), &bai); err != nil {
+		t.Fatal(err)
+	}
+	in.baiBAM = filepath.Join(t.TempDir(), "in.bam")
+	for path, data := range map[string][]byte{in.baiBAM: raw, in.baiBAM + ".bai": bai.Bytes()} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return in
 }
@@ -122,18 +140,19 @@ func TestRunMatchesLibrary(t *testing.T) {
 		{"convert/psam", Spec{InputPath: in.sam, Format: "bed", Converter: "psam"}, func(dir string, ranks int) ([]string, error) {
 			return files(conv.ConvertSAMPreprocessed(in.sam, ranks, convOpts(dir, ranks)))
 		}},
+		// A .bam is read through its provider: with no .bai, one stream
+		// shard, so rank 0's file holds every record, and the
+		// concatenation is the two-phase BAM converter's bytes.
 		{"convert/bam", Spec{InputPath: in.bam, Format: "bed"}, func(dir string, ranks int) ([]string, error) {
-			if ranks > 1 {
-				return files(conv.ConvertBAM(in.bam, convOpts(dir, ranks)))
-			}
-			return files(conv.ConvertBAMSequential(in.bam, convOpts(dir, ranks)))
+			return sameAsConvertBAM(convOpts(dir, ranks), in.bam)
 		}},
-		// A region is partial conversion at every rank count: the BAM
-		// converter preprocesses into BAMX first even at one rank.
 		{"convert/bam+region", Spec{InputPath: in.bam, Format: "bed", Region: in.rname + ":1-40000"}, func(dir string, ranks int) ([]string, error) {
 			opts := convOpts(dir, ranks)
 			opts.Region = &conv.Region{RName: in.rname, Beg: 1, End: 40000}
-			return files(conv.ConvertBAM(in.bam, opts))
+			return sameAsConvertBAM(opts, in.bam)
+		}},
+		{"convert/bam+bai", Spec{InputPath: in.baiBAM, Format: "bed"}, func(dir string, ranks int) ([]string, error) {
+			return sameAsConvertBAM(convOpts(dir, ranks), in.baiBAM)
 		}},
 		{"convert/bamx", Spec{InputPath: in.bamx, Format: "bed"}, func(dir string, ranks int) ([]string, error) {
 			return files(conv.ConvertBAMX(in.bamx, "", convOpts(dir, ranks)))
@@ -231,10 +250,14 @@ func TestRunMatchesLibrary(t *testing.T) {
 	outPaths := map[string]string{"sort/sam→bamx": "out.bamx", "sort/bam→pamx": "out.pamx"}
 	// The analyses read SAM text by Algorithm 1 partitioning and every
 	// shard-provider container region-parallel.
-	for _, input := range []string{in.sam, in.bam, in.bamx, in.bamz, in.pamx} {
+	for _, input := range []string{in.sam, in.bam, in.baiBAM, in.bamx, in.bamz, in.pamx} {
 		input, ext := input, filepath.Ext(input)
+		name := ext[1:]
+		if input == in.baiBAM {
+			name = "bam+bai"
+		}
 		cells = append(cells,
-			cell{"flagstat/" + ext[1:], Spec{Op: OpFlagstat, InputPath: input}, func(dir string, ranks int) ([]string, error) {
+			cell{"flagstat/" + name, Spec{Op: OpFlagstat, InputPath: input}, func(dir string, ranks int) ([]string, error) {
 				var (
 					st  flagstat.Stats
 					err error
@@ -254,14 +277,14 @@ func TestRunMatchesLibrary(t *testing.T) {
 					return err
 				})
 			}},
-			cell{"hist/" + ext[1:], Spec{Op: OpHist, InputPath: input, RName: in.rname, BinSize: 150}, func(dir string, ranks int) ([]string, error) {
+			cell{"hist/" + name, Spec{Op: OpHist, InputPath: input, RName: in.rname, BinSize: 150}, func(dir string, ranks int) ([]string, error) {
 				h, err := histOf(input, ranks)
 				if err != nil {
 					return nil, err
 				}
 				return writeTo(dir, "hist.tsv", func(f *os.File) error { return hist.WriteTSV(f, h.Bins) })
 			}},
-			cell{"peaks/" + ext[1:], Spec{Op: OpPeaks, InputPath: input, RName: in.rname, BinSize: 150, Sims: 4, Seed: 7, Candidates: candidates}, func(dir string, ranks int) ([]string, error) {
+			cell{"peaks/" + name, Spec{Op: OpPeaks, InputPath: input, RName: in.rname, BinSize: 150, Sims: 4, Seed: 7, Candidates: candidates}, func(dir string, ranks int) ([]string, error) {
 				h, err := histOf(input, ranks)
 				if err != nil {
 					return nil, err
@@ -307,6 +330,45 @@ func TestRunMatchesLibrary(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sameAsConvertBAM converts bamPath through its provider under opts and
+// checks that the concatenated output is conv.ConvertBAM's.
+func sameAsConvertBAM(opts conv.Options, bamPath string) ([]string, error) {
+	res, err := conv.ConvertIndexed(bamPath, "", opts)
+	if err != nil {
+		return nil, err
+	}
+	opts.OutDir = filepath.Join(opts.OutDir, "two-phase")
+	if err := os.Mkdir(opts.OutDir, 0o755); err != nil {
+		return nil, err
+	}
+	ref, err := conv.ConvertBAM(bamPath, opts)
+	if err != nil {
+		return nil, err
+	}
+	got, err := concat(res.Files)
+	if err != nil {
+		return nil, err
+	}
+	want, err := concat(ref.Files)
+	if err == nil && !bytes.Equal(got, want) {
+		err = fmt.Errorf("%s: %d bytes through the provider, %d from ConvertBAM", bamPath, len(got), len(want))
+	}
+	return res.Files, err
+}
+
+// concat is the files' bytes end to end.
+func concat(paths []string) ([]byte, error) {
+	var all []byte
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, data...)
+	}
+	return all, nil
 }
 
 // checkFiles compares the files Run left in outDir with the library's,
@@ -414,15 +476,92 @@ func TestReportFailureLeavesNoFile(t *testing.T) {
 
 // TestConvertKindNeedsItsContainer: the provider is picked by extension,
 // so an explicit converter over another container is refused by name
-// rather than read as whatever the extension says.
+// rather than read as whatever the extension says; a name with no known
+// extension reads as BAM.
 func TestConvertKindNeedsItsContainer(t *testing.T) {
 	in := makeContainers(t, 200)
-	dir := t.TempDir()
-	_, err := Run(Spec{Converter: "bamx", InputPath: in.bam, Format: "bed"}, Env{OutDir: dir})
-	if err == nil || !strings.Contains(err.Error(), ".bamx") {
-		t.Fatalf("converter bamx over a .bam input: %v", err)
+	for _, tc := range []struct{ kind, input string }{{"bamx", in.bam}, {"bam", in.bamx}, {"bam", in.pamx}} {
+		dir := t.TempDir()
+		_, err := Run(Spec{Converter: tc.kind, InputPath: tc.input, Format: "bed"}, Env{OutDir: dir})
+		if err == nil || !strings.Contains(err.Error(), "needs a ."+tc.kind+" input") {
+			t.Fatalf("converter %s over %s: %v", tc.kind, filepath.Base(tc.input), err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("refused job left %d files", len(left))
+		}
 	}
-	if left, _ := os.ReadDir(dir); len(left) != 0 {
-		t.Fatalf("refused job left %d files", len(left))
+	raw, err := os.ReadFile(in.bam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dat := filepath.Join(t.TempDir(), "reads.dat")
+	if err := os.WriteFile(dat, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Spec{Converter: "bam", InputPath: dat, Format: "bed"}, Env{OutDir: t.TempDir()}); err != nil {
+		t.Fatalf("converter bam over a .dat input: %v", err)
+	}
+}
+
+// TestUnknownMateReferenceRefused: a SAM record whose RNEXT the header
+// lacks fails every job that encodes it to BAM — seqconvert -format bam
+// and -format bamx, samsort — with bam.ErrInvalidRecord, and a container
+// write leaves no file.
+func TestUnknownMateReferenceRefused(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "mate.sam")
+	if err := os.WriteFile(in, []byte("@SQ\tSN:chr1\tLN:1000\nr1\t99\tchr1\t5\t30\t4M\tchrZ\t9\t0\tACGT\tIIII\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		spec      Spec
+		container bool
+	}{
+		{"bam shards", Spec{InputPath: in, Format: "bam"}, false},
+		{"bamx", Spec{InputPath: in, Format: "bamx"}, true},
+		{"sort", Spec{Op: OpSort, InputPath: in}, true},
+	} {
+		dir := t.TempDir()
+		if _, err := Run(tc.spec, Env{OutDir: dir}); !errors.Is(err, bam.ErrInvalidRecord) {
+			t.Errorf("%s: %v, want bam.ErrInvalidRecord", tc.name, err)
+		}
+		if left, _ := os.ReadDir(dir); tc.container && len(left) != 0 {
+			t.Errorf("%s: the failed write left %d files", tc.name, len(left))
+		}
+	}
+}
+
+// TestUnsortedBAMAnalyses: flagstat and the histogram of a BAM that is
+// not coordinate-sorted and has no .bai equal the SAM route's at one and
+// three ranks — a stream shard needs neither an index nor an order.
+func TestUnsortedBAMAnalyses(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(2000))
+	rand.New(rand.NewSource(3)).Shuffle(len(d.Records), func(i, j int) { d.Records[i], d.Records[j] = d.Records[j], d.Records[i] })
+	dir := t.TempDir()
+	samPath, bamPath := filepath.Join(dir, "u.sam"), filepath.Join(dir, "u.bam")
+	for path, write := range map[string]func(io.Writer) error{samPath: d.WriteSAM, bamPath: d.WriteBAM} {
+		if _, err := writeTo(dir, filepath.Base(path), func(f *os.File) error { return write(f) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rname := d.Header.RefByID(0).Name
+	for _, ranks := range []int{1, 3} {
+		for _, spec := range []Spec{{Op: OpFlagstat}, {Op: OpHist, RName: rname, BinSize: 150}} {
+			var out [2][]byte
+			for i, input := range []string{samPath, bamPath} {
+				spec.InputPath, spec.Ranks = input, ranks
+				outDir := t.TempDir()
+				res, err := Run(spec, Env{OutDir: outDir})
+				if err != nil {
+					t.Fatalf("%s of %s at %d ranks: %v", spec.Op, filepath.Base(input), ranks, err)
+				}
+				if out[i], err = os.ReadFile(filepath.Join(outDir, res.Files[0].Name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(out[0]) == 0 || !bytes.Equal(out[0], out[1]) {
+				t.Errorf("%s at %d ranks: the unsorted BAM's report differs from the SAM's", spec.Op, ranks)
+			}
+		}
 	}
 }

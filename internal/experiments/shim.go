@@ -9,16 +9,17 @@ import (
 	"parseq/internal/sam"
 )
 
-// convertBAMAdapted is conv.ConvertBAMSequential with the pipeline
-// structure the paper's BAM format converter inherits from BamTools: the
-// third-party library materialises its own per-alignment memory object,
-// and an adaptation step copies that object into the converter's
-// alignment object before the user program can run. The paper measures
-// this double-materialisation as the ~30% sequential deficit against
-// Picard in Table I; Table I's "no preprocessing" BAM→SAM row runs
-// through this shim so it reproduces the effect rather than accidentally
-// fixing it. The product's one-rank BAM conversion decodes straight into
-// the converter's record and never sees it.
+// convertBAMAdapted is a one-rank BAM converter (conv.ConvertStream
+// over a bam.Reader) with the pipeline structure the paper's BAM format
+// converter inherits from BamTools: the third-party library materialises
+// its own per-alignment memory object, and an adaptation step copies that
+// object into the converter's alignment object before the user program
+// can run. The paper measures this double-materialisation as the ~30%
+// sequential deficit against Picard in Table I; Table I's "no
+// preprocessing" BAM→SAM row runs through this shim so it reproduces the
+// effect rather than accidentally fixing it. The product's one-rank BAM
+// conversion (conv.ConvertBAMSequential) renders each record body
+// straight to text and never sees it.
 func convertBAMAdapted(bamPath string, opts conv.Options) (*conv.Result, error) {
 	f, err := os.Open(bamPath)
 	if err != nil {

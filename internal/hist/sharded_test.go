@@ -2,6 +2,7 @@ package hist
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -10,14 +11,15 @@ import (
 	"testing"
 	"time"
 
+	"parseq/internal/bam"
 	"parseq/internal/bamx"
 	"parseq/internal/mpinet"
 	"parseq/internal/shard"
 	"parseq/internal/simdata"
 )
 
-// writeShardDataset materialises a deterministic dataset as BAM and
-// BAMX (+BAIX) files.
+// writeShardDataset materialises a deterministic dataset as BAM (+BAI,
+// so a multi-shard generation is index shards) and BAMX (+BAIX) files.
 func writeShardDataset(t testing.TB, n int) (bamPath, bamxPath string, d *simdata.Dataset) {
 	t.Helper()
 	dir := t.TempDir()
@@ -30,8 +32,20 @@ func writeShardDataset(t testing.TB, n int) (bamPath, bamxPath string, d *simdat
 	if err := d.WriteBAM(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
+	}
+	bai, err := os.Create(bamPath + ".bai")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bam.WriteIndexFile(f, bai); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*os.File{f, bai} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bamxPath = filepath.Join(dir, "data.bamx")
 	xf, err := os.Create(bamxPath)

@@ -166,6 +166,9 @@ func (h *Header) ParseHeaderLine(line string) error {
 		if name == "" {
 			return fmt.Errorf("%w: @SQ without SN: %q", ErrInvalidHeader, line)
 		}
+		if name == "*" { // RNAME "*" is an unplaced record
+			return fmt.Errorf("%w: @SQ names a reference \"*\": %q", ErrInvalidHeader, line)
+		}
 		h.AddReference(name, length)
 	case "RG":
 		rg := ReadGroup{}

@@ -115,10 +115,11 @@ func TestParseHeaderErrors(t *testing.T) {
 		"@SQ\tSN:c\tLN:abc", // bad LN
 		"@RG\tSM:x",         // missing ID
 		"@ZZ\tfoo:bar",      // unknown record type
+		"@SQ\tSN:*\tLN:100", // the name of no reference
 	}
 	for _, line := range cases {
-		if _, err := ParseHeader(line); err == nil {
-			t.Errorf("ParseHeader(%q) succeeded, want error", line)
+		if _, err := ParseHeader(line); !errors.Is(err, ErrInvalidHeader) {
+			t.Errorf("ParseHeader(%q) = %v, want ErrInvalidHeader", line, err)
 		}
 	}
 }

@@ -221,45 +221,21 @@ func (e *bamxSink) close(commit bool) error {
 
 // Rewrite copies the records of src — any container OpenPathProvider
 // reads — in file order into a new dst, which Create writes, and returns
-// the record count. Bodies pass through undecoded; each container checks
-// them as it writes. WithCodecWorkers places both codecs, WithIndexPath
-// names a BAMX dst's sidecar and WithGroupCaps cuts a PAMX dst's groups.
+// the record count: it drains a whole-file generation of one target
+// shard, which for a BAM is its stream shard. Bodies pass through
+// undecoded; each container checks them as it writes. WithCodecWorkers
+// places both codecs, WithIndexPath names a BAMX dst's sidecar and
+// WithGroupCaps cuts a PAMX dst's groups.
 func Rewrite(src, dst string, opts ...Option) (int64, error) {
-	s := newSettings("", opts)
-	var (
-		h     *sam.Header
-		drain func(fn func(RecordReader) error) error
-	)
-	if containerOf(src).ext == ".bam" {
-		// A BAM is in file order only as one stream: its shards are
-		// references, and need an index.
-		f, err := os.Open(src)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		br, err := bam.NewReader(f, bam.WithCodecWorkers(s.codecWorkers))
-		if err != nil {
-			return 0, err
-		}
-		defer br.Close()
-		h = br.Header()
-		drain = func(fn func(RecordReader) error) error { return fn(bodyStream{bam.NewBodyScanner(br)}) }
-	} else {
-		// A whole-file generation is in file order for every other container.
-		p := OpenPathProvider(src, WithCodecWorkers(s.codecWorkers))
-		defer p.Close()
-		var err error
-		if h, err = p.Header(); err != nil {
-			return 0, err
-		}
-		shards, err := p.GenerateShards(Options{TargetShards: 1})
-		if err != nil {
-			return 0, err
-		}
-		drain = func(fn func(RecordReader) error) error {
-			return ForEach(p, shards, 1, func(_ int, _ Shard, rr RecordReader) error { return fn(rr) })
-		}
+	p := OpenPathProvider(src, WithCodecWorkers(newSettings("", opts).codecWorkers))
+	defer p.Close()
+	h, err := p.Header()
+	if err != nil {
+		return 0, err
+	}
+	shards, err := p.GenerateShards(Options{TargetShards: 1})
+	if err != nil {
+		return 0, err
 	}
 	out, err := Create(dst, h, opts...)
 	if err != nil {
@@ -267,7 +243,7 @@ func Rewrite(src, dst string, opts ...Option) (int64, error) {
 	}
 	defer out.Abort()
 	var n int64
-	err = drain(func(rr RecordReader) error {
+	err = ForEach(p, shards, 1, func(_ int, _ Shard, rr RecordReader) error {
 		for ; ; n++ {
 			body, err := rr.NextBody()
 			if err == io.EOF {
@@ -289,9 +265,3 @@ func Rewrite(src, dst string, opts ...Option) (int64, error) {
 	}
 	return n, nil
 }
-
-// bodyStream is a BAM stream's body scanner as a RecordReader.
-type bodyStream struct{ *bam.BodyScanner }
-
-func (b bodyStream) NextBody() ([]byte, error) { return b.Next() }
-func (b bodyStream) Close() error              { return nil }

@@ -108,6 +108,7 @@ func TestSinkContract(t *testing.T) {
 	if _, err := bamx.CompressFile(bamxPath, bamzPath, 64, 1); err != nil {
 		t.Fatal(err)
 	}
+	barePath, _ := writeBareBAMs(t, bamPath, d, nil) // a BAM with no .bai beside it
 	h := d.Header
 	bodies := make([][]byte, len(d.Records))
 	for i := range d.Records {
@@ -156,7 +157,7 @@ func TestSinkContract(t *testing.T) {
 			if got := readFiles(t, dir); !equalFiles(got, want) {
 				t.Errorf("%s workers %d: wrote %v, not the container writer's bytes", ext, workers, names(got))
 			}
-			for _, src := range []string{bamPath, bamxPath, bamzPath, pamxPath} {
+			for _, src := range []string{bamPath, barePath, bamxPath, bamzPath, pamxPath} {
 				dir := t.TempDir()
 				n, err := Rewrite(src, filepath.Join(dir, "out"+ext), WithCodecWorkers(workers), WithGroupCaps(32<<10, 0))
 				if err != nil || n != int64(len(bodies)) {

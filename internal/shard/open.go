@@ -13,6 +13,7 @@ import (
 type settings struct {
 	indexPath    string // sidecar index: .bai beside a BAM, .baix beside a BAMX or BAMZ
 	codecWorkers int    // codec goroutines per shard reader, source or sink
+	codecSet     bool   // WithCodecWorkers gave codecWorkers
 	groupBytes   int64  // a PAMX sink's group caps (pamx.Options)
 	groupRecords int
 }
@@ -33,9 +34,11 @@ func WithIndexPath(p string) Option {
 // WithCodecWorkers passes n, the BGZF codec worker count, to every BAM
 // and BAMZ shard reader's inflate and to a sink's deflate (package
 // bgzf's rule places it). The default, 1, keeps readers and writers on
-// the caller — the shards themselves are the parallelism.
+// the caller — the shards themselves are the parallelism — except a BAM
+// stream shard's reader, which has no sibling shards and takes bgzf's
+// adaptive count.
 func WithCodecWorkers(n int) Option {
-	return func(s *settings) { s.codecWorkers = n }
+	return func(s *settings) { s.codecWorkers, s.codecSet = n, true }
 }
 
 // WithGroupCaps passes pamx.Options' GroupBytes and GroupRecords to a
@@ -78,6 +81,9 @@ func containerOf(path string) *container {
 	}
 	return &containers[0]
 }
+
+// Ext is the extension of the container OpenPathProvider opens path as.
+func Ext(path string) string { return containerOf(path).ext }
 
 // Exts lists the extensions OpenPathProvider dispatches on.
 func Exts() []string {

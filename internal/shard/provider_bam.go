@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -11,12 +12,15 @@ import (
 	"parseq/internal/sam"
 )
 
-// BAMProvider serves shards of an indexed, coordinate-sorted BAM file.
-// NewReader opens an independent file handle and BGZF stream per shard,
-// so readers run concurrently across local workers and rank goroutines
-// without shared mutable state. The index loads lazily on first use:
-// from the .bai sidecar when present, otherwise built in memory by one
-// scan (kept for the provider's lifetime).
+// BAMProvider serves shards of a BAM file in one of two modes, picked
+// from the input. With no .bai sidecar, or for a whole-file selection of
+// one target shard, the selection is one stream shard: the file read
+// from its first record in file order, keeping the records the
+// selection names, so it needs neither an index nor a sort order.
+// Otherwise the .bai cuts it into index shards. NewReader opens an
+// independent file handle and BGZF stream per shard, so readers run
+// concurrently across local workers and rank goroutines without shared
+// mutable state.
 type BAMProvider struct {
 	path string
 	settings
@@ -25,82 +29,99 @@ type BAMProvider struct {
 	header *sam.Header
 	index  *bam.Index
 	size   int64
-	loaded bool
 }
 
-// NewBAMProvider returns a provider over the BAM file at path. Shard
-// readers default to inflating on the caller (WithCodecWorkers overrides):
-// the shards themselves are the parallelism, and stacking a decode
-// pipeline per shard oversubscribes the machine.
+// NewBAMProvider returns a provider over the BAM file at path. By
+// default an index shard's reader inflates on the caller, the shards
+// being the parallelism, and the lone stream shard's on bgzf's adaptive
+// count; WithCodecWorkers sets both.
 func NewBAMProvider(path string, opts ...Option) *BAMProvider {
 	return &BAMProvider{path: path, settings: newSettings(path+".bai", opts)}
 }
 
-// load resolves the header, index and file size once, under the mutex —
+// load resolves the header and file size once and, when withIndex is
+// set, the .bai sidecar once (nil when there is none), under the mutex —
 // concurrent rank goroutines share one provider.
-func (p *BAMProvider) load() error {
+func (p *BAMProvider) load(withIndex bool) (*bam.Index, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.loaded {
-		return nil
-	}
-	f, err := os.Open(p.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	br, err := bam.NewReader(f)
-	if err != nil {
-		// OpenPathProvider sends every extension it does not know here.
-		return fmt.Errorf("shard: %s is not a readable BAM file (a provider reads %s): %w",
-			p.path, strings.Join(Exts(), ", "), err)
-	}
-	header := br.Header()
-	br.Close()
-
-	var idx *bam.Index
-	if inf, err := os.Open(p.indexPath); err == nil {
-		idx, err = bam.ReadIndex(inf)
-		inf.Close()
+	if p.header == nil {
+		f, err := os.Open(p.path)
 		if err != nil {
-			return fmt.Errorf("shard: reading %s: %w", p.indexPath, err)
+			return nil, err
 		}
-	} else if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	} else if idx, err = bam.BuildFileIndex(f); err != nil { // no sidecar: one scan, in memory
-		return err
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		br, err := bam.NewReader(f)
+		if err != nil {
+			// OpenPathProvider sends every extension it does not know here.
+			return nil, fmt.Errorf("shard: %s is not a readable BAM file (a provider reads %s): %w",
+				p.path, strings.Join(Exts(), ", "), err)
+		}
+		br.Close()
+		p.header, p.size = br.Header(), st.Size()
 	}
-	p.header, p.index, p.size, p.loaded = header, idx, st.Size(), true
-	return nil
+	if withIndex && p.index == nil {
+		f, err := os.Open(p.indexPath)
+		if os.IsNotExist(err) {
+			return nil, nil
+		} else if err != nil { // an unreadable sidecar is reported, not papered over
+			return nil, err
+		}
+		defer f.Close()
+		if p.index, err = bam.ReadIndex(f); err != nil {
+			return nil, fmt.Errorf("shard: reading %s: %w", p.indexPath, err)
+		}
+	}
+	return p.index, nil
 }
 
 // Header returns the BAM header.
 func (p *BAMProvider) Header() (*sam.Header, error) {
-	if err := p.load(); err != nil {
-		return nil, err
-	}
-	return p.header, nil
+	_, err := p.load(false)
+	return p.header, err
 }
 
-// GenerateShards cuts the selected references into shards of roughly
-// equal compressed size, derived from the BAI linear index, plus the
-// unmapped-tail shard for whole-file selections.
+// GenerateShards returns the stream shard (one per selected reference
+// for a Refs or Region selection) when there is no .bai or the selection
+// is the whole file at TargetShards 1; otherwise index shards of roughly
+// equal compressed size from the BAI linear index, plus the unmapped
+// tail of a whole-file selection.
 func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
-	if err := p.load(); err != nil {
+	if _, err := p.load(false); err != nil {
 		return nil, err
 	}
 	refIDs, withTail, err := resolveRefs(p.header, opts)
 	if err != nil {
 		return nil, err
 	}
+	var idx *bam.Index
+	if !withTail || opts.TargetShards != 1 || opts.TargetBytes > 0 {
+		if idx, err = p.load(true); err != nil {
+			return nil, err
+		}
+	}
+	if idx == nil {
+		stream := []Shard{{RefID: -1}}
+		if !withTail {
+			stream = nil
+			for _, id := range refIDs {
+				beg, end := opts.clip(0, math.MaxInt32)
+				stream = append(stream, Shard{Seq: len(stream), RefID: int32(id), RefName: p.header.RefByID(id).Name, Beg: beg, End: end})
+			}
+		}
+		for i := range stream {
+			stream[i].RecHi, stream[i].Bytes = p.size, p.size
+		}
+		return stream, nil
+	}
 	// Total compressed bytes under the selection sets the per-shard goal.
 	var total int64
 	for _, id := range refIDs {
-		if beg, end, ok := p.index.RefSpan(id); ok {
+		if beg, end, ok := idx.RefSpan(id); ok {
 			total += end.Block() - beg.Block() + 1
 		}
 	}
@@ -121,7 +142,7 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 	var shards []Shard
 	for _, id := range refIDs {
 		ref := p.header.RefByID(id)
-		for _, sl := range p.index.ByteSplits(id, ref.Length, target) {
+		for _, sl := range idx.ByteSplits(id, ref.Length, target) {
 			beg, end := opts.clip(sl.Beg, sl.End)
 			if beg >= end {
 				continue
@@ -137,7 +158,7 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 		}
 	}
 	if withTail {
-		tail := p.size - p.index.EndOffset().Block()
+		tail := p.size - idx.EndOffset().Block()
 		if tail < 0 {
 			tail = 0
 		}
@@ -151,7 +172,7 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 }
 
 // bamShardReader is one shard's independent stream: its own file handle
-// and BGZF reader, positioned by the BAI, filtered to the shard.
+// and BGZF reader, filtered to the shard.
 type bamShardReader struct {
 	f  *os.File
 	br *bam.Reader
@@ -168,27 +189,59 @@ func (r *bamShardReader) Close() error {
 	return err
 }
 
-// NewReader opens an independent iterator over one shard: a start-within
-// region reader for reference shards, the unmapped-tail reader for the
-// tail.
+// bamStream iterates a stream shard: every body in file order, or with
+// sh.RefID ≥ 0 those of that reference starting within [sh.Beg, sh.End).
+type bamStream struct {
+	*bam.BodyScanner
+	sh Shard
+}
+
+func (s bamStream) NextBody() ([]byte, error) {
+	for {
+		body, err := s.Next() // at least the 32-byte fixed section
+		if err != nil || s.sh.RefID < 0 {
+			return body, err
+		}
+		pos := int(int32(binary.LittleEndian.Uint32(body[4:])))
+		if int32(binary.LittleEndian.Uint32(body)) == s.sh.RefID && pos >= s.sh.Beg && pos < s.sh.End {
+			return body, nil
+		}
+	}
+}
+
+// NewReader opens an independent iterator over one shard: a stream
+// shard's body scanner, or for index shards a start-within region
+// reader, or the unmapped-tail reader for the tail.
 func (p *BAMProvider) NewReader(sh Shard) (RecordReader, error) {
-	if err := p.load(); err != nil {
+	stream := sh.RecHi > sh.RecLo
+	idx, err := p.load(!stream)
+	if err == nil && !stream && idx == nil {
+		err = fmt.Errorf("shard: index shard %v of %s, which has no %s", sh, p.path, p.indexPath)
+	}
+	if err != nil {
 		return nil, err
+	}
+	codec := p.codecWorkers
+	if stream && !p.codecSet {
+		codec = 0
 	}
 	f, err := os.Open(p.path)
 	if err != nil {
 		return nil, err
 	}
-	br, err := bam.NewReader(f, bam.WithCodecWorkers(p.codecWorkers))
+	br, err := bam.NewReader(f, bam.WithCodecWorkers(codec))
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	r := &bamShardReader{f: f, br: br}
-	if sh.Unmapped() {
-		r.it, err = bam.NewUnmappedTailReader(br, p.index)
-	} else {
-		r.it, err = bam.NewShardRegionReader(br, p.index, sh.RefName, sh.Beg, sh.End)
+	switch {
+	case stream:
+		r.it = bamStream{bam.NewBodyScanner(br), sh}
+	case sh.Unmapped():
+		r.it, err = bam.NewUnmappedTailReader(br, idx)
+	default:
+		r.it, err = bam.NewShardRegionReader(br, idx, sh.RefName, sh.Beg, sh.End)
 	}
 	if err != nil {
 		r.Close()

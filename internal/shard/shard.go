@@ -27,20 +27,21 @@ import (
 // Shard is one unit of region-parallel work: a half-open base interval
 // of one reference, or (RefID -1) records no reference interval names —
 // the unmapped tail of a BAM or PAMX file, a physical record range of a
-// fixed-stride file. Bytes is the provider's estimate of the compressed
-// input under the shard — the balancing weight for partitioning across
-// ranks. Seq is the shard's ordinal in generation order: drivers fold
+// fixed-stride file, the whole of a BAM read as one stream. Bytes is the
+// provider's estimate of the compressed input under the shard — the
+// balancing weight for partitioning across ranks. Seq is the shard's ordinal in generation order: drivers fold
 // per-shard results in Seq order so merged output is deterministic, and
-// draining a whole-file generation in Seq order replays the file (a
-// coordinate-sorted BAM or PAMX; any BAMX or BAMZ).
+// draining a whole-file generation in Seq order replays the file (any
+// BAM at one target shard, a coordinate-sorted BAM or PAMX; any BAMX or
+// BAMZ).
 type Shard struct {
 	Seq     int
 	RefID   int32
 	RefName string // "" when RefID is -1
 	Beg     int    // zero-based half-open base interval (reference shards)
 	End     int
-	RecLo   int64 // BAMX/BAMZ: BAIX entry range (reference shards) or physical record range; PAMX: the group
-	RecHi   int64
+	RecLo   int64 // BAMX/BAMZ: BAIX entry range (reference shards) or physical record range; PAMX: the group;
+	RecHi   int64 // BAM: a stream shard's compressed byte range, the whole file (index shards: 0, 0)
 	Bytes   int64
 }
 

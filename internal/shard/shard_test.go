@@ -19,24 +19,15 @@ import (
 )
 
 // writeDataset materialises one deterministic simdata dataset as a BAM
-// file (no .bai sidecar — the provider builds the index in memory) and
-// a BAMX file with its BAIX sidecar, returning both paths.
+// file with its .bai sidecar (so a multi-shard BAM generation is index
+// shards) and a BAMX file with its BAIX sidecar, returning both paths.
 func writeDataset(t testing.TB, n int) (bamPath, bamxPath string, d *simdata.Dataset) {
 	t.Helper()
 	dir := t.TempDir()
 	d = simdata.Generate(simdata.DefaultConfig(n))
 
 	bamPath = filepath.Join(dir, "data.bam")
-	bf, err := os.Create(bamPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteBAM(bf); err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeBAM(t, bamPath, d.Header, d.Records, true)
 
 	bamxPath = filepath.Join(dir, "data.bamx")
 	xf, err := os.Create(bamxPath)
@@ -94,6 +85,41 @@ func writeVariants(t testing.TB, bamxPath string, d *simdata.Dataset) (bamzPath,
 		t.Fatal(err)
 	}
 	return bamzPath, shufPath, shuffled
+}
+
+// writeBAM writes recs as a BAM file at path, with its .bai sidecar when
+// bai is set (recs must then be coordinate-sorted).
+func writeBAM(t testing.TB, path string, h *sam.Header, recs []sam.Record, bai bool) {
+	t.Helper()
+	var raw bytes.Buffer
+	if err := (&simdata.Dataset{Header: h, Records: recs}).WriteBAM(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !bai {
+		return
+	}
+	var idx bytes.Buffer
+	if err := bam.WriteIndexFile(bytes.NewReader(raw.Bytes()), &idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".bai", idx.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeBareBAMs adds, beside a writeDataset BAM, two BAM files with no
+// .bai, which read as one stream shard: the dataset (bare.bam) and the
+// writeVariants shuffle (shuf.bam).
+func writeBareBAMs(t testing.TB, bamPath string, d *simdata.Dataset, shuffled []sam.Record) (barePath, shufBAMPath string) {
+	t.Helper()
+	dir := filepath.Dir(bamPath)
+	barePath, shufBAMPath = filepath.Join(dir, "bare.bam"), filepath.Join(dir, "shuf.bam")
+	writeBAM(t, barePath, d.Header, d.Records, false)
+	writeBAM(t, shufBAMPath, d.Header, shuffled, false)
+	return barePath, shufBAMPath
 }
 
 func recordKey(rec *sam.Record) string {
@@ -158,16 +184,19 @@ func checkMultiset(t *testing.T, label string, got, want map[string]int) {
 // TestProvidersExactlyOnce is the tentpole contract for every provider:
 // at every shard-count target the generated shards cover the dataset
 // exactly once, including the unmapped tail — sorted or not, for the
-// fixed-stride containers.
+// fixed-stride containers and a BAM with no .bai.
 func TestProvidersExactlyOnce(t *testing.T) {
 	bamPath, bamxPath, d := writeDataset(t, 3000)
-	bamzPath, shufPath, _ := writeVariants(t, bamxPath, d)
+	bamzPath, shufPath, shuffled := writeVariants(t, bamxPath, d)
+	barePath, shufBAMPath := writeBareBAMs(t, bamPath, d, shuffled)
 	want := wantMultiset(d)
 	providers := []struct {
 		name string
 		p    Provider
 	}{
 		{"bam", NewBAMProvider(bamPath)},
+		{"bam bare", NewBAMProvider(barePath)},
+		{"bam unsorted", NewBAMProvider(shufBAMPath)},
 		{"bamx", NewBAMXProvider(bamxPath)},
 		{"bamz", NewBAMZProvider(bamzPath)},
 		{"bamz readahead", NewBAMZProvider(bamzPath, WithCodecWorkers(2))},
@@ -196,10 +225,12 @@ func TestProvidersExactlyOnce(t *testing.T) {
 
 // TestWholeFileShardsAreFileOrder: draining a whole-file generation of
 // a fixed-stride container in Seq order replays the file, sorted or
-// not, and never opens the BAIX.
+// not, and never opens the BAIX; a BAM with no .bai does the same as
+// one stream shard at every target.
 func TestWholeFileShardsAreFileOrder(t *testing.T) {
-	_, bamxPath, d := writeDataset(t, 700)
+	bamPath, bamxPath, d := writeDataset(t, 700)
 	bamzPath, shufPath, shuffled := writeVariants(t, bamxPath, d)
+	barePath, shufBAMPath := writeBareBAMs(t, bamPath, d, shuffled)
 	for _, name := range []string{"data.baix", "shuf.baix"} {
 		// A BAIX that does not parse: touching it would fail the run.
 		if err := os.WriteFile(filepath.Join(filepath.Dir(bamxPath), name), []byte("not a BAIX"), 0o644); err != nil {
@@ -207,20 +238,27 @@ func TestWholeFileShardsAreFileOrder(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name string
-		p    Provider
-		want []sam.Record
+		name   string
+		p      Provider
+		want   []sam.Record
+		stream bool // one shard at every target, and no index to corrupt
 	}{
-		{"bamx", NewBAMXProvider(bamxPath), d.Records},
-		{"bamz", NewBAMZProvider(bamzPath), d.Records},
-		{"bamx unsorted", NewBAMXProvider(shufPath), shuffled},
+		{"bamx", NewBAMXProvider(bamxPath), d.Records, false},
+		{"bamz", NewBAMZProvider(bamzPath), d.Records, false},
+		{"bamx unsorted", NewBAMXProvider(shufPath), shuffled, false},
+		{"bam bare", NewBAMProvider(barePath), d.Records, true},
+		{"bam unsorted", NewBAMProvider(shufBAMPath), shuffled, true},
 	} {
 		for _, target := range []int{1, 3, 16} {
 			shards, err := tc.p.GenerateShards(Options{TargetShards: target})
 			if err != nil {
 				t.Fatalf("%s: GenerateShards(%d): %v", tc.name, target, err)
 			}
-			if len(shards) != target {
+			want := target
+			if tc.stream {
+				want = 1
+			}
+			if len(shards) != want {
 				t.Errorf("%s: %d shards at target %d", tc.name, len(shards), target)
 			}
 			h, _ := tc.p.Header()
@@ -253,8 +291,8 @@ func TestWholeFileShardsAreFileOrder(t *testing.T) {
 				t.Fatalf("%s target %d: %d records, want %d", tc.name, target, i, len(tc.want))
 			}
 		}
-		if _, err := tc.p.GenerateShards(Options{Refs: []string{d.Header.Refs[0].Name}}); err == nil {
-			t.Errorf("%s: a reference selection accepted a corrupt BAIX", tc.name)
+		if _, err := tc.p.GenerateShards(Options{Refs: []string{d.Header.Refs[0].Name}}); (err == nil) != tc.stream {
+			t.Errorf("%s: a reference selection with a corrupt BAIX or none: %v", tc.name, err)
 		}
 		tc.p.Close()
 	}
@@ -265,7 +303,8 @@ func TestWholeFileShardsAreFileOrder(t *testing.T) {
 // order, at any shard count.
 func TestRegionSelection(t *testing.T) {
 	bamPath, bamxPath, d := writeDataset(t, 2500)
-	bamzPath, shufPath, _ := writeVariants(t, bamxPath, d)
+	bamzPath, shufPath, shuffled := writeVariants(t, bamxPath, d)
+	barePath, shufBAMPath := writeBareBAMs(t, bamPath, d, shuffled)
 	pamxPath := filepath.Join(filepath.Dir(bamPath), "data.pamx")
 	if _, err := Rewrite(bamPath, pamxPath, WithGroupCaps(0, 90)); err != nil {
 		t.Fatal(err)
@@ -285,6 +324,7 @@ func TestRegionSelection(t *testing.T) {
 	for name, p := range map[string]Provider{
 		"bam": NewBAMProvider(bamPath), "bamx": NewBAMXProvider(bamxPath), "bamz": NewBAMZProvider(bamzPath),
 		"bamx unsorted": NewBAMXProvider(shufPath), "pamx": NewPAMXProvider(pamxPath),
+		"bam bare": NewBAMProvider(barePath), "bam unsorted": NewBAMProvider(shufBAMPath),
 	} {
 		for _, target := range []int{1, 3, 8} {
 			shards, err := p.GenerateShards(Options{TargetShards: target, Region: region})
@@ -315,6 +355,69 @@ func TestRegionSelection(t *testing.T) {
 		t.Fatalf("BAMX region with a missing BAIX: %v", err)
 	}
 	checkMultiset(t, "bamx rebuilt index", drainShards(t, p, shards), want)
+}
+
+// TestBAMProviderModes pins how a BAM provider picks its mode: one
+// stream shard when there is no .bai or the selection is the whole file
+// at one target shard (which then never opens the .bai), index shards
+// otherwise. A stream shard survives the wire, and a provider that did
+// not generate it reads it the same.
+func TestBAMProviderModes(t *testing.T) {
+	bamPath, _, d := writeDataset(t, 1500)
+	barePath, _ := writeBareBAMs(t, bamPath, d, nil)
+	fi, err := os.Stat(barePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := d.Header.Refs[0]
+	region := &Region{Ref: ref.Name, Beg: 1000, End: ref.Length / 2}
+	for _, tc := range []struct {
+		name   string
+		path   string
+		opts   Options
+		stream bool
+	}{
+		{"bare whole", barePath, Options{TargetShards: 1}, true},
+		{"bare whole at 8", barePath, Options{TargetShards: 8}, true},
+		{"bare refs", barePath, Options{TargetShards: 8, Refs: []string{ref.Name}}, true},
+		{"bare region", barePath, Options{TargetShards: 8, Region: region}, true},
+		{"bai whole", bamPath, Options{TargetShards: 1}, true},
+		{"bai whole at 8", bamPath, Options{TargetShards: 8}, false},
+		{"bai region", bamPath, Options{TargetShards: 1, Region: region}, false},
+	} {
+		p := NewBAMProvider(tc.path)
+		shards, err := p.GenerateShards(tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, sh := range shards {
+			if stream := sh.RecHi > sh.RecLo; stream != tc.stream || stream && (len(shards) != 1 || sh.RecHi != fi.Size()) {
+				t.Fatalf("%s: %d shards, shard %v over bytes [%d, %d), want stream %v", tc.name, len(shards), sh, sh.RecLo, sh.RecHi, tc.stream)
+			}
+		}
+		wire, err := DecodeShards(EncodeShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainShards(t, p, shards)
+		p.Close()
+		remote := NewBAMProvider(tc.path)
+		checkMultiset(t, tc.name+" over the wire", drainShards(t, remote, wire), want)
+		remote.Close()
+	}
+	if err := os.WriteFile(bamPath+".bai", []byte("not a BAI"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := NewBAMProvider(bamPath)
+	defer p.Close()
+	shards, err := p.GenerateShards(Options{TargetShards: 1})
+	if err != nil {
+		t.Fatalf("whole file at one shard opened the corrupt .bai: %v", err)
+	}
+	checkMultiset(t, "corrupt .bai, one shard", drainShards(t, p, shards), wantMultiset(d))
+	if _, err := p.GenerateShards(Options{TargetShards: 4}); err == nil {
+		t.Error("index shards from a corrupt .bai")
+	}
 }
 
 // TestGenerateShardsRefsSubset: a named-reference selection stays on

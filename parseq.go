@@ -92,8 +92,9 @@ func ConvertSAM(samPath string, opts Options) (*Result, error) {
 	return conv.ConvertSAM(samPath, opts)
 }
 
-// ConvertBAMSequential converts a BAM file record-at-a-time on one core
-// (the "without preprocessing" configuration of Table I).
+// ConvertBAMSequential converts a BAM file on one rank, read as one
+// stream in file order (the "without preprocessing" configuration of
+// Table I).
 func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
 	return conv.ConvertBAMSequential(bamPath, opts)
 }
