@@ -155,7 +155,10 @@ fmt-check:
 # conv.ConvertBAMSequential, no product code outside internal/bam and
 # bench/ builds a BAI in memory (a .bam with no .bai is one stream
 # shard), and shard.BAMProvider's stream shard is the one product
-# reader of a BAM body stream (bam.NewBodyScanner).
+# reader of a BAM body stream (bam.NewBodyScanner). And the statistics
+# module runs as engine jobs on the session's launcher: no non-test file
+# under cmd/ imports internal/nlmeans or internal/fdr or starts an
+# in-process world with mpi.Run.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/seqconvert ./cmd/seqconvd ./cmd/samstat ./cmd/samsort ./cmd/ngsstat ./cmd/bamxtool | grep -E 'internal/(picard|experiments|cluster)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -238,6 +241,10 @@ deps-check:
 	if [ -n "$$bad" ]; then \
 		echo "deps-check: a BAM body stream read outside shard.BAMProvider's stream shard:"; echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rnE '"parseq/internal/(nlmeans|fdr)"|mpi\.Run\(' --include=*.go cmd | grep -v '_test\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: a command runs the statistics module or an in-process world around engine.Run:"; echo "$$bad"; exit 1; \
+	fi
 
 # Non-test lines the way every deletion PR since PR 15 has counted them
 # (raw lines, comments included), per package and for the sets ROADMAP.md
@@ -285,20 +292,23 @@ metrics-endpoint-smoke:
 	$(GO) test -run 'TestSubprocessObs' -count=1 ./internal/mpinet
 
 # End-to-end daemon check with the real binaries: build seqconvd,
-# ngsbench, seqconvert, samstat and ngsgen, start the daemon on a
-# loopback port, upload a generated SAM, and verify two jobs' streamed
-# results byte-identical to the CLIs that share the daemon's engine —
-# a BED conversion against seqconvert's file, a flagstat against
-# samstat's stdout. SIGTERM then drains the daemon, which must exit
+# ngsbench, seqconvert, samstat, ngsstat and ngsgen, start the daemon on
+# a loopback port, upload a generated SAM and its chr1 histogram, and
+# verify three jobs' streamed results byte-identical to the CLIs that
+# share the daemon's engine — a BED conversion against seqconvert's
+# file, a flagstat against samstat's stdout, an NL-means denoise against
+# ngsstat's file. SIGTERM then drains the daemon, which must exit
 # 128+15.
 daemon-endpoint-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); pid=""; \
 	trap '[ -n "$$pid" ] && kill "$$pid" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp" ./cmd/seqconvd ./cmd/ngsbench ./cmd/seqconvert ./cmd/samstat ./cmd/ngsgen; \
+	$(GO) build -o "$$tmp" ./cmd/seqconvd ./cmd/ngsbench ./cmd/seqconvert ./cmd/samstat ./cmd/ngsstat ./cmd/ngsgen; \
 	"$$tmp/ngsgen" -reads 2000 -format sam -out "$$tmp/tiny" >/dev/null; \
 	"$$tmp/seqconvert" -in "$$tmp/tiny.sam" -format bed -out "$$tmp" -prefix ref >/dev/null; \
 	"$$tmp/samstat" -in "$$tmp/tiny.sam" > "$$tmp/ref.flagstat"; \
+	"$$tmp/ngsstat" -op hist -in "$$tmp/tiny.sam" -rname chr1 -out "$$tmp/tiny.hist.tsv" >/dev/null; \
+	"$$tmp/ngsstat" -op nlmeans -in "$$tmp/tiny.hist.tsv" -out "$$tmp/ref.denoised.tsv" >/dev/null; \
 	"$$tmp/seqconvd" -addr 127.0.0.1:0 -spool "$$tmp/spool" 2> "$$tmp/seqconvd.log" & pid=$$!; \
 	base=""; \
 	for i in $$(seq 1 100); do \
@@ -314,6 +324,10 @@ daemon-endpoint-smoke:
 		-daemon-spec '{"op":"flagstat"}' \
 		-daemon-in "$$tmp/tiny.sam" -daemon-out "$$tmp/got.flagstat" \
 		-daemon-verify "$$tmp/ref.flagstat"; \
+	"$$tmp/ngsbench" -daemon "$$base" \
+		-daemon-spec '{"op":"nlmeans","r":20,"l":15,"sigma":10}' \
+		-daemon-in "$$tmp/tiny.hist.tsv" -daemon-out "$$tmp/got.denoised.tsv" \
+		-daemon-verify "$$tmp/ref.denoised.tsv"; \
 	kill -TERM "$$pid"; \
 	wait "$$pid" && rc=0 || rc=$$?; pid=""; \
 	[ "$$rc" -eq 143 ] || { echo "daemon-endpoint-smoke: seqconvd exit $$rc, want 143"; cat "$$tmp/seqconvd.log"; exit 1; }; \

@@ -1,13 +1,14 @@
 // Command samstat prints samtools-flagstat-style summary statistics,
 // computed in parallel with the framework's Algorithm 1 partitioning
-// for SAM input or region-parallel over genomic shards for BAM, BAMX
-// or PAMX input.
+// for SAM input or region-parallel over genomic shards for BAM, BAMX,
+// BAMZ or PAMX input. -in names any of them; its extension picks the
+// reader.
 //
 // Usage:
 //
 //	samstat -in reads.sam -p 8
-//	samstat -bam reads.bam -p 2 -shards 32
-//	samstat -bam reads.bamx -metrics-addr :9100
+//	samstat -in reads.bam -p 2 -shards 32
+//	samstat -in reads.bamx -metrics-addr :9100
 //
 // With -transport tcp the command becomes one rank of a multi-process
 // world: rank 0 scatters the work and reduces the per-rank partial
@@ -38,19 +39,14 @@ type options struct {
 func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{obsFlags: obsflag.Register(fs), mpiFlags: mpiflag.Register(fs)}
 	o.spec.Op = engine.OpFlagstat
-	var bam string
-	fs.StringVar(&o.spec.InputPath, "in", "", "SAM file")
-	fs.StringVar(&bam, "bam", "", "region-parallel shard input ("+strings.Join(engine.InputExts(engine.OpFlagstat), ", ")+")")
+	fs.StringVar(&o.spec.InputPath, "in", "", "input: .sam or "+strings.Join(engine.InputExts(engine.OpFlagstat), ", "))
 	fs.IntVar(&o.spec.Ranks, "p", 1, "parallel ranks")
 	fs.IntVar(&o.spec.Shards, "shards", 0, "target shard count across the world (0: auto)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if (o.spec.InputPath == "") == (bam == "") {
-		return nil, errors.New("exactly one of -in (SAM) or -bam (BAM/BAMX/PAMX) is required")
-	}
-	if bam != "" {
-		o.spec.InputPath = bam
+	if o.spec.InputPath == "" {
+		return nil, errors.New("-in is required")
 	}
 	return o, nil
 }

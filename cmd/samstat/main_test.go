@@ -17,7 +17,7 @@ func TestFlagsMatchJSON(t *testing.T) {
 		json string
 	}{
 		{[]string{"-in", "a.sam"}, `{"op":"flagstat","ranks":1,"input_path":"a.sam"}`},
-		{[]string{"-bam", "a.pamx", "-p", "2", "-shards", "32"},
+		{[]string{"-in", "a.pamx", "-p", "2", "-shards", "32"},
 			`{"op":"flagstat","ranks":2,"shards":32,"input_path":"a.pamx"}`},
 	}
 	for _, tc := range cases {
@@ -36,9 +36,9 @@ func TestFlagsMatchJSON(t *testing.T) {
 			t.Errorf("%v builds\n %+v\n%s decodes to\n %+v", tc.argv, o.spec, tc.json, want)
 		}
 	}
-	// Exactly one input; and no shard worker count, -p being the job's
-	// one parallelism setting.
-	for _, argv := range [][]string{{}, {"-in", "a.sam", "-bam", "a.bam"}, {"-bam", "a.bam", "-workers", "4"}} {
+	// One input flag, -in, whatever the container; and no shard worker
+	// count, -p being the job's one parallelism setting.
+	for _, argv := range [][]string{{}, {"-bam", "a.bam"}, {"-in", "a.bam", "-workers", "4"}} {
 		fs := flag.NewFlagSet("samstat", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		if _, err := parse(fs, argv); err == nil {

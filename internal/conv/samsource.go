@@ -180,19 +180,23 @@ func ConvertPreprocessed(bamxFiles, baixFiles []string, opts Options) (*Result, 
 }
 
 // ConvertSAMPreprocessed is the complete preprocessing-optimized SAM
-// format converter: parallel SAM→BAMX preprocessing with preCores ranks,
-// then parallel conversion with opts.Cores ranks. The returned Result's
+// format converter: parallel SAM→BAMX preprocessing with preCores ranks
+// into a temporary directory under OutDir, removed on return, then
+// parallel conversion with opts.Cores ranks. The returned Result's
 // PreprocessTime carries the preprocessing phase separately, since the
 // paper reports (and amortises) it separately.
 func ConvertSAMPreprocessed(samPath string, preCores int, opts Options) (*Result, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	// Under a distributed launcher both phases run on the same world, so
-	// preCores must equal opts.Cores there (the launcher checks).
+	tmpDir, err := os.MkdirTemp(opts.OutDir, ".parseq-pre-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(tmpDir)
 	preOpts := opts
 	preOpts.Cores = preCores
-	preOpts.OutPrefix += "_pre"
+	preOpts.OutDir = tmpDir
 	pre, err := PreprocessSAMParallel(samPath, preOpts)
 	if err != nil {
 		return nil, err

@@ -42,6 +42,12 @@ func TestDecodeSpecValid(t *testing.T) {
 					t.Fatalf("sims = %d, want 8", s.Sims)
 				}
 			}},
+		{"fdr defaults sims", `{"op":"fdr","pt":2,"input_name":"h.tsv"}`,
+			func(t *testing.T, s JobSpec) {
+				if s.Sims != 8 || s.PT != 2 {
+					t.Fatalf("sims = %d pt = %g, want 8 and 2", s.Sims, s.PT)
+				}
+			}},
 		{"auto converter by extension", `{"input_name":"reads.bamx"}`,
 			func(t *testing.T, s JobSpec) {
 				k, err := s.ConverterKind()
@@ -78,6 +84,14 @@ func TestDecodeSpecInvalid(t *testing.T) {
 		{"negative bin", `{"op":"hist","rname":"c","bin":-5}`, "bin"},
 		{"hist without rname", `{"op":"hist"}`, "rname"},
 		{"peaks without candidates", `{"op":"peaks","rname":"c"}`, "candidates"},
+		{"nlmeans without r", `{"op":"nlmeans","sigma":10}`, "requires r"},
+		{"nlmeans without sigma", `{"op":"nlmeans","r":20}`, "sigma 0"},
+		{"negative sigma", `{"op":"nlmeans","r":20,"sigma":-1}`, "sigma -1"},
+		{"huge r", `{"op":"nlmeans","r":5000,"sigma":10}`, "r 5000"},
+		{"negative l", `{"op":"nlmeans","r":20,"l":-1,"sigma":10}`, "l -1"},
+		{"huge l", `{"op":"nlmeans","r":20,"l":99999,"sigma":10}`, "l 99999"},
+		{"huge r on another op", `{"op":"hist","rname":"c","r":99999}`, "r 99999"},
+		{"infinite pt", `{"op":"fdr","pt":1e999}`, "pt"},
 		{"both inputs", `{"input_path":"/a/b.sam","input_name":"c.sam"}`, "mutually exclusive"},
 		{"path-y input name", `{"input_name":"../evil.sam"}`, "bare filename"},
 		{"bad region", `{"region":"chr1:9-1"}`, "region"},
@@ -121,6 +135,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"op":"hist","rname":"chr1","bin":50,"input_path":"/x.sam"}`,
 		`{"op":"peaks","rname":"chr1","candidates":[0.5,1,2],"sims":4,"seed":7,"input_name":"a.bam"}`,
 		`{"op":"flagstat","shards":16,"input_name":"a.bamx"}`,
+		`{"op":"nlmeans","r":20,"l":15,"sigma":10,"input_name":"h.tsv"}`,
+		`{"op":"fdr","pt":4,"sims":3,"input_path":"/h.tsv"}`,
 		`{"converter":"pamx","input_name":"a.pamx"}`,
 		`{"region":"chr1:100-200","input_name":"a.bamx"}`,
 		`{"ranks":-1}`,

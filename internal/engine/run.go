@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"parseq/internal/conv"
+	"parseq/internal/fdr"
 	"parseq/internal/flagstat"
 	"parseq/internal/hist"
 	"parseq/internal/mpi"
+	"parseq/internal/nlmeans"
 	"parseq/internal/peaks"
 	"parseq/internal/shard"
 	"parseq/internal/simdata"
@@ -28,13 +30,13 @@ type Env struct {
 	// OutDir receives the outputs under engine-chosen names: convert's
 	// <OutPrefix>_p<rank><ext> per rank (<OutPrefix>.bamx and .baix, or
 	// <OutPrefix>.pamx, for a container format), sort's out.bam,
-	// flagstat.txt, hist.tsv, peaks.tsv. "" is the working directory.
-	// OutPrefix defaults to "out".
+	// flagstat.txt, hist.tsv, peaks.tsv, denoised.tsv, fdr.tsv. "" is
+	// the working directory. OutPrefix defaults to "out".
 	OutDir    string
 	OutPrefix string
-	// OutPath overrides the name of a single-file op's output (sort,
-	// flagstat, hist, peaks). An analysis with neither OutPath nor
-	// OutDir writes no file: its Result is the whole answer.
+	// OutPath overrides the name of a single-file op's output (every op
+	// but convert). An analysis with neither OutPath nor OutDir writes
+	// no file: its Result is the whole answer.
 	OutPath string
 	// BAIX is the index beside a container input, the .bai of a .bam or
 	// the .baix of a .bamx/.bamz; "" means the input path plus .bai, or
@@ -53,8 +55,9 @@ type Env struct {
 
 	// ChunkRecords is sort's in-memory run size (0: the sorter's default).
 	ChunkRecords int
-	// SimData replaces peaks' synthetic background (Spec.Sims datasets
-	// from Spec.Seed) with measured simulation datasets.
+	// SimData replaces the synthetic background of peaks and fdr
+	// (Spec.Sims datasets from Spec.Seed) with measured simulation
+	// datasets.
 	SimData [][]float64
 	// MaxGap and MinWidth are peaks' run-merging gap and minimum width,
 	// in bins.
@@ -99,6 +102,8 @@ func Run(spec Spec, env Env) (res Result, err error) {
 		paths, err = runConvert(&spec, &env, ranks, &res)
 	case OpSort:
 		paths, err = runSort(&env, ranks, &res)
+	case OpNLMeans, OpFDR:
+		paths, err = runStats(&spec, &env, ranks, &res)
 	default:
 		paths, err = runAnalysis(&spec, &env, ranks, &res)
 	}
@@ -113,6 +118,11 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 	kind, err := spec.ConverterKind()
 	if err != nil {
 		return nil, err
+	}
+	if kind == "psam" && env.Launch != nil {
+		// Each process would preprocess and then convert only its own
+		// rank's share.
+		return nil, fmt.Errorf("engine: converter psam does not run on a distributed world; use converter sam, or a .bamx input made with format bamx")
 	}
 	if kind != "sam" && kind != "psam" && shard.Ext(env.Input) != "."+kind {
 		// The provider is picked by extension: an explicit kind over
@@ -276,10 +286,7 @@ func runAnalysis(spec *Spec, env *Env, ranks int, out *Result) ([]string, error)
 		out.Summary = fmt.Sprintf("histogrammed %s into %d bins of %d bases", spec.RName, len(h.Bins), spec.BinSize)
 		return env.report("hist.tsv", &out.Summary, func(w io.Writer) error { return hist.WriteTSV(w, h.Bins) })
 	}
-	sims := env.SimData
-	if sims == nil {
-		sims = simdata.Simulations(spec.Sims, len(h.Bins), spec.Seed)
-	}
+	sims := env.simulations(spec, len(h.Bins))
 	called, pt, rate, err := peaks.CallWithFDR(h.Bins, sims, spec.Candidates,
 		peaks.Options{MaxGap: env.MaxGap, MinWidth: env.MinWidth})
 	if err != nil {
@@ -297,6 +304,49 @@ func runAnalysis(spec *Spec, env *Env, ranks int, out *Result) ([]string, error)
 		}
 		return nil
 	})
+}
+
+// runStats is nlmeans and fdr over a histogram TSV: every process reads
+// the whole input, each rank of the job's launcher works its SplitRange
+// span of it, and rank 0 alone writes.
+func runStats(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
+	v, err := hist.ReadTSV(env.Input)
+	if err != nil {
+		return nil, err
+	}
+	out.Records = int64(len(v))
+	if spec.Op == OpNLMeans {
+		p := nlmeans.Params{R: spec.R, L: spec.L, Sigma: spec.Sigma}
+		denoised, err := mpi.RunRoot(env.Launch, ranks, func(c *mpi.Comm) ([]float64, error) {
+			return nlmeans.DenoiseRanks(c, v, p)
+		})
+		if err != nil || env.Rank != 0 {
+			return nil, err
+		}
+		out.Summary = fmt.Sprintf("denoised %d bins (r=%d l=%d sigma=%g, %d ranks)", len(v), p.R, p.L, p.Sigma, ranks)
+		return env.report("denoised.tsv", &out.Summary, func(w io.Writer) error { return hist.WriteTSV(w, denoised) })
+	}
+	sims := env.simulations(spec, len(v))
+	rate, err := mpi.RunRoot(env.Launch, ranks, func(c *mpi.Comm) (float64, error) {
+		return fdr.ParallelFused(c, v, sims, spec.PT)
+	})
+	if err != nil || env.Rank != 0 {
+		return nil, err
+	}
+	out.Summary = fmt.Sprintf("FDR(p_t=%g) = %.6g  (%d bins, %d simulations, %d ranks)", spec.PT, rate, len(v), len(sims), ranks)
+	return env.report("fdr.tsv", &out.Summary, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%g\t%g\n", spec.PT, rate)
+		return err
+	})
+}
+
+// simulations is the background peaks and fdr compare a histogram of
+// bins bins against: Env.SimData, or Spec.Sims synthetic datasets.
+func (e *Env) simulations(spec *Spec, bins int) [][]float64 {
+	if e.SimData != nil {
+		return e.SimData
+	}
+	return simdata.Simulations(spec.Sims, bins, spec.Seed)
 }
 
 // dest names a single-file op's output.

@@ -10,13 +10,17 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"parseq/internal/bam"
 	"parseq/internal/conv"
+	"parseq/internal/fdr"
 	"parseq/internal/flagstat"
 	"parseq/internal/hist"
+	"parseq/internal/mpi"
+	"parseq/internal/nlmeans"
 	"parseq/internal/peaks"
 	"parseq/internal/shard"
 	"parseq/internal/simdata"
@@ -303,6 +307,33 @@ func TestRunMatchesLibrary(t *testing.T) {
 		)
 	}
 
+	// The statistics module reads a histogram TSV; each rank holds all of
+	// it, so the bytes are the one-core library run's at every rank count.
+	bins := simdata.Histogram(2000, 5)
+	histTSV, err := writeTo(t.TempDir(), "in.tsv", func(f *os.File) error { return hist.WriteTSV(f, bins) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells = append(cells,
+		cell{"nlmeans/tsv", Spec{Op: OpNLMeans, InputPath: histTSV[0], R: 20, L: 15, Sigma: 10}, func(dir string, _ int) ([]string, error) {
+			denoised, err := nlmeans.DenoiseParallel(bins, nlmeans.Params{R: 20, L: 15, Sigma: 10}, 1)
+			if err != nil {
+				return nil, err
+			}
+			return writeTo(dir, "denoised.tsv", func(f *os.File) error { return hist.WriteTSV(f, denoised) })
+		}},
+		cell{"fdr/tsv", Spec{Op: OpFDR, InputPath: histTSV[0], PT: 2, Sims: 4, Seed: 7}, func(dir string, _ int) ([]string, error) {
+			rate, err := fdr.Sequential(bins, simdata.Simulations(4, len(bins), 7), 2)
+			if err != nil {
+				return nil, err
+			}
+			return writeTo(dir, "fdr.tsv", func(f *os.File) error {
+				_, err := fmt.Fprintf(f, "2\t%s\n", strconv.FormatFloat(rate, 'g', -1, 64))
+				return err
+			})
+		}},
+	)
+
 	for _, ranks := range []int{1, 3} {
 		for _, c := range cells {
 			t.Run(fmt.Sprintf("%s/ranks%d", c.name, ranks), func(t *testing.T) {
@@ -372,11 +403,19 @@ func concat(paths []string) ([]byte, error) {
 }
 
 // checkFiles compares the files Run left in outDir with the library's,
-// name by name and byte for byte, and the Result's sizes with the files.
+// name by name and byte for byte, and the Result's sizes with the files;
+// outDir must hold nothing the Result does not name.
 func checkFiles(t *testing.T, res Result, outDir string, want []string) {
 	t.Helper()
 	if len(res.Files) != len(want) {
 		t.Fatalf("Run left %d files, the library %d", len(res.Files), len(want))
+	}
+	if left, err := os.ReadDir(outDir); err != nil || len(left) != len(res.Files) {
+		var names []string
+		for _, e := range left {
+			names = append(names, e.Name())
+		}
+		t.Errorf("outDir holds %v (%v), the Result names %d files", names, err, len(res.Files))
 	}
 	var total int64
 	for i, f := range res.Files {
@@ -500,6 +539,24 @@ func TestConvertKindNeedsItsContainer(t *testing.T) {
 	}
 	if _, err := Run(Spec{Converter: "bam", InputPath: dat, Format: "bed"}, Env{OutDir: t.TempDir()}); err != nil {
 		t.Fatalf("converter bam over a .dat input: %v", err)
+	}
+}
+
+// TestPSAMRefusedOnDistributedWorld: psam's preprocessing fills only
+// the local rank's BAMX pair, so on a distributed launcher each process
+// would convert a share of the input; the job is refused by name before
+// any file is written, in either of psam's routes.
+func TestPSAMRefusedOnDistributedWorld(t *testing.T) {
+	in := makeContainers(t, 200)
+	for _, format := range []string{"bed", "bamx"} {
+		dir := t.TempDir()
+		_, err := Run(Spec{Converter: "psam", InputPath: in.sam, Format: format, Ranks: 2}, Env{OutDir: dir, Launch: mpi.Run})
+		if err == nil || !strings.Contains(err.Error(), "converter sam") || !strings.Contains(err.Error(), "format bamx") {
+			t.Fatalf("psam to %s on a launcher: %v", format, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("refused job left %d files", len(left))
+		}
 	}
 }
 

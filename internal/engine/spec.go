@@ -1,18 +1,19 @@
 // Package engine is parseq's one job surface: a Spec says what to run
-// (convert, sort, flagstat, hist or peaks, with every option a client
-// may set), an Env says where (the resolved input, the output
-// destination, the rank world), and Run routes the pair onto the
-// conv/shard/sorter/flagstat/hist/peaks libraries. seqconvd decodes a
-// Spec from JSON; seqconvert, samsort, samstat, ngsstat and ngsbench
-// fill one from flags; both call Run, so a job means the same thing —
-// same converter inference, same output names, same bytes — whichever
-// front end described it.
+// (convert, sort, flagstat, hist, peaks, nlmeans or fdr, with every
+// option a client may set), an Env says where (the resolved input, the
+// output destination, the rank world), and Run routes the pair onto the
+// conv/shard/sorter/flagstat/hist/peaks/nlmeans/fdr libraries. seqconvd
+// decodes a Spec from JSON; seqconvert, samsort, samstat, ngsstat and
+// ngsbench fill one from flags; both call Run, so a job means the same
+// thing — same converter inference, same output names, same bytes —
+// whichever front end described it.
 package engine
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"path"
 	"strings"
 
@@ -22,20 +23,24 @@ import (
 )
 
 // Ops Run executes. Convert is the format converter; the rest are the
-// analysis engines on the same substrate.
+// analysis engines on the same substrate, nlmeans and fdr over a
+// histogram TSV (one value per line, hist's output).
 const (
 	OpConvert  = "convert"
 	OpSort     = "sort"
 	OpFlagstat = "flagstat"
 	OpHist     = "hist"
 	OpPeaks    = "peaks"
+	OpNLMeans  = "nlmeans"
+	OpFDR      = "fdr"
 )
 
 // Spec is the client-facing description of one job, and seqconvd's JSON
 // wire format. Every field is optional except Op ("" defaults to
 // "convert"); Validate pins the invariants.
 type Spec struct {
-	// Op selects the engine: convert, sort, flagstat, hist or peaks.
+	// Op selects the engine: convert, sort, flagstat, hist, peaks,
+	// nlmeans or fdr.
 	Op string `json:"op,omitempty"`
 	// Converter picks the converter instance for Op=convert: auto (by
 	// input extension), sam, bam, psam, bamx, bamz or pamx.
@@ -71,20 +76,30 @@ type Spec struct {
 	// peaks.
 	RName   string `json:"rname,omitempty"`
 	BinSize int    `json:"bin,omitempty"`
-	// Sims, Seed and Candidates configure peak calling: simulation
-	// dataset count and seed for the synthetic background, and the
-	// candidate thresholds the FDR selection sweeps.
+	// Sims and Seed are the simulation dataset count and seed of the
+	// synthetic background peaks and fdr compare against; Candidates are
+	// the thresholds peaks' FDR selection sweeps.
 	Sims       int       `json:"sims,omitempty"`
 	Seed       int64     `json:"seed,omitempty"`
 	Candidates []float64 `json:"candidates,omitempty"`
+	// R, L and Sigma are nlmeans' search radius and half patch size, in
+	// bins, and its filtering parameter σ; PT is fdr's threshold p_t.
+	// Validate clears them on every other op.
+	R     int     `json:"r,omitempty"`
+	L     int     `json:"l,omitempty"`
+	Sigma float64 `json:"sigma,omitempty"`
+	PT    float64 `json:"pt,omitempty"`
 }
 
 // Limits bound the numeric fields so a hostile spec cannot ask for
-// absurd worlds or shard counts. MaxSpecLen caps the encoded spec.
+// absurd worlds, shard counts or NL-means windows (a rank's window holds
+// about 2·r² weights, and each edge bin costs (2r+1)(2l+1) steps).
+// MaxSpecLen caps the encoded spec.
 const (
 	maxRanks   = 1024
 	maxShards  = 1 << 16
 	maxSims    = 1 << 12
+	maxWindow  = 1 << 10
 	MaxSpecLen = 1 << 16
 )
 
@@ -152,7 +167,7 @@ func (s *Spec) Validate() error {
 		s.Op = OpConvert
 	}
 	switch s.Op {
-	case OpConvert, OpSort, OpFlagstat, OpHist, OpPeaks:
+	case OpConvert, OpSort, OpFlagstat, OpHist, OpPeaks, OpNLMeans, OpFDR:
 	default:
 		return fmt.Errorf("engine: unknown op %q", s.Op)
 	}
@@ -161,10 +176,20 @@ func (s *Spec) Validate() error {
 		v, max int
 	}{
 		{"ranks", s.Ranks, maxRanks}, {"shards", s.Shards, maxShards}, {"sims", s.Sims, maxSims},
+		{"r", s.R, maxWindow}, {"l", s.L, maxWindow},
 	} {
 		if f.v < 0 || f.v > f.max {
 			return fmt.Errorf("engine: %s %d outside [0, %d]", f.name, f.v, f.max)
 		}
+	}
+	if math.IsNaN(s.Sigma) || math.IsInf(s.Sigma, 0) || math.IsNaN(s.PT) || math.IsInf(s.PT, 0) {
+		return fmt.Errorf("engine: sigma %g and pt %g must be finite numbers", s.Sigma, s.PT)
+	}
+	if s.Op != OpNLMeans {
+		s.R, s.L, s.Sigma = 0, 0, 0
+	}
+	if s.Op != OpFDR {
+		s.PT = 0
 	}
 	if s.BinSize < 0 {
 		return fmt.Errorf("engine: negative bin size %d", s.BinSize)
@@ -217,15 +242,16 @@ func (s *Spec) Validate() error {
 		if s.BinSize == 0 {
 			s.BinSize = 100
 		}
-		if s.Op == OpHist {
-			break
-		}
-		if s.Sims == 0 {
-			s.Sims = 8
-		}
-		if len(s.Candidates) == 0 {
+		if s.Op == OpPeaks && len(s.Candidates) == 0 {
 			return fmt.Errorf("engine: op peaks requires candidates")
 		}
+	case OpNLMeans:
+		if s.R < 1 || !(s.Sigma > 0) {
+			return fmt.Errorf("engine: op nlmeans requires r ≥ 1 and sigma > 0, not r %d sigma %g", s.R, s.Sigma)
+		}
+	}
+	if s.Sims == 0 && (s.Op == OpPeaks || s.Op == OpFDR) {
+		s.Sims = 8
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -103,5 +104,31 @@ func TestKindTableHelp(t *testing.T) {
 		if kind, err := s.ConverterKind(); err != nil || kind != name {
 			t.Errorf("ConverterKind(%q) = %q, %v", name, kind, err)
 		}
+	}
+}
+
+// The statistics parameters: JSON cannot spell a NaN or infinite sigma
+// or pt, but a spec built in Go can, and Validate refuses it on every
+// op; on an op that does not read them they are cleared, so ngsstat's
+// flag defaults do not make two specs of one hist job.
+func TestValidateStatisticsParameters(t *testing.T) {
+	for _, s := range []Spec{
+		{Op: OpNLMeans, R: 20, Sigma: math.NaN()},
+		{Op: OpNLMeans, R: 20, Sigma: math.Inf(1)},
+		{Op: OpFDR, PT: math.NaN()},
+		{Op: OpFDR, PT: math.Inf(-1)},
+		{Op: OpHist, RName: "chr1", PT: math.NaN()},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s with sigma %g pt %g accepted", s.Op, s.Sigma, s.PT)
+		}
+	}
+	s := Spec{Op: OpHist, RName: "chr1", R: 20, L: 15, Sigma: 10, PT: 1}
+	if err := s.Validate(); err != nil || s.R != 0 || s.L != 0 || s.Sigma != 0 || s.PT != 0 {
+		t.Errorf("hist spec after Validate: %+v, %v", s, err)
+	}
+	s = Spec{Op: OpNLMeans, R: 20, L: 0, Sigma: 10, PT: 1}
+	if err := s.Validate(); err != nil || s.R != 20 || s.Sigma != 10 || s.PT != 0 {
+		t.Errorf("nlmeans spec after Validate: %+v, %v", s, err)
 	}
 }

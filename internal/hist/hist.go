@@ -8,9 +8,9 @@ package hist
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -170,10 +170,15 @@ func WriteTSV(w io.Writer, bins []float64) error {
 	return bw.Flush()
 }
 
-// ReadTSV parses a one-value-per-line histogram dataset.
-func ReadTSV(r io.Reader) ([]float64, error) {
+// ReadTSV reads the one-value-per-line histogram dataset at path.
+func ReadTSV(path string) ([]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
 	var out []float64
-	scan := bufio.NewScanner(r)
+	scan := bufio.NewScanner(f)
 	scan.Buffer(make([]byte, 64<<10), 4<<20)
 	for scan.Scan() {
 		line := strings.TrimSpace(scan.Text())
@@ -182,7 +187,7 @@ func ReadTSV(r io.Reader) ([]float64, error) {
 		}
 		v, err := strconv.ParseFloat(line, 64)
 		if err != nil {
-			return nil, fmt.Errorf("hist: line %d: %w", len(out)+1, err)
+			return nil, fmt.Errorf("hist: %s: line %d: %w", path, len(out)+1, err)
 		}
 		out = append(out, v)
 	}
@@ -190,7 +195,7 @@ func ReadTSV(r io.Reader) ([]float64, error) {
 		return nil, err
 	}
 	if len(out) == 0 {
-		return nil, errors.New("hist: empty histogram dataset")
+		return nil, fmt.Errorf("hist: %s: empty histogram dataset", path)
 	}
 	return out, nil
 }

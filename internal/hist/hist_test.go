@@ -2,6 +2,8 @@ package hist
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,7 +183,7 @@ func TestTSVRoundTrip(t *testing.T) {
 	if err := WriteTSV(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTSV(&buf)
+	got, err := ReadTSV(tsvFile(t, buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestTSVRoundTrip(t *testing.T) {
 }
 
 func TestReadTSVSkipsCommentsAndBlanks(t *testing.T) {
-	got, err := ReadTSV(strings.NewReader("# header\n1\n\n2\n  3 \n"))
+	got, err := ReadTSV(tsvFile(t, "# header\n1\n\n2\n  3 \n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +208,23 @@ func TestReadTSVSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestReadTSVErrors(t *testing.T) {
-	if _, err := ReadTSV(strings.NewReader("")); err == nil {
+	if _, err := ReadTSV(tsvFile(t, "")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ReadTSV(strings.NewReader("abc\n")); err == nil {
+	if _, err := ReadTSV(tsvFile(t, "abc\n")); err == nil {
 		t.Error("non-numeric input accepted")
 	}
+	if _, err := ReadTSV(filepath.Join(t.TempDir(), "missing.tsv")); err == nil {
+		t.Error("missing file accepted")
+	}
+}
+
+// tsvFile writes content to a file in a test directory and returns its path.
+func tsvFile(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "h.tsv")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

@@ -27,6 +27,27 @@ func TestRunRankAndSize(t *testing.T) {
 	}
 }
 
+// RunRoot hands back rank 0's value, whatever the launcher, and the
+// world's error when any rank fails.
+func TestRunRoot(t *testing.T) {
+	for _, launch := range []Launcher{nil, Run} {
+		got, err := RunRoot(launch, 3, func(c *Comm) (int, error) { return 10 + c.Rank(), nil })
+		if err != nil || got != 10 {
+			t.Errorf("RunRoot = %d, %v; want rank 0's 10", got, err)
+		}
+	}
+	boom := errors.New("boom")
+	_, err := RunRoot(nil, 2, func(c *Comm) (int, error) {
+		if c.Rank() == 1 {
+			return 0, boom
+		}
+		return 1, c.Barrier()
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("RunRoot error = %v, want rank 1's", err)
+	}
+}
+
 func TestRunRejectsBadSize(t *testing.T) {
 	if err := Run(0, func(c *Comm) error { return nil }); err == nil {
 		t.Error("Run(0) succeeded")

@@ -210,6 +210,25 @@ func Run(size int, fn func(c *Comm) error) error {
 	return nil
 }
 
+// RunRoot runs fn on size ranks through launch (nil: Run) and returns
+// the value rank 0's fn returned, with the first error any rank
+// produced. Under a distributed launcher only rank 0's process gets the
+// value; the others get T's zero value.
+func RunRoot[T any](launch Launcher, size int, fn func(*Comm) (T, error)) (T, error) {
+	if launch == nil {
+		launch = Run
+	}
+	var root T
+	err := launch(size, func(c *Comm) error {
+		v, err := fn(c)
+		if c.Rank() == 0 {
+			root = v
+		}
+		return err
+	})
+	return root, err
+}
+
 // RunTransport executes fn as the transport's local rank. A returned
 // error or panic aborts the world, so ranks blocked elsewhere —
 // including on other hosts — drain with ErrAborted instead of

@@ -20,6 +20,7 @@ import (
 
 	"parseq/internal/bgzf"
 	"parseq/internal/conv"
+	"parseq/internal/engine"
 	"parseq/internal/flagstat"
 	"parseq/internal/hist"
 	"parseq/internal/leakcheck"
@@ -47,6 +48,8 @@ func TestMain(m *testing.M) {
 		helperConvert()
 	case "tally":
 		helperTally()
+	case "stats":
+		helperStats()
 	case "abortworld":
 		helperAbortWorld()
 	case "obsworld":
@@ -121,6 +124,40 @@ func helperTally() {
 		writeTally(os.Stdout, st, h)
 	}
 	os.Exit(0)
+}
+
+// helperStats is one rank of the statistics module's engine jobs:
+// connect, run nlmeans and fdr over the histogram TSV on the TCP world,
+// with this rank's outputs directed into its own rank<R> directory.
+func helperStats() {
+	w, err := mpinet.Connect(helperConfig())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "connect:", err)
+		os.Exit(1)
+	}
+	env := engine.Env{
+		OutDir: filepath.Join(os.Getenv("MPINET_TEST_OUT"), fmt.Sprintf("rank%d", w.Rank())),
+		Launch: w.Launcher(), Rank: w.Rank(),
+	}
+	for _, spec := range statSpecs(os.Getenv("MPINET_TEST_IN"), w.Size()) {
+		if _, err = engine.Run(spec, env); err != nil {
+			break
+		}
+	}
+	w.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stats:", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// statSpecs are the statistics jobs over a histogram TSV at a rank count.
+func statSpecs(in string, ranks int) []engine.Spec {
+	return []engine.Spec{
+		{Op: engine.OpNLMeans, InputPath: in, Ranks: ranks, R: 20, L: 15, Sigma: 10},
+		{Op: engine.OpFDR, InputPath: in, Ranks: ranks, PT: 2, Sims: 4, Seed: 7},
+	}
 }
 
 // writeTally renders a flagstat report and a histogram's bins.
@@ -304,6 +341,84 @@ func TestSubprocessTalliesMatchOneRank(t *testing.T) {
 		}
 		if outs[1].Len()+outs[2].Len() != 0 {
 			t.Errorf("workers=%d: ranks 1 and 2 printed output", workers)
+		}
+	}
+}
+
+// TestSubprocessStatsMatchOneRank: NL-means and FDR, run as engine jobs
+// by a three-process TCP world, are written by rank 0 alone, with the
+// bytes of the in-process one-rank run.
+func TestSubprocessStatsMatchOneRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	const world = 3
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.tsv")
+	var buf bytes.Buffer
+	if err := hist.WriteTSV(&buf, simdata.Histogram(20000, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ref := filepath.Join(dir, "ref")
+	for _, d := range []string{ref, filepath.Join(dir, "rank0"), filepath.Join(dir, "rank1"), filepath.Join(dir, "rank2")} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range statSpecs(in, 1) {
+		if _, err := engine.Run(spec, engine.Env{OutDir: ref}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
+	coord := freeLoopbackAddr()
+	extra := map[string]string{"MPINET_TEST_IN": in, "MPINET_TEST_OUT": dir}
+	cmds := make([]*exec.Cmd, world)
+	outs := make([]bytes.Buffer, world)
+	for r := range world {
+		cmds[r] = helperCmd(ctx, t, "stats", r, world, coord, extra)
+		cmds[r].Stdout, cmds[r].Stderr = &outs[r], &outs[r]
+		if err := cmds[r].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := range world {
+		if err := cmds[r].Wait(); err != nil {
+			t.Fatalf("rank %d process: %v\n%s", r, err, outs[r].String())
+		}
+	}
+
+	for r := range world {
+		left, err := os.ReadDir(filepath.Join(dir, fmt.Sprintf("rank%d", r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r > 0 {
+			if len(left) != 0 {
+				t.Errorf("rank %d wrote %d files", r, len(left))
+			}
+			continue
+		}
+		if len(left) != 2 {
+			t.Fatalf("rank 0 wrote %d files, want denoised.tsv and fdr.tsv", len(left))
+		}
+		for _, name := range []string{"denoised.tsv", "fdr.tsv"} {
+			want, err := os.ReadFile(filepath.Join(ref, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "rank0", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !bytes.Equal(got, want) {
+				t.Errorf("%s: the TCP world's %d bytes differ from the one-rank run's %d", name, len(got), len(want))
+			}
 		}
 	}
 }

@@ -16,11 +16,11 @@
 // 2008). The first and last r+l bins keep the clamped direct kernel.
 //
 // The window sums are recomputed directly at absolute bins that are
-// multiples of seedEvery, so DenoiseParallel is bit-identical at every
-// core count and within 1e-9 of Denoise. A rank of DenoiseDistributed
-// holds only its (r+l) halo to the left, so it seeds at its first bin
-// instead: equal to DenoiseParallel bit for bit on one rank, within
-// 1e-12 relative on more.
+// multiples of seedEvery, so DenoiseParallel and DenoiseRanks are
+// bit-identical at every core or rank count and within 1e-9 of Denoise.
+// A rank of DenoiseDistributed holds only its (r+l) halo to the left, so
+// it seeds at its first bin instead: equal to DenoiseParallel bit for
+// bit on one rank, within 1e-12 relative on more.
 package nlmeans
 
 import (
@@ -242,6 +242,20 @@ func DenoiseParallel(v []float64, p Params, cores int) ([]float64, error) {
 	}
 	wg.Wait()
 	return out, nil
+}
+
+// DenoiseRanks is DenoiseParallel on a rank world: every rank holds the
+// whole histogram, denoises its SplitRange span as a DenoiseParallel
+// worker does, and mpi.Allgather concatenates the spans in rank order,
+// so every rank receives DenoiseParallel's bits at any rank count.
+func DenoiseRanks(c *mpi.Comm, v []float64, p Params) ([]float64, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	lo, hi := c.SplitRange(len(v))
+	local := make([]float64, hi-lo)
+	newWindow(p).denoise(v, 0, len(v), lo, hi, local)
+	return mpi.Allgather(c, local)
 }
 
 // DenoiseDistributed is the paper's three-step distributed strategy run

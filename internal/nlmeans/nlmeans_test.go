@@ -35,13 +35,14 @@ func identical(a, b []float64) (int, bool) {
 	return 0, true
 }
 
-// distributed runs DenoiseDistributed on ranks ranks and returns rank 0's
-// result after checking every rank got the same bits.
-func distributed(t *testing.T, v []float64, p Params, ranks int) ([]float64, error) {
+// onRanks runs a rank denoiser (DenoiseDistributed or DenoiseRanks) on
+// ranks ranks and returns rank 0's result after checking every rank got
+// the same bits.
+func onRanks(t *testing.T, denoise func(*mpi.Comm, []float64, Params) ([]float64, error), v []float64, p Params, ranks int) ([]float64, error) {
 	t.Helper()
 	results := make([][]float64, ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		out, err := DenoiseDistributed(c, v, p)
+		out, err := denoise(c, v, p)
 		results[c.Rank()] = out
 		return err
 	})
@@ -220,12 +221,16 @@ func TestDenoiseErrorsPropagate(t *testing.T) {
 	if _, err := DenoiseParallel(nil, Params{}, 2); err == nil {
 		t.Error("invalid params accepted by DenoiseParallel")
 	}
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := DenoiseDistributed(c, []float64{1, 2}, Params{})
-		return err
-	})
-	if err == nil {
-		t.Error("invalid params accepted by DenoiseDistributed")
+	for name, denoise := range map[string]func(*mpi.Comm, []float64, Params) ([]float64, error){
+		"DenoiseDistributed": DenoiseDistributed, "DenoiseRanks": DenoiseRanks,
+	} {
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			_, err := denoise(c, []float64{1, 2}, Params{})
+			return err
+		})
+		if err == nil {
+			t.Errorf("invalid params accepted by %s", name)
+		}
 	}
 }
 
@@ -238,9 +243,13 @@ func TestDenoiseEmptyInput(t *testing.T) {
 		t.Errorf("DenoiseParallel(nil) = %v, %v", got, err)
 	}
 	for _, ranks := range []int{1, 3} {
-		got, err := distributed(t, nil, testParams, ranks)
+		got, err := onRanks(t, DenoiseDistributed, nil, testParams, ranks)
 		if err != nil || len(got) != 0 {
 			t.Errorf("DenoiseDistributed(nil, ranks=%d) = %v, %v", ranks, got, err)
+		}
+		got, err = onRanks(t, DenoiseRanks, nil, testParams, ranks)
+		if err != nil || len(got) != 0 {
+			t.Errorf("DenoiseRanks(nil, ranks=%d) = %v, %v", ranks, got, err)
 		}
 	}
 	// More cores than bins.
@@ -259,9 +268,10 @@ func TestDenoiseEmptyInput(t *testing.T) {
 // direct reference on inputs built to break them: cancellation after
 // spikes, exact zeros in constant runs, histograms with no or one
 // interior bin, and the smallest window. DenoiseParallel must give the
-// same bits at every core count and DenoiseDistributed must stay within
-// 1e-12 of it (the same bits on one rank) wherever its partitions are
-// wide enough for the halo.
+// same bits at every core count, DenoiseRanks its bits at every rank
+// count, and DenoiseDistributed must stay within 1e-12 of it (the same
+// bits on one rank) wherever its partitions are wide enough for the
+// halo.
 func TestSlidingWindowEdgeCases(t *testing.T) {
 	spikes := simdata.Histogram(3000, 17)
 	for _, i := range []int{100, 101, 700, 1500, 1530, 2999} {
@@ -308,8 +318,17 @@ func TestSlidingWindowEdgeCases(t *testing.T) {
 				t.Errorf("%s: cores=%d differs from cores=1 at bin %d: %v vs %v", c.name, cores, i, got[i], par[i])
 			}
 		}
+		for _, ranks := range []int{1, 2, 3, 5, 16} {
+			got, err := onRanks(t, DenoiseRanks, c.v, c.p, ranks)
+			if err != nil {
+				t.Fatalf("%s: DenoiseRanks ranks=%d: %v", c.name, ranks, err)
+			}
+			if i, ok := identical(got, par); !ok {
+				t.Errorf("%s: DenoiseRanks ranks=%d differs from DenoiseParallel at bin %d: %v vs %v", c.name, ranks, i, got[i], par[i])
+			}
+		}
 		for _, ranks := range []int{1, 2, 3, 5} {
-			got, err := distributed(t, c.v, c.p, ranks)
+			got, err := onRanks(t, DenoiseDistributed, c.v, c.p, ranks)
 			if ranks > 1 && len(c.v)/ranks < c.p.Halo() {
 				if err == nil {
 					t.Errorf("%s: ranks=%d accepted partitions narrower than the halo", c.name, ranks)

@@ -220,18 +220,9 @@ func DenoiseParallel(histogram []float64, p NLMeansParams, cores int) ([]float64
 // DenoiseDistributed runs the paper's halo-replication strategy on the
 // in-process message-passing runtime with `ranks` ranks.
 func DenoiseDistributed(histogram []float64, p NLMeansParams, ranks int) ([]float64, error) {
-	var out []float64
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		v, err := nlmeans.DenoiseDistributed(c, histogram, p)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out = v
-		}
-		return nil
+	return mpi.RunRoot(nil, ranks, func(c *mpi.Comm) ([]float64, error) {
+		return nlmeans.DenoiseDistributed(c, histogram, p)
 	})
-	return out, err
 }
 
 // FDR computes the false discovery rate FDR(pt) for one histogram and B
@@ -244,18 +235,9 @@ func FDR(histogram []float64, sims [][]float64, pt float64) (float64, error) {
 // message-passing runtime: bin-direction partitioning, concurrent
 // numerator/denominator local sums, one global synchronisation.
 func FDRParallel(histogram []float64, sims [][]float64, pt float64, ranks int) (float64, error) {
-	var out float64
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		v, err := fdr.ParallelFused(c, histogram, sims, pt)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out = v
-		}
-		return nil
+	return mpi.RunRoot(nil, ranks, func(c *mpi.Comm) (float64, error) {
+		return fdr.ParallelFused(c, histogram, sims, pt)
 	})
-	return out, err
 }
 
 // FDRSweep evaluates FDR over several candidate thresholds.
