@@ -26,11 +26,12 @@ race:
 # through (internal/shard), the body→text encoders (internal/formats)
 # and the BAMX reader (internal/bamx) that run on its rank goroutines, the batch
 # line engine (internal/sam), the SAM analyses and the sorter that read
-# through it, the shared deflate pool and the parpipe plumbing under
-# them, and the engine and daemon that drive them concurrently. `ci`
-# runs the full sweep.
+# through it, the PAMX group writer whose flush stage deflates on the
+# shared pool beside its producer (internal/formats/pamx), the shared
+# deflate pool and the parpipe plumbing under them, and the engine and
+# daemon that drive them concurrently. `ci` runs the full sweep.
 race-convert:
-	$(GO) test -race -count=1 ./internal/conv ./internal/shard ./internal/formats ./internal/bamx ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
+	$(GO) test -race -count=1 ./internal/conv ./internal/shard ./internal/formats ./internal/formats/pamx ./internal/bamx ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
 
 # A short deterministic fuzz pass over the wire-frame decoder: corrupt
 # frames must error, never panic or over-allocate.
@@ -74,7 +75,8 @@ fuzz-inflate:
 	$(GO) test -run '^$$' -fuzz 'FuzzBGZFRoundTrip' -fuzztime 10s ./internal/bgzf
 
 # Re-measure DESIGN.md's codec frontier (compress/flate levels against
-# the in-tree encoder at four chain depths, one thread, a few minutes).
+# the in-tree full search at four chain depths and the in-tree payload
+# planner the product runs, one thread, a few minutes).
 deflate-frontier:
 	BGZF_FRONTIER=1 GOMAXPROCS=1 $(GO) test -v -count=1 -run 'TestDeflateFrontier' -timeout 30m ./internal/bgzf
 

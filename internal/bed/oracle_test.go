@@ -1,7 +1,7 @@
-// Package bed reads and writes the BED and BEDGRAPH interval formats,
-// the remaining leg of the converter's cross-utilization story: the
-// tracks the converter emits can be read back, validated, intersected
-// with regions and turned into coverage histograms.
+// The BED and BEDGRAPH readers and writers the package's tests read the
+// converter's tracks back through: a test oracle, linked by no product
+// binary (the converter renders BED through internal/formats).
+
 package bed
 
 import (

@@ -101,7 +101,7 @@ func wrapBlock(dst, payload []byte) []byte {
 // returns it. It cannot fail: the encoder (deflate.go) falls back to a
 // stored block, so a member never exceeds MaxBlockSize.
 func (d *deflator) wrap(dst, payload []byte) []byte {
-	bsize := headerSize + d.plan(payload, maxChain) + footerSize
+	bsize := headerSize + d.plan(payload) + footerSize
 	if cap(dst) < bsize {
 		dst = make([]byte, 0, bsize)
 	}

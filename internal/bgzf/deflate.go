@@ -10,6 +10,8 @@
 // matches extended eight bytes at a time straight in the payload, tokens
 // and symbol frequencies gathered in one pass, and one Huffman block per
 // payload written through a 64-bit accumulator into the member buffer.
+// A planner (tokenize) runs that search only where a trial of it shows
+// matches pay, and codes the rest at a shallow chain or as literals.
 // The output is plain RFC 1951 and a pure function of the payload.
 
 package bgzf
@@ -31,6 +33,14 @@ const (
 	goodLen    = 8     // a pending match this long quarters the chain
 	lazyLen    = 16    // a pending match this long is taken without looking further
 	niceLen    = 128   // a match this long ends the search
+
+	segmentLen    = 16 << 10 // bytes one trial decides for
+	trialLen      = 2 << 10  // bytes the trial searches at maxChain
+	fullSaving    = 0.15     // a trial saving this share searches the rest of the payload at maxChain
+	shallowSaving = 0.02     // this share, the rest of the segment at shallowChain; less, literals
+	shallowChain  = 8
+	probeStep     = 32 // a literal run reads the hash head at every probeStep-th position
+	probeLen      = 16 // and a match this long there ends it
 
 	hashBits = 15
 	hashMul  = 0x1e35a7bd
@@ -124,11 +134,17 @@ func (h *huffCode) assign(n int) {
 	}
 }
 
-// build sets h to a length-limited Huffman code for freq. Like zlib it
+// build sets h to a length-limited Huffman code for freq.
+func (h *huffCode) build(freq []uint16, limit int, sorted *[numLit]uint32) {
+	h.lengths(freq, limit, sorted)
+	h.assign(len(freq))
+}
+
+// lengths sets h's code lengths, not its codes, for freq. Like zlib it
 // gives every code at least two symbols — a symbol nobody uses gets a
 // one-bit code — so no decoder is shown an incomplete or empty code.
 // sorted is scratch.
-func (h *huffCode) build(freq []uint16, limit int, sorted *[numLit]uint32) {
+func (h *huffCode) lengths(freq []uint16, limit int, sorted *[numLit]uint32) {
 	n := len(freq)
 	clear(h.len[:n])
 	used := 0
@@ -220,7 +236,6 @@ func (h *huffCode) build(freq []uint16, limit int, sorted *[numLit]uint32) {
 			h.len[a[i]&0x1ff] = uint8(b)
 		}
 	}
-	h.assign(n)
 }
 
 // deflator is the reusable state of one deflate worker, about 450 KiB;
@@ -297,30 +312,36 @@ func (e *deflator) longestMatch(p []byte, pos, cand, best, chain int) (length, d
 	return best, dist
 }
 
-// tokenize runs the LZ77 search over p, leaving the tokens and their
-// symbol frequencies (end-of-block included) in e.
-func (e *deflator) tokenize(p []byte, chain int) {
-	clear(e.head[:])
-	clear(e.litFreq[:])
-	clear(e.distFreq[:])
-	if cap(e.tokens) < len(p) {
-		e.tokens = make([]uint32, 0, MaxPayload)
-	}
-	tokens := e.tokens[:0]
-	lastHash := len(p) - minMatch // last position with a full hash word
-	insert := func(pos int) int {
-		h := hash4(p, pos)
-		cand := e.head[h]
-		e.prev[pos] = cand
-		e.head[h] = uint16(pos + 1)
-		return int(cand) - 1
-	}
+// searchState is where a resumable search stands in its payload: the
+// next position, and the match (or, below minMatch, the literal) pending
+// at pos-1 for the lazy step.
+type searchState struct {
+	pos, prevLen, prevDist int
+	pending                bool
+}
 
-	prevLen, prevDist, pending := minMatch-1, 0, false
-	for pos := 0; pos < len(p); {
+// insert threads pos onto its hash chain and returns the chain's previous
+// head, -1 when there is none.
+func (e *deflator) insert(p []byte, pos int) int {
+	h := hash4(p, pos)
+	cand := e.head[h]
+	e.prev[pos] = cand
+	e.head[h] = uint16(pos + 1)
+	return int(cand) - 1
+}
+
+// search runs the LZ77 search with one-step lazy evaluation from st.pos
+// until it reaches end, appending the tokens and their symbol
+// frequencies to e; a match may carry st.pos past end. Stopped and
+// resumed anywhere, it emits what one run over the same span would.
+func (e *deflator) search(p []byte, st *searchState, end, chain int) {
+	tokens := e.tokens
+	lastHash := len(p) - minMatch // last position with a full hash word
+	pos, prevLen, prevDist, pending := st.pos, st.prevLen, st.prevDist, st.pending
+	for pos < end {
 		curLen, curDist := minMatch-1, 0
 		if pos <= lastHash {
-			cand := insert(pos)
+			cand := e.insert(p, pos)
 			if cand >= 0 && pos-cand <= windowSize && prevLen < lazyLen && prevLen < len(p)-pos {
 				curLen, curDist = e.longestMatch(p, pos, cand, prevLen, chain)
 			}
@@ -330,10 +351,10 @@ func (e *deflator) tokenize(p []byte, chain int) {
 			tokens = append(tokens, uint32(prevLen-3)<<16|uint32(prevDist))
 			e.litFreq[257+int(lenCode[prevLen-3])]++
 			e.distFreq[distSym(prevDist)]++
-			end := pos - 1 + prevLen
-			for pos++; pos < end; pos++ {
+			matchEnd := pos - 1 + prevLen
+			for pos++; pos < matchEnd; pos++ {
 				if pos <= lastHash {
-					insert(pos)
+					e.insert(p, pos)
 				}
 			}
 			prevLen, pending = minMatch-1, false
@@ -346,12 +367,140 @@ func (e *deflator) tokenize(p []byte, chain int) {
 		prevLen, prevDist, pending = curLen, curDist, true
 		pos++
 	}
-	if pending {
-		tokens = append(tokens, uint32(p[len(p)-1])<<16)
+	e.tokens = tokens
+	*st = searchState{pos, prevLen, prevDist, pending}
+}
+
+// literals codes p[st.pos:end] as literals, after taking what the search
+// left pending. Every position is still inserted, so a later search finds
+// matches into the run. Every probeStep-th position first reads its hash
+// head, without inserting (the position would be its own candidate): a
+// probeLen-byte match there means the content has changed, and the run
+// stops at that position for the next trial.
+func (e *deflator) literals(p []byte, st *searchState, end int) {
+	tokens := e.tokens
+	lastHash := len(p) - minMatch
+	pos := st.pos
+	if st.pending && st.prevLen >= minMatch {
+		tokens = append(tokens, uint32(st.prevLen-3)<<16|uint32(st.prevDist))
+		e.litFreq[257+int(lenCode[st.prevLen-3])]++
+		e.distFreq[distSym(st.prevDist)]++
+		for matchEnd := pos - 1 + st.prevLen; pos < matchEnd; pos++ {
+			if pos <= lastHash {
+				e.insert(p, pos)
+			}
+		}
+	} else if st.pending {
+		tokens = append(tokens, uint32(p[pos-1])<<16)
+		e.litFreq[p[pos-1]]++
+	}
+	for ; pos < end; pos++ {
+		if pos%probeStep == 0 && pos+probeLen <= len(p) {
+			cand := int(e.head[hash4(p, pos)]) - 1
+			if cand >= 0 && pos-cand <= windowSize && matchLen(p[cand:], p[pos:pos+probeLen]) == probeLen {
+				break
+			}
+		}
+		if pos <= lastHash {
+			e.insert(p, pos)
+		}
+		tokens = append(tokens, uint32(p[pos])<<16)
+		e.litFreq[p[pos]]++
+	}
+	e.tokens = tokens
+	*st = searchState{pos: pos, prevLen: minMatch - 1}
+}
+
+// matchFinder is a resumable search: the product's is deflator.search.
+type matchFinder func(e *deflator, p []byte, st *searchState, end, chain int)
+
+// tokenize plans and runs the search over p, leaving the tokens and
+// their symbol frequencies (end-of-block included) in e. The payload is
+// taken a segment at a time, and each segment opens with a trial of the
+// full search. What the trial's tokens save over coding the same bytes
+// as literals picks how the rest is coded: the full search to the end of
+// the payload (sticky, so a payload that pays for it from the start —
+// every BAM member — gets one run of the full search and its bytes), a
+// shallow chain to the end of the segment, or literals.
+func (e *deflator) tokenize(p []byte, search matchFinder) {
+	st := e.begin(p)
+	for st.pos < len(p) {
+		start, segEnd := st.pos, min(st.pos+segmentLen, len(p))
+		lit0, dist0 := e.litFreq, e.distFreq
+		search(e, p, &st, min(start+trialLen, segEnd), maxChain)
+		if st.pos == len(p) {
+			break // the trial reached the end: nothing is left to decide
+		}
+		switch saving := e.saving(p[start:st.pos], &lit0, &dist0); {
+		case saving >= fullSaving:
+			search(e, p, &st, len(p), maxChain)
+		case saving >= shallowSaving:
+			search(e, p, &st, segEnd, shallowChain)
+		default:
+			e.literals(p, &st, segEnd)
+		}
+	}
+	e.finish(p, &st)
+}
+
+// begin readies e for a search over p and returns its starting state.
+func (e *deflator) begin(p []byte) searchState {
+	clear(e.head[:])
+	clear(e.litFreq[:])
+	clear(e.distFreq[:])
+	if cap(e.tokens) < len(p) {
+		e.tokens = make([]uint32, 0, MaxPayload)
+	}
+	e.tokens = e.tokens[:0]
+	return searchState{prevLen: minMatch - 1}
+}
+
+// finish closes a search that has reached the end of p: what is pending
+// there is a literal, since a match pending at the last position would
+// have been taken.
+func (e *deflator) finish(p []byte, st *searchState) {
+	if st.pending {
+		e.tokens = append(e.tokens, uint32(p[len(p)-1])<<16)
 		e.litFreq[p[len(p)-1]]++
 	}
 	e.litFreq[endBlock] = 1
-	e.tokens = tokens
+}
+
+// saving estimates what the tokens counted since lit0 and dist0 save
+// over coding b, the bytes they cover, as literals, as a share of the
+// latter. Each side is costed under a Huffman code built for its own
+// counts, plus the extra bits of lengths and distances.
+func (e *deflator) saving(b []byte, lit0 *[numLit]uint16, dist0 *[numDist]uint16) float64 {
+	var byteFreq [256]uint16
+	for _, c := range b {
+		byteFreq[c]++
+	}
+	var lit [numLit]uint16
+	var dist [numDist]uint16
+	extra := 0
+	for s := range lit {
+		lit[s] = e.litFreq[s] - lit0[s]
+		if s > endBlock {
+			extra += int(lit[s]) * int(lenExtra[s-257])
+		}
+	}
+	for s := range dist {
+		dist[s] = e.distFreq[s] - dist0[s]
+		extra += int(dist[s]) * int(distExtra[s])
+	}
+	literal := e.codeBits(byteFreq[:])
+	return 1 - float64(e.codeBits(lit[:])+e.codeBits(dist[:])+extra)/float64(literal)
+}
+
+// codeBits is the size of symbols with these counts under a Huffman code
+// built for them, in e.lit's scratch (planTokens rebuilds it).
+func (e *deflator) codeBits(freq []uint16) int {
+	e.lit.lengths(freq, maxBits, &e.sorted)
+	n := 0
+	for s, f := range freq {
+		n += int(f) * int(e.lit.len[s])
+	}
+	return n
 }
 
 func distSym(dist int) uint8 {
@@ -470,8 +619,8 @@ const (
 // Huffman or stored, whichever is smallest — up to the point of writing
 // it, and returns its size in bytes: never more than len(p)+5. emit
 // writes the block planned last.
-func (e *deflator) plan(p []byte, chain int) int {
-	e.tokenize(p, chain)
+func (e *deflator) plan(p []byte) int {
+	e.tokenize(p, (*deflator).search)
 	return e.planTokens(len(p))
 }
 

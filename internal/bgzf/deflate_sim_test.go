@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"os/exec"
 	"testing"
@@ -105,8 +106,9 @@ func TestDeflateSimColumns(t *testing.T) {
 // our bytes" guard. zlib is stricter than compress/flate about
 // incomplete and degenerate Huffman codes, so when the gzip binary is
 // installed it must decode a multi-block BAM written at codec workers 1
-// and 4, and the correctness table's members (single literal, no
-// distance code, stored, fixed), to the bytes bgzf.Reader returns.
+// and 4, the correctness table's members (single literal, no distance
+// code, stored, fixed) and the non-stationary table's, to the bytes
+// bgzf.Reader returns.
 func TestGzipInflatesOurMembers(t *testing.T) {
 	gz, err := exec.LookPath("gzip")
 	if err != nil {
@@ -130,11 +132,15 @@ func TestGzipInflatesOurMembers(t *testing.T) {
 		}
 		streams[fmt.Sprintf("bam, %d codec workers", workers)] = buf.Bytes()
 	}
-	var table []byte
+	var table, shifts []byte
 	for _, c := range bgzf.DeflateCases() {
 		table = append(table, deflateOne(t, c.Payload)...)
 	}
+	for _, c := range shiftCases(t) {
+		shifts = append(shifts, deflateOne(t, c.payload)...)
+	}
 	streams["correctness table"] = append(table, bgzf.EOFMarker()...)
+	streams["non-stationary table"] = append(shifts, bgzf.EOFMarker()...)
 
 	for name, stream := range streams {
 		if n := len(members(t, stream)); n < 3 {
@@ -170,6 +176,9 @@ func FuzzDeflateBlock(f *testing.F) {
 	for _, p := range bamSet.payloads {
 		f.Add(p)
 	}
+	for _, c := range shiftCases(f) {
+		f.Add(c.payload)
+	}
 	same := sameBytes()
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > bgzf.MaxPayload {
@@ -185,16 +194,17 @@ func FuzzDeflateBlock(f *testing.F) {
 // sameBytes reports whether the encoder, at the product's chain depth,
 // deflates a payload to the same bytes as the reference search.
 func sameBytes() func(p []byte) bool {
-	enc, ref := bgzf.NewRawDeflate(bgzf.MaxChain), bgzf.NewReferenceDeflate(bgzf.MaxChain)
+	enc, ref := bgzf.NewRawDeflate(), bgzf.NewReferenceDeflate()
 	a, b := make([]byte, 0, bgzf.MaxBlockSize), make([]byte, 0, bgzf.MaxBlockSize)
 	return func(p []byte) bool { return bytes.Equal(enc(a, p), ref(b, p)) }
 }
 
 // TestMatchfinderSameBytes holds the four-byte candidate test to its
 // promise: it rejects only candidates that cannot beat best, so the
-// search takes the reference's matches and every payload the product
-// hands the encoder — the correctness table, a BAM's members and each
-// PAMX column's, on both frontier inputs — deflates to the same bytes.
+// search takes the reference's matches at every depth the planner runs
+// it, and every payload the product hands the encoder — the correctness
+// table, a BAM's members and each PAMX column's, on both frontier
+// inputs — deflates to the same bytes.
 func TestMatchfinderSameBytes(t *testing.T) {
 	table := payloadSet{name: "correctness table"}
 	for _, c := range bgzf.DeflateCases() {
@@ -218,6 +228,132 @@ func TestMatchfinderSameBytes(t *testing.T) {
 				t.Errorf("%s: payload %d of %d deflates differently from the reference search", set.name, i, len(set.payloads))
 				break
 			}
+		}
+	}
+}
+
+// TestPlannerByteBounds holds the planner to its byte bounds on every
+// payload the product hands the encoder at the frontier's size: each BAM
+// member is the full search's, byte for byte; the PAMX columns together
+// stay within ±0.5 % of the full search (half out_in_ratio's bound); and
+// packed bases, where matches do not pay, come out no larger.
+func TestPlannerByteBounds(t *testing.T) {
+	planned, full := bgzf.NewRawDeflate(), bgzf.NewFullDeflate(bgzf.MaxChain)
+	a, b := make([]byte, 0, bgzf.MaxBlockSize), make([]byte, 0, bgzf.MaxBlockSize)
+	for _, in := range frontierInputs(40000) {
+		bamSet, columns := simPayloads(t, in.cfg)
+		for i, p := range bamSet.payloads {
+			if !bytes.Equal(planned(a, p), full(b, p)) {
+				t.Errorf("%s: BAM payload %d of %d differs from the full search's bytes", in.name, i, len(bamSet.payloads))
+				break
+			}
+		}
+		got, want := make([]int, len(columns)), make([]int, len(columns))
+		for c, col := range columns {
+			for _, p := range col.payloads {
+				got[c] += len(planned(a, p))
+				want[c] += len(full(b, p))
+			}
+		}
+		failed := false
+		if sum(got) < sum(want)*995/1000 || sum(got) > sum(want)*1005/1000 {
+			t.Errorf("%s: PAMX columns deflate to %d bytes, %+.2f%% off the full search's %d", in.name, sum(got), 100*(float64(sum(got))/float64(sum(want))-1), sum(want))
+			failed = true
+		}
+		for c, col := range columns {
+			if col.name == "seq" && got[c] > want[c] {
+				t.Errorf("%s: seq deflates to %d bytes, more than the full search's %d", in.name, got[c], want[c])
+				failed = true
+			}
+		}
+		if !failed {
+			continue
+		}
+		for c, col := range columns {
+			var searched, shallow, literal int
+			for _, p := range col.payloads {
+				f, s, l := bgzf.PlanTiers(p)
+				searched, shallow, literal = searched+f, shallow+s, literal+l
+			}
+			t.Logf("%s %-5s: %d bytes against %d; %d searched in full, %d at the shallow chain, %d as literals",
+				in.name, col.name, got[c], want[c], searched, shallow, literal)
+		}
+	}
+}
+
+func sum(v []int) (n int) {
+	for _, x := range v {
+		n += x
+	}
+	return n
+}
+
+type shiftCase struct {
+	name    string
+	payload []byte
+}
+
+// shiftCases is a table of full payloads whose content changes once,
+// between the product's shapes and random bytes, in both directions:
+// from a part the planner codes as literals or at the shallow chain into
+// one that matches pay for, and back.
+func shiftCases(t testing.TB) []shiftCase {
+	t.Helper()
+	cfg := simdata.DefaultConfig(3000)
+	var text bytes.Buffer
+	if err := simdata.Generate(cfg).WriteSAM(&text); err != nil {
+		t.Fatal(err)
+	}
+	bamSet, columns := simPayloads(t, cfg)
+	random := make([]byte, bgzf.MaxPayload)
+	rand.New(rand.NewSource(51)).Read(random)
+	shapes := map[string][]byte{
+		"random": random, "text": text.Bytes(), "BAM": bytes.Join(bamSet.payloads[1:], nil),
+		"packed bases": bytes.Join(columns[3].payloads, nil), "qualities": bytes.Join(columns[4].payloads, nil),
+	}
+	var cases []shiftCase
+	for _, c := range []struct {
+		first  string
+		n      int
+		second string
+	}{
+		{"random", 2 << 10, "text"},
+		{"random", 4 << 10, "text"},
+		{"random", 16 << 10, "text"},
+		{"text", 16 << 10, "random"},
+		{"packed bases", 2 << 10, "BAM"},
+		{"packed bases", 8 << 10, "BAM"},
+		{"qualities", 4 << 10, "BAM"},
+		{"BAM", 8 << 10, "packed bases"},
+	} {
+		first, second := shapes[c.first], shapes[c.second]
+		if len(first) < c.n || len(second) < bgzf.MaxPayload-c.n {
+			t.Fatalf("%s or %s is short", c.first, c.second)
+		}
+		p := append(bytes.Clone(first[:c.n]), second[:bgzf.MaxPayload-c.n]...)
+		cases = append(cases, shiftCase{fmt.Sprintf("%s %d KiB + %s", c.first, c.n>>10, c.second), p})
+	}
+	return cases
+}
+
+// TestPlannerShifts holds the planner to within 3 % of the full search
+// on payloads whose content changes once: a part coded as literals must
+// hand over to the search when matches start to pay (the probe), and
+// every member must inflate back to its payload through unwrapBlock,
+// compress/flate and compress/gzip.
+func TestPlannerShifts(t *testing.T) {
+	planned, full := bgzf.NewRawDeflate(), bgzf.NewFullDeflate(bgzf.MaxChain)
+	a, b := make([]byte, 0, bgzf.MaxBlockSize), make([]byte, 0, bgzf.MaxBlockSize)
+	for _, c := range shiftCases(t) {
+		member := deflateOne(t, c.payload)
+		bgzf.CheckMember(t, c.payload, member)
+		if got := members(t, append(member, bgzf.EOFMarker()...)); len(got) != 1 || !bytes.Equal(got[0], c.payload) {
+			t.Fatalf("%s: unwrapBlock does not inflate the member back to its payload", c.name)
+		}
+		got, want := len(planned(a, c.payload)), len(full(b, c.payload))
+		t.Logf("%s: %d bytes, %+.2f%% against the full search", c.name, got, 100*(float64(got)/float64(want)-1))
+		if got*100 > want*103 {
+			t.Errorf("%s: %d bytes, more than 3 %% over the full search's %d", c.name, got, want)
 		}
 	}
 }
@@ -246,12 +382,12 @@ func frontierInputs(reads int) []struct {
 }
 
 // TestDeflateFrontier prints DESIGN.md's codec frontier: compress/flate
-// at every level against the in-tree encoder at four chain depths and
-// the reference search at the product's, one thread, over the payloads
-// of two generated inputs. Each pass runs every codec once, round-robin,
-// and each row keeps its fastest of five passes, so a noisy neighbour
-// cannot single out one row. It measures, so it only runs when asked:
-// `make deflate-frontier`.
+// at every level against the in-tree full search at four chain depths,
+// the reference search under the planner and the planner the product
+// runs, one thread, over the payloads of two generated inputs. Each pass
+// runs every codec once, round-robin, and each row keeps its fastest of
+// five passes, so a noisy neighbour cannot single out one row. It
+// measures, so it only runs when asked: `make deflate-frontier`.
 func TestDeflateFrontier(t *testing.T) {
 	if os.Getenv("BGZF_FRONTIER") == "" {
 		t.Skip("set BGZF_FRONTIER=1 to measure")
@@ -277,11 +413,11 @@ func TestDeflateFrontier(t *testing.T) {
 		}})
 	}
 	for _, chain := range []int{32, 64, 96, 128} {
-		if chain == bgzf.MaxChain {
-			codecs = append(codecs, codec{fmt.Sprintf("reference search (parent), chain %d", chain), bgzf.NewReferenceDeflate(chain)})
-		}
-		codecs = append(codecs, codec{fmt.Sprintf("in-tree chain %d", chain), bgzf.NewRawDeflate(chain)})
+		codecs = append(codecs, codec{fmt.Sprintf("in-tree full search, chain %d", chain), bgzf.NewFullDeflate(chain)})
 	}
+	codecs = append(codecs,
+		codec{"reference search, planner", bgzf.NewReferenceDeflate()},
+		codec{"in-tree planner (chosen)", bgzf.NewRawDeflate()})
 
 	const passes = 5
 	for _, in := range frontierInputs(40000) {

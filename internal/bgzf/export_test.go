@@ -15,29 +15,61 @@ import (
 // DeflateCases is the encoder's correctness table.
 var DeflateCases = deflateCases
 
-// MaxChain is the chain depth the product searches at.
+// MaxChain is the chain depth of the full search.
 const MaxChain = maxChain
 
-// NewRawDeflate returns the bare encoder — no BGZF wrapping — at a chosen
-// chain depth, for the frontier table; production runs at maxChain only.
-func NewRawDeflate(chain int) func(dst, p []byte) []byte {
+// NewRawDeflate returns the product's encoder bare, without the BGZF
+// wrapping.
+func NewRawDeflate() func(dst, p []byte) []byte {
 	e := new(deflator)
 	return func(dst, p []byte) []byte {
-		e.plan(p, chain)
+		e.plan(p)
+		return e.emit(dst[:0], p)
+	}
+}
+
+// NewFullDeflate is NewRawDeflate with no planner: the full search over
+// the whole payload at a chosen chain depth, for the frontier table and
+// the planner's byte bounds.
+func NewFullDeflate(chain int) func(dst, p []byte) []byte {
+	e := new(deflator)
+	return func(dst, p []byte) []byte {
+		st := e.begin(p)
+		e.search(p, &st, len(p), chain)
+		e.finish(p, &st)
+		e.planTokens(len(p))
 		return e.emit(dst[:0], p)
 	}
 }
 
 // NewReferenceDeflate is NewRawDeflate over the reference search below,
 // which tests a candidate on the one byte at best where the encoder tests
-// the four bytes ending there. Both must emit the same bytes.
-func NewReferenceDeflate(chain int) func(dst, p []byte) []byte {
+// the four bytes ending there. The planner runs both at every depth it
+// uses, and they must emit the same bytes.
+func NewReferenceDeflate() func(dst, p []byte) []byte {
 	e := new(deflator)
 	return func(dst, p []byte) []byte {
-		refTokenize(e, p, chain)
+		e.tokenize(p, refSearch)
 		e.planTokens(len(p))
 		return e.emit(dst[:0], p)
 	}
+}
+
+// PlanTiers reports how the planner codes p: the bytes searched at
+// maxChain (its trials included), at the shallow chain, and coded as
+// literals.
+func PlanTiers(p []byte) (full, shallow, literal int) {
+	e := new(deflator)
+	e.tokenize(p, func(e *deflator, p []byte, st *searchState, end, chain int) {
+		from := st.pos
+		e.search(p, st, end, chain)
+		if chain == shallowChain {
+			shallow += st.pos - from
+		} else {
+			full += st.pos - from
+		}
+	})
+	return full, shallow, len(p) - full - shallow
 }
 
 // refLongestMatch rejects a candidate on the one byte at best.
@@ -71,26 +103,15 @@ func refLongestMatch(e *deflator, p []byte, pos, cand, best, chain int) (length,
 	return best, dist
 }
 
-// refTokenize is deflator.tokenize calling refLongestMatch.
-func refTokenize(e *deflator, p []byte, chain int) {
-	clear(e.head[:])
-	clear(e.litFreq[:])
-	clear(e.distFreq[:])
-	tokens := e.tokens[:0]
+// refSearch is deflator.search calling refLongestMatch.
+func refSearch(e *deflator, p []byte, st *searchState, end, chain int) {
+	tokens := e.tokens
 	lastHash := len(p) - minMatch
-	insert := func(pos int) int {
-		h := hash4(p, pos)
-		cand := e.head[h]
-		e.prev[pos] = cand
-		e.head[h] = uint16(pos + 1)
-		return int(cand) - 1
-	}
-
-	prevLen, prevDist, pending := minMatch-1, 0, false
-	for pos := 0; pos < len(p); {
+	pos, prevLen, prevDist, pending := st.pos, st.prevLen, st.prevDist, st.pending
+	for pos < end {
 		curLen, curDist := minMatch-1, 0
 		if pos <= lastHash {
-			cand := insert(pos)
+			cand := e.insert(p, pos)
 			if cand >= 0 && pos-cand <= windowSize && prevLen < lazyLen && prevLen < len(p)-pos {
 				curLen, curDist = refLongestMatch(e, p, pos, cand, prevLen, chain)
 			}
@@ -99,10 +120,10 @@ func refTokenize(e *deflator, p []byte, chain int) {
 			tokens = append(tokens, uint32(prevLen-3)<<16|uint32(prevDist))
 			e.litFreq[257+int(lenCode[prevLen-3])]++
 			e.distFreq[distSym(prevDist)]++
-			end := pos - 1 + prevLen
-			for pos++; pos < end; pos++ {
+			matchEnd := pos - 1 + prevLen
+			for pos++; pos < matchEnd; pos++ {
 				if pos <= lastHash {
-					insert(pos)
+					e.insert(p, pos)
 				}
 			}
 			prevLen, pending = minMatch-1, false
@@ -115,12 +136,8 @@ func refTokenize(e *deflator, p []byte, chain int) {
 		prevLen, prevDist, pending = curLen, curDist, true
 		pos++
 	}
-	if pending {
-		tokens = append(tokens, uint32(p[len(p)-1])<<16)
-		e.litFreq[p[len(p)-1]]++
-	}
-	e.litFreq[endBlock] = 1
 	e.tokens = tokens
+	*st = searchState{pos, prevLen, prevDist, pending}
 }
 
 // CheckMember fails t unless member is a BGZF member that both

@@ -1,8 +1,9 @@
-// Package fastq reads and writes the FASTA and FASTQ sequence formats,
-// closing the converter's loop: the files the converter emits can be
-// read back, validated and fed to downstream tools. FASTA sequences may
-// span multiple lines; FASTQ records are the conventional four-line form
-// with free-text "+" separators tolerated.
+// The FASTA and FASTQ readers and writers the package's tests read the
+// converter's output back through: a test oracle, linked by no product
+// binary (the converter renders both formats through internal/formats).
+// FASTA sequences may span multiple lines; FASTQ records are the
+// conventional four-line form with free-text "+" separators tolerated.
+
 package fastq
 
 import (
