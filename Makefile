@@ -28,10 +28,12 @@ race:
 # line engine (internal/sam), the SAM analyses and the sorter that read
 # through it, the PAMX group writer whose flush stage deflates on the
 # shared pool beside its producer (internal/formats/pamx), the shared
-# deflate pool and the parpipe plumbing under them, and the engine and
-# daemon that drive them concurrently. `ci` runs the full sweep.
+# deflate pool and the parpipe plumbing under them, the engine and
+# daemon that drive them concurrently, and the dataset generator whose
+# simulation streams run on goroutines (internal/simdata). `ci` runs the
+# full sweep.
 race-convert:
-	$(GO) test -race -count=1 ./internal/conv ./internal/shard ./internal/formats ./internal/formats/pamx ./internal/bamx ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
+	$(GO) test -race -count=1 ./internal/conv ./internal/shard ./internal/simdata ./internal/formats ./internal/formats/pamx ./internal/bamx ./internal/sam ./internal/hist ./internal/flagstat ./internal/sorter ./internal/bgzf ./internal/parpipe ./internal/engine ./internal/daemon
 
 # A short deterministic fuzz pass over the wire-frame decoder: corrupt
 # frames must error, never panic or over-allocate.

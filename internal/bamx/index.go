@@ -1,10 +1,12 @@
 package bamx
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -26,19 +28,21 @@ type Index struct {
 	entries []Entry
 }
 
-// NewIndex builds an index from entries, sorting them into BAIX order.
+// NewIndex builds an index from entries, sorting them into BAIX order in
+// place: the index takes the slice over, and the caller must not use it
+// again. Ties on (RefID, Pos) are broken on Index, so the order, and the
+// BAIX bytes, do not depend on the order entries arrive in.
 func NewIndex(entries []Entry) *Index {
-	es := append([]Entry(nil), entries...)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].RefID != es[j].RefID {
-			return es[i].RefID < es[j].RefID
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if a.RefID != b.RefID {
+			return cmp.Compare(a.RefID, b.RefID)
 		}
-		if es[i].Pos != es[j].Pos {
-			return es[i].Pos < es[j].Pos
+		if a.Pos != b.Pos {
+			return cmp.Compare(a.Pos, b.Pos)
 		}
-		return es[i].Index < es[j].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
-	return &Index{entries: es}
+	return &Index{entries: entries}
 }
 
 // appendEntry appends record i's entry, read from the BAM fixed section

@@ -175,6 +175,7 @@ type bamxSink struct {
 	buf        *bufio.Writer
 	caps       bamx.Caps
 	n          int64
+	length     [4]byte // a body's length prefix in the spill
 }
 
 func createBAMX(sk *Sink, out *os.File, h *sam.Header, s settings) (encoder, error) {
@@ -193,7 +194,8 @@ func (e *bamxSink) writeBody(body []byte) error {
 	if err := e.caps.Observe(body); err != nil {
 		return err
 	}
-	e.buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(body))))
+	binary.LittleEndian.PutUint32(e.length[:], uint32(len(body)))
+	e.buf.Write(e.length[:])
 	_, err := e.buf.Write(body) // sticky: reports the first failed write
 	e.n++
 	return err

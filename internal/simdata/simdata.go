@@ -8,13 +8,18 @@
 package simdata
 
 import (
-	"fmt"
+	"cmp"
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"parseq/internal/bam"
+	"parseq/internal/kern"
 	"parseq/internal/sam"
 )
 
@@ -98,48 +103,122 @@ func Generate(cfg Config) *Dataset {
 		CommandLine: "bwa sampe ref.fa r1.sai r2.sai r1.fq r2.fq",
 	})
 
+	// A base's quality draw is bounded by its offset in the read alone.
+	qualDraws := make([]bounded, cfg.ReadLen)
+	for j := range qualDraws {
+		qualDraws[j] = newBounded(1 + (j*len(baseQualities))/(2*cfg.ReadLen))
+	}
 	recs := make([]sam.Record, 0, cfg.NumReads)
 	for i := 0; i < cfg.NumReads; i++ {
-		recs = append(recs, generateRecord(rng, cfg, h, i))
+		recs = append(recs, generateRecord(rng, cfg, qualDraws, i))
 	}
 	if cfg.Sorted {
-		sort.SliceStable(recs, func(i, j int) bool {
-			ri, rj := h.RefID(recs[i].RName), h.RefID(recs[j].RName)
-			if ri != rj {
-				// Unmapped (-1) records sort last, as samtools does.
-				if ri < 0 {
-					return false
-				}
-				if rj < 0 {
-					return true
-				}
-				return ri < rj
-			}
-			return recs[i].Pos < recs[j].Pos
-		})
+		sortByCoordinate(h, recs)
 	}
 	return &Dataset{Header: h, Records: recs}
+}
+
+// sortByCoordinate puts recs in coordinate order, unmapped records last as
+// samtools does, keeping generation order among equal coordinates. It
+// sorts one 12-byte key per record, read once, rather than the records,
+// and then moves each record once along the cycles of the permutation.
+func sortByCoordinate(h *sam.Header, recs []sam.Record) {
+	type key struct {
+		ref uint32 // RefID as unsigned, so unmapped (-1) sorts last
+		pos int32
+		i   uint32 // generation index: the tie-break a stable sort keeps
+	}
+	keys := make([]key, len(recs))
+	for i := range recs {
+		keys[i] = key{uint32(h.RefID(recs[i].RName)), recs[i].Pos, uint32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.ref != b.ref {
+			return cmp.Compare(a.ref, b.ref)
+		}
+		if a.pos != b.pos {
+			return cmp.Compare(a.pos, b.pos)
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	// Position k takes record keys[k].i. Each cycle is walked from its
+	// first position, and a placed position's key is set to itself.
+	for start := range keys {
+		if keys[start].i == uint32(start) {
+			continue
+		}
+		first := recs[start]
+		k := start
+		for {
+			from := int(keys[k].i)
+			keys[k].i = uint32(k)
+			if from == start {
+				recs[k] = first
+				break
+			}
+			recs[k] = recs[from]
+			k = from
+		}
+	}
 }
 
 const bases = "ACGT"
 const baseQualities = "##'+2:BFHIIJJJ" // Illumina-like quality alphabet, low to high
 
-func generateRecord(rng *rand.Rand, cfg Config, h *sam.Header, i int) sam.Record {
-	n := cfg.ReadLen
-	seq := make([]byte, n)
-	qual := make([]byte, n)
-	for j := range seq {
-		seq[j] = bases[rng.Intn(4)]
-		// Qualities degrade toward the read's 3' end, like real Illumina data.
-		idx := len(baseQualities) - 1 - rng.Intn(1+(j*len(baseQualities))/(2*n))
-		qual[j] = baseQualities[idx]
+// bounded draws rng.Intn(n) for one bound 0 < n < 1<<31. It takes the
+// same values from the source as math/rand's Int31n, whose stream Go 1
+// compatibility fixes, but works out its rejection threshold once.
+type bounded struct{ n, max int32 }
+
+func newBounded(n int) bounded {
+	b := bounded{n: int32(n), max: math.MaxInt32}
+	if n&(n-1) != 0 { // a power of two is masked, with no rejection
+		b.max = int32((1 << 31) - 1 - (1<<31)%uint32(n))
 	}
-	qname := fmt.Sprintf("HWI-ST%04d:8:1101:%05d:%06d", rng.Intn(10000), rng.Intn(99999), i)
+	return b
+}
+
+func (b bounded) draw(rng *rand.Rand) int {
+	v := int32(rng.Int63() >> 32)
+	for v > b.max {
+		v = int32(rng.Int63() >> 32)
+	}
+	return int(v % b.n)
+}
+
+// appendPadded appends v ≥ 0 in decimal, zero-padded to width digits as
+// fmt's %0*d does.
+func appendPadded(dst []byte, v, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(v), 10)
+	for k := len(d); k < width; k++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
+
+func generateRecord(rng *rand.Rand, cfg Config, qualDraws []bounded, i int) sam.Record {
+	n := cfg.ReadLen
+	// SEQ, QUAL and QNAME share one allocation, in that order.
+	buf := make([]byte, 2*n, 2*n+len("HWI-ST0000:8:1101:00000:")+20)
+	for j := 0; j < n; j++ {
+		buf[j] = bases[rng.Int63()>>32&3] // rng.Intn(4)
+		// Qualities degrade toward the read's 3' end, like real Illumina data.
+		buf[n+j] = baseQualities[len(baseQualities)-1-qualDraws[j].draw(rng)]
+	}
+	buf = append(buf, "HWI-ST"...)
+	buf = appendPadded(buf, rng.Intn(10000), 4)
+	buf = append(buf, ":8:1101:"...)
+	buf = appendPadded(buf, rng.Intn(99999), 5)
+	buf = append(buf, ':')
+	buf = appendPadded(buf, i, 6)
+	text := kern.BytesString(buf)
+	seq, qual, qname := text[:n], text[n:2*n], text[2*n:]
 
 	if rng.Float64() < cfg.UnmappedFrac {
 		return sam.Record{
 			QName: qname, Flag: sam.FlagUnmapped, RName: "*", Pos: 0, MapQ: 0,
-			RNext: "*", Seq: string(seq), Qual: string(qual),
+			RNext: "*", Seq: seq, Qual: qual,
 			Tags: []sam.Tag{sam.StringTag("RG", "grp1")},
 		}
 	}
@@ -160,8 +239,8 @@ func generateRecord(rng *rand.Rand, cfg Config, h *sam.Header, i int) sam.Record
 		MapQ:  mapq,
 		Cigar: cigar,
 		RNext: "*",
-		Seq:   string(seq),
-		Qual:  string(qual),
+		Seq:   seq,
+		Qual:  qual,
 		Tags: []sam.Tag{
 			sam.IntTag("NM", int64(rng.Intn(4))),
 			sam.StringTag("RG", "grp1"),
@@ -293,16 +372,31 @@ func Histogram(bins int, seed int64) []float64 {
 // Simulations generates B random-background simulation datasets of the
 // given bin count, as used by the FDR computation: background noise with
 // the same marginal distribution as the histogram's background but no
-// true peaks.
+// true peaks. Each dataset is drawn from its own seeded stream, so the
+// streams run on GOMAXPROCS goroutines and the output does not depend on
+// the core count.
 func Simulations(b, bins int, seed int64) [][]float64 {
 	out := make([][]float64, b)
-	for s := range out {
-		rng := rand.New(rand.NewSource(seed + int64(s)*7919))
-		sim := make([]float64, bins)
-		for i := range sim {
-			sim[i] = math.Max(0, 5+rng.NormFloat64()*2.2)
-		}
-		out[s] = sim
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(b, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := int(next.Add(1) - 1); s < b; s = int(next.Add(1) - 1) {
+				out[s] = simulation(bins, seed+int64(s)*7919)
+			}
+		}()
 	}
+	wg.Wait()
 	return out
+}
+
+func simulation(bins int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	sim := make([]float64, bins)
+	for i := range sim {
+		sim[i] = math.Max(0, 5+rng.NormFloat64()*2.2)
+	}
+	return sim
 }

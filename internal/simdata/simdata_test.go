@@ -2,9 +2,16 @@ package simdata
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"parseq/internal/bam"
@@ -256,5 +263,103 @@ func TestSimulations(t *testing.T) {
 	}
 	if same == len(sims[0]) {
 		t.Error("simulations 0 and 1 identical")
+	}
+}
+
+// TestGenerateGolden pins the generated bytes themselves, not only their
+// repeatability: every dataset, histogram and simulation set the tools and
+// the benchmark build from is fixed by these digests.
+func TestGenerateGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		seed    int64
+		reads   int
+		readLen int
+		sorted  bool
+		want    string
+	}{
+		{"seed1-40k-90-sorted", 1, 40000, 90, true, "375273679b23d620382861baef1c10b6948f577392742530337d23c91debe51c"},
+		{"seed2-40k-150-sorted", 2, 40000, 150, true, "78a37a4efcfce1bcdd524eaf0cae3eb29f98ee07d8db16da5898e926cb02e4da"},
+		{"seed3-5k-90-unsorted", 3, 5000, 90, false, "df18ba47b823a3becdf26334a8ea506c40acc5ba69d36dba0ade1c44e46ce2e7"},
+		{"seed7-one-read", 7, 1, 90, true, "545d614b3b5a73c8d78823c984f0ab4e584b44d611ea1c6a8030bd5e6dbd6ce6"},
+		{"seed9-no-reads", 9, 0, 90, true, "4e5417892a99e27bd5947e5af2cdd462b98c31a5e094fcc0d2a59a68cf97a582"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.reads)
+			cfg.Seed, cfg.ReadLen, cfg.Sorted = tc.seed, tc.readLen, tc.sorted
+			h := sha256.New()
+			if err := Generate(cfg).WriteSAM(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("sha256(WriteSAM) = %s, want %s", got, tc.want)
+			}
+		})
+	}
+	floats := func(vs ...[]float64) string {
+		h := sha256.New()
+		var b [8]byte
+		for _, v := range vs {
+			for _, x := range v {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+				h.Write(b[:])
+			}
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	if got, want := floats(Histogram(200000, 1)), "24faacb9844c1e20f976e662b1e6dbc242ee3e916e2f5ea19dec59db373c3d09"; got != want {
+		t.Errorf("sha256(Histogram) = %s, want %s", got, want)
+	}
+	if got, want := floats(Simulations(40, 200000, 2)...), "c7526c0b400cf83dfe40fdfd84cc0ee570ef43d1512408b9e43ce21088f906a1"; got != want {
+		t.Errorf("sha256(Simulations) = %s, want %s", got, want)
+	}
+}
+
+// simulationsReference is Simulations drawn one stream at a time.
+func simulationsReference(b, bins int, seed int64) [][]float64 {
+	out := make([][]float64, b)
+	for s := range out {
+		rng := rand.New(rand.NewSource(seed + int64(s)*7919))
+		out[s] = make([]float64, bins)
+		for i := range out[s] {
+			out[s][i] = math.Max(0, 5+rng.NormFloat64()*2.2)
+		}
+	}
+	return out
+}
+
+func TestSimulationsIndependentOfCores(t *testing.T) {
+	want := simulationsReference(9, 3000, 5)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, b := range []int{0, 1, 9} {
+				got := Simulations(b, 3000, 5)
+				if len(got) != b {
+					t.Fatalf("Simulations(%d) returned %d datasets", b, len(got))
+				}
+				for s := range got {
+					if !slices.Equal(got[s], want[s]) {
+						t.Fatalf("Simulations(%d): dataset %d differs from the one-stream reference", b, s)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBoundedMatchesIntn checks the quality draw against the math/rand
+// call it stands for: over every bound a quality draw uses (1 to 7, at
+// any read length), and over large bounds, one of which rejects about
+// half the values it reads.
+func TestBoundedMatchesIntn(t *testing.T) {
+	a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 1000, 1<<30 + 1, 1<<31 - 1} {
+		d := newBounded(n)
+		for k := 0; k < 2000; k++ {
+			if got, want := d.draw(a), b.Intn(n); got != want {
+				t.Fatalf("bound %d, draw %d: got %d, want %d", n, k, got, want)
+			}
+		}
 	}
 }
