@@ -1,6 +1,7 @@
 # parseq build/test entry points. `make ci` is the gate every change
 # must pass: vet, staticcheck (when installed), formatting, build, the
-# product-binary dependency check, the full race-enabled test suite, a
+# product-binary dependency check, the unlinked-function ratchet
+# (linkcheck), the full race-enabled test suite, a
 # one-iteration smoke run of the five surviving testing.B benchmarks
 # (obs per-op costs, the kern scalar-vs-SWAR ratio), the paper
 # reproduction smoke, and the metrics-schema and live-endpoint smoke
@@ -8,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-body fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check linkcheck loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-body fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -250,6 +251,41 @@ deps-check:
 		echo "deps-check: a command runs the statistics module or an in-process world around engine.Run:"; echo "$$bad"; exit 1; \
 	fi
 
+# A ratchet on code no binary runs: build every command and example with
+# inlining off, read their symbols with `go tool nm`, and fail on any
+# non-test function of parseq or internal/ that none of them links and
+# that linkcheck.allow does not name with a reason, and on an allowlist
+# line whose function is linked again or gone. A function only tests
+# call belongs in a _test.go file.
+linkcheck:
+	@set -e; export LC_ALL=C; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/bin"; $(GO) build -gcflags=all=-l -o "$$tmp/bin/" ./cmd/... ./examples/...; \
+	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b"; done | awk '{ \
+		name = $$3; for (i = 4; i <= NF; i++) name = name " " $$i; \
+		if (name !~ /^parseq(\/internal\/|\.)/) next; \
+		out = ""; d = 0; \
+		for (i = 1; i <= length(name); i++) { c = substr(name, i, 1); \
+			if (c == "[") d++; else if (c == "]") d--; else if (d == 0) out = out c } \
+		gsub(/\(\*/, "", out); gsub(/\)/, "", out); print out }' | sort -u > "$$tmp/linked"; \
+	$(GO) list -f '{{$$p := .ImportPath}}{{range .GoFiles}}{{$$p}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./... | \
+	grep -E '^parseq(/internal/| )' | while read -r pkg file; do \
+		awk -v pkg="$$pkg" '/^func / { s = substr($$0, 6); recv = ""; \
+			if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+				n = split(r, f, " "); recv = f[n]; sub(/^\*/, "", recv); sub(/\[.*/, "", recv); recv = recv "." } \
+			match(s, /^[A-Za-z0-9_]+/); name = substr(s, 1, RLENGTH); \
+			if (name != "init" && name != "_") print pkg "." recv name }' "$$file"; \
+	done | sort -u > "$$tmp/declared"; \
+	grep '^parseq' linkcheck.allow | awk '{ print $$1 }' | sort > "$$tmp/allowed"; \
+	comm -23 "$$tmp/declared" "$$tmp/linked" > "$$tmp/unlinked"; \
+	bad=$$(comm -23 "$$tmp/unlinked" "$$tmp/allowed"); \
+	stale=$$(comm -13 "$$tmp/unlinked" "$$tmp/allowed"); \
+	if [ -n "$$bad" ]; then \
+		echo "linkcheck: no binary links these, and linkcheck.allow gives no reason:"; echo "$$bad"; fi; \
+	if [ -n "$$stale" ]; then \
+		echo "linkcheck: linkcheck.allow names these, which are linked or gone:"; echo "$$stale"; fi; \
+	if [ -n "$$bad$$stale" ]; then exit 1; fi; \
+	echo "linkcheck: OK ($$(wc -l < "$$tmp/allowed") allowed)"
+
 # Non-test lines the way every deletion PR since PR 15 has counted them
 # (raw lines, comments included), per package and for the sets ROADMAP.md
 # tracks, so a PR's CHANGES.md entry and the next one quote one number.
@@ -337,5 +373,5 @@ daemon-endpoint-smoke:
 	[ "$$rc" -eq 143 ] || { echo "daemon-endpoint-smoke: seqconvd exit $$rc, want 143"; cat "$$tmp/seqconvd.log"; exit 1; }; \
 	echo "daemon-endpoint-smoke: OK"
 
-ci: vet staticcheck fmt-check build deps-check race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke
+ci: vet staticcheck fmt-check build deps-check linkcheck race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke
 	@echo "ci: all checks passed"

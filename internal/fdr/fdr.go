@@ -5,15 +5,17 @@
 // false, for a candidate threshold p_t.
 //
 // Sequential is the reference: a direct transcription of Equations 4-6,
-// Θ(M·B²). The others share one per-bin kernel, countBins, Θ(M·B²) worst
-// case but one insertion sort of B values per bin rather than B² rank
-// comparisons: the paper's fused parallel Algorithm 2 (ParallelFused, and
+// Θ(M·B²). The others share one per-bin kernel, countBins, which counts
+// only the ranks the threshold can select: a rank above ⌊p_t⌋ never adds
+// to FDR(p_t), so each bin keeps just its ⌊p_t⌋+1 largest simulated
+// values, Θ(M·B·(⌊p_t⌋+1)) in all (one full sort of each bin at p_t ≥ B).
+// They are the paper's fused parallel Algorithm 2 (ParallelFused, and
 // Fused on one core), which applies the summation permutation of
 // Equations 7-9 so numerator and denominator are reduced in a single pass
-// with one global synchronisation; the two-pass versions kept as the
-// ablation baseline the paper's "certain extra speedup" claim is
-// measured against; and Sweep, which answers every threshold from one
-// pass. All of it is integer counting, so every implementation returns
+// with one global synchronisation; TwoPass, the unfused one-core baseline
+// the paper's "certain extra speedup" claim is measured against; and
+// Sweep, which answers every threshold from one pass bounded by the
+// largest. All of it is integer counting, so every implementation returns
 // the same bits.
 package fdr
 
@@ -92,16 +94,29 @@ func Sequential(hist []float64, sims [][]float64, pt float64) (float64, error) {
 	return fromSums(num, den, bCount)
 }
 
-// countBins is the per-bin kernel: for bins [lo, hi) it adds to
-// cntRank[r] the number of simulated values whose rank within their bin,
-// rank_ib = Σ_b' I(r*_ib ≤ r*_ib') of Equation 5, is r, and to cntP[p] the
-// number of bins whose p_i of Equation 4 is p. Both have len(sims)+1
-// buckets; a nil one is skipped. The bin's values are insertion-sorted
-// once and rank_ib = m - #{values < r*_ib} is read off the sorted order,
-// ties counted as Equation 5 counts them. A NaN has rank 0 and adds to no
-// other value's rank, since x <= NaN is false.
-func countBins(hist []float64, sims [][]float64, lo, hi int, cntRank, cntP []int64) {
-	sorted := make([]float64, 0, len(sims))
+// countBins is the per-bin kernel: for bins [lo, hi) it adds to cntP[p]
+// the number of bins whose p_i of Equation 4 is p, and to cntRank[r], for
+// every r ≤ maxRank, the number of simulated values whose rank within
+// their bin, rank_ib = Σ_b' I(r*_ib ≤ r*_ib') of Equation 5, is r. Both
+// have len(sims)+1 buckets; a nil cntP is skipped, and so is cntRank when
+// maxRank < 0. Buckets above maxRank are left untouched.
+//
+// rank_ib is the number of the bin's values at or above r*_ib, so only
+// the bin's largest values can have a rank ≤ maxRank: the kernel keeps
+// the min(maxRank, B)+1 largest in a descending buffer, and a value at or
+// below a full buffer's last entry is dropped after one compare. Each tie
+// run of the buffer then has the rank of its last position, ties counted
+// as Equation 5 counts them, except a run that reaches a full buffer's
+// end: equal values may have been dropped past it, and its rank is above
+// maxRank anyway. That is Θ(B·(maxRank+1)) a bin, against Θ(B²) for a
+// full sort; at maxRank ≥ B the buffer never fills and the kernel is an
+// insertion sort of the bin. A NaN has rank 0 and adds to no other
+// value's rank, since x <= NaN is false.
+func countBins(hist []float64, sims [][]float64, lo, hi, maxRank int, cntRank, cntP []int64) {
+	var top []float64
+	if maxRank >= 0 {
+		top = make([]float64, 0, min(maxRank, len(sims))+1)
+	}
 	for i := lo; i < hi; i++ {
 		if cntP != nil {
 			pi, h := 0, hist[i]
@@ -114,34 +129,57 @@ func countBins(hist []float64, sims [][]float64, lo, hi int, cntRank, cntP []int
 			}
 			cntP[pi]++
 		}
-		if cntRank == nil {
+		if maxRank < 0 {
 			continue
 		}
-		sorted = sorted[:0]
+		top = top[:0]
 		for _, sim := range sims {
 			x := sim[i]
+			k := len(top)
+			full := k == cap(top)
+			if full && x <= top[k-1] {
+				continue
+			}
 			if x != x {
 				cntRank[0]++
 				continue
 			}
-			k := len(sorted)
-			sorted = append(sorted, x)
-			for k > 0 && sorted[k-1] > x {
-				sorted[k] = sorted[k-1]
+			if full {
+				k-- // x displaces the smallest kept value
+			} else {
+				top = top[:k+1]
+			}
+			for k > 0 && top[k-1] < x {
+				top[k] = top[k-1]
 				k--
 			}
-			sorted[k] = x
+			top[k] = x
 		}
-		m := len(sorted)
-		for j := 0; j < m; {
+		for j := 0; j < len(top); {
 			k := j + 1
-			for k < m && sorted[k] == sorted[j] {
+			for k < len(top) && top[k] == top[j] {
 				k++
 			}
-			cntRank[m-j] += int64(k - j)
+			if k == cap(top) {
+				break
+			}
+			cntRank[k] += int64(k - j)
 			j = k
 		}
 	}
+}
+
+// rankBound is the largest rank a threshold can select among bCount
+// simulations, the largest r with float64(r) <= pt: ⌊pt⌋ clamped to
+// [-1, bCount], and -1, no rank, for a negative or NaN pt.
+func rankBound(pt float64, bCount int) int {
+	switch {
+	case !(pt >= 0):
+		return -1
+	case pt >= float64(bCount):
+		return bCount
+	}
+	return int(pt)
 }
 
 // upTo sums cnt[r] over the r with float64(r) <= pt, the comparison
@@ -159,21 +197,21 @@ func upTo(cnt []int64, pt float64) int64 {
 // sumStar = Σ_i I(p_i ≤ p_t).
 func binSums(hist []float64, sims [][]float64, pt float64, lo, hi int) (sumDiamond, sumStar int64) {
 	cntRank, cntP := make([]int64, len(sims)+1), make([]int64, len(sims)+1)
-	countBins(hist, sims, lo, hi, cntRank, cntP)
+	countBins(hist, sims, lo, hi, rankBound(pt, len(sims)), cntRank, cntP)
 	return upTo(cntRank, pt), upTo(cntP, pt)
 }
 
-// numerator and denominator are the two halves of the kernel the
-// two-pass versions run as separate sweeps over bins [lo, hi).
+// numerator and denominator are the two halves of the kernel that
+// TwoPass runs as separate sweeps over bins [lo, hi).
 func numerator(hist []float64, sims [][]float64, pt float64, lo, hi int) int64 {
 	cnt := make([]int64, len(sims)+1)
-	countBins(hist, sims, lo, hi, cnt, nil)
+	countBins(hist, sims, lo, hi, rankBound(pt, len(sims)), cnt, nil)
 	return upTo(cnt, pt)
 }
 
 func denominator(hist []float64, sims [][]float64, pt float64, lo, hi int) int64 {
 	cnt := make([]int64, len(sims)+1)
-	countBins(hist, sims, lo, hi, nil, cnt)
+	countBins(hist, sims, lo, hi, -1, nil, cnt)
 	return upTo(cnt, pt)
 }
 
@@ -232,49 +270,21 @@ func ParallelFused(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) (f
 	return fromSums(total[0], total[1], len(sims))
 }
 
-// ParallelTwoPass is the unfused ablation baseline: the numerator is
-// reduced in one parallel step, then — after an additional global
-// synchronisation — the denominator in a second. The paper's summation
-// permutation exists to eliminate exactly this extra barrier.
-func ParallelTwoPass(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) (float64, error) {
-	if err := validate(hist, sims); err != nil {
-		return 0, err
-	}
-	lo, hi := c.SplitRange(len(hist))
-
-	// Pass 1: FDR numerator.
-	sd := numerator(hist, sims, pt, lo, hi)
-	if err := c.Barrier(); err != nil {
-		return 0, err
-	}
-	totalD, err := mpi.AllreduceSum(c, []int64{sd})
-	if err != nil {
-		return 0, err
-	}
-
-	// Pass 2: FDR denominator, behind its own barrier.
-	ss := denominator(hist, sims, pt, lo, hi)
-	if err := c.Barrier(); err != nil {
-		return 0, err
-	}
-	totalS, err := mpi.AllreduceSum(c, []int64{ss})
-	if err != nil {
-		return 0, err
-	}
-	return fromSums(totalD[0], totalS[0], len(sims))
-}
-
 // Sweep evaluates FDR over several candidate thresholds and returns the
 // FDR for each, 0 where nothing is selected. One pass of the kernel
-// counts every rank and p_i; each threshold is then a prefix sum of those
-// counts. Callers use it to pick the smallest threshold whose FDR is
-// below a target.
+// counts every p_i and every rank up to the largest threshold's bound;
+// each threshold is then a prefix sum of those counts. Callers use it to
+// pick the smallest threshold whose FDR is below a target.
 func Sweep(hist []float64, sims [][]float64, thresholds []float64) ([]float64, error) {
 	if err := validate(hist, sims); err != nil {
 		return nil, err
 	}
+	maxRank := -1
+	for _, pt := range thresholds {
+		maxRank = max(maxRank, rankBound(pt, len(sims)))
+	}
 	cntRank, cntP := make([]int64, len(sims)+1), make([]int64, len(sims)+1)
-	countBins(hist, sims, 0, len(hist), cntRank, cntP)
+	countBins(hist, sims, 0, len(hist), maxRank, cntRank, cntP)
 	out := make([]float64, len(thresholds))
 	for k, pt := range thresholds {
 		out[k], _ = fromSums(upTo(cntRank, pt), upTo(cntP, pt), len(sims))

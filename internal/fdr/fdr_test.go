@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +135,39 @@ func TestParallelFusedReducesOnce(t *testing.T) {
 			t.Errorf("%s = %d, want 1", name, got)
 		}
 	}
+}
+
+// ParallelTwoPass is the unfused parallel version, kept as a test oracle
+// (the fusion ablation models it from TwoPass): the numerator is reduced
+// in one parallel step, then, after an additional global synchronisation,
+// the denominator in a second. The paper's summation permutation exists
+// to eliminate exactly this extra barrier.
+func ParallelTwoPass(c *mpi.Comm, hist []float64, sims [][]float64, pt float64) (float64, error) {
+	if err := validate(hist, sims); err != nil {
+		return 0, err
+	}
+	lo, hi := c.SplitRange(len(hist))
+
+	// Pass 1: FDR numerator.
+	sd := numerator(hist, sims, pt, lo, hi)
+	if err := c.Barrier(); err != nil {
+		return 0, err
+	}
+	totalD, err := mpi.AllreduceSum(c, []int64{sd})
+	if err != nil {
+		return 0, err
+	}
+
+	// Pass 2: FDR denominator, behind its own barrier.
+	ss := denominator(hist, sims, pt, lo, hi)
+	if err := c.Barrier(); err != nil {
+		return 0, err
+	}
+	totalS, err := mpi.AllreduceSum(c, []int64{ss})
+	if err != nil {
+		return 0, err
+	}
+	return fromSums(totalD[0], totalS[0], len(sims))
 }
 
 func TestParallelTwoPassMatchesFused(t *testing.T) {
@@ -335,11 +369,184 @@ func directCounts(hist []float64, sims [][]float64) (cntRank, cntP []int64) {
 	return cntRank, cntP
 }
 
+// checkBoundedCounts runs countBins at every bound from -1 to B+1 against
+// directCounts: p_i exact at every bound, every rank up to the bound
+// exact, and every bucket above it untouched.
+func checkBoundedCounts(t *testing.T, hist []float64, sims [][]float64) {
+	t.Helper()
+	b := len(sims)
+	wantRank, wantP := directCounts(hist, sims)
+	for bound := -1; bound <= b+1; bound++ {
+		gotRank, gotP := make([]int64, b+1), make([]int64, b+1)
+		countBins(hist, sims, 0, len(hist), bound, gotRank, gotP)
+		for r := range wantRank {
+			want := wantRank[r]
+			if r > bound {
+				want = 0
+			}
+			if gotRank[r] != want || gotP[r] != wantP[r] {
+				t.Fatalf("bound %d bucket %d: rank %d want %d, p %d want %d",
+					bound, r, gotRank[r], want, gotP[r], wantP[r])
+			}
+		}
+	}
+}
+
+// checkImplementations requires Sequential's bits, or its error, at every
+// threshold from Fused, TwoPass, ParallelFused at 1, 2 and 3 ranks, Sweep
+// over that threshold alone, and Sweep over all of them at once (0 where
+// nothing is selected).
+func checkImplementations(t *testing.T, hist []float64, sims [][]float64, pts []float64) {
+	t.Helper()
+	sweep, err := Sweep(hist, sims, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, pt := range pts {
+		want, errWant := Sequential(hist, sims, pt)
+		if errWant != nil && !errors.Is(errWant, ErrNoSelection) {
+			t.Fatal(errWant)
+		}
+		one, err := Sweep(hist, sims, []float64{pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sweep[k] != want || one[0] != want {
+			t.Errorf("pt=%g: Sweep %v, Sweep alone %v, Sequential %v", pt, sweep[k], one[0], want)
+		}
+		for name, run := range map[string]func([]float64, [][]float64, float64) (float64, error){
+			"Fused": Fused, "TwoPass": TwoPass,
+		} {
+			got, err := run(hist, sims, pt)
+			if !errors.Is(err, errWant) || got != want {
+				t.Errorf("pt=%g: %s %v (%v), Sequential %v (%v)", pt, name, got, err, want, errWant)
+			}
+		}
+		for _, ranks := range []int{1, 2, 3} {
+			got := make([]float64, ranks)
+			errs := make([]error, ranks)
+			if err := mpi.Run(ranks, func(c *mpi.Comm) error {
+				got[c.Rank()], errs[c.Rank()] = ParallelFused(c, hist, sims, pt)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for r := range got {
+				if !errors.Is(errs[r], errWant) || got[r] != want {
+					t.Errorf("pt=%g ranks=%d rank %d: ParallelFused %v (%v), Sequential %v (%v)",
+						pt, ranks, r, got[r], errs[r], want, errWant)
+				}
+			}
+		}
+	}
+}
+
+// thresholdsFor is the threshold table of the bounded kernel's tests:
+// negative, zero, fractional, both ends of the rank range and past it,
+// +Inf and NaN.
+func thresholdsFor(b int) []float64 {
+	return []float64{-1, 0, 0.5, 1, 2.7, float64(b) - 1, float64(b), float64(b) + 3, math.Inf(1), math.NaN()}
+}
+
+func TestRankBound(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		pt   float64
+		b    int
+		want int
+	}{
+		{-1, 40, -1}, {-0.5, 40, -1}, {nan, 40, -1}, {math.Inf(-1), 40, -1},
+		{0, 40, 0}, {0.5, 40, 0}, {1, 40, 1}, {2.7, 40, 2},
+		{39, 40, 39}, {40, 40, 40}, {43, 40, 40}, {inf, 40, 40}, {1, 1, 1}, {2, 1, 1},
+	} {
+		if got := rankBound(c.pt, c.b); got != c.want {
+			t.Errorf("rankBound(%g, %d) = %d, want %d", c.pt, c.b, got, c.want)
+		}
+	}
+}
+
+// TestBoundedKernelCases runs the bounded kernel's edge cases through
+// countBins at every bound and through every implementation at every
+// threshold of thresholdsFor.
+func TestBoundedKernelCases(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	// bins lays out per-bin rows: row i holds bin i's histogram value,
+	// then its B simulated values.
+	bins := func(rows ...[]float64) ([]float64, [][]float64) {
+		hist := make([]float64, len(rows))
+		sims := make([][]float64, len(rows[0])-1)
+		for k := range sims {
+			sims[k] = make([]float64, len(rows))
+		}
+		for i, row := range rows {
+			hist[i] = row[0]
+			for k := range sims {
+				sims[k][i] = row[k+1]
+			}
+		}
+		return hist, sims
+	}
+	// tieHeavy draws small integers with some NaNs and infinities.
+	tieHeavy := func(m, b int) ([]float64, [][]float64) {
+		rng := rand.New(rand.NewSource(int64(b)))
+		rows := make([][]float64, m)
+		for i := range rows {
+			rows[i] = make([]float64, b+1)
+			for k := range rows[i] {
+				switch n := rng.Intn(40); {
+				case n == 0:
+					rows[i][k] = nan
+				case n == 1:
+					rows[i][k] = inf
+				case n == 2:
+					rows[i][k] = -inf
+				default:
+					rows[i][k] = float64(n % 6)
+				}
+			}
+		}
+		return bins(rows...)
+	}
+	type input struct {
+		name string
+		hist []float64
+		sims [][]float64
+	}
+	var cases []input
+	add := func(name string, hist []float64, sims [][]float64) {
+		cases = append(cases, input{name, hist, sims})
+	}
+	// {5, 5, 3}: at bound 1 the 5s run to a full buffer's end (their rank
+	// is 2); at bound 2 the 3 does (its rank is 3). Three arrival orders.
+	h, s := bins([]float64{4, 5, 5, 3}, []float64{5, 3, 5, 5}, []float64{6, 5, 3, 5})
+	add("ties at the last slot", h, s)
+	h, s = bins(
+		[]float64{1, nan, nan, nan, nan},
+		[]float64{nan, inf, inf, 1, nan},
+		[]float64{inf, -inf, -inf, -inf, 0},
+		[]float64{-inf, inf, -inf, nan, inf},
+		[]float64{0, nan, 2, nan, 2},
+	)
+	add("NaN and infinities", h, s)
+	h, s = bins([]float64{1, nan}, []float64{nan, nan})
+	add("all NaN, B=1", h, s)
+	for _, b := range []int{1, 2, 40, 80} {
+		h, s := tieHeavy(64, b)
+		add(fmt.Sprintf("tie-heavy B=%d", b), h, s)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkBoundedCounts(t, c.hist, c.sims)
+			checkImplementations(t, c.hist, c.sims, thresholdsFor(len(c.sims)))
+		})
+	}
+}
+
 // FuzzFDRRanks decodes bytes into a histogram and B ∈ {1, 2, 40}
 // simulations of small integer values (heavy ties, many zeros; 0xff is
-// NaN). The kernel's counts must equal Sequential's loops, and every
-// implementation must return Sequential's bits at thresholds that are
-// negative, fractional, NaN and at both ends of the rank range.
+// NaN). The kernel's counts must equal Sequential's loops at every rank
+// bound, and every implementation must return Sequential's bits at the
+// thresholds of thresholdsFor.
 func FuzzFDRRanks(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 7, 7, 1}, uint8(0))
 	f.Add([]byte{0, 0xff, 3, 3, 5, 0, 0xff, 2, 2, 9, 0, 1}, uint8(1))
@@ -368,36 +575,7 @@ func FuzzFDRRanks(f *testing.F) {
 				sims[k][i] = value(row[k+1])
 			}
 		}
-		wantRank, wantP := directCounts(hist, sims)
-		gotRank, gotP := make([]int64, b+1), make([]int64, b+1)
-		countBins(hist, sims, 0, m, gotRank, gotP)
-		for r := range wantRank {
-			if gotRank[r] != wantRank[r] || gotP[r] != wantP[r] {
-				t.Fatalf("bucket %d: rank %d want %d, p %d want %d",
-					r, gotRank[r], wantRank[r], gotP[r], wantP[r])
-			}
-		}
-		pts := []float64{-1, 0, 0.5, 1, float64(b) - 1, float64(b), math.Inf(1), math.NaN()}
-		sweep, err := Sweep(hist, sims, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, pt := range pts {
-			want, errWant := Sequential(hist, sims, pt)
-			if errWant != nil && !errors.Is(errWant, ErrNoSelection) {
-				t.Fatal(errWant)
-			}
-			if sweep[k] != want {
-				t.Errorf("pt=%g: Sweep %v, Sequential %v", pt, sweep[k], want)
-			}
-			for name, run := range map[string]func([]float64, [][]float64, float64) (float64, error){
-				"Fused": Fused, "TwoPass": TwoPass,
-			} {
-				got, err := run(hist, sims, pt)
-				if !errors.Is(err, errWant) || got != want {
-					t.Errorf("pt=%g: %s %v (%v), Sequential %v (%v)", pt, name, got, err, want, errWant)
-				}
-			}
-		}
+		checkBoundedCounts(t, hist, sims)
+		checkImplementations(t, hist, sims, thresholdsFor(b))
 	})
 }

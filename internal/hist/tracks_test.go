@@ -8,6 +8,79 @@ import (
 	"strings"
 )
 
+// The track-format readers and writers below round-trip a histogram
+// through BEDGRAPH and fixedStep WIG, the track formats of the paper's
+// Section II survey. No binary reads or writes histograms in them, so
+// they live with the round-trip tests that exercise them.
+
+// FromBEDGraph accumulates a BEDGRAPH stream (as the converter emits:
+// chrom, 0-based start, end, value) into a histogram for one reference.
+// Track declaration lines are skipped.
+func FromBEDGraph(r io.Reader, rname string, refLen, binSize int) (*Histogram, error) {
+	h, err := New(rname, refLen, binSize)
+	if err != nil {
+		return nil, err
+	}
+	scan := bufio.NewScanner(r)
+	scan.Buffer(make([]byte, 64<<10), 4<<20)
+	lineNo := 0
+	for scan.Scan() {
+		lineNo++
+		line := scan.Text()
+		if line == "" || strings.HasPrefix(line, "track") || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Split(line, "\t")
+		if len(fields) < 4 {
+			return nil, fmt.Errorf("hist: BEDGRAPH line %d has %d fields", lineNo, len(fields))
+		}
+		if fields[0] != rname {
+			continue
+		}
+		beg, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("hist: BEDGRAPH line %d start: %w", lineNo, err)
+		}
+		end, err := strconv.Atoi(fields[2])
+		if err != nil {
+			return nil, fmt.Errorf("hist: BEDGRAPH line %d end: %w", lineNo, err)
+		}
+		val, err := strconv.ParseFloat(fields[3], 64)
+		if err != nil {
+			return nil, fmt.Errorf("hist: BEDGRAPH line %d value: %w", lineNo, err)
+		}
+		h.AddInterval(int32(beg)+1, int32(end), val)
+	}
+	if err := scan.Err(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// WriteBEDGraph emits the histogram as BEDGRAPH, merging runs of equal
+// values into single intervals (the format's concise-track property).
+// Bins hold base-weighted mass; BEDGRAPH reports per-base depth, so each
+// emitted value is the bin mass divided by the bin width.
+func (h *Histogram) WriteBEDGraph(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString("track type=bedGraph\n"); err != nil {
+		return err
+	}
+	i := 0
+	for i < len(h.Bins) {
+		j := i + 1
+		for j < len(h.Bins) && h.Bins[j] == h.Bins[i] {
+			j++
+		}
+		if h.Bins[i] != 0 {
+			fmt.Fprintf(bw, "%s\t%d\t%d\t%g\n",
+				h.RName, i*h.BinSize, j*h.BinSize, h.Bins[i]/float64(h.BinSize))
+		}
+		i = j
+	}
+	return bw.Flush()
+}
+
 // WriteWIG emits the histogram in fixedStep WIG (wiggle) form — the
 // remaining track format of the paper's Section II survey. Values are
 // per-base depth (bin mass over bin width), one value per bin; zero runs

@@ -320,9 +320,10 @@ func (d *Dataset) WriteSAM(w io.Writer) error {
 	return sw.Flush()
 }
 
-// WriteBAM writes the dataset as BAM.
+// WriteBAM writes the dataset as BAM, deflating blocks on bgzf's shared
+// pool; the bytes are those of a one-worker writer.
 func (d *Dataset) WriteBAM(w io.Writer) error {
-	bw, err := bam.NewWriter(w, d.Header)
+	bw, err := bam.NewWriter(w, d.Header, bam.WithCodecWorkers(0))
 	if err != nil {
 		return err
 	}

@@ -205,6 +205,37 @@ func TestWriteBAMReadable(t *testing.T) {
 	}
 }
 
+// TestWriteBAMSameBytesAtEveryCPUCount: WriteBAM's pooled deflate must
+// give the bytes of a writer that deflates every block on the caller.
+func TestWriteBAMSameBytesAtEveryCPUCount(t *testing.T) {
+	d := Generate(DefaultConfig(20000))
+	var want bytes.Buffer
+	bw, err := bam.NewWriter(&want, d.Header, bam.WithCodecWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.Records {
+		if err := bw.Write(&d.Records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var got bytes.Buffer
+			if err := d.WriteBAM(&got); err != nil {
+				t.Fatalf("WriteBAM: %v", err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("WriteBAM wrote %d bytes unlike the one-worker writer's %d", got.Len(), want.Len())
+			}
+		})
+	}
+}
+
 func TestHistogramShape(t *testing.T) {
 	h := Histogram(10000, 7)
 	if len(h) != 10000 {
