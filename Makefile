@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check linkcheck loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke fuzz-frame fuzz-kern fuzz-body fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check linkcheck loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke fuzz-frame fuzz-kern fuzz-body fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -373,5 +373,15 @@ daemon-endpoint-smoke:
 	[ "$$rc" -eq 143 ] || { echo "daemon-endpoint-smoke: seqconvd exit $$rc, want 143"; cat "$$tmp/seqconvd.log"; exit 1; }; \
 	echo "daemon-endpoint-smoke: OK"
 
-ci: vet staticcheck fmt-check build deps-check linkcheck race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke
+# Distributed-world check with the real binaries: TestWorldSmoke builds
+# seqconvert and ngsgen, picks a free loopback coordinator address and
+# runs BAMX→BED, BAM -format pamx and SAM -format bamx on two-process TCP
+# worlds against the same jobs in one process. Rank 0 must print the
+# in-process summary (the world's record count and files), rank 1
+# nothing, and the output directory must hold the in-process files,
+# byte for byte, and nothing else.
+world-smoke:
+	$(GO) test -run '^TestWorldSmoke$$' -count=1 ./cmd/seqconvert
+
+ci: vet staticcheck fmt-check build deps-check linkcheck race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke
 	@echo "ci: all checks passed"

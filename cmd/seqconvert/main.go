@@ -82,7 +82,11 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	fmt.Println(res.Summary)
+	// Under a distributed launch rank 0 holds the world's result; other
+	// ranks have nothing to report.
+	if res.Summary != "" {
+		fmt.Println(res.Summary)
+	}
 }
 
 func die(err error) {

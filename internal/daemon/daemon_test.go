@@ -15,15 +15,18 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"parseq/internal/conv"
+	"parseq/internal/engine"
 	"parseq/internal/flagstat"
 	"parseq/internal/hist"
 	"parseq/internal/mpinet"
 	"parseq/internal/obs"
+	"parseq/internal/shard"
 	"parseq/internal/simdata"
 )
 
@@ -435,86 +438,126 @@ func asError(err error, target **Error) bool {
 }
 
 // TestDistributedFleetByteIdentity is the ranks=2 end-to-end proof: a
-// daemon plus one in-process loopback worker form a real mpinet fleet,
-// a distributed conversion fans out across it, and the rank outputs are
-// byte-identical to the same conversion run in-process. A second job
-// over the same world proves the lockstep protocol is reusable, and the
-// drain broadcast shuts the worker down cleanly.
+// daemon plus one worker served in-process through ServeWorker form a
+// real mpinet fleet, and one job of every op over every container and
+// to every format fans out across it; each job's streamed files are
+// byte-identical to the same job run in-process. The jobs share one
+// world, so the lockstep protocol is reusable; a psam job is refused
+// with bad_spec before it reaches the fleet, which serves the next job;
+// and the drain broadcast shuts the worker down cleanly.
 func TestDistributedFleetByteIdentity(t *testing.T) {
-	samPath, _ := writeSAM(t, 2000)
-	coord := freeLoopbackAddr(t)
+	samPath, d := writeSAM(t, 2000)
+	dir := filepath.Dir(samPath)
+	in := func(ext string) string { return filepath.Join(dir, "in"+ext) }
+	f, err := os.Create(in(".bam"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteBAM(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conv.PreprocessBAMFile(in(".bam"), in(".bamx"), in(".baix"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conv.CompressBAMXFile(in(".bamx"), in(".bamz"), 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.Rewrite(in(".bam"), in(".pamx")); err != nil {
+		t.Fatal(err)
+	}
+	tsv, err := os.Create(in(".tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hist.WriteTSV(tsv, simdata.Histogram(1500, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tsv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rname := d.Header.RefByID(0).Name
+	region := rname + ":1-40000"
 
+	coord := freeLoopbackAddr(t)
 	workerErr := make(chan error, 1)
 	go func() {
-		workerErr <- RunWorker(WorkerConfig{
-			Rank: 1, Ranks: 2, Coord: coord,
-			Logf: t.Logf,
-		})
+		w, err := mpinet.Connect(mpinet.Config{Rank: 1, World: 2, Coord: coord, WaitTimeout: -1})
+		if err != nil {
+			workerErr <- err
+			return
+		}
+		defer w.Close()
+		workerErr <- ServeWorker(w, t.Logf)
 	}()
 	fleet, err := DialFleet(coord, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, srv := startDaemon(t, Options{Fleet: fleet, Concurrency: 1})
+	dm, srv := startDaemon(t, Options{Fleet: fleet, Concurrency: 1})
 	cl := &Client{Base: srv.URL}
 
-	st, err := cl.Submit(JobSpec{Op: OpConvert, Format: "bed", Ranks: 2, InputPath: samPath}, nil)
-	if err != nil {
-		t.Fatal(err)
+	psam := JobSpec{Op: OpConvert, Converter: "psam", Format: "bed", Ranks: 2, InputPath: samPath}
+	jobs := []JobSpec{
+		{Op: OpConvert, Format: "bed", InputPath: samPath},
+		{Op: OpConvert, Format: "bam", InputPath: samPath},
+		{Op: OpConvert, Format: "bamx", InputPath: samPath},
+		{Op: OpConvert, Format: "bed", InputPath: in(".bam")},
+		{Op: OpConvert, Format: "pamx", InputPath: in(".bam")},
+		{Op: OpConvert, Format: "bamx", InputPath: in(".bam")},
+		{Op: OpConvert, Format: "sam", InputPath: in(".bamx")},
+		{Op: OpConvert, Format: "bed", Region: region, InputPath: in(".bamx")},
+		{Op: OpConvert, Format: "fastq", InputPath: in(".bamz")},
+		{Op: OpConvert, Format: "bam", InputPath: in(".pamx")},
+		{Op: OpConvert, Format: "bamx", InputPath: in(".pamx")},
+		{Op: OpSort, InputPath: samPath},
+		{Op: OpSort, InputPath: in(".bam")},
+		{Op: OpFlagstat, InputPath: samPath},
+		{Op: OpFlagstat, InputPath: in(".bam")},
+		{Op: OpFlagstat, InputPath: in(".bamz")},
+		{Op: OpHist, RName: rname, InputPath: in(".bamx")},
+		{Op: OpHist, RName: rname, InputPath: in(".pamx")},
+		{Op: OpPeaks, RName: rname, Candidates: []float64{1, 2, 5}, Sims: 4, Seed: 7, InputPath: samPath},
+		{Op: engine.OpNLMeans, R: 20, L: 15, Sigma: 10, InputPath: in(".tsv")},
+		{Op: engine.OpFDR, PT: 2, Sims: 4, Seed: 7, InputPath: in(".tsv")},
 	}
-	st = waitDone(t, cl, st.ID)
-	if len(st.Files) != 2 {
-		t.Fatalf("distributed convert files = %+v", st.Files)
-	}
-
-	refDir := t.TempDir()
-	ref, err := conv.ConvertSAM(samPath, conv.Options{
-		Format: "bed", Cores: 2, OutDir: refDir, OutPrefix: "out",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range st.Files {
-		got := fetch(t, cl, st.ID, f.Name)
-		want, err := os.ReadFile(ref.Files[i])
+	for i, spec := range jobs {
+		spec.Ranks = 2
+		if i == 1 {
+			// A refused job between two fleet jobs leaves the fleet up.
+			_, err := cl.Submit(psam, nil)
+			var derr *Error
+			if !asError(err, &derr) || derr.Code != CodeBadSpec {
+				t.Fatalf("psam on the fleet: %v", err)
+			}
+		}
+		st, err := cl.Submit(spec, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		st = waitDone(t, cl, st.ID)
+		refDir := t.TempDir()
+		ref, err := engine.Run(spec, engine.Env{OutDir: refDir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("distributed rank file %s differs from in-process conversion", f.Name)
+		if !reflect.DeepEqual(st.Files, ref.Files) {
+			t.Fatalf("%s over %s: the fleet lists %+v, in-process %+v", spec.Op, filepath.Base(spec.InputPath), st.Files, ref.Files)
+		}
+		for _, f := range st.Files {
+			want, err := os.ReadFile(filepath.Join(refDir, f.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fetch(t, cl, st.ID, f.Name), want) {
+				t.Errorf("%s over %s: the fleet's %s differs from the in-process run's", spec.Op, filepath.Base(spec.InputPath), f.Name)
+			}
 		}
 	}
 
-	// Second distributed job over the same world: flagstat on the SAM
-	// path, identical to the in-process reduction.
-	st2, err := cl.Submit(JobSpec{Op: OpFlagstat, Ranks: 2, InputPath: samPath}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2 = waitDone(t, cl, st2.ID)
-	want, err := flagstat.SAMFile(samPath, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fetch(t, cl, st2.ID, ""); string(got) != want.Format() {
-		t.Fatalf("distributed flagstat differs:\n%s", got)
-	}
-
-	// A fleet-ineligible spec with matching ranks is refused up front:
-	// a sort, and a SAM input's container target (its per-rank BAMX
-	// pairs would be listed by one process only).
-	for _, spec := range []JobSpec{
-		{Op: OpSort, Ranks: 2, InputPath: samPath},
-		{Op: OpConvert, Format: "bamx", Ranks: 2, InputPath: samPath},
-	} {
-		_, err = cl.Submit(spec, nil)
-		var derr *Error
-		if !asError(err, &derr) || derr.Code != CodeBadSpec {
-			t.Fatalf("fleet-ineligible submit %+v: %v", spec, err)
-		}
-	}
-
-	if _, err := d.Drain(10 * time.Second); err != nil {
+	if _, err := dm.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	select {

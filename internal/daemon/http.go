@@ -119,12 +119,10 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Distributed eligibility is a submission-time contract: a rank
-	// count that matches the fleet must name an engine path that runs in
-	// lockstep, and a rank count above 1 without a fleet still runs —
-	// in-process goroutine ranks — so it is never an error here.
+	// A job for the fleet that no world can run is refused here, before
+	// it can reach (and abort) the fleet.
 	if d.fleet != nil && spec.Ranks > 1 && spec.Ranks == d.fleet.Size() {
-		if err := distributable(&spec); err != nil {
+		if err := spec.CheckWorld(); err != nil {
 			writeError(w, http.StatusBadRequest, &Error{Code: CodeBadSpec, Message: err.Error()})
 			return
 		}

@@ -6,16 +6,11 @@
 // streamed input upload), moves through the queued → running →
 // done/failed/canceled state machine, and its result streams back over
 // the same connection class that submitted it. With a pre-registered
-// worker fleet (seqconvd -worker) a job with Ranks > 1 fans out across
-// the mpinet transport unmodified.
+// worker fleet (seqconvd -worker) a job whose Ranks match the fleet's
+// size runs with one rank per fleet process, over the mpinet transport.
 package daemon
 
-import (
-	"fmt"
-	"strings"
-
-	"parseq/internal/engine"
-)
+import "parseq/internal/engine"
 
 // JobSpec is the daemon's wire format: the engine's job description,
 // unchanged. The Op names are re-exported for clients that build specs.
@@ -36,35 +31,6 @@ type FileInfo = engine.File
 // the daemon drains; it is never a valid submitted op.
 const opShutdown = "__shutdown__"
 
-// distributable reports whether a spec's engine path runs the same
-// launcher call sequence on every fleet process. Only the SAM-input
-// engines to per-rank targets qualify: the BAM/psam converters, the
-// container targets and the shard analyses aggregate per-process file
-// lists that distributed execution leaves partially empty.
-func distributable(spec *JobSpec) error {
-	name := spec.InputBase()
-	switch spec.Op {
-	case OpConvert:
-		kind, err := spec.ConverterKind()
-		if err != nil {
-			return err
-		}
-		if kind != "sam" {
-			return fmt.Errorf("daemon: converter %q does not support fleet ranks; use converter sam or ranks 1", kind)
-		}
-		if spec.WritesContainer() {
-			return fmt.Errorf("daemon: format %s does not support fleet ranks; use a per-rank format or ranks 1", spec.Format)
-		}
-	case OpFlagstat, OpHist:
-		if !strings.HasSuffix(name, ".sam") {
-			return fmt.Errorf("daemon: op %s over %q does not support fleet ranks; use a .sam input or ranks 1", spec.Op, name)
-		}
-	default:
-		return fmt.Errorf("daemon: op %s does not support fleet ranks", spec.Op)
-	}
-	return nil
-}
-
 // Error is the structured JSON error body every non-2xx response
 // carries: a stable machine-readable code plus a human message.
 type Error struct {
@@ -76,14 +42,13 @@ type Error struct {
 // Error codes. BadSpec and friends are contract, not prose: clients
 // branch on them.
 const (
-	CodeBadSpec       = "bad_spec"
-	CodeOverloaded    = "overloaded"
-	CodeDraining      = "draining"
-	CodeNotFound      = "not_found"
-	CodeNotDone       = "not_done"
-	CodeBadMethod     = "bad_method"
-	CodeUploadFailed  = "upload_failed"
-	CodeFleetRequired = "fleet_required"
+	CodeBadSpec      = "bad_spec"
+	CodeOverloaded   = "overloaded"
+	CodeDraining     = "draining"
+	CodeNotFound     = "not_found"
+	CodeNotDone      = "not_done"
+	CodeBadMethod    = "bad_method"
+	CodeUploadFailed = "upload_failed"
 )
 
 func (e *Error) Error() string { return e.Message }

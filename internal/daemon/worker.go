@@ -6,9 +6,9 @@
 //
 //	control round:  Bcast(0, JSON fleetJob descriptor)
 //	engine round:   engine.Run — the shared routing table, so the
-//	                collective sequence matches by construction
-//	settle round:   Barrier — worker rank output files are durable
-//	                before the daemon marks the job done
+//	                collective sequence matches by construction; its
+//	                closing gather brings each worker's tallies and
+//	                files, written and statted, to the daemon
 //
 // Drain broadcasts a shutdown descriptor in place of a job. Workers
 // share the daemon's filesystem (inputs and the spool are plain paths
@@ -76,8 +76,7 @@ func DialFleet(coord string, ranks int) (*Fleet, error) {
 func (f *Fleet) Size() int { return f.world.Size() }
 
 // Execute runs one distributed job across the fleet — env names the
-// job's input and directory — and returns rank 0's view of the result
-// with the full output file list.
+// job's input and directory — and returns the world's result.
 func (f *Fleet) Execute(spec *JobSpec, env engine.Env) (engine.Result, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -89,9 +88,6 @@ func (f *Fleet) Execute(spec *JobSpec, env engine.Env) (engine.Result, error) {
 	ranks := f.world.Size()
 	if spec.Ranks != ranks {
 		return none, fmt.Errorf("daemon: job wants %d ranks, fleet has %d", spec.Ranks, ranks)
-	}
-	if err := distributable(spec); err != nil {
-		return none, err
 	}
 	desc, err := json.Marshal(fleetJob{Spec: *spec, Input: env.Input, Dir: env.OutDir})
 	if err != nil {
@@ -107,23 +103,12 @@ func (f *Fleet) Execute(spec *JobSpec, env engine.Env) (engine.Result, error) {
 	}
 	res, err := engine.Run(*spec, env)
 	if err != nil {
-		// The failure may have struck outside a collective (an open, a
-		// stat); abort explicitly so workers drain instead of wedging.
+		// Run aborts the world on a failed op, but not on a refusal
+		// before it; abort so workers drain instead of wedging.
 		f.world.Abort()
 		f.down = true
-		return none, err
 	}
-	if err := env.Launch(ranks, func(c *mpi.Comm) error { return c.Barrier() }); err != nil {
-		f.down = true
-		return none, fmt.Errorf("daemon: fleet settle round: %w", err)
-	}
-	if spec.Op == OpConvert {
-		// Worker ranks' files are durable only now.
-		if res.Files, res.BytesOut, err = engine.ConvertOutputs(spec, env); err != nil {
-			return none, err
-		}
-	}
-	return res, nil
+	return res, err
 }
 
 // Shutdown broadcasts the shutdown sentinel (workers exit their serve
@@ -202,9 +187,6 @@ func ServeWorker(w *mpinet.World, logf func(format string, args ...any)) error {
 		if _, err := engine.Run(fj.Spec, env); err != nil {
 			w.Abort() // see Fleet.Execute: unblock peers on non-collective failures
 			return fmt.Errorf("daemon: worker %d: %w", w.Rank(), err)
-		}
-		if err := launch(w.Size(), func(c *mpi.Comm) error { return c.Barrier() }); err != nil {
-			return fmt.Errorf("daemon: worker %d settle round: %w", w.Rank(), err)
 		}
 	}
 }

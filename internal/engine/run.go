@@ -2,10 +2,12 @@ package engine
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,7 +49,8 @@ type Env struct {
 	// Launch runs the job's rank functions: nil for Spec.Ranks goroutine
 	// ranks in this process, or a distributed world's launcher — then
 	// every process of the world calls Run with the same Spec, Rank is
-	// this process's rank, and Spec.Ranks is the world size.
+	// this process's rank, Spec.Ranks is the world size, and rank 0's
+	// Result is the world's.
 	Launch mpi.Launcher
 	Rank   int
 
@@ -72,12 +75,8 @@ type File struct {
 
 // Result reports a completed job.
 type Result struct {
-	// Files are the outputs in rank order. Empty on the non-root ranks
-	// of a distributed analysis, and on every rank of a distributed
-	// convert — peers may still be flushing when Run returns, so the
-	// caller lists them with ConvertOutputs once the world has settled.
-	Files    []File
-	BytesOut int64 // total size of Files
+	Files    []File // the outputs, in rank order
+	BytesOut int64  // total size of Files
 	// Records counts what the op produced: records converted, sorted or
 	// tallied, histogram bins, peaks called.
 	Records int64
@@ -87,60 +86,118 @@ type Result struct {
 }
 
 // Run executes one job: spec routed to its engine, input and outputs
-// placed by env. Under a distributed launcher every rank runs the same
-// call sequence; analysis outputs are written by rank 0 only.
-func Run(spec Spec, env Env) (res Result, err error) {
-	if err := spec.Validate(); err != nil {
-		return res, err
-	}
-	env.Input = cmp.Or(env.Input, spec.InputPath)
-	env.OutPrefix = cmp.Or(env.OutPrefix, "out")
-	ranks := max(spec.Ranks, 1)
-	var paths []string // what the op wrote, for the stat below
-	switch spec.Op {
-	case OpConvert:
-		paths, err = runConvert(&spec, &env, ranks, &res)
-	case OpSort:
-		paths, err = runSort(&env, ranks, &res)
-	case OpNLMeans, OpFDR:
-		paths, err = runStats(&spec, &env, ranks, &res)
-	default:
-		paths, err = runAnalysis(&spec, &env, ranks, &res)
+// placed by env. Under a distributed launcher every process runs the
+// same call sequence and the job ends in one gather to rank 0: rank 0
+// returns the world's Result, every other rank an empty one.
+func Run(spec Spec, env Env) (Result, error) {
+	err := spec.Validate()
+	if err == nil && env.Launch != nil {
+		err = spec.CheckWorld()
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res.Files, res.BytesOut, err = statFiles(paths)
-	return res, err
+	env.Input = cmp.Or(env.Input, spec.InputPath)
+	env.OutPrefix = cmp.Or(env.OutPrefix, "out")
+	run := runAnalysis
+	switch spec.Op {
+	case OpConvert:
+		run = runConvert
+	case OpSort:
+		run = runSort
+	case OpNLMeans, OpFDR:
+		run = runStats
+	}
+	ranks := max(spec.Ranks, 1)
+	o, err := run(&spec, &env, ranks)
+	if err == nil {
+		o.Files, o.BytesOut, err = statFiles(o.paths)
+	}
+	if env.Launch != nil {
+		o, err = gather(&env, ranks, o, err)
+	}
+	if err != nil || env.Rank != 0 {
+		return Result{}, err
+	}
+	return Result{Files: o.Files, BytesOut: o.BytesOut, Records: o.Records, Summary: o.summary(&o)}, nil
 }
 
-func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
+// outcome is what one process did for a job: its ranks' tallies and
+// the files they wrote, and on rank 0 the summary line, built from the
+// world's figures.
+type outcome struct {
+	Records  int64  `json:"records"`
+	Emitted  int64  `json:"emitted"` // convert: target objects written
+	Files    []File `json:"files"`
+	BytesOut int64  `json:"bytes_out"` // total size of Files
+
+	paths   []string // what the op wrote, stat into Files
+	summary func(world *outcome) string
+}
+
+// says is a summary that reads no world figure.
+func says(s string) func(*outcome) string { return func(*outcome) string { return s } }
+
+// gather ends a job on a distributed world: each process sends its own
+// rank's outcome to rank 0, which sums the tallies and lists the files
+// in rank order under its own summary. A process whose op failed aborts
+// the world instead, so no peer waits on it.
+func gather(env *Env, ranks int, local outcome, failed error) (outcome, error) {
+	world := outcome{summary: local.summary}
+	err := env.Launch(ranks, func(c *mpi.Comm) error {
+		var part outcome // an in-process launcher's other ranks add nothing
+		if c.Rank() == env.Rank {
+			if failed != nil {
+				return failed
+			}
+			part = local
+		}
+		data, err := json.Marshal(part)
+		if err != nil {
+			return err
+		}
+		parts, err := c.Gather(0, data)
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		for _, p := range parts {
+			var o outcome
+			if err := json.Unmarshal(p, &o); err != nil {
+				return fmt.Errorf("engine: a rank's outcome: %w", err)
+			}
+			world.Records += o.Records
+			world.Emitted += o.Emitted
+			world.Files = append(world.Files, o.Files...)
+			world.BytesOut += o.BytesOut
+		}
+		return nil
+	})
+	return world, cmp.Or(failed, err)
+}
+
+func runConvert(spec *Spec, env *Env, ranks int) (outcome, error) {
 	kind, err := spec.ConverterKind()
 	if err != nil {
-		return nil, err
-	}
-	if kind == "psam" && env.Launch != nil {
-		// Each process would preprocess and then convert only its own
-		// rank's share.
-		return nil, fmt.Errorf("engine: converter psam does not run on a distributed world; use converter sam, or a .bamx input made with format bamx")
+		return outcome{}, err
 	}
 	if kind != "sam" && kind != "psam" && shard.Ext(env.Input) != "."+kind {
 		// The provider is picked by extension: an explicit kind over
 		// another container would read it as whatever its name says.
-		return nil, fmt.Errorf("engine: converter %s needs a .%s input, not %q", kind, kind, env.Input)
+		return outcome{}, fmt.Errorf("engine: converter %s needs a .%s input, not %q", kind, kind, env.Input)
 	}
 	if spec.WritesContainer() {
 		if kind == "sam" || kind == "psam" {
 			// psam's preprocessing phase alone: one BAMX pair per rank.
-			return preprocessSAM(env, ranks, out)
+			return preprocessSAM(env, ranks)
 		}
-		return rewrite(spec, env, out)
+		return rewrite(spec, env)
 	}
-	opts := convOptions(spec, env, ranks)
+	// Every worker count is left at 0, the adaptive rule.
+	opts := conv.Options{Format: spec.Format, Cores: ranks, OutDir: env.OutDir, OutPrefix: env.OutPrefix, Launch: env.Launch}
 	if spec.Region != "" {
 		r, err := conv.ParseRegion(spec.Region)
 		if err != nil {
-			return nil, err
+			return outcome{}, err
 		}
 		opts.Region = &r
 	}
@@ -156,99 +213,82 @@ func runConvert(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) 
 		res, err = conv.ConvertIndexed(env.Input, env.BAIX, opts)
 	}
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
 	st := res.Stats
-	out.Records = st.Records
-	out.Summary = fmt.Sprintf("converted %d records (%d emitted, %d bytes) into %d files in %v",
-		st.Records, st.Emitted, st.BytesOut, len(res.Files), st.PartitionTime+st.ConvertTime)
-	if st.PreprocessTime > 0 {
-		out.Summary += fmt.Sprintf("\npreprocessing took %v (amortisable)", st.PreprocessTime)
-	}
-	if env.Launch != nil {
-		return nil, nil // this rank's tally only; files via ConvertOutputs
-	}
-	return res.Files, nil
-}
-
-// convOptions is the converter configuration a convert job names. Every
-// worker count is left at 0, the adaptive rule.
-func convOptions(spec *Spec, env *Env, ranks int) conv.Options {
-	return conv.Options{
-		Format: spec.Format, Cores: ranks, OutDir: env.OutDir, OutPrefix: env.OutPrefix,
-		Launch: env.Launch,
-	}
-}
-
-// ConvertOutputs stats the per-rank outputs of a distributed SAM
-// conversion, the names conv.OutputPath gives. Call it once every
-// rank's files are durable (after the world's settle barrier).
-func ConvertOutputs(spec *Spec, env Env) ([]File, int64, error) {
-	opts := convOptions(spec, &env, max(spec.Ranks, 1))
-	paths := make([]string, opts.Cores)
-	for r := range paths {
-		var err error
-		if paths[r], err = conv.OutputPath(opts, r); err != nil {
-			return nil, 0, err
+	// A distributed launcher leaves the other processes' ranks unnamed.
+	paths := slices.DeleteFunc(res.Files, func(p string) bool { return p == "" })
+	return outcome{Records: st.Records, Emitted: st.Emitted, paths: paths, summary: func(w *outcome) string {
+		s := fmt.Sprintf("converted %d records (%d emitted, %d bytes) into %d files in %v",
+			w.Records, w.Emitted, w.BytesOut, len(w.Files), st.PartitionTime+st.ConvertTime)
+		if st.PreprocessTime > 0 {
+			s += fmt.Sprintf("\npreprocessing took %v (amortisable)", st.PreprocessTime)
 		}
-	}
-	return statFiles(paths)
+		return s
+	}}, nil
 }
 
 // rewrite is a container target from a container input: the records in
-// file order into one <OutPrefix>.bamx (with its BAIX) or .pamx. The
-// codec count 0 is the adaptive rule; shard.Rewrite's own default is 1.
-func rewrite(spec *Spec, env *Env, out *Result) ([]string, error) {
+// file order into one <OutPrefix>.bamx (with its BAIX) or .pamx, by
+// rank 0 alone. The codec count 0 is the adaptive rule; shard.Rewrite's
+// own default is 1.
+func rewrite(spec *Spec, env *Env) (outcome, error) {
+	if env.Rank != 0 {
+		return outcome{}, nil
+	}
 	start := time.Now()
 	dst := filepath.Join(env.OutDir, env.OutPrefix+"."+spec.Format)
 	n, err := shard.Rewrite(env.Input, dst, shard.WithCodecWorkers(0))
-	out.Records = n
-	out.Summary = fmt.Sprintf("converted %d records into %s in %v", n, dst, time.Since(start))
-	return shard.Outputs(dst), err
+	return outcome{Records: n, paths: shard.Outputs(dst),
+		summary: says(fmt.Sprintf("converted %d records into %s in %v", n, dst, time.Since(start)))}, err
 }
 
 // preprocessSAM is a SAM input's bamx target, the preprocessing phase
 // of the psam converter: <OutPrefix>_m<rank>.bamx and .baix per rank.
-func preprocessSAM(env *Env, ranks int, out *Result) ([]string, error) {
+func preprocessSAM(env *Env, ranks int) (outcome, error) {
 	res, err := conv.PreprocessSAMParallel(env.Input, conv.Options{
 		Cores: ranks, OutDir: env.OutDir, OutPrefix: env.OutPrefix, Launch: env.Launch,
 	})
 	if err != nil {
-		return nil, err
-	}
-	out.Records = res.Records
-	out.Summary = fmt.Sprintf("preprocessed %d records into %s in %v",
-		res.Records, strings.Join(res.BAMXFiles, ", "), res.Duration)
-	if env.Launch != nil {
-		return nil, nil // another process wrote the other ranks' pairs
+		return outcome{}, err
 	}
 	var paths []string
-	for i := range res.BAMXFiles {
-		paths = append(paths, res.BAMXFiles[i], res.BAIXFiles[i])
+	for i, bamx := range res.BAMXFiles {
+		if bamx != "" { // "" for a rank another process ran
+			paths = append(paths, bamx, res.BAIXFiles[i])
+		}
 	}
-	return paths, nil
+	return outcome{Records: res.Records, paths: paths, summary: func(w *outcome) string {
+		var bamx []string
+		for i := 0; i < len(w.Files); i += 2 { // .bamx, .baix per rank
+			bamx = append(bamx, filepath.Join(env.OutDir, w.Files[i].Name))
+		}
+		return fmt.Sprintf("preprocessed %d records into %s in %v", w.Records, strings.Join(bamx, ", "), res.Duration)
+	}}, nil
 }
 
-func runSort(env *Env, ranks int, out *Result) ([]string, error) {
+// runSort is the sorter, run by rank 0 alone.
+func runSort(_ *Spec, env *Env, ranks int) (outcome, error) {
 	run := sorter.SortBAM
 	switch {
 	case strings.HasSuffix(env.Input, ".sam"):
 		run = sorter.SortSAMToBAM
 	case !strings.HasSuffix(env.Input, ".bam"):
-		return nil, fmt.Errorf("engine: op sort needs a .sam or .bam input, not %q", env.Input)
+		return outcome{}, fmt.Errorf("engine: op sort needs a .sam or .bam input, not %q", env.Input)
+	}
+	if env.Rank != 0 {
+		return outcome{}, nil
 	}
 	// The output's extension picks its container: .bam, .bamx or .pamx.
 	dst := env.dest("out.bam")
 	n, err := run(env.Input, dst, sorter.Options{ChunkRecords: env.ChunkRecords, Cores: ranks, TmpDir: env.OutDir})
-	out.Records = n
-	out.Summary = fmt.Sprintf("sorted %d records → %s", n, dst)
-	return shard.Outputs(dst), err
+	return outcome{Records: n, paths: shard.Outputs(dst), summary: says(fmt.Sprintf("sorted %d records → %s", n, dst))}, err
 }
 
 // runAnalysis is flagstat, hist and peaks: Algorithm 1 byte
 // partitioning over SAM text, region-parallel shards over everything
 // else, reduced to rank 0, which alone writes the report.
-func runAnalysis(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
+func runAnalysis(spec *Spec, env *Env, ranks int) (outcome, error) {
 	var (
 		st  flagstat.Stats
 		h   *hist.Histogram
@@ -272,72 +312,75 @@ func runAnalysis(spec *Spec, env *Env, ranks int, out *Result) ([]string, error)
 	}
 	if err != nil || env.Rank != 0 {
 		// A worker rank writing too would race the root on a shared dir.
-		return nil, err
+		return outcome{}, err
 	}
 	switch spec.Op {
 	case OpFlagstat:
-		out.Records, out.Summary = st.Total, st.Format()
-		return env.report("flagstat.txt", nil, func(w io.Writer) error {
-			_, err := io.WriteString(w, out.Summary)
+		// The summary is the report itself, with no arrow after it.
+		summary := st.Format()
+		o, err := env.report(st.Total, "flagstat.txt", "", func(w io.Writer) error {
+			_, err := io.WriteString(w, summary)
 			return err
 		})
+		o.summary = says(summary)
+		return o, err
 	case OpHist:
-		out.Records = int64(len(h.Bins))
-		out.Summary = fmt.Sprintf("histogrammed %s into %d bins of %d bases", spec.RName, len(h.Bins), spec.BinSize)
-		return env.report("hist.tsv", &out.Summary, func(w io.Writer) error { return hist.WriteTSV(w, h.Bins) })
+		return env.report(int64(len(h.Bins)), "hist.tsv",
+			fmt.Sprintf("histogrammed %s into %d bins of %d bases", spec.RName, len(h.Bins), spec.BinSize),
+			func(w io.Writer) error { return hist.WriteTSV(w, h.Bins) })
 	}
 	sims := env.simulations(spec, len(h.Bins))
 	called, pt, rate, err := peaks.CallWithFDR(h.Bins, sims, spec.Candidates,
 		peaks.Options{MaxGap: env.MaxGap, MinWidth: env.MinWidth})
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
-	out.Records = int64(len(called))
-	out.Summary = fmt.Sprintf("called %d peaks on %s (p_t=%g, FDR=%.6g, %d simulations)",
-		len(called), spec.RName, pt, rate, len(sims))
-	return env.report("peaks.tsv", &out.Summary, func(w io.Writer) error {
-		for _, p := range called {
-			if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%g\t%d\n", spec.RName,
-				p.Start*spec.BinSize, p.End*spec.BinSize, p.MaxValue, p.MinSurvive); err != nil {
-				return err
+	return env.report(int64(len(called)), "peaks.tsv",
+		fmt.Sprintf("called %d peaks on %s (p_t=%g, FDR=%.6g, %d simulations)", len(called), spec.RName, pt, rate, len(sims)),
+		func(w io.Writer) error {
+			for _, p := range called {
+				if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%g\t%d\n", spec.RName,
+					p.Start*spec.BinSize, p.End*spec.BinSize, p.MaxValue, p.MinSurvive); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
-	})
+			return nil
+		})
 }
 
 // runStats is nlmeans and fdr over a histogram TSV: every process reads
 // the whole input, each rank of the job's launcher works its SplitRange
 // span of it, and rank 0 alone writes.
-func runStats(spec *Spec, env *Env, ranks int, out *Result) ([]string, error) {
+func runStats(spec *Spec, env *Env, ranks int) (outcome, error) {
 	v, err := hist.ReadTSV(env.Input)
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
-	out.Records = int64(len(v))
 	if spec.Op == OpNLMeans {
 		p := nlmeans.Params{R: spec.R, L: spec.L, Sigma: spec.Sigma}
 		denoised, err := mpi.RunRoot(env.Launch, ranks, func(c *mpi.Comm) ([]float64, error) {
 			return nlmeans.DenoiseRanks(c, v, p)
 		})
 		if err != nil || env.Rank != 0 {
-			return nil, err
+			return outcome{}, err
 		}
-		out.Summary = fmt.Sprintf("denoised %d bins (r=%d l=%d sigma=%g, %d ranks)", len(v), p.R, p.L, p.Sigma, ranks)
-		return env.report("denoised.tsv", &out.Summary, func(w io.Writer) error { return hist.WriteTSV(w, denoised) })
+		return env.report(int64(len(v)), "denoised.tsv",
+			fmt.Sprintf("denoised %d bins (r=%d l=%d sigma=%g, %d ranks)", len(v), p.R, p.L, p.Sigma, ranks),
+			func(w io.Writer) error { return hist.WriteTSV(w, denoised) })
 	}
 	sims := env.simulations(spec, len(v))
 	rate, err := mpi.RunRoot(env.Launch, ranks, func(c *mpi.Comm) (float64, error) {
 		return fdr.ParallelFused(c, v, sims, spec.PT)
 	})
 	if err != nil || env.Rank != 0 {
-		return nil, err
+		return outcome{}, err
 	}
-	out.Summary = fmt.Sprintf("FDR(p_t=%g) = %.6g  (%d bins, %d simulations, %d ranks)", spec.PT, rate, len(v), len(sims), ranks)
-	return env.report("fdr.tsv", &out.Summary, func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "%g\t%g\n", spec.PT, rate)
-		return err
-	})
+	return env.report(int64(len(v)), "fdr.tsv",
+		fmt.Sprintf("FDR(p_t=%g) = %.6g  (%d bins, %d simulations, %d ranks)", spec.PT, rate, len(v), len(sims), ranks),
+		func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "%g\t%g\n", spec.PT, rate)
+			return err
+		})
 }
 
 // simulations is the background peaks and fdr compare a histogram of
@@ -357,17 +400,19 @@ func (e *Env) dest(name string) string {
 	return filepath.Join(e.OutDir, name)
 }
 
-// report writes an analysis output through write and appends
-// " → <path>" to the summary line; with no destination in the Env it
-// writes nothing, and a failed write leaves no partial report behind.
-func (e *Env) report(name string, summary *string, write func(io.Writer) error) ([]string, error) {
+// report writes an analysis output through write and returns rank 0's
+// outcome: records, the file, and summary with " → <path>" appended.
+// With no destination in the Env it writes nothing, and a failed write
+// leaves no partial report behind.
+func (e *Env) report(records int64, name, summary string, write func(io.Writer) error) (outcome, error) {
+	o := outcome{Records: records, summary: says(summary)}
 	if e.OutPath == "" && e.OutDir == "" {
-		return nil, nil
+		return o, nil
 	}
 	dst := e.dest(name)
 	f, err := os.Create(dst)
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
 	err = write(f)
 	if cerr := f.Close(); err == nil {
@@ -375,12 +420,10 @@ func (e *Env) report(name string, summary *string, write func(io.Writer) error) 
 	}
 	if err != nil {
 		os.Remove(dst)
-		return nil, err
+		return outcome{}, err
 	}
-	if summary != nil {
-		*summary += " → " + dst
-	}
-	return []string{dst}, nil
+	o.paths, o.summary = []string{dst}, says(summary+" → "+dst)
+	return o, nil
 }
 
 // statFiles stats each output path, returning base-name Files in the

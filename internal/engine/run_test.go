@@ -6,13 +6,17 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"parseq/internal/bam"
 	"parseq/internal/conv"
@@ -20,6 +24,7 @@ import (
 	"parseq/internal/flagstat"
 	"parseq/internal/hist"
 	"parseq/internal/mpi"
+	"parseq/internal/mpinet"
 	"parseq/internal/nlmeans"
 	"parseq/internal/peaks"
 	"parseq/internal/shard"
@@ -250,8 +255,6 @@ func TestRunMatchesLibrary(t *testing.T) {
 			return one(dst, n, err)
 		}},
 	}
-	// The cells whose output Env.OutPath names, and so its container.
-	outPaths := map[string]string{"sort/sam→bamx": "out.bamx", "sort/bam→pamx": "out.pamx"}
 	// The analyses read SAM text by Algorithm 1 partitioning and every
 	// shard-provider container region-parallel.
 	for _, input := range []string{in.sam, in.bam, in.baiBAM, in.bamx, in.bamz, in.pamx} {
@@ -346,19 +349,114 @@ func TestRunMatchesLibrary(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 						spec := c.spec
 						spec.Ranks = ranks
-						outDir := t.TempDir()
-						env := Env{OutDir: outDir}
-						if name, ok := outPaths[c.name]; ok {
-							env.OutPath = filepath.Join(outDir, name)
-						}
+						env := cellEnv(c.name, t.TempDir())
 						res, err := Run(spec, env)
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkFiles(t, res, outDir, want)
+						checkFiles(t, res, env.OutDir, want)
 					})
 				}
 			})
+		}
+	}
+
+	// The world table: each cell on two- and three-rank loopback TCP
+	// worlds, one goroutine per rank with its own World and Run. Rank 0's
+	// Result is the in-process one, timings masked; the directory holds
+	// its files, byte for byte, and nothing else; every other rank's
+	// Result is empty. psam refuses a world
+	// (TestPSAMRefusedOnDistributedWorld).
+	for _, size := range []int{2, 3} {
+		for _, c := range cells {
+			if c.spec.Converter == "psam" {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/world%d", c.name, size), func(t *testing.T) {
+				spec := c.spec
+				spec.Ranks = size
+				inDir, worldDir := t.TempDir(), t.TempDir()
+				want, err := Run(spec, cellEnv(c.name, inDir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]Result, size)
+				runLoopbackWorld(t, size, func(w *mpinet.World) (err error) {
+					env := cellEnv(c.name, worldDir)
+					env.Launch, env.Rank = w.Launcher(), w.Rank()
+					got[w.Rank()], err = Run(spec, env)
+					return err
+				})
+				got[0].Summary = strings.ReplaceAll(got[0].Summary, worldDir, inDir)
+				if masked := maskTimes(got[0]); !reflect.DeepEqual(masked, maskTimes(want)) {
+					t.Errorf("rank 0's Result differs from the in-process one:\n%+v\n%+v", masked, maskTimes(want))
+				}
+				for rank, res := range got[1:] {
+					if !reflect.DeepEqual(res, Result{}) {
+						t.Errorf("rank %d's Result is not empty: %+v", rank+1, res)
+					}
+				}
+				var paths []string
+				for _, f := range want.Files {
+					paths = append(paths, filepath.Join(inDir, f.Name))
+				}
+				checkFiles(t, got[0], worldDir, paths)
+			})
+		}
+	}
+}
+
+// cellEnv places a TestRunMatchesLibrary cell's outputs in dir: its
+// OutDir, and for the sorts into a container the OutPath naming it.
+func cellEnv(cell, dir string) Env {
+	env := Env{OutDir: dir}
+	if name, ok := map[string]string{"sort/sam→bamx": "out.bamx", "sort/bam→pamx": "out.pamx"}[cell]; ok {
+		env.OutPath = filepath.Join(dir, name)
+	}
+	return env
+}
+
+// durations matches what time.Duration.String prints.
+var durations = regexp.MustCompile(`[0-9][0-9.]*(ns|µs|ms|s|m|h)`)
+
+// maskTimes blanks the durations in a Result's Summary.
+func maskTimes(res Result) Result {
+	res.Summary = durations.ReplaceAllString(res.Summary, "T")
+	return res
+}
+
+// runLoopbackWorld forms a real loopback TCP world of size single-rank
+// processes-in-goroutines and runs fn once per rank with its world.
+func runLoopbackWorld(t *testing.T, size int, fn func(w *mpinet.World) error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := ln.Addr().String()
+	ln.Close()
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	wg.Add(size)
+	for r := 0; r < size; r++ {
+		go func(rank int) {
+			defer wg.Done()
+			w, err := mpinet.Connect(mpinet.Config{
+				Rank: rank, World: size, Coord: coord,
+				DialTimeout: 10 * time.Second, JoinTimeout: 30 * time.Second, WaitTimeout: 30 * time.Second,
+			})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer w.Close()
+			errs[rank] = fn(w)
+		}(r)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
 }
@@ -448,9 +546,8 @@ func checkFiles(t *testing.T, res Result, outDir string, want []string) {
 
 // TestEnvPlacesOutputs pins the destination rules the front ends rely
 // on: OutPath renames a single-file output, an analysis with no
-// destination writes nothing and answers in its Result, OutPrefix names
-// convert's rank files, and ConvertOutputs reconstructs exactly those
-// names.
+// destination writes nothing and answers in its Result, and OutPrefix
+// names convert's rank files.
 func TestEnvPlacesOutputs(t *testing.T) {
 	in := makeContainers(t, 600)
 	dir := t.TempDir()
@@ -477,21 +574,12 @@ func TestEnvPlacesOutputs(t *testing.T) {
 		t.Fatalf("hist to OutPath: files %v, summary %q", res.Files, res.Summary)
 	}
 
-	spec := Spec{InputPath: in.sam, Format: "bed", Ranks: 3}
-	env := Env{OutDir: dir, OutPrefix: "x"}
-	res, err = Run(spec, env)
+	res, err = Run(Spec{InputPath: in.sam, Format: "bed", Ranks: 3}, Env{OutDir: dir, OutPrefix: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Files) != 3 || res.Files[2].Name != "x_p002.bed" {
 		t.Fatalf("convert with OutPrefix: %v", res.Files)
-	}
-	listed, total, err := ConvertOutputs(&spec, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(listed, res.Files) || total != res.BytesOut {
-		t.Fatalf("ConvertOutputs = %v (%d bytes), Run reported %v (%d bytes)", listed, total, res.Files, res.BytesOut)
 	}
 }
 
@@ -501,12 +589,12 @@ func TestReportFailureLeavesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	boom := fmt.Errorf("disk full")
 	env := Env{OutDir: dir}
-	paths, err := env.report("flagstat.txt", nil, func(w io.Writer) error {
+	o, err := env.report(1, "flagstat.txt", "", func(w io.Writer) error {
 		io.WriteString(w, "half a rep")
 		return boom
 	})
-	if err != boom || paths != nil {
-		t.Fatalf("report = %v, %v; want the write's error", paths, err)
+	if err != boom || o.paths != nil {
+		t.Fatalf("report = %v, %v; want the write's error", o.paths, err)
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Fatalf("failed report left %d files", len(left))
@@ -544,16 +632,26 @@ func TestConvertKindNeedsItsContainer(t *testing.T) {
 
 // TestPSAMRefusedOnDistributedWorld: psam's preprocessing fills only
 // the local rank's BAMX pair, so on a distributed launcher each process
-// would convert a share of the input; the job is refused by name before
-// any file is written, in either of psam's routes.
+// would convert a share of the input; the job is refused by name on
+// every rank before any file is written, in either of psam's routes,
+// on an in-process launcher and on a loopback TCP world alike.
 func TestPSAMRefusedOnDistributedWorld(t *testing.T) {
 	in := makeContainers(t, 200)
+	refused := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "converter sam") && strings.Contains(err.Error(), "format bamx")
+	}
 	for _, format := range []string{"bed", "bamx"} {
+		spec := Spec{Converter: "psam", InputPath: in.sam, Format: format, Ranks: 2}
 		dir := t.TempDir()
-		_, err := Run(Spec{Converter: "psam", InputPath: in.sam, Format: format, Ranks: 2}, Env{OutDir: dir, Launch: mpi.Run})
-		if err == nil || !strings.Contains(err.Error(), "converter sam") || !strings.Contains(err.Error(), "format bamx") {
+		if _, err := Run(spec, Env{OutDir: dir, Launch: mpi.Run}); !refused(err) {
 			t.Fatalf("psam to %s on a launcher: %v", format, err)
 		}
+		runLoopbackWorld(t, 2, func(w *mpinet.World) error {
+			if _, err := Run(spec, Env{OutDir: dir, Launch: w.Launcher(), Rank: w.Rank()}); !refused(err) {
+				return fmt.Errorf("psam to %s on a TCP world: %v", format, err)
+			}
+			return nil
+		})
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
 			t.Fatalf("refused job left %d files", len(left))
 		}

@@ -272,6 +272,16 @@ func (s *Spec) InputBase() string {
 // from SAM, one BAMX pair per rank) rather than a file per rank.
 func (s *Spec) WritesContainer() bool { return s.Format == "bamx" || s.Format == "pamx" }
 
+// CheckWorld refuses what a distributed world cannot run: the psam
+// converter, whose preprocessing leaves each process only its own
+// rank's BAMX pair to convert.
+func (s *Spec) CheckWorld() error {
+	if kind, _ := s.ConverterKind(); s.Op == OpConvert && kind == "psam" {
+		return fmt.Errorf("engine: converter psam does not run on a distributed world; use converter sam, or a .bamx input made with format bamx")
+	}
+	return nil
+}
+
 // autoConverter reports whether the converter goes by extension.
 func (s *Spec) autoConverter() bool { return s.Converter == "" || s.Converter == "auto" }
 

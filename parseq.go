@@ -129,11 +129,6 @@ func PreprocessSAM(samPath, outDir, prefix string, cores int) (*PreprocessResult
 	return conv.PreprocessSAMParallel(samPath, Options{OutDir: outDir, OutPrefix: prefix, Cores: cores})
 }
 
-// ConvertPreprocessed converts previously generated BAMX shards.
-func ConvertPreprocessed(bamxFiles, baixFiles []string, opts Options) (*Result, error) {
-	return conv.ConvertPreprocessed(bamxFiles, baixFiles, opts)
-}
-
 // ConvertSAMPreprocessed is the complete preprocessing-optimized SAM
 // format converter: parallel SAM→BAMX preprocessing with preCores ranks,
 // then parallel conversion with opts.Cores ranks.
@@ -309,12 +304,6 @@ func SortSAMToBAM(samPath, outPath string, opts SortOptions) (int64, error) {
 	return sorter.SortSAMToBAM(samPath, outPath, opts)
 }
 
-// SortBAM coordinate-sorts a BAM file into a new BAM file (or, as for
-// SortSAMToBAM, the container outPath's extension names).
-func SortBAM(bamPath, outPath string, opts SortOptions) (int64, error) {
-	return sorter.SortBAM(bamPath, outPath, opts)
-}
-
 // Peak is one enriched region in bin coordinates.
 type Peak = peaks.Peak
 
@@ -331,9 +320,6 @@ func CallPeaks(histogram []float64, sims [][]float64, candidates []float64,
 
 // ExperimentScale sets the workload sizes the paper experiments run at.
 type ExperimentScale = experiments.Scale
-
-// DefaultExperimentScale sizes the experiments for a few-minute full run.
-func DefaultExperimentScale() ExperimentScale { return experiments.DefaultScale() }
 
 // Experiments lists the reproducible paper experiments (table1, fig6..fig12).
 func Experiments() []string { return experiments.IDs() }
