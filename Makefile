@@ -374,12 +374,14 @@ daemon-endpoint-smoke:
 	echo "daemon-endpoint-smoke: OK"
 
 # Distributed-world check with the real binaries: TestWorldSmoke builds
-# seqconvert and ngsgen, picks a free loopback coordinator address and
-# runs BAMX→BED, BAM -format pamx and SAM -format bamx on two-process TCP
-# worlds against the same jobs in one process. Rank 0 must print the
-# in-process summary (the world's record count and files), rank 1
-# nothing, and the output directory must hold the in-process files,
-# byte for byte, and nothing else.
+# seqconvert, samstat and ngsgen, picks a free loopback coordinator
+# address and runs BAMX→BED, BAM -format pamx, SAM -format bamx and
+# samstat over a BAM with its .bai on two-process TCP worlds against the
+# same jobs in one process. Rank 0 must print the in-process summary (the
+# world's record count and files, or samstat's report), rank 1 nothing,
+# and the output directory must hold the in-process files, byte for
+# byte, and nothing else. Over a truncated BAM, -format bed and -format
+# pamx must fail on both processes, rank 1 still printing nothing.
 world-smoke:
 	$(GO) test -run '^TestWorldSmoke$$' -count=1 ./cmd/seqconvert
 

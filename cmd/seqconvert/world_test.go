@@ -10,56 +10,79 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"parseq/internal/bam"
 )
 
-// TestWorldSmoke (make world-smoke) drives three jobs with the real
-// commands on two-process loopback TCP worlds, each against the same job
-// run in one process: BAMX→BED, BAM -format pamx and SAM -format bamx.
-// Rank 0 prints the in-process summary, timings aside, so the world's
-// record count and every file; rank 1 prints nothing; and the output
-// directory holds the in-process files, byte for byte, and nothing else
-// (one out.pamx, written once).
+// TestWorldSmoke (make world-smoke) drives jobs with the real commands
+// on two-process loopback TCP worlds, each against the same job run in
+// one process: BAMX→BED, BAM -format pamx, SAM -format bamx, and samstat
+// over a BAM with its .bai. Rank 0 prints the in-process summary,
+// timings aside, so the world's record count and every file; rank 1
+// prints nothing; and the output directory holds the in-process files,
+// byte for byte, and nothing else (one out.pamx, written once). Over a
+// truncated BAM, -format bed and -format pamx fail on both processes,
+// and rank 1 still prints nothing.
 func TestWorldSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the commands and runs two-process worlds")
 	}
 	bin, dir := t.TempDir(), t.TempDir()
 	// go test puts its own toolchain first on the PATH.
-	build := exec.Command("go", "build", "-o", bin, "parseq/cmd/seqconvert", "parseq/cmd/ngsgen")
+	build := exec.Command("go", "build", "-o", bin, "parseq/cmd/seqconvert", "parseq/cmd/ngsgen", "parseq/cmd/samstat")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	// command runs a built command in dir/wd; wait collects its stdout.
-	command := func(wd, name string, args ...string) (cmd *exec.Cmd, wait func() string) {
+	// command runs a built command in dir/wd; wait collects its stdout,
+	// failing the test unless the command's exit matches fails.
+	command := func(wd, name string, fails bool, args ...string) (cmd *exec.Cmd, wait func() string) {
 		var stdout, stderr bytes.Buffer
 		cmd = exec.Command(filepath.Join(bin, name), args...)
 		cmd.Dir, cmd.Stdout, cmd.Stderr = filepath.Join(dir, wd), &stdout, &stderr
 		return cmd, func() string {
-			if err := cmd.Wait(); err != nil {
-				t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, stderr.String())
+			if err := cmd.Wait(); (err != nil) != fails {
+				t.Fatalf("%s %s: exit %v, want failure %v\n%s", name, strings.Join(args, " "), err, fails, stderr.String())
 			}
 			return stdout.String()
 		}
 	}
-	run := func(wd, name string, args ...string) string {
-		cmd, wait := command(wd, name, args...)
+	run := func(wd, name string, fails bool, args ...string) string {
+		cmd, wait := command(wd, name, fails, args...)
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
 		return wait()
 	}
-	run(".", "ngsgen", "-reads", "20000", "-out", "g")
-	run(".", "seqconvert", "-in", "g.bam", "-format", "bamx", "-prefix", "g")
+	run(".", "ngsgen", false, "-reads", "20000", "-out", "g")
+	run(".", "seqconvert", false, "-in", "g.bam", "-format", "bamx", "-prefix", "g")
+	// No command writes a .bai; then a copy of g.bam cut mid-stream.
+	raw, err := os.ReadFile(filepath.Join(dir, "g.bam"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bai bytes.Buffer
+	if err := bam.WriteIndexFile(bytes.NewReader(raw), &bai); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "g.bam.bai"), bai.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "trunc.bam"), raw[:len(raw)*3/5], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	durations := regexp.MustCompile(`[0-9][0-9.]*(ns|µs|ms|s|m|h)`)
 	for _, job := range []struct {
-		name string
-		args []string
-		says string
+		name, cmd string
+		args      []string
+		says      string // "": the job fails
 	}{
-		{"bamx-bed", []string{"-in", "../g.bamx", "-format", "bed"}, "converted 20000 records "},
-		{"bam-pamx", []string{"-in", "../g.bam", "-format", "pamx"}, "converted 20000 records into o/out.pamx "},
-		{"sam-bamx", []string{"-in", "../g.sam", "-format", "bamx"}, "preprocessed 20000 records into o/out_m000.bamx, o/out_m001.bamx "},
+		{"bamx-bed", "seqconvert", []string{"-in", "../g.bamx", "-format", "bed", "-out", "o"}, "converted 20000 records "},
+		{"bam-pamx", "seqconvert", []string{"-in", "../g.bam", "-format", "pamx", "-out", "o"}, "converted 20000 records into o/out.pamx "},
+		{"sam-bamx", "seqconvert", []string{"-in", "../g.sam", "-format", "bamx", "-out", "o"}, "preprocessed 20000 records into o/out_m000.bamx, o/out_m001.bamx "},
+		{"bai-samstat", "samstat", []string{"-in", "../g.bam"}, "20000 in total\n"},
+		{"trunc-bed", "seqconvert", []string{"-in", "../trunc.bam", "-format", "bed", "-out", "o"}, ""},
+		{"trunc-pamx", "seqconvert", []string{"-in", "../trunc.bam", "-format", "pamx", "-out", "o"}, ""},
 	} {
 		inproc, world := job.name+"-inproc", job.name+"-world"
 		for _, wd := range []string{inproc, world} {
@@ -67,8 +90,9 @@ func TestWorldSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		args := append(job.args, "-p", "2", "-out", "o")
-		want := run(inproc, "seqconvert", args...)
+		fails := job.says == ""
+		args := append(job.args, "-p", "2")
+		want := run(inproc, job.cmd, fails, args...)
 
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -80,7 +104,7 @@ func TestWorldSmoke(t *testing.T) {
 		var waits [2]func() string
 		for rank := 1; rank >= 0; rank-- {
 			var cmd *exec.Cmd
-			cmd, waits[rank] = command(world, "seqconvert", append([]string{"-transport", "tcp", "-world", "2",
+			cmd, waits[rank] = command(world, job.cmd, fails, append([]string{"-transport", "tcp", "-world", "2",
 				"-rank", strconv.Itoa(rank), "-coord", coord}, args...)...)
 			if err := cmd.Start(); err != nil {
 				t.Fatal(err)
@@ -90,14 +114,17 @@ func TestWorldSmoke(t *testing.T) {
 			got[rank] = waits[rank]()
 		}
 
+		if got[1] != "" {
+			t.Errorf("%s: rank 1 printed %q", job.name, got[1])
+		}
+		if fails {
+			continue
+		}
 		if !strings.HasPrefix(got[0], job.says) {
 			t.Errorf("%s: rank 0 printed %q, want it to begin %q", job.name, got[0], job.says)
 		}
 		if durations.ReplaceAllString(got[0], "T") != durations.ReplaceAllString(want, "T") {
 			t.Errorf("%s: rank 0 printed %q, in process %q", job.name, got[0], want)
-		}
-		if got[1] != "" {
-			t.Errorf("%s: rank 1 printed %q", job.name, got[1])
 		}
 		wantFiles, err := os.ReadDir(filepath.Join(dir, inproc, "o"))
 		if err != nil {

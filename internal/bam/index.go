@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"parseq/internal/bgzf"
@@ -136,17 +137,24 @@ func (idx *Index) RefSpan(refID int) (beg, end bgzf.VOffset, ok bool) {
 	return beg, end, ok
 }
 
-// EndOffset returns the largest chunk end across every reference: where
-// the unmapped tail of a coordinate-sorted file begins. Zero when the
-// index holds no mapped records.
-func (idx *Index) EndOffset() bgzf.VOffset {
-	var end bgzf.VOffset
-	for refID := range idx.refs {
-		if _, e, ok := idx.RefSpan(refID); ok && e > end {
-			end = e
+// Cuts returns up to n-1 ascending record starts that cut the records
+// from the one at from to the end of a file of size compressed bytes
+// into n file-order pieces of about equal compressed bytes: for each
+// share, the first linear-index entry in a block at or past it.
+func (idx *Index) Cuts(from bgzf.VOffset, size int64, n int) []bgzf.VOffset {
+	var starts, cuts []bgzf.VOffset
+	for _, ref := range idx.refs {
+		starts = append(starts, ref.linear...)
+	}
+	slices.Sort(starts)
+	for k, last := 1, from; k < n; k++ {
+		goal := bgzf.MakeVOffset(from.Block()+(size-from.Block())*int64(k)/int64(n), 0)
+		if i, _ := slices.BinarySearch(starts, goal); i < len(starts) && starts[i] > last {
+			last = starts[i]
+			cuts = append(cuts, last)
 		}
 	}
-	return end
+	return cuts
 }
 
 // LinearWindowBases is the base width of one linear-index window: the
@@ -163,7 +171,8 @@ type RefSlice struct {
 
 // ByteSplits cuts refID's [0, refLen) into contiguous slices of roughly
 // targetBytes estimated compressed bytes each, cutting only on
-// linear-index window boundaries. The estimate derives from the linear
+// linear-index window boundaries; a remainder under one BGZF member
+// folds into the slice before it. The estimate derives from the linear
 // index's per-window minimum offsets, so balance reflects the on-disk
 // compressed distribution of alignments rather than base-pair width —
 // a pileup hotspot splits fine, a desert collapses into one slice.
@@ -209,6 +218,10 @@ func (idx *Index) ByteSplits(refID, refLen int, targetBytes int64) []RefSlice {
 			})
 			cut = w + 1
 		}
+	}
+	if n := len(out); n > 0 && offs[len(lin)]-offs[cut] < bgzf.MaxBlockSize {
+		cut = out[n-1].Beg >> linearShift
+		out = out[:n-1]
 	}
 	out = append(out, RefSlice{
 		Beg:   cut << linearShift,

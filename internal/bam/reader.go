@@ -59,6 +59,21 @@ func NewReader(r io.Reader, opts ...Option) (*Reader, error) {
 	return br, nil
 }
 
+// NewReaderAt is NewReader for a stream whose header h the caller has
+// already read: it decodes no header and inflates nothing until it is
+// read, from at when at is not 0 (Seek's virtual offset).
+func NewReaderAt(r io.ReadSeeker, h *sam.Header, at bgzf.VOffset, opts ...Option) (*Reader, error) {
+	br := &Reader{bg: bgzf.NewParallelReader(r, applyOptions(opts).workers), header: h}
+	if at == 0 {
+		return br, nil
+	}
+	if err := br.Seek(at); err != nil {
+		br.Close()
+		return nil, fmt.Errorf("bam: seeking to %v: %w", at, err)
+	}
+	return br, nil
+}
+
 func (br *Reader) readHeader() error {
 	var magic [4]byte
 	if _, err := io.ReadFull(br.bg, magic[:]); err != nil {

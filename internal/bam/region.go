@@ -18,7 +18,7 @@ func bodySpan(body []byte) (refID int32, beg, end int) {
 	nCigar := int(binary.LittleEndian.Uint16(body[12:]))
 	refLen := 0
 	off := 32 + nameLen
-	for i := 0; i < nCigar; i++ {
+	for i := 0; i < nCigar && off+4*i+4 <= len(body); i++ { // a garbled count reads no further
 		op := sam.CigarOp(binary.LittleEndian.Uint32(body[off+4*i:]))
 		if op.Type().ConsumesReference() {
 			refLen += op.Len()
@@ -141,8 +141,8 @@ func (rr *RegionReader) NextBody() ([]byte, error) {
 				return nil, rr.err
 			}
 			if err := rr.br.Seek(rr.chunks[rr.chunk].Beg); err != nil {
-				rr.err = err
-				return nil, err
+				rr.err = offGrid(rr.chunks[rr.chunk].Beg, err)
+				return nil, rr.err
 			}
 			rr.inChunk = true
 		}
@@ -151,6 +151,7 @@ func (rr *RegionReader) NextBody() ([]byte, error) {
 			rr.inChunk = false
 			continue
 		}
+		at := rr.br.Offset()
 		body, err := rr.br.ReadBody()
 		if err == io.EOF {
 			rr.chunk++
@@ -158,8 +159,8 @@ func (rr *RegionReader) NextBody() ([]byte, error) {
 			continue
 		}
 		if err != nil {
-			rr.err = err
-			return nil, err
+			rr.err = offGrid(at, err)
+			return nil, rr.err
 		}
 		refID, beg, end := bodySpan(body)
 		if refID != rr.refID {
@@ -217,52 +218,6 @@ func CountRegion(br *Reader, idx *Index, refName string, beg, end int) (int, err
 			return n, err
 		}
 		n++
-	}
-}
-
-// UnmappedTailReader iterates the fully unmapped records a
-// coordinate-sorted BAM file places after the last mapped alignment.
-// Paired with a start-within partition of every reference, it completes
-// an exactly-once cover of the file: placed records come from exactly
-// one region shard, placeless ones (refID -1) from exactly one tail
-// shard. Records still carrying a reference are filtered out, so chunk
-// ends that round up into the tail's first block cannot double count.
-type UnmappedTailReader struct {
-	br  *Reader
-	err error
-}
-
-// NewUnmappedTailReader positions br at the end of the last indexed
-// chunk (the start of the record section when the index holds no mapped
-// records) and returns the tail iterator.
-func NewUnmappedTailReader(br *Reader, idx *Index) (*UnmappedTailReader, error) {
-	off := idx.EndOffset()
-	if off == 0 {
-		off = br.DataStart()
-	}
-	if err := br.Seek(off); err != nil {
-		return nil, err
-	}
-	return &UnmappedTailReader{br: br}, nil
-}
-
-// NextBody returns the next unmapped record's encoded body, or io.EOF.
-// The slice aliases the reader's internal buffer and is valid only
-// until the next call.
-func (ur *UnmappedTailReader) NextBody() ([]byte, error) {
-	if ur.err != nil {
-		return nil, ur.err
-	}
-	for {
-		body, err := ur.br.ReadBody()
-		if err != nil {
-			ur.err = err
-			return nil, err
-		}
-		if refID := int32(binary.LittleEndian.Uint32(body[0:])); refID >= 0 {
-			continue
-		}
-		return body, nil
 	}
 }
 

@@ -44,12 +44,25 @@ type BodyScanner struct {
 	pos   int
 	carry []byte // scratch for records spanning block boundaries
 	err   error
+	// A piece's end (0: none), the offsets of block[0] and of the block
+	// after it.
+	hi, base, after bgzf.VOffset
 }
 
 // NewBodyScanner wraps br, which must be positioned at the first record
 // (as NewReader leaves it, mid-block after the header).
 func NewBodyScanner(br *Reader) *BodyScanner {
 	return &BodyScanner{src: br.bg}
+}
+
+// NewPieceScanner is NewBodyScanner ending at hi, the virtual offset of
+// a later record start. A record running past hi, or one that does not
+// parse, means the piece is cut off the record grid (a stale index):
+// bgzf.ErrCorrupt, naming the offset.
+func NewPieceScanner(br *Reader, hi bgzf.VOffset) *BodyScanner {
+	s := NewBodyScanner(br)
+	s.hi = hi
+	return s
 }
 
 // Next returns the next record body (without the block_size prefix),
@@ -59,7 +72,11 @@ func (s *BodyScanner) Next() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
+	at := s.base + bgzf.VOffset(s.pos)
 	body, err := s.next()
+	if err != nil && err != io.EOF && s.hi != 0 {
+		err = offGrid(at, err)
+	}
 	if err != nil {
 		s.err = err
 		return nil, err
@@ -67,11 +84,26 @@ func (s *BodyScanner) Next() ([]byte, error) {
 	return body, nil
 }
 
+// offGrid names the offset of a read from where an index says a record
+// starts: a record that does not parse there is bgzf.ErrCorrupt.
+func offGrid(at bgzf.VOffset, err error) error {
+	if errors.Is(err, ErrInvalidRecord) {
+		err = fmt.Errorf("%w: %w", bgzf.ErrCorrupt, err)
+	}
+	return fmt.Errorf("bam: record at %v: %w", at, err)
+}
+
 // next parses the following record out of the current block, loading
 // blocks as needed.
 func (s *BodyScanner) next() ([]byte, error) {
 	for {
 		avail := len(s.block) - s.pos
+		// A block's end is the same stream position as the next one's start.
+		if at := s.base + bgzf.VOffset(s.pos); s.hi != 0 && (at == s.hi || avail == 0 && s.after == s.hi) {
+			return nil, io.EOF
+		} else if s.hi != 0 && (at > s.hi || avail == 0 && s.after > s.hi) {
+			return nil, fmt.Errorf("%w: a record runs past %v, the piece's end", bgzf.ErrCorrupt, s.hi)
+		}
 		if avail >= 4 {
 			size := int(int32(binary.LittleEndian.Uint32(s.block[s.pos:])))
 			if size < minRecordBody {
@@ -100,11 +132,11 @@ func (s *BodyScanner) advance() error {
 		s.src.Recycle(s.block)
 		s.block, s.pos = nil, 0
 	}
-	data, _, err := s.src.NextBlock()
+	data, off, err := s.src.NextBlock()
 	if err != nil {
 		return err
 	}
-	s.block, s.pos = data, 0
+	s.block, s.pos, s.base, s.after = data, 0, off, s.src.Offset()
 	return nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"testing"
 
+	"parseq/internal/bgzf"
+	"parseq/internal/obs"
 	"parseq/internal/sam"
 )
 
@@ -14,21 +16,40 @@ func recordKey(rec *sam.Record) string {
 	return fmt.Sprintf("%s/%d@%s:%d", rec.QName, rec.Flag, rec.RName, rec.Pos)
 }
 
-// nextTail decodes the tail's next body into rec, reporting false at
-// the end.
-func nextTail(t *testing.T, ur *UnmappedTailReader, rec *sam.Record, h *sam.Header) bool {
+// lastPiece returns the records of the last of n file-order pieces
+// (Index.Cuts), which runs to the end of the file.
+func lastPiece(t *testing.T, raw []byte, idx *Index, n int) []sam.Record {
 	t.Helper()
-	body, err := ur.NextBody()
-	if err == io.EOF {
-		return false
-	}
-	if err == nil {
-		err = DecodeRecord(body, rec, h)
-	}
+	hr, err := NewReader(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("tail: %v", err)
+		t.Fatalf("NewReader: %v", err)
 	}
-	return true
+	hr.Close()
+	lo := hr.DataStart()
+	if cuts := idx.Cuts(lo, int64(len(raw)), n); len(cuts) > 0 {
+		lo = cuts[len(cuts)-1]
+	}
+	br, err := NewReaderAt(bytes.NewReader(raw), hr.Header(), lo)
+	if err != nil {
+		t.Fatalf("NewReaderAt: %v", err)
+	}
+	defer br.Close()
+	s := NewPieceScanner(br, bgzf.MakeVOffset(int64(len(raw)), 0))
+	var recs []sam.Record
+	for {
+		body, err := s.Next()
+		if err == io.EOF {
+			return recs
+		}
+		var rec sam.Record
+		if err == nil {
+			err = DecodeRecord(body, &rec, hr.Header())
+		}
+		if err != nil {
+			t.Fatalf("last piece from %v: %v", lo, err)
+		}
+		recs = append(recs, rec)
+	}
 }
 
 // readShardSlice drains one start-within region reader into keys.
@@ -72,20 +93,12 @@ func TestShardPartitionExactlyOnce(t *testing.T) {
 				readShardSlice(t, raw, idx, ref.Name, sl.Beg, sl.End, got)
 			}
 		}
-		// The unmapped tail completes the cover.
-		br, err := NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("NewReader: %v", err)
+		// The unmapped tail, at the end of the last piece, completes the cover.
+		for _, rec := range lastPiece(t, raw, idx, 4) {
+			if rec.RName == "*" {
+				got[recordKey(&rec)]++
+			}
 		}
-		ur, err := NewUnmappedTailReader(br, idx)
-		if err != nil {
-			t.Fatalf("NewUnmappedTailReader: %v", err)
-		}
-		var rec sam.Record
-		for nextTail(t, ur, &rec, h) {
-			got[recordKey(&rec)]++
-		}
-		br.Close()
 
 		if len(got) != len(want) {
 			t.Fatalf("target %d: %d distinct records, want %d", target, len(got), len(want))
@@ -161,8 +174,9 @@ func TestQueryMergesSameBlockChunks(t *testing.T) {
 	}
 }
 
-// TestUnmappedTailReaderOnly: the tail reader returns exactly the
-// placeless records, even though chunk ends may round into its blocks.
+// TestUnmappedTailReaderOnly: the last file-order piece runs to the end
+// of the file, so it holds every placeless record and the records before
+// them back to its cut, in file order, at any piece count.
 func TestUnmappedTailReaderOnly(t *testing.T) {
 	raw, idx, _, recs := makeIndexedDataset(t, 2000)
 	want := 0
@@ -171,25 +185,23 @@ func TestUnmappedTailReaderOnly(t *testing.T) {
 			want++
 		}
 	}
-	br, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	defer br.Close()
-	ur, err := NewUnmappedTailReader(br, idx)
-	if err != nil {
-		t.Fatalf("NewUnmappedTailReader: %v", err)
-	}
-	got := 0
-	var rec sam.Record
-	for nextTail(t, ur, &rec, br.Header()) {
-		if rec.RName != "*" {
-			t.Fatalf("tail returned placed record %s@%s", rec.QName, rec.RName)
+	for _, n := range []int{1, 2, 5} {
+		piece := lastPiece(t, raw, idx, n)
+		if n == 1 && len(piece) != len(recs) {
+			t.Fatalf("one piece read %d records, want %d", len(piece), len(recs))
 		}
-		got++
-	}
-	if got != want {
-		t.Fatalf("tail read %d unmapped records, want %d", got, want)
+		got := 0
+		for i, rec := range piece {
+			if k := recordKey(&recs[len(recs)-len(piece)+i]); recordKey(&rec) != k {
+				t.Fatalf("%d pieces: last piece record %d is %s, the file's is %s", n, i, recordKey(&rec), k)
+			}
+			if rec.RName == "*" {
+				got++
+			}
+		}
+		if got != want {
+			t.Fatalf("%d pieces: the last piece read %d unmapped records, want %d", n, got, want)
+		}
 	}
 }
 
@@ -229,5 +241,79 @@ func TestCountRegionAllocs(t *testing.T) {
 	if perRecord := allocs / float64(n); perRecord > 0.5 {
 		t.Fatalf("CountRegion allocates %.2f objects per record (%.0f total for %d records)",
 			perRecord, allocs, n)
+	}
+}
+
+// TestPieceEndsAtBlockBoundary: a block's end and the next block's start
+// are one stream position. With a record starting exactly at a block
+// boundary, a piece ending at either form of its offset ends before it
+// without inflating the next block, and a piece starting at either form
+// starts with it.
+func TestPieceEndsAtBlockBoundary(t *testing.T) {
+	h := sam.NewHeader(sam.Reference{Name: "chr1", Length: 197195})
+	recs := genSorted(3, 3000, h)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(recs) / 2
+	var blockEnd, blockStart bgzf.VOffset
+	for i := range recs {
+		if i == k {
+			blockEnd = w.Offset()
+			if err := w.bg.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			blockStart = w.Offset()
+		}
+		if err := w.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if blockEnd.Block() == blockStart.Block() || blockStart.Intra() != 0 {
+		t.Fatalf("record %d starts at %v and %v, want the end of one block and the start of the next", k, blockEnd, blockStart)
+	}
+	hr, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Close()
+	reg := obs.New()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	blocks := reg.Counter("bgzf.inflate.blocks")
+	// piece counts the records in [lo, hi) and the blocks it inflated.
+	piece := func(lo, hi bgzf.VOffset) (n int, inflated int64) {
+		before := blocks.Value()
+		br, err := NewReaderAt(bytes.NewReader(raw), h, lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer br.Close()
+		s := NewPieceScanner(br, hi)
+		for ; ; n++ {
+			if _, err := s.Next(); err == io.EOF {
+				return n, blocks.Value() - before
+			} else if err != nil {
+				t.Fatalf("piece [%v, %v): %v", lo, hi, err)
+			}
+		}
+	}
+	toEnd := bgzf.MakeVOffset(int64(len(raw)), 0)
+	n1, b1 := piece(hr.DataStart(), blockEnd)
+	n2, b2 := piece(hr.DataStart(), blockStart)
+	if n1 != k || n2 != k || b1 != b2 {
+		t.Errorf("pieces ending at %v and %v: %d and %d records inflating %d and %d blocks, want %d records and the same blocks", blockEnd, blockStart, n1, n2, b1, b2, k)
+	}
+	if n1, _ := piece(blockEnd, toEnd); n1 != len(recs)-k {
+		t.Errorf("piece from %v: %d records, want %d", blockEnd, n1, len(recs)-k)
+	}
+	if n2, _ := piece(blockStart, toEnd); n2 != len(recs)-k {
+		t.Errorf("piece from %v: %d records, want %d", blockStart, n2, len(recs)-k)
 	}
 }

@@ -77,6 +77,8 @@ func NewReader(r io.Reader) *Reader {
 // without inflating it) and a private pool of that many workers
 // decompressing and CRC-checking them concurrently; at ≤ 0 with
 // read-ahead on AutoWorkers() workers, or on the caller when that is 1.
+// Read-ahead starts at the first block the reader needs, so a Seek
+// before the first read costs no block at the stream's start.
 func NewParallelReader(r io.Reader, workers int) *Reader {
 	br := NewReader(r)
 	if workers <= 0 {
@@ -88,16 +90,15 @@ func NewParallelReader(r io.Reader, workers int) *Reader {
 	br.workers = workers
 	br.reg = obs.Default()
 	br.blocks.New = func() any { return new(rblock) }
-	br.start(0)
 	return br
 }
 
 // start launches a scan goroutine + inflate pipeline generation beginning
-// at compressed offset at.
-func (r *Reader) start(at int64) {
+// at the scan position.
+func (r *Reader) start() {
 	r.cancel = &atomic.Bool{}
 	r.pipe = parpipe.NewObserved(r.workers, pipeDepth(r.workers), r.inflate, r.reg, "bgzf.inflate")
-	go r.scanLoop(r.pipe, r.cancel, at)
+	go r.scanLoop(r.pipe, r.cancel, r.scan.next)
 }
 
 // scanLoop runs the scan step over a prefetcher — so the file read of
@@ -163,12 +164,17 @@ func (r *Reader) advance() error {
 		blk = &r.own
 		blk.err = r.scan.scan(blk)
 		r.inflate(blk)
-	} else if b, ok := <-r.pipe.Out(); ok {
-		blk = b
 	} else {
-		// The scan loop always submits a final block before closing, so a
-		// bare close only follows its delivery.
-		return io.EOF
+		if r.pipe == nil {
+			r.start()
+		}
+		b, ok := <-r.pipe.Out()
+		if !ok {
+			// The scan loop always submits a final block before closing, so
+			// a bare close only follows its delivery.
+			return io.EOF
+		}
+		blk = b
 	}
 	r.cur, r.pos = blk, 0
 	if err := blk.err; err != nil {
@@ -277,9 +283,6 @@ func (r *Reader) seek(v VOffset) error {
 		return err
 	}
 	r.scan.next, r.scan.sawEOF, r.blockStart = v.Block(), false, v.Block()
-	if r.workers > 0 {
-		r.start(v.Block())
-	}
 	// Load the first non-empty block to validate the intra offset.
 	for r.cur == nil || len(r.cur.data) == 0 {
 		if err := r.advance(); err != nil {

@@ -168,7 +168,7 @@ func TestRegionBound(t *testing.T) {
 	if _, err := shard.Rewrite(path("r.bam"), path("r.pamx")); err != nil {
 		t.Fatal(err)
 	}
-	// r.bam has no .bai, so it is one stream shard; ri.bam has one.
+	// r.bam has no .bai, so it is one piece; ri.bam has one.
 	raw, err := os.ReadFile(path("r.bam"))
 	if err != nil {
 		t.Fatal(err)

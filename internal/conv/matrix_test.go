@@ -92,7 +92,7 @@ func TestSourceSinkMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same BAM beside a .bai sidecar; in.bam has none, so its
-	// provider reads it as one stream shard.
+	// provider reads it as one piece.
 	baiBAM := filepath.Join(dir, "d.bam")
 	raw, err := os.ReadFile(bamPath)
 	if err != nil {

@@ -14,11 +14,11 @@ import (
 // convertProvider is the parallel conversion phase over any container a
 // shard.Provider reads — the runtime's one binary record source. Rank 0
 // cuts the selection (the whole file, or opts.Region's records) into one
-// shard per rank (shard.Distribute; a BAM's stream shard is one for all
+// shard per rank (shard.Distribute; a bare BAM is one piece for all
 // ranks); each rank drains its contiguous group in order through
 // independent readers, with no further communication. Whole-file shards
 // are in file order, so the concatenated rank outputs replay the file; a
-// region's are in coordinate order, or file order from a stream shard.
+// region's are in coordinate order, or file order from a bare BAM.
 // The provider is closed on return.
 func convertProvider(p shard.Provider, opts Options) (*Result, error) {
 	defer p.Close()
@@ -90,7 +90,7 @@ func convertShards(p shard.Provider, shards []shard.Shard, sk *sink) (rankStats,
 
 // readerCodec is each shard reader's share of an explicit codec count,
 // which the ranks divide. At the default count the provider places the
-// inflate: index shards on the caller, a BAM's lone stream shard on
+// inflate: index shards and pieces on the caller, a BAM's lone piece on
 // bgzf's adaptive count.
 func readerCodec(opts Options) []shard.Option {
 	if opts.CodecWorkers <= 0 {
@@ -187,8 +187,8 @@ func ConvertStream(h *sam.Header, next func(*sam.Record) (bool, error), consumed
 
 // ConvertBAMSequential converts a BAM file on one rank, forcing Cores to
 // 1 — the paper's "BAM format converter without preprocessing" Table I
-// configuration: the BAM provider, which reads a whole file as its
-// stream shard, in file order.
+// configuration: the BAM provider, which reads a whole file at one rank
+// as one piece, in file order.
 func ConvertBAMSequential(bamPath string, opts Options) (*Result, error) {
 	opts.Cores, opts.Launch = 1, nil
 	return convertProvider(shard.NewBAMProvider(bamPath, readerCodec(opts)...), opts)

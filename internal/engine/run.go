@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -129,7 +130,8 @@ type outcome struct {
 	Records  int64  `json:"records"`
 	Emitted  int64  `json:"emitted"` // convert: target objects written
 	Files    []File `json:"files"`
-	BytesOut int64  `json:"bytes_out"` // total size of Files
+	BytesOut int64  `json:"bytes_out"`     // total size of Files
+	Err      string `json:"err,omitempty"` // the process's op failed
 
 	paths   []string // what the op wrote, stat into Files
 	summary func(world *outcome) string
@@ -140,39 +142,48 @@ func says(s string) func(*outcome) string { return func(*outcome) string { retur
 
 // gather ends a job on a distributed world: each process sends its own
 // rank's outcome to rank 0, which sums the tallies and lists the files
-// in rank order under its own summary. A process whose op failed aborts
-// the world instead, so no peer waits on it.
+// in rank order under its own summary. A process whose op failed sends
+// its error instead, and rank 0 broadcasts the world's verdict — the
+// first failed rank's error — so every process returns it.
 func gather(env *Env, ranks int, local outcome, failed error) (outcome, error) {
 	world := outcome{summary: local.summary}
+	var verdict error
 	err := env.Launch(ranks, func(c *mpi.Comm) error {
 		var part outcome // an in-process launcher's other ranks add nothing
 		if c.Rank() == env.Rank {
-			if failed != nil {
-				return failed
-			}
 			part = local
+			if failed != nil {
+				part = outcome{Err: failed.Error()}
+			}
 		}
 		data, err := json.Marshal(part)
 		if err != nil {
 			return err
 		}
 		parts, err := c.Gather(0, data)
-		if err != nil || c.Rank() != 0 {
+		if err != nil {
 			return err
 		}
-		for _, p := range parts {
+		var msg []byte
+		for r, p := range parts { // rank 0 only
 			var o outcome
 			if err := json.Unmarshal(p, &o); err != nil {
 				return fmt.Errorf("engine: a rank's outcome: %w", err)
+			}
+			if o.Err != "" && msg == nil {
+				msg = fmt.Appendf(nil, "rank %d: %s", r, o.Err)
 			}
 			world.Records += o.Records
 			world.Emitted += o.Emitted
 			world.Files = append(world.Files, o.Files...)
 			world.BytesOut += o.BytesOut
 		}
-		return nil
+		if msg, err = c.Bcast(0, msg); err == nil && len(msg) > 0 && c.Rank() == env.Rank {
+			verdict = errors.New(string(msg))
+		}
+		return err
 	})
-	return world, cmp.Or(failed, err)
+	return world, cmp.Or(failed, verdict, err)
 }
 
 func runConvert(spec *Spec, env *Env, ranks int) (outcome, error) {

@@ -688,7 +688,7 @@ func TestUnknownMateReferenceRefused(t *testing.T) {
 
 // TestUnsortedBAMAnalyses: flagstat and the histogram of a BAM that is
 // not coordinate-sorted and has no .bai equal the SAM route's at one and
-// three ranks — a stream shard needs neither an index nor an order.
+// three ranks — a bare BAM's one piece needs neither an index nor an order.
 func TestUnsortedBAMAnalyses(t *testing.T) {
 	d := simdata.Generate(simdata.DefaultConfig(2000))
 	rand.New(rand.NewSource(3)).Shuffle(len(d.Records), func(i, j int) { d.Records[i], d.Records[j] = d.Records[j], d.Records[i] })

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
+	"parseq/internal/bam"
 	"parseq/internal/bgzf"
 	"parseq/internal/flagstat"
 	"parseq/internal/formats/pamx"
@@ -207,4 +210,163 @@ func checkCorrupt(t *testing.T, op string, cfg shard.Config, err error) {
 		}
 	}
 	t.Errorf("%s at %d ranks: %v, want a BGZF corruption error", op, cfg.Ranks, err)
+}
+
+// writeIndexedBAM writes d as path with its .bai sidecar.
+func writeIndexedBAM(t *testing.T, path string, d *simdata.Dataset) {
+	t.Helper()
+	var raw, bai bytes.Buffer
+	if err := d.WriteBAM(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := bam.WriteIndexFile(bytes.NewReader(raw.Bytes()), &bai); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".bai", bai.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shiftLinear moves every linear-index entry of a BAI that equals from
+// to to, leaving the binned chunks as they are.
+func shiftLinear(t *testing.T, bai []byte, from, to bgzf.VOffset) {
+	t.Helper()
+	u32 := func(at int) int { return int(binary.LittleEndian.Uint32(bai[at:])) }
+	at, shifted := 8, 0
+	for range u32(4) {
+		nBin := u32(at)
+		at += 4
+		for range nBin {
+			at += 8 + 16*u32(at+4)
+		}
+		nIntv := u32(at)
+		at += 4
+		for range nIntv {
+			if bgzf.VOffset(binary.LittleEndian.Uint64(bai[at:])) == from {
+				binary.LittleEndian.PutUint64(bai[at:], uint64(to))
+				shifted++
+			}
+			at += 8
+		}
+	}
+	if shifted == 0 {
+		t.Fatalf("no linear entry at %v", from)
+	}
+}
+
+// TestStaleBAIRows reads a BAM through a .bai that does not describe it:
+// another BAM's, and its own with the linear entries at one piece's cut
+// moved a byte into the record there. Whole-file at one target shard
+// (which never opens the .bai), at 16, and over a region, each read
+// either tallies every selected record exactly once or fails with a
+// BGZF corruption error that names a virtual offset — never a short or
+// doubled tally. A cut off the record grid must fail.
+func TestStaleBAIRows(t *testing.T) {
+	dir := t.TempDir()
+	d := simdata.Generate(simdata.DefaultConfig(6000))
+	path := filepath.Join(dir, "data.bam")
+	writeIndexedBAM(t, path, d)
+	otherCfg := simdata.DefaultConfig(9000)
+	otherCfg.Seed = 2
+	other := filepath.Join(dir, "other.bam")
+	writeIndexedBAM(t, other, simdata.Generate(otherCfg))
+
+	ref := d.Header.RefByID(0)
+	region := &shard.Region{Ref: ref.Name, Beg: ref.Length / 4, End: ref.Length}
+	inRegion := 0
+	for i := range d.Records {
+		if r := &d.Records[i]; r.RName == ref.Name && int(r.Pos)-1 >= region.Beg {
+			inRegion++
+		}
+	}
+	selections := []struct {
+		name string
+		opts shard.Options
+		want int
+	}{
+		{"whole at 1", shard.Options{TargetShards: 1}, len(d.Records)},
+		{"whole at 16", shard.Options{TargetShards: 16}, len(d.Records)},
+		{"region", shard.Options{TargetShards: 16, Region: region}, inRegion},
+	}
+	// tally drains a selection's shards through ForEach and counts them.
+	tally := func(opts shard.Options) (int, []shard.Shard, error) {
+		p := shard.NewBAMProvider(path)
+		defer p.Close()
+		shards, err := p.GenerateShards(opts)
+		if err != nil {
+			return 0, nil, err
+		}
+		counts := make([]int, len(shards))
+		err = shard.ForEach(p, shards, 3, func(i int, _ shard.Shard, rr shard.RecordReader) error {
+			for {
+				if _, err := rr.NextBody(); err == io.EOF {
+					return nil
+				} else if err != nil {
+					return err
+				}
+				counts[i]++
+			}
+		})
+		n := 0
+		for _, c := range counts {
+			n += c
+		}
+		return n, shards, err
+	}
+
+	// The clean index: exact tallies, every piece ending at its RecHi.
+	var pieces []shard.Shard
+	for _, sel := range selections {
+		n, shards, err := tally(sel.opts)
+		if err != nil || n != sel.want {
+			t.Fatalf("clean %s: %d records, %v; want %d", sel.name, n, err, sel.want)
+		}
+		if sel.name == "whole at 16" {
+			pieces = shards
+		}
+	}
+	if len(pieces) < 3 {
+		t.Fatalf("%d pieces at 16 target shards, want several", len(pieces))
+	}
+
+	clean, err := os.ReadFile(path + ".bai")
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherBAI, err := os.ReadFile(other + ".bai")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bgzf.VOffset(pieces[1].RecLo)
+	shifted := bytes.Clone(clean)
+	shiftLinear(t, shifted, cut, cut+1)
+	offset := regexp.MustCompile(`\b[0-9]+:[0-9]+\b`)
+	for _, row := range []struct {
+		name    string
+		bai     []byte
+		mustErr map[string]bool // selections that read the bad entries
+	}{
+		{"another BAM's .bai", otherBAI, map[string]bool{"whole at 16": true, "region": true}},
+		{"a cut moved into a record", shifted, map[string]bool{"whole at 16": true}},
+	} {
+		if err := os.WriteFile(path+".bai", row.bai, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, sel := range selections {
+			n, _, err := tally(sel.opts)
+			switch {
+			case err == nil && row.mustErr[sel.name]:
+				t.Errorf("%s, %s: %d records and no error", row.name, sel.name, n)
+			case err == nil && n != sel.want:
+				t.Errorf("%s, %s: %d records, want %d", row.name, sel.name, n, sel.want)
+			case err != nil && !offset.MatchString(err.Error()):
+				t.Errorf("%s, %s: %v names no offset", row.name, sel.name, err)
+			case err != nil:
+				checkCorrupt(t, row.name+" "+sel.name, shard.Config{}, err)
+			}
+		}
+	}
 }

@@ -224,7 +224,7 @@ func (e *bamxSink) close(commit bool) error {
 // Rewrite copies the records of src — any container OpenPathProvider
 // reads — in file order into a new dst, which Create writes, and returns
 // the record count: it drains a whole-file generation of one target
-// shard, which for a BAM is its stream shard. Bodies pass through
+// shard, which for a BAM is one piece. Bodies pass through
 // undecoded; each container checks them as it writes. WithCodecWorkers
 // places both codecs, WithIndexPath names a BAMX dst's sidecar and
 // WithGroupCaps cuts a PAMX dst's groups.

@@ -34,9 +34,9 @@ func WithIndexPath(p string) Option {
 // WithCodecWorkers passes n, the BGZF codec worker count, to every BAM
 // and BAMZ shard reader's inflate and to a sink's deflate (package
 // bgzf's rule places it). The default, 1, keeps readers and writers on
-// the caller — the shards themselves are the parallelism — except a BAM
-// stream shard's reader, which has no sibling shards and takes bgzf's
-// adaptive count.
+// the caller — the shards themselves are the parallelism — except a
+// BAM's lone piece's reader, which has no sibling shards and takes
+// bgzf's adaptive count.
 func WithCodecWorkers(n int) Option {
 	return func(s *settings) { s.codecWorkers, s.codecSet = n, true }
 }

@@ -3,66 +3,71 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
 	"sync"
 
 	"parseq/internal/bam"
+	"parseq/internal/bgzf"
 	"parseq/internal/sam"
 )
 
-// BAMProvider serves shards of a BAM file in one of two modes, picked
-// from the input. With no .bai sidecar, or for a whole-file selection of
-// one target shard, the selection is one stream shard: the file read
-// from its first record in file order, keeping the records the
-// selection names, so it needs neither an index nor a sort order.
-// Otherwise the .bai cuts it into index shards. NewReader opens an
-// independent file handle and BGZF stream per shard, so readers run
-// concurrently across local workers and rank goroutines without shared
-// mutable state.
+// BAMProvider serves shards of a BAM file. A whole-file selection is
+// file-order pieces cut on record starts the .bai linear index names,
+// the last running to the end of the file, unmapped tail and all; with
+// no .bai, or at one target shard, it is one piece, which needs no sort
+// order. A reference or region selection is .bai index shards, or with
+// no .bai one filtered stream per reference. No shard or piece is
+// estimated under one BGZF member. Readers share one handle (ReadAt) and
+// the parsed header, so they run concurrently across local workers and
+// rank goroutines without shared mutable state.
 type BAMProvider struct {
 	path string
 	settings
 
-	mu     sync.Mutex
-	header *sam.Header
-	index  *bam.Index
-	size   int64
+	mu        sync.Mutex
+	f         *os.File
+	header    *sam.Header
+	dataStart bgzf.VOffset // the first record
+	index     *bam.Index
+	size      int64
 }
 
 // NewBAMProvider returns a provider over the BAM file at path. By
-// default an index shard's reader inflates on the caller, the shards
-// being the parallelism, and the lone stream shard's on bgzf's adaptive
-// count; WithCodecWorkers sets both.
+// default an index shard's or a piece's reader inflates on the caller,
+// the shards being the parallelism, and a lone piece's on bgzf's
+// adaptive count; WithCodecWorkers sets both.
 func NewBAMProvider(path string, opts ...Option) *BAMProvider {
 	return &BAMProvider{path: path, settings: newSettings(path+".bai", opts)}
 }
 
-// load resolves the header and file size once and, when withIndex is
-// set, the .bai sidecar once (nil when there is none), under the mutex —
-// concurrent rank goroutines share one provider.
+// load opens the shared handle with its header and size once and, when
+// withIndex is set, the .bai sidecar once (nil when there is none),
+// under the mutex — concurrent rank goroutines share one provider.
 func (p *BAMProvider) load(withIndex bool) (*bam.Index, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.header == nil {
+	if p.f == nil {
 		f, err := os.Open(p.path)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
 		st, err := f.Stat()
 		if err != nil {
+			f.Close()
 			return nil, err
 		}
 		br, err := bam.NewReader(f)
 		if err != nil {
+			f.Close()
 			// OpenPathProvider sends every extension it does not know here.
 			return nil, fmt.Errorf("shard: %s is not a readable BAM file (a provider reads %s): %w",
 				p.path, strings.Join(Exts(), ", "), err)
 		}
 		br.Close()
-		p.header, p.size = br.Header(), st.Size()
+		p.f, p.header, p.dataStart, p.size = f, br.Header(), br.DataStart(), st.Size()
 	}
 	if withIndex && p.index == nil {
 		f, err := os.Open(p.indexPath)
@@ -85,38 +90,63 @@ func (p *BAMProvider) Header() (*sam.Header, error) {
 	return p.header, err
 }
 
-// GenerateShards returns the stream shard (one per selected reference
-// for a Refs or Region selection) when there is no .bai or the selection
-// is the whole file at TargetShards 1; otherwise index shards of roughly
-// equal compressed size from the BAI linear index, plus the unmapped
-// tail of a whole-file selection.
+// toEOF is the RecHi of a piece that runs to the end of the file: no
+// position in it, so the stream's own end (its EOF marker) ends the piece.
+const toEOF = bgzf.VOffset(math.MaxInt64)
+
+// byteGoal is a shard's compressed-byte goal over a selection of total
+// bytes: TargetBytes, or else a TargetShards share, and never under one
+// BGZF member.
+func byteGoal(opts Options, total int64) int64 {
+	goal := opts.TargetBytes
+	if goal <= 0 {
+		n := opts.TargetShards
+		if n <= 0 {
+			n = DefaultTargetShards
+		}
+		goal = total / int64(n)
+	}
+	return max(goal, bgzf.MaxBlockSize)
+}
+
+// GenerateShards returns the pieces of a whole-file selection (one with
+// no .bai or at TargetShards 1, which then never opens it); for a Refs
+// or Region selection, index shards of roughly equal compressed size
+// from the BAI linear index, or with no .bai one stream per reference.
 func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 	if _, err := p.load(false); err != nil {
 		return nil, err
 	}
-	refIDs, withTail, err := resolveRefs(p.header, opts)
+	refIDs, whole, err := resolveRefs(p.header, opts)
 	if err != nil {
 		return nil, err
 	}
 	var idx *bam.Index
-	if !withTail || opts.TargetShards != 1 || opts.TargetBytes > 0 {
+	if !whole || opts.TargetShards != 1 || opts.TargetBytes > 0 {
 		if idx, err = p.load(true); err != nil {
 			return nil, err
 		}
 	}
+	var shards []Shard
+	if whole {
+		var cuts []bgzf.VOffset
+		if total := p.size - p.dataStart.Block(); idx != nil {
+			cuts = idx.Cuts(p.dataStart, p.size, int(total/byteGoal(opts, total)))
+		}
+		lo := p.dataStart
+		for _, hi := range append(cuts, toEOF) {
+			shards = append(shards, Shard{Seq: len(shards), RefID: -1, RecLo: int64(lo), RecHi: int64(hi), Bytes: min(hi.Block(), p.size) - lo.Block()})
+			lo = hi
+		}
+		return shards, nil
+	}
 	if idx == nil {
-		stream := []Shard{{RefID: -1}}
-		if !withTail {
-			stream = nil
-			for _, id := range refIDs {
-				beg, end := opts.clip(0, math.MaxInt32)
-				stream = append(stream, Shard{Seq: len(stream), RefID: int32(id), RefName: p.header.RefByID(id).Name, Beg: beg, End: end})
-			}
+		for _, id := range refIDs {
+			beg, end := opts.clip(0, math.MaxInt32)
+			shards = append(shards, Shard{Seq: len(shards), RefID: int32(id), RefName: p.header.RefByID(id).Name, Beg: beg, End: end,
+				RecLo: int64(p.dataStart), RecHi: int64(toEOF), Bytes: p.size})
 		}
-		for i := range stream {
-			stream[i].RecHi, stream[i].Bytes = p.size, p.size
-		}
-		return stream, nil
+		return shards, nil
 	}
 	// Total compressed bytes under the selection sets the per-shard goal.
 	var total int64
@@ -128,18 +158,7 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 	if r := opts.Region; r != nil { // its share of the reference, estimated by base width
 		total = total * int64(max(r.End-r.Beg, 0)) / int64(max(p.header.RefByID(refIDs[0]).Length, 1))
 	}
-	target := opts.TargetBytes
-	if target <= 0 {
-		n := opts.TargetShards
-		if n <= 0 {
-			n = DefaultTargetShards
-		}
-		target = total / int64(n)
-	}
-	if target < 1 {
-		target = 1
-	}
-	var shards []Shard
+	target := byteGoal(opts, total)
 	for _, id := range refIDs {
 		ref := p.header.RefByID(id)
 		for _, sl := range idx.ByteSplits(id, ref.Length, target) {
@@ -157,40 +176,22 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 			})
 		}
 	}
-	if withTail {
-		tail := p.size - idx.EndOffset().Block()
-		if tail < 0 {
-			tail = 0
-		}
-		shards = append(shards, Shard{
-			Seq:   len(shards),
-			RefID: -1,
-			Bytes: tail,
-		})
-	}
 	return shards, nil
 }
 
-// bamShardReader is one shard's independent stream: its own file handle
-// and BGZF reader, filtered to the shard.
+// bamShardReader is one shard's iterator over its own BGZF stream on the
+// shared handle.
 type bamShardReader struct {
-	f  *os.File
 	br *bam.Reader
 	it interface{ NextBody() ([]byte, error) }
 }
 
 func (r *bamShardReader) NextBody() ([]byte, error) { return r.it.NextBody() }
 
-func (r *bamShardReader) Close() error {
-	err := r.br.Close()
-	if cerr := r.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (r *bamShardReader) Close() error { return r.br.Close() }
 
-// bamStream iterates a stream shard: every body in file order, or with
-// sh.RefID ≥ 0 those of that reference starting within [sh.Beg, sh.End).
+// bamStream iterates a piece: every body of it, or with sh.RefID ≥ 0
+// those of that reference starting within [sh.Beg, sh.End).
 type bamStream struct {
 	*bam.BodyScanner
 	sh Shard
@@ -209,47 +210,45 @@ func (s bamStream) NextBody() ([]byte, error) {
 	}
 }
 
-// NewReader opens an independent iterator over one shard: a stream
-// shard's body scanner, or for index shards a start-within region
-// reader, or the unmapped-tail reader for the tail.
+// NewReader opens an independent iterator over one shard: a piece's
+// body scanner from RecLo to RecHi, or for index shards a start-within
+// region reader.
 func (p *BAMProvider) NewReader(sh Shard) (RecordReader, error) {
-	stream := sh.RecHi > sh.RecLo
-	idx, err := p.load(!stream)
-	if err == nil && !stream && idx == nil {
+	piece := sh.RecHi != 0
+	idx, err := p.load(!piece)
+	if err == nil && !piece && idx == nil {
 		err = fmt.Errorf("shard: index shard %v of %s, which has no %s", sh, p.path, p.indexPath)
 	}
 	if err != nil {
 		return nil, err
 	}
+	lo, hi := bgzf.VOffset(sh.RecLo), bgzf.VOffset(sh.RecHi)
 	codec := p.codecWorkers
-	if stream && !p.codecSet {
-		codec = 0
+	if lo == p.dataStart && hi == toEOF && !p.codecSet {
+		codec = 0 // a lone piece has no siblings to run beside
 	}
-	f, err := os.Open(p.path)
+	br, err := bam.NewReaderAt(io.NewSectionReader(p.f, 0, p.size), p.header, lo, bam.WithCodecWorkers(codec))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: %s: %w", p.path, err)
 	}
-	br, err := bam.NewReader(f, bam.WithCodecWorkers(codec))
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r := &bamShardReader{f: f, br: br}
-	switch {
-	case stream:
-		r.it = bamStream{bam.NewBodyScanner(br), sh}
-	case sh.Unmapped():
-		r.it, err = bam.NewUnmappedTailReader(br, idx)
-	default:
-		r.it, err = bam.NewShardRegionReader(br, idx, sh.RefName, sh.Beg, sh.End)
-	}
-	if err != nil {
+	r := &bamShardReader{br: br}
+	if piece {
+		r.it = bamStream{bam.NewPieceScanner(br, hi), sh}
+	} else if r.it, err = bam.NewShardRegionReader(br, idx, sh.RefName, sh.Beg, sh.End); err != nil {
 		r.Close()
 		return nil, err
 	}
 	return r, nil
 }
 
-// Close releases the provider. Per-shard readers own their handles, so
-// this is a no-op kept for the Provider contract.
-func (p *BAMProvider) Close() error { return nil }
+// Close releases the shared handle; a later call opens it again.
+func (p *BAMProvider) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.f == nil {
+		return nil
+	}
+	err := p.f.Close()
+	p.f = nil
+	return err
+}

@@ -9,7 +9,7 @@
 // The contract every provider upholds is exactly-once coverage: a
 // record belongs to the shard whose half-open interval contains its
 // alignment *start* (never the shards it merely overlaps into), and
-// fully unmapped records belong to the single unmapped-tail shard. Any
+// fully unmapped records to the one shard holding them in the file. Any
 // partition of the shard list over workers, ranks and transports
 // therefore tallies every record exactly once, which is what makes the
 // analyses' merged results identical to a sequential scan at any shard
@@ -26,14 +26,13 @@ import (
 
 // Shard is one unit of region-parallel work: a half-open base interval
 // of one reference, or (RefID -1) records no reference interval names —
-// the unmapped tail of a BAM or PAMX file, a physical record range of a
-// fixed-stride file, the whole of a BAM read as one stream. Bytes is the
+// the unmapped tail of a PAMX file, a physical record range of a
+// fixed-stride file, a file-order piece of a BAM. Bytes is the
 // provider's estimate of the compressed input under the shard — the
 // balancing weight for partitioning across ranks. Seq is the shard's ordinal in generation order: drivers fold
 // per-shard results in Seq order so merged output is deterministic, and
 // draining a whole-file generation in Seq order replays the file (any
-// BAM at one target shard, a coordinate-sorted BAM or PAMX; any BAMX or
-// BAMZ).
+// BAM, BAMX or BAMZ; a coordinate-sorted PAMX).
 type Shard struct {
 	Seq     int
 	RefID   int32
@@ -41,7 +40,7 @@ type Shard struct {
 	Beg     int    // zero-based half-open base interval (reference shards)
 	End     int
 	RecLo   int64 // BAMX/BAMZ: BAIX entry range (reference shards) or physical record range; PAMX: the group;
-	RecHi   int64 // BAM: a stream shard's compressed byte range, the whole file (index shards: 0, 0)
+	RecHi   int64 // BAM: a piece's first record and the next piece's, virtual offsets (index shards: 0, 0)
 	Bytes   int64
 }
 
@@ -51,10 +50,7 @@ func (sh Shard) Unmapped() bool { return sh.RefID < 0 }
 
 // String renders the shard for spans and logs.
 func (sh Shard) String() string {
-	switch {
-	case sh.Unmapped() && sh.RecLo == sh.RecHi:
-		return "*:unmapped"
-	case sh.Unmapped():
+	if sh.Unmapped() {
 		return fmt.Sprintf("*:%d-%d", sh.RecLo, sh.RecHi)
 	}
 	return fmt.Sprintf("%s:%d-%d", sh.RefName, sh.Beg, sh.End)

@@ -111,7 +111,7 @@ func writeBAM(t testing.TB, path string, h *sam.Header, recs []sam.Record, bai b
 }
 
 // writeBareBAMs adds, beside a writeDataset BAM, two BAM files with no
-// .bai, which read as one stream shard: the dataset (bare.bam) and the
+// .bai, which read as one piece: the dataset (bare.bam) and the
 // writeVariants shuffle (shuf.bam).
 func writeBareBAMs(t testing.TB, bamPath string, d *simdata.Dataset, shuffled []sam.Record) (barePath, shufBAMPath string) {
 	t.Helper()
@@ -204,7 +204,7 @@ func TestProvidersExactlyOnce(t *testing.T) {
 	}
 	for _, tc := range providers {
 		defer tc.p.Close()
-		for _, target := range []int{1, 2, 4, 8, 64} {
+		for _, target := range []int{1, 2, 3, 5, 8, 16, 64} {
 			shards, err := tc.p.GenerateShards(Options{TargetShards: target})
 			if err != nil {
 				t.Fatalf("%s: GenerateShards(%d): %v", tc.name, target, err)
@@ -226,9 +226,10 @@ func TestProvidersExactlyOnce(t *testing.T) {
 // TestWholeFileShardsAreFileOrder: draining a whole-file generation of
 // a fixed-stride container in Seq order replays the file, sorted or
 // not, and never opens the BAIX; a BAM with no .bai does the same as
-// one stream shard at every target.
+// one piece at every target, and one with a .bai as up to target
+// pieces.
 func TestWholeFileShardsAreFileOrder(t *testing.T) {
-	bamPath, bamxPath, d := writeDataset(t, 700)
+	bamPath, bamxPath, d := writeDataset(t, 6000)
 	bamzPath, shufPath, shuffled := writeVariants(t, bamxPath, d)
 	barePath, shufBAMPath := writeBareBAMs(t, bamPath, d, shuffled)
 	for _, name := range []string{"data.baix", "shuf.baix"} {
@@ -242,14 +243,16 @@ func TestWholeFileShardsAreFileOrder(t *testing.T) {
 		p      Provider
 		want   []sam.Record
 		stream bool // one shard at every target, and no index to corrupt
+		pieces bool // a BAM's pieces: more than one, and at most target
 	}{
-		{"bamx", NewBAMXProvider(bamxPath), d.Records, false},
-		{"bamz", NewBAMZProvider(bamzPath), d.Records, false},
-		{"bamx unsorted", NewBAMXProvider(shufPath), shuffled, false},
-		{"bam bare", NewBAMProvider(barePath), d.Records, true},
-		{"bam unsorted", NewBAMProvider(shufBAMPath), shuffled, true},
+		{"bamx", NewBAMXProvider(bamxPath), d.Records, false, false},
+		{"bamz", NewBAMZProvider(bamzPath), d.Records, false, false},
+		{"bamx unsorted", NewBAMXProvider(shufPath), shuffled, false, false},
+		{"bam bare", NewBAMProvider(barePath), d.Records, true, false},
+		{"bam unsorted", NewBAMProvider(shufBAMPath), shuffled, true, false},
+		{"bam", NewBAMProvider(bamPath), d.Records, false, true},
 	} {
-		for _, target := range []int{1, 3, 16} {
+		for _, target := range []int{1, 2, 3, 5, 16, 200} { // 200: more than the BAM's members
 			shards, err := tc.p.GenerateShards(Options{TargetShards: target})
 			if err != nil {
 				t.Fatalf("%s: GenerateShards(%d): %v", tc.name, target, err)
@@ -257,6 +260,8 @@ func TestWholeFileShardsAreFileOrder(t *testing.T) {
 			want := target
 			if tc.stream {
 				want = 1
+			} else if tc.pieces && len(shards) > 1 && len(shards) < target {
+				want = len(shards)
 			}
 			if len(shards) != want {
 				t.Errorf("%s: %d shards at target %d", tc.name, len(shards), target)
@@ -291,7 +296,7 @@ func TestWholeFileShardsAreFileOrder(t *testing.T) {
 				t.Fatalf("%s target %d: %d records, want %d", tc.name, target, i, len(tc.want))
 			}
 		}
-		if _, err := tc.p.GenerateShards(Options{Refs: []string{d.Header.Refs[0].Name}}); (err == nil) != tc.stream {
+		if _, err := tc.p.GenerateShards(Options{Refs: []string{d.Header.Refs[0].Name}}); (err == nil) != (tc.stream || tc.pieces) {
 			t.Errorf("%s: a reference selection with a corrupt BAIX or none: %v", tc.name, err)
 		}
 		tc.p.Close()
@@ -326,7 +331,7 @@ func TestRegionSelection(t *testing.T) {
 		"bamx unsorted": NewBAMXProvider(shufPath), "pamx": NewPAMXProvider(pamxPath),
 		"bam bare": NewBAMProvider(barePath), "bam unsorted": NewBAMProvider(shufBAMPath),
 	} {
-		for _, target := range []int{1, 3, 8} {
+		for _, target := range []int{1, 2, 3, 5, 16, 200} {
 			shards, err := p.GenerateShards(Options{TargetShards: target, Region: region})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -358,41 +363,43 @@ func TestRegionSelection(t *testing.T) {
 }
 
 // TestBAMProviderModes pins how a BAM provider picks its mode: one
-// stream shard when there is no .bai or the selection is the whole file
-// at one target shard (which then never opens the .bai), index shards
-// otherwise. A stream shard survives the wire, and a provider that did
-// not generate it reads it the same.
+// piece, the stream, when there is no .bai or the selection is the whole
+// file at one target shard (which then never opens the .bai); several
+// chained pieces for the whole file otherwise; index shards for a region
+// of an indexed file. Shards survive the wire, and a provider that did
+// not generate them reads them the same.
 func TestBAMProviderModes(t *testing.T) {
-	bamPath, _, d := writeDataset(t, 1500)
+	bamPath, _, d := writeDataset(t, 6000)
 	barePath, _ := writeBareBAMs(t, bamPath, d, nil)
-	fi, err := os.Stat(barePath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := d.Header.Refs[0]
 	region := &Region{Ref: ref.Name, Beg: 1000, End: ref.Length / 2}
 	for _, tc := range []struct {
 		name   string
 		path   string
 		opts   Options
-		stream bool
+		pieces int // 0: index shards; 2: two or more
 	}{
-		{"bare whole", barePath, Options{TargetShards: 1}, true},
-		{"bare whole at 8", barePath, Options{TargetShards: 8}, true},
-		{"bare refs", barePath, Options{TargetShards: 8, Refs: []string{ref.Name}}, true},
-		{"bare region", barePath, Options{TargetShards: 8, Region: region}, true},
-		{"bai whole", bamPath, Options{TargetShards: 1}, true},
-		{"bai whole at 8", bamPath, Options{TargetShards: 8}, false},
-		{"bai region", bamPath, Options{TargetShards: 1, Region: region}, false},
+		{"bare whole", barePath, Options{TargetShards: 1}, 1},
+		{"bare whole at 8", barePath, Options{TargetShards: 8}, 1},
+		{"bare refs", barePath, Options{TargetShards: 8, Refs: []string{ref.Name}}, 1},
+		{"bare region", barePath, Options{TargetShards: 8, Region: region}, 1},
+		{"bai whole", bamPath, Options{TargetShards: 1}, 1},
+		{"bai whole at 8", bamPath, Options{TargetShards: 8}, 2},
+		{"bai region", bamPath, Options{TargetShards: 1, Region: region}, 0},
 	} {
 		p := NewBAMProvider(tc.path)
 		shards, err := p.GenerateShards(tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, sh := range shards {
-			if stream := sh.RecHi > sh.RecLo; stream != tc.stream || stream && (len(shards) != 1 || sh.RecHi != fi.Size()) {
-				t.Fatalf("%s: %d shards, shard %v over bytes [%d, %d), want stream %v", tc.name, len(shards), sh, sh.RecLo, sh.RecHi, tc.stream)
+		if tc.pieces == 1 && len(shards) != 1 || tc.pieces == 2 && len(shards) < 2 {
+			t.Fatalf("%s: %d shards, want %d pieces", tc.name, len(shards), tc.pieces)
+		}
+		for i, sh := range shards {
+			last := i == len(shards)-1
+			if (sh.RecHi != 0) != (tc.pieces > 0) || tc.pieces > 0 && (sh.RecLo <= 0 || last != (sh.RecHi == int64(toEOF)) ||
+				i > 0 && sh.RecLo != shards[i-1].RecHi) {
+				t.Fatalf("%s: %d shards, shard %d over [%d, %d), want %d pieces", tc.name, len(shards), i, sh.RecLo, sh.RecHi, tc.pieces)
 			}
 		}
 		wire, err := DecodeShards(EncodeShards(shards))
@@ -544,7 +551,7 @@ func TestScatter(t *testing.T) {
 // TestForEach: the dynamic queue visits every shard exactly once, keeps
 // the i-th result in the i-th slot, and propagates the first error.
 func TestForEach(t *testing.T) {
-	bamPath, _, _ := writeDataset(t, 1500)
+	bamPath, _, _ := writeDataset(t, 6000)
 	p := NewBAMProvider(bamPath)
 	defer p.Close()
 	shards, err := p.GenerateShards(Options{TargetShards: 8})
@@ -570,8 +577,8 @@ func TestForEach(t *testing.T) {
 		for _, c := range counts {
 			total += c
 		}
-		if total != 1500 {
-			t.Fatalf("workers=%d: drained %d records, want 1500", workers, total)
+		if total != 6000 {
+			t.Fatalf("workers=%d: drained %d records, want 6000", workers, total)
 		}
 	}
 	wantErr := fmt.Errorf("boom")
