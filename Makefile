@@ -1,11 +1,12 @@
 # parseq build/test entry points. `make ci` is the gate every change
 # must pass: vet, staticcheck (when installed), formatting, build, the
 # product-binary dependency check, the unlinked-function ratchet
-# (linkcheck), the full race-enabled test suite, a
-# one-iteration smoke run of the five surviving testing.B benchmarks
-# (obs per-op costs, the kern scalar-vs-SWAR ratio), the paper
-# reproduction smoke, and the metrics-schema and live-endpoint smoke
-# tests. Measuring is `go run ./bench`.
+# (linkcheck), the full race-enabled test suite, a one-iteration smoke
+# run of the six surviving testing.B benchmarks (obs per-op costs, the
+# kern scalar-vs-SWAR ratio, the one-core inflate rate), the paper
+# reproduction smoke, the metrics-schema and live-endpoint smoke tests,
+# and the short decoder fuzz pass (fuzz-inflate). Measuring is
+# `go run ./bench`.
 
 GO ?= go
 
@@ -72,7 +73,8 @@ fuzz-deflate:
 
 # Short fuzz passes over the decode side: unwrapBlock against
 # compress/flate on arbitrary DEFLATE streams (the same bytes, or both
-# refuse), and whole BGZF streams written, damaged and read back.
+# refuse), and whole BGZF streams written, damaged and read back. In ci
+# because every BGZF read goes through the decoder's hand-tuned loop.
 fuzz-inflate:
 	$(GO) test -run '^$$' -fuzz 'FuzzInflateMember' -fuzztime 10s ./internal/bgzf
 	$(GO) test -run '^$$' -fuzz 'FuzzBGZFRoundTrip' -fuzztime 10s ./internal/bgzf
@@ -310,6 +312,7 @@ loc:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkKernSpeedup' -benchtime 1x ./internal/kern
+	$(GO) test -run '^$$' -bench 'BenchmarkInflate' -benchtime 1x ./internal/bgzf
 
 # The paper reproduction path end to end at smoke scale: every table and
 # figure must still come out of one ngsbench run.
@@ -385,5 +388,5 @@ daemon-endpoint-smoke:
 world-smoke:
 	$(GO) test -run '^TestWorldSmoke$$' -count=1 ./cmd/seqconvert
 
-ci: vet staticcheck fmt-check build deps-check linkcheck race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke
+ci: vet staticcheck fmt-check build deps-check linkcheck race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke fuzz-inflate
 	@echo "ci: all checks passed"

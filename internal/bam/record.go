@@ -49,6 +49,9 @@ func EncodeRecord(dst []byte, rec *sam.Record, h *sam.Header) ([]byte, error) {
 	if nameLen > 255 {
 		return nil, fmt.Errorf("%w: QNAME longer than 254 bytes", ErrInvalidRecord)
 	}
+	if len(rec.Cigar) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: %d CIGAR operations, more than n_cigar_op holds", ErrInvalidRecord, len(rec.Cigar))
+	}
 	seqLen := 0
 	if rec.Seq != "*" {
 		seqLen = len(rec.Seq)

@@ -171,3 +171,6 @@ func CheckMember(t testing.TB, payload, member []byte) {
 		t.Fatal("compress/gzip inflates different bytes")
 	}
 }
+
+// UnwrapBlock is the one-shot member decoder, for BenchmarkInflate.
+var UnwrapBlock = unwrapBlock

@@ -26,6 +26,7 @@ const (
 	litTableBits  = 10 // primary literal/length table index bits
 	distTableBits = 8
 	clTableBits   = maxCLBits // the code-length code needs no subtable
+	pairRoom      = 16 << 10  // the least output left for which a block's literals pair
 
 	// A primary table plus the most subtable entries a code the decoder
 	// accepts can need. Only a complete code has subtables, and a complete
@@ -37,15 +38,17 @@ const (
 
 // A decode-table entry. Bits 0–4 hold how many bits the entry consumes
 // (code length plus extra bits; for a link, the primary bits), bits 8–11
-// the code length alone (for a link, the subtable's index bits), and bits
-// 16–31 the value: a literal, a length or distance base, a code-length
-// symbol, or a link's subtable offset.
+// the code length alone (for a link, the subtable's index bits), bits
+// 12–13 a literal entry's byte count (0 for any other), and bits 16–31
+// the value: a literal, a length or distance base, a code-length symbol,
+// or a link's subtable offset. A primary entry of count 2 is a pair: two
+// literal codes, bits 16–23 the first literal and 24–31 the second.
 const (
 	entTotal = 0x1f
-	entLit   = 1 << 5
 	entEOB   = 1 << 6
 	entLink  = 1 << 7
 	entBad   = entEOB | entLink // a codeword no symbol has, or a symbol DEFLATE forbids
+	entLit   = 3 << 12
 )
 
 // The leaf templates: each symbol's entry before its code length is added.
@@ -64,7 +67,7 @@ func initDecodeTables() {
 	for s := range litLeaf {
 		switch {
 		case s < endBlock:
-			litLeaf[s] = entLit | uint32(s)<<16
+			litLeaf[s] = 1<<12 | uint32(s)<<16
 		case s == endBlock:
 			litLeaf[s] = entEOB
 		case s < numLit:
@@ -210,6 +213,9 @@ func (f *inflater) inflate(dst, raw []byte) error {
 			out, err = decodeHuffman(&fixedTables, dst, out, &s)
 		case kindDynamic:
 			if err = f.readCodes(&s); err == nil {
+				if len(dst)-out >= pairRoom {
+					pairLiterals(f.lit[:1<<litTableBits])
+				}
 				out, err = decodeHuffman(&f.huffTables, dst, out, &s)
 			}
 		default:
@@ -317,6 +323,25 @@ func (f *inflater) readCodes(s *bitstream) error {
 	return nil
 }
 
+// pairLiterals folds into each literal entry of a literal/length primary
+// table the literal that the rest of its index decodes to, when that
+// one's code fits there too: the entry then consumes both codes. Entry
+// j's follower is entry j>>l1, at or below j. A follower already paired
+// (count 2) is never folded in, and the walk runs from the top down so
+// that every follower is read before it is paired itself. The fixed
+// code's literals are 8 and 9 bits long, so only dynamic blocks pair,
+// and only those with pairRoom bytes of output left: the pass costs
+// about what pairs save in decoding 16 KiB of a BAM.
+func pairLiterals(root []uint32) {
+	for j := len(root) - 1; j >= 0; j-- {
+		e := root[j]
+		next := root[j>>(e&entTotal)]
+		if e&next&(1<<12) != 0 && e&entTotal+next&entTotal <= litTableBits {
+			root[j] = e + next&entTotal + 1<<12 | next>>16<<24
+		}
+	}
+}
+
 // buildTable fills t — a primary table of 1<<primary entries, then
 // subtables — with the canonical Huffman code the lengths lens define, the
 // entry of symbol s being leaf[s] plus its code length. It refuses what
@@ -405,86 +430,141 @@ func buildTable(t []uint32, primary uint, lens []uint8, leaf []uint32) bool {
 	return true
 }
 
+// fastOut is the output room decodeHuffman's fast loop keeps: the
+// longest match, and the overrun of its last eight-byte store.
+const fastOut = maxMatch + 8
+
 // decodeHuffman decodes one Huffman block's symbols with tables t into
-// dst[out:] and returns the new output length. The bit buffer lives in
-// locals here, the hot loop of every inflate.
+// dst[out:] and returns the new output length. It is libdeflate's split:
+// a fast loop runs while at least fastOut bytes of output and eight of
+// input are left, so no symbol can overrun either and its stores,
+// refills and copies need no bounds checks, and a checked loop decodes
+// the block's last bytes.
 func decodeHuffman(t *huffTables, dst []byte, out int, s *bitstream) (int, error) {
-	in, pos, b, nb := s.in, s.pos, s.b, s.nb
-	for {
-		// One refill covers the longest literal/length code, its extra
-		// bits, the longest distance code and its extra bits: 48 bits.
-		if pos+8 <= len(in) {
-			b |= binary.LittleEndian.Uint64(in[pos:]) << (nb & 63)
-			pos += int(63-nb) >> 3
-			nb |= 56
-		} else {
-			s.pos, s.b, s.nb = pos, b, nb
-			if !s.refill() {
-				return out, errTruncated
-			}
-			pos, b, nb = s.pos, s.b, s.nb
+	if !s.refill() {
+		return out, errTruncated
+	}
+	in, pos, b, nb, o := s.in, uint(s.pos), s.b, s.nb, uint(out)
+	// A refill loads all 64 bits, so the next entry can be looked up
+	// after up to 54 bits are consumed, whatever nb says.
+	e := t.lit[b&(1<<litTableBits-1)]
+	for o < uint(len(dst)) && pos < uint(len(in)) {
+		w, r := dst[o:], in[pos:]
+		if len(w) < fastOut || len(r) < 8 {
+			break
 		}
-		e := t.lit[b&(1<<litTableBits-1)]
+		a := (*[fastOut]byte)(w)
+		b |= binary.LittleEndian.Uint64(r) << (nb & 63)
+		pos += uint(63-nb) >> 3
+		nb |= 56
 		if e&entBad == entLink {
 			e = t.lit[e>>16+uint32(b>>litTableBits)&(1<<(e>>8&15)-1)]
 		}
-		n := uint(e & entTotal)
 		if e&entLit != 0 {
-			// At least 41 bits remain after this literal: room for two
-			// more whose codes fit the primary table, before a refill.
-			for i := 0; i < 3 && e&entLit != 0; i++ {
-				n = uint(e & entTotal)
-				b >>= n
-				nb -= n
-				if out >= len(dst) {
-					return out, errLong
-				}
-				dst[out] = byte(e >> 16)
-				out++
+			// Up to four entries before a refill, only the first from a
+			// subtable: 45 bits and eight bytes at most. c counts the
+			// bits (bits 0–11), bytes (12–15) and entries (16 and up)
+			// taken, one add an entry: fewer live values, fewer spills.
+			c := uint(0)
+			for c < 4<<16 && e&entLit != 0 {
+				b >>= e & entTotal
+				binary.LittleEndian.PutUint16(a[c>>12&7:], uint16(e>>16))
+				c += uint(e&(entTotal|entLit)) + 1<<16
 				e = t.lit[b&(1<<litTableBits-1)]
 			}
+			nb -= c & 0xfff
+			o += c >> 12 & 15
 			continue
 		}
+		n := uint(e & entTotal)
 		if e&entBad != 0 {
-			s.pos, s.b, s.nb = pos, b>>n, nb-n
+			s.pos, s.b, s.nb = int(pos), b>>n, nb-n
 			if e&entBad == entEOB {
-				return out, nil
+				return int(o), nil
 			}
-			return out, errBadCode
+			return int(o), errBadCode
 		}
-		length := int(e>>16) + int(b&(1<<n-1)>>(e>>8&15))
+		length := uint(e>>16) + uint(b&(1<<n-1)>>(e>>8&15))
 		b >>= n
-		nb -= n
-
 		e = t.dist[b&(1<<distTableBits-1)]
 		if e&entBad == entLink {
 			e = t.dist[e>>16+uint32(b>>distTableBits)&(1<<(e>>8&15)-1)]
 		}
 		if e&entBad != 0 {
+			return int(o), errBadCode
+		}
+		nb -= n + uint(e&entTotal) // both codes and their extra bits
+		n = uint(e & entTotal)
+		dist := uint(e>>16) + uint(b&(1<<n-1)>>(e>>8&15))
+		b >>= n
+		if dist > o {
+			return int(o), errFar
+		}
+		src := (*[fastOut]byte)(dst[o-dist:])
+		switch {
+		case dist >= 8 && length <= 16:
+			binary.LittleEndian.PutUint64(a[:], binary.LittleEndian.Uint64(src[:]))
+			binary.LittleEndian.PutUint64(a[8:], binary.LittleEndian.Uint64(src[8:]))
+		case dist >= 8:
+			// Eight bytes at a time: each load ends before its store
+			// starts, the last store's overrun is rewritten later, and
+			// i < maxMatch (length is at most that) drops the checks.
+			for i := uint(0); i < length && i < maxMatch; i += 8 {
+				binary.LittleEndian.PutUint64(a[i:], binary.LittleEndian.Uint64(src[i:]))
+			}
+		default:
+			for i := uint(0); i < length && i < maxMatch; i++ {
+				a[i] = src[i]
+			}
+		}
+		o += length
+		e = t.lit[b&(1<<litTableBits-1)]
+	}
+	s.pos, s.b, s.nb, out = int(pos), b, nb, int(o)
+	// The checked loop: the block's last bytes, one symbol a refill.
+	for {
+		if !s.refill() {
+			return out, errTruncated
+		}
+		e := t.lit[s.b&(1<<litTableBits-1)]
+		if e&entBad == entLink {
+			e = t.lit[e>>16+uint32(s.b>>litTableBits)&(1<<(e>>8&15)-1)]
+		}
+		x := s.bits(uint(e & entTotal))
+		if k := int(e & entLit >> 12); k > 0 {
+			if k > len(dst)-out {
+				return out, errLong
+			}
+			dst[out] = byte(e >> 16)
+			if k == 2 {
+				dst[out+1] = byte(e >> 24)
+			}
+			out += k
+			continue
+		}
+		if e&entBad != 0 {
+			if e&entBad == entEOB {
+				return out, nil
+			}
 			return out, errBadCode
 		}
-		n = uint(e & entTotal)
-		dist := int(e>>16) + int(b&(1<<n-1)>>(e>>8&15))
-		b >>= n
-		nb -= n
+		length := int(e>>16) + int(x>>(e>>8&15))
+		e = t.dist[s.b&(1<<distTableBits-1)]
+		if e&entBad == entLink {
+			e = t.dist[e>>16+uint32(s.b>>distTableBits)&(1<<(e>>8&15)-1)]
+		}
+		if e&entBad != 0 {
+			return out, errBadCode
+		}
+		dist := int(e>>16) + int(s.bits(uint(e&entTotal))>>(e>>8&15))
 		switch {
 		case dist > out:
 			return out, errFar
 		case length > len(dst)-out:
 			return out, errLong
 		}
-		end := out + length
-		if dist >= 8 && end+8 <= len(dst) {
-			// Eight bytes at a time: each load ends before its store
-			// starts, and the last store's overrun is rewritten later.
-			for src := out - dist; out < end; out, src = out+8, src+8 {
-				binary.LittleEndian.PutUint64(dst[out:], binary.LittleEndian.Uint64(dst[src:]))
-			}
-		} else {
-			for ; out < end; out++ {
-				dst[out] = dst[out-dist]
-			}
+		for end := out + length; out < end; out++ {
+			dst[out] = dst[out-dist]
 		}
-		out = end
 	}
 }

@@ -143,13 +143,8 @@ func wrapStream(p []byte) []byte {
 // for each rule the decoder shares with compress/flate, and the members
 // the in-tree encoder and compress/flate make.
 func TestInflateMatchesFlate(t *testing.T) {
-	type row struct {
-		name   string
-		stream []byte
-		lie    int
-		good   bool // what compress/flate must make of it, so the row tests its rule
-	}
-	var rows []row
+	type row = inflateRow
+	rows := edgeRows()
 	add := func(name string, good bool, stream []byte) { rows = append(rows, row{name, stream, 0, good}) }
 
 	rng := rand.New(rand.NewSource(36))
@@ -290,6 +285,156 @@ func TestInflateMatchesFlate(t *testing.T) {
 	}
 }
 
+// inflateRow is one member of the differential table: a DEFLATE stream,
+// how far its ISIZE lies, and whether compress/flate must call the member
+// good, so the row tests its rule.
+type inflateRow struct {
+	name   string
+	stream []byte
+	lie    int
+	good   bool
+}
+
+// match writes a length/distance pair with codes lit and dist.
+func (w *streamBuilder) match(lit, dist *huffCode, length, d int) *streamBuilder {
+	c := int(lenCode[length-3])
+	w.sym(lit, 257+c).bits(uint32(length-int(lenBase[c])), uint(lenExtra[c]))
+	ds := int(distSym(d))
+	return w.sym(dist, ds).bits(uint32(d-int(distBase[ds])), uint(distExtra[ds]))
+}
+
+// fixedBlock writes a fixed block of n bytes with period p: p literals,
+// then matches at distance p, and literals where fewer than three bytes
+// are left.
+func (w *streamBuilder) fixedBlock(final uint32, n, p int) *streamBuilder {
+	w.bits(final, 1).bits(kindFixed, 2)
+	for i := 0; i < n; {
+		switch rest := n - i; {
+		case i < p || rest < 3:
+			w.sym(&fixedLit, int("ACGTTGCATTAGGCCATAGC"[i%p]))
+			i++
+		default:
+			l := min(rest, maxMatch)
+			if rest-l > 0 && rest-l < 3 {
+				l -= 3
+			}
+			w.match(&fixedLit, &fixedDist, l, p)
+			i += l
+		}
+	}
+	return w.sym(&fixedLit, endBlock)
+}
+
+// edgeRows are the decoder's edges: members that end on a pair of
+// literals with one byte of room, lone one-bit codes whose unused
+// codeword must stay refused, end-of-block and length codes that fit
+// beside a literal in one table index, and blocks that end inside the
+// fast loop's output margin (fastOut bytes). The dynamic blocks meant
+// to pair have pairRoom bytes of output or more.
+func edgeRows() []inflateRow {
+	var rows []inflateRow
+	add := func(name string, good bool, stream []byte) { rows = append(rows, inflateRow{name, stream, 0, good}) }
+
+	// 'a', 'b', end of block and length 3 at two bits each: in a block
+	// with pairRoom bytes of output left, any two of the literals share
+	// a table entry.
+	for _, pairs := range []int{1, pairRoom/2 + 8} {
+		w := new(streamBuilder)
+		lit, _ := w.dynamicHeader(litLens(), lens(1, 1))
+		for range pairs {
+			w.sym(lit, 'a').sym(lit, 'b')
+		}
+		w.sym(lit, endBlock)
+		name := fmt.Sprintf("%d bytes ending on a pair", 2*pairs)
+		rows = append(rows, inflateRow{name, w.buf, 0, true}, inflateRow{name + ", ISIZE one low", w.buf, -1, false})
+	}
+	{
+		w := new(streamBuilder)
+		lit, _ := w.dynamicHeader(litLens(), lens(1, 1))
+		for range pairRoom / 2 {
+			w.sym(lit, 'b').sym(lit, 'a')
+		}
+		add("end of block beside a literal", true, w.sym(lit, 'a').sym(lit, endBlock).buf)
+		w = new(streamBuilder)
+		lit, dist := w.dynamicHeader(litLens(), lens(1, 1))
+		for range pairRoom / 2 {
+			w.sym(lit, 'b').sym(lit, 'a')
+		}
+		w.sym(lit, 'a').match(lit, dist, 3, 1).sym(lit, 'b').sym(lit, endBlock)
+		add("length beside a literal", true, w.buf)
+	}
+
+	// A literal/length code of one one-bit code: end of block after a
+	// fixed block, or 'a', whose block can only end on the unused
+	// codeword.
+	for _, c := range []struct {
+		sym  int
+		runs int // codeword 0s before the last bit
+		last uint32
+		good bool
+	}{{endBlock, 0, 0, true}, {endBlock, 0, 1, false}, {'a', pairRoom + 8, 1, false}} {
+		w := new(streamBuilder)
+		w.fixedBlock(0, 20, 4)
+		l := lens(257)
+		l[c.sym] = 1
+		w.dynamicHeader(l, lens(1))
+		for range c.runs {
+			w.bits(0, 1)
+		}
+		add(fmt.Sprintf("one-bit code for symbol %d, %d zeros then %d", c.sym, c.runs, c.last), c.good, w.bits(c.last, 1).buf)
+	}
+
+	for _, n := range []int{1, 2, fastOut - 1, fastOut, fastOut + 1, fastOut + 8, 2*fastOut - 2} {
+		for _, p := range []int{1, 3, 8, 20} {
+			add(fmt.Sprintf("fixed block of %d bytes, period %d", n, p), true, new(streamBuilder).fixedBlock(1, n, p).buf)
+		}
+	}
+	rng := rand.New(rand.NewSource(56))
+	text := make([]byte, 10000)
+	for i := range text {
+		text[i] = "ACGT"[rng.Intn(4)]
+	}
+	for _, n := range []int{1, fastOut - 1, fastOut, fastOut + 1} {
+		var mix []byte
+		for _, level := range []int{flate.NoCompression, flate.HuffmanOnly, flate.BestSpeed} {
+			var buf bytes.Buffer
+			fw, _ := flate.NewWriter(&buf, level)
+			fw.Write(text[:9000+n])
+			fw.Flush()
+			mix = append(mix, buf.Bytes()...)
+		}
+		add(fmt.Sprintf("stored, dynamic and fixed blocks, last %d bytes fixed", n), true,
+			append(mix, new(streamBuilder).fixedBlock(1, n, 8).buf...))
+	}
+	return rows
+}
+
+// TestPairLiterals: in a table of two-bit codes for 'a', 'b', end of
+// block and length 3, every literal entry pairs with the literal its
+// index holds next, and every other entry stays as buildTable left it.
+func TestPairLiterals(t *testing.T) {
+	var tab [litTableSize]uint32
+	if !buildTable(tab[:], litTableBits, litLens(), litLeaf[:]) {
+		t.Fatal("buildTable refused the code")
+	}
+	built := tab
+	pairLiterals(tab[:1<<litTableBits])
+	pairs := 0
+	for j, e := range tab[:1<<litTableBits] {
+		want, next := built[j], built[j>>2]
+		if want&entLit != 0 && next&entLit != 0 {
+			want += 2 + 1<<12 | next>>16<<24
+			pairs++
+		}
+		if e != want {
+			t.Fatalf("entry %d is %#x, want %#x", j, e, want)
+		}
+	}
+	if pairs != 1<<litTableBits/4 {
+		t.Fatalf("%d pairs, want %d", pairs, 1<<litTableBits/4)
+	}
+}
+
 // TestMemberWithoutFinalBlock pins the one rule stricter than
 // compress/flate's reader: a member whose DEFLATE stream is one non-final
 // stored block holding the payload, with the right CRC and ISIZE, is
@@ -327,6 +472,9 @@ func FuzzInflateMember(f *testing.F) {
 		for _, level := range []int{flate.HuffmanOnly, flate.NoCompression, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression} {
 			streams = append(streams, flateStream(f, p, level))
 		}
+	}
+	for _, r := range edgeRows() {
+		f.Add(r.stream, int8(r.lie))
 	}
 	for _, s := range streams {
 		f.Add(s, int8(0))

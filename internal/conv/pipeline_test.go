@@ -210,38 +210,27 @@ func corruptRecord(t *testing.T, samPath string, n int) (string, int) {
 
 // TestPipelinedErrorParity pins the failure contract: a malformed
 // record surfaces the same error message, naming its line's file
-// offset, at every worker count, and the partial rank file holds exactly
-// the records before it — everything before the failing record, nothing
-// after.
+// offset, at every worker count and rank count, and the failed
+// conversion leaves no target file, partial or complete.
 func TestPipelinedErrorParity(t *testing.T) {
-	samPath, _, d := writeDataset(t, 400)
+	samPath, _, _ := writeDataset(t, 400)
 	corrupt, off := corruptRecord(t, samPath, 250)
 	wantErr := fmt.Sprintf(`sam: line at file offset %d: sam: invalid alignment record: FLAG "notaflag"`, off)
-	wantPartial, _ := referenceText(t, d.Records[:250], d.Header, "sam")
 
 	for _, workers := range []int{1, 4, 8} {
-		dir := t.TempDir()
-		_, err := ConvertSAM(corrupt, Options{
-			Format: "sam", Cores: 1, ParseWorkers: workers, OutDir: dir, OutPrefix: "t",
-		})
-		if err == nil || err.Error() != wantErr {
-			t.Errorf("workers=%d error = %v, want %q", workers, err, wantErr)
-		}
-		partial, err := os.ReadFile(filepath.Join(dir, "t_p000.sam"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(partial) != wantPartial {
-			t.Errorf("workers=%d partial output is not the first 250 records (%d vs %d bytes)",
-				workers, len(partial), len(wantPartial))
-		}
-
-		// The binary target fails with the same message too.
-		_, err = ConvertSAMToBAM(corrupt, Options{
-			Cores: 1, ParseWorkers: workers, OutDir: t.TempDir(), OutPrefix: "s",
-		})
-		if err == nil || err.Error() != wantErr {
-			t.Errorf("workers=%d SAM→BAM error = %v, want %q", workers, err, wantErr)
+		for _, cores := range []int{1, 2} {
+			for _, format := range []string{"sam", "bam"} {
+				dir := t.TempDir()
+				_, err := ConvertSAM(corrupt, Options{
+					Format: format, Cores: cores, ParseWorkers: workers, OutDir: dir, OutPrefix: "t",
+				})
+				if err == nil || err.Error() != wantErr {
+					t.Errorf("workers=%d cores=%d %s: error = %v, want %q", workers, cores, format, err, wantErr)
+				}
+				if left, _ := os.ReadDir(dir); len(left) != 0 {
+					t.Errorf("workers=%d cores=%d %s: the failed conversion left %d files", workers, cores, format, len(left))
+				}
+			}
 		}
 	}
 }

@@ -53,6 +53,7 @@ func newSink(opts *Options, h *sam.Header, rank int) (*sink, error) {
 	if opts.Format == "bam" {
 		if s.shard, err = bam.NewWriter(f, h, bam.WithCodecWorkers(opts.CodecWorkers)); err != nil {
 			f.Close()
+			os.Remove(s.path)
 			return nil, err
 		}
 		return s, nil
@@ -60,6 +61,7 @@ func newSink(opts *Options, h *sam.Header, rank int) (*sink, error) {
 	s.bw = bufio.NewWriterSize(f, writeBufSize)
 	if err := s.write(prologue); err != nil {
 		f.Close()
+		os.Remove(s.path)
 		return nil, err
 	}
 	return s, nil
@@ -135,9 +137,9 @@ func (s *sink) write(p []byte) error {
 }
 
 // close flushes and closes the target and returns its size in bytes. It
-// is called on the error path too: a failed conversion leaves every
-// record before the first error on disk, and a shard's codec workers
-// are released before the file is abandoned.
+// is called on the error path too, so that a shard's codec workers are
+// released; convert then removes every rank's file, and a failed
+// conversion leaves no partial target behind.
 func (s *sink) close() (int64, error) {
 	n := s.n
 	var err error
@@ -172,20 +174,22 @@ func convert(opts *Options, h *sam.Header,
 			if err != nil {
 				return rankStats{}, err
 			}
+			res.Files[c.Rank()] = sk.path
 			st, err := share(sk)
 			n, cerr := sk.close()
 			if err == nil {
 				err = cerr
 			}
-			if err != nil {
-				return st, err
-			}
 			st.bytesOut = n
-			res.Files[c.Rank()] = sk.path
-			return st, nil
+			return st, err
 		}, err
 	})
 	if err != nil {
+		for _, path := range res.Files { // every file a rank of this process created
+			if path != "" {
+				os.Remove(path)
+			}
+		}
 		return nil, err
 	}
 	return res, nil

@@ -89,7 +89,8 @@ type Result struct {
 // Run executes one job: spec routed to its engine, input and outputs
 // placed by env. Under a distributed launcher every process runs the
 // same call sequence and the job ends in one gather to rank 0: rank 0
-// returns the world's Result, every other rank an empty one.
+// returns the world's Result, every other rank an empty one. A job that
+// fails on any rank leaves none of its outputs.
 func Run(spec Spec, env Env) (Result, error) {
 	err := spec.Validate()
 	if err == nil && env.Launch != nil {
@@ -114,11 +115,23 @@ func Run(spec Spec, env Env) (Result, error) {
 	if err == nil {
 		o.Files, o.BytesOut, err = statFiles(o.paths)
 	}
+	local, own := o.paths, err
 	if env.Launch != nil {
 		o, err = gather(&env, ranks, o, err)
 	}
-	if err != nil || env.Rank != 0 {
+	if err != nil {
+		// A failed op has cleaned up after itself, and a commit by rename
+		// that never happened left an existing output's bytes alone; what
+		// this process wrote goes only when another process failed the job.
+		if own == nil {
+			for _, path := range local {
+				os.Remove(path)
+			}
+		}
 		return Result{}, err
+	}
+	if env.Rank != 0 {
+		return Result{}, nil
 	}
 	return Result{Files: o.Files, BytesOut: o.BytesOut, Records: o.Records, Summary: o.summary(&o)}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -719,4 +720,126 @@ func TestUnsortedBAMAnalyses(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFailedConvertLeavesNoFile: a SAM→BAM conversion that fails on one
+// record's bad tag, and a SAM→BED one that fails on a bad FLAG, leave no
+// target file in the output directory — not the failing rank's partial
+// file, nor a finished rank's — at one and two ranks, in one process
+// and on a two-process loopback world.
+func TestFailedConvertLeavesNoFile(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(2000))
+	var text bytes.Buffer
+	if err := d.WriteSAM(&text); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(text.String(), "\n")
+	last := len(lines) - 2 // the last alignment line: rank 1's share at two ranks
+	for _, c := range []struct{ format, field string }{{"bam", "XX:Q:1"}, {"bed", "notaflag"}} {
+		bad := slices.Clone(lines)
+		fields := strings.Split(strings.TrimSuffix(bad[last], "\n"), "\t")
+		if c.format == "bam" {
+			fields = append(fields, c.field)
+		} else {
+			fields[1] = c.field
+		}
+		bad[last] = strings.Join(fields, "\t") + "\n"
+		in := filepath.Join(t.TempDir(), "bad.sam")
+		if err := os.WriteFile(in, []byte(strings.Join(bad, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, ranks := range []int{1, 2} {
+			spec := Spec{InputPath: in, Format: c.format, Ranks: ranks}
+			dir := t.TempDir()
+			if _, err := Run(spec, Env{OutDir: dir}); err == nil {
+				t.Fatalf("%s at %d ranks: no error", c.format, ranks)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("%s at %d ranks: the failed job left %d files", c.format, ranks, len(left))
+			}
+		}
+		dir := t.TempDir()
+		runLoopbackWorld(t, 2, func(w *mpinet.World) error {
+			if _, err := Run(Spec{InputPath: in, Format: c.format, Ranks: 2}, Env{OutDir: dir, Launch: w.Launcher(), Rank: w.Rank()}); err == nil {
+				return fmt.Errorf("%s on a TCP world: rank %d: no error", c.format, w.Rank())
+			}
+			return nil
+		})
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%s on a TCP world: the failed job left %d files", c.format, len(left))
+		}
+	}
+}
+
+// TestFailedJobKeepsExistingOutput: a sort or a container rewrite that
+// fails leaves an output that already existed byte-identical — its
+// commit by rename never happened — in one process and, for the sort,
+// on a two-process loopback world.
+func TestFailedJobKeepsExistingOutput(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(2000))
+	var text, bin bytes.Buffer
+	if err := d.WriteSAM(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteBAM(&bin); err != nil {
+		t.Fatal(err)
+	}
+	in := t.TempDir()
+	badSAM := filepath.Join(in, "bad.sam")
+	lines := strings.SplitAfter(text.String(), "\n")
+	lines[len(lines)-2] = strings.TrimSuffix(lines[len(lines)-2], "\n") + "\tXX:Q:1\n"
+	cutBAM := filepath.Join(in, "cut.bam") // ends inside a BGZF member
+	if err := os.WriteFile(badSAM, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cutBAM, bin.Bytes()[:bin.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		spec  Spec
+		out   string   // the Env.OutPath, if any
+		files []string // the outputs planted beforehand
+	}{
+		{"sort/sam→bam", Spec{Op: OpSort, InputPath: badSAM}, "out.bam", []string{"out.bam"}},
+		{"sort/bam→bam", Spec{Op: OpSort, InputPath: cutBAM}, "out.bam", []string{"out.bam"}},
+		{"convert/bam→bamx", Spec{InputPath: cutBAM, Format: "bamx"}, "", []string{"out.bamx", "out.baix"}},
+		{"convert/bam→pamx", Spec{InputPath: cutBAM, Format: "pamx"}, "", []string{"out.pamx"}},
+	}
+	plant := func(t *testing.T, dir string, files []string) {
+		for _, name := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("keep "+name), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(t *testing.T, what, dir string, files []string) {
+		for _, name := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != "keep "+name {
+				t.Errorf("%s: %s after the failed job: %q, %v", what, name, got, err)
+			}
+		}
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		plant(t, dir, c.files)
+		env := Env{OutDir: dir}
+		if c.out != "" {
+			env.OutPath = filepath.Join(dir, c.out)
+		}
+		if _, err := Run(c.spec, env); err == nil {
+			t.Fatalf("%s: no error", c.name)
+		}
+		check(t, c.name, dir, c.files)
+	}
+	dir := t.TempDir()
+	plant(t, dir, []string{"out.bam"})
+	runLoopbackWorld(t, 2, func(w *mpinet.World) error {
+		env := Env{OutDir: dir, OutPath: filepath.Join(dir, "out.bam"), Launch: w.Launcher(), Rank: w.Rank()}
+		if _, err := Run(Spec{Op: OpSort, InputPath: badSAM, Ranks: 2}, env); err == nil {
+			return fmt.Errorf("sort on a TCP world: rank %d: no error", w.Rank())
+		}
+		return nil
+	})
+	check(t, "sort on a TCP world", dir, []string{"out.bam"})
 }
