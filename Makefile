@@ -5,12 +5,12 @@
 # run of the six surviving testing.B benchmarks (obs per-op costs, the
 # kern scalar-vs-SWAR ratio, the one-core inflate rate), the paper
 # reproduction smoke, the metrics-schema and live-endpoint smoke tests,
-# and the short decoder fuzz pass (fuzz-inflate). Measuring is
-# `go run ./bench`.
+# and the short decoder and record-framing fuzz passes (fuzz-inflate,
+# fuzz-framing). Measuring is `go run ./bench`.
 
 GO ?= go
 
-.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check linkcheck loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke fuzz-frame fuzz-kern fuzz-body fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-pamx fuzz-daemon ci
+.PHONY: all build test race race-convert vet staticcheck fmt-check deps-check linkcheck loc bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke fuzz-frame fuzz-kern fuzz-body fuzz-stats fuzz-deflate fuzz-inflate deflate-frontier fuzz-index fuzz-framing fuzz-pamx fuzz-daemon ci
 
 all: build
 
@@ -92,6 +92,16 @@ deflate-frontier:
 fuzz-index:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadIndex' -fuzztime 10s ./internal/bam
 	$(GO) test -run '^$$' -fuzz 'FuzzBAIXParse' -fuzztime 10s ./internal/bamx
+
+# Short fuzz pass over BAM record framing: arbitrary record bytes in
+# BGZF blocks of any payload must give the Reader's cursor readFrame's
+# bodies and error class, and a piece ending at a record start exactly
+# the records before it. In ci because every BAM read, whole file,
+# piece or region, goes through that one cursor. An input that widens
+# coverage is minimised for at most 100 runs: unbounded, minimising one
+# takes the whole 10 s.
+fuzz-framing:
+	$(GO) test -run '^$$' -fuzz 'FuzzRecordFraming' -fuzztime 10s -fuzzminimizetime 100x ./internal/bam
 
 # Short fuzz pass over the PAMX footer decoder: corrupt footers must
 # error, never panic, and every accepted footer must re-encode
@@ -388,5 +398,5 @@ daemon-endpoint-smoke:
 world-smoke:
 	$(GO) test -run '^TestWorldSmoke$$' -count=1 ./cmd/seqconvert
 
-ci: vet staticcheck fmt-check build deps-check linkcheck race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke fuzz-inflate
+ci: vet staticcheck fmt-check build deps-check linkcheck race bench-smoke experiments-smoke metrics-smoke metrics-endpoint-smoke daemon-endpoint-smoke world-smoke fuzz-inflate fuzz-framing
 	@echo "ci: all checks passed"

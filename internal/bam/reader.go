@@ -35,20 +35,25 @@ func applyOptions(opts []Option) codecOptions {
 }
 
 // Reader decodes a BAM stream: the BAM header (SAM header text plus the
-// binary reference dictionary) eagerly, then one record per Read call.
+// binary reference dictionary) eagerly, then one record per Read call
+// through its record cursor, the BodyScanner NewBodyScanner returns.
 type Reader struct {
 	bg        *bgzf.Reader
 	header    *sam.Header
 	dataStart bgzf.VOffset // virtual offset of the first record
-	buf       []byte       // reusable record buffer, block_size included
-	err       error
+	cur       BodyScanner
+}
+
+func newReader(r io.Reader, h *sam.Header, opts []Option) *Reader {
+	bg := bgzf.NewParallelReader(r, applyOptions(opts).workers)
+	return &Reader{bg: bg, header: h, cur: BodyScanner{src: bg}}
 }
 
 // NewReader wraps a BGZF-compressed BAM stream and decodes the header.
 // By default blocks inflate on the calling goroutine; WithCodecWorkers
 // places them otherwise.
 func NewReader(r io.Reader, opts ...Option) (*Reader, error) {
-	br := &Reader{bg: bgzf.NewParallelReader(r, applyOptions(opts).workers)}
+	br := newReader(r, nil, opts)
 	if err := br.readHeader(); err != nil {
 		// The parallel codec runs goroutines; release them before
 		// reporting the malformed header.
@@ -63,7 +68,7 @@ func NewReader(r io.Reader, opts ...Option) (*Reader, error) {
 // already read: it decodes no header and inflates nothing until it is
 // read, from at when at is not 0 (Seek's virtual offset).
 func NewReaderAt(r io.ReadSeeker, h *sam.Header, at bgzf.VOffset, opts ...Option) (*Reader, error) {
-	br := &Reader{bg: bgzf.NewParallelReader(r, applyOptions(opts).workers), header: h}
+	br := newReader(r, h, opts)
 	if at == 0 {
 		return br, nil
 	}
@@ -135,8 +140,9 @@ func (br *Reader) Close() error { return br.bg.Close() }
 // Header returns the decoded header.
 func (br *Reader) Header() *sam.Header { return br.header }
 
-// Offset returns the virtual offset of the next record.
-func (br *Reader) Offset() bgzf.VOffset { return br.bg.Offset() }
+// Offset returns the virtual offset of the next record: the cursor's
+// position.
+func (br *Reader) Offset() bgzf.VOffset { return br.cur.offset() }
 
 // DataStart returns the virtual offset of the first record — just past
 // the header. Seeking here rewinds the stream to the record section,
@@ -144,45 +150,30 @@ func (br *Reader) Offset() bgzf.VOffset { return br.bg.Offset() }
 func (br *Reader) DataStart() bgzf.VOffset { return br.dataStart }
 
 // Seek positions the reader at a virtual offset previously obtained from
-// Offset or from an index.
+// Offset or from an index, resetting its cursor: the end a piece set
+// goes, and so does a sticky error.
 func (br *Reader) Seek(v bgzf.VOffset) error {
-	if err := br.bg.Seek(v); err != nil {
-		return err
-	}
-	br.err = nil
-	return nil
+	br.cur.reset()
+	return br.bg.Seek(v)
 }
 
 // ReadInto decodes the next record into rec, reusing its storage. It
 // returns io.EOF at the end of stream.
 func (br *Reader) ReadInto(rec *sam.Record) error {
-	body, err := br.ReadBody()
-	if err != nil {
-		return err
+	body, err := br.cur.Next()
+	if err == nil {
+		if err = DecodeRecord(body, rec, br.header); err != nil {
+			br.cur.err = err
+		}
 	}
-	if err := DecodeRecord(body, rec, br.header); err != nil {
-		br.err = err
-		return err
-	}
-	return nil
+	return err
 }
 
 // ReadBody returns the next record's raw encoded body (without the
-// block_size prefix). The slice is valid until the next Read* call. It
-// is the zero-decode path preprocessors use to measure and relocate
-// records without materialising alignment objects.
-func (br *Reader) ReadBody() ([]byte, error) {
-	if br.err != nil {
-		return nil, br.err
-	}
-	rec, err := readFrame(br.bg, br.buf)
-	br.buf = rec
-	if err != nil {
-		br.err = err
-		return nil, err
-	}
-	return rec[4:], nil
-}
+// block_size prefix), the cursor's Next. The slice is valid until the
+// next Read* call. It is the zero-decode path preprocessors use to
+// measure and relocate records without materialising alignment objects.
+func (br *Reader) ReadBody() ([]byte, error) { return br.cur.Next() }
 
 // ReadAll consumes the remaining records.
 func (br *Reader) ReadAll() ([]sam.Record, error) {

@@ -8,10 +8,11 @@ import (
 	"parseq/internal/sam"
 )
 
-// bodySpan extracts the reference span of a BAM record body without a
-// full decode: refID, zero-based start, and zero-based exclusive end
+// BodySpan extracts the reference span of a BAM record body without a
+// full decode — the index builder's, the regions' and the shard
+// tallies' — refID, zero-based start, and zero-based exclusive end
 // (start+1 for unmapped or CIGAR-less records, per samtools convention).
-func bodySpan(body []byte) (refID int32, beg, end int) {
+func BodySpan(body []byte) (refID int32, beg, end int) {
 	refID = int32(binary.LittleEndian.Uint32(body[0:]))
 	beg = int(int32(binary.LittleEndian.Uint32(body[4:])))
 	nameLen := int(body[8])
@@ -49,7 +50,7 @@ func BuildFileIndex(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		refID, beg, end := bodySpan(body)
+		refID, beg, end := BodySpan(body)
 		if refID >= 0 {
 			if refID < lastRef || (refID == lastRef && beg < lastPos) {
 				return nil, fmt.Errorf("bam: input not coordinate-sorted at %s:%d",
@@ -63,15 +64,10 @@ func BuildFileIndex(r io.Reader) (*Index, error) {
 	}
 }
 
-// BodySpan is bodySpan for callers outside the package (the shard
-// provider's zero-decode tallies): refID, zero-based start, and
-// zero-based exclusive end of an encoded record body.
-func BodySpan(body []byte) (refID int32, beg, end int) {
-	return bodySpan(body)
-}
-
 // RegionReader iterates the records of an indexed BAM file that overlap
-// one zero-based half-open reference interval, in file order.
+// one zero-based half-open reference interval, in file order: the
+// reader's own cursor spanned over each chunk the index names in turn,
+// Seek to the chunk's start with its end as the piece's.
 //
 // Two membership modes exist. The default keeps every record whose span
 // *overlaps* [beg, end) — the samtools-view contract, where a record
@@ -82,9 +78,7 @@ func BodySpan(body []byte) (refID int32, beg, end int) {
 // analysis needs to merge per-shard tallies without double counting.
 type RegionReader struct {
 	br          *Reader
-	chunks      []Chunk
-	chunk       int
-	inChunk     bool
+	chunks      []Chunk // those after the one the cursor spans
 	refID       int32
 	beg, end    int
 	startWithin bool
@@ -98,13 +92,15 @@ func NewRegionReader(br *Reader, idx *Index, refName string, beg, end int) (*Reg
 	if refID < 0 {
 		return nil, fmt.Errorf("bam: reference %q not in header", refName)
 	}
-	return &RegionReader{
+	rr := &RegionReader{
 		br:     br,
 		chunks: idx.Query(refID, beg, end),
 		refID:  int32(refID),
 		beg:    beg,
 		end:    end,
-	}, nil
+	}
+	rr.err = rr.nextChunk()
+	return rr, nil
 }
 
 // NewShardRegionReader is NewRegionReader in start-within mode: only
@@ -119,106 +115,43 @@ func NewShardRegionReader(br *Reader, idx *Index, refName string, beg, end int) 
 	return rr, nil
 }
 
-// Read returns the next overlapping record, or io.EOF.
-func (rr *RegionReader) Read() (sam.Record, error) {
-	var rec sam.Record
-	err := rr.ReadInto(&rec)
-	return rec, err
-}
-
-// NextBody returns the next in-region record's encoded body without
-// decoding it — the zero-allocation path under CountRegion and the
-// shard tallies. The slice aliases the reader's internal buffer and is
-// valid only until the next call. Returns io.EOF when exhausted.
-func (rr *RegionReader) NextBody() ([]byte, error) {
-	if rr.err != nil {
-		return nil, rr.err
+// nextChunk spans the cursor over the next chunk, io.EOF after the last.
+func (rr *RegionReader) nextChunk() error {
+	if len(rr.chunks) == 0 {
+		return io.EOF
 	}
-	for {
-		if !rr.inChunk {
-			if rr.chunk >= len(rr.chunks) {
-				rr.err = io.EOF
-				return nil, rr.err
-			}
-			if err := rr.br.Seek(rr.chunks[rr.chunk].Beg); err != nil {
-				rr.err = offGrid(rr.chunks[rr.chunk].Beg, err)
-				return nil, rr.err
-			}
-			rr.inChunk = true
-		}
-		if rr.br.Offset() >= rr.chunks[rr.chunk].End {
-			rr.chunk++
-			rr.inChunk = false
-			continue
-		}
-		at := rr.br.Offset()
-		body, err := rr.br.ReadBody()
-		if err == io.EOF {
-			rr.chunk++
-			rr.inChunk = false
-			continue
-		}
-		if err != nil {
-			rr.err = offGrid(at, err)
-			return nil, rr.err
-		}
-		refID, beg, end := bodySpan(body)
-		if refID != rr.refID {
-			// Sorted input: past the reference means past the region.
-			if refID > rr.refID {
-				rr.chunk++
-				rr.inChunk = false
-			}
-			continue
-		}
-		if beg >= rr.end {
-			// Sorted within the reference: nothing later can overlap.
-			rr.chunk++
-			rr.inChunk = false
-			continue
-		}
-		if rr.startWithin {
-			if beg < rr.beg {
-				continue
-			}
-		} else if end <= rr.beg {
-			continue
-		}
-		return body, nil
+	c := rr.chunks[0]
+	rr.chunks = rr.chunks[1:]
+	if err := rr.br.Seek(c.Beg); err != nil {
+		return offGrid(c.Beg, err)
 	}
-}
-
-// ReadInto decodes the next overlapping record into rec, or returns
-// io.EOF when the region is exhausted.
-func (rr *RegionReader) ReadInto(rec *sam.Record) error {
-	body, err := rr.NextBody()
-	if err != nil {
-		return err
-	}
-	if err := DecodeRecord(body, rec, rr.br.Header()); err != nil {
-		rr.err = err
-		return err
-	}
+	NewPieceScanner(rr.br, c.End)
 	return nil
 }
 
-// CountRegion returns how many records overlap the region — the cheap
-// index-backed census operation. It walks record bodies without
-// decoding them, so the loop allocates nothing per record.
-func CountRegion(br *Reader, idx *Index, refName string, beg, end int) (int, error) {
-	rr, err := NewRegionReader(br, idx, refName, beg, end)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for {
-		if _, err := rr.NextBody(); err == io.EOF {
-			return n, nil
-		} else if err != nil {
-			return n, err
+// NextBody returns the next in-region record's encoded body without
+// decoding it — the zero-allocation path under the shard tallies. The
+// slice aliases the reader's block or carry buffer and is valid only
+// until the next call. Returns io.EOF when exhausted.
+func (rr *RegionReader) NextBody() ([]byte, error) {
+	for rr.err == nil {
+		body, err := rr.br.ReadBody()
+		if err != nil {
+			if rr.err = err; err == io.EOF {
+				rr.err = rr.nextChunk()
+			}
+			continue
 		}
-		n++
+		refID, beg, end := BodySpan(body)
+		switch {
+		case refID > rr.refID || refID == rr.refID && beg >= rr.end:
+			// Sorted input: nothing later in the chunk can overlap.
+			rr.err = rr.nextChunk()
+		case refID == rr.refID && (rr.startWithin && beg >= rr.beg || !rr.startWithin && end > rr.beg):
+			return body, nil
+		}
 	}
+	return nil, rr.err
 }
 
 // WriteIndexFile builds and writes a .bai file for a BAM file opened via

@@ -12,6 +12,39 @@ import (
 	"parseq/internal/sam"
 )
 
+// ReadInto decodes the next overlapping record into rec, or returns
+// io.EOF when the region is exhausted.
+func (rr *RegionReader) ReadInto(rec *sam.Record) error {
+	body, err := rr.NextBody()
+	if err != nil {
+		return err
+	}
+	if err := DecodeRecord(body, rec, rr.br.Header()); err != nil {
+		rr.err = err
+		return err
+	}
+	return nil
+}
+
+// CountRegion returns how many records overlap the region — the cheap
+// index-backed census operation. It walks record bodies without
+// decoding them, so the loop allocates nothing per record.
+func CountRegion(br *Reader, idx *Index, refName string, beg, end int) (int, error) {
+	rr, err := NewRegionReader(br, idx, refName, beg, end)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for {
+		if _, err := rr.NextBody(); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, err
+		}
+		n++
+	}
+}
+
 // genSorted builds a coordinate-sorted multi-chromosome record set with
 // varied spans, plus a trailing unmapped block, mirroring real BAM files.
 func genSorted(seed int64, n int, h *sam.Header) []sam.Record {
@@ -245,7 +278,7 @@ func TestBodySpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, beg, end := bodySpan(body[4:])
+	refID, beg, end := BodySpan(body[4:])
 	if refID != 0 {
 		t.Errorf("refID = %d", refID)
 	}
@@ -261,7 +294,7 @@ func TestBodySpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, beg, end = bodySpan(body[4:])
+	refID, beg, end = BodySpan(body[4:])
 	if refID != -1 || end != beg+1 {
 		t.Errorf("unmapped span = %d [%d, %d)", refID, beg, end)
 	}

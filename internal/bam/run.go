@@ -11,7 +11,9 @@ import (
 // readFrame reads one record framed as in a BAM stream — an int32
 // block_size, then the body — into buf's storage and returns it, prefix
 // included. An end before the first byte is io.EOF; a short record or a
-// block_size under the 32-byte fixed section is ErrInvalidRecord.
+// block_size under the 32-byte fixed section is ErrInvalidRecord. The
+// buffer grows with the bytes read, so a garbled block_size costs at
+// most 64 KiB or twice the bytes the stream holds, not what it claims.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	buf = slices.Grow(buf[:0], 4)[:4]
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -24,9 +26,16 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if size < 32 {
 		return buf, fmt.Errorf("%w: block_size %d", ErrInvalidRecord, size)
 	}
-	buf = slices.Grow(buf, size)[:4+size]
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return buf, fmt.Errorf("%w: truncated record body: %w", ErrInvalidRecord, err)
+	for len(buf) < 4+size {
+		n := min(4+size-len(buf), max(len(buf), 64<<10))
+		buf = slices.Grow(buf, n)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+n])
+		if buf = buf[:len(buf)+m]; err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, fmt.Errorf("%w: truncated record body: %w", ErrInvalidRecord, err)
+		}
 	}
 	return buf, nil
 }

@@ -4,14 +4,14 @@
 // only when a record straddles a block boundary — a few percent of the
 // stream — instead of once per record through Read's copy loop.
 //
-// BodyScanner is the zero-decode path (raw bodies, one goroutine), the
-// drop-in upgrade for ReadBody loops such as the BAMX preprocessor's
-// two passes. ParallelScanner additionally fans DecodeRecord out to a
-// parpipe worker pool in multi-block batches, delivering fully decoded
-// records strictly in file order — the read-side mirror of the parallel
-// BGZF writer. On hosts where fan-out cannot pay for its dispatch (one
-// worker or one CPU) it degrades to the BodyScanner path with zero
-// pipeline overhead.
+// BodyScanner is every Reader's one record cursor (raw bodies, one
+// goroutine): ReadBody, ReadInto, Offset and Seek, the pieces and the
+// index regions all walk it. ParallelScanner additionally fans
+// DecodeRecord out to a parpipe worker pool in multi-block batches,
+// delivering fully decoded records strictly in file order — the
+// read-side mirror of the parallel BGZF writer. On hosts where fan-out
+// cannot pay for its dispatch (one worker or one CPU) it degrades to the
+// reader's cursor with zero pipeline overhead.
 
 package bam
 
@@ -31,13 +31,13 @@ import (
 )
 
 // minRecordBody is the smallest legal encoded record body: the fixed
-// 32-byte prefix (shared with Reader.ReadBody's validation).
+// 32-byte prefix.
 const minRecordBody = 32
 
 // BodyScanner iterates the raw encoded record bodies of a BAM stream
-// through the codec's zero-copy block API. The scanner takes over the
-// reader's stream position: do not interleave it with the reader's own
-// Read* calls.
+// through the codec's zero-copy block API. Each Reader owns exactly one,
+// its record cursor, so the scanner and the reader's own Read* calls,
+// Offset and Seek walk one position and may be interleaved.
 type BodyScanner struct {
 	src   *bgzf.Reader
 	block []byte // current inflated block, owned until exhausted
@@ -49,10 +49,11 @@ type BodyScanner struct {
 	hi, base, after bgzf.VOffset
 }
 
-// NewBodyScanner wraps br, which must be positioned at the first record
-// (as NewReader leaves it, mid-block after the header).
+// NewBodyScanner returns br's record cursor, running to the end of the
+// stream, at br's position (NewReader leaves it at the first record).
 func NewBodyScanner(br *Reader) *BodyScanner {
-	return &BodyScanner{src: br.bg}
+	br.cur.hi = 0
+	return &br.cur
 }
 
 // NewPieceScanner is NewBodyScanner ending at hi, the virtual offset of
@@ -65,23 +66,41 @@ func NewPieceScanner(br *Reader, hi bgzf.VOffset) *BodyScanner {
 	return s
 }
 
+// offset is the cursor's position: in the block it holds, else the
+// codec's.
+func (s *BodyScanner) offset() bgzf.VOffset {
+	if s.block == nil {
+		return s.src.Offset()
+	}
+	return s.base + bgzf.VOffset(s.pos)
+}
+
+// reset hands the held block back and clears the cursor, end included,
+// for a Seek.
+func (s *BodyScanner) reset() {
+	if s.block != nil {
+		s.src.Recycle(s.block)
+	}
+	*s = BodyScanner{src: s.src, carry: s.carry[:0]}
+}
+
 // Next returns the next record body (without the block_size prefix),
 // valid until the following Next call. It returns io.EOF at the end of
-// the stream and sticks on the first error.
+// the stream or piece and sticks on the first error.
 func (s *BodyScanner) Next() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	at := s.base + bgzf.VOffset(s.pos)
+	at := s.offset()
 	body, err := s.next()
-	if err != nil && err != io.EOF && s.hi != 0 {
+	if err == nil {
+		return body, nil
+	}
+	if err != io.EOF && s.hi != 0 {
 		err = offGrid(at, err)
 	}
-	if err != nil {
-		s.err = err
-		return nil, err
-	}
-	return body, nil
+	s.err = err
+	return nil, err
 }
 
 // offGrid names the offset of a read from where an index says a record
@@ -93,16 +112,26 @@ func offGrid(at bgzf.VOffset, err error) error {
 	return fmt.Errorf("bam: record at %v: %w", at, err)
 }
 
+// pastEnd is the error of a record that runs past the piece's end.
+func (s *BodyScanner) pastEnd() error {
+	return fmt.Errorf("%w: a record runs past %v, the piece's end", bgzf.ErrCorrupt, s.hi)
+}
+
 // next parses the following record out of the current block, loading
 // blocks as needed.
 func (s *BodyScanner) next() ([]byte, error) {
 	for {
 		avail := len(s.block) - s.pos
-		// A block's end is the same stream position as the next one's start.
-		if at := s.base + bgzf.VOffset(s.pos); s.hi != 0 && (at == s.hi || avail == 0 && s.after == s.hi) {
-			return nil, io.EOF
-		} else if s.hi != 0 && (at > s.hi || avail == 0 && s.after > s.hi) {
-			return nil, fmt.Errorf("%w: a record runs past %v, the piece's end", bgzf.ErrCorrupt, s.hi)
+		if s.hi != 0 {
+			// A block's end is the same stream position as the next one's
+			// start.
+			at := s.offset()
+			if at == s.hi || avail == 0 && s.after == s.hi {
+				return nil, io.EOF
+			}
+			if at > s.hi || avail == 0 && s.after > s.hi {
+				return nil, s.pastEnd()
+			}
 		}
 		if avail >= 4 {
 			size := int(int32(binary.LittleEndian.Uint32(s.block[s.pos:])))
@@ -142,45 +171,46 @@ func (s *BodyScanner) advance() error {
 
 // spanning stitches a record that crosses one or more block boundaries
 // into the carry buffer, starting from the record's first bytes at
-// s.pos in the current block.
+// s.pos in the current block. The size prefix may straddle blocks too.
 func (s *BodyScanner) spanning() ([]byte, error) {
 	s.carry = append(s.carry[:0], s.block[s.pos:]...)
 	s.pos = len(s.block)
-	// The size prefix itself may straddle blocks.
-	for len(s.carry) < 4 {
-		if err := s.advance(); err != nil {
-			return nil, truncatedErr(err, true)
+	for need := 4; ; {
+		if need == 4 && len(s.carry) >= 4 {
+			size := int(int32(binary.LittleEndian.Uint32(s.carry)))
+			if size < minRecordBody {
+				return nil, fmt.Errorf("%w: block_size %d", ErrInvalidRecord, size)
+			}
+			need += size
 		}
-		take := 4 - len(s.carry)
-		if take > len(s.block) {
-			take = len(s.block)
+		if len(s.carry) >= need {
+			return s.carry[4:], nil
 		}
-		s.carry = append(s.carry, s.block[:take]...)
-		s.pos = take
-	}
-	size := int(int32(binary.LittleEndian.Uint32(s.carry)))
-	if size < minRecordBody {
-		return nil, fmt.Errorf("%w: block_size %d", ErrInvalidRecord, size)
-	}
-	for len(s.carry) < 4+size {
 		if s.pos == len(s.block) {
-			if err := s.advance(); err != nil {
-				return nil, truncatedErr(err, false)
+			if err := s.refill(need == 4); err != nil {
+				return nil, err
 			}
 		}
-		take := 4 + size - len(s.carry)
-		if m := len(s.block) - s.pos; m < take {
-			take = m
-		}
+		take := min(need-len(s.carry), len(s.block)-s.pos)
 		s.carry = append(s.carry, s.block[s.pos:s.pos+take]...)
 		s.pos += take
 	}
-	return s.carry[4:], nil
+}
+
+// refill loads the block after the current one for a record that
+// continues past it. At a piece's end it stops instead: a record that
+// reaches the end is cut off the record grid, however long it claims to
+// be, so no member past the piece is inflated to carry it.
+func (s *BodyScanner) refill(inSize bool) error {
+	if s.hi != 0 && s.after >= s.hi {
+		return s.pastEnd()
+	}
+	return truncatedErr(s.advance(), inSize)
 }
 
 // truncatedErr maps a clean end-of-stream in the middle of a record to
-// the same ErrInvalidRecord wrapping ReadBody produces; codec errors
-// (ErrCorrupt, ErrNoEOFMarker, ...) pass through untouched.
+// ErrInvalidRecord, as a run's framing does; codec errors (ErrCorrupt,
+// ErrNoEOFMarker, ...) pass through untouched.
 func truncatedErr(err error, inSize bool) error {
 	if err != io.EOF {
 		return err
@@ -188,7 +218,7 @@ func truncatedErr(err error, inSize bool) error {
 	if inSize {
 		return fmt.Errorf("%w: truncated record size", ErrInvalidRecord)
 	}
-	return fmt.Errorf("%w: truncated record body: %v", ErrInvalidRecord, io.ErrUnexpectedEOF)
+	return fmt.Errorf("%w: truncated record body: %w", ErrInvalidRecord, io.ErrUnexpectedEOF)
 }
 
 // decodeBatch is a run of whole blocks' records travelling through the
@@ -387,15 +417,12 @@ func (s *ParallelScanner) feed(pipe *parpipe.Pipe[*decodeBatch], stop *atomic.Bo
 }
 
 // feedFinalErr maps the codec's end-of-stream against any half-read
-// record, mirroring ReadBody's truncation errors.
+// record, mirroring the cursor's truncation errors.
 func feedFinalErr(err error, carry []byte) error {
-	if err == io.EOF && len(carry) > 0 {
-		if len(carry) < 4 {
-			return fmt.Errorf("%w: truncated record size", ErrInvalidRecord)
-		}
-		return fmt.Errorf("%w: truncated record body: %v", ErrInvalidRecord, io.ErrUnexpectedEOF)
+	if len(carry) == 0 {
+		return err
 	}
-	return err
+	return truncatedErr(err, len(carry) < 4)
 }
 
 // decode is the worker function: materialise every body in the batch.

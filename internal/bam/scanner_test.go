@@ -2,6 +2,7 @@ package bam
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -155,37 +156,157 @@ func TestParallelScannerBypassSelection(t *testing.T) {
 	}
 }
 
+// frameBodies reads raw's record bodies as RunReader frames a run:
+// readFrame over a plain bgzf.Reader from the first record. It is the
+// reference the Reader's record cursor is held to, with the error that
+// ended the read.
+func frameBodies(t testing.TB, raw []byte) ([][]byte, error) {
+	t.Helper()
+	hr := openReader(t, raw, 1)
+	hr.Close()
+	bg := bgzf.NewReader(bytes.NewReader(raw))
+	if err := bg.Seek(hr.DataStart()); err != nil {
+		t.Fatal(err)
+	}
+	var bodies [][]byte
+	var rec []byte
+	for {
+		var err error
+		if rec, err = readFrame(bg, rec); err != nil {
+			return bodies, err
+		}
+		bodies = append(bodies, bytes.Clone(rec[4:]))
+	}
+}
+
+// TestBodyScannerMatchesReadBody holds the record cursor (NewBodyScanner,
+// which Reader.ReadBody is) to readFrame's framing over a plain
+// bgzf.Reader, across payload sizes that make records and their size
+// prefixes span blocks.
 func TestBodyScannerMatchesReadBody(t *testing.T) {
 	h := testHeader()
 	recs := genRecords(t, 300)
 	for _, payload := range scannerPayloads {
 		raw := encodeBAM(t, h, recs, payload)
+		want, werr := frameBodies(t, raw)
+		if werr != io.EOF || len(want) != len(recs) {
+			t.Fatalf("payload=%d: readFrame read %d of %d records, then %v", payload, len(want), len(recs), werr)
+		}
 		for _, codecWorkers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("payload=%d/codec=%d", payload, codecWorkers), func(t *testing.T) {
-				ref := openReader(t, raw, 1)
-				defer ref.Close()
 				br := openReader(t, raw, codecWorkers)
 				defer br.Close()
 				sc := NewBodyScanner(br)
 				for i := 0; ; i++ {
-					want, werr := ref.ReadBody()
 					got, gerr := sc.Next()
-					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("record %d: err %v vs %v", i, werr, gerr)
-					}
-					if werr != nil {
-						if werr != io.EOF || gerr != io.EOF {
-							t.Fatalf("record %d: terminal err %v vs %v", i, werr, gerr)
+					if i == len(want) {
+						if gerr != io.EOF {
+							t.Fatalf("record %d: %v, want io.EOF", i, gerr)
 						}
 						break
 					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("record %d: body mismatch (%d vs %d bytes)", i, len(got), len(want))
+					if gerr != nil {
+						t.Fatalf("record %d: %v", i, gerr)
+					}
+					if !bytes.Equal(got, want[i]) {
+						t.Fatalf("record %d: body mismatch (%d vs %d bytes)", i, len(got), len(want[i]))
 					}
 				}
 			})
 		}
 	}
+}
+
+// errClass is the class of a read's terminal error: a clean end, a
+// record that does not frame, or a corrupt stream.
+func errClass(err error) string {
+	switch {
+	case err == io.EOF:
+		return "EOF"
+	case errors.Is(err, ErrInvalidRecord):
+		return "invalid record"
+	case errors.Is(err, bgzf.ErrCorrupt):
+		return "corrupt"
+	}
+	return err.Error()
+}
+
+// FuzzRecordFraming writes arbitrary bytes, garbled record frames
+// included, as a BAM's record section in BGZF blocks of a chosen
+// payload. The Reader's bodies must equal readFrame's over a plain
+// bgzf.Reader and end with the same class of error, and a piece ending
+// at a record start the Reader passed must yield exactly the records
+// before it, whatever follows.
+func FuzzRecordFraming(f *testing.F) {
+	h := testHeader()
+	var valid []byte
+	third := 0 // the third record's start
+	for i, rec := range genRecords(f, 5) {
+		if i == 2 {
+			third = len(valid)
+		}
+		var err error
+		if valid, err = EncodeRecord(valid, &rec, h); err != nil {
+			f.Fatal(i, err)
+		}
+	}
+	huge := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(huge[third:], 0x7fffffff)
+	f.Add(valid, uint16(64))
+	f.Add(valid, uint16(0))
+	f.Add(valid[:len(valid)-3], uint16(100))
+	f.Add(append(bytes.Clone(valid), 1, 0, 0), uint16(7))
+	f.Add(huge, uint16(50))
+	f.Add([]byte{}, uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, payload uint16) {
+		if len(data) > 1024*max(int(payload), 1) {
+			return // over a thousand blocks: slow, and no new boundary case
+		}
+		raw, err := encodeBAMTail(h, nil, int(payload), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, werr := frameBodies(t, raw)
+		br := openReader(t, raw, 1)
+		defer br.Close()
+		starts := []bgzf.VOffset{br.Offset()}
+		for i := 0; ; i++ {
+			got, gerr := br.ReadBody()
+			if gerr != nil {
+				if i != len(want) || errClass(gerr) != errClass(werr) {
+					t.Fatalf("record %d: %v; readFrame read %d, then %v", i, gerr, len(want), werr)
+				}
+				break
+			}
+			if i == len(want) || !bytes.Equal(got, want[i]) {
+				t.Fatalf("record %d differs from readFrame's %d records", i, len(want))
+			}
+			starts = append(starts, br.Offset())
+		}
+		// Every start when there are few; a spread of them, the last among
+		// them, when there are many.
+		for k := len(starts) - 1; k >= 0; k -= max(len(starts)/8, 1) {
+			hi := starts[k]
+			pr, err := NewReaderAt(bytes.NewReader(raw), h, starts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := NewPieceScanner(pr, hi)
+			for i := 0; ; i++ {
+				got, err := sc.Next()
+				if i == k {
+					if err != io.EOF {
+						t.Fatalf("piece ending at record %d (%v): %v after it, want io.EOF", k, hi, err)
+					}
+					break
+				}
+				if err != nil || !bytes.Equal(got, want[i]) {
+					t.Fatalf("piece ending at record %d (%v): record %d differs, %v", k, hi, i, err)
+				}
+			}
+			pr.Close()
+		}
+	})
 }
 
 func TestParallelScannerMatchesSequential(t *testing.T) {

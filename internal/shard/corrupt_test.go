@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -15,6 +16,7 @@ import (
 	"parseq/internal/flagstat"
 	"parseq/internal/formats/pamx"
 	"parseq/internal/hist"
+	"parseq/internal/obs"
 	"parseq/internal/shard"
 	"parseq/internal/simdata"
 )
@@ -369,4 +371,122 @@ func TestStaleBAIRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHugeBlockSize plants a block_size of 0x7fffffff in one chr1 record
+// of an otherwise sound BAM, with a .bai built from where the records
+// really lie, and drains the piece, the index shard and the bare stream
+// (no .bai) holding it. Each must fail with a typed corruption error,
+// never panic, and the piece and the index shard must stop at their
+// ends instead of carrying the record through the members after them.
+func TestHugeBlockSize(t *testing.T) {
+	d := simdata.Generate(simdata.DefaultConfig(6000))
+	var raw bytes.Buffer
+	bw, err := bam.NewWriter(&raw, d.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := d.Header.RefByID(0)
+	idx := bam.NewIndex(len(d.Header.Refs))
+	var huge bgzf.VOffset // the damaged record's start
+	var hugePos int       // and its zero-based position on chr1
+	var body []byte
+	onRef := 0
+	for i := range d.Records {
+		if d.Records[i].RName == ref.Name {
+			onRef++
+		}
+	}
+	for i := range d.Records {
+		rec := &d.Records[i]
+		if body, err = bam.EncodeRecord(body[:0], rec, d.Header); err != nil {
+			t.Fatal(err)
+		}
+		refID, beg, end := bam.BodySpan(body[4:])
+		at := bw.Offset()
+		if i == onRef/2 { // the middle chr1 record: chr1's come first
+			binary.LittleEndian.PutUint32(body, 0x7fffffff)
+			huge, hugePos = at, beg
+		}
+		if err := bw.WriteEncoded(body); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Add(int(refID), beg, end, at, bw.Offset()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "huge.bam")
+	var bai bytes.Buffer
+	if _, err := idx.WriteTo(&bai); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".bai", bai.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	members := membersAt(t, raw.Bytes(), 0, raw.Len())
+	// within sums the ISIZE of the members holding bytes of [lo, hi).
+	within := func(lo, hi bgzf.VOffset) (n int64) {
+		for _, m := range members {
+			if at := int64(m[0]); at >= lo.Block() && (at < hi.Block() || at == hi.Block() && hi.Intra() > 0) {
+				n += int64(binary.LittleEndian.Uint32(raw.Bytes()[m[1]-4:]))
+			}
+		}
+		return n
+	}
+
+	reg := obs.New()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	inflated := reg.Counter("bgzf.inflate.bytes_out")
+	// drain reads the shard of a selection that holds the damaged record,
+	// alone, and checks its error and, unless it runs to the end of the
+	// file, the bytes it inflated.
+	drain := func(name string, opts shard.Options) {
+		t.Helper()
+		p := shard.NewBAMProvider(path)
+		defer p.Close()
+		shards, err := p.GenerateShards(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sh shard.Shard
+		for _, s := range shards {
+			piece := s.RecHi != 0 && bgzf.VOffset(s.RecLo) <= huge && huge < bgzf.VOffset(s.RecHi)
+			if piece || s.RecHi == 0 && s.RefID == 0 && s.Beg <= hugePos && hugePos < s.End {
+				sh = s
+			}
+		}
+		before := inflated.Value()
+		rr, err := p.NewReader(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.Close()
+		for err == nil {
+			_, err = rr.NextBody()
+		}
+		got := inflated.Value() - before
+		t.Logf("%s %v: %v after %d bytes inflated", name, sh, err, got)
+		checkCorrupt(t, name, shard.Config{}, err)
+		lo, hi := bgzf.VOffset(sh.RecLo), bgzf.VOffset(sh.RecHi)
+		if hi == 0 { // an index shard: the span of its chunks
+			cs := idx.Query(0, sh.Beg, sh.End)
+			lo, hi = cs[0].Beg, cs[len(cs)-1].End
+		}
+		if bound := within(lo, hi); hi != math.MaxInt64 && got > bound {
+			t.Errorf("%s: inflated %d bytes, more than the %d of the members under it", name, got, bound)
+		}
+	}
+	drain("piece", shard.Options{TargetShards: 16})
+	drain("index shard", shard.Options{Refs: []string{ref.Name}, TargetShards: 16})
+	if err := os.Remove(path + ".bai"); err != nil {
+		t.Fatal(err)
+	}
+	drain("bare stream", shard.Options{TargetShards: 1})
 }

@@ -179,27 +179,18 @@ func (p *BAMProvider) GenerateShards(opts Options) ([]Shard, error) {
 	return shards, nil
 }
 
-// bamShardReader is one shard's iterator over its own BGZF stream on the
-// shared handle.
-type bamShardReader struct {
-	br *bam.Reader
-	it interface{ NextBody() ([]byte, error) }
-}
-
-func (r *bamShardReader) NextBody() ([]byte, error) { return r.it.NextBody() }
-
-func (r *bamShardReader) Close() error { return r.br.Close() }
-
-// bamStream iterates a piece: every body of it, or with sh.RefID ≥ 0
-// those of that reference starting within [sh.Beg, sh.End).
+// bamStream iterates a piece through its reader's own cursor, which
+// NewPieceScanner bounds at the piece's end: every body of it, or with
+// sh.RefID ≥ 0 those of that reference starting within [sh.Beg, sh.End),
+// in any order (a bare BAM need not be sorted).
 type bamStream struct {
-	*bam.BodyScanner
+	*bam.Reader
 	sh Shard
 }
 
 func (s bamStream) NextBody() ([]byte, error) {
 	for {
-		body, err := s.Next() // at least the 32-byte fixed section
+		body, err := s.ReadBody() // at least the 32-byte fixed section
 		if err != nil || s.sh.RefID < 0 {
 			return body, err
 		}
@@ -210,9 +201,9 @@ func (s bamStream) NextBody() ([]byte, error) {
 	}
 }
 
-// NewReader opens an independent iterator over one shard: a piece's
-// body scanner from RecLo to RecHi, or for index shards a start-within
-// region reader.
+// NewReader opens an independent iterator over one shard on its own
+// reader: a piece from RecLo to RecHi, or for index shards a
+// start-within region reader.
 func (p *BAMProvider) NewReader(sh Shard) (RecordReader, error) {
 	piece := sh.RecHi != 0
 	idx, err := p.load(!piece)
@@ -231,14 +222,19 @@ func (p *BAMProvider) NewReader(sh Shard) (RecordReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %s: %w", p.path, err)
 	}
-	r := &bamShardReader{br: br}
 	if piece {
-		r.it = bamStream{bam.NewPieceScanner(br, hi), sh}
-	} else if r.it, err = bam.NewShardRegionReader(br, idx, sh.RefName, sh.Beg, sh.End); err != nil {
-		r.Close()
+		bam.NewPieceScanner(br, hi)
+		return bamStream{br, sh}, nil
+	}
+	rr, err := bam.NewShardRegionReader(br, idx, sh.RefName, sh.Beg, sh.End)
+	if err != nil {
+		br.Close()
 		return nil, err
 	}
-	return r, nil
+	return struct {
+		*bam.RegionReader
+		io.Closer
+	}{rr, br}, nil
 }
 
 // Close releases the shared handle; a later call opens it again.
